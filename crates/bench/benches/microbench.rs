@@ -48,6 +48,32 @@ fn index_append(h: &mut Harness) {
     }
 }
 
+/// A sequential writer's steady state at a fixed index size: the oldest
+/// request completes, then the next page is looked up and inserted.
+/// 57,344 is the Figure 7 client's peak of dirty pages.
+fn index_complete_oldest(h: &mut Harness) {
+    h.group("request_index_complete_oldest");
+    for &n in &[1_000u64, 57_344] {
+        for (label, kind) in [
+            ("list", IndexKind::SortedList),
+            ("hash", IndexKind::HashTable),
+        ] {
+            let mut idx = RequestIndex::new(kind);
+            for page in 0..n {
+                idx.insert(NfsPageReq::new(page, 0, 4096, SimTime::ZERO));
+            }
+            let mut oldest = 0u64;
+            h.bench(&format!("{label}/{n}"), || {
+                idx.remove(oldest).expect("oldest is indexed");
+                let next = oldest + n;
+                oldest += 1;
+                let l = idx.find(black_box(next));
+                l.scanned + idx.insert(NfsPageReq::new(next, 0, 4096, SimTime::ZERO))
+            });
+        }
+    }
+}
+
 /// Encoding a full WRITE3 call message (header + 8 KiB payload).
 fn xdr_write3(h: &mut Harness) {
     use nfsperf_nfs3::{FileHandle, StableHow, Write3Args};
@@ -106,6 +132,7 @@ fn main() {
     let mut h = Harness::from_env();
     index_lookup(&mut h);
     index_append(&mut h);
+    index_complete_oldest(&mut h);
     xdr_write3(&mut h);
     sim_engine(&mut h);
     h.finish();

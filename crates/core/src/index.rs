@@ -8,11 +8,17 @@
 //! hash table keyed by page offset makes the lookup O(1) at a cost of
 //! eight bytes per request and eight per inode.
 //!
-//! [`RequestIndex::find`] and friends return the number of list entries
-//! actually walked so the caller can charge honest CPU time; the walk is
-//! performed for real, not assumed.
+//! On the host both kinds keep the same structure: one ring of requests
+//! ordered by page index. The kind chooses only the simulated cost the
+//! mount charges. With [`IndexKind::SortedList`], [`RequestIndex::find`]
+//! and [`RequestIndex::insert`] walk the ring for real and return the
+//! number of entries walked, charged per entry. With
+//! [`IndexKind::HashTable`] they binary-search the ring and report no
+//! walk, so the mount charges one hash probe. Completion removes from
+//! the ring's front in O(1), as the kernel's unlink of a request it
+//! already holds does.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use crate::request::NfsPageReq;
@@ -20,10 +26,10 @@ use crate::tuning::IndexKind;
 
 /// The index over one inode's outstanding requests.
 pub struct RequestIndex {
-    /// Requests ordered by page index (the 2.4 list; always maintained).
-    list: Vec<Rc<NfsPageReq>>,
-    /// The paper's supplementary hash table, present when enabled.
-    hash: Option<HashMap<u64, Rc<NfsPageReq>>>,
+    /// Which simulated cost the lookups report (a walk or a probe).
+    kind: IndexKind,
+    /// Requests ordered by page index.
+    ring: VecDeque<Rc<NfsPageReq>>,
 }
 
 /// Result of an index operation: what was found plus the walk length to
@@ -39,11 +45,25 @@ impl RequestIndex {
     /// Creates an empty index of the given kind.
     pub fn new(kind: IndexKind) -> RequestIndex {
         RequestIndex {
-            list: Vec::new(),
-            hash: match kind {
-                IndexKind::SortedList => None,
-                IndexKind::HashTable => Some(HashMap::new()),
-            },
+            kind,
+            ring: VecDeque::new(),
+        }
+    }
+
+    /// Position of the first request at or after `page_index`, and the
+    /// entries walked to reach it: the real list walk of
+    /// `_nfs_find_request` for the plain list (it stops at the page or at
+    /// the first larger one, or walks everything), a binary search
+    /// charged as no walk for the hash table.
+    fn seek(&self, page_index: u64) -> (usize, usize) {
+        match self.kind {
+            IndexKind::SortedList => {
+                match self.ring.iter().position(|r| r.page_index >= page_index) {
+                    Some(pos) => (pos, pos + 1),
+                    None => (self.ring.len(), self.ring.len()),
+                }
+            }
+            IndexKind::HashTable => (self.ring.partition_point(|r| r.page_index < page_index), 0),
         }
     }
 
@@ -54,100 +74,64 @@ impl RequestIndex {
     /// absence (passing the insertion point), exactly as
     /// `_nfs_find_request` does.
     pub fn find(&self, page_index: u64) -> Lookup {
-        if let Some(hash) = &self.hash {
-            return Lookup {
-                found: hash.get(&page_index).cloned(),
-                scanned: 0,
-            };
-        }
-        let mut scanned = 0;
-        for req in &self.list {
-            scanned += 1;
-            if req.page_index == page_index {
-                return Lookup {
-                    found: Some(Rc::clone(req)),
-                    scanned,
-                };
-            }
-            if req.page_index > page_index {
-                // Sorted: the page cannot appear later.
-                return Lookup {
-                    found: None,
-                    scanned,
-                };
-            }
-        }
+        let (pos, scanned) = self.seek(page_index);
         Lookup {
-            found: None,
+            found: self
+                .ring
+                .get(pos)
+                .filter(|r| r.page_index == page_index)
+                .cloned(),
             scanned,
         }
     }
 
-    /// Inserts a new request, keeping the list sorted. Returns entries
-    /// walked to find the insertion point (a sequential writer walks the
-    /// whole list every time — the Figure 3 pathology).
+    /// Inserts a new request, keeping the ring sorted. Returns entries
+    /// walked to find the insertion point: a sequential writer walks the
+    /// whole list every time (the Figure 3 pathology), while the hash
+    /// table charges no walk. Either way a sequential append lands at the
+    /// back of the ring in O(1).
     ///
     /// # Panics
     ///
-    /// Panics if a request for the same page is already indexed; callers
-    /// must [`RequestIndex::find`] first.
+    /// Panics, leaving the index unchanged, if a request for the same
+    /// page is already indexed; callers must [`RequestIndex::find`] first.
     pub fn insert(&mut self, req: Rc<NfsPageReq>) -> usize {
         let page = req.page_index;
-        if let Some(hash) = &mut self.hash {
-            let prev = hash.insert(page, Rc::clone(&req));
-            assert!(prev.is_none(), "duplicate request for page {page}");
-            // The supplementary list is still maintained (ordering is
-            // needed for coalescing), but with the hash present the walk
-            // is not charged: position is found from the end, where a
-            // sequential writer appends in O(1).
-            let pos = self.list.partition_point(|r| r.page_index < page);
-            self.list.insert(pos, req);
-            return 0;
-        }
-        let mut scanned = 0;
-        let mut pos = self.list.len();
-        for (i, r) in self.list.iter().enumerate() {
-            scanned += 1;
-            assert!(r.page_index != page, "duplicate request for page {page}");
-            if r.page_index > page {
-                pos = i;
-                break;
-            }
-        }
-        self.list.insert(pos, req);
+        let (pos, scanned) = self.seek(page);
+        assert!(
+            self.ring.get(pos).is_none_or(|r| r.page_index != page),
+            "duplicate request for page {page}"
+        );
+        self.ring.insert(pos, req);
         scanned
     }
 
     /// Removes the request for `page_index` (on completion). Completion
     /// holds a pointer to the request in the real kernel, so removal is
-    /// O(1) and uncharged; the internal position search uses binary
-    /// search.
+    /// uncharged. The position is found by binary search, and the ring
+    /// shifts only its shorter side, so completing the oldest request is
+    /// O(1).
     pub fn remove(&mut self, page_index: u64) -> Option<Rc<NfsPageReq>> {
-        if let Some(hash) = &mut self.hash {
-            hash.remove(&page_index);
-        }
-        match self
-            .list
+        let i = self
+            .ring
             .binary_search_by_key(&page_index, |r| r.page_index)
-        {
-            Ok(i) => Some(self.list.remove(i)),
-            Err(_) => None,
-        }
+            .ok()?;
+        self.ring.remove(i)
     }
 
     /// Number of indexed requests.
     pub fn len(&self) -> usize {
-        self.list.len()
+        self.ring.len()
     }
 
     /// Returns `true` when no requests are outstanding.
     pub fn is_empty(&self) -> bool {
-        self.list.is_empty()
+        self.ring.is_empty()
     }
 
     /// Iterates requests in page order (for coalescing and flushing).
     pub fn iter(&self) -> impl Iterator<Item = &Rc<NfsPageReq>> {
-        self.list.iter()
+        self.ring.iter()
     }
 
     /// Iterates requests with `page_index >= from` in page order. The
@@ -155,13 +139,8 @@ impl RequestIndex {
     /// shortcut only — simulated scan costs are charged by the caller
     /// independently of how the iteration is implemented.
     pub fn iter_from(&self, from: u64) -> impl Iterator<Item = &Rc<NfsPageReq>> {
-        let start = self.list.partition_point(|r| r.page_index < from);
-        self.list[start..].iter()
-    }
-
-    /// Returns `true` if the hash table is active.
-    pub fn has_hash(&self) -> bool {
-        self.hash.is_some()
+        let start = self.ring.partition_point(|r| r.page_index < from);
+        self.ring.range(start..)
     }
 }
 
@@ -195,9 +174,8 @@ mod tests {
             assert_eq!(idx.insert(req(page)), 0);
         }
         let hit = idx.find(50);
-        assert!(hit.found.is_some());
+        assert_eq!(hit.found.unwrap().page_index, 50);
         assert_eq!(hit.scanned, 0);
-        assert!(idx.has_hash());
     }
 
     #[test]
@@ -263,18 +241,34 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplicate request")]
-    fn duplicate_insert_panics_list() {
-        let mut idx = RequestIndex::new(IndexKind::SortedList);
-        idx.insert(req(1));
-        idx.insert(req(1));
-    }
+    fn duplicate_insert_panics_and_leaves_the_index_unchanged() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    #[test]
-    #[should_panic(expected = "duplicate request")]
-    fn duplicate_insert_panics_hash() {
-        let mut idx = RequestIndex::new(IndexKind::HashTable);
-        idx.insert(req(1));
-        idx.insert(req(1));
+        for kind in [IndexKind::SortedList, IndexKind::HashTable] {
+            let mut idx = RequestIndex::new(kind);
+            let originals: Vec<Rc<NfsPageReq>> = [1u64, 3, 5].into_iter().map(req).collect();
+            for r in &originals {
+                idx.insert(Rc::clone(r));
+            }
+            for r in &originals {
+                let err = catch_unwind(AssertUnwindSafe(|| idx.insert(req(r.page_index))))
+                    .expect_err("a duplicate insert must panic");
+                let msg = err
+                    .downcast_ref::<String>()
+                    .expect("formatted panic message");
+                assert!(msg.contains("duplicate request"), "{kind:?}: {msg}");
+                assert_eq!(idx.len(), originals.len(), "{kind:?}");
+                let pages: Vec<u64> = idx.iter().map(|r| r.page_index).collect();
+                assert_eq!(pages, vec![1, 3, 5], "{kind:?}");
+                for orig in &originals {
+                    let found = idx.find(orig.page_index).found.expect("still indexed");
+                    assert!(
+                        Rc::ptr_eq(&found, orig),
+                        "{kind:?}: page {} replaced",
+                        orig.page_index
+                    );
+                }
+            }
+        }
     }
 }

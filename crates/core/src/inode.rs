@@ -15,7 +15,7 @@ use crate::tuning::IndexKind;
 pub struct NfsInode {
     /// The server's handle for this file.
     pub fh: FileHandle,
-    /// Outstanding request index (list and/or hash).
+    /// Outstanding request index (charged as a list walk or a hash probe).
     pub index: RefCell<RequestIndex>,
     dirty: Cell<usize>,
     /// No request with `page_index` below this is in `Dirty` state.

@@ -12,6 +12,8 @@
 //! reassembled in work-list order, so every CSV is bit-identical at any
 //! jobs count. Total wall-clock is appended to `results/run_all.log`.
 
+use std::io::Write;
+
 use nfsperf_experiments::figures;
 use nfsperf_sim::runner;
 
@@ -49,7 +51,12 @@ fn main() {
         wall.as_secs_f64(),
         quick
     );
-    std::fs::write("results/run_all.log", &log).expect("write results/run_all.log");
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open("results/run_all.log")
+        .and_then(|mut f| f.write_all(log.as_bytes()))
+        .expect("append to results/run_all.log");
     print!("{log}");
     println!("all results written under results/");
 }

@@ -22,6 +22,13 @@ echo "==> zero-alloc steady state smoke (counting global allocator, release)"
 # exercises the same codegen as the benchmarks.
 cargo test -q --release --offline -p nfsperf-fleet --test zero_alloc
 
+echo "==> benchmark world equivalence (simbench worlds vs the experiment runners)"
+# simbench is its own workspace, so the workspace tests above skip it.
+# Its suite holds each hand-built benchmark world to the same simulated
+# outputs as run_bonnie / run_megafleet / run_fleet, so a changed client
+# or server constructor cannot silently break the benchmark worlds.
+cargo test -q --release --offline --manifest-path simbench/Cargo.toml
+
 echo "==> quickstart smoke run"
 out="$(cargo run -q --release --offline --example quickstart)"
 echo "$out"

@@ -6,6 +6,9 @@
 //! failure prints the case seed; replay it with
 //! `NFSPERF_PROPTEST_SEED=<seed> NFSPERF_PROPTEST_CASES=1 cargo test <name>`.
 
+use std::collections::BTreeMap;
+use std::rc::Rc;
+
 use nfsperf_sim::proptest::{check, CaseOutcome};
 use nfsperf_sim::{prop_assert, prop_assert_eq, prop_assume};
 
@@ -304,41 +307,113 @@ fn wire_overhead_is_bounded() {
 }
 
 // ---------------------------------------------------------------------
-// Request index: the list and the hash agree on all operations.
+// Request index: both kinds match an independent reference model.
 // ---------------------------------------------------------------------
 
+/// The 2.4.4 list walk, done naively over the reference's sorted keys:
+/// entries visited until the page or the first larger one, else all.
+fn reference_walk(model: &BTreeMap<u64, Rc<NfsPageReq>>, page: u64) -> usize {
+    let mut walked = 0;
+    for &p in model.keys() {
+        walked += 1;
+        if p >= page {
+            break;
+        }
+    }
+    walked
+}
+
+/// Both absent, or both the very same request.
+fn same_req(a: Option<&Rc<NfsPageReq>>, b: Option<&Rc<NfsPageReq>>) -> bool {
+    match (a, b) {
+        (None, None) => true,
+        (Some(a), Some(b)) => Rc::ptr_eq(a, b),
+        _ => false,
+    }
+}
+
+/// Each op is `(kind, arg)`: kind 0 writes random page `arg`, 1–3 append
+/// the sequential writer's next page, 4 completes random page `arg`, 5
+/// completes one of the four oldest requests (completions out of order
+/// near the head), 6 iterates from page `4 * arg`. Every op is checked
+/// on both index kinds against a `BTreeMap` for contents and a naive
+/// walk for the list's `scanned`; the hash kind must report no walk.
 #[test]
 fn index_kinds_are_observationally_equal() {
     check(
         "index_kinds_are_observationally_equal",
-        |g| g.vec(1, 200, |g| (g.any_bool(), g.u64_in(0, 64))),
-        |ops: &Vec<(bool, u64)>| {
-            let mut list = RequestIndex::new(IndexKind::SortedList);
-            let mut hash = RequestIndex::new(IndexKind::HashTable);
-            for &(insert, page) in ops {
-                if insert {
-                    let in_list = list.find(page).found.is_some();
-                    let in_hash = hash.find(page).found.is_some();
-                    prop_assert_eq!(in_list, in_hash);
-                    if !in_list {
-                        list.insert(NfsPageReq::new(page, 0, PAGE_SIZE, SimTime::ZERO));
-                        hash.insert(NfsPageReq::new(page, 0, PAGE_SIZE, SimTime::ZERO));
+        |g| g.vec(1, 300, |g| (g.u8_in(0, 7), g.u64_in(0, 64))),
+        |ops: &Vec<(u8, u64)>| {
+            let kinds = [IndexKind::SortedList, IndexKind::HashTable];
+            let mut idxs = kinds.map(RequestIndex::new);
+            let mut model: BTreeMap<u64, Rc<NfsPageReq>> = BTreeMap::new();
+            let mut next_seq = 64;
+            for &(op, arg) in ops {
+                match op {
+                    0..=3 => {
+                        let page = if op == 0 {
+                            arg
+                        } else {
+                            next_seq += 1;
+                            next_seq - 1
+                        };
+                        let walk = reference_walk(&model, page);
+                        let present = model.contains_key(&page);
+                        let req = NfsPageReq::new(page, 0, PAGE_SIZE, SimTime::ZERO);
+                        for (kind, idx) in kinds.iter().zip(&mut idxs) {
+                            let charged = match kind {
+                                IndexKind::SortedList => walk,
+                                IndexKind::HashTable => 0,
+                            };
+                            let l = idx.find(page);
+                            prop_assert_eq!(l.scanned, charged);
+                            prop_assert!(
+                                same_req(l.found.as_ref(), model.get(&page)),
+                                "{kind:?} find({page})"
+                            );
+                            if !present {
+                                prop_assert_eq!(idx.insert(Rc::clone(&req)), charged);
+                            }
+                        }
+                        if !present {
+                            model.insert(page, req);
+                        }
                     }
-                } else {
-                    let a = list.remove(page).map(|r| r.page_index);
-                    let b = hash.remove(page).map(|r| r.page_index);
-                    prop_assert_eq!(a, b);
+                    4 | 5 => {
+                        let page = if op == 4 {
+                            arg
+                        } else {
+                            model.keys().nth(arg as usize % 4).copied().unwrap_or(arg)
+                        };
+                        let done = model.remove(&page);
+                        for idx in &mut idxs {
+                            prop_assert!(
+                                same_req(idx.remove(page).as_ref(), done.as_ref()),
+                                "remove({page})"
+                            );
+                        }
+                    }
+                    _ => {
+                        let from = 4 * arg;
+                        let want: Vec<u64> = model.range(from..).map(|(&p, _)| p).collect();
+                        for idx in &idxs {
+                            let got: Vec<u64> = idx.iter_from(from).map(|r| r.page_index).collect();
+                            prop_assert_eq!(got, want);
+                        }
+                    }
                 }
-                prop_assert_eq!(list.len(), hash.len());
+                for idx in &idxs {
+                    prop_assert_eq!(idx.len(), model.len());
+                    prop_assert_eq!(idx.is_empty(), model.is_empty());
+                    prop_assert_eq!(idx.iter().count(), model.len());
+                    prop_assert!(
+                        idx.iter()
+                            .zip(model.values())
+                            .all(|(a, b)| Rc::ptr_eq(a, b)),
+                        "iter order differs from the reference"
+                    );
+                }
             }
-            // Same final contents in the same order.
-            let pa: Vec<u64> = list.iter().map(|r| r.page_index).collect();
-            let pb: Vec<u64> = hash.iter().map(|r| r.page_index).collect();
-            prop_assert_eq!(pa.clone(), pb);
-            // Sorted invariant.
-            let mut sorted = pa.clone();
-            sorted.sort_unstable();
-            prop_assert_eq!(pa, sorted);
             CaseOutcome::Pass
         },
     );
