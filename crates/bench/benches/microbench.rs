@@ -1,6 +1,7 @@
 //! Microbenchmarks of the core data structures and substrates: the
 //! request index (the paper's list-vs-hash fix, measured directly), the
-//! XDR codec, and the simulation engine's primitives.
+//! XDR codec, the TCP byte stream, and the simulation engine's
+//! primitives.
 
 use std::hint::black_box;
 
@@ -93,6 +94,55 @@ fn xdr_write3(h: &mut Harness) {
     });
 }
 
+/// The TCP byte stream at a deep send backlog: `records` record-marked
+/// 8 KiB WRITE calls queued on one connection at once (16 is 128 KiB, a
+/// full 16-slot RPC table), then driven until the peer has read them all
+/// and the last ACKs have drained the send buffer. The per-record cost
+/// must not grow with the backlog; `tcp.transfer_ns_per_kib` in the repo
+/// benchmark replays an empty send queue and cannot show that.
+fn tcp_stream_backlog(h: &mut Harness) {
+    use std::rc::Rc;
+
+    use nfsperf_net::{Nic, NicSpec, Path};
+    use nfsperf_nfs3::{FileHandle, StableHow, Write3Args};
+    use nfsperf_sunrpc::{record_marker, AuthUnix};
+    use nfsperf_tcp::{TcpConfig, TcpEndpoint};
+
+    let args = Write3Args::new(FileHandle::for_fileid(7), 0, 8192, StableHow::Unstable);
+    let call = nfsperf_sunrpc::encode_call(1, 100_003, 3, 7, &AuthUnix::root_on("bench"), &args);
+    h.group("tcp_stream_backlog");
+    for records in [1usize, 16] {
+        let sim = Sim::new();
+        let (cnic, crx) = Nic::new(&sim, "client", NicSpec::gigabit());
+        let (snic, srx) = Nic::new(&sim, "server", NicSpec::gigabit());
+        let c2s = Path::new(cnic, snic, Path::default_latency());
+        let server = TcpEndpoint::new(&sim, c2s.reversed(), srx, TcpConfig::for_mtu(1500));
+        let client = TcpEndpoint::new(&sim, c2s, crx, TcpConfig::for_mtu(1500));
+        let (tx, rx) = sim.run_until(async move {
+            let tx = client.connect().await.expect("connect");
+            (tx, server.accept().await.expect("accept"))
+        });
+        let backlog = records * (call.len() + 4);
+        h.bench(&format!("records/{records}"), || {
+            let marker = record_marker(call.len());
+            for _ in 0..records {
+                tx.send_vectored(&[&marker, &call[..]]).expect("send");
+            }
+            let rx = Rc::clone(&rx);
+            let s = sim.clone();
+            sim.run_until(async move {
+                let mut got = Vec::new();
+                while got.len() < backlog {
+                    rx.recv_into(&mut got).await.expect("stream open");
+                }
+                // Long enough for the last ACKs to reach the sender.
+                s.sleep(SimDuration::from_millis(1)).await;
+                black_box(got.len())
+            })
+        });
+    }
+}
+
 /// Raw discrete-event engine throughput: spawn/sleep/complete cycles.
 fn sim_engine(h: &mut Harness) {
     h.group("sim_engine");
@@ -134,6 +184,7 @@ fn main() {
     index_append(&mut h);
     index_complete_oldest(&mut h);
     xdr_write3(&mut h);
+    tcp_stream_backlog(&mut h);
     sim_engine(&mut h);
     h.finish();
 }

@@ -120,6 +120,36 @@ impl TransportSweep {
             .find(|r| r.label == label && r.loss == loss)
     }
 
+    /// One CSV row per cell, in sweep order.
+    pub fn to_csv(&self) -> String {
+        let mut out = String::from(
+            "transport,loss,write_mbps,flush_mbps,drops,rpc_retransmits,tcp_retransmits,\
+             tcp_fast_retransmits\n",
+        );
+        for r in &self.rows {
+            out.push_str(&format!(
+                "{},{},{:.3},{:.3},{},{},{},{}\n",
+                r.label,
+                r.loss,
+                r.write_mbps,
+                r.flush_mbps,
+                r.drops,
+                r.rpc_retransmits,
+                r.tcp_retransmits,
+                r.tcp_fast_retransmits,
+            ));
+        }
+        out
+    }
+
+    /// Writes the CSV to `path`.
+    pub fn write_csv(&self, path: &std::path::Path) -> std::io::Result<()> {
+        if let Some(parent) = path.parent() {
+            std::fs::create_dir_all(parent)?;
+        }
+        std::fs::write(path, self.to_csv())
+    }
+
     /// Renders the matrix as an ASCII table.
     pub fn render(&self) -> String {
         let rows: Vec<Vec<String>> = self
@@ -178,6 +208,17 @@ mod tests {
             assert_eq!(r.rpc_retransmits, 0, "{}: rpc rexmit", r.label);
             assert_eq!(r.tcp_retransmits, 0, "{}: tcp rexmit", r.label);
         }
+    }
+
+    #[test]
+    fn csv_has_one_row_per_cell() {
+        let sweep = transport_sweep(1 << 20, &[0.0, 0.01], 1);
+        let csv = sweep.to_csv();
+        let lines: Vec<&str> = csv.lines().collect();
+        assert_eq!(lines.len(), 1 + sweep.rows.len());
+        assert!(lines[0].starts_with("transport,loss,"));
+        assert!(lines[1].starts_with("udp,0,"), "{}", lines[1]);
+        assert!(lines[6].starts_with("tcp,0.01,"), "{}", lines[6]);
     }
 
     #[test]

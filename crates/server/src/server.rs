@@ -14,7 +14,7 @@ use nfsperf_sim::{
     Counter, Gate, GatePass, Receiver, SemAcquire, SemPermit, Sim, SimDuration, SimTime,
 };
 use nfsperf_sunrpc::{
-    decode_call, encode_record, encode_reply, encode_reply_status, RecordReader,
+    decode_call, encode_reply, encode_reply_status, record_marker, RecordReader,
     ACCEPT_GARBAGE_ARGS, ACCEPT_PROC_UNAVAIL, ACCEPT_PROG_MISMATCH, ACCEPT_PROG_UNAVAIL,
 };
 use nfsperf_tcp::{TcpConfig, TcpConn, TcpEndpoint};
@@ -266,7 +266,7 @@ impl ReplySink {
             // A send error means the peer went away; a real server drops
             // the reply on the floor, so do we.
             ReplySink::Tcp(conn) => {
-                let _ = conn.send(&encode_record(&reply));
+                let _ = conn.send_vectored(&[&record_marker(reply.len()), &reply]);
             }
         }
     }
@@ -815,12 +815,8 @@ impl NfsServer {
     /// each into the shared service path, replying on the same connection.
     async fn serve_conn(self: Rc<Self>, client: usize, conn: Rc<TcpConn>) {
         let mut records = RecordReader::new();
-        loop {
-            let bytes = match conn.recv_some().await {
-                Ok(b) => b,
-                Err(_) => return, // peer closed, reset, or went away
-            };
-            records.push(&bytes);
+        // Ends when the peer closed, reset, or went away.
+        while conn.recv_into(records.stream_mut()).await.is_ok() {
             while let Some(call) = records.next_record() {
                 self.serve_one(client, call, ReplySink::Tcp(Rc::clone(&conn)));
             }

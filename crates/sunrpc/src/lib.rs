@@ -24,7 +24,7 @@ pub use msg::{
     CallHeader, ReplyHeader, ACCEPT_GARBAGE_ARGS, ACCEPT_PROC_UNAVAIL, ACCEPT_PROG_MISMATCH,
     ACCEPT_PROG_UNAVAIL, ACCEPT_SUCCESS,
 };
-pub use record::{encode_record, encode_record_frags, RecordReader, LAST_FRAGMENT};
+pub use record::{encode_record, encode_record_frags, record_marker, RecordReader, LAST_FRAGMENT};
 pub use tcp_xprt::TcpRpcXprt;
 pub use transport::{Transport, Xprt};
 pub use xprt::{RpcError, RpcXprt, XprtConfig, XprtStats};

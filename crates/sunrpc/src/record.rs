@@ -5,12 +5,22 @@
 //! preceded by a 4-byte big-endian header whose low 31 bits are the
 //! fragment length and whose top bit marks the record's last fragment.
 //!
-//! The writer side normally emits one maximal fragment per message
-//! ([`encode_record`]); [`encode_record_frags`] exists to exercise
-//! multi-fragment records, which a conforming reader must accept at any
-//! fragment boundaries. The reader ([`RecordReader`]) is incremental: feed
-//! it stream bytes as they arrive, pull out complete records as they
-//! become available.
+//! The writer side normally emits one maximal fragment per message. A
+//! transport writes the [`record_marker`] and then the message onto the
+//! stream (`TcpConn::send_vectored`), which puts the same bytes on the
+//! wire as [`encode_record`] without building the framed copy.
+//! [`encode_record_frags`] exists to exercise multi-fragment records,
+//! which a conforming reader must accept at any fragment boundaries.
+//!
+//! The reader ([`RecordReader`]) is incremental: feed it stream bytes as
+//! they arrive, either pushed or appended in place by the transport
+//! ([`RecordReader::stream_mut`]), and pull out complete records as they
+//! become available. It keeps a read offset into its buffer. Each record
+//! comes out as one copy of its body into a pooled buffer, and consumed
+//! bytes are reclaimed lazily, only once they outweigh the unread rest,
+//! so taking a record never shifts the bytes behind it.
+
+use nfsperf_net::pool_get;
 
 /// Top bit of the fragment header: this fragment completes the record.
 pub const LAST_FRAGMENT: u32 = 0x8000_0000;
@@ -21,6 +31,29 @@ pub const MAX_FRAGMENT: usize = 0x7fff_ffff;
 /// Frames one RPC message as a single-fragment record.
 pub fn encode_record(msg: &[u8]) -> Vec<u8> {
     encode_record_frags(msg, MAX_FRAGMENT)
+}
+
+/// The fragment header that frames a `len`-byte message as a
+/// single-fragment record: write it, then the message.
+///
+/// # Panics
+///
+/// Panics if `len` exceeds [`MAX_FRAGMENT`].
+pub fn record_marker(len: usize) -> [u8; 4] {
+    assert!(
+        len <= MAX_FRAGMENT,
+        "message of {len} bytes exceeds one fragment"
+    );
+    (len as u32 | LAST_FRAGMENT).to_be_bytes()
+}
+
+/// Splits a fragment header into its body length and last-fragment flag.
+fn fragment_header(bytes: &[u8]) -> (usize, bool) {
+    let header = u32::from_be_bytes(bytes.try_into().expect("a 4-byte fragment header"));
+    (
+        (header & !LAST_FRAGMENT) as usize,
+        header & LAST_FRAGMENT != 0,
+    )
 }
 
 /// Frames one RPC message as a record of fragments of at most `max_frag`
@@ -47,14 +80,16 @@ pub fn encode_record_frags(msg: &[u8], max_frag: usize) -> Vec<u8> {
 
 /// Incremental record parser for one direction of a stream connection.
 ///
-/// Bytes go in via [`push`](RecordReader::push) in whatever chunks the
+/// Bytes go in via [`push`](RecordReader::push) or
+/// [`stream_mut`](RecordReader::stream_mut) in whatever chunks the
 /// transport delivers; complete records come out of
 /// [`next_record`](RecordReader::next_record). Partial headers, partial
 /// fragments and records split across many pushes are all handled.
 #[derive(Debug, Default)]
 pub struct RecordReader {
     stream: Vec<u8>,
-    assembled: Vec<u8>,
+    /// Bytes at the front of `stream` already returned as records.
+    read: usize,
 }
 
 impl RecordReader {
@@ -65,32 +100,58 @@ impl RecordReader {
 
     /// Appends bytes received from the stream.
     pub fn push(&mut self, bytes: &[u8]) {
-        self.stream.extend_from_slice(bytes);
+        self.stream_mut().extend_from_slice(bytes);
+    }
+
+    /// The stream buffer, for a transport to append received bytes to in
+    /// place (`TcpConn::recv_into`). Callers may only append. Consumed
+    /// bytes are reclaimed first, so a reader holding no partial record
+    /// hands out an empty buffer, which the transport can swap for its
+    /// own.
+    pub fn stream_mut(&mut self) -> &mut Vec<u8> {
+        let unread = self.stream.len() - self.read;
+        if unread == 0 {
+            self.stream.clear();
+            self.read = 0;
+        } else if self.read >= unread {
+            // Shifting the unread rest costs no more than the bytes
+            // consumed since the last shift.
+            self.stream.drain(..self.read);
+            self.read = 0;
+        }
+        &mut self.stream
     }
 
     /// Extracts the next complete record, if the stream holds one.
     pub fn next_record(&mut self) -> Option<Vec<u8>> {
+        // Find the end of the record's last fragment before consuming
+        // anything: a partial record stays in the stream as it arrived.
+        let unread = &self.stream[self.read..];
+        let mut end = 0;
         loop {
-            if self.stream.len() < 4 {
+            let (len, last) = fragment_header(unread.get(end..end + 4)?);
+            if unread.len() < end + 4 + len {
                 return None;
             }
-            let header = u32::from_be_bytes(self.stream[0..4].try_into().unwrap());
-            let len = (header & !LAST_FRAGMENT) as usize;
-            let last = header & LAST_FRAGMENT != 0;
-            if self.stream.len() < 4 + len {
-                return None;
-            }
-            self.assembled.extend_from_slice(&self.stream[4..4 + len]);
-            self.stream.drain(..4 + len);
+            end += 4 + len;
             if last {
-                return Some(std::mem::take(&mut self.assembled));
+                break;
             }
         }
+        let mut record = pool_get();
+        let mut at = 0;
+        while at < end {
+            let (len, _) = fragment_header(&unread[at..at + 4]);
+            record.extend_from_slice(&unread[at + 4..at + 4 + len]);
+            at += 4 + len;
+        }
+        self.read += end;
+        Some(record)
     }
 
     /// Bytes buffered but not yet returned as a record.
     pub fn buffered(&self) -> usize {
-        self.stream.len() + self.assembled.len()
+        self.stream.len() - self.read
     }
 }
 

@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use nfsperf_kernel::Kernel;
-use nfsperf_net::{DatagramPayload, Path};
+use nfsperf_net::{pool_copy, pool_put, DatagramPayload, Path};
 use nfsperf_sim::{Counter, Receiver, Semaphore, WaitQueue};
 use nfsperf_tcp::{TcpConfig, TcpConn, TcpEndpoint, TcpStats};
 use nfsperf_xdr::XdrEncode;
@@ -62,7 +62,7 @@ pub struct TcpRpcXprt {
     pending: RefCell<HashMap<u32, Rc<Pending>>>,
     /// Encoded call bytes for every pending xid, kept for replay after a
     /// reconnect.
-    sent: RefCell<HashMap<u32, Vec<u8>>>,
+    sent: RefCell<HashMap<u32, Rc<Vec<u8>>>>,
     conn: RefCell<ConnState>,
     conn_changed: WaitQueue,
     slots: Rc<Semaphore>,
@@ -143,9 +143,11 @@ impl TcpRpcXprt {
                 .cpus
                 .work("rpc_encode", self.kernel.costs.rpc_encode)
                 .await;
-            msg::encode_call(xid, self.prog, self.vers, proc, &self.cred, args)
+            Rc::new(msg::encode_call(
+                xid, self.prog, self.vers, proc, &self.cred, args,
+            ))
         };
-        self.sent.borrow_mut().insert(xid, encoded.clone());
+        self.sent.borrow_mut().insert(xid, Rc::clone(&encoded));
 
         let outcome = match self.transmit(&encoded).await {
             Err(e) => Err(e),
@@ -163,38 +165,41 @@ impl TcpRpcXprt {
         self.sent.borrow_mut().remove(&xid);
 
         let payload = outcome?;
-        let (hdr, dec) = msg::decode_reply(&payload).map_err(|_| RpcError::Garbage)?;
-        if hdr.accept_stat != ACCEPT_SUCCESS {
-            return Err(RpcError::Rejected(hdr.accept_stat));
-        }
-        let at = dec.position();
-        Ok(payload[at..].to_vec())
+        let result = match msg::decode_reply(&payload) {
+            Err(_) => Err(RpcError::Garbage),
+            Ok((hdr, _)) if hdr.accept_stat != ACCEPT_SUCCESS => {
+                Err(RpcError::Rejected(hdr.accept_stat))
+            }
+            Ok((_, dec)) => Ok(pool_copy(&payload[dec.position()..])),
+        };
+        pool_put(payload);
+        result
     }
 
-    /// Record-marks and writes one encoded call to the connection,
-    /// establishing it first if necessary, with the configured
-    /// `sock_sendmsg` cost and BKL behaviour.
+    /// Writes one encoded call to the connection, establishing it first if
+    /// necessary.
     async fn transmit(self: &Rc<Self>, encoded: &[u8]) -> Result<(), RpcError> {
         let conn = self.ensure_conn().await?;
-        let framed = record::encode_record(encoded);
-        if self.config.bkl_around_sendmsg {
-            let _g = self.kernel.bkl.lock("rpc_xmit").await;
-            self.kernel
-                .cpus
-                .work("sock_sendmsg", self.kernel.costs.sock_sendmsg)
-                .await;
-            let _ = conn.send(&framed);
-        } else {
-            self.kernel
-                .cpus
-                .work("sock_sendmsg", self.kernel.costs.sock_sendmsg)
-                .await;
-            let _ = conn.send(&framed);
-        }
+        self.sendmsg(&conn, encoded).await;
         // A send onto a connection that died in the meantime is not an
         // error: the death is (or will be) observed by the reader, which
         // replays every pending call on the replacement connection.
         Ok(())
+    }
+
+    /// Record-marks one encoded call onto `conn` with the configured
+    /// `sock_sendmsg` cost and BKL behaviour.
+    async fn sendmsg(&self, conn: &Rc<TcpConn>, encoded: &[u8]) {
+        let _bkl = if self.config.bkl_around_sendmsg {
+            Some(self.kernel.bkl.lock("rpc_xmit").await)
+        } else {
+            None
+        };
+        self.kernel
+            .cpus
+            .work("sock_sendmsg", self.kernel.costs.sock_sendmsg)
+            .await;
+        let _ = conn.send_vectored(&[&record::record_marker(encoded.len()), encoded]);
     }
 
     /// Returns the live connection, running the handshake if none exists.
@@ -243,12 +248,7 @@ impl TcpRpcXprt {
     /// off reconnect-and-replay.
     async fn reader(self: Rc<Self>, conn: Rc<TcpConn>) {
         let mut records = RecordReader::new();
-        loop {
-            let bytes = match conn.recv_some().await {
-                Ok(b) => b,
-                Err(_) => break,
-            };
-            records.push(&bytes);
+        while conn.recv_into(records.stream_mut()).await.is_ok() {
             while let Some(reply) = records.next_record() {
                 self.kernel
                     .cpus
@@ -309,28 +309,14 @@ impl TcpRpcXprt {
         for xid in xids {
             // The call may have completed while we were reconnecting.
             let encoded = match self.sent.borrow().get(&xid) {
-                Some(e) => e.clone(),
+                Some(e) => Rc::clone(e),
                 None => continue,
             };
             if !self.pending.borrow().contains_key(&xid) {
                 continue;
             }
             self.replays.inc();
-            let framed = record::encode_record(&encoded);
-            if self.config.bkl_around_sendmsg {
-                let _g = self.kernel.bkl.lock("rpc_xmit").await;
-                self.kernel
-                    .cpus
-                    .work("sock_sendmsg", self.kernel.costs.sock_sendmsg)
-                    .await;
-                let _ = conn.send(&framed);
-            } else {
-                self.kernel
-                    .cpus
-                    .work("sock_sendmsg", self.kernel.costs.sock_sendmsg)
-                    .await;
-                let _ = conn.send(&framed);
-            }
+            self.sendmsg(&conn, &encoded).await;
         }
     }
 

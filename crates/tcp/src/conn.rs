@@ -19,15 +19,26 @@
 //! promptly and memory is not the modeled bottleneck) and no delayed ACKs
 //! (every data segment is acknowledged immediately, which keeps the ACK
 //! clock simple and deterministic).
+//!
+//! The host-side byte path copies each byte at most once per hop, and no
+//! operation's cost grows with the queued backlog. The send buffer is a
+//! ring holding `[snd_una, snd_end)`: a cumulative ACK drops only the
+//! bytes it acknowledges. Each data segment is written from the ring's
+//! slices, behind its header, into a pooled wire buffer
+//! (`nfsperf_net::pool_get`) that the receiving endpoint returns to the
+//! pool. Received segments are views borrowed from their datagram: only
+//! out-of-order data is copied aside, in-order bytes go straight to the
+//! receive buffer, and [`TcpConn::recv_into`] hands that buffer over by
+//! swapping it with an empty one.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-use nfsperf_net::Path;
+use nfsperf_net::{pool_get, Path};
 use nfsperf_sim::{select2, Counter, Either, Sim, SimDuration, SimTime, WaitQueue};
 
-use crate::segment::{Segment, FLAG_ACK, FLAG_FIN, FLAG_RST, FLAG_SYN};
+use crate::segment::{write_header, Segment, FLAG_ACK, FLAG_FIN, FLAG_RST, FLAG_SYN, HEADER_LEN};
 
 /// Tunables of the TCP model.
 #[derive(Debug, Clone)]
@@ -128,12 +139,12 @@ pub struct TcpConn {
     established: WaitQueue,
     reset_seen: Cell<bool>,
 
-    // Send side. The buffer holds bytes [snd_una, snd_end); its front is
+    // Send side. The ring holds bytes [snd_una, snd_end); its front is
     // dropped as cumulative ACKs advance snd_una.
     snd_una: Cell<u64>,
     snd_nxt: Cell<u64>,
     snd_end: Cell<u64>,
-    snd_buf: RefCell<Vec<u8>>,
+    snd_buf: RefCell<VecDeque<u8>>,
     cwnd: Cell<u64>,
     ssthresh: Cell<u64>,
     dup_acks: Cell<u32>,
@@ -179,7 +190,7 @@ impl TcpConn {
             snd_una: Cell::new(1),
             snd_nxt: Cell::new(1),
             snd_end: Cell::new(1),
-            snd_buf: RefCell::new(Vec::new()),
+            snd_buf: RefCell::new(VecDeque::new()),
             cwnd: Cell::new(initial_cwnd),
             ssthresh: Cell::new(max_cwnd),
             dup_acks: Cell::new(0),
@@ -223,7 +234,7 @@ impl TcpConn {
         counters: Rc<SharedCounters>,
     ) -> Rc<TcpConn> {
         let conn = TcpConn::new(sim, path, config, id, counters, State::SynReceived);
-        conn.send_raw(FLAG_SYN | FLAG_ACK, 0, 1, Vec::new());
+        conn.send_raw(FLAG_SYN | FLAG_ACK, 0, 1);
         conn
     }
 
@@ -245,6 +256,13 @@ impl TcpConn {
     /// Current retransmission timeout (exposed for tests).
     pub fn rto(&self) -> SimDuration {
         self.rto.get()
+    }
+
+    /// `(snd_nxt, snd_end)`: the next sequence number to send and the end
+    /// of the queued stream.
+    #[cfg(test)]
+    pub(crate) fn send_seqs(&self) -> (u64, u64) {
+        (self.snd_nxt.get(), self.snd_end.get())
     }
 
     /// Resolves once the three-way handshake completes, or fails if the
@@ -269,6 +287,13 @@ impl TcpConn {
     /// paced purely by the congestion window, so `send` queues and the ACK
     /// clock drains. Fails once the connection is closed.
     pub fn send(self: &Rc<Self>, bytes: &[u8]) -> Result<(), TcpError> {
+        self.send_vectored(&[bytes])
+    }
+
+    /// Appends the concatenation of `parts` to the send stream, exactly as
+    /// one [`TcpConn::send`] of the joined bytes would, without joining
+    /// them first — an RPC record marker and its message, for example.
+    pub fn send_vectored(self: &Rc<Self>, parts: &[&[u8]]) -> Result<(), TcpError> {
         if self.state.get() == State::Closed {
             return Err(if self.reset_seen.get() {
                 TcpError::Reset
@@ -276,8 +301,15 @@ impl TcpConn {
                 TcpError::Closed
             });
         }
-        self.snd_buf.borrow_mut().extend_from_slice(bytes);
-        self.snd_end.set(self.snd_end.get() + bytes.len() as u64);
+        let mut queued = 0;
+        {
+            let mut buf = self.snd_buf.borrow_mut();
+            for part in parts {
+                buf.extend(part.iter());
+                queued += part.len();
+            }
+        }
+        self.snd_end.set(self.snd_end.get() + queued as u64);
         self.pump();
         Ok(())
     }
@@ -287,11 +319,28 @@ impl TcpConn {
     /// [`TcpError::Closed`] after FIN/local close, [`TcpError::Reset`]
     /// after RST.
     pub async fn recv_some(&self) -> Result<Vec<u8>, TcpError> {
+        let mut bytes = Vec::new();
+        self.recv_into(&mut bytes).await?;
+        Ok(bytes)
+    }
+
+    /// Awaits contiguous received bytes and moves all of them to the end
+    /// of `buf`, returning how many moved. When `buf` is empty the two
+    /// buffers trade places instead of copying. Errors as
+    /// [`TcpConn::recv_some`] does.
+    pub async fn recv_into(&self, buf: &mut Vec<u8>) -> Result<usize, TcpError> {
         loop {
             {
-                let mut buf = self.app_rx.borrow_mut();
-                if !buf.is_empty() {
-                    return Ok(std::mem::take(&mut *buf));
+                let mut rx = self.app_rx.borrow_mut();
+                let arrived = rx.len();
+                if arrived > 0 {
+                    if buf.is_empty() {
+                        std::mem::swap(&mut *rx, buf);
+                    } else {
+                        buf.extend_from_slice(&rx);
+                        rx.clear();
+                    }
+                    return Ok(arrived);
                 }
             }
             if self.reset_seen.get() {
@@ -310,7 +359,7 @@ impl TcpConn {
         if self.state.get() == State::Closed {
             return;
         }
-        self.send_raw(FLAG_FIN | FLAG_ACK, self.snd_end.get(), self.rcv_nxt.get(), Vec::new());
+        self.send_raw(FLAG_FIN | FLAG_ACK, self.snd_end.get(), self.rcv_nxt.get());
         self.mark_closed();
     }
 
@@ -319,7 +368,7 @@ impl TcpConn {
         if self.state.get() == State::Closed {
             return;
         }
-        self.send_raw(FLAG_RST, self.snd_nxt.get(), self.rcv_nxt.get(), Vec::new());
+        self.send_raw(FLAG_RST, self.snd_nxt.get(), self.rcv_nxt.get());
         self.reset_seen.set(true);
         self.mark_closed();
     }
@@ -331,23 +380,44 @@ impl TcpConn {
         self.timer_kick.wake_all();
     }
 
-    fn send_syn(&self) {
-        self.send_raw(FLAG_SYN, 0, 0, Vec::new());
+    /// Transmits (or, from the endpoint's connect loop, retransmits) the
+    /// SYN.
+    pub(crate) fn send_syn(&self) {
+        self.send_raw(FLAG_SYN, 0, 0);
     }
 
-    fn send_raw(&self, flags: u8, seq: u64, ack: u64, payload: Vec<u8>) {
+    /// Transmits a segment without payload (SYN, pure ACK, FIN, RST) in a
+    /// header-sized buffer. These make up half the segments in flight, so
+    /// they must not hold pooled buffers sized for data.
+    fn send_raw(&self, flags: u8, seq: u64, ack: u64) {
         self.counters.segments_sent.inc();
-        if !payload.is_empty() {
-            self.counters.data_segments_sent.inc();
+        let mut wire = Vec::with_capacity(HEADER_LEN);
+        write_header(&mut wire, self.id, seq, ack, flags);
+        self.path.send(wire);
+    }
+
+    /// Transmits `len` buffered bytes, starting `off` bytes past
+    /// `snd_una`, as one data segment with sequence number `seq`. The bytes
+    /// are copied from the ring straight into a pooled wire buffer behind
+    /// the header.
+    fn send_data(&self, seq: u64, off: usize, len: usize) {
+        self.counters.segments_sent.inc();
+        self.counters.data_segments_sent.inc();
+        let mut wire = pool_get();
+        wire.reserve(HEADER_LEN + len);
+        write_header(&mut wire, self.id, seq, self.rcv_nxt.get(), FLAG_ACK);
+        {
+            let buf = self.snd_buf.borrow();
+            let (front, back) = buf.as_slices();
+            let end = off + len;
+            if off < front.len() {
+                wire.extend_from_slice(&front[off..end.min(front.len())]);
+            }
+            if end > front.len() {
+                wire.extend_from_slice(&back[off.saturating_sub(front.len())..end - front.len()]);
+            }
         }
-        let seg = Segment {
-            conn_id: self.id,
-            seq,
-            ack,
-            flags,
-            payload,
-        };
-        self.path.send(seg.encode());
+        self.path.send(wire);
     }
 
     /// Transmits as much buffered data as the congestion window allows.
@@ -364,12 +434,10 @@ impl TcpConn {
                 break;
             }
             let len = ((end - nxt) as usize).min(self.config.mss);
-            let off = (nxt - una) as usize;
-            let payload = self.snd_buf.borrow()[off..off + len].to_vec();
             if self.rtt_probe.get().is_none() {
                 self.rtt_probe.set(Some((nxt + len as u64, self.sim.now())));
             }
-            self.send_raw(FLAG_ACK, nxt, self.rcv_nxt.get(), payload);
+            self.send_data(nxt, (nxt - una) as usize, len);
             self.snd_nxt.set(nxt + len as u64);
             sent = true;
         }
@@ -386,11 +454,10 @@ impl TcpConn {
             return;
         }
         let len = ((nxt - una) as usize).min(self.config.mss);
-        let payload = self.snd_buf.borrow()[..len].to_vec();
         self.counters.retransmits.inc();
         // Karn's rule: a retransmitted range must not produce an RTT sample.
         self.rtt_probe.set(None);
-        self.send_raw(FLAG_ACK, una, self.rcv_nxt.get(), payload);
+        self.send_data(una, 0, len);
     }
 
     fn rtt_update(&self, sample: SimDuration) {
@@ -412,7 +479,7 @@ impl TcpConn {
     }
 
     /// Main segment handler, called from the endpoint demultiplexer.
-    pub(crate) fn on_segment(self: &Rc<Self>, seg: Segment) {
+    pub(crate) fn on_segment(self: &Rc<Self>, seg: &Segment<'_>) {
         if self.state.get() == State::Closed {
             return;
         }
@@ -427,7 +494,7 @@ impl TcpConn {
                     self.become_established();
                     // Complete the handshake; this ACK also opens the
                     // peer's SynReceived half.
-                    self.send_raw(FLAG_ACK, self.snd_nxt.get(), self.rcv_nxt.get(), Vec::new());
+                    self.send_raw(FLAG_ACK, self.snd_nxt.get(), self.rcv_nxt.get());
                     self.pump();
                 }
             }
@@ -435,7 +502,7 @@ impl TcpConn {
                 if seg.flags & FLAG_SYN != 0 {
                     // Duplicate SYN: the SYN-ACK was lost; resend it.
                     self.counters.retransmits.inc();
-                    self.send_raw(FLAG_SYN | FLAG_ACK, 0, 1, Vec::new());
+                    self.send_raw(FLAG_SYN | FLAG_ACK, 0, 1);
                     return;
                 }
                 if seg.flags & FLAG_ACK != 0 && seg.ack >= 1 {
@@ -457,16 +524,22 @@ impl TcpConn {
         self.timer_kick.wake_all();
     }
 
-    fn process(self: &Rc<Self>, seg: Segment) {
+    fn process(self: &Rc<Self>, seg: &Segment<'_>) {
         if seg.flags & FLAG_ACK != 0 {
-            self.process_ack(&seg);
+            if seg.ack > self.snd_nxt.get() {
+                // RFC 793 §3.9: an ACK for data not yet sent is answered
+                // with an ACK and the segment dropped.
+                self.send_raw(FLAG_ACK, self.snd_nxt.get(), self.rcv_nxt.get());
+                return;
+            }
+            self.process_ack(seg);
         }
         if !seg.payload.is_empty() {
             self.accept_data(seg.seq, seg.payload);
             // Immediate cumulative ACK for every data segment. When the
             // segment left a gap this duplicates the previous ACK, which is
             // exactly what drives the sender's fast retransmit.
-            self.send_raw(FLAG_ACK, self.snd_nxt.get(), self.rcv_nxt.get(), Vec::new());
+            self.send_raw(FLAG_ACK, self.snd_nxt.get(), self.rcv_nxt.get());
         }
         if seg.flags & FLAG_FIN != 0 {
             self.fin_seen.set(true);
@@ -474,7 +547,7 @@ impl TcpConn {
         }
     }
 
-    fn process_ack(self: &Rc<Self>, seg: &Segment) {
+    fn process_ack(self: &Rc<Self>, seg: &Segment<'_>) {
         let una = self.snd_una.get();
         if seg.ack > una {
             // New data acknowledged.
@@ -522,13 +595,16 @@ impl TcpConn {
         }
     }
 
-    fn accept_data(&self, seq: u64, data: Vec<u8>) {
+    fn accept_data(&self, seq: u64, data: &[u8]) {
         let rcv = self.rcv_nxt.get();
         if seq + data.len() as u64 <= rcv {
             return; // pure duplicate; the caller still re-ACKs
         }
         if seq > rcv {
-            self.out_of_order.borrow_mut().entry(seq).or_insert(data);
+            self.out_of_order
+                .borrow_mut()
+                .entry(seq)
+                .or_insert_with(|| data.to_vec());
             return;
         }
         // In-order (possibly overlapping the front): deliver, then drain

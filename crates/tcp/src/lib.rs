@@ -241,6 +241,42 @@ mod tests {
     }
 
     #[test]
+    fn ack_for_unsent_data_is_dropped() {
+        use crate::segment::{Segment, FLAG_ACK};
+
+        let (sim, client, server) = world(0.0);
+        let size = 64 * 1024;
+        let data = payload(size);
+        let expect = data.clone();
+        let server_task = sim.spawn({
+            let server = Rc::clone(&server);
+            async move {
+                let conn = server.accept().await.unwrap();
+                recv_exactly(&conn, size).await
+            }
+        });
+        let received = sim.run_until(async move {
+            let conn = client.connect().await.unwrap();
+            conn.send(&data).unwrap();
+            let (nxt, end) = conn.send_seqs();
+            assert!(nxt < end, "the window holds part of the send back");
+            // Acknowledge bytes queued but not sent, then bytes past the
+            // end of the stream.
+            for ack in [nxt + 1, end + 1000] {
+                conn.on_segment(&Segment {
+                    conn_id: conn.id(),
+                    seq: 1,
+                    ack,
+                    flags: FLAG_ACK,
+                    payload: &[],
+                });
+            }
+            server_task.await
+        });
+        assert_eq!(received, expect, "stream corrupted");
+    }
+
+    #[test]
     fn lossy_transfer_is_deterministic() {
         let a = bulk(0.05, 200 * 1024);
         let b = bulk(0.05, 200 * 1024);

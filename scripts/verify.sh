@@ -165,6 +165,18 @@ awk -F, 'NR > 1 {
     }' results/netqos-quick.csv
 rm -f results/netqos-quick.csv
 
+echo "==> transport sweep (full, --jobs 2 vs --jobs 1 vs committed results/transport.csv)"
+# The only exhibit whose TCP cells lose packets, so the only one that
+# drives retransmission and out-of-order reassembly through the TCP
+# byte path. The full sweep takes well under a second.
+cargo run -q --release --offline --bin nfsperf -- transport --jobs 2 --out results/transport-2.csv > /dev/null
+cargo run -q --release --offline --bin nfsperf -- transport --jobs 1 --out results/transport-1.csv > /dev/null
+cmp results/transport-2.csv results/transport-1.csv \
+    || { echo "FAIL: transport sweep differs between --jobs 2 and --jobs 1"; exit 1; }
+cmp results/transport-1.csv results/transport.csv \
+    || { echo "FAIL: transport sweep differs from the committed results/transport.csv"; exit 1; }
+rm -f results/transport-1.csv results/transport-2.csv
+
 echo "==> harness micro-benchmark (results/bench.json vs committed baseline)"
 # Compare against the committed baseline; a sweep whose events/sec drops
 # more than the tolerance below it fails the build. The default 30% is

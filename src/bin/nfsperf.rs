@@ -5,7 +5,7 @@
 //! nfsperf figures [--quick] [--out DIR] [--jobs N]
 //! nfsperf table1
 //! nfsperf concurrency
-//! nfsperf transport [--quick] [--jobs N]
+//! nfsperf transport [--quick] [--out FILE] [--jobs N]
 //! nfsperf fleet [--quick] [--out FILE] [--jobs N]
 //! nfsperf megafleet [--quick] [--counts LIST] [--out FILE] [--jobs N]
 //! nfsperf qos [--quick] [--out FILE] [--jobs N]
@@ -45,7 +45,7 @@ USAGE:
     nfsperf figures [--quick] [--out DIR] [--jobs N]
     nfsperf table1
     nfsperf concurrency
-    nfsperf transport [--quick] [--jobs N]
+    nfsperf transport [--quick] [--out FILE] [--jobs N]
     nfsperf fleet [--quick] [--out FILE] [--jobs N]
     nfsperf megafleet [--quick] [--counts LIST] [--out FILE] [--jobs N]
     nfsperf qos [--quick] [--out FILE] [--jobs N]
@@ -71,7 +71,8 @@ OPTIONS (run):
 
 COMMANDS:
     transport   UDP vs UDP+jumbo vs TCP matrix across loss rates
-                (8 MB per cell; --quick for 2 MB)
+                (8 MB per cell; --quick for 2 MB); writes CSV to --out
+                [results/transport.csv]
     fleet       client scaling sweep, 1-32 clients x {filer, knfsd} x
                 {udp, tcp} through one shared uplink (4 MB per client;
                 --quick for 1-4 clients at 1 MB); writes CSV to --out
@@ -347,6 +348,9 @@ fn cmd_concurrency(args: Args) -> Result<(), String> {
 
 fn cmd_transport(mut args: Args) -> Result<(), String> {
     let quick = args.flag("--quick");
+    let out = args
+        .value("--out")?
+        .unwrap_or_else(|| "results/transport.csv".into());
     let jobs = args.jobs()?;
     args.finish()?;
     let size: u64 = if quick { 2 << 20 } else { 8 << 20 };
@@ -356,6 +360,10 @@ fn cmd_transport(mut args: Args) -> Result<(), String> {
     );
     let sweep = transport_sweep(size, LOSS_RATES, jobs);
     println!("{}", sweep.render());
+    sweep
+        .write_csv(std::path::Path::new(&out))
+        .map_err(|e| format!("write {out}: {e}"))?;
+    println!("wrote {out}");
     Ok(())
 }
 

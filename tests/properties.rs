@@ -14,15 +14,16 @@ use nfsperf_sim::{prop_assert, prop_assert_eq, prop_assume};
 
 use nfsperf_client::{IndexKind, NfsPageReq, RequestIndex};
 use nfsperf_kernel::{split_into_pages, PAGE_SIZE};
-use nfsperf_net::{fragments_for, wire_bytes};
+use nfsperf_net::{fragments_for, wire_bytes, Nic, NicSpec, Path};
 use nfsperf_nfs3::{
     Commit3Args, Fattr3, FileHandle, NfsStat3, StableHow, WccData, Write3Args, Write3Res, WriteVerf,
 };
-use nfsperf_sim::{Histogram, SimDuration, SimTime};
+use nfsperf_sim::{select2, Either, Histogram, Sim, SimDuration, SimTime};
 use nfsperf_sunrpc::{
     decode_call, decode_reply, encode_call, encode_record, encode_record_frags, encode_reply,
-    AuthUnix, RecordReader,
+    record_marker, AuthUnix, RecordReader,
 };
+use nfsperf_tcp::{TcpConfig, TcpEndpoint, TcpStats};
 use nfsperf_xdr::{Decoder, Encoder, XdrDecode, XdrEncode};
 
 // ---------------------------------------------------------------------
@@ -535,25 +536,55 @@ fn back_to_back_records_survive_mixed_fragmentation() {
     check(
         "back_to_back_records_survive_mixed_fragmentation",
         |g| {
-            g.vec(1, 8, |g| {
-                let msg = g.bytes(0, 512);
-                let frag = g.usize_in(1, 96);
-                (msg, frag)
-            })
+            (
+                g.vec(1, 8, |g| {
+                    let msg = g.bytes(0, 512);
+                    let frag = g.usize_in(1, 96);
+                    (msg, frag)
+                }),
+                // Sizes of the stream chunks: even-numbered chunks are
+                // pushed, odd-numbered ones appended in place.
+                g.vec(1, 32, |g| g.usize_in(1, 700)),
+            )
         },
-        |records| {
+        |(records, chunks)| {
             prop_assume!(records.iter().all(|(_, f)| *f >= 1));
+            prop_assume!(chunks.iter().all(|&c| c >= 1));
             let mut wire = Vec::new();
+            // Stream offset at which each record ends.
+            let mut ends = Vec::new();
             for (msg, frag) in records {
                 wire.extend(encode_record_frags(msg, *frag));
+                ends.push(wire.len());
             }
             let mut rd = RecordReader::new();
-            rd.push(&wire);
-            for (msg, _) in records {
-                prop_assert_eq!(&rd.next_record().expect("record"), msg);
+            let mut out = Vec::new();
+            let (mut fed, mut consumed) = (0, 0);
+            let mut chunk = chunks.iter().cycle().enumerate();
+            while fed < wire.len() {
+                let (i, &size) = chunk.next().unwrap();
+                let bytes = &wire[fed..fed + size.min(wire.len() - fed)];
+                if i % 2 == 0 {
+                    rd.push(bytes);
+                } else {
+                    rd.stream_mut().extend_from_slice(bytes);
+                }
+                fed += bytes.len();
+                prop_assert_eq!(rd.buffered(), fed - consumed);
+                while let Some(r) = rd.next_record() {
+                    consumed = ends[out.len()];
+                    out.push(r);
+                    prop_assert_eq!(rd.buffered(), fed - consumed);
+                }
+                prop_assert!(
+                    out.len() == ends.len() || ends[out.len()] > fed,
+                    "a complete record stayed buffered"
+                );
             }
-            prop_assert_eq!(rd.next_record(), None);
-            prop_assert_eq!(rd.buffered(), 0);
+            prop_assert_eq!(out.len(), records.len());
+            for (got, (msg, _)) in out.iter().zip(records) {
+                prop_assert_eq!(got, msg);
+            }
             CaseOutcome::Pass
         },
     );
@@ -572,6 +603,168 @@ fn single_fragment_encoding_matches_the_general_encoder() {
             let header = u32::from_be_bytes(wire[0..4].try_into().unwrap());
             prop_assert_eq!(header, 0x8000_0000 | msg.len() as u32);
             prop_assert_eq!(&wire[4..], &msg[..]);
+            CaseOutcome::Pass
+        },
+    );
+}
+
+// ---------------------------------------------------------------------
+// TCP byte stream integrity.
+// ---------------------------------------------------------------------
+
+/// A client and a server TCP endpoint on gigabit NICs; the client NIC
+/// drops each datagram fragment with probability `loss`, seeded by `seed`.
+fn tcp_pair(sim: &Sim, loss: f64, seed: u64) -> (Rc<TcpEndpoint>, Rc<TcpEndpoint>) {
+    let (cnic, crx) = Nic::with_loss(sim, "client", NicSpec::gigabit(), loss, seed);
+    let (snic, srx) = Nic::new(sim, "server", NicSpec::gigabit());
+    let c2s = Path::new(cnic, snic, Path::default_latency());
+    let server = TcpEndpoint::new(sim, c2s.reversed(), srx, TcpConfig::for_mtu(1500));
+    let client = TcpEndpoint::new(sim, c2s, crx, TcpConfig::for_mtu(1500));
+    (client, server)
+}
+
+/// Byte `i` of a scripted stream.
+fn stream_byte(i: usize) -> u8 {
+    (i * 31 % 251) as u8
+}
+
+/// One client write: its part sizes (one part is a `send`, any other
+/// count a `send_vectored`) and the pause before the next write, in µs.
+type StreamWrite = (Vec<usize>, u32);
+
+/// Runs `script` from client to server, losing `loss_permille` per mille
+/// of the client's datagram fragments. Returns the bytes the server read,
+/// or `None` if the stream stalled for a simulated hour, and the client's
+/// transport counters.
+fn run_stream(
+    script: &[StreamWrite],
+    loss_permille: u32,
+    seed: u64,
+) -> (Option<Vec<u8>>, TcpStats) {
+    let sim = Sim::new();
+    let (client, server) = tcp_pair(&sim, f64::from(loss_permille) / 1000.0, seed);
+    let total: usize = script.iter().flat_map(|(parts, _)| parts).sum();
+    let reader = sim.spawn(async move {
+        let conn = server.accept().await.expect("accept");
+        // Rotate through recv_some, recv_into on an empty buffer (which
+        // swaps) and recv_into on a non-empty one (which appends).
+        let (mut got, mut pending) = (Vec::new(), Vec::new());
+        let mut step = 0;
+        while got.len() + pending.len() < total {
+            if step % 3 == 0 {
+                got.append(&mut pending);
+                got.extend(conn.recv_some().await.expect("stream open"));
+            } else {
+                if step % 3 == 1 {
+                    got.append(&mut pending);
+                }
+                conn.recv_into(&mut pending).await.expect("stream open");
+            }
+            step += 1;
+        }
+        got.append(&mut pending);
+        got
+    });
+    let script = script.to_vec();
+    let s = sim.clone();
+    let writer = Rc::clone(&client);
+    let received = sim.run_until(async move {
+        let conn = writer.connect().await.expect("connect");
+        let mut next = 0;
+        for (parts, pause_us) in &script {
+            let bytes: Vec<Vec<u8>> = parts
+                .iter()
+                .map(|&n| {
+                    next += n;
+                    (next - n..next).map(stream_byte).collect()
+                })
+                .collect();
+            let slices: Vec<&[u8]> = bytes.iter().map(Vec::as_slice).collect();
+            match slices[..] {
+                [one] => conn.send(one),
+                _ => conn.send_vectored(&slices),
+            }
+            .expect("send");
+            s.sleep(SimDuration::from_micros(u64::from(*pause_us)))
+                .await;
+        }
+        match select2(reader, s.sleep(SimDuration::from_secs(3600))).await {
+            Either::Left(bytes) => Some(bytes),
+            Either::Right(()) => None,
+        }
+    });
+    (received, client.stats())
+}
+
+/// Writes of up to 20 KiB per part wrap and grow the send ring, and loss
+/// makes fast retransmit, RTO and out-of-order reassembly read from it.
+#[test]
+fn tcp_stream_delivers_every_byte_under_loss() {
+    check(
+        "tcp_stream_delivers_every_byte_under_loss",
+        |g| {
+            (
+                g.vec(1, 8, |g| {
+                    (
+                        g.vec(1, 4, |g| g.usize_in(0, 20 * 1024 + 1)),
+                        g.u32_in(0, 2000),
+                    )
+                }),
+                g.u32_in(0, 101),
+                g.any_u64(),
+            )
+        },
+        |(script, loss_permille, seed)| {
+            let total: usize = script.iter().flat_map(|(parts, _)| parts).sum();
+            let (received, stats) = run_stream(script, *loss_permille, *seed);
+            let Some(received) = received else {
+                return CaseOutcome::Fail("the stream stalled".into());
+            };
+            prop_assert_eq!(received.len(), total);
+            let first_bad = received
+                .iter()
+                .enumerate()
+                .position(|(i, &b)| b != stream_byte(i));
+            prop_assert_eq!(first_bad, None);
+            let (again, stats_again) = run_stream(script, *loss_permille, *seed);
+            prop_assert!(
+                again.as_ref() == Some(&received),
+                "the stream differs between runs"
+            );
+            prop_assert_eq!(stats_again, stats);
+            CaseOutcome::Pass
+        },
+    );
+}
+
+#[test]
+fn send_vectored_framing_matches_encode_record() {
+    check(
+        "send_vectored_framing_matches_encode_record",
+        |g| g.vec(1, 6, |g| g.bytes(0, 4096)),
+        |msgs| {
+            let sim = Sim::new();
+            let (client, server) = tcp_pair(&sim, 0.0, 0);
+            let expect: Vec<u8> = msgs.iter().flat_map(|m| encode_record(m)).collect();
+            let total = expect.len();
+            let reader = sim.spawn(async move {
+                let conn = server.accept().await.expect("accept");
+                let mut got = Vec::new();
+                while got.len() < total {
+                    conn.recv_into(&mut got).await.expect("stream open");
+                }
+                got
+            });
+            let msgs = msgs.clone();
+            let got = sim.run_until(async move {
+                let conn = client.connect().await.expect("connect");
+                for m in &msgs {
+                    conn.send_vectored(&[&record_marker(m.len()), m])
+                        .expect("send");
+                }
+                reader.await
+            });
+            prop_assert!(got == expect, "framed stream differs from encode_record");
             CaseOutcome::Pass
         },
     );
