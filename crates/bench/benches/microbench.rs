@@ -1,7 +1,7 @@
 //! Microbenchmarks of the core data structures and substrates: the
 //! request index (the paper's list-vs-hash fix, measured directly), the
-//! XDR codec, the TCP byte stream, and the simulation engine's
-//! primitives.
+//! CPU-charge profiler, the XDR codec, the TCP byte stream, and the
+//! simulation engine's primitives.
 
 use std::hint::black_box;
 
@@ -73,6 +73,38 @@ fn index_complete_oldest(h: &mut Harness) {
             });
         }
     }
+}
+
+/// One `Profiler::charge`, as `CpuPool::work` makes it on every
+/// simulated CPU section: charges cycle over the labels a faithful
+/// client's write path uses.
+fn profiler_charge(h: &mut Harness) {
+    use nfsperf_sim::Profiler;
+    const LABELS: [&str; 15] = [
+        "nfs_commit_write",
+        "generic_file_write",
+        "nfs_find_request",
+        "nfs_update_request",
+        "balance_dirty_pages",
+        "nfs_scan_list",
+        "nfs_flushd",
+        "nfs_strategy",
+        "rpc_encode",
+        "sock_sendmsg",
+        "net_interrupt",
+        "rpc_reply",
+        "nfs_writeback_done",
+        "nfs_commit_done",
+        "generic_file_read",
+    ];
+    h.group("profiler_charge");
+    let profiler = Profiler::new();
+    let mut next = 0;
+    h.bench("labels/15", || {
+        profiler.charge(black_box(LABELS[next]), SimDuration::from_nanos(1_500));
+        next = (next + 1) % LABELS.len();
+    });
+    black_box(profiler.report().len());
 }
 
 /// Encoding a full WRITE3 call message (header + 8 KiB payload).
@@ -183,6 +215,7 @@ fn main() {
     index_lookup(&mut h);
     index_append(&mut h);
     index_complete_oldest(&mut h);
+    profiler_charge(&mut h);
     xdr_write3(&mut h);
     tcp_stream_backlog(&mut h);
     sim_engine(&mut h);

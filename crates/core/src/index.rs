@@ -8,11 +8,15 @@
 //! hash table keyed by page offset makes the lookup O(1) at a cost of
 //! eight bytes per request and eight per inode.
 //!
-//! On the host both kinds keep the same structure: one ring of requests
-//! ordered by page index. The kind chooses only the simulated cost the
-//! mount charges. With [`IndexKind::SortedList`], [`RequestIndex::find`]
-//! and [`RequestIndex::insert`] walk the ring for real and return the
-//! number of entries walked, charged per entry. With
+//! On the host both kinds keep the same structure: one ring of keyed
+//! entries, `(page index, request)`, ordered by page index. The key sits
+//! inline in the ring, so a binary search compares contiguous `u64`s and
+//! never dereferences a request, and a key at or past either end of the
+//! ring (a sequential writer's common case) needs no search at all.
+//! There is no second structure to keep in step. The kind chooses only
+//! the simulated cost the mount charges. With [`IndexKind::SortedList`],
+//! [`RequestIndex::find`] and [`RequestIndex::insert`] walk the ring for
+//! real and return the number of entries walked, charged per entry. With
 //! [`IndexKind::HashTable`] they binary-search the ring and report no
 //! walk, so the mount charges one hash probe. Completion removes from
 //! the ring's front in O(1), as the kernel's unlink of a request it
@@ -28,8 +32,9 @@ use crate::tuning::IndexKind;
 pub struct RequestIndex {
     /// Which simulated cost the lookups report (a walk or a probe).
     kind: IndexKind,
-    /// Requests ordered by page index.
-    ring: VecDeque<Rc<NfsPageReq>>,
+    /// `(page index, request)` entries ordered by page index. The key is
+    /// a copy of the request's immutable `page_index`.
+    ring: VecDeque<(u64, Rc<NfsPageReq>)>,
 }
 
 /// Result of an index operation: what was found plus the walk length to
@@ -58,13 +63,31 @@ impl RequestIndex {
     fn seek(&self, page_index: u64) -> (usize, usize) {
         match self.kind {
             IndexKind::SortedList => {
-                match self.ring.iter().position(|r| r.page_index >= page_index) {
+                match self.ring.iter().position(|&(page, _)| page >= page_index) {
                     Some(pos) => (pos, pos + 1),
                     None => (self.ring.len(), self.ring.len()),
                 }
             }
-            IndexKind::HashTable => (self.ring.partition_point(|r| r.page_index < page_index), 0),
+            IndexKind::HashTable => (self.lower_bound(page_index), 0),
         }
+    }
+
+    /// Position of the first entry with a key at or after `page_index`.
+    fn lower_bound(&self, page_index: u64) -> usize {
+        // A sequential writer completes at the front and inserts past the
+        // back: answer both ends without a search.
+        match (self.ring.front(), self.ring.back()) {
+            (Some(&(first, _)), _) if page_index <= first => 0,
+            (_, Some(&(last, _))) if page_index > last => self.ring.len(),
+            _ => self.ring.partition_point(|&(page, _)| page < page_index),
+        }
+    }
+
+    /// Whether the entry at `pos` is keyed `page_index`.
+    fn holds(&self, pos: usize, page_index: u64) -> bool {
+        self.ring
+            .get(pos)
+            .is_some_and(|&(page, _)| page == page_index)
     }
 
     /// Looks up the request covering `page_index`.
@@ -77,10 +100,8 @@ impl RequestIndex {
         let (pos, scanned) = self.seek(page_index);
         Lookup {
             found: self
-                .ring
-                .get(pos)
-                .filter(|r| r.page_index == page_index)
-                .cloned(),
+                .holds(pos, page_index)
+                .then(|| Rc::clone(&self.ring[pos].1)),
             scanned,
         }
     }
@@ -98,11 +119,8 @@ impl RequestIndex {
     pub fn insert(&mut self, req: Rc<NfsPageReq>) -> usize {
         let page = req.page_index;
         let (pos, scanned) = self.seek(page);
-        assert!(
-            self.ring.get(pos).is_none_or(|r| r.page_index != page),
-            "duplicate request for page {page}"
-        );
-        self.ring.insert(pos, req);
+        assert!(!self.holds(pos, page), "duplicate request for page {page}");
+        self.ring.insert(pos, (page, req));
         scanned
     }
 
@@ -112,11 +130,11 @@ impl RequestIndex {
     /// shifts only its shorter side, so completing the oldest request is
     /// O(1).
     pub fn remove(&mut self, page_index: u64) -> Option<Rc<NfsPageReq>> {
-        let i = self
-            .ring
-            .binary_search_by_key(&page_index, |r| r.page_index)
-            .ok()?;
-        self.ring.remove(i)
+        let pos = self.lower_bound(page_index);
+        if !self.holds(pos, page_index) {
+            return None;
+        }
+        self.ring.remove(pos).map(|(_, req)| req)
     }
 
     /// Number of indexed requests.
@@ -131,7 +149,7 @@ impl RequestIndex {
 
     /// Iterates requests in page order (for coalescing and flushing).
     pub fn iter(&self) -> impl Iterator<Item = &Rc<NfsPageReq>> {
-        self.ring.iter()
+        self.ring.iter().map(|(_, req)| req)
     }
 
     /// Iterates requests with `page_index >= from` in page order. The
@@ -139,8 +157,9 @@ impl RequestIndex {
     /// shortcut only — simulated scan costs are charged by the caller
     /// independently of how the iteration is implemented.
     pub fn iter_from(&self, from: u64) -> impl Iterator<Item = &Rc<NfsPageReq>> {
-        let start = self.ring.partition_point(|r| r.page_index < from);
-        self.ring.range(start..)
+        self.ring
+            .range(self.lower_bound(from)..)
+            .map(|(_, req)| req)
     }
 }
 
@@ -222,6 +241,25 @@ mod tests {
             assert!(idx.remove(2).is_none(), "second removal misses");
             assert_eq!(idx.len(), 4);
         }
+    }
+
+    #[test]
+    fn keys_at_and_past_the_ends_resolve_without_a_search() {
+        let mut idx = RequestIndex::new(IndexKind::HashTable);
+        assert!(idx.remove(3).is_none(), "empty ring");
+        for page in [2u64, 4, 6, 8] {
+            idx.insert(req(page));
+        }
+        assert!(idx.find(1).found.is_none(), "before the front");
+        assert!(idx.find(9).found.is_none(), "past the back");
+        assert_eq!(idx.remove(2).expect("front").page_index, 2);
+        assert_eq!(idx.remove(8).expect("back").page_index, 8);
+        idx.insert(req(1));
+        idx.insert(req(10));
+        let pages: Vec<u64> = idx.iter_from(0).map(|r| r.page_index).collect();
+        assert_eq!(pages, vec![1, 4, 6, 10]);
+        assert_eq!(idx.iter_from(11).count(), 0);
+        assert_eq!(idx.iter_from(5).next().expect("6").page_index, 6);
     }
 
     #[test]

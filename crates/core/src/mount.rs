@@ -25,7 +25,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use nfsperf_kernel::{Kernel, PageSeg, SimFile, VfsError, VfsResult, PAGE_SIZE};
-use nfsperf_net::{DatagramPayload, Path};
+use nfsperf_net::{pool_put, DatagramPayload, Path};
 use nfsperf_nfs3::{
     Commit3Args, Commit3Res, Create3Args, Create3Res, CreateMode, NfsProc3, NfsStat3, Read3Args,
     Read3Res, Sattr3, Setattr3Args, Setattr3Res, StableHow, Write3Args, Write3Res, NFS_PROGRAM,
@@ -152,7 +152,7 @@ impl NfsMount {
             write_failures: Counter::new(),
         });
         let daemon = Rc::clone(&mount);
-        kernel.sim.spawn(async move {
+        kernel.sim.spawn_detached(async move {
             daemon.nfs_flushd().await;
         });
         mount
@@ -179,7 +179,7 @@ impl NfsMount {
             .call(NfsProc3::Create as u32, &args)
             .await
             .map_err(|_| VfsError::Server(NfsStat3::Io as u32))?;
-        let res = decode_as::<Create3Res>(&bytes)?;
+        let res = decode_as::<Create3Res>(bytes)?;
         if res.status != NfsStat3::Ok {
             return Err(VfsError::Server(res.status as u32));
         }
@@ -230,7 +230,7 @@ impl NfsMount {
         for batch in batches {
             let mount = Rc::clone(self);
             let ino = Rc::clone(inode);
-            self.kernel.sim.spawn(async move {
+            self.kernel.sim.spawn_detached(async move {
                 mount.write_batch(&ino, batch).await;
             });
         }
@@ -254,7 +254,7 @@ impl NfsMount {
         self.write_rpcs.inc();
         let args = Write3Args::new(inode.fh, offset, count as u32, StableHow::Unstable);
         match self.xprt.call(NfsProc3::Write as u32, &args).await {
-            Ok(bytes) => match decode_as::<Write3Res>(&bytes) {
+            Ok(bytes) => match decode_as::<Write3Res>(bytes) {
                 Ok(res) if res.status == NfsStat3::Ok => match res.committed {
                     StableHow::FileSync | StableHow::DataSync => {
                         self.complete_batch(inode, &batch);
@@ -351,7 +351,7 @@ impl NfsMount {
         let outcome = self.xprt.call(NfsProc3::Commit as u32, &args).await;
         match outcome {
             Ok(bytes) => {
-                if let Ok(res) = decode_as::<Commit3Res>(&bytes) {
+                if let Ok(res) = decode_as::<Commit3Res>(bytes) {
                     if res.status == NfsStat3::Ok {
                         for req in &snapshot {
                             if req.state() != crate::request::ReqState::Unstable {
@@ -424,7 +424,7 @@ impl NfsMount {
                     progress += 1;
                     let mount = Rc::clone(&self);
                     let ino = Rc::clone(inode);
-                    self.kernel.sim.spawn(async move {
+                    self.kernel.sim.spawn_detached(async move {
                         mount.commit_inode_begun(&ino).await;
                     });
                 }
@@ -559,7 +559,7 @@ impl NfsMount {
             if self.wants_commit(inode) {
                 let mount = Rc::clone(self);
                 let ino = Rc::clone(inode);
-                self.kernel.sim.spawn(async move {
+                self.kernel.sim.spawn_detached(async move {
                     mount.commit_inode(&ino).await;
                 });
             }
@@ -668,7 +668,7 @@ impl NfsMount {
             if self.wants_commit(inode) {
                 let mount = Rc::clone(self);
                 let ino = Rc::clone(inode);
-                self.kernel.sim.spawn(async move {
+                self.kernel.sim.spawn_detached(async move {
                     mount.commit_inode(&ino).await;
                 });
             }
@@ -686,10 +686,12 @@ fn req_seg(state: ReqState) -> PageSeg {
     }
 }
 
-/// Decodes an XDR result body.
-fn decode_as<T: XdrDecode>(bytes: &[u8]) -> Result<T, VfsError> {
-    let mut dec = Decoder::new(bytes);
-    T::decode(&mut dec).map_err(|_| VfsError::Server(NfsStat3::Io as u32))
+/// Decodes an XDR result body and returns the body's buffer to the
+/// payload pool.
+fn decode_as<T: XdrDecode>(bytes: DatagramPayload) -> Result<T, VfsError> {
+    let res = T::decode(&mut Decoder::new(&bytes));
+    pool_put(bytes);
+    res.map_err(|_| VfsError::Server(NfsStat3::Io as u32))
 }
 
 /// Largest byte count a single READ or WRITE RPC may carry: NFSv3 puts
@@ -773,7 +775,7 @@ impl NfsFile {
                 .call(NfsProc3::Read as u32, &args)
                 .await
                 .map_err(|_| VfsError::Server(NfsStat3::Io as u32))?;
-            let res = decode_as::<Read3Res>(&bytes)?;
+            let res = decode_as::<Read3Res>(bytes)?;
             if res.status != NfsStat3::Ok {
                 return Err(VfsError::Server(res.status as u32));
             }
@@ -814,7 +816,7 @@ impl NfsFile {
             .call(NfsProc3::Setattr as u32, &args)
             .await
             .map_err(|_| VfsError::Server(NfsStat3::Io as u32))?;
-        let res = decode_as::<Setattr3Res>(&bytes)?;
+        let res = decode_as::<Setattr3Res>(bytes)?;
         if res.status != NfsStat3::Ok {
             return Err(VfsError::Server(res.status as u32));
         }

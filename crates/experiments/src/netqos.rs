@@ -261,7 +261,7 @@ pub fn run_netqos(config: &NetQosConfig) -> NetQosRun {
         let (path, port_rx) = switch.attach(&anic, NicSpec::gigabit());
         let (frames, bytes) = (Rc::clone(frames), Rc::clone(bytes));
         let sink_frames = Rc::clone(&frames);
-        sim.spawn(async move {
+        sim.spawn_detached(async move {
             while let Some(p) = port_rx.recv().await {
                 sink_frames.set(sink_frames.get() + 1);
                 bytes.set(bytes.get() + p.len() as u64);
@@ -277,7 +277,7 @@ pub fn run_netqos(config: &NetQosConfig) -> NetQosRun {
         let mut pacer = OpenLoop::new(gap_seed, mean_gap, config.mix.alpha());
         let burst = config.mix.burst_frames();
         let sim2 = sim.clone();
-        sim.spawn(async move {
+        sim.spawn_detached(async move {
             let mut sent = 0u64;
             loop {
                 // Finite source queue: hold injection while too many of

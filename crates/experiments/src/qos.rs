@@ -179,7 +179,7 @@ pub fn run_qos(config: &QosConfig) -> QosRun {
         // victim finishes and the main future returns.
         if let Some(hog) = hog {
             let sh = s2.clone();
-            s2.spawn(async move {
+            s2.spawn_detached(async move {
                 let file = hog.create("qos.hog").await.expect("hog create");
                 let mut off = 0u64;
                 loop {

@@ -43,7 +43,7 @@ impl Ext2Fs {
             clean_event: WaitQueue::new(),
         });
         let daemon = Rc::clone(&fs);
-        kernel.sim.spawn(async move {
+        kernel.sim.spawn_detached(async move {
             daemon.bdflush().await;
         });
         fs

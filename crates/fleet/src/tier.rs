@@ -646,7 +646,7 @@ impl FlyTier {
     /// larger future alive.
     fn spawn_request(self: &Rc<Self>, idx: u32, seq: u32, at: SimTime) {
         let tier = Rc::clone(self);
-        self.sim.clone().spawn(async move {
+        self.sim.clone().spawn_detached(async move {
             tier.sim.sleep_until(at).await;
             let op = tier.model.op_at(seq, tier.config.writes_per_client);
             let payload = match op {
@@ -673,7 +673,7 @@ impl FlyTier {
     /// unwind the reply through the fabric back into the client.
     fn spawn_service(self: &Rc<Self>, idx: u32, seq: u32, emitted_at: SimTime, op: FlyOp) {
         let tier = Rc::clone(self);
-        self.sim.clone().spawn(async move {
+        self.sim.clone().spawn_detached(async move {
             let client = tier.server_base + idx as usize;
             let reply_payload = match op {
                 FlyOp::Write => {

@@ -49,6 +49,17 @@ pub fn wire_bytes(udp_payload: usize, mtu: usize) -> usize {
 /// per-thread free list so the steady state reuses them instead.
 /// Thread-local because each sweep cell runs its whole simulation on
 /// one worker thread; pooling never crosses simulations.
+///
+/// The contract has two halves. Producers draw from the pool: the RPC
+/// encoders write CALL and REPLY messages into [`pool_get`] buffers,
+/// transports copy with [`pool_copy`], and TCP segments and reassembled
+/// records come from it too. Every consumer of a datagram or reply body
+/// returns it with [`pool_put`] once it is done: the server after
+/// decoding a call, the reply sinks after sending, the client transport
+/// after parsing a reply header or dropping an orphan, and the mount
+/// after decoding a result body. A buffer dropped instead is only a
+/// missed reuse, never a leak, but the 8 KiB WRITE buffers then churn
+/// the heap once per RPC.
 const POOL_CAP: usize = 64;
 
 thread_local! {

@@ -42,8 +42,9 @@ pub struct Path {
     /// One-way propagation + switching latency.
     pub latency: SimDuration,
     /// Shared bottleneck stages traversed between the endpoints, in
-    /// transmit order (empty for a point-to-point path).
-    pub via: Vec<(std::rc::Rc<SharedLink>, LinkDir)>,
+    /// transmit order (empty for a point-to-point path). Shared, so each
+    /// datagram's hop holds the route by a reference count, not a copy.
+    pub via: std::rc::Rc<[(std::rc::Rc<SharedLink>, LinkDir)]>,
     /// Source flow id the shared stages' schedulers key on — the
     /// client's dense id in a fleet (assigned by [`Switch::attach`] /
     /// [`switch::Fabric::attach`]); 0 for point-to-point paths, where no
@@ -58,7 +59,7 @@ impl Path {
             local,
             remote,
             latency,
-            via: Vec::new(),
+            via: std::rc::Rc::new([]),
             flow: 0,
         }
     }
@@ -66,7 +67,9 @@ impl Path {
     /// Appends a shared-link stage in direction `dir`; stages are
     /// traversed in the order they were added.
     pub fn via_shared(mut self, link: std::rc::Rc<SharedLink>, dir: LinkDir) -> Path {
-        self.via.push((link, dir));
+        let mut via = self.via.to_vec();
+        via.push((link, dir));
+        self.via = via.into();
         self
     }
 
@@ -78,7 +81,7 @@ impl Path {
     /// Sends one datagram along the path (asynchronously).
     pub fn send(&self, payload: DatagramPayload) {
         self.local
-            .transmit_routed(&self.remote, self.latency, self.via.clone(), self.flow, payload);
+            .transmit_routed(&self.remote, self.latency, &self.via, self.flow, payload);
     }
 
     /// The reverse path: the same shared-link stages in reverse order,

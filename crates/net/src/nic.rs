@@ -150,7 +150,7 @@ impl Nic {
         latency: SimDuration,
         payload: DatagramPayload,
     ) {
-        self.transmit_routed(dst, latency, Vec::new(), 0, payload);
+        self.transmit_routed(dst, latency, &Rc::from([]), 0, payload);
     }
 
     /// Like [`Nic::transmit`], additionally queueing for each shared
@@ -162,14 +162,15 @@ impl Nic {
         self: &Rc<Self>,
         dst: &Rc<Nic>,
         latency: SimDuration,
-        via: Vec<(Rc<crate::SharedLink>, crate::LinkDir)>,
+        via: &Rc<[(Rc<crate::SharedLink>, crate::LinkDir)]>,
         flow: u32,
         payload: DatagramPayload,
     ) {
         let src = Rc::clone(self);
         let dst = Rc::clone(dst);
+        let via = Rc::clone(via);
         let sim = self.sim.clone();
-        self.sim.spawn(async move {
+        self.sim.spawn_detached(async move {
             let wire_len = wire_bytes(payload.len(), src.spec.mtu);
             src.tx_fragments
                 .add(fragments_for(payload.len(), src.spec.mtu) as u64);
@@ -206,7 +207,7 @@ impl Nic {
             // then the server's core uplink), in path order. Lost
             // datagrams were dropped before reaching the first stage, as
             // on a real ingress port.
-            for (link, dir) in &via {
+            for (link, dir) in via.iter() {
                 link.traverse(flow, *dir, wire_len, payload.len()).await;
             }
 

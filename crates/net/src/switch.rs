@@ -599,7 +599,7 @@ impl Fabric {
         let id = self.alloc_ids(1);
         let (port, port_rx) = Nic::new(&self.sim, "server-port", port_spec);
         let mut path = Path::new(Rc::clone(client), port, self.config.latency);
-        path.via = self.stages_to_server(id);
+        path.via = self.stages_to_server(id).into();
         path.flow = id;
         (id, path, port_rx)
     }

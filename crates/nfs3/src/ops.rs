@@ -106,6 +106,14 @@ impl XdrEncode for Write3Res {
             self.verf.encode(enc);
         }
     }
+    fn encoded_len(&self) -> usize {
+        let ok_arm = if self.status == NfsStat3::Ok {
+            4 + self.committed.encoded_len() + self.verf.encoded_len()
+        } else {
+            0
+        };
+        self.status.encoded_len() + self.wcc.encoded_len() + ok_arm
+    }
 }
 
 impl XdrDecode for Write3Res {
@@ -182,6 +190,14 @@ impl XdrEncode for Commit3Res {
         if self.status == NfsStat3::Ok {
             self.verf.encode(enc);
         }
+    }
+    fn encoded_len(&self) -> usize {
+        let ok_arm = if self.status == NfsStat3::Ok {
+            self.verf.encoded_len()
+        } else {
+            0
+        };
+        self.status.encoded_len() + self.wcc.encoded_len() + ok_arm
     }
 }
 

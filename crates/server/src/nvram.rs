@@ -59,7 +59,7 @@ impl Nvram {
             full_stalls: Cell::new(0),
         });
         let drain = Rc::clone(&nvram);
-        sim.spawn(async move {
+        sim.spawn_detached(async move {
             drain.drain_loop(disk).await;
         });
         nvram

@@ -4,7 +4,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use nfsperf_net::{DatagramPayload, Path};
+use nfsperf_net::{pool_put, DatagramPayload, Path};
 use nfsperf_nfs3::{
     Commit3Args, Commit3Res, Create3Args, Create3Res, Getattr3Args, Getattr3Res, Lookup3Args,
     Lookup3Res, NfsProc3, NfsStat3, Read3Args, Read3Res, Setattr3Args, Setattr3Res, StableHow,
@@ -18,7 +18,7 @@ use nfsperf_sunrpc::{
     ACCEPT_GARBAGE_ARGS, ACCEPT_PROC_UNAVAIL, ACCEPT_PROG_MISMATCH, ACCEPT_PROG_UNAVAIL,
 };
 use nfsperf_tcp::{TcpConfig, TcpConn, TcpEndpoint};
-use nfsperf_xdr::XdrDecode;
+use nfsperf_xdr::{Decoder, XdrDecode};
 
 use crate::disk::DiskModel;
 use crate::fs::FsState;
@@ -264,10 +264,47 @@ impl ReplySink {
         match self {
             ReplySink::Udp(path) => path.send(reply),
             // A send error means the peer went away; a real server drops
-            // the reply on the floor, so do we.
+            // the reply on the floor, so do we. The stream copied the
+            // bytes, so the buffer goes back to the pool either way.
             ReplySink::Tcp(conn) => {
                 let _ = conn.send_vectored(&[&record_marker(reply.len()), &reply]);
+                pool_put(reply);
             }
+        }
+    }
+}
+
+/// One decoded NFS call: the procedure with its arguments, owned, so
+/// the call's wire buffer can be recycled before service starts.
+enum Request {
+    Null,
+    Write(Write3Args),
+    Commit(Commit3Args),
+    Create(Create3Args),
+    Lookup(Lookup3Args),
+    Getattr(Getattr3Args),
+    Setattr(Setattr3Args),
+    Read(Read3Args),
+    /// Not served; reply with this accept status.
+    Reject(u32),
+}
+
+impl Request {
+    /// Decodes procedure `proc`'s arguments from `args`.
+    fn decode(proc: u32, args: &mut Decoder<'_>) -> Request {
+        fn with<T: XdrDecode>(args: &mut Decoder<'_>, wrap: fn(T) -> Request) -> Request {
+            T::decode(args).map_or(Request::Reject(ACCEPT_GARBAGE_ARGS), wrap)
+        }
+        match NfsProc3::from_u32(proc) {
+            Some(NfsProc3::Null) => Request::Null,
+            Some(NfsProc3::Write) => with(args, Request::Write),
+            Some(NfsProc3::Commit) => with(args, Request::Commit),
+            Some(NfsProc3::Create) => with(args, Request::Create),
+            Some(NfsProc3::Lookup) => with(args, Request::Lookup),
+            Some(NfsProc3::Getattr) => with(args, Request::Getattr),
+            Some(NfsProc3::Setattr) => with(args, Request::Setattr),
+            Some(NfsProc3::Read) => with(args, Request::Read),
+            None => Request::Reject(ACCEPT_PROC_UNAVAIL),
         }
     }
 }
@@ -420,7 +457,7 @@ impl NfsServer {
     pub fn attach_udp(self: &Rc<Self>, rx: Receiver<DatagramPayload>, reply_path: Path) -> usize {
         let client = self.register_client();
         let dispatcher = Rc::clone(self);
-        self.sim.spawn(async move {
+        self.sim.spawn_detached(async move {
             while let Some(payload) = rx.recv().await {
                 dispatcher.serve_one(client, payload, ReplySink::Udp(reply_path.clone()));
             }
@@ -437,10 +474,10 @@ impl NfsServer {
         let endpoint = TcpEndpoint::new(&self.sim, reply_path, rx, TcpConfig::for_mtu(mtu));
         let acceptor = Rc::clone(self);
         let sim2 = self.sim.clone();
-        self.sim.spawn(async move {
+        self.sim.spawn_detached(async move {
             while let Some(conn) = endpoint.accept().await {
                 let srv = Rc::clone(&acceptor);
-                sim2.spawn(async move {
+                sim2.spawn_detached(async move {
                     srv.serve_conn(client, conn).await;
                 });
             }
@@ -750,7 +787,7 @@ impl NfsServer {
                     let gate = Rc::clone(&checkpoint);
                     let sim2 = sim.clone();
                     let taken = Rc::clone(&taken);
-                    sim.spawn(async move {
+                    sim.spawn_detached(async move {
                         sim2.sleep(checkpoint_offset).await;
                         loop {
                             gate.close();
@@ -829,7 +866,7 @@ impl NfsServer {
     /// reply through the transport's framing.
     fn serve_one(self: &Rc<Self>, client: usize, call: DatagramPayload, sink: ReplySink) {
         let handler = Rc::clone(self);
-        self.sim.clone().spawn(async move {
+        self.sim.clone().spawn_detached(async move {
             if let Some(reply) = handler.process(client, call).await {
                 sink.deliver(reply);
             }
@@ -843,12 +880,16 @@ impl NfsServer {
     /// Executes one RPC call message and returns the reply to send, or
     /// `None` for junk that a real server would silently drop. Transport
     /// independent: the UDP dispatcher sends the reply as a datagram, the
-    /// TCP service loop record-marks it onto the connection.
+    /// TCP service loop record-marks it onto the connection. The call
+    /// buffer goes back to the payload pool as soon as it is decoded.
     async fn process(&self, client: usize, payload: DatagramPayload) -> Option<DatagramPayload> {
-        let (hdr, mut args) = match decode_call(&payload) {
-            Ok(x) => x,
-            Err(_) => return None, // junk: drop, like a real server
-        };
+        let decoded = decode_call(&payload).map(|(hdr, mut args)| {
+            let request = Request::decode(hdr.proc, &mut args);
+            (hdr, request)
+        });
+        pool_put(payload);
+        // Junk: drop, like a real server.
+        let (hdr, request) = decoded.ok()?;
         if hdr.prog != NFS_PROGRAM {
             return Some(encode_reply_status(hdr.xid, ACCEPT_PROG_UNAVAIL, None));
         }
@@ -860,41 +901,20 @@ impl NfsServer {
         // Queue delay is measured from here: the decoded request has
         // reached the service path and is waiting for the scheduler.
         let arrival = self.sim.now();
-        let reply = match NfsProc3::from_u32(hdr.proc) {
-            Some(NfsProc3::Null) => {
+        let reply = match request {
+            Request::Null => {
                 let _svc = self.admit(client, OpClass::Meta, 0, arrival).await;
                 self.sim.sleep(self.fixed_op_cost).await;
                 encode_reply(hdr.xid, &0u32)
             }
-            Some(NfsProc3::Write) => match Write3Args::decode(&mut args) {
-                Ok(w) => self.handle_write(client, hdr.xid, w, arrival).await,
-                Err(_) => encode_reply_status(hdr.xid, ACCEPT_GARBAGE_ARGS, None),
-            },
-            Some(NfsProc3::Commit) => match Commit3Args::decode(&mut args) {
-                Ok(c) => self.handle_commit(client, hdr.xid, c, arrival).await,
-                Err(_) => encode_reply_status(hdr.xid, ACCEPT_GARBAGE_ARGS, None),
-            },
-            Some(NfsProc3::Create) => match Create3Args::decode(&mut args) {
-                Ok(c) => self.handle_create(client, hdr.xid, c, arrival).await,
-                Err(_) => encode_reply_status(hdr.xid, ACCEPT_GARBAGE_ARGS, None),
-            },
-            Some(NfsProc3::Lookup) => match Lookup3Args::decode(&mut args) {
-                Ok(l) => self.handle_lookup(client, hdr.xid, l, arrival).await,
-                Err(_) => encode_reply_status(hdr.xid, ACCEPT_GARBAGE_ARGS, None),
-            },
-            Some(NfsProc3::Getattr) => match Getattr3Args::decode(&mut args) {
-                Ok(g) => self.handle_getattr(client, hdr.xid, g, arrival).await,
-                Err(_) => encode_reply_status(hdr.xid, ACCEPT_GARBAGE_ARGS, None),
-            },
-            Some(NfsProc3::Setattr) => match Setattr3Args::decode(&mut args) {
-                Ok(a) => self.handle_setattr(client, hdr.xid, a, arrival).await,
-                Err(_) => encode_reply_status(hdr.xid, ACCEPT_GARBAGE_ARGS, None),
-            },
-            Some(NfsProc3::Read) => match Read3Args::decode(&mut args) {
-                Ok(r) => self.handle_read(client, hdr.xid, r, arrival).await,
-                Err(_) => encode_reply_status(hdr.xid, ACCEPT_GARBAGE_ARGS, None),
-            },
-            None => encode_reply_status(hdr.xid, ACCEPT_PROC_UNAVAIL, None),
+            Request::Write(w) => self.handle_write(client, hdr.xid, w, arrival).await,
+            Request::Commit(c) => self.handle_commit(client, hdr.xid, c, arrival).await,
+            Request::Create(c) => self.handle_create(client, hdr.xid, c, arrival).await,
+            Request::Lookup(l) => self.handle_lookup(client, hdr.xid, l, arrival).await,
+            Request::Getattr(g) => self.handle_getattr(client, hdr.xid, g, arrival).await,
+            Request::Setattr(a) => self.handle_setattr(client, hdr.xid, a, arrival).await,
+            Request::Read(r) => self.handle_read(client, hdr.xid, r, arrival).await,
+            Request::Reject(accept_stat) => encode_reply_status(hdr.xid, accept_stat, None),
         };
         Some(reply)
     }

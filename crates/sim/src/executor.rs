@@ -485,7 +485,7 @@ impl Sim {
             waiter: None,
         }));
         let state2 = Rc::clone(&state);
-        let wrapped: LocalFuture = Box::pin(async move {
+        self.spawn_detached(async move {
             let out = fut.await;
             let mut st = state2.borrow_mut();
             st.result = Some(out);
@@ -493,14 +493,21 @@ impl Sim {
                 w.wake();
             }
         });
-
-        let id = self.insert_task(wrapped);
-        self.core.ready.push(id);
         JoinHandle { state }
     }
 
-    fn insert_task(&self, fut: LocalFuture) -> TaskId {
-        self.insert_slot(TaskSlot::Task(Some(fut)))
+    /// Spawns a background task whose completion nobody awaits.
+    ///
+    /// Schedules exactly as [`Sim::spawn`] does (same slot, same place in
+    /// the ready queue) but keeps no join state, so the task costs one
+    /// allocation: its boxed future. Use it wherever the `JoinHandle`
+    /// would be dropped, such as one datagram's hop across the network.
+    pub fn spawn_detached<F>(&self, fut: F)
+    where
+        F: Future<Output = ()> + 'static,
+    {
+        let id = self.insert_slot(TaskSlot::Task(Some(Box::pin(fut))));
+        self.core.ready.push(id);
     }
 
     /// Reserves a task-table slot with no future behind it.

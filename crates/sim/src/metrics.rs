@@ -11,7 +11,6 @@
 //! - [`ByteMeter`] ↔ on-the-wire throughput measurement.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::time::{SimDuration, SimTime};
@@ -234,13 +233,20 @@ impl fmt::Display for Histogram {
 
 /// Per-label accumulated execution time, mimicking a sampling kernel
 /// profiler's per-function histogram.
+///
+/// The kernel's `CpuPool::work` charges a label on every simulated CPU
+/// section, so [`Profiler::charge`] is on the hottest client path. A
+/// world uses a dozen or two labels, each a string literal, so the rows
+/// live in a short vector searched by the label's address first and by
+/// its content only when the address misses. No label is ever hashed.
 #[derive(Default)]
 pub struct Profiler {
-    entries: RefCell<HashMap<&'static str, ProfEntry>>,
+    rows: RefCell<Vec<ProfEntry>>,
 }
 
-#[derive(Default, Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct ProfEntry {
+    label: &'static str,
     ns: u64,
     hits: u64,
 }
@@ -263,39 +269,59 @@ impl Profiler {
     }
 
     /// Charges `d` of execution time to `label`.
+    ///
+    /// Two literals with the same text may sit at different addresses
+    /// (one per crate), so an address miss falls back to comparing text:
+    /// equal labels always share one row.
     pub fn charge(&self, label: &'static str, d: SimDuration) {
-        let mut entries = self.entries.borrow_mut();
-        let e = entries.entry(label).or_default();
-        e.ns += d.as_nanos();
-        e.hits += 1;
+        let mut rows = self.rows.borrow_mut();
+        let at = rows
+            .iter()
+            .position(|r| std::ptr::eq(r.label, label))
+            .or_else(|| rows.iter().position(|r| r.label == label));
+        let row = match at {
+            Some(i) => &mut rows[i],
+            None => {
+                rows.push(ProfEntry {
+                    label,
+                    ns: 0,
+                    hits: 0,
+                });
+                rows.last_mut().expect("just pushed")
+            }
+        };
+        row.ns += d.as_nanos();
+        row.hits += 1;
+    }
+
+    fn entry(&self, label: &str) -> Option<ProfEntry> {
+        self.rows
+            .borrow()
+            .iter()
+            .find(|r| r.label == label)
+            .copied()
     }
 
     /// Accumulated time for `label`.
     pub fn time_in(&self, label: &str) -> SimDuration {
-        self.entries
-            .borrow()
-            .get(label)
+        self.entry(label)
             .map(|e| SimDuration(e.ns))
             .unwrap_or(SimDuration::ZERO)
     }
 
     /// Number of times `label` was charged.
     pub fn hits(&self, label: &str) -> u64 {
-        self.entries
-            .borrow()
-            .get(label)
-            .map(|e| e.hits)
-            .unwrap_or(0)
+        self.entry(label).map(|e| e.hits).unwrap_or(0)
     }
 
     /// All rows, hottest first (ties broken by label for determinism).
     pub fn report(&self) -> Vec<ProfileRow> {
         let mut rows: Vec<ProfileRow> = self
-            .entries
+            .rows
             .borrow()
             .iter()
-            .map(|(&label, e)| ProfileRow {
-                label,
+            .map(|e| ProfileRow {
+                label: e.label,
                 time: SimDuration(e.ns),
                 hits: e.hits,
             })
@@ -311,7 +337,7 @@ impl Profiler {
 
     /// Clears all accumulated time.
     pub fn reset(&self) {
-        self.entries.borrow_mut().clear();
+        self.rows.borrow_mut().clear();
     }
 }
 

@@ -5,7 +5,8 @@
 //! replies with `SUCCESS`/error status. These are real wire encodings —
 //! the sizes feed the fragmentation model.
 
-use nfsperf_xdr::{Decoder, Encoder, XdrDecode, XdrEncode, XdrError};
+use nfsperf_net::pool_get;
+use nfsperf_xdr::{opaque_wire_len, Decoder, Encoder, XdrDecode, XdrEncode, XdrError};
 
 /// RPC protocol version.
 pub const RPC_VERSION: u32 = 2;
@@ -27,6 +28,9 @@ pub const ACCEPT_PROG_MISMATCH: u32 = 2;
 pub const ACCEPT_PROC_UNAVAIL: u32 = 3;
 /// Accept status: garbage arguments.
 pub const ACCEPT_GARBAGE_ARGS: u32 = 4;
+/// Most supplementary gids an `AUTH_UNIX` credential carries
+/// (`gids<16>`, RFC 5531 appendix A).
+pub const AUTH_UNIX_MAX_GIDS: u32 = 16;
 
 /// An `AUTH_UNIX` credential (RFC 1831 appendix A).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,22 +58,31 @@ impl AuthUnix {
             gids: Vec::new(),
         }
     }
+
+    /// Bytes of the credential body: stamp, machine name, uid, gid and
+    /// the gid array. Every field is 4-byte aligned, so the body opaque
+    /// needs no padding.
+    fn body_len(&self) -> usize {
+        4 + opaque_wire_len(self.machine.len()) + 4 + 4 + 4 + 4 * self.gids.len()
+    }
 }
 
 impl XdrEncode for AuthUnix {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_u32(AUTH_UNIX);
-        // Body is an opaque; encode it separately to learn its length.
-        let mut body = Encoder::new();
-        body.put_u32(self.stamp);
-        body.put_string(&self.machine);
-        body.put_u32(self.uid);
-        body.put_u32(self.gid);
-        body.put_u32(self.gids.len() as u32);
+        // The body is an opaque: its length word, then its fields.
+        enc.put_u32(self.body_len() as u32);
+        enc.put_u32(self.stamp);
+        enc.put_string(&self.machine);
+        enc.put_u32(self.uid);
+        enc.put_u32(self.gid);
+        enc.put_u32(self.gids.len() as u32);
         for g in &self.gids {
-            body.put_u32(*g);
+            enc.put_u32(*g);
         }
-        enc.put_opaque(body.bytes());
+    }
+    fn encoded_len(&self) -> usize {
+        8 + self.body_len()
     }
 }
 
@@ -86,6 +99,9 @@ impl XdrDecode for AuthUnix {
         let uid = b.get_u32()?;
         let gid = b.get_u32()?;
         let n = b.get_u32()?;
+        if n > AUTH_UNIX_MAX_GIDS {
+            return Err(XdrError::LengthTooLarge(n));
+        }
         let mut gids = Vec::with_capacity(n as usize);
         for _ in 0..n {
             gids.push(b.get_u32()?);
@@ -116,6 +132,10 @@ pub struct CallHeader {
 }
 
 /// Encodes a complete CALL message: header followed by `args`.
+///
+/// The message is written into a buffer from the payload pool
+/// (`nfsperf_net::pool_get`), reserved to its exact size; whoever retires
+/// the message returns it with `pool_put`.
 pub fn encode_call(
     xid: u32,
     prog: u32,
@@ -124,7 +144,9 @@ pub fn encode_call(
     cred: &AuthUnix,
     args: &dyn XdrEncode,
 ) -> Vec<u8> {
-    let mut enc = Encoder::with_capacity(args.encoded_len() + 96);
+    let mut enc = Encoder::from_vec(pool_get());
+    // Six header words, the credential, the AUTH_NONE verifier, args.
+    enc.reserve(24 + cred.encoded_len() + 8 + args.encoded_len());
     enc.put_u32(xid);
     enc.put_u32(MSG_CALL);
     enc.put_u32(RPC_VERSION);
@@ -179,9 +201,12 @@ pub fn encode_reply(xid: u32, results: &dyn XdrEncode) -> Vec<u8> {
 }
 
 /// Encodes an accepted REPLY with an explicit accept status; `results`
-/// only for `ACCEPT_SUCCESS`.
+/// only for `ACCEPT_SUCCESS`. Like [`encode_call`], the reply is written
+/// into a pooled buffer.
 pub fn encode_reply_status(xid: u32, accept_stat: u32, results: Option<&dyn XdrEncode>) -> Vec<u8> {
-    let mut enc = Encoder::with_capacity(results.map_or(0, |r| r.encoded_len()) + 32);
+    let results = results.filter(|_| accept_stat == ACCEPT_SUCCESS);
+    let mut enc = Encoder::from_vec(pool_get());
+    enc.reserve(24 + results.map_or(0, |r| r.encoded_len()));
     enc.put_u32(xid);
     enc.put_u32(MSG_REPLY);
     // reply_stat: MSG_ACCEPTED.
@@ -190,10 +215,8 @@ pub fn encode_reply_status(xid: u32, accept_stat: u32, results: Option<&dyn XdrE
     enc.put_u32(AUTH_NONE);
     enc.put_u32(0);
     enc.put_u32(accept_stat);
-    if accept_stat == ACCEPT_SUCCESS {
-        if let Some(r) = results {
-            r.encode(&mut enc);
-        }
+    if let Some(r) = results {
+        r.encode(&mut enc);
     }
     enc.into_bytes()
 }
@@ -315,6 +338,47 @@ mod tests {
         let reply = encode_reply(0x2222, &0u32);
         assert_eq!(peek_xid(&call).unwrap(), 0x1111);
         assert_eq!(peek_xid(&reply).unwrap(), 0x2222);
+    }
+
+    /// The gid count is read from the wire: a count past RFC 5531's
+    /// `gids<16>` is junk to drop, not a capacity to reserve.
+    #[test]
+    fn decode_call_rejects_an_oversized_gid_count() {
+        let mut enc = Encoder::new();
+        for word in [0x1234, MSG_CALL, RPC_VERSION, 100_003, 3, 7] {
+            enc.put_u32(word);
+        }
+        enc.put_u32(AUTH_UNIX);
+        enc.put_u32(20); // body: stamp, empty machine name, uid, gid, count
+        for word in [0, 0, 0, 0, 0xffff_ffff] {
+            enc.put_u32(word);
+        }
+        enc.put_u32(AUTH_NONE);
+        let msg = enc.into_bytes();
+        assert_eq!(msg.len(), 56);
+        assert_eq!(
+            decode_call(&msg).unwrap_err(),
+            XdrError::LengthTooLarge(0xffff_ffff)
+        );
+    }
+
+    #[test]
+    fn auth_unix_gid_count_is_bounded_at_sixteen() {
+        let mut cred = AuthUnix::root_on("client");
+        cred.gids = (0..AUTH_UNIX_MAX_GIDS).collect();
+        let mut enc = Encoder::new();
+        cred.encode(&mut enc);
+        let bytes = enc.into_bytes();
+        assert_eq!(AuthUnix::decode(&mut Decoder::new(&bytes)).unwrap(), cred);
+
+        cred.gids.push(AUTH_UNIX_MAX_GIDS);
+        let mut enc = Encoder::new();
+        cred.encode(&mut enc);
+        let bytes = enc.into_bytes();
+        assert_eq!(
+            AuthUnix::decode(&mut Decoder::new(&bytes)).unwrap_err(),
+            XdrError::LengthTooLarge(AUTH_UNIX_MAX_GIDS + 1)
+        );
     }
 
     #[test]

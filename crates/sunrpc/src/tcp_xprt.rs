@@ -163,6 +163,11 @@ impl TcpRpcXprt {
         };
         self.pending.borrow_mut().remove(&xid);
         self.sent.borrow_mut().remove(&xid);
+        // A replay still sending the message keeps it alive; otherwise
+        // this was its last holder.
+        if let Ok(encoded) = Rc::try_unwrap(encoded) {
+            pool_put(encoded);
+        }
 
         let payload = outcome?;
         let result = match msg::decode_reply(&payload) {
@@ -225,7 +230,7 @@ impl TcpRpcXprt {
                             self.conn_changed.wake_all();
                             let me = Rc::clone(self);
                             let reader_conn = Rc::clone(&c);
-                            self.kernel.sim.spawn(async move {
+                            self.kernel.sim.spawn_detached(async move {
                                 me.reader(reader_conn).await;
                             });
                             return Ok(c);
@@ -263,7 +268,10 @@ impl TcpRpcXprt {
                 }
                 let xid = match msg::peek_xid(&reply) {
                     Ok(x) => x,
-                    Err(_) => continue,
+                    Err(_) => {
+                        pool_put(reply);
+                        continue;
+                    }
                 };
                 let slot = self.pending.borrow().get(&xid).map(Rc::clone);
                 match slot {
@@ -272,7 +280,10 @@ impl TcpRpcXprt {
                         *p.reply.borrow_mut() = Some(reply);
                         p.arrived.wake_all();
                     }
-                    None => self.orphans.inc(),
+                    None => {
+                        self.orphans.inc();
+                        pool_put(reply);
+                    }
                 }
             }
         }
@@ -289,7 +300,7 @@ impl TcpRpcXprt {
         self.conn_changed.wake_all();
         if !self.pending.borrow().is_empty() {
             let me = Rc::clone(self);
-            self.kernel.sim.spawn(async move {
+            self.kernel.sim.spawn_detached(async move {
                 me.replay().await;
             });
         }

@@ -145,7 +145,7 @@ impl RpcXprt {
             orphans: Counter::new(),
         });
         let recv = Rc::clone(&xprt);
-        kernel.sim.spawn(async move {
+        kernel.sim.spawn_detached(async move {
             recv.receive_loop(rx).await;
         });
         xprt
@@ -269,7 +269,10 @@ impl RpcXprt {
             }
             let xid = match msg::peek_xid(&payload) {
                 Ok(x) => x,
-                Err(_) => continue,
+                Err(_) => {
+                    pool_put(payload);
+                    continue;
+                }
             };
             let slot = self.pending.borrow().get(&xid).map(Rc::clone);
             match slot {
@@ -280,6 +283,7 @@ impl RpcXprt {
                 }
                 None => {
                     self.orphans.inc();
+                    pool_put(payload);
                 }
             }
         }

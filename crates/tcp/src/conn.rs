@@ -206,7 +206,7 @@ impl TcpConn {
             fin_seen: Cell::new(false),
         });
         let timer = Rc::clone(&conn);
-        sim.spawn(async move { timer.timer_loop().await });
+        sim.spawn_detached(async move { timer.timer_loop().await });
         conn
     }
 

@@ -66,7 +66,7 @@ impl TcpEndpoint {
             counters: Rc::new(SharedCounters::default()),
         });
         let demux = Rc::clone(&ep);
-        sim.spawn(async move { demux.demux_loop(rx).await });
+        sim.spawn_detached(async move { demux.demux_loop(rx).await });
         ep
     }
 

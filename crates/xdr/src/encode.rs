@@ -21,6 +21,17 @@ impl Encoder {
         }
     }
 
+    /// Creates an encoder that appends to `buf`, keeping its capacity —
+    /// for encoding into a recycled buffer.
+    pub fn from_vec(buf: Vec<u8>) -> Encoder {
+        Encoder { buf }
+    }
+
+    /// Reserves room for at least `additional` more bytes.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Appends a 32-bit unsigned integer.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_be_bytes());
@@ -162,6 +173,17 @@ mod tests {
         e.put_bool(true);
         e.put_bool(false);
         assert_eq!(e.bytes(), &[0, 0, 0, 1, 0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn from_vec_appends_and_keeps_capacity() {
+        let mut buf = Vec::with_capacity(64);
+        buf.push(7);
+        let mut e = Encoder::from_vec(buf);
+        e.reserve(32);
+        e.put_u32(1);
+        assert_eq!(e.bytes(), &[7, 0, 0, 0, 1]);
+        assert!(e.into_bytes().capacity() >= 64);
     }
 
     #[test]

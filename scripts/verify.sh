@@ -22,6 +22,13 @@ echo "==> zero-alloc steady state smoke (counting global allocator, release)"
 # exercises the same codegen as the benchmarks.
 cargo test -q --release --offline -p nfsperf-fleet --test zero_alloc
 
+echo "==> faithful WRITE allocation budget (counting global allocator, release)"
+# A faithful UDP WRITE round trip allocates for its requests and tasks,
+# but its wire buffers come from the payload pool: two steady-state
+# windows of different lengths must grow by no more than the committed
+# per-WRITE budget.
+cargo test -q --release --offline -p nfsperf-bonnie --test write_alloc_budget
+
 echo "==> benchmark world equivalence (simbench worlds vs the experiment runners)"
 # simbench is its own workspace, so the workspace tests above skip it.
 # Its suite holds each hand-built benchmark world to the same simulated

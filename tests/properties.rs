@@ -16,7 +16,8 @@ use nfsperf_client::{IndexKind, NfsPageReq, RequestIndex};
 use nfsperf_kernel::{split_into_pages, PAGE_SIZE};
 use nfsperf_net::{fragments_for, wire_bytes, Nic, NicSpec, Path};
 use nfsperf_nfs3::{
-    Commit3Args, Fattr3, FileHandle, NfsStat3, StableHow, WccData, Write3Args, Write3Res, WriteVerf,
+    Commit3Args, Commit3Res, Fattr3, FileHandle, NfsStat3, StableHow, WccAttr, WccData, Write3Args,
+    Write3Res, WriteVerf,
 };
 use nfsperf_sim::{select2, Either, Histogram, Sim, SimDuration, SimTime};
 use nfsperf_sunrpc::{
@@ -102,17 +103,91 @@ fn xdr_mixed_sequence_round_trip() {
     );
 }
 
-/// A decoder never panics on arbitrary junk — it returns errors.
+/// Valid wire messages the panic-free property corrupts: a WRITE and a
+/// COMMIT call, a credential with a full gid list, and both replies.
+fn valid_messages() -> Vec<Vec<u8>> {
+    let fh = FileHandle::for_fileid(9);
+    let mut cred = AuthUnix::root_on("client");
+    let write = Write3Args::new(fh, 8192, 96, StableHow::Unstable);
+    let commit = Commit3Args {
+        file: fh,
+        offset: 0,
+        count: 0,
+    };
+    let wcc = WccData::full(8192, Fattr3::regular(9, 8288));
+    let calls = vec![
+        encode_call(1, 100_003, 3, 7, &cred, &write),
+        encode_call(2, 100_003, 3, 21, &cred, &commit),
+        encode_reply(
+            1,
+            &Write3Res::ok(wcc, 96, StableHow::FileSync, WriteVerf(5)),
+        ),
+        encode_reply(
+            2,
+            &Commit3Res {
+                status: NfsStat3::Ok,
+                wcc,
+                verf: WriteVerf(5),
+            },
+        ),
+    ];
+    cred.gids = (0..16).collect();
+    let mut out = calls;
+    out.push(encode_call(3, 100_003, 3, 7, &cred, &write));
+    out
+}
+
+/// Runs every message decoder over `bytes`; each must return, never
+/// panic or abort.
+fn decode_everything(bytes: &[u8]) {
+    let mut d = Decoder::new(bytes);
+    let _ = d.get_u32();
+    let _ = d.get_opaque();
+    let _ = d.get_string();
+    let _ = d.get_u64();
+    if let Ok((_, args)) = decode_call(bytes) {
+        let rest = &bytes[args.position()..];
+        let _ = Write3Args::decode(&mut Decoder::new(rest));
+        let _ = Commit3Args::decode(&mut Decoder::new(rest));
+    }
+    if let Ok((_, results)) = decode_reply(bytes) {
+        let rest = &bytes[results.position()..];
+        let _ = Write3Res::decode(&mut Decoder::new(rest));
+        let _ = Commit3Res::decode(&mut Decoder::new(rest));
+    }
+    let _ = Write3Args::decode(&mut Decoder::new(bytes));
+    let _ = Write3Res::decode(&mut Decoder::new(bytes));
+    let _ = Commit3Args::decode(&mut Decoder::new(bytes));
+    let _ = Commit3Res::decode(&mut Decoder::new(bytes));
+}
+
+/// Decoders never panic or abort on junk — they return errors. Covers
+/// random bytes and valid messages with random words overwritten, so
+/// corrupt length and count fields reach every message decoder.
 #[test]
 fn xdr_decoder_is_panic_free() {
-    check("xdr_decoder_is_panic_free", |g| g.bytes(0, 512), |junk| {
-        let mut d = Decoder::new(junk);
-        let _ = d.get_u32();
-        let _ = d.get_opaque();
-        let _ = d.get_string();
-        let _ = d.get_u64();
-        CaseOutcome::Pass
-    });
+    let messages = valid_messages();
+    check(
+        "xdr_decoder_is_panic_free",
+        |g| {
+            (
+                g.bytes(0, 512),
+                g.usize_in(0, messages.len()),
+                g.vec(1, 4, |g| (g.any_u32(), g.any_u32())),
+            )
+        },
+        |(junk, pick, overwrites)| {
+            decode_everything(junk);
+            let mut msg = messages[*pick].clone();
+            let words = msg.len() / 4;
+            for &(at, word) in overwrites {
+                let at = 4 * (at as usize % words);
+                msg[at..at + 4].copy_from_slice(&word.to_be_bytes());
+            }
+            decode_everything(&msg);
+            CaseOutcome::Pass
+        },
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -149,22 +224,88 @@ fn write3_args_round_trip() {
     );
 }
 
+/// Weak cache-consistency data with each half present or absent, as the
+/// low two bits of `pick` choose.
+fn wcc_pick(pick: u8, size: u64) -> WccData {
+    WccData {
+        before: (pick & 1 != 0).then_some(WccAttr {
+            size: size / 2,
+            ..WccAttr::default()
+        }),
+        after: (pick & 2 != 0).then(|| Fattr3::regular(3, size)),
+    }
+}
+
+/// Encodes `v`, checking that `encoded_len` predicted the byte count
+/// exactly (pooled buffers are reserved from it).
+fn encode_sized<T: XdrEncode>(v: &T) -> Result<Vec<u8>, String> {
+    let mut e = Encoder::new();
+    v.encode(&mut e);
+    if e.len() != v.encoded_len() {
+        return Err(format!(
+            "encoded {} bytes, encoded_len {}",
+            e.len(),
+            v.encoded_len()
+        ));
+    }
+    Ok(e.into_bytes())
+}
+
 #[test]
 fn write3_res_round_trip() {
     check(
         "write3_res_round_trip",
-        |g| (g.any_u32(), g.any_u64(), g.any_u64()),
-        |&(count, verf, size)| {
-            let res = Write3Res::ok(
-                WccData::full(size / 2, Fattr3::regular(3, size)),
-                count,
-                StableHow::FileSync,
-                WriteVerf(verf),
-            );
-            let mut e = Encoder::new();
-            res.encode(&mut e);
-            let bytes = e.into_bytes();
+        |g| (g.any_u32(), g.any_u64(), g.any_u64(), g.u8_in(0, 8)),
+        |&(count, verf, size, pick)| {
+            let wcc = wcc_pick(pick, size);
+            // Bit 2 picks the error arm, which carries only status + wcc.
+            let res = if pick & 4 == 0 {
+                Write3Res::ok(wcc, count, StableHow::FileSync, WriteVerf(verf))
+            } else {
+                Write3Res {
+                    status: NfsStat3::Nospc,
+                    wcc,
+                    count: 0,
+                    committed: StableHow::Unstable,
+                    verf: WriteVerf::default(),
+                }
+            };
+            if let Err(e) = encode_sized(&res.wcc) {
+                return CaseOutcome::Fail(e);
+            }
+            let bytes = match encode_sized(&res) {
+                Ok(b) => b,
+                Err(e) => return CaseOutcome::Fail(e),
+            };
             let back = Write3Res::decode(&mut Decoder::new(&bytes)).unwrap();
+            prop_assert_eq!(back, res);
+            CaseOutcome::Pass
+        },
+    );
+}
+
+#[test]
+fn commit3_res_round_trip() {
+    check(
+        "commit3_res_round_trip",
+        |g| (g.any_u64(), g.any_u64(), g.u8_in(0, 8)),
+        |&(verf, size, pick)| {
+            // Bit 2 picks the error arm, which carries no verifier.
+            let (status, verf) = if pick & 4 == 0 {
+                (NfsStat3::Ok, WriteVerf(verf))
+            } else {
+                (NfsStat3::Io, WriteVerf::default())
+            };
+            let res = Commit3Res {
+                status,
+                wcc: wcc_pick(pick, size),
+                verf,
+            };
+            let bytes = match encode_sized(&res) {
+                Ok(b) => b,
+                Err(e) => return CaseOutcome::Fail(e),
+            };
+            let back = Commit3Res::decode(&mut Decoder::new(&bytes)).unwrap();
             prop_assert_eq!(back, res);
             CaseOutcome::Pass
         },
@@ -177,26 +318,31 @@ fn rpc_call_header_round_trip() {
         "rpc_call_header_round_trip",
         |g| {
             (
+                (g.any_u32(), g.u32_in(0, 22)),
                 g.any_u32(),
-                g.u32_in(0, 22),
-                g.any_u32(),
-                g.lowercase_string(1, 33),
+                g.lowercase_string(0, 33),
+                g.vec(0, 17, |g| g.any_u32()),
             )
         },
-        |(xid, proc, uid, machine)| {
+        |((xid, proc), uid, machine, gids)| {
             let cred = AuthUnix {
                 stamp: 1,
                 machine: machine.clone(),
                 uid: *uid,
                 gid: *uid / 2,
-                gids: vec![1, 2],
+                gids: gids.clone(),
             };
             let args = Commit3Args {
                 file: FileHandle::for_fileid(u64::from(*xid)),
                 offset: 0,
                 count: 0,
             };
+            if let Err(e) = encode_sized(&cred) {
+                return CaseOutcome::Fail(e);
+            }
             let msg = encode_call(*xid, 100_003, 3, *proc, &cred, &args);
+            // Six header words, credential, AUTH_NONE verifier, args.
+            prop_assert_eq!(msg.len(), 24 + cred.encoded_len() + 8 + args.encoded_len());
             let (hdr, mut dec) = decode_call(&msg).unwrap();
             prop_assert_eq!(hdr.xid, *xid);
             prop_assert_eq!(hdr.proc, *proc);
