@@ -15,7 +15,7 @@
 use std::rc::Rc;
 
 use nfsperf_client::{ClientTuning, MountConfig, NfsMount};
-use nfsperf_fleet::{calibrate, CalibrationConfig, FlyTier, FlyTierConfig, TierEngine};
+use nfsperf_fleet::{calibrate, CalibrationConfig, FlyTier, FlyTierConfig};
 use nfsperf_kernel::{CostTable, Kernel, KernelConfig, SimFile};
 use nfsperf_net::{Fabric, FabricConfig, Nic, NicSpec};
 use nfsperf_server::SlimTierStats;
@@ -71,9 +71,6 @@ pub struct MegaConfig {
     pub client_nic: NicSpec,
     /// Base RNG seed.
     pub seed: u64,
-    /// Which machinery advances flyweight RPCs (events by default;
-    /// `Tasks` keeps the original two-task engine for A/B checks).
-    pub engine: TierEngine,
 }
 
 impl MegaConfig {
@@ -87,7 +84,6 @@ impl MegaConfig {
             bytes_per_client,
             client_nic: NicSpec::fast_ethernet(),
             seed: 0x1f5,
-            engine: TierEngine::Events,
         }
     }
 }
@@ -187,7 +183,6 @@ pub fn run_megafleet(config: &MegaConfig) -> MegaRun {
         FlyTierConfig {
             client_nic: config.client_nic,
             seed: config.seed ^ 0x666c_7977_6569_6768, // distinct flyweight stream
-            engine: config.engine,
             ..FlyTierConfig::new(config.flyweights, writes_per_fly, config.client_nic)
         },
     );
@@ -485,27 +480,6 @@ mod tests {
         assert_eq!(a.elapsed, b.elapsed);
         assert_eq!(a.events, b.events);
         assert_eq!(a.server_stats, b.server_stats);
-    }
-
-    /// The committed megafleet CSV (which records `events`) must not
-    /// depend on which RPC engine drives the flyweight tier: in the
-    /// mixed world — faithful kernel clients sharing fabric queues and
-    /// server slots with the flyweights — the taskless engine must
-    /// reproduce the task engine's run exactly, event count included.
-    #[test]
-    fn megafleet_is_identical_across_rpc_engines() {
-        let mut config = MegaConfig::new(ServerKind::Filer, 48, 32 << 10);
-        config.engine = TierEngine::Tasks;
-        let a = run_megafleet(&config);
-        config.engine = TierEngine::Events;
-        let b = run_megafleet(&config);
-        assert_eq!(a.faithful_mbps, b.faithful_mbps);
-        assert_eq!(a.fly_mbps, b.fly_mbps);
-        assert_eq!(a.fly_rpc_p99_ms, b.fly_rpc_p99_ms);
-        assert_eq!(a.elapsed, b.elapsed);
-        assert_eq!(a.events, b.events, "event-count parity broke");
-        assert_eq!(a.server_stats, b.server_stats);
-        assert_eq!(a.slim_stats, b.slim_stats);
     }
 
     /// The sweep CSV is byte-identical no matter how many worker

@@ -3,14 +3,14 @@
 //! Per client the tier keeps one [`FlyClient`] record (~64 bytes: an RNG
 //! cursor, an emission clock, three virtual NIC clocks, two timestamps,
 //! two counters) — no pages, no flushd, no per-request locks, no NIC or
-//! mount objects. Each RPC is a short-lived task chain: sleep to the
-//! calibrated emission time, traverse the real aggregation and core
-//! uplinks (queueing behind every other client, faithful ones included),
-//! drain through the per-client server-port clock, run the server's
-//! flyweight service path (real slots, NVRAM, checkpoints, dirty cache),
-//! then unwind the reply the same way. Completion refills the client's
-//! outstanding-RPC window, which emits the next requests — so the tier's
-//! live-task count tracks in-flight RPCs, not client count.
+//! mount objects. Each RPC is one slab record advanced by timed events:
+//! wait for the calibrated emission time, traverse the real aggregation
+//! and core uplinks (queueing behind every other client, faithful ones
+//! included), drain through the per-client server-port clock, run the
+//! server's flyweight service path (real slots, NVRAM, checkpoints, dirty
+//! cache), then unwind the reply the same way. Completion refills the
+//! client's outstanding-RPC window, which emits the next requests — so
+//! the tier's live record count tracks in-flight RPCs, not client count.
 //!
 //! Per-client serialization that a real NIC would impose (receive drain
 //! at the server port, transmit of the reply, receive at the client) is
@@ -59,19 +59,13 @@ struct FlyClient {
     completed: u32,
 }
 
-/// Which machinery advances each of the tier's RPCs.
+/// Which machinery advances each of the tier's RPCs. There is one: the
+/// enum and [`FlyTierConfig::engine`] remain only because the benchmark
+/// worlds name `TierEngine::Events`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TierEngine {
-    /// Two spawned tasks per RPC (the original engine): a request task
-    /// that sleeps, traverses, and drains, handing off to a service
-    /// task for the server wait and the reply unwind.
-    Tasks,
     /// One slab record per RPC advanced by timed events straight off the
     /// executor's wheel — no future, no task, no per-RPC allocation.
-    /// Every await point of the task engine maps to one event, and both
-    /// engines share the same fabric/server wait queues, so runs are
-    /// bit-identical (asserted in tests) while the steady state skips
-    /// all task machinery.
     Events,
 }
 
@@ -99,7 +93,8 @@ pub struct FlyTierConfig {
     /// Upper bound on the model's outstanding-RPC window (`u32::MAX` to
     /// take the calibrated window as-is).
     pub window_cap: u32,
-    /// Which machinery advances each RPC (events by default).
+    /// Which machinery advances each RPC; kept only for the benchmark
+    /// worlds, which set it (see [`TierEngine`]).
     pub engine: TierEngine,
 }
 
@@ -138,9 +133,7 @@ pub struct FlyTierRun {
 }
 
 /// Resume point of one event-driven RPC: each variant names what the
-/// record does when its next event dispatches. Stages mirror the task
-/// engine's await points one-for-one, so both engines retire identical
-/// event counts in identical order.
+/// record does when its next event dispatches.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum RpcStage {
     /// Waiting for the emission instant (`sleep_until(at)`).
@@ -178,10 +171,8 @@ enum RpcStage {
 }
 
 /// One in-flight event-driven RPC. Records live in a free-listed slab
-/// sized by peak concurrent RPCs — the per-RPC state the task engine
-/// kept in two spawned futures, without the futures. Transient like
-/// those futures were, so (like them) not part of the tier's resident
-/// per-client accounting.
+/// sized by peak concurrent RPCs. They are transient, so they are not
+/// part of the tier's resident per-client accounting.
 struct FlyRpc {
     /// Owning client's tier index.
     idx: u32,
@@ -201,11 +192,12 @@ struct FlyRpc {
     lane: LaneAdmit,
     /// The server-side op, live from [`RpcStage::Service`] entry.
     srv: Option<FlyweightOp>,
-    /// Shadow task-table slot standing in for the task the old engine
-    /// would have spawned for the current half of this RPC (request,
-    /// then service). Keeps the executor's slot-recycling sequence —
-    /// and so the landing spot of any stale wake — identical across
-    /// engines, which keeps deterministic event counts bit-identical.
+    /// Shadow task-table slot held for the current half of this RPC
+    /// (request, then service); see [`Sim::spawn_shadow`]. Shadows only
+    /// steer where stale wakes land, so they change nothing simulated
+    /// but the event count. They keep that count equal to the committed
+    /// megafleet CSVs and the benchmark's `simbench/digests.json`, and
+    /// go when those are rebaselined.
     shadow: usize,
     /// Direct waker dispatching `step(record index)`, built once when
     /// the record first exists and reused by every park of every RPC
@@ -319,11 +311,9 @@ impl FlyTier {
             clients_done: Cell::new(0),
             finished,
         });
-        if tier.config.engine == TierEngine::Events {
-            let t = Rc::clone(&tier);
-            tier.handler
-                .set(sim.register_event_handler(Rc::new(move |data| t.step(data as u32))));
-        }
+        let t = Rc::clone(&tier);
+        tier.handler
+            .set(sim.register_event_handler(Rc::new(move |data| t.step(data as u32))));
         for i in 0..tier.config.clients {
             tier.try_emit(i);
         }
@@ -366,17 +356,11 @@ impl FlyTier {
                 c.emitted += 1;
                 (seq, at)
             };
-            match self.config.engine {
-                TierEngine::Tasks => self.spawn_request(idx, seq, SimTime(at)),
-                TierEngine::Events => {
-                    // ≙ `spawn_request`: the shadow claims the task-table
-                    // slot the request task would have, and the posted
-                    // event sits in the same ready-queue position.
-                    let r = self.alloc_rpc(idx, seq, SimTime(at));
-                    self.rpcs.borrow_mut().slots[r as usize].shadow = self.sim.spawn_shadow();
-                    self.sim.post_event(self.handler.get(), u64::from(r));
-                }
-            }
+            // The request half claims a shadow slot (see
+            // `FlyRpc::shadow`) and starts from the ready queue.
+            let r = self.alloc_rpc(idx, seq, SimTime(at));
+            self.rpcs.borrow_mut().slots[r as usize].shadow = self.sim.spawn_shadow();
+            self.sim.post_event(self.handler.get(), u64::from(r));
         }
     }
 
@@ -414,9 +398,9 @@ impl FlyTier {
 
     /// Schedules RPC `data`'s next dispatch at `deadline` and returns
     /// `true`; returns `false` when the deadline is not in the future,
-    /// in which case the caller continues inline — exactly the task
-    /// engine's `Sleep`, which completes immediately without touching
-    /// the wheel when its deadline has passed.
+    /// in which case the caller continues inline — as a task's `Sleep`
+    /// completes without touching the wheel when its deadline has
+    /// passed.
     fn sleep_then(&self, deadline: SimTime, data: u64) -> bool {
         if deadline > self.sim.now() {
             // Stage hops are never cancelled, so the timer can carry the
@@ -429,11 +413,9 @@ impl FlyTier {
     }
 
     /// Advances one event-driven RPC until it parks in a wait queue,
-    /// schedules its next dispatch, or retires. One dispatch of this
-    /// handler corresponds to one poll of the task engine's request or
-    /// service task, and every wait parks in the same fabric/server
-    /// queues, so both engines interleave — and count events —
-    /// identically.
+    /// schedules its next dispatch, or retires. Every wait parks in the
+    /// fabric and server queues that faithful clients use, so both tiers
+    /// interleave in one order.
     fn step(self: &Rc<Self>, r: u32) {
         let h = self.handler.get();
         let data = u64::from(r);
@@ -470,11 +452,13 @@ impl FlyTier {
                 RpcStage::AggAdmit => {
                     let agg = self.fabric.agg_of(flow);
                     let w = wire(rpc);
-                    if !agg.poll_admit(&mut rpc.lane, LinkDir::ToServer, flow, w, &mut wf) {
+                    let Some(xfer) =
+                        agg.poll_admit(&mut rpc.lane, LinkDir::ToServer, flow, w, &mut wf)
+                    else {
                         return;
-                    }
+                    };
                     rpc.stage = RpcStage::AggXfer;
-                    let done = self.sim.now() + agg.spec().transfer_time(wire(rpc));
+                    let done = self.sim.now() + xfer;
                     if self.sleep_then(done, data) {
                         return;
                     }
@@ -489,11 +473,13 @@ impl FlyTier {
                 RpcStage::CoreAdmit => {
                     let core = self.fabric.core();
                     let w = wire(rpc);
-                    if !core.poll_admit(&mut rpc.lane, LinkDir::ToServer, flow, w, &mut wf) {
+                    let Some(xfer) =
+                        core.poll_admit(&mut rpc.lane, LinkDir::ToServer, flow, w, &mut wf)
+                    else {
                         return;
-                    }
+                    };
                     rpc.stage = RpcStage::CoreXfer;
-                    let done = self.sim.now() + core.spec().transfer_time(wire(rpc));
+                    let done = self.sim.now() + xfer;
                     if self.sleep_then(done, data) {
                         return;
                     }
@@ -517,12 +503,9 @@ impl FlyTier {
                     }
                 }
                 RpcStage::HandOff => {
-                    // ≙ `spawn_service`: the task engine hands the
-                    // (possibly long) server-queue wait to a fresh task;
-                    // mirror its ready-queue push with a posted event,
-                    // and swap shadows in the task engine's order —
-                    // service slot claimed first, request slot released
-                    // when its task returns.
+                    // The service half restarts from the ready queue and
+                    // swaps shadows: service slot claimed first, request
+                    // slot released after.
                     rpc.stage = RpcStage::Service;
                     let service_shadow = self.sim.spawn_shadow();
                     self.sim.post_event(h, data);
@@ -571,11 +554,13 @@ impl FlyTier {
                 RpcStage::CoreRAdmit => {
                     let core = self.fabric.core();
                     let w = wire(rpc);
-                    if !core.poll_admit(&mut rpc.lane, LinkDir::ToClients, flow, w, &mut wf) {
+                    let Some(xfer) =
+                        core.poll_admit(&mut rpc.lane, LinkDir::ToClients, flow, w, &mut wf)
+                    else {
                         return;
-                    }
+                    };
                     rpc.stage = RpcStage::CoreRXfer;
-                    let done = self.sim.now() + core.spec().transfer_time(wire(rpc));
+                    let done = self.sim.now() + xfer;
                     if self.sleep_then(done, data) {
                         return;
                     }
@@ -590,11 +575,13 @@ impl FlyTier {
                 RpcStage::AggRAdmit => {
                     let agg = self.fabric.agg_of(flow);
                     let w = wire(rpc);
-                    if !agg.poll_admit(&mut rpc.lane, LinkDir::ToClients, flow, w, &mut wf) {
+                    let Some(xfer) =
+                        agg.poll_admit(&mut rpc.lane, LinkDir::ToClients, flow, w, &mut wf)
+                    else {
                         return;
-                    }
+                    };
                     rpc.stage = RpcStage::AggRXfer;
-                    let done = self.sim.now() + agg.spec().transfer_time(wire(rpc));
+                    let done = self.sim.now() + xfer;
                     if self.sleep_then(done, data) {
                         return;
                     }
@@ -633,77 +620,9 @@ impl FlyTier {
         rpcs.free_head = r;
         drop(rpcs);
         self.complete(idx, seq, emitted_at, op);
-        // The service task's slot is recycled only after its final poll
-        // returned — i.e. after `complete` (and any emissions it
-        // spawned) ran.
+        // The service shadow is released only after `complete` (and any
+        // emissions it made) ran.
         self.sim.drop_shadow(shadow);
-    }
-
-    /// The request half of one RPC: wait for the emission instant, cross
-    /// the aggregation and core uplinks, propagate, drain into the
-    /// server port. Hands off to [`FlyTier::spawn_service`] so the
-    /// (possibly long) queue wait at the server does not keep this
-    /// larger future alive.
-    fn spawn_request(self: &Rc<Self>, idx: u32, seq: u32, at: SimTime) {
-        let tier = Rc::clone(self);
-        self.sim.clone().spawn_detached(async move {
-            tier.sim.sleep_until(at).await;
-            let op = tier.model.op_at(seq, tier.config.writes_per_client);
-            let payload = match op {
-                FlyOp::Write => tier.model.write_wire_bytes,
-                FlyOp::Commit => tier.model.commit_wire_bytes,
-            };
-            let wire = wire_bytes(payload, tier.config.client_nic.mtu);
-            let flow = tier.fabric_base + idx;
-            let agg = tier.fabric.agg_of(flow);
-            agg.traverse(flow, LinkDir::ToServer, wire, payload).await;
-            drop(agg);
-            tier.fabric
-                .core()
-                .traverse(flow, LinkDir::ToServer, wire, payload)
-                .await;
-            tier.sim.sleep(tier.fabric.latency()).await;
-            let drained = tier.advance_clock(idx, ClockId::PortRx, tier.config.port_nic, wire);
-            tier.sim.sleep_until(drained).await;
-            tier.spawn_service(idx, seq, at, op);
-        });
-    }
-
-    /// The service-and-reply half: run the server's flyweight path, then
-    /// unwind the reply through the fabric back into the client.
-    fn spawn_service(self: &Rc<Self>, idx: u32, seq: u32, emitted_at: SimTime, op: FlyOp) {
-        let tier = Rc::clone(self);
-        self.sim.clone().spawn_detached(async move {
-            let client = tier.server_base + idx as usize;
-            let reply_payload = match op {
-                FlyOp::Write => {
-                    tier.server
-                        .serve_flyweight_write(client, tier.model.write_payload)
-                        .await;
-                    WRITE_REPLY_BYTES
-                }
-                FlyOp::Commit => {
-                    tier.server.serve_flyweight_commit(client).await;
-                    COMMIT_REPLY_BYTES
-                }
-            };
-            let wire = wire_bytes(reply_payload, tier.config.port_nic.mtu);
-            let sent = tier.advance_clock(idx, ClockId::PortTx, tier.config.port_nic, wire);
-            tier.sim.sleep_until(sent).await;
-            let flow = tier.fabric_base + idx;
-            tier.fabric
-                .core()
-                .traverse(flow, LinkDir::ToClients, wire, reply_payload)
-                .await;
-            tier.fabric
-                .agg_of(flow)
-                .traverse(flow, LinkDir::ToClients, wire, reply_payload)
-                .await;
-            tier.sim.sleep(tier.fabric.latency()).await;
-            let drained = tier.advance_clock(idx, ClockId::CliRx, tier.config.client_nic, wire);
-            tier.sim.sleep_until(drained).await;
-            tier.complete(idx, seq, emitted_at, op);
-        });
     }
 
     /// Advances one of a client's virtual NIC clocks by `spec`'s
@@ -828,11 +747,7 @@ mod tests {
         }
     }
 
-    fn run_tier_with(
-        clients: u32,
-        writes: u32,
-        engine: TierEngine,
-    ) -> (Rc<FlyTier>, Rc<NfsServer>, Sim) {
+    fn run_tier(clients: u32, writes: u32) -> (Rc<FlyTier>, Rc<NfsServer>) {
         let sim = Sim::new();
         let server_nic = NicSpec::gigabit();
         let fabric = Rc::new(Fabric::new(&sim, FabricConfig::new(server_nic)));
@@ -842,18 +757,10 @@ mod tests {
             &server,
             &fabric,
             toy_model(),
-            FlyTierConfig {
-                engine,
-                ..FlyTierConfig::new(clients, writes, server_nic)
-            },
+            FlyTierConfig::new(clients, writes, server_nic),
         );
         let t2 = Rc::clone(&tier);
         sim.run_until(async move { t2.wait_done().await });
-        (tier, server, sim)
-    }
-
-    fn run_tier(clients: u32, writes: u32) -> (Rc<FlyTier>, Rc<NfsServer>) {
-        let (tier, server, _) = run_tier_with(clients, writes, TierEngine::Events);
         (tier, server)
     }
 
@@ -872,31 +779,6 @@ mod tests {
         // No faithful clients attached: the server kept zero per-client
         // stats entries for the whole tier.
         assert!(server.per_client_stats().is_empty());
-    }
-
-    /// The taskless event engine must be observationally identical to
-    /// the two-task-per-RPC engine it replaces: same per-client
-    /// throughputs, same elapsed virtual time, same latency digest,
-    /// same server counters — and the same *event count*, since every
-    /// task poll maps one-for-one onto a slab-event dispatch (the
-    /// megafleet CSV records `sim.events()`, so byte-identity of
-    /// committed results rides on this).
-    #[test]
-    fn event_and_task_engines_are_bit_identical() {
-        for (clients, writes) in [(1, 3), (32, 4), (128, 8)] {
-            let (ta, sa, ma) = run_tier_with(clients, writes, TierEngine::Tasks);
-            let (te, se, me) = run_tier_with(clients, writes, TierEngine::Events);
-            assert_eq!(ta.per_client_mbps(), te.per_client_mbps());
-            assert_eq!(ta.elapsed(), te.elapsed());
-            assert_eq!(ta.rpc_latency(), te.rpc_latency());
-            assert_eq!(sa.slim_stats(), se.slim_stats());
-            assert_eq!(ma.now(), me.now());
-            assert_eq!(
-                ma.events(),
-                me.events(),
-                "event-count parity broke at {clients} clients x {writes} writes"
-            );
-        }
     }
 
     #[test]

@@ -28,11 +28,9 @@
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
-use std::future::Future;
 use std::hash::BuildHasherDefault;
-use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::Waker;
 
 /// Byte cost floor, mirroring `server::sched::COST_FLOOR`: a tiny
 /// datagram (a COMMIT call, a reply fragment) still occupies the lane
@@ -167,35 +165,15 @@ impl PortTicket {
         self.woken.set(false);
     }
 
-    /// Whether the lane has picked and woken this ticket (poll-style
-    /// analogue of `TicketWait` completing).
+    /// Whether the lane has picked and woken this ticket.
     pub(crate) fn is_woken(&self) -> bool {
         self.woken.get()
     }
 
-    /// Stores a waker for the next wake — the poll-style analogue of
-    /// `TicketWait` returning `Poll::Pending`. Callers must check
+    /// Stores a waker for the next wake. Callers must check
     /// [`PortTicket::is_woken`] first.
     pub(crate) fn park(&self, waker: Waker) {
         *self.waker.borrow_mut() = Some(waker);
-    }
-}
-
-/// Future that parks a task until its ticket is picked and woken.
-pub(crate) struct TicketWait {
-    pub(crate) ticket: Rc<PortTicket>,
-}
-
-impl Future for TicketWait {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.ticket.woken.get() {
-            Poll::Ready(())
-        } else {
-            *self.ticket.waker.borrow_mut() = Some(cx.waker().clone());
-            Poll::Pending
-        }
     }
 }
 

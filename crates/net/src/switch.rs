@@ -44,10 +44,12 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::task::Waker;
 
-use nfsperf_sim::{ByteMeter, Counter, LatencyDigest, Receiver, Sim, SimDuration, SimTime};
+use nfsperf_sim::{
+    drive_poll, ByteMeter, Counter, LatencyDigest, Receiver, Sim, SimDuration, SimTime,
+};
 
 use crate::nic::{DatagramPayload, Nic, NicSpec};
-use crate::sched::{PortPolicy, PortSched, PortTicket, TicketWait};
+use crate::sched::{PortPolicy, PortSched, PortTicket};
 use crate::Path;
 
 /// Which way a datagram crosses a [`SharedLink`].
@@ -245,56 +247,35 @@ impl SharedLink {
 
     /// Carries one datagram of `wire_len` wire bytes (`payload_len`
     /// payload) from `flow` across the link, queueing behind other
-    /// traffic in the same direction under the lane's policy.
+    /// traffic in the same direction under the lane's policy: drives
+    /// [`SharedLink::poll_admit`], sleeps the wire time it hands back,
+    /// then [`SharedLink::finish_traverse`].
     pub async fn traverse(&self, flow: u32, dir: LinkDir, wire_len: usize, payload_len: usize) {
-        let lane = &self.lanes[dir.lane()];
-        let arrival = self.sim.now();
-        // Fast path: slot free, nothing queued — barge in without
-        // queueing (the semaphore's uncontended acquire).
-        if lane.busy.get() || lane.sched.queued() > 0 {
-            let ticket = PortTicket::new(flow, wire_len as u64);
-            loop {
-                lane.sched.enqueue(Rc::clone(&ticket));
-                lane.kick();
-                TicketWait {
-                    ticket: Rc::clone(&ticket),
-                }
-                .await;
-                ticket.rearm();
-                lane.pending_wakes.set(lane.pending_wakes.get() - 1);
-                if !lane.busy.get() {
-                    break;
-                }
-                // Slot stolen by a fast-path arrival between our wake and
-                // our poll: refund the pick and re-queue.
-                lane.sched.ungrant(flow, wire_len as u64);
-            }
-            PortTicket::recycle(ticket);
-        }
-        lane.busy.set(true);
-        lane.sample_queue_delay(self.sim.now().since(arrival));
-        self.sim.sleep(self.spec.transfer_time(wire_len)).await;
-        // Account while still holding the slot, so meters and datagram
-        // counts advance in dequeue order even when the scheduler
-        // reorders flows (a DRR pick finishing its wire time must be
-        // metered before the next pick starts, not racing release).
-        lane.meter.record(self.sim.now(), payload_len as u64);
-        lane.datagrams.inc();
-        lane.busy.set(false);
-        lane.kick();
+        let mut st = LaneAdmit::start(self.sim.now());
+        let wire_time =
+            drive_poll(move |wf| self.poll_admit(&mut st, dir, flow, wire_len, wf)).await;
+        self.sim.sleep(wire_time).await;
+        self.finish_traverse(dir, payload_len);
     }
 
-    /// Poll-style admission to the `dir` lane for taskless state
-    /// machines: `true` once the serialization slot is held (the caller
-    /// then models the wire time itself and calls
-    /// [`SharedLink::finish_traverse`] when it elapses), `false` after
-    /// parking a waker from `waker_factory` — call again when it fires.
+    /// Admits one datagram to the `dir` lane without a task: the lane's
+    /// only admission rule, which [`SharedLink::traverse`] drives for
+    /// async callers. Returns the wire time once the serialization slot
+    /// is held (the caller sleeps it, then calls
+    /// [`SharedLink::finish_traverse`]), or `None` after parking a waker
+    /// from `waker_factory`; call again when it fires. The contract is
+    /// the module's lane-admission protocol:
     ///
-    /// Every queue transition — fast-path barge, enqueue/kick, the
-    /// post-wake busy re-check and ungrant-requeue on a stolen slot —
-    /// replays [`SharedLink::traverse`]'s admission exactly, and both
-    /// kinds of traffic share each lane's one [`PortSched`], so mixed
-    /// task/event traffic drains in the identical order.
+    /// - **fast path**, first call only: a free slot with nothing queued
+    ///   is taken without queueing;
+    /// - otherwise the datagram queues a ticket under the lane's
+    ///   [`PortSched`] and kicks, so a free slot wakes the next pick;
+    /// - a woken ticket re-checks the slot. If a fast-path arrival took
+    ///   it first, the pick is refunded (`ungrant`) and the ticket
+    ///   re-queues at the scheduler's mercy.
+    ///
+    /// Every caller, task-driven or taskless, shares each lane's one
+    /// scheduler, so mixed traffic drains in one order.
     pub fn poll_admit(
         &self,
         st: &mut LaneAdmit,
@@ -302,16 +283,14 @@ impl SharedLink {
         flow: u32,
         wire_len: usize,
         waker_factory: &mut dyn FnMut() -> Waker,
-    ) -> bool {
+    ) -> Option<SimDuration> {
         let lane = &self.lanes[dir.lane()];
         if !st.started {
             st.started = true;
             // Fast path: slot free, nothing queued — barge in without
             // queueing (the semaphore's uncontended acquire).
             if !(lane.busy.get() || lane.sched.queued() > 0) {
-                lane.busy.set(true);
-                lane.sample_queue_delay(self.sim.now().since(st.arrival));
-                return true;
+                return Some(self.take_slot(lane, st.arrival, wire_len));
             }
             let ticket = PortTicket::new(flow, wire_len as u64);
             lane.sched.enqueue(Rc::clone(&ticket));
@@ -322,7 +301,7 @@ impl SharedLink {
             let ticket = st.ticket.as_ref().expect("LaneAdmit ticket state");
             if !ticket.is_woken() {
                 ticket.park(waker_factory());
-                return false;
+                return None;
             }
             ticket.rearm();
             lane.pending_wakes.set(lane.pending_wakes.get() - 1);
@@ -338,15 +317,22 @@ impl SharedLink {
         if let Some(t) = st.ticket.take() {
             PortTicket::recycle(t);
         }
+        Some(self.take_slot(lane, st.arrival, wire_len))
+    }
+
+    /// Marks `lane`'s slot held, samples the queue delay since
+    /// `arrival`, and returns the datagram's wire time.
+    fn take_slot(&self, lane: &Lane, arrival: SimTime, wire_len: usize) -> SimDuration {
         lane.busy.set(true);
-        lane.sample_queue_delay(self.sim.now().since(st.arrival));
-        true
+        lane.sample_queue_delay(self.sim.now().since(arrival));
+        self.spec.transfer_time(wire_len)
     }
 
     /// Completes a traversal admitted by [`SharedLink::poll_admit`] once
-    /// the caller's modeled wire time has elapsed: meters the payload in
-    /// dequeue order, releases the slot, and kicks the next pick —
-    /// [`SharedLink::traverse`]'s epilogue, verbatim.
+    /// its wire time has elapsed: meters the payload while still holding
+    /// the slot, so meters and datagram counts advance in dequeue order
+    /// even when the scheduler reorders flows, then releases the slot
+    /// and kicks the next pick.
     pub fn finish_traverse(&self, dir: LinkDir, payload_len: usize) {
         let lane = &self.lanes[dir.lane()];
         lane.meter.record(self.sim.now(), payload_len as u64);
@@ -930,6 +916,41 @@ mod replay_tests {
                 "script {i}"
             );
         }
+    }
+
+    /// Slot steal: a datagram woken for the free slot, robbed by a
+    /// fast-path arrival before it runs, refunds its DRR pick and
+    /// re-queues. It then goes next: the refund restores the credit that
+    /// puts it ahead of a flow that queued later. The wire never carries
+    /// two datagrams at once.
+    #[test]
+    fn robbed_pick_refunds_its_credit_and_requeues() {
+        let sim = Sim::new();
+        let spec = NicSpec::fast_ethernet();
+        // A quantum below the frame cost makes the refund decide order.
+        let link = SharedLink::with_policy(&sim, "uplink", spec, &PortPolicy::Drr { quantum: 500 });
+        let t = spec.transfer_time(1500).as_nanos();
+        let traverse = |flow: u32, delay: u64, wire: usize, times: usize| {
+            let (s, l) = (sim.clone(), Rc::clone(&link));
+            sim.spawn(async move {
+                s.sleep(SimDuration(delay)).await;
+                // Back-to-back traversals: the second barges into the
+                // slot the first just freed, in the same poll.
+                for _ in 0..times {
+                    l.traverse(flow, LinkDir::ToServer, wire, wire).await;
+                }
+                s.now().as_nanos()
+            })
+        };
+        let thief = traverse(0, 0, 1500, 2);
+        let robbed = traverse(1, 1_000, 1500, 1);
+        let later = traverse(2, t + 1_000, 64, 1);
+        let done = sim.run_until(async move { (thief.await, robbed.await, later.await) });
+        assert_eq!(
+            done,
+            (2 * t, 3 * t, 3 * t + spec.transfer_time(64).as_nanos())
+        );
+        assert_eq!(link.datagrams(LinkDir::ToServer), 4);
     }
 
     /// S2 regression: meter/datagram accounting must be ordered with the

@@ -1,8 +1,10 @@
 //! Disk models: a single arm with seek cost and streaming bandwidth.
 
+use std::future::Future;
 use std::rc::Rc;
+use std::task::Waker;
 
-use nfsperf_sim::{ByteMeter, Semaphore, Sim, SimDuration};
+use nfsperf_sim::{drive_poll, ByteMeter, SemAcquire, SemPermit, Semaphore, Sim, SimDuration};
 
 /// A simple disk: one arm (writes serialize), per-operation positioning
 /// cost, and a streaming rate.
@@ -48,11 +50,14 @@ impl DiskModel {
     }
 
     /// Writes `bytes` sequentially (no positioning cost): the model for
-    /// log-style drains and large flushes.
+    /// log-style drains and large flushes. Drives
+    /// [`DiskModel::poll_write_stream`], sleeps the transfer time it
+    /// hands back, then [`DiskModel::finish_write`].
     pub async fn write_stream(&self, bytes: u64) {
-        let _arm = self.arm.acquire().await;
-        self.sim.sleep(self.transfer_time(bytes)).await;
-        self.meter.record(self.sim.now(), bytes);
+        let mut st = SemAcquire::default();
+        let (arm, xfer) = drive_poll(move |wf| self.poll_write_stream(bytes, &mut st, wf)).await;
+        self.sim.sleep(xfer).await;
+        self.finish_write(bytes, arm);
     }
 
     /// Writes `bytes` with a positioning cost first (scattered writes).
@@ -66,41 +71,42 @@ impl DiskModel {
 
     /// Waits for any in-progress disk operation to finish without
     /// issuing one — the barrier a sync needs when another request is
-    /// already flushing the bytes it cares about.
-    pub async fn barrier(&self) {
-        let _arm = self.arm.acquire().await;
+    /// already flushing the bytes it cares about. Drives
+    /// [`DiskModel::poll_barrier`].
+    pub fn barrier(&self) -> impl Future<Output = ()> + '_ {
+        let mut st = SemAcquire::default();
+        drive_poll(move |wf| self.poll_barrier(&mut st, wf).then_some(()))
     }
 
-    /// Poll-style first half of [`DiskModel::write_stream`]: acquires
-    /// the arm (parking a waker from `waker_factory` and returning
+    /// First half of a streaming write, without a task: acquires the arm
+    /// in FIFO order (parking a waker from `waker_factory` and returning
     /// `None` while it is held elsewhere) and, once held, returns the
-    /// permit plus the streaming transfer time. The caller models the
-    /// transfer itself and then calls [`DiskModel::finish_write`].
+    /// permit plus the streaming transfer time. The caller sleeps the
+    /// transfer, then calls [`DiskModel::finish_write`].
     pub fn poll_write_stream(
         &self,
         bytes: u64,
-        st: &mut nfsperf_sim::SemAcquire,
-        waker_factory: &mut dyn FnMut() -> std::task::Waker,
-    ) -> Option<(nfsperf_sim::SemPermit, SimDuration)> {
+        st: &mut SemAcquire,
+        waker_factory: &mut dyn FnMut() -> Waker,
+    ) -> Option<(SemPermit, SimDuration)> {
         let permit = self.arm.poll_acquire(st, waker_factory)?;
         Some((permit, self.transfer_time(bytes)))
     }
 
     /// Completes a streaming write admitted by
     /// [`DiskModel::poll_write_stream`] after its transfer time elapsed:
-    /// meters the bytes, then releases the arm — the same order as the
-    /// async method (record while still holding the arm).
-    pub fn finish_write(&self, bytes: u64, permit: nfsperf_sim::SemPermit) {
+    /// meters the bytes while still holding the arm, then releases it.
+    pub fn finish_write(&self, bytes: u64, permit: SemPermit) {
         self.meter.record(self.sim.now(), bytes);
         drop(permit);
     }
 
-    /// Poll-style [`DiskModel::barrier`]: `true` once the arm has been
-    /// acquired and immediately released, `false` after parking.
+    /// The barrier without a task: `true` once the arm has been acquired
+    /// and immediately released, `false` after parking.
     pub fn poll_barrier(
         &self,
-        st: &mut nfsperf_sim::SemAcquire,
-        waker_factory: &mut dyn FnMut() -> std::task::Waker,
+        st: &mut SemAcquire,
+        waker_factory: &mut dyn FnMut() -> Waker,
     ) -> bool {
         self.arm.poll_acquire(st, waker_factory).is_some()
     }

@@ -381,6 +381,23 @@ mod tests {
         assert!(server.stats().inline_flushes > 0);
     }
 
+    /// Drives one flyweight op to completion from a task: polls the
+    /// machine and sleeps each span it hands back.
+    async fn finish_flyweight(sim: &Sim, server: &NfsServer, mut op: server::FlyweightOp) {
+        use server::FlyStep;
+        loop {
+            let step = nfsperf_sim::drive_poll(|wf| match server.poll_flyweight(&mut op, wf) {
+                FlyStep::Parked => None,
+                step => Some(step),
+            })
+            .await;
+            match step {
+                FlyStep::Sleep(d) => sim.sleep(d).await,
+                _ => return,
+            }
+        }
+    }
+
     /// Flyweight requests contend for the same backend as faithful
     /// traffic (the dirty cache fills and flushes) but leave only shared
     /// tier counters behind — no per-client stats entry, no digests.
@@ -389,12 +406,14 @@ mod tests {
         let (sim, client, server) = build(ServerConfig::linux_knfsd(), NicSpec::gigabit());
         let srv = Rc::clone(&server);
         let base = server.register_slim_clients(10_000);
+        let s = sim.clone();
         sim.run_until(async move {
             let (_fh, _r) = create_and_write(&client, &srv, StableHow::Unstable, 2).await;
             for i in 0..4u64 {
-                srv.serve_flyweight_write(base + (i as usize % 10_000), 8192).await;
+                let op = srv.begin_flyweight_write(base + (i as usize % 10_000), 8192);
+                finish_flyweight(&s, &srv, op).await;
             }
-            srv.serve_flyweight_commit(base).await;
+            finish_flyweight(&s, &srv, srv.begin_flyweight_commit(base)).await;
         });
         let slim = server.slim_stats();
         assert_eq!(slim.clients, 10_000);
@@ -411,13 +430,15 @@ mod tests {
         assert!(server.service_engine().service_samples(base).is_empty());
     }
 
-    /// The poll-style flyweight machine must replay the async flyweight
-    /// path exactly: same finish times, same aggregate stats, on every
+    /// The poll-style flyweight machine, driven by timed events, on every
     /// backend — including ones sized down to force NVRAM stalls and
     /// inline dirty-cache flushes, where wait-queue order decides who
-    /// flushes what.
+    /// flushes what. The finish instants and counters are pinned, and a
+    /// separate task-driven implementation of the same path once matched
+    /// them exactly, so any drift in the shared admission and backend
+    /// rules shows here.
     #[test]
-    fn flyweight_poll_machine_matches_task_engine() {
+    fn flyweight_poll_machine_reproduces_pinned_runs() {
         use nfsperf_sim::EventHandlerId;
         use server::{FlyStep, FlyweightOp};
         use std::cell::{Cell, RefCell};
@@ -426,58 +447,7 @@ mod tests {
         const WRITES: u32 = 8;
         const BYTES: u64 = 64 * 1024;
 
-        fn configs() -> Vec<ServerConfig> {
-            let mut filer = ServerConfig::netapp_f85();
-            if let BackendConfig::Filer {
-                ref mut nvram_capacity,
-                ref mut checkpoint_offset,
-                ..
-            } = filer.backend
-            {
-                *nvram_capacity = 192 * 1024; // force admission stalls
-                *checkpoint_offset = SimDuration::from_micros(200);
-            }
-            let mut knfsd = ServerConfig::linux_knfsd();
-            if let BackendConfig::CacheDisk {
-                ref mut dirty_cap, ..
-            } = knfsd.backend
-            {
-                *dirty_cap = 128 * 1024; // force inline flushes
-            }
-            vec![filer, knfsd, ServerConfig::slow_100bt()]
-        }
-
         type Outcome = (u64, ServerStats, SlimTierStats);
-
-        fn run_tasks(config: ServerConfig) -> Outcome {
-            let sim = Sim::new();
-            let server = NfsServer::new(&sim, config);
-            let base = server.register_slim_clients(CLIENTS);
-            let done = Rc::new(Cell::new(0usize));
-            let finish = Rc::new(Cell::new(0u64));
-            for c in 0..CLIENTS {
-                let srv = Rc::clone(&server);
-                let done = Rc::clone(&done);
-                let finish = Rc::clone(&finish);
-                let s = sim.clone();
-                sim.spawn(async move {
-                    for _ in 0..WRITES {
-                        srv.serve_flyweight_write(base + c, BYTES).await;
-                    }
-                    srv.serve_flyweight_commit(base + c).await;
-                    finish.set(finish.get().max(s.now().as_nanos()));
-                    done.set(done.get() + 1);
-                });
-            }
-            let s = sim.clone();
-            let d = Rc::clone(&done);
-            sim.run_until(async move {
-                while d.get() < CLIENTS {
-                    s.sleep(SimDuration::from_micros(100)).await;
-                }
-            });
-            (finish.get(), server.stats(), server.slim_stats())
-        }
 
         fn run_events(config: ServerConfig) -> Outcome {
             struct Chain {
@@ -567,11 +537,50 @@ mod tests {
             (driver.finish.get(), server.stats(), server.slim_stats())
         }
 
-        for config in configs() {
+        let mut filer = ServerConfig::netapp_f85();
+        if let BackendConfig::Filer {
+            ref mut nvram_capacity,
+            ref mut checkpoint_offset,
+            ..
+        } = filer.backend
+        {
+            *nvram_capacity = 192 * 1024; // force admission stalls
+            *checkpoint_offset = SimDuration::from_micros(200);
+        }
+        let mut knfsd = ServerConfig::linux_knfsd();
+        if let BackendConfig::CacheDisk {
+            ref mut dirty_cap, ..
+        } = knfsd.backend
+        {
+            *dirty_cap = 128 * 1024; // force inline flushes
+        }
+        let server = |checkpoints, inline_flushes| ServerStats {
+            ops: 36,
+            writes: 32,
+            write_bytes: 32 * BYTES,
+            commits: 4,
+            checkpoints,
+            inline_flushes,
+        };
+        let slim = SlimTierStats {
+            clients: 4,
+            ops: 36,
+            writes: 32,
+            write_bytes: 32 * BYTES,
+            commits: 4,
+        };
+        let pinned = [
+            (filer, (294_090_667, server(1, 0), slim.clone())),
+            (knfsd, (83_364_954, server(0, 16), slim.clone())),
+            (ServerConfig::slow_100bt(), (11_025_760, server(0, 0), slim)),
+        ];
+        for (config, expected) in pinned {
             let name = config.name;
-            let tasks = run_tasks(config.clone());
-            let events = run_events(config);
-            assert_eq!(tasks, events, "engines diverged on {name}");
+            assert_eq!(
+                run_events(config),
+                expected,
+                "{name} drifted from its pinned run"
+            );
         }
     }
 

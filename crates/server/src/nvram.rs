@@ -8,9 +8,10 @@
 //! client RAM plus NVRAM.
 
 use std::cell::Cell;
+use std::future::Future;
 use std::rc::Rc;
 
-use nfsperf_sim::{Sim, WaitFuture, WaitQueue};
+use nfsperf_sim::{drive_poll, Sim, WaitFuture, WaitQueue};
 
 use crate::disk::DiskModel;
 
@@ -20,14 +21,6 @@ use crate::disk::DiskModel;
 pub struct NvramAdmit {
     started: bool,
     wait: Option<WaitFuture>,
-}
-
-impl NvramAdmit {
-    /// Resets to the not-yet-started state for reuse by the next RPC.
-    pub fn reset(&mut self) {
-        self.started = false;
-        self.wait = None;
-    }
 }
 
 /// Drain granularity: how much the background task moves per disk write.
@@ -65,36 +58,32 @@ impl Nvram {
         nvram
     }
 
-    /// Logs `bytes` into NVRAM, stalling while the log is full.
+    /// Logs `bytes` into NVRAM, stalling while the log is full: drives
+    /// [`Nvram::poll_admit`] from the calling task.
     ///
     /// # Panics
     ///
     /// Panics if `bytes` exceeds the whole log capacity.
-    pub async fn admit(&self, bytes: u64) {
-        assert!(
-            bytes <= self.capacity,
-            "single admission {bytes} larger than NVRAM {}",
-            self.capacity
-        );
-        if self.used.get() + bytes > self.capacity {
-            self.full_stalls.set(self.full_stalls.get() + 1);
-            while self.used.get() + bytes > self.capacity {
-                self.space.wait().await;
-            }
-        }
-        let u = self.used.get() + bytes;
-        self.used.set(u);
-        self.peak.set(self.peak.get().max(u));
-        self.total_admitted.set(self.total_admitted.get() + bytes);
-        self.work.wake_all();
+    pub fn admit(&self, bytes: u64) -> impl Future<Output = ()> + '_ {
+        let mut st = NvramAdmit::default();
+        drive_poll(move |wf| self.poll_admit(bytes, &mut st, wf).then_some(()))
     }
 
-    /// Poll-style [`Nvram::admit`] for taskless state machines: `true`
-    /// once the bytes are logged, `false` after parking a waker from
-    /// `waker_factory` (call again when it fires). Stall accounting,
-    /// the re-check loop against drain progress, and the drain-task
-    /// kick replay the async method exactly; parked flyweights share
-    /// the `space` queue with any parked tasks.
+    /// Logs `bytes` into NVRAM without a task: the log's only admission
+    /// rule, which [`Nvram::admit`] drives for async callers. Returns
+    /// `true` once the bytes are logged, `false` after parking a waker
+    /// from `waker_factory` (call again when it fires). The contract:
+    ///
+    /// - an admission that finds the log full counts one `full_stalls`,
+    ///   once, however many wakes it takes;
+    /// - it parks on the drain's `space` queue, and every wake re-checks
+    ///   the fill level against drain progress, so a wake that frees too
+    ///   little parks it again;
+    /// - a logged admission updates the peak and kicks the drain task.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` exceeds the whole log capacity.
     pub fn poll_admit(
         &self,
         bytes: u64,
@@ -212,6 +201,34 @@ mod tests {
         );
         assert_eq!(nv.full_stalls(), 1);
         assert_eq!(nv.total_admitted(), 1_500_000);
+    }
+
+    /// An admission that needs several drain chunks wakes and re-parks
+    /// once per chunk but counts as one stall.
+    #[test]
+    fn full_stall_counts_once_across_several_wakes() {
+        let sim = Sim::new();
+        let disk = Rc::new(DiskModel::new(&sim, 1_000_000, SimDuration::ZERO));
+        let nv = Nvram::new(&sim, 1_000_000, disk);
+        let n = Rc::clone(&nv);
+        let parks = sim.run_until(async move {
+            n.admit(1_000_000).await;
+            // 900 KB fits only after four 256 KiB drain chunks.
+            let mut st = NvramAdmit::default();
+            let mut parks = 0;
+            drive_poll(|wf| {
+                let mut counting = || {
+                    parks += 1;
+                    wf()
+                };
+                n.poll_admit(900_000, &mut st, &mut counting).then_some(())
+            })
+            .await;
+            parks
+        });
+        assert_eq!(parks, 4, "one park per drain chunk");
+        assert_eq!(nv.full_stalls(), 1, "one stall for one admission");
+        assert_eq!(nv.total_admitted(), 1_900_000);
     }
 
     #[test]

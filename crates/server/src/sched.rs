@@ -35,11 +35,10 @@
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::future::Future;
-use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::Waker;
 
-use nfsperf_sim::{Counter, Sim, SimDuration, SimTime};
+use nfsperf_sim::{drive_poll, Counter, Sim, SimDuration, SimTime};
 
 pub use nfsperf_net::WeightTable;
 pub use nfsperf_sim::LatencyDigest;
@@ -146,34 +145,15 @@ impl Ticket {
         self.woken.set(false);
     }
 
-    /// Whether the engine has picked and woken this ticket (poll-style
-    /// analogue of `TicketWait` completing).
+    /// Whether the engine has picked and woken this ticket.
     fn is_woken(&self) -> bool {
         self.woken.get()
     }
 
-    /// Stores a waker for the next wake — the poll-style analogue of
-    /// `TicketWait` returning `Poll::Pending`.
+    /// Stores a waker for the next wake. Callers must check
+    /// [`Ticket::is_woken`] first.
     fn park(&self, waker: Waker) {
         *self.waker.borrow_mut() = Some(waker);
-    }
-}
-
-/// Future that parks a task until its ticket is picked and woken.
-struct TicketWait {
-    ticket: Rc<Ticket>,
-}
-
-impl Future for TicketWait {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.ticket.woken.get() {
-            Poll::Ready(())
-        } else {
-            *self.ticket.waker.borrow_mut() = Some(cx.waker().clone());
-            Poll::Pending
-        }
     }
 }
 
@@ -701,8 +681,10 @@ impl ServiceEngine {
         let q = self.queue_delay.borrow();
         let s = self.service_lat.borrow();
         (
-            q.get(client).map_or(LatencyDigest::default(), |v| LatencyDigest::of(v)),
-            s.get(client).map_or(LatencyDigest::default(), |v| LatencyDigest::of(v)),
+            q.get(client)
+                .map_or(LatencyDigest::default(), |v| LatencyDigest::of(v)),
+            s.get(client)
+                .map_or(LatencyDigest::default(), |v| LatencyDigest::of(v)),
         )
     }
 
@@ -715,57 +697,32 @@ impl ServiceEngine {
             .unwrap_or_default()
     }
 
-    /// Acquires a service slot for `meta`, waiting in scheduler order.
+    /// Acquires a service slot for `meta`, waiting in scheduler order:
+    /// drives [`ServiceEngine::poll_admit`] from the calling task.
     /// Dropping the returned [`SvcSlot`] releases the slot and dispatches
     /// the scheduler's next pick.
-    pub async fn admit(self: &Rc<Self>, meta: ReqMeta) -> SvcSlot {
-        self.enqueued_bytes.add(meta.bytes);
-        // Fast path: free slot, empty queue, and the policy admits the
-        // client directly (always true for FIFO — the semaphore's fast
-        // path, barging included).
-        if self.free.get() > 0 && self.sched.queued() == 0 && self.sched.try_grant(&meta) {
-            self.take_slot(&meta);
-            return SvcSlot {
-                engine: Rc::clone(self),
-                meta,
-            };
-        }
-        let ticket = Ticket::new(meta);
-        loop {
-            self.sched.enqueue(Rc::clone(&ticket));
-            // A new arrival can be eligible even while slots idle (e.g.
-            // every other client is quota-blocked); under FIFO this never
-            // fires — a slot only idles when the queue is empty.
-            self.kick();
-            TicketWait {
-                ticket: Rc::clone(&ticket),
-            }
-            .await;
-            ticket.rearm();
-            self.pending_wakes.set(self.pending_wakes.get() - 1);
-            if self.free.get() > 0 {
-                self.take_slot(&meta);
-                Ticket::recycle(ticket);
-                return SvcSlot {
-                    engine: Rc::clone(self),
-                    meta,
-                };
-            }
-            // A fast-path arrival stole the slot between our wake and our
-            // poll: give the grant back and re-queue at the back, as a
-            // semaphore waiter re-queues.
-            self.sched.ungrant(&meta);
-        }
+    pub fn admit(self: &Rc<Self>, meta: ReqMeta) -> impl Future<Output = SvcSlot> + '_ {
+        let mut st = SvcAdmit::default();
+        drive_poll(move |wf| self.poll_admit(meta, &mut st, wf))
     }
 
-    /// Poll-style [`ServiceEngine::admit`] for taskless state machines:
-    /// `Some(slot)` once admitted, `None` after parking a waker from
-    /// `waker_factory` (call again when it fires). Every admission step
-    /// — byte accounting, the fast-path grant, enqueue/kick, the
-    /// post-wake free-slot re-check and ungrant-requeue on a stolen
-    /// slot — replays the async method exactly, and both kinds of
-    /// requester share the one scheduler queue, so mixed task/event
-    /// traffic is served in the identical order.
+    /// Acquires a service slot without a task: the engine's only
+    /// admission rule, which [`ServiceEngine::admit`] drives for async
+    /// callers. Returns `Some(slot)` once admitted, `None` after parking
+    /// a waker from `waker_factory` (call again when it fires). The
+    /// contract is the engine's slot protocol (see [`ServiceEngine`]):
+    ///
+    /// - the request's bytes count as enqueued on the first call;
+    /// - **fast path**, first call only: a free slot, an empty queue and
+    ///   the policy's `try_grant` admit at once;
+    /// - otherwise the request queues a ticket and kicks, since a new
+    ///   arrival can be eligible while slots idle;
+    /// - a woken ticket re-checks for a free slot. If a fast-path arrival
+    ///   took it first, the grant is refunded (`ungrant`) and the ticket
+    ///   re-queues at the back.
+    ///
+    /// Every caller, task-driven or taskless, shares the one scheduler
+    /// queue, so mixed traffic is served in one order.
     pub fn poll_admit(
         self: &Rc<Self>,
         meta: ReqMeta,
@@ -910,6 +867,39 @@ mod tests {
             sched.on_complete(&t.meta());
         }
         order
+    }
+
+    /// Slot steal: a request woken for the free slot, robbed by a
+    /// fast-path arrival before it runs, refunds its DRR grant and
+    /// re-queues. It is then served next: the refund restores the credit
+    /// that puts it ahead of a client that queued later.
+    #[test]
+    fn robbed_grant_refunds_its_credit_and_requeues() {
+        let sim = Sim::new();
+        // A quantum below the request cost makes the refund decide order.
+        let engine = ServiceEngine::new(&sim, 1, SchedPolicy::Drr { quantum: 512 });
+        let serve = |client: usize, delay: u64, bytes: u64, times: usize| {
+            let (s, e) = (sim.clone(), Rc::clone(&engine));
+            sim.spawn(async move {
+                s.sleep(SimDuration::from_micros(delay)).await;
+                let mut admitted = 0;
+                // Back-to-back requests: the second barges into the slot
+                // the first just freed, in the same poll.
+                for _ in 0..times {
+                    let slot = e.admit(meta(client, OpClass::Write, bytes)).await;
+                    admitted = s.now().as_nanos() / 1_000;
+                    s.sleep(SimDuration::from_micros(100)).await;
+                    drop(slot);
+                }
+                admitted
+            })
+        };
+        let thief = serve(0, 0, 4096, 2);
+        let robbed = serve(1, 1, 4096, 1);
+        let later = serve(2, 101, 0, 1);
+        let admitted = sim.run_until(async move { (thief.await, robbed.await, later.await) });
+        assert_eq!(admitted, (100, 200, 300), "admission instants, µs");
+        assert_eq!(engine.served_bytes(), 3 * 4096);
     }
 
     /// The flyweight sample cap: clients at or above the cap are served

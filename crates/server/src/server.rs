@@ -2,6 +2,7 @@
 //! write backends (filer NVRAM, knfsd page-cache-and-disk, plain memory).
 
 use std::cell::{Cell, RefCell};
+use std::future::Future;
 use std::rc::Rc;
 
 use nfsperf_net::{pool_put, DatagramPayload, Path};
@@ -11,7 +12,7 @@ use nfsperf_nfs3::{
     WccData, Write3Args, Write3Res, WriteVerf, NFS_PROGRAM, NFS_V3,
 };
 use nfsperf_sim::{
-    Counter, Gate, GatePass, Receiver, SemAcquire, SemPermit, Sim, SimDuration, SimTime,
+    drive_poll, Counter, Gate, GatePass, Receiver, SemAcquire, SemPermit, Sim, SimDuration, SimTime,
 };
 use nfsperf_sunrpc::{
     decode_call, encode_reply, encode_reply_status, record_marker, RecordReader,
@@ -321,11 +322,32 @@ pub enum FlyStep {
     Done,
 }
 
-/// Which RPC a flyweight op serves.
+/// Which RPC a backend step serves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FlyKind {
+enum DataOp {
     Write,
     Commit,
+}
+
+/// Where one backend step stands (see [`NfsServer::poll_backend`]).
+/// All wait state lives inline, so a fresh step allocates nothing.
+#[derive(Default)]
+enum BackendStep {
+    /// Not started. The entry bookkeeping (flush sizing,
+    /// `inline_flushes`, the commit's dirty claim) runs once, on leaving
+    /// this state, so parking later never repeats it.
+    #[default]
+    Start,
+    /// Waiting for NVRAM space (filer WRITE).
+    Nvram(NvramAdmit),
+    /// Waiting for the disk arm to flush `flush` dirty bytes, or, when
+    /// `flush` is 0 (a COMMIT that found the pool claimed), to pass the
+    /// arm as a barrier.
+    Disk { flush: u64, arm: SemAcquire },
+    /// Holding the arm while the flush's transfer time elapses.
+    Xfer { flush: u64, arm: SemPermit },
+    /// Finished.
+    Done,
 }
 
 /// Pipeline position of an in-flight flyweight op.
@@ -335,12 +357,8 @@ enum FlyStage {
     Gate,
     /// Queued for a service slot.
     Admit,
-    /// Service time slept; run the backend (NVRAM / dirty cache).
+    /// Service time slept; run the backend step.
     Backend,
-    /// Disk arm held and transfer time slept; complete the flush.
-    DiskXfer,
-    /// Bump counters and release the slot.
-    Finish,
     /// Terminal; further polls are no-ops.
     Done,
 }
@@ -352,26 +370,18 @@ enum FlyStage {
 /// fresh op per RPC allocates nothing.
 pub struct FlyweightOp {
     client: usize,
-    kind: FlyKind,
+    kind: DataOp,
     bytes: u64,
     arrival: SimTime,
     stage: FlyStage,
     gate: GatePass,
     admit: SvcAdmit,
     slot: Option<SvcSlot>,
-    nvram: NvramAdmit,
-    disk: SemAcquire,
-    permit: Option<SemPermit>,
-    /// Dirty-cache bytes this op flushes (cache-disk backend only).
-    flush: u64,
-    /// Whether the backend stage already ran its entry bookkeeping
-    /// (flush sizing, `inline_flushes`, the commit's dirty claim) —
-    /// parking on the disk arm must not repeat it.
-    backend_entered: bool,
+    backend: BackendStep,
 }
 
 impl FlyweightOp {
-    fn new(client: usize, kind: FlyKind, bytes: u64, arrival: SimTime) -> FlyweightOp {
+    fn new(client: usize, kind: DataOp, bytes: u64, arrival: SimTime) -> FlyweightOp {
         FlyweightOp {
             client,
             kind,
@@ -381,11 +391,7 @@ impl FlyweightOp {
             gate: GatePass::default(),
             admit: SvcAdmit::default(),
             slot: None,
-            nvram: NvramAdmit::default(),
-            disk: SemAcquire::default(),
-            permit: None,
-            flush: 0,
-            backend_entered: false,
+            backend: BackendStep::default(),
         }
     }
 
@@ -501,8 +507,8 @@ impl NfsServer {
     /// they never materialize [`PerClientStats`] or per-client latency
     /// vectors (the service engine's sample cap is set to the faithful
     /// population), only the shared [`SlimTierStats`] counters. Requests
-    /// for these ids enter through [`NfsServer::serve_flyweight_write`] /
-    /// [`NfsServer::serve_flyweight_commit`] and contend for the same
+    /// for these ids enter through [`NfsServer::begin_flyweight_write`] /
+    /// [`NfsServer::begin_flyweight_commit`] and contend for the same
     /// service slots, NVRAM, checkpoints, and dirty cache as everyone
     /// else. Attach all faithful clients first.
     pub fn register_slim_clients(&self, count: usize) -> usize {
@@ -512,104 +518,32 @@ impl NfsServer {
         base
     }
 
-    /// Serves one flyweight WRITE of `bytes` payload for client id
+    /// Starts a flyweight WRITE of `bytes` payload for client id
     /// `client`: same checkpoint gate, scheduler admission, CPU cost, and
-    /// backend (NVRAM / dirty cache) as [`NfsServer::handle_write`], but
-    /// without XDR decode, file-system state, or per-client digests.
-    /// Returns when the reply would leave the server.
-    pub async fn serve_flyweight_write(&self, client: usize, bytes: u64) {
-        self.slim_ops.inc();
-        let arrival = self.sim.now();
-        if let Backend::Filer { checkpoint, .. } = &self.backend {
-            checkpoint.pass().await;
-        }
-        let _svc = self.admit(client, OpClass::Write, bytes, arrival).await;
-        self.sim
-            .sleep(self.fixed_op_cost + self.data_time(bytes))
-            .await;
-        match self.backend {
-            Backend::Filer { ref nvram, .. } => {
-                nvram.admit(bytes).await;
-            }
-            Backend::CacheDisk {
-                ref dirty,
-                dirty_cap,
-                ref disk,
-                ref inline_flushes,
-            } => {
-                if dirty.get() + bytes > dirty_cap {
-                    let flush = dirty.get() / 2 + bytes;
-                    inline_flushes.inc();
-                    disk.write_stream(flush).await;
-                    dirty.set(dirty.get().saturating_sub(flush));
-                }
-                dirty.set(dirty.get() + bytes);
-            }
-            Backend::Memory => {}
-        }
-        self.ops.inc();
-        self.writes.inc();
-        self.write_bytes.add(bytes);
-        self.slim_writes.inc();
-        self.slim_write_bytes.add(bytes);
-    }
-
-    /// Serves one flyweight COMMIT for client id `client`: same gate,
-    /// admission, and dirty-cache flush as [`NfsServer::handle_commit`].
-    pub async fn serve_flyweight_commit(&self, client: usize) {
-        self.slim_ops.inc();
-        let arrival = self.sim.now();
-        if let Backend::Filer { checkpoint, .. } = &self.backend {
-            checkpoint.pass().await;
-        }
-        let _svc = self.admit(client, OpClass::Commit, 0, arrival).await;
-        self.sim.sleep(self.fixed_op_cost).await;
-        match self.backend {
-            Backend::Filer { .. } | Backend::Memory => {}
-            Backend::CacheDisk {
-                ref dirty,
-                ref disk,
-                ..
-            } => {
-                let d = dirty.replace(0);
-                if d > 0 {
-                    disk.write_stream(d).await;
-                } else {
-                    disk.barrier().await;
-                }
-            }
-        }
-        self.ops.inc();
-        self.commits.inc();
-        self.slim_commits.inc();
-    }
-
-    /// Starts a flyweight WRITE as a poll-style op: the taskless twin of
-    /// [`NfsServer::serve_flyweight_write`]. Runs the same entry
-    /// bookkeeping the async method's first lines do (tier op count,
-    /// arrival timestamp), then hands back a state machine the caller
-    /// advances with [`NfsServer::poll_flyweight`].
+    /// backend step as [`NfsServer::handle_write`], but without XDR
+    /// decode, file-system state, or per-client digests. Counts the op
+    /// and stamps its arrival, then hands back a state machine the
+    /// caller advances with [`NfsServer::poll_flyweight`].
     pub fn begin_flyweight_write(&self, client: usize, bytes: u64) -> FlyweightOp {
         self.slim_ops.inc();
-        FlyweightOp::new(client, FlyKind::Write, bytes, self.sim.now())
+        FlyweightOp::new(client, DataOp::Write, bytes, self.sim.now())
     }
 
-    /// Starts a flyweight COMMIT as a poll-style op: the taskless twin of
-    /// [`NfsServer::serve_flyweight_commit`].
+    /// Starts a flyweight COMMIT for client id `client`: same gate,
+    /// admission, and backend step as [`NfsServer::handle_commit`].
     pub fn begin_flyweight_commit(&self, client: usize) -> FlyweightOp {
         self.slim_ops.inc();
-        FlyweightOp::new(client, FlyKind::Commit, 0, self.sim.now())
+        FlyweightOp::new(client, DataOp::Commit, 0, self.sim.now())
     }
 
     /// Advances a flyweight op until it parks, needs simulated time, or
     /// finishes. On [`FlyStep::Parked`] the op has parked a waker built
     /// by `waker_factory` in one of the server's wait queues — poll again
     /// when it fires. On [`FlyStep::Sleep`] the caller models that much
-    /// service or disk-transfer time and polls again. Every queue
-    /// transition replays the async methods exactly (same checkpoint
-    /// gate, scheduler queue, NVRAM stalls, dirty-cache flushes, counter
-    /// order), so task-served and event-served flyweights interleave
-    /// bit-identically.
+    /// service or disk-transfer time and polls again. The checkpoint
+    /// gate, scheduler queue and backend step are the ones faithful
+    /// requests use, so flyweight and faithful traffic interleave in one
+    /// order.
     pub fn poll_flyweight(
         &self,
         op: &mut FlyweightOp,
@@ -619,8 +553,7 @@ impl NfsServer {
             match op.stage {
                 FlyStage::Gate => {
                     // Checkpoint pause happens before service; once
-                    // passed, the gate is never re-checked (a task past
-                    // `pass().await` does not return to it either).
+                    // passed, the gate is never re-checked.
                     if let Backend::Filer { checkpoint, .. } = &self.backend {
                         if !checkpoint.poll_pass(&mut op.gate, waker_factory) {
                             return FlyStep::Parked;
@@ -630,8 +563,8 @@ impl NfsServer {
                 }
                 FlyStage::Admit => {
                     let (class, bytes) = match op.kind {
-                        FlyKind::Write => (OpClass::Write, op.bytes),
-                        FlyKind::Commit => (OpClass::Commit, 0),
+                        DataOp::Write => (OpClass::Write, op.bytes),
+                        DataOp::Commit => (OpClass::Commit, 0),
                     };
                     let meta = ReqMeta {
                         client: op.client,
@@ -639,114 +572,34 @@ impl NfsServer {
                         bytes,
                         arrival: op.arrival,
                     };
-                    match self.engine.poll_admit(meta, &mut op.admit, waker_factory) {
-                        None => return FlyStep::Parked,
-                        Some(slot) => {
-                            op.slot = Some(slot);
-                            op.stage = FlyStage::Backend;
-                            let service = match op.kind {
-                                FlyKind::Write => self.fixed_op_cost + self.data_time(op.bytes),
-                                FlyKind::Commit => self.fixed_op_cost,
-                            };
-                            return FlyStep::Sleep(service);
-                        }
-                    }
-                }
-                FlyStage::Backend => match (op.kind, &self.backend) {
-                    (FlyKind::Write, Backend::Filer { nvram, .. }) => {
-                        if !nvram.poll_admit(op.bytes, &mut op.nvram, waker_factory) {
-                            return FlyStep::Parked;
-                        }
-                        op.stage = FlyStage::Finish;
-                    }
-                    (
-                        FlyKind::Write,
-                        Backend::CacheDisk {
-                            dirty,
-                            dirty_cap,
-                            disk,
-                            inline_flushes,
-                        },
-                    ) => {
-                        // Flush sizing and the stat bump happen once, on
-                        // entry, before any wait on the arm — exactly
-                        // where the async method reads `dirty`.
-                        if !op.backend_entered {
-                            op.backend_entered = true;
-                            if dirty.get() + op.bytes > *dirty_cap {
-                                op.flush = dirty.get() / 2 + op.bytes;
-                                inline_flushes.inc();
-                            }
-                        }
-                        if op.flush > 0 {
-                            match disk.poll_write_stream(op.flush, &mut op.disk, waker_factory) {
-                                None => return FlyStep::Parked,
-                                Some((permit, xfer)) => {
-                                    op.permit = Some(permit);
-                                    op.stage = FlyStage::DiskXfer;
-                                    return FlyStep::Sleep(xfer);
-                                }
-                            }
-                        }
-                        dirty.set(dirty.get() + op.bytes);
-                        op.stage = FlyStage::Finish;
-                    }
-                    (FlyKind::Write, Backend::Memory) => op.stage = FlyStage::Finish,
-                    (FlyKind::Commit, Backend::Filer { .. } | Backend::Memory) => {
-                        op.stage = FlyStage::Finish;
-                    }
-                    (FlyKind::Commit, Backend::CacheDisk { dirty, disk, .. }) => {
-                        // Claim the dirty pool once, before touching the
-                        // disk — the same single `dirty.replace(0)` the
-                        // async method performs (see handle_commit for
-                        // why claiming first matters).
-                        if !op.backend_entered {
-                            op.backend_entered = true;
-                            op.flush = dirty.replace(0);
-                        }
-                        if op.flush > 0 {
-                            match disk.poll_write_stream(op.flush, &mut op.disk, waker_factory) {
-                                None => return FlyStep::Parked,
-                                Some((permit, xfer)) => {
-                                    op.permit = Some(permit);
-                                    op.stage = FlyStage::DiskXfer;
-                                    return FlyStep::Sleep(xfer);
-                                }
-                            }
-                        }
-                        if !disk.poll_barrier(&mut op.disk, waker_factory) {
-                            return FlyStep::Parked;
-                        }
-                        op.stage = FlyStage::Finish;
-                    }
-                },
-                FlyStage::DiskXfer => {
-                    let Backend::CacheDisk { dirty, disk, .. } = &self.backend else {
-                        unreachable!("disk transfer only exists on the cache-disk backend")
+                    let Some(slot) = self.engine.poll_admit(meta, &mut op.admit, waker_factory)
+                    else {
+                        return FlyStep::Parked;
                     };
-                    disk.finish_write(op.flush, op.permit.take().expect("arm permit held"));
-                    if op.kind == FlyKind::Write {
-                        dirty.set(dirty.get().saturating_sub(op.flush));
-                        dirty.set(dirty.get() + op.bytes);
-                    }
-                    op.stage = FlyStage::Finish;
+                    op.slot = Some(slot);
+                    op.stage = FlyStage::Backend;
+                    return FlyStep::Sleep(self.service_time(op.bytes));
                 }
-                FlyStage::Finish => {
+                FlyStage::Backend => {
+                    match self.poll_backend(op.kind, op.bytes, &mut op.backend, waker_factory) {
+                        FlyStep::Done => {}
+                        step => return step,
+                    }
                     self.ops.inc();
                     match op.kind {
-                        FlyKind::Write => {
+                        DataOp::Write => {
                             self.writes.inc();
                             self.write_bytes.add(op.bytes);
                             self.slim_writes.inc();
                             self.slim_write_bytes.add(op.bytes);
                         }
-                        FlyKind::Commit => {
+                        DataOp::Commit => {
                             self.commits.inc();
                             self.slim_commits.inc();
                         }
                     }
-                    // Counters first, slot release last: the async
-                    // methods bump stats and then drop `_svc` on return.
+                    // Counters first, slot release last, as a faithful
+                    // request releases its slot when its handler returns.
                     op.slot = None;
                     op.stage = FlyStage::Done;
                     return FlyStep::Done;
@@ -754,6 +607,132 @@ impl NfsServer {
                 FlyStage::Done => return FlyStep::Done,
             }
         }
+    }
+
+    /// The durability work of one WRITE or COMMIT after its service
+    /// time, without a task: the one backend rule that faithful requests
+    /// (through [`NfsServer::backend_step`]) and flyweights (through
+    /// [`NfsServer::poll_flyweight`]) share. Returns
+    /// [`FlyStep::Parked`] after parking a waker from `waker_factory`,
+    /// [`FlyStep::Sleep`] for a disk transfer the caller must sleep
+    /// before polling again, or [`FlyStep::Done`].
+    ///
+    /// - **Filer WRITE**: logs the bytes into NVRAM, stalling while the
+    ///   log is full.
+    /// - **Cache-disk WRITE**: adds the bytes to the dirty cache. If that
+    ///   would pass the dirty cap, it first flushes half the cache plus
+    ///   the write inline (bdflush pressure), sized once on entry.
+    /// - **Cache-disk COMMIT**: claims the whole dirty pool before
+    ///   touching the disk, so concurrent COMMITs from a client fleet
+    ///   each flush only what the previous one left instead of
+    ///   re-streaming the same bytes after queueing on the arm (which
+    ///   turns N commits into O(N^2) disk work). A COMMIT that finds the
+    ///   pool already claimed still waits out the in-flight flush (a
+    ///   disk barrier): its caller's data is on the platter only once
+    ///   that flush completes.
+    /// - Everything else is a no-op: filer writes are already
+    ///   `FILE_SYNC`, and the memory backend keeps nothing.
+    fn poll_backend(
+        &self,
+        kind: DataOp,
+        bytes: u64,
+        st: &mut BackendStep,
+        waker_factory: &mut dyn FnMut() -> std::task::Waker,
+    ) -> FlyStep {
+        loop {
+            match (&mut *st, &self.backend) {
+                (BackendStep::Start, Backend::Filer { .. }) if kind == DataOp::Write => {
+                    *st = BackendStep::Nvram(NvramAdmit::default());
+                }
+                (
+                    BackendStep::Start,
+                    Backend::CacheDisk {
+                        dirty,
+                        dirty_cap,
+                        inline_flushes,
+                        ..
+                    },
+                ) => {
+                    let flush = match kind {
+                        DataOp::Write if dirty.get() + bytes > *dirty_cap => {
+                            // bdflush pressure: flush half the cache inline.
+                            inline_flushes.inc();
+                            dirty.get() / 2 + bytes
+                        }
+                        DataOp::Write => 0,
+                        DataOp::Commit => dirty.replace(0),
+                    };
+                    *st = if kind == DataOp::Write && flush == 0 {
+                        dirty.set(dirty.get() + bytes);
+                        BackendStep::Done
+                    } else {
+                        BackendStep::Disk {
+                            flush,
+                            arm: SemAcquire::default(),
+                        }
+                    };
+                }
+                (BackendStep::Start, _) => *st = BackendStep::Done,
+                (BackendStep::Nvram(admit), Backend::Filer { nvram, .. }) => {
+                    if !nvram.poll_admit(bytes, admit, waker_factory) {
+                        return FlyStep::Parked;
+                    }
+                    *st = BackendStep::Done;
+                }
+                (BackendStep::Disk { flush: 0, arm }, Backend::CacheDisk { disk, .. }) => {
+                    if !disk.poll_barrier(arm, waker_factory) {
+                        return FlyStep::Parked;
+                    }
+                    *st = BackendStep::Done;
+                }
+                (BackendStep::Disk { flush, arm }, Backend::CacheDisk { disk, .. }) => {
+                    let flush = *flush;
+                    let Some((arm, xfer)) = disk.poll_write_stream(flush, arm, waker_factory)
+                    else {
+                        return FlyStep::Parked;
+                    };
+                    *st = BackendStep::Xfer { flush, arm };
+                    return FlyStep::Sleep(xfer);
+                }
+                (BackendStep::Xfer { .. }, Backend::CacheDisk { dirty, disk, .. }) => {
+                    // The flush's transfer time has elapsed.
+                    let BackendStep::Xfer { flush, arm } = std::mem::replace(st, BackendStep::Done)
+                    else {
+                        unreachable!("matched above")
+                    };
+                    disk.finish_write(flush, arm);
+                    if kind == DataOp::Write {
+                        dirty.set(dirty.get().saturating_sub(flush));
+                        dirty.set(dirty.get() + bytes);
+                    }
+                }
+                (BackendStep::Done, _) => return FlyStep::Done,
+                _ => unreachable!("backend step state belongs to another backend"),
+            }
+        }
+    }
+
+    /// Runs one backend step from a request task: drives
+    /// [`NfsServer::poll_backend`] and sleeps each transfer it hands
+    /// back.
+    async fn backend_step(&self, kind: DataOp, bytes: u64) {
+        let mut st = BackendStep::default();
+        loop {
+            let step = drive_poll(|wf| match self.poll_backend(kind, bytes, &mut st, wf) {
+                FlyStep::Parked => None,
+                step => Some(step),
+            })
+            .await;
+            match step {
+                FlyStep::Sleep(xfer) => self.sim.sleep(xfer).await,
+                _ => return,
+            }
+        }
+    }
+
+    /// CPU service time of a request carrying `bytes` of payload.
+    fn service_time(&self, bytes: u64) -> SimDuration {
+        self.fixed_op_cost + self.data_time(bytes)
     }
 
     /// Snapshot of the flyweight tier's shared counters.
@@ -920,15 +899,19 @@ impl NfsServer {
     }
 
     /// Takes a service slot for one request, in scheduler order.
-    async fn admit(&self, client: usize, class: OpClass, bytes: u64, arrival: SimTime) -> SvcSlot {
-        self.engine
-            .admit(ReqMeta {
-                client,
-                class,
-                bytes,
-                arrival,
-            })
-            .await
+    fn admit(
+        &self,
+        client: usize,
+        class: OpClass,
+        bytes: u64,
+        arrival: SimTime,
+    ) -> impl Future<Output = SvcSlot> + '_ {
+        self.engine.admit(ReqMeta {
+            client,
+            class,
+            bytes,
+            arrival,
+        })
     }
 
     async fn handle_write(
@@ -946,9 +929,7 @@ impl NfsServer {
         let _svc = self
             .admit(client, OpClass::Write, u64::from(w.count), arrival)
             .await;
-        self.sim
-            .sleep(self.fixed_op_cost + self.data_time(u64::from(w.count)))
-            .await;
+        self.sim.sleep(self.service_time(u64::from(w.count))).await;
 
         if let Some(limit) = self.write_error_after {
             if self.write_bytes.get() + u64::from(w.count) > limit {
@@ -966,27 +947,7 @@ impl NfsServer {
         }
 
         let before = self.fs.size_of(&w.file).unwrap_or(0);
-        match self.backend {
-            Backend::Filer { ref nvram, .. } => {
-                nvram.admit(u64::from(w.count)).await;
-            }
-            Backend::CacheDisk {
-                ref dirty,
-                dirty_cap,
-                ref disk,
-                ref inline_flushes,
-            } => {
-                if dirty.get() + u64::from(w.count) > dirty_cap {
-                    // bdflush pressure: flush half the cache inline.
-                    let flush = dirty.get() / 2 + u64::from(w.count);
-                    inline_flushes.inc();
-                    disk.write_stream(flush).await;
-                    dirty.set(dirty.get().saturating_sub(flush));
-                }
-                dirty.set(dirty.get() + u64::from(w.count));
-            }
-            Backend::Memory => {}
-        }
+        self.backend_step(DataOp::Write, u64::from(w.count)).await;
 
         match self.fs.apply_write(&w.file, w.offset, w.count) {
             Ok(after) => {
@@ -1052,30 +1013,7 @@ impl NfsServer {
         self.sim.sleep(self.fixed_op_cost).await;
         self.commits.inc();
         self.client_stat(client, |c| c.commits += 1);
-        match self.backend {
-            // Filer writes were FILE_SYNC; COMMIT is a cheap no-op.
-            Backend::Filer { .. } | Backend::Memory => {}
-            Backend::CacheDisk {
-                ref dirty,
-                ref disk,
-                ..
-            } => {
-                // Claim the dirty pool before touching the disk:
-                // concurrent COMMITs from a client fleet must each flush
-                // only what the previous one left, not re-stream the
-                // same bytes after queueing on the arm (which turns N
-                // commits into O(N^2) disk work). A COMMIT that finds
-                // the pool already claimed still waits out the in-flight
-                // flush before replying — its caller's data may be on
-                // the platter only once that flush completes.
-                let d = dirty.replace(0);
-                if d > 0 {
-                    disk.write_stream(d).await;
-                } else {
-                    disk.barrier().await;
-                }
-            }
-        }
+        self.backend_step(DataOp::Commit, 0).await;
         let after = self.fs.getattr(&c.file).ok();
         encode_reply(
             xid,

@@ -512,15 +512,16 @@ impl Sim {
 
     /// Reserves a task-table slot with no future behind it.
     ///
-    /// Taskless engines that replace spawned tasks one-for-one (the
-    /// flyweight tier) use a shadow per replaced task so the table's
-    /// slot-recycling sequence — and therefore which slot a *stale* wake
-    /// lands on — is identical to the task engine's. A wake that reaches
-    /// a live shadow retires one event, exactly as the spurious no-op
-    /// poll of the replaced task did; without shadows those wakes land
-    /// on free slots and the engines' deterministic event counts drift
-    /// apart under load. Release with [`Sim::drop_shadow`] at the point
-    /// the replaced task would have returned.
+    /// The flyweight tier holds one shadow for each half of every RPC,
+    /// claimed and released where it once spawned and retired a task. That
+    /// fixes the table's slot-recycling sequence, and so which slot a
+    /// *stale* wake lands on. A wake that reaches a live shadow retires
+    /// one event; one that lands on a free slot retires none. Shadows
+    /// change nothing simulated but that count. They exist so the event
+    /// counts stay equal to the committed megafleet results and to the
+    /// benchmark's `simbench/digests.json` pins; removing them moves a
+    /// million-client run by a handful of events, so they go when those
+    /// references are rebaselined. Release with [`Sim::drop_shadow`].
     pub fn spawn_shadow(&self) -> TaskId {
         self.insert_slot(TaskSlot::Shadow)
     }
@@ -700,9 +701,8 @@ impl Sim {
             match tasks.get_mut(id) {
                 Some(TaskSlot::Shadow) => {
                     // A stale wake reached a recycled slot that a
-                    // shadow now occupies: retire one event, exactly
-                    // as the spurious no-op poll of the task that
-                    // would have occupied this slot did.
+                    // shadow now occupies: retire one event, as a
+                    // spurious no-op poll of a task there would.
                     drop(tasks);
                     self.core.events.set(self.core.events.get() + 1);
                     return;
@@ -1255,9 +1255,9 @@ mod tests {
 
     #[test]
     fn event_dispatch_counts_one_engine_event() {
-        // Parity with the task engine: a timer-armed event costs one
-        // fire (wheel pop) + one dispatch, exactly like sleep's
-        // fire + poll; a posted event costs one dispatch like a poll.
+        // Same cost as a task: a timer-armed event costs one fire
+        // (wheel pop) + one dispatch, exactly like sleep's fire + poll;
+        // a posted event costs one dispatch like a poll.
         let sim = Sim::new();
         let (h, _log) = logging_handler(&sim);
         let s = sim.clone();

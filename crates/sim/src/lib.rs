@@ -48,7 +48,7 @@ pub use rng::SimRng;
 pub use runner::{default_jobs, run_cells, run_cells_profiled, Cell};
 pub use select::{select2, Either};
 pub use sync::{
-    channel, Gate, GatePass, LockGuard, LockStats, Receiver, SemAcquire, SemPermit, Semaphore,
+    channel, drive_poll, Gate, GatePass, LockGuard, LockStats, Receiver, SemAcquire, SemPermit, Semaphore,
     Sender, SimLock, WaitFuture, WaitQueue,
 };
 pub use time::{SimDuration, SimTime};

@@ -444,6 +444,24 @@ impl Drop for LockGuard {
     }
 }
 
+/// Drives a poll-style wait from async code: a future that calls `poll`
+/// with a factory for the current task's waker until it returns `Some`.
+///
+/// Every blocking primitive here is written once, as a poll method that
+/// parks a waker from its factory (so taskless state machines can wait
+/// in the same queues). Its async form is this future over that method,
+/// so both kinds of caller follow one admission rule. Move the wait
+/// state into `poll`: the future is then just that closure, as small as
+/// the state itself.
+pub fn drive_poll<T>(
+    mut poll: impl FnMut(&mut dyn FnMut() -> Waker) -> Option<T>,
+) -> impl Future<Output = T> {
+    std::future::poll_fn(move |cx| match poll(&mut || cx.waker().clone()) {
+        Some(v) => Poll::Ready(v),
+        None => Poll::Pending,
+    })
+}
+
 /// A FIFO counting semaphore.
 ///
 /// Used for RPC transport slot tables, CPU pools, and disk arms. Permits
@@ -463,30 +481,11 @@ impl Semaphore {
         }
     }
 
-    /// Acquires one permit, sleeping FIFO-fair until one is available.
-    pub async fn acquire(self: &Rc<Self>) -> SemPermit {
-        // Fast path: free permit and nobody queued ahead of us.
-        if self.permits.get() > 0 && self.queue.is_empty() {
-            self.permits.set(self.permits.get() - 1);
-            return SemPermit {
-                sem: Rc::clone(self),
-                live: true,
-            };
-        }
-        loop {
-            // Each `release_one` wakes exactly the head waiter, so being
-            // woken means it is our turn; re-checking only the permit count
-            // (not queue emptiness) avoids re-queueing behind later waiters
-            // and losing the wake.
-            self.queue.wait().await;
-            if self.permits.get() > 0 {
-                self.permits.set(self.permits.get() - 1);
-                return SemPermit {
-                    sem: Rc::clone(self),
-                    live: true,
-                };
-            }
-        }
+    /// Acquires one permit, sleeping FIFO-fair until one is available:
+    /// drives [`Semaphore::poll_acquire`] from the calling task.
+    pub fn acquire(self: &Rc<Self>) -> impl Future<Output = SemPermit> + '_ {
+        let mut st = SemAcquire::default();
+        drive_poll(move |wf| self.poll_acquire(&mut st, wf))
     }
 
     /// Takes a permit if one is free, without waiting.
@@ -508,17 +507,24 @@ impl Semaphore {
         self.queue.wake_one();
     }
 
-    /// Poll-style [`Semaphore::acquire`] for taskless state machines.
+    /// Acquires one permit without a task: the semaphore's only
+    /// admission rule, which [`Semaphore::acquire`] drives for async
+    /// callers.
     ///
     /// Call with a fresh [`SemAcquire`] state; returns `Some(permit)` when
     /// the permit is taken, or `None` after parking a waker from
-    /// `waker_factory` (call again when it fires). The waiting discipline
-    /// — fast path only before the first park, then re-checking only the
-    /// permit count on each wake — is byte-for-byte the discipline of the
-    /// async method, and both kinds of waiter share one FIFO queue.
+    /// `waker_factory` (call again when it fires). The contract:
     ///
-    /// The factory is only invoked when the machine actually parks, so
-    /// fast-path acquisitions arm no event.
+    /// - **fast path**, first call only: a free permit with nobody queued
+    ///   is taken at once and no waker is built, so it arms no event;
+    /// - otherwise the caller joins the FIFO queue, and each
+    ///   [`Semaphore::release_one`] wakes exactly the head waiter;
+    /// - a woken waiter re-checks only the permit count, not queue
+    ///   emptiness, so it never re-queues behind later arrivals and loses
+    ///   its wake;
+    /// - if a fast-path [`Semaphore::try_acquire`] took the permit between
+    ///   the wake and this poll, the waiter re-queues at the back and
+    ///   keeps waiting; no permit is lost.
     pub fn poll_acquire(
         self: &Rc<Self>,
         st: &mut SemAcquire,
@@ -621,19 +627,20 @@ impl Gate {
         self.closed.get()
     }
 
-    /// Waits until the gate is open (returns immediately if it is).
-    pub async fn pass(&self) {
-        while self.closed.get() {
-            self.queue.wait().await;
-        }
+    /// Waits until the gate is open (returns immediately if it is):
+    /// drives [`Gate::poll_pass`] from the calling task.
+    pub fn pass(&self) -> impl Future<Output = ()> + '_ {
+        let mut st = GatePass::default();
+        drive_poll(move |wf| self.poll_pass(&mut st, wf).then_some(()))
     }
 
-    /// Poll-style [`Gate::pass`] for taskless state machines: `true` once
-    /// through the gate, `false` after parking a waker from
-    /// `waker_factory` (call again when it fires). Replicates the async
-    /// `while closed { wait().await }` loop — including re-registering
-    /// behind later arrivals if the gate closed again before the wake was
-    /// observed — and shares the same FIFO queue as async passers.
+    /// Passes the gate without a task: the gate's only rule, which
+    /// [`Gate::pass`] drives for async callers. Returns `true` once
+    /// through, `false` after parking a waker from `waker_factory` (call
+    /// again when it fires). An open gate passes at once. A closed gate
+    /// parks the caller in its FIFO queue until [`Gate::open`]; a woken
+    /// passer re-checks the gate and, if it was closed again before this
+    /// poll, parks again behind any later arrivals.
     pub fn poll_pass(&self, st: &mut GatePass, waker_factory: &mut dyn FnMut() -> Waker) -> bool {
         if let Some(w) = st.wait.as_ref() {
             if !w.is_woken() {
@@ -653,31 +660,16 @@ impl Gate {
 }
 
 /// In-flight state for [`Semaphore::poll_acquire`]; `Default` is the
-/// not-yet-started state. Dropping it mid-wait cancels the queue slot,
-/// exactly as dropping the async future would.
+/// not-yet-started state. Dropping it mid-wait cancels the queue slot.
 #[derive(Default)]
 pub struct SemAcquire {
     wait: Option<WaitFuture>,
-}
-
-impl SemAcquire {
-    /// Resets to the not-yet-started state for reuse by the next RPC.
-    pub fn reset(&mut self) {
-        self.wait = None;
-    }
 }
 
 /// In-flight state for [`Gate::poll_pass`]; see [`SemAcquire`].
 #[derive(Default)]
 pub struct GatePass {
     wait: Option<WaitFuture>,
-}
-
-impl GatePass {
-    /// Resets to the not-yet-started state for reuse by the next RPC.
-    pub fn reset(&mut self) {
-        self.wait = None;
-    }
 }
 
 struct ChanInner<T> {
@@ -973,6 +965,66 @@ mod tests {
             drop(p);
             assert!(s2.try_acquire().is_some());
         });
+    }
+
+    /// A woken waiter whose permit a fast-path `try_acquire` took before
+    /// the waiter ran re-queues and acquires on the next release: no
+    /// permit is lost, none is minted.
+    #[test]
+    fn semaphore_waiter_robbed_after_wake_requeues_and_acquires() {
+        let sim = Sim::new();
+        let sem = Rc::new(Semaphore::new(1));
+        let held = sem.try_acquire().expect("free permit");
+        let waiter = {
+            let (s, sem) = (sim.clone(), Rc::clone(&sem));
+            sim.spawn(async move {
+                let _permit = sem.acquire().await;
+                s.now()
+            })
+        };
+        let (s, sem2) = (sim.clone(), Rc::clone(&sem));
+        let acquired_at = sim.run_until(async move {
+            s.sleep(SimDuration::from_micros(10)).await;
+            assert_eq!(sem2.queued(), 1);
+            // Release wakes the waiter; the barge runs before it polls.
+            drop(held);
+            let stolen = sem2
+                .try_acquire()
+                .expect("fast path barges past the woken waiter");
+            s.sleep(SimDuration::from_micros(10)).await;
+            assert_eq!(sem2.queued(), 1, "the robbed waiter re-queued");
+            drop(stolen);
+            waiter.await
+        });
+        assert_eq!(acquired_at, SimTime(20_000));
+        assert_eq!(sem.available(), 1, "no permit lost or minted");
+        assert_eq!(sem.queued(), 0);
+    }
+
+    /// A passer woken by `open` that finds the gate closed again before
+    /// it runs parks again and passes only on the next `open`.
+    #[test]
+    fn gate_reclosed_before_the_woken_passer_runs_parks_it_again() {
+        let sim = Sim::new();
+        let gate = Rc::new(Gate::new());
+        gate.close();
+        let passer = {
+            let (s, gate) = (sim.clone(), Rc::clone(&gate));
+            sim.spawn(async move {
+                gate.pass().await;
+                s.now()
+            })
+        };
+        let (s, g2) = (sim.clone(), Rc::clone(&gate));
+        let passed_at = sim.run_until(async move {
+            s.sleep(SimDuration::from_micros(10)).await;
+            g2.open();
+            g2.close();
+            s.sleep(SimDuration::from_micros(10)).await;
+            g2.open();
+            passer.await
+        });
+        assert_eq!(passed_at, SimTime(20_000));
     }
 
     #[test]

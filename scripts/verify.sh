@@ -98,13 +98,19 @@ awk -F, 'NR > 1 {
         if (rows == 0) { print "FAIL: empty qos-quick.csv"; exit 1 }
     }' results/qos-quick.csv
 
-echo "==> megafleet smoke run (10k flyweights, --jobs 4 vs --jobs 1 bit-identical)"
-out="$(cargo run -q --release --offline --bin nfsperf -- megafleet --quick --counts 10000 --jobs 4 --out results/megafleet-smoke.csv)"
+echo "==> megafleet smoke run (10k flyweights, --jobs 4 vs --jobs 1 vs committed results/megafleet-smoke.csv)"
+# The committed file is the reference for the flyweight tier: its
+# `events` column pins the simulated event count of every cell, so a
+# change to the tier's event schedule fails here even when throughput
+# and latency columns happen to match.
+out="$(cargo run -q --release --offline --bin nfsperf -- megafleet --quick --counts 10000 --jobs 4 --out results/megafleet-smoke-4.csv)"
 echo "$out"
-cargo run -q --release --offline --bin nfsperf -- megafleet --quick --counts 10000 --jobs 1 --out results/megafleet-smoke-2.csv > /dev/null
-cmp results/megafleet-smoke.csv results/megafleet-smoke-2.csv \
+cargo run -q --release --offline --bin nfsperf -- megafleet --quick --counts 10000 --jobs 1 --out results/megafleet-smoke-1.csv > /dev/null
+cmp results/megafleet-smoke-4.csv results/megafleet-smoke-1.csv \
     || { echo "FAIL: megafleet sweep differs between --jobs 4 and --jobs 1"; exit 1; }
-rm -f results/megafleet-smoke-2.csv
+cmp results/megafleet-smoke-1.csv results/megafleet-smoke.csv \
+    || { echo "FAIL: megafleet sweep differs from the committed results/megafleet-smoke.csv"; exit 1; }
+rm -f results/megafleet-smoke-4.csv
 # Every cell must move bytes, keep the faithful tier fair, and hold the
 # flyweight memory budget (column 12: resident bytes per client).
 awk -F, 'NR == 1 {
@@ -119,7 +125,8 @@ awk -F, 'NR == 1 {
     }
     END {
         if (rows == 0) { print "FAIL: empty megafleet-smoke.csv"; exit 1 }
-    }' results/megafleet-smoke.csv
+    }' results/megafleet-smoke-1.csv
+rm -f results/megafleet-smoke-1.csv
 
 echo "==> cawl smoke run (quick, --jobs 4 vs --jobs 1 bit-identical)"
 out="$(cargo run -q --release --offline --bin nfsperf -- cawl --quick --jobs 4 --out results/cawl-quick.csv)"
