@@ -108,7 +108,9 @@ pub struct MegaRun {
     pub faithful_svc_p99_ms: f64,
     /// Deterministic retired-event count of the cell's simulation.
     pub events: u64,
-    /// Flyweight tier resident bytes per client.
+    /// Flyweight tier resident bytes per client: the client slab and
+    /// shared state only (`FlyTier::bytes_per_client`), not the state
+    /// of each client's in-flight RPC.
     pub bytes_per_client: usize,
     /// Wall time until both tiers finished.
     pub elapsed: SimDuration,
@@ -272,7 +274,8 @@ pub struct MegaCell {
     pub faithful_svc_p99_ms: f64,
     /// Deterministic event count of the cell.
     pub events: u64,
-    /// Flyweight resident bytes per client.
+    /// Flyweight resident bytes per client, slab and shared state only
+    /// (see [`MegaRun::bytes_per_client`]).
     pub bytes_per_client: usize,
 }
 

@@ -12,6 +12,16 @@
 //! client's outstanding-RPC window, which emits the next requests — so
 //! the tier's live record count tracks in-flight RPCs, not client count.
 //!
+//! In-flight RPCs are nonetheless a per-client cost: every client keeps
+//! at least one RPC in flight until its last reply, so a megafleet holds
+//! one RPC record per client for its whole run, and at the server's
+//! knee nearly all of them queue inside the server at once. Each one
+//! costs a 48-byte [`FlyRpc`], a 16-byte executor waker entry, a shadow
+//! task slot, and inside the server a 56-byte [`FlyweightOp`] plus the
+//! scheduler's ticket. [`FlyTier::bytes_per_client`] counts none of
+//! these; the `resident_bytes` test measures the whole world's heap
+//! high-water mark per client with a counting allocator.
+//!
 //! Per-client serialization that a real NIC would impose (receive drain
 //! at the server port, transmit of the reply, receive at the client) is
 //! modelled with virtual clocks: `free = max(now, free) + drain_time`,
@@ -20,11 +30,12 @@
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::task::Waker;
 
 use nfsperf_net::{wire_bytes, Fabric, LaneAdmit, LinkDir, NicSpec};
 use nfsperf_server::{FlyStep, FlyweightOp, NfsServer};
-use nfsperf_sim::{mbps, EventHandlerId, Gate, LatencyDigest, Sim, SimDuration, SimTime};
+use nfsperf_sim::{
+    mbps, DirectWakerId, EventHandlerId, Gate, LatencyDigest, Sim, SimDuration, SimTime,
+};
 
 use crate::model::{splitmix64, BehaviorModel, FlyOp};
 
@@ -34,8 +45,8 @@ const WRITE_REPLY_BYTES: usize = 160;
 const COMMIT_REPLY_BYTES: usize = 128;
 
 /// One flyweight client's entire state. Kept `repr(C)` and packed into
-/// a slab; the memory-accounting test holds its size (and the tier's
-/// shared overhead amortized per client) under 256 bytes.
+/// a slab; a unit test holds it to 72 bytes and, with the tier's shared
+/// state amortized per client, [`FlyTier::bytes_per_client`] to 256.
 #[repr(C)]
 #[derive(Clone)]
 struct FlyClient {
@@ -128,7 +139,8 @@ pub struct FlyTierRun {
     pub rpc_latency: LatencyDigest,
     /// Time from the first emission to the last completion.
     pub elapsed: SimDuration,
-    /// Estimated resident bytes per client (slab + amortized shares).
+    /// [`FlyTier::bytes_per_client`]: the client slab plus amortized
+    /// shared state, not the in-flight RPC state.
     pub bytes_per_client: usize,
 }
 
@@ -170,65 +182,110 @@ enum RpcStage {
     Complete,
 }
 
-/// One in-flight event-driven RPC. Records live in a free-listed slab
-/// sized by peak concurrent RPCs. They are transient, so they are not
-/// part of the tier's resident per-client accounting.
+/// "No record" marker for the slab free lists and [`FlyRpc::srv`].
+const NONE: u32 = u32::MAX;
+
+/// One in-flight event-driven RPC: the hot record, 48 bytes.
+/// Records live in a free-listed slab sized by peak concurrent RPCs, and
+/// every client has at least one RPC in flight until its last reply, so
+/// at a million clients a million records stay live for the whole run.
+/// They are part of what each client costs, though
+/// [`FlyTier::bytes_per_client`] does not count them. The server-side
+/// op, needed only while the RPC is inside the server, lives in a side
+/// slab ([`OpSlab`]).
 struct FlyRpc {
-    /// Owning client's tier index.
+    /// Owning client's tier index; the free-list link (`NONE` = end)
+    /// while the record is vacant.
     idx: u32,
     /// The RPC's emission sequence number for that client.
     seq: u32,
-    /// Free-list link (`u32::MAX` = end).
-    next_free: u32,
-    /// Wire bytes of the current datagram (request, then reply).
-    wire: u32,
-    /// UDP payload bytes of the current datagram.
-    payload: u32,
+    /// Set at [`RpcStage::Launch`]; with the stage it names the current
+    /// datagram (see [`FlyTier::request`] and [`FlyTier::reply`]).
     op: FlyOp,
     stage: RpcStage,
     /// When the request left the client (latency numerator start).
     emitted_at: SimTime,
     /// Admission scratch for the hop currently being traversed.
     lane: LaneAdmit,
-    /// The server-side op, live from [`RpcStage::Service`] entry.
-    srv: Option<FlyweightOp>,
+    /// Index of the server-side op in the tier's [`OpSlab`], claimed at
+    /// [`RpcStage::Service`] entry (`NONE` outside the server).
+    srv: u32,
     /// Shadow task-table slot held for the current half of this RPC
     /// (request, then service); see [`Sim::spawn_shadow`]. Shadows only
     /// steer where stale wakes land, so they change nothing simulated
     /// but the event count. They keep that count equal to the committed
     /// megafleet CSVs and the benchmark's `simbench/digests.json`, and
     /// go when those are rebaselined.
-    shadow: usize,
-    /// Direct waker dispatching `step(record index)`, built once when
-    /// the record first exists and reused by every park of every RPC
-    /// that ever occupies it (the index never changes): parking is one
-    /// waker clone, waking one ready-queue push.
-    waker: Option<Waker>,
+    shadow: u32,
+    /// Direct waker dispatching `step(record index)`, reserved once when
+    /// the record first exists and used by every park of every RPC that
+    /// ever occupies it (the index never changes): parking builds the
+    /// waker from the id, waking is one ready-queue push.
+    waker: DirectWakerId,
 }
 
-impl FlyRpc {
-    fn vacant() -> FlyRpc {
-        FlyRpc {
-            idx: 0,
-            seq: 0,
-            next_free: u32::MAX,
-            wire: 0,
-            payload: 0,
-            op: FlyOp::Write,
-            stage: RpcStage::Start,
-            emitted_at: SimTime::ZERO,
-            lane: LaneAdmit::start(SimTime::ZERO),
-            srv: None,
-            shadow: 0,
-            waker: None,
-        }
-    }
+/// UDP payload and wire bytes of one datagram.
+#[derive(Clone, Copy)]
+struct Datagram {
+    payload: usize,
+    wire: usize,
 }
 
 /// The RPC slab plus its free-list head.
 struct RpcSlab {
     slots: Vec<FlyRpc>,
     free_head: u32,
+}
+
+/// A slot of the [`OpSlab`]: the server-side op of an RPC inside the
+/// server, or, while vacant, the free-list link (`NONE` = end).
+enum OpSlot {
+    Op(FlyweightOp),
+    Vacant(u32),
+}
+
+/// The server-side ops of the RPCs inside the server, in a side slab
+/// sized by their peak number rather than by every in-flight RPC and
+/// free-listed like [`RpcSlab`] (freed indexes are reused last-in,
+/// first-out). In the full megafleet sweep that peak is, of the RPCs in
+/// flight: on the filer 996,057 of 1,000,000 at 1M clients and 291,402
+/// of 400,000 at 100k; on the Linux server 5,079 of 1,000,000 at 1M,
+/// 100,000 of 400,000 at 100k and 3,352 of 16,000 at 1k.
+struct OpSlab {
+    slots: Vec<OpSlot>,
+    free_head: u32,
+}
+
+impl OpSlab {
+    fn insert(&mut self, op: FlyweightOp) -> u32 {
+        match self.free_head {
+            NONE => {
+                self.slots.push(OpSlot::Op(op));
+                (self.slots.len() - 1) as u32
+            }
+            head => {
+                let OpSlot::Vacant(next) = self.slots[head as usize] else {
+                    unreachable!("op free-list head {head} occupied");
+                };
+                self.free_head = next;
+                self.slots[head as usize] = OpSlot::Op(op);
+                head
+            }
+        }
+    }
+
+    fn get(&mut self, i: u32) -> &mut FlyweightOp {
+        match &mut self.slots[i as usize] {
+            OpSlot::Op(op) => op,
+            OpSlot::Vacant(_) => unreachable!("op slot {i} vacant"),
+        }
+    }
+
+    /// Drops the finished op at `i` and puts its slot on the free list.
+    fn free(&mut self, i: u32) {
+        self.slots[i as usize] = OpSlot::Vacant(self.free_head);
+        self.free_head = i;
+    }
 }
 
 /// A running flyweight tier. Create with [`FlyTier::launch`], then
@@ -241,10 +298,14 @@ pub struct FlyTier {
     model: BehaviorModel,
     window: u32,
     total_ops: u32,
+    /// Request and reply datagrams of a WRITE (index 0) and a COMMIT.
+    requests: [Datagram; 2],
+    replies: [Datagram; 2],
     fabric_base: u32,
     server_base: usize,
     slab: RefCell<Vec<FlyClient>>,
     rpcs: RefCell<RpcSlab>,
+    ops: RefCell<OpSlab>,
     handler: Cell<EventHandlerId>,
     latencies: RefCell<Vec<SimDuration>>,
     lat_counter: Cell<u64>,
@@ -290,6 +351,18 @@ impl FlyTier {
         assert!(total_ops > 0, "clients must emit at least one RPC");
         let finished = Gate::new();
         finished.close();
+        let datagram = |payload: usize, nic: NicSpec| Datagram {
+            payload,
+            wire: wire_bytes(payload, nic.mtu),
+        };
+        let requests = [
+            datagram(model.write_wire_bytes, config.client_nic),
+            datagram(model.commit_wire_bytes, config.client_nic),
+        ];
+        let replies = [
+            datagram(WRITE_REPLY_BYTES, config.port_nic),
+            datagram(COMMIT_REPLY_BYTES, config.port_nic),
+        ];
         let tier = Rc::new(FlyTier {
             sim: sim.clone(),
             server: Rc::clone(server),
@@ -298,12 +371,18 @@ impl FlyTier {
             model,
             window,
             total_ops,
+            requests,
+            replies,
             fabric_base,
             server_base,
             slab: RefCell::new(slab),
             rpcs: RefCell::new(RpcSlab {
                 slots: Vec::new(),
-                free_head: u32::MAX,
+                free_head: NONE,
+            }),
+            ops: RefCell::new(OpSlab {
+                slots: Vec::new(),
+                free_head: NONE,
             }),
             handler: Cell::new(sim.register_event_handler(Rc::new(|_| {}))),
             latencies: RefCell::new(Vec::new()),
@@ -359,7 +438,7 @@ impl FlyTier {
             // The request half claims a shadow slot (see
             // `FlyRpc::shadow`) and starts from the ready queue.
             let r = self.alloc_rpc(idx, seq, SimTime(at));
-            self.rpcs.borrow_mut().slots[r as usize].shadow = self.sim.spawn_shadow();
+            self.rpcs.borrow_mut().slots[r as usize].shadow = shadow_id(self.sim.spawn_shadow());
             self.sim.post_event(self.handler.get(), u64::from(r));
         }
     }
@@ -367,33 +446,37 @@ impl FlyTier {
     /// Claims (or grows) an RPC record for one emission.
     fn alloc_rpc(&self, idx: u32, seq: u32, at: SimTime) -> u32 {
         let mut rpcs = self.rpcs.borrow_mut();
-        let r = match rpcs.free_head {
-            u32::MAX => {
-                let r = rpcs.slots.len() as u32;
-                let mut slot = FlyRpc::vacant();
-                // Built once per record; the index (the waker's payload)
-                // never changes, so every later RPC in this slot reuses it.
-                slot.waker = Some(self.sim.direct_waker(self.handler.get(), r));
-                rpcs.slots.push(slot);
-                r
+        let fresh = FlyRpc {
+            idx,
+            seq,
+            op: FlyOp::Write,
+            stage: RpcStage::Start,
+            emitted_at: at,
+            lane: LaneAdmit::start(at),
+            srv: NONE,
+            shadow: 0,
+            waker: match rpcs.free_head {
+                NONE => {
+                    // Reserved once per record; the index (the waker's
+                    // payload) never changes, so every later RPC in this
+                    // slot reuses it.
+                    let r = rpcs.slots.len() as u32;
+                    self.sim.reserve_direct_waker(self.handler.get(), r)
+                }
+                head => rpcs.slots[head as usize].waker,
+            },
+        };
+        match rpcs.free_head {
+            NONE => {
+                rpcs.slots.push(fresh);
+                (rpcs.slots.len() - 1) as u32
             }
             head => {
-                rpcs.free_head = rpcs.slots[head as usize].next_free;
+                rpcs.free_head = rpcs.slots[head as usize].idx;
+                rpcs.slots[head as usize] = fresh;
                 head
             }
-        };
-        let rpc = &mut rpcs.slots[r as usize];
-        rpc.idx = idx;
-        rpc.seq = seq;
-        rpc.next_free = u32::MAX;
-        rpc.wire = 0;
-        rpc.payload = 0;
-        rpc.op = FlyOp::Write;
-        rpc.stage = RpcStage::Start;
-        rpc.emitted_at = at;
-        rpc.lane = LaneAdmit::start(at);
-        rpc.srv = None;
-        r
+        }
     }
 
     /// Schedules RPC `data`'s next dispatch at `deadline` and returns
@@ -421,14 +504,13 @@ impl FlyTier {
         let data = u64::from(r);
         let mut rpcs = self.rpcs.borrow_mut();
         let rpc = &mut rpcs.slots[r as usize];
-        // Every park hands out a clone of the record's cached direct
-        // waker: no slab arm, no generation — safe because each park is
-        // woken at most once and the record cannot advance past the
-        // parked stage until that wake dispatches.
-        let waker = rpc.waker.clone().expect("rpc record waker");
-        let mut wf = move || waker.clone();
+        // Every park hands out the record's direct waker: no slab arm,
+        // no generation — safe because each park is woken at most once
+        // and the record cannot advance past the parked stage until that
+        // wake dispatches.
+        let (sim, waker) = (&self.sim, rpc.waker);
+        let mut wf = move || sim.direct_waker(waker);
         let flow = self.fabric_base + rpc.idx;
-        let wire = |rpc: &FlyRpc| rpc.wire as usize;
         loop {
             match rpc.stage {
                 RpcStage::Start => {
@@ -440,18 +522,12 @@ impl FlyTier {
                 }
                 RpcStage::Launch => {
                     rpc.op = self.model.op_at(rpc.seq, self.config.writes_per_client);
-                    let payload = match rpc.op {
-                        FlyOp::Write => self.model.write_wire_bytes,
-                        FlyOp::Commit => self.model.commit_wire_bytes,
-                    };
-                    rpc.payload = payload as u32;
-                    rpc.wire = wire_bytes(payload, self.config.client_nic.mtu) as u32;
                     rpc.lane = LaneAdmit::start(self.sim.now());
                     rpc.stage = RpcStage::AggAdmit;
                 }
                 RpcStage::AggAdmit => {
                     let agg = self.fabric.agg_of(flow);
-                    let w = wire(rpc);
+                    let w = self.request(rpc.op).wire;
                     let Some(xfer) =
                         agg.poll_admit(&mut rpc.lane, LinkDir::ToServer, flow, w, &mut wf)
                     else {
@@ -466,13 +542,13 @@ impl FlyTier {
                 RpcStage::AggXfer => {
                     self.fabric
                         .agg_of(flow)
-                        .finish_traverse(LinkDir::ToServer, rpc.payload as usize);
+                        .finish_traverse(LinkDir::ToServer, self.request(rpc.op).payload);
                     rpc.lane = LaneAdmit::start(self.sim.now());
                     rpc.stage = RpcStage::CoreAdmit;
                 }
                 RpcStage::CoreAdmit => {
                     let core = self.fabric.core();
-                    let w = wire(rpc);
+                    let w = self.request(rpc.op).wire;
                     let Some(xfer) =
                         core.poll_admit(&mut rpc.lane, LinkDir::ToServer, flow, w, &mut wf)
                     else {
@@ -487,7 +563,7 @@ impl FlyTier {
                 RpcStage::CoreXfer => {
                     self.fabric
                         .core()
-                        .finish_traverse(LinkDir::ToServer, rpc.payload as usize);
+                        .finish_traverse(LinkDir::ToServer, self.request(rpc.op).payload);
                     rpc.stage = RpcStage::PortDrain;
                     let woke = self.sim.now() + self.fabric.latency();
                     if self.sleep_then(woke, data) {
@@ -495,8 +571,9 @@ impl FlyTier {
                     }
                 }
                 RpcStage::PortDrain => {
+                    let w = self.request(rpc.op).wire;
                     let drained =
-                        self.advance_clock(rpc.idx, ClockId::PortRx, self.config.port_nic, wire(rpc));
+                        self.advance_clock(rpc.idx, ClockId::PortRx, self.config.port_nic, w);
                     rpc.stage = RpcStage::HandOff;
                     if self.sleep_then(drained, data) {
                         return;
@@ -507,20 +584,24 @@ impl FlyTier {
                     // swaps shadows: service slot claimed first, request
                     // slot released after.
                     rpc.stage = RpcStage::Service;
-                    let service_shadow = self.sim.spawn_shadow();
+                    let service_shadow = shadow_id(self.sim.spawn_shadow());
                     self.sim.post_event(h, data);
-                    self.sim.drop_shadow(rpc.shadow);
+                    self.sim.drop_shadow(rpc.shadow as usize);
                     rpc.shadow = service_shadow;
                     return;
                 }
                 RpcStage::Service => {
-                    let client = self.server_base + rpc.idx as usize;
-                    let op_kind = rpc.op;
-                    let payload = self.model.write_payload;
-                    let srv = rpc.srv.get_or_insert_with(|| match op_kind {
-                        FlyOp::Write => self.server.begin_flyweight_write(client, payload),
-                        FlyOp::Commit => self.server.begin_flyweight_commit(client),
-                    });
+                    let mut ops = self.ops.borrow_mut();
+                    if rpc.srv == NONE {
+                        let client = self.server_base + rpc.idx as usize;
+                        rpc.srv = ops.insert(match rpc.op {
+                            FlyOp::Write => self
+                                .server
+                                .begin_flyweight_write(client, self.model.write_payload),
+                            FlyOp::Commit => self.server.begin_flyweight_commit(client),
+                        });
+                    }
+                    let srv = ops.get(rpc.srv);
                     loop {
                         match self.server.poll_flyweight(srv, &mut wf) {
                             FlyStep::Parked => return,
@@ -533,15 +614,12 @@ impl FlyTier {
                             FlyStep::Done => break,
                         }
                     }
-                    rpc.srv = None;
-                    let reply_payload = match rpc.op {
-                        FlyOp::Write => WRITE_REPLY_BYTES,
-                        FlyOp::Commit => COMMIT_REPLY_BYTES,
-                    };
-                    rpc.payload = reply_payload as u32;
-                    rpc.wire = wire_bytes(reply_payload, self.config.port_nic.mtu) as u32;
+                    ops.free(rpc.srv);
+                    drop(ops);
+                    rpc.srv = NONE;
+                    let w = self.reply(rpc.op).wire;
                     let sent =
-                        self.advance_clock(rpc.idx, ClockId::PortTx, self.config.port_nic, wire(rpc));
+                        self.advance_clock(rpc.idx, ClockId::PortTx, self.config.port_nic, w);
                     rpc.stage = RpcStage::CoreRStart;
                     if self.sleep_then(sent, data) {
                         return;
@@ -553,7 +631,7 @@ impl FlyTier {
                 }
                 RpcStage::CoreRAdmit => {
                     let core = self.fabric.core();
-                    let w = wire(rpc);
+                    let w = self.reply(rpc.op).wire;
                     let Some(xfer) =
                         core.poll_admit(&mut rpc.lane, LinkDir::ToClients, flow, w, &mut wf)
                     else {
@@ -568,13 +646,13 @@ impl FlyTier {
                 RpcStage::CoreRXfer => {
                     self.fabric
                         .core()
-                        .finish_traverse(LinkDir::ToClients, rpc.payload as usize);
+                        .finish_traverse(LinkDir::ToClients, self.reply(rpc.op).payload);
                     rpc.lane = LaneAdmit::start(self.sim.now());
                     rpc.stage = RpcStage::AggRAdmit;
                 }
                 RpcStage::AggRAdmit => {
                     let agg = self.fabric.agg_of(flow);
-                    let w = wire(rpc);
+                    let w = self.reply(rpc.op).wire;
                     let Some(xfer) =
                         agg.poll_admit(&mut rpc.lane, LinkDir::ToClients, flow, w, &mut wf)
                     else {
@@ -589,7 +667,7 @@ impl FlyTier {
                 RpcStage::AggRXfer => {
                     self.fabric
                         .agg_of(flow)
-                        .finish_traverse(LinkDir::ToClients, rpc.payload as usize);
+                        .finish_traverse(LinkDir::ToClients, self.reply(rpc.op).payload);
                     rpc.stage = RpcStage::CliDrain;
                     let woke = self.sim.now() + self.fabric.latency();
                     if self.sleep_then(woke, data) {
@@ -597,12 +675,9 @@ impl FlyTier {
                     }
                 }
                 RpcStage::CliDrain => {
-                    let drained = self.advance_clock(
-                        rpc.idx,
-                        ClockId::CliRx,
-                        self.config.client_nic,
-                        wire(rpc),
-                    );
+                    let w = self.reply(rpc.op).wire;
+                    let drained =
+                        self.advance_clock(rpc.idx, ClockId::CliRx, self.config.client_nic, w);
                     rpc.stage = RpcStage::Complete;
                     if self.sleep_then(drained, data) {
                         return;
@@ -616,13 +691,23 @@ impl FlyTier {
         // emission, and `complete` must see the slab borrow released.
         let (idx, seq, emitted_at, op, shadow) =
             (rpc.idx, rpc.seq, rpc.emitted_at, rpc.op, rpc.shadow);
-        rpcs.slots[r as usize].next_free = rpcs.free_head;
+        rpcs.slots[r as usize].idx = rpcs.free_head;
         rpcs.free_head = r;
         drop(rpcs);
         self.complete(idx, seq, emitted_at, op);
         // The service shadow is released only after `complete` (and any
         // emissions it made) ran.
-        self.sim.drop_shadow(shadow);
+        self.sim.drop_shadow(shadow as usize);
+    }
+
+    /// The request datagram of an `op` RPC.
+    fn request(&self, op: FlyOp) -> Datagram {
+        self.requests[(op == FlyOp::Commit) as usize]
+    }
+
+    /// The reply datagram of an `op` RPC.
+    fn reply(&self, op: FlyOp) -> Datagram {
+        self.replies[(op == FlyOp::Commit) as usize]
     }
 
     /// Advances one of a client's virtual NIC clocks by `spec`'s
@@ -699,10 +784,14 @@ impl FlyTier {
         LatencyDigest::of_mut(&mut self.latencies.borrow_mut())
     }
 
-    /// Estimated resident bytes per client: the slab record plus this
-    /// client's amortized share of the shared latency pool, the model,
-    /// and the fabric's per-stage state. The whole point of the tier —
-    /// asserted ≤ 256 in tests and reported in the megafleet CSV.
+    /// Resident bytes per client of the tier's per-client state: the
+    /// [`FlyClient`] record plus this client's amortized share of the
+    /// shared latency pool, the model, and the fabric's per-stage state.
+    /// Asserted ≤ 256 in tests and reported in the megafleet CSV's
+    /// `bytes_per_client` column. It leaves out what each in-flight RPC
+    /// holds (see the module docs), which at a million clients is most
+    /// of the process: the `resident_bytes` test measures the whole
+    /// world at about 380 heap bytes per client.
     pub fn bytes_per_client(&self) -> usize {
         let n = self.config.clients as usize;
         let shared = self.latencies.borrow().capacity() * std::mem::size_of::<SimDuration>()
@@ -720,6 +809,11 @@ impl FlyTier {
             bytes_per_client: self.bytes_per_client(),
         }
     }
+}
+
+/// A shadow's task-table slot as stored in [`FlyRpc::shadow`].
+fn shadow_id(slot: usize) -> u32 {
+    u32::try_from(slot).expect("task table past 2^32 slots")
 }
 
 #[derive(Clone, Copy)]
@@ -797,6 +891,16 @@ mod tests {
             std::mem::size_of::<FlyClient>() <= 72,
             "FlyClient grew to {} bytes",
             std::mem::size_of::<FlyClient>()
+        );
+        assert!(
+            std::mem::size_of::<FlyRpc>() <= 48,
+            "FlyRpc grew to {} bytes",
+            std::mem::size_of::<FlyRpc>()
+        );
+        assert_eq!(
+            std::mem::size_of::<OpSlot>(),
+            std::mem::size_of::<FlyweightOp>(),
+            "the op slab's free link must fit in the op's niche"
         );
         let (tier, _server) = run_tier(10_000, 2);
         let per = tier.bytes_per_client();

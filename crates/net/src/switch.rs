@@ -170,9 +170,11 @@ fn arbiter_model_bytes() -> usize {
 /// the fast path fails. Built per hop with [`LaneAdmit::start`] and
 /// must be driven to admission once started — a queued ticket holds a
 /// scheduler slot, just as a parked [`SharedLink::traverse`] task does.
+/// An admitted `LaneAdmit` is spent: the next hop starts a new one.
 pub struct LaneAdmit {
     arrival: SimTime,
-    started: bool,
+    /// `None` until the fast path fails, so a poll without a ticket is
+    /// the first.
     ticket: Option<Rc<PortTicket>>,
 }
 
@@ -181,7 +183,6 @@ impl LaneAdmit {
     pub fn start(now: SimTime) -> LaneAdmit {
         LaneAdmit {
             arrival: now,
-            started: false,
             ticket: None,
         }
     }
@@ -285,8 +286,7 @@ impl SharedLink {
         waker_factory: &mut dyn FnMut() -> Waker,
     ) -> Option<SimDuration> {
         let lane = &self.lanes[dir.lane()];
-        if !st.started {
-            st.started = true;
+        if st.ticket.is_none() {
             // Fast path: slot free, nothing queued — barge in without
             // queueing (the semaphore's uncontended acquire).
             if !(lane.busy.get() || lane.sched.queued() > 0) {

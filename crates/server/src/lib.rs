@@ -430,6 +430,24 @@ mod tests {
         assert!(server.service_engine().service_samples(base).is_empty());
     }
 
+    /// An admitted flyweight op holds its service slot without a guard,
+    /// so dropping it before it finishes would leak the slot; debug
+    /// builds assert instead.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "flyweight op dropped while holding a service slot")]
+    fn flyweight_op_dropped_mid_service_asserts() {
+        let (_sim, _client, server) = build(ServerConfig::linux_knfsd(), NicSpec::gigabit());
+        let base = server.register_slim_clients(1);
+        let mut op = server.begin_flyweight_write(base, 8192);
+        let step = server.poll_flyweight(&mut op, &mut || std::task::Waker::noop().clone());
+        assert!(
+            matches!(step, FlyStep::Sleep(_)),
+            "a free slot admits at once"
+        );
+        drop(op);
+    }
+
     /// The poll-style flyweight machine, driven by timed events, on every
     /// backend — including ones sized down to force NVRAM stalls and
     /// inline dirty-cache flushes, where wait-queue order decides who

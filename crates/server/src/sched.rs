@@ -77,10 +77,17 @@ pub struct ReqMeta {
 /// handshake (the same shape as the simulator's `WaitNode`). The engine
 /// parks the requesting task on its ticket; the scheduler hands tickets
 /// back from `pick_next` and the engine wakes them.
+///
+/// The metadata is stored field by field so the class and the woken flag
+/// share one word: a million-client megafleet queues one ticket per
+/// flyweight at the server at once.
 pub struct Ticket {
-    meta: Cell<ReqMeta>,
+    client: Cell<usize>,
+    bytes: Cell<u64>,
+    arrival: Cell<SimTime>,
+    class: Cell<OpClass>,
     woken: Cell<bool>,
-    waker: RefCell<Option<Waker>>,
+    waker: Cell<Option<Waker>>,
 }
 
 /// Free-list bound for recycled tickets; admissions beyond it fall back
@@ -102,17 +109,20 @@ impl Ticket {
             let mut free = p.borrow_mut();
             while let Some(t) = free.pop() {
                 if Rc::strong_count(&t) == 1 {
-                    t.meta.set(meta);
+                    t.set_meta(meta);
                     t.woken.set(false);
-                    t.waker.borrow_mut().take();
+                    t.waker.take();
                     return t;
                 }
                 // A holder is still alive somewhere; forget this one.
             }
             Rc::new(Ticket {
-                meta: Cell::new(meta),
+                client: Cell::new(meta.client),
+                bytes: Cell::new(meta.bytes),
+                arrival: Cell::new(meta.arrival),
+                class: Cell::new(meta.class),
                 woken: Cell::new(false),
-                waker: RefCell::new(None),
+                waker: Cell::new(None),
             })
         })
     }
@@ -129,12 +139,24 @@ impl Ticket {
 
     /// The request's scheduling metadata.
     pub fn meta(&self) -> ReqMeta {
-        self.meta.get()
+        ReqMeta {
+            client: self.client.get(),
+            class: self.class.get(),
+            bytes: self.bytes.get(),
+            arrival: self.arrival.get(),
+        }
+    }
+
+    fn set_meta(&self, meta: ReqMeta) {
+        self.client.set(meta.client);
+        self.class.set(meta.class);
+        self.bytes.set(meta.bytes);
+        self.arrival.set(meta.arrival);
     }
 
     fn wake(&self) {
         self.woken.set(true);
-        if let Some(w) = self.waker.borrow_mut().take() {
+        if let Some(w) = self.waker.take() {
             w.wake();
         }
     }
@@ -153,7 +175,7 @@ impl Ticket {
     /// Stores a waker for the next wake. Callers must check
     /// [`Ticket::is_woken`] first.
     fn park(&self, waker: Waker) {
-        *self.waker.borrow_mut() = Some(waker);
+        self.waker.set(Some(waker));
     }
 }
 
@@ -729,15 +751,29 @@ impl ServiceEngine {
         st: &mut SvcAdmit,
         waker_factory: &mut dyn FnMut() -> Waker,
     ) -> Option<SvcSlot> {
+        self.poll_claim(meta, st, waker_factory).then(|| SvcSlot {
+            engine: Rc::clone(self),
+            meta,
+        })
+    }
+
+    /// [`ServiceEngine::poll_admit`] without the guard: returns `true`
+    /// once a slot is taken for `meta`, which the caller must hand back
+    /// through [`ServiceEngine::release`] when service ends. For callers
+    /// that keep `meta` anyway and cannot spare a guard's 40 bytes per
+    /// request (the flyweight op).
+    pub(crate) fn poll_claim(
+        &self,
+        meta: ReqMeta,
+        st: &mut SvcAdmit,
+        waker_factory: &mut dyn FnMut() -> Waker,
+    ) -> bool {
         if !st.started {
             st.started = true;
             self.enqueued_bytes.add(meta.bytes);
             if self.free.get() > 0 && self.sched.queued() == 0 && self.sched.try_grant(&meta) {
                 self.take_slot(&meta);
-                return Some(SvcSlot {
-                    engine: Rc::clone(self),
-                    meta,
-                });
+                return true;
             }
             let ticket = Ticket::new(meta);
             self.sched.enqueue(Rc::clone(&ticket));
@@ -748,7 +784,7 @@ impl ServiceEngine {
             let ticket = st.ticket.as_ref().expect("SvcAdmit ticket state");
             if !ticket.is_woken() {
                 ticket.park(waker_factory());
-                return None;
+                return false;
             }
             ticket.rearm();
             self.pending_wakes.set(self.pending_wakes.get() - 1);
@@ -757,10 +793,7 @@ impl ServiceEngine {
                     Ticket::recycle(t);
                 }
                 self.take_slot(&meta);
-                return Some(SvcSlot {
-                    engine: Rc::clone(self),
-                    meta,
-                });
+                return true;
             }
             // A fast-path arrival stole the slot between our wake and our
             // poll: give the grant back and re-queue at the back.
@@ -792,7 +825,10 @@ impl ServiceEngine {
         }
     }
 
-    fn release(&self, meta: &ReqMeta) {
+    /// Ends the service of a request admitted with `meta`: the drop of
+    /// its [`SvcSlot`], or the explicit end of a
+    /// [`ServiceEngine::poll_claim`].
+    pub(crate) fn release(&self, meta: &ReqMeta) {
         self.served_bytes.add(meta.bytes);
         if meta.client < self.sample_cap.get() {
             let sojourn = self.sim.now().since(meta.arrival);

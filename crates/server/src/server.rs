@@ -350,54 +350,61 @@ enum BackendStep {
     Done,
 }
 
-/// Pipeline position of an in-flight flyweight op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Pipeline position of an in-flight flyweight op, holding only the
+/// wait state of that position.
 enum FlyStage {
     /// Waiting out a filer checkpoint (skipped on other backends).
-    Gate,
+    Gate(GatePass),
     /// Queued for a service slot.
-    Admit,
-    /// Service time slept; run the backend step.
-    Backend,
+    Admit(SvcAdmit),
+    /// Holding a service slot with its service time slept; running the
+    /// backend step.
+    Backend(BackendStep),
     /// Terminal; further polls are no-ops.
     Done,
 }
 
 /// One flyweight WRITE or COMMIT advanced as a poll-style state machine
-/// instead of a spawned task. The event-driven client tier embeds one
-/// per RPC record and drives it with [`NfsServer::poll_flyweight`]; all
-/// wait-state scratch lives inline (plain `Option`s), so constructing a
-/// fresh op per RPC allocates nothing.
+/// instead of a spawned task. The event-driven client tier keeps one per
+/// RPC inside the server and drives it with
+/// [`NfsServer::poll_flyweight`]. All wait state lives inline, one stage
+/// at a time, so constructing a fresh op per RPC allocates nothing and
+/// an op is 56 bytes: at a million clients nearly every RPC can sit in
+/// the server's queue at once. Unlike a faithful request, an op holds
+/// its service slot without a guard, so it must be driven to done once
+/// admitted: dropping one mid-service would leave the slot taken, and
+/// debug builds assert that it never happens.
 pub struct FlyweightOp {
-    client: usize,
-    kind: DataOp,
-    bytes: u64,
-    arrival: SimTime,
+    /// Client id, class (WRITE or COMMIT), payload bytes and arrival.
+    meta: ReqMeta,
     stage: FlyStage,
-    gate: GatePass,
-    admit: SvcAdmit,
-    slot: Option<SvcSlot>,
-    backend: BackendStep,
 }
 
 impl FlyweightOp {
-    fn new(client: usize, kind: DataOp, bytes: u64, arrival: SimTime) -> FlyweightOp {
+    fn new(client: usize, class: OpClass, bytes: u64, arrival: SimTime) -> FlyweightOp {
         FlyweightOp {
-            client,
-            kind,
-            bytes,
-            arrival,
-            stage: FlyStage::Gate,
-            gate: GatePass::default(),
-            admit: SvcAdmit::default(),
-            slot: None,
-            backend: BackendStep::default(),
+            meta: ReqMeta {
+                client,
+                class,
+                bytes,
+                arrival,
+            },
+            stage: FlyStage::Gate(GatePass::default()),
         }
     }
 
     /// Whether the op has finished (reply left the server).
     pub fn is_done(&self) -> bool {
-        self.stage == FlyStage::Done
+        matches!(self.stage, FlyStage::Done)
+    }
+}
+
+impl Drop for FlyweightOp {
+    fn drop(&mut self) {
+        debug_assert!(
+            std::thread::panicking() || !matches!(self.stage, FlyStage::Backend(_)),
+            "flyweight op dropped while holding a service slot"
+        );
     }
 }
 
@@ -526,14 +533,14 @@ impl NfsServer {
     /// caller advances with [`NfsServer::poll_flyweight`].
     pub fn begin_flyweight_write(&self, client: usize, bytes: u64) -> FlyweightOp {
         self.slim_ops.inc();
-        FlyweightOp::new(client, DataOp::Write, bytes, self.sim.now())
+        FlyweightOp::new(client, OpClass::Write, bytes, self.sim.now())
     }
 
     /// Starts a flyweight COMMIT for client id `client`: same gate,
     /// admission, and backend step as [`NfsServer::handle_commit`].
     pub fn begin_flyweight_commit(&self, client: usize) -> FlyweightOp {
         self.slim_ops.inc();
-        FlyweightOp::new(client, DataOp::Commit, 0, self.sim.now())
+        FlyweightOp::new(client, OpClass::Commit, 0, self.sim.now())
     }
 
     /// Advances a flyweight op until it parks, needs simulated time, or
@@ -549,49 +556,42 @@ impl NfsServer {
         op: &mut FlyweightOp,
         waker_factory: &mut dyn FnMut() -> std::task::Waker,
     ) -> FlyStep {
+        let kind = match op.meta.class {
+            OpClass::Write => DataOp::Write,
+            OpClass::Commit => DataOp::Commit,
+            OpClass::Meta => unreachable!("flyweight ops are WRITEs or COMMITs"),
+        };
         loop {
-            match op.stage {
-                FlyStage::Gate => {
+            match &mut op.stage {
+                FlyStage::Gate(gate) => {
                     // Checkpoint pause happens before service; once
                     // passed, the gate is never re-checked.
                     if let Backend::Filer { checkpoint, .. } = &self.backend {
-                        if !checkpoint.poll_pass(&mut op.gate, waker_factory) {
+                        if !checkpoint.poll_pass(gate, waker_factory) {
                             return FlyStep::Parked;
                         }
                     }
-                    op.stage = FlyStage::Admit;
+                    op.stage = FlyStage::Admit(SvcAdmit::default());
                 }
-                FlyStage::Admit => {
-                    let (class, bytes) = match op.kind {
-                        DataOp::Write => (OpClass::Write, op.bytes),
-                        DataOp::Commit => (OpClass::Commit, 0),
-                    };
-                    let meta = ReqMeta {
-                        client: op.client,
-                        class,
-                        bytes,
-                        arrival: op.arrival,
-                    };
-                    let Some(slot) = self.engine.poll_admit(meta, &mut op.admit, waker_factory)
-                    else {
+                FlyStage::Admit(admit) => {
+                    if !self.engine.poll_claim(op.meta, admit, waker_factory) {
                         return FlyStep::Parked;
-                    };
-                    op.slot = Some(slot);
-                    op.stage = FlyStage::Backend;
-                    return FlyStep::Sleep(self.service_time(op.bytes));
+                    }
+                    op.stage = FlyStage::Backend(BackendStep::default());
+                    return FlyStep::Sleep(self.service_time(op.meta.bytes));
                 }
-                FlyStage::Backend => {
-                    match self.poll_backend(op.kind, op.bytes, &mut op.backend, waker_factory) {
+                FlyStage::Backend(step) => {
+                    match self.poll_backend(kind, op.meta.bytes, step, waker_factory) {
                         FlyStep::Done => {}
                         step => return step,
                     }
                     self.ops.inc();
-                    match op.kind {
+                    match kind {
                         DataOp::Write => {
                             self.writes.inc();
-                            self.write_bytes.add(op.bytes);
+                            self.write_bytes.add(op.meta.bytes);
                             self.slim_writes.inc();
-                            self.slim_write_bytes.add(op.bytes);
+                            self.slim_write_bytes.add(op.meta.bytes);
                         }
                         DataOp::Commit => {
                             self.commits.inc();
@@ -600,7 +600,7 @@ impl NfsServer {
                     }
                     // Counters first, slot release last, as a faithful
                     // request releases its slot when its handler returns.
-                    op.slot = None;
+                    self.engine.release(&op.meta);
                     op.stage = FlyStage::Done;
                     return FlyStep::Done;
                 }

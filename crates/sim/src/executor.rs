@@ -131,108 +131,121 @@ impl ReadyQueue {
     }
 }
 
-/// Backing data for one task slot's waker.
+/// Backing data for every waker this executor hands out: the ready-queue
+/// word to push and the queue to push it on. One vtable serves all three
+/// waker kinds, which differ only in the word:
 ///
-/// Owned by [`SimCore::waker_data`] (one boxed instance per slot, alive
-/// for the core's whole lifetime), so the waker vtable can be entirely
-/// free of reference counting: `clone` copies the data pointer, `drop`
-/// is a no-op, and `wake` pushes the slot id. Before this, every waker
-/// operation paid an atomic `Arc` refcount — ~15% of the engine profile.
+/// - a task slot's entry holds its slot id, fixed for the core's life;
+/// - an event slot's entry holds [`encode_event`] of the slot and the
+///   generation current at arm time, refreshed by every arm, so a wake
+///   that races a completed or cancelled arm pushes a stale generation
+///   and is dropped at dispatch;
+/// - a direct entry holds a fully encoded [`encode_direct`] word, so
+///   waking is a single push with nothing to free at dispatch.
 ///
-/// SAFETY contract (mirrors [`ReadyQueue`]): wakers built over this data
+/// Entries live in [`WakerArena`]s owned by the core, so the vtable is
+/// entirely free of reference counting: `clone` copies the data
+/// pointer, `drop` is a no-op, and `wake` pushes the word. An `Arc`
+/// waker would pay an atomic refcount on every operation, once ~15% of
+/// the engine profile.
+///
+/// SAFETY contract (mirrors [`ReadyQueue`]): wakers built over an entry
 /// are only cloned, woken, and dropped on the core's own thread, and
 /// never outlive the core — every holder (the timer wheel, wait nodes,
 /// join states) lives inside a structure of the same simulated world.
-struct WakerData {
-    id: TaskId,
+/// An event waker must be woken at most once per arm, and a direct
+/// waker at most once per park, which every primitive in [`crate::sync`]
+/// (and the lane/server ticket handshakes built on the same shape)
+/// guarantees.
+struct WakerEntry {
+    word: Cell<usize>,
     ready: *const ReadyQueue,
 }
 
 static WAKER_VTABLE: RawWakerVTable = RawWakerVTable::new(
-    // clone: identity — the data is owned by the core, not the waker.
+    // clone: identity — the entry is owned by the core, not the waker.
     |data| RawWaker::new(data, &WAKER_VTABLE),
-    // wake / wake_by_ref: reschedule the slot.
+    // wake / wake_by_ref: push the entry's ready-queue word.
     |data| unsafe {
-        let d = &*(data as *const WakerData);
-        (*d.ready).push(d.id);
+        let e = &*(data as *const WakerEntry);
+        (*e.ready).push(e.word.get());
     },
     |data| unsafe {
-        let d = &*(data as *const WakerData);
-        (*d.ready).push(d.id);
+        let e = &*(data as *const WakerEntry);
+        (*e.ready).push(e.word.get());
     },
     // drop: no-op.
     |_| {},
 );
 
-/// Backing data for one event slot's waker (see [`ScheduledEvent`]).
-///
-/// `gen` is refreshed every time the slot is armed, so waking pushes the
-/// generation current at arm time; a wake that races a completed or
-/// cancelled arm pushes a stale generation and is dropped at dispatch.
-/// The contract matches how every primitive in [`crate::sync`] behaves:
-/// each parked waker is woken at most once per arm.
-///
-/// SAFETY contract: identical to [`WakerData`] — single-threaded use,
-/// owned by the core, outlives every clone.
-struct EventWakerData {
-    slot: u32,
-    gen: Cell<u32>,
+/// Entries per [`WakerArena`] chunk (16 KiB of entries).
+const WAKER_CHUNK: usize = 1024;
+
+/// An append-only arena of [`WakerEntry`]s indexed by slot, in
+/// fixed-size chunks that are allocated on first touch and never move or
+/// free, so the address baked into a waker stays valid for the arena's
+/// life. Wakers are built on demand from an entry's address
+/// ([`waker_for`]); building one allocates nothing and counts no
+/// references, so nothing caches them. A slot that never needs a waker
+/// (a flyweight shadow, an event nobody parks) costs no entry unless a
+/// neighbour in its chunk does.
+struct WakerArena {
+    chunks: Vec<Option<Box<[WakerEntry]>>>,
     ready: *const ReadyQueue,
 }
 
-static EVENT_WAKER_VTABLE: RawWakerVTable = RawWakerVTable::new(
-    // clone: identity — the data is owned by the core.
-    |data| RawWaker::new(data, &EVENT_WAKER_VTABLE),
-    // wake / wake_by_ref: push the tagged (slot, armed-gen) entry.
-    |data| unsafe {
-        let d = &*(data as *const EventWakerData);
-        (*d.ready).push(encode_event(d.slot, d.gen.get()));
-    },
-    |data| unsafe {
-        let d = &*(data as *const EventWakerData);
-        (*d.ready).push(encode_event(d.slot, d.gen.get()));
-    },
-    // drop: no-op.
-    |_| {},
-);
+impl WakerArena {
+    fn new(ready: *const ReadyQueue) -> WakerArena {
+        WakerArena {
+            chunks: Vec::new(),
+            ready,
+        }
+    }
 
-/// Backing data for a direct waker: the ready-queue word is fully
-/// encoded at creation, so waking is a single push — no slab slot, no
-/// generation refresh, nothing to free at dispatch. Safe only under the
-/// woken-at-most-once-per-park contract every primitive in
-/// [`crate::sync`] (and the lane/server ticket handshakes built on the
-/// same shape) provides: a parked direct waker fires once, and its owner
-/// is guaranteed to still be parked at that stage when the dispatch
-/// runs, so no generation check is needed.
-///
-/// SAFETY contract: identical to [`WakerData`] — single-threaded use,
-/// owned by the core, outlives every waker clone.
-struct DirectWakerData {
-    word: usize,
-    ready: *const ReadyQueue,
+    /// Entry `i`, if its chunk exists.
+    #[inline]
+    fn get(&self, i: usize) -> Option<&WakerEntry> {
+        match self.chunks.get(i / WAKER_CHUNK) {
+            Some(Some(chunk)) => Some(&chunk[i % WAKER_CHUNK]),
+            _ => None,
+        }
+    }
+
+    /// Entry `i`, allocating its chunk first if needed, with each new
+    /// entry's word set to `word_of(its index)`.
+    #[inline]
+    fn get_or_init(&mut self, i: usize, word_of: fn(usize) -> usize) -> &WakerEntry {
+        let c = i / WAKER_CHUNK;
+        if self.chunks.len() <= c {
+            self.chunks.resize_with(c + 1, || None);
+        }
+        let ready = self.ready;
+        let chunk = self.chunks[c].get_or_insert_with(|| {
+            (c * WAKER_CHUNK..(c + 1) * WAKER_CHUNK)
+                .map(|j| WakerEntry {
+                    word: Cell::new(word_of(j)),
+                    ready,
+                })
+                .collect()
+        });
+        &chunk[i % WAKER_CHUNK]
+    }
 }
 
-static DIRECT_WAKER_VTABLE: RawWakerVTable = RawWakerVTable::new(
-    // clone: identity — the data is owned by the core.
-    |data| RawWaker::new(data, &DIRECT_WAKER_VTABLE),
-    // wake / wake_by_ref: push the pre-encoded word.
-    |data| unsafe {
-        let d = &*(data as *const DirectWakerData);
-        (*d.ready).push(d.word);
-    },
-    |data| unsafe {
-        let d = &*(data as *const DirectWakerData);
-        (*d.ready).push(d.word);
-    },
-    // drop: no-op.
-    |_| {},
-);
+/// A waker over an arena entry.
+#[inline]
+fn waker_for(entry: &WakerEntry) -> Waker {
+    let raw = RawWaker::new(entry as *const WakerEntry as *const (), &WAKER_VTABLE);
+    // SAFETY: see `WakerEntry` — single-threaded use, and the entry never
+    // moves or frees while the core lives.
+    unsafe { Waker::from_raw(raw) }
+}
 
 /// What a wheel timer does when it fires: wake a task waker, or push an
 /// already-encoded slab-event entry onto the ready queue.
 ///
-/// Events must NOT arm timers through their slot waker: the cached waker
-/// reads the slot's *current* generation at wake time, and a stale timer
+/// Events must NOT arm timers through their slot waker: the slot's waker
+/// entry holds the generation of its *current* arm, and a stale timer
 /// left in the wheel by a cancelled arm would then resurrect whatever
 /// event occupies the slot next (the ABA the generation counter exists
 /// to prevent). `Event` snapshots `(slot, gen)` at registration instead.
@@ -261,6 +274,11 @@ pub struct EventHandlerId(u32);
 
 /// A registered dispatch target: called with each armed event's payload.
 pub type EventHandlerFn = Rc<dyn Fn(u64)>;
+
+/// A direct waker reserved by [`Sim::reserve_direct_waker`]: four bytes
+/// a caller keeps per record instead of a 16-byte [`Waker`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DirectWakerId(u32);
 
 /// Handle to one armed slab event.
 ///
@@ -300,38 +318,28 @@ struct SimCore {
     timer_seq: Cell<u64>,
     timers: RefCell<TimerWheel<TimerPayload>>,
     tasks: RefCell<Vec<TaskSlot>>,
-    /// One cached waker per task-table slot. A waker carries only the
-    /// slot index and the ready queue, so it never goes stale: it is
-    /// created when the slot first exists and reused across every poll
-    /// of every task that ever occupies the slot. Before this cache each
-    /// poll allocated a fresh `Arc` waker — the single largest
-    /// allocation source in the engine.
-    wakers: RefCell<Vec<Waker>>,
-    /// Backing store for the slot wakers (see [`WakerData`]); boxed so
-    /// the pointers baked into the wakers stay stable as the table grows.
-    #[allow(clippy::vec_box)]
-    waker_data: RefCell<Vec<Box<WakerData>>>,
+    /// One waker entry per polled task-table slot, holding the slot id.
+    /// It never goes stale: it is created at the slot's first poll and
+    /// serves every later poll of every task that ever occupies the slot.
+    task_wakers: RefCell<WakerArena>,
     /// Head of the intrusive free list running through `tasks` (see
     /// [`TaskSlot::Vacant`]); `NO_SLOT` when the table is full.
     free_head: Cell<usize>,
     /// The timed-event slab: generation-counted single-shot records
     /// dispatched straight off the ready queue with no future, no task
     /// slot and no per-event allocation. Slots are recycled through
-    /// `event_free`; each keeps a cached waker (over `event_waker_data`)
-    /// for timer registration and for parking in sync primitives.
+    /// `event_free`. A slot parked in a sync primitive
+    /// ([`Sim::event_waker`]) gets a waker entry in `event_wakers`, whose
+    /// word every later arm of the slot refreshes.
     event_slots: RefCell<Vec<EventSlot>>,
     event_free: RefCell<Vec<u32>>,
-    event_wakers: RefCell<Vec<Waker>>,
-    /// Boxed so the pointers baked into the event wakers stay stable as
-    /// the slab grows (same pattern as `waker_data`).
-    #[allow(clippy::vec_box)]
-    event_waker_data: RefCell<Vec<Box<EventWakerData>>>,
-    /// Backing store for direct wakers ([`Sim::direct_waker`]); append-
-    /// only so the pointers baked into the wakers stay stable. Sized by
-    /// the callers' own slab growth (one per flyweight RPC record), so
-    /// it stops growing when they do.
-    #[allow(clippy::vec_box)]
-    direct_waker_data: RefCell<Vec<Box<DirectWakerData>>>,
+    event_wakers: RefCell<WakerArena>,
+    /// Entries reserved by [`Sim::reserve_direct_waker`], densely from
+    /// index 0 (`direct_len` is the next), sized by the callers' own slab
+    /// growth (one per flyweight RPC record), so it stops growing when
+    /// they do.
+    direct_wakers: RefCell<WakerArena>,
+    direct_len: Cell<u32>,
     /// Registered dispatch targets; an event stores only an index here
     /// plus a `u64` payload, so dispatch is one dynamic call.
     event_handlers: RefCell<Vec<Option<EventHandlerFn>>>,
@@ -397,22 +405,23 @@ impl Default for Sim {
 impl Sim {
     /// Creates a fresh simulator with the clock at zero.
     pub fn new() -> Sim {
+        let ready = Arc::new(ReadyQueue::default());
+        let arena = || RefCell::new(WakerArena::new(Arc::as_ptr(&ready)));
         Sim {
             core: Rc::new(SimCore {
                 now: Cell::new(SimTime::ZERO),
                 timer_seq: Cell::new(0),
                 timers: RefCell::new(TimerWheel::new()),
                 tasks: RefCell::new(Vec::new()),
-                wakers: RefCell::new(Vec::new()),
-                waker_data: RefCell::new(Vec::new()),
+                task_wakers: arena(),
                 free_head: Cell::new(NO_SLOT),
                 event_slots: RefCell::new(Vec::new()),
                 event_free: RefCell::new(Vec::new()),
-                event_wakers: RefCell::new(Vec::new()),
-                event_waker_data: RefCell::new(Vec::new()),
-                direct_waker_data: RefCell::new(Vec::new()),
+                event_wakers: arena(),
+                direct_wakers: arena(),
+                direct_len: Cell::new(0),
                 event_handlers: RefCell::new(Vec::new()),
-                ready: Arc::new(ReadyQueue::default()),
+                ready,
                 polling: Cell::new(0),
                 events: Cell::new(0),
                 events_credited: Cell::new(0),
@@ -553,19 +562,6 @@ impl Sim {
             tasks.push(slot);
             tasks.len() - 1
         };
-        let mut wakers = self.core.wakers.borrow_mut();
-        let mut waker_data = self.core.waker_data.borrow_mut();
-        while wakers.len() <= id {
-            let data = Box::new(WakerData {
-                id: wakers.len(),
-                ready: Arc::as_ptr(&self.core.ready),
-            });
-            let raw = RawWaker::new(&*data as *const WakerData as *const (), &WAKER_VTABLE);
-            waker_data.push(data);
-            // SAFETY: see `WakerData` — single-threaded use, data outlives
-            // every waker clone.
-            wakers.push(unsafe { Waker::from_raw(raw) });
-        }
         id
     }
 
@@ -716,10 +712,9 @@ impl Sim {
             }
         };
 
-        // Reuse the slot's cached waker: one refcount bump instead of an
-        // `Arc` allocation per poll. Cloned (not borrowed) because the
-        // polled task may spawn, which pushes new wakers.
-        let waker = self.core.wakers.borrow()[id].clone();
+        // Built from the slot's arena entry, created at the slot's first
+        // poll: no allocation after that, no refcount.
+        let waker = waker_for(self.core.task_wakers.borrow_mut().get_or_init(id, |j| j));
         let mut cx = Context::from_waker(&waker);
         self.core.polling.set(self.core.polling.get() + 1);
         self.core.events.set(self.core.events.get() + 1);
@@ -775,21 +770,6 @@ impl Sim {
                     handler: Cell::new(0),
                     data: Cell::new(0),
                 });
-                let mut wakers = self.core.event_wakers.borrow_mut();
-                let mut waker_data = self.core.event_waker_data.borrow_mut();
-                let boxed = Box::new(EventWakerData {
-                    slot,
-                    gen: Cell::new(0),
-                    ready: Arc::as_ptr(&self.core.ready),
-                });
-                let raw = RawWaker::new(
-                    &*boxed as *const EventWakerData as *const (),
-                    &EVENT_WAKER_VTABLE,
-                );
-                waker_data.push(boxed);
-                // SAFETY: see `EventWakerData` — single-threaded use,
-                // data outlives every waker clone.
-                wakers.push(unsafe { Waker::from_raw(raw) });
                 slot
             }
         };
@@ -798,9 +778,9 @@ impl Sim {
         let gen = s.gen.get();
         s.handler.set(handler.0);
         s.data.set(data);
-        self.core.event_waker_data.borrow()[slot as usize]
-            .gen
-            .set(gen);
+        if let Some(e) = self.core.event_wakers.borrow().get(slot as usize) {
+            e.word.set(encode_event(slot, gen));
+        }
         ScheduledEvent { slot, gen }
     }
 
@@ -860,38 +840,47 @@ impl Sim {
     /// (which every primitive in this crate guarantees).
     pub fn event_waker(&self, handler: EventHandlerId, data: u64) -> (ScheduledEvent, Waker) {
         let ev = self.arm_event(handler, data);
-        let waker = self.core.event_wakers.borrow()[ev.slot as usize].clone();
-        (ev, waker)
+        let mut wakers = self.core.event_wakers.borrow_mut();
+        let entry = wakers.get_or_init(ev.slot as usize, |_| 0);
+        entry.word.set(encode_event(ev.slot, ev.gen));
+        (ev, waker_for(entry))
     }
 
-    /// Builds a reusable waker that dispatches `handler(data)` each time
-    /// it is woken — the zero-state spelling of [`Sim::event_waker`] for
-    /// callers whose parks are woken exactly once and never cancelled
+    /// Reserves a reusable waker that dispatches `handler(data)` each
+    /// time it is woken — the zero-state spelling of [`Sim::event_waker`]
+    /// for callers whose parks are woken exactly once and never cancelled
     /// (the flyweight tier's admission and service waits). The word is
     /// encoded once; waking is a single ready-queue push and dispatch
-    /// touches no slab, so the waker can be built per long-lived record
-    /// and cloned for every park over its lifetime.
+    /// touches no slab. [`Sim::direct_waker`] builds the waker from the
+    /// returned id on demand, for every park over the id's lifetime.
     ///
-    /// Created once per caller-side slot: the backing store is append-
-    /// only (it must outlive every clone), so callers cache the waker,
-    /// not recreate it per park.
-    pub fn direct_waker(&self, handler: EventHandlerId, data: u32) -> Waker {
+    /// Reserve once per caller-side slot and keep the id: the backing
+    /// store is append-only (it must outlive every waker), so each call
+    /// costs one 16-byte entry for the simulator's life.
+    pub fn reserve_direct_waker(&self, handler: EventHandlerId, data: u32) -> DirectWakerId {
         assert!(
             handler.0 < DIRECT_HANDLER_MAX,
             "direct wakers carry 30-bit handler ids"
         );
-        let boxed = Box::new(DirectWakerData {
-            word: encode_direct(handler.0, data),
-            ready: Arc::as_ptr(&self.core.ready),
-        });
-        let raw = RawWaker::new(
-            &*boxed as *const DirectWakerData as *const (),
-            &DIRECT_WAKER_VTABLE,
-        );
-        self.core.direct_waker_data.borrow_mut().push(boxed);
-        // SAFETY: see `DirectWakerData` — single-threaded use, data
-        // outlives every waker clone.
-        unsafe { Waker::from_raw(raw) }
+        let id = self.core.direct_len.get();
+        self.core
+            .direct_len
+            .set(id.checked_add(1).expect("direct waker ids are 32-bit"));
+        let mut wakers = self.core.direct_wakers.borrow_mut();
+        wakers
+            .get_or_init(id as usize, |_| 0)
+            .word
+            .set(encode_direct(handler.0, data));
+        DirectWakerId(id)
+    }
+
+    /// The waker of a direct entry reserved by
+    /// [`Sim::reserve_direct_waker`]. Building it allocates nothing and
+    /// counts no references.
+    #[inline]
+    pub fn direct_waker(&self, id: DirectWakerId) -> Waker {
+        let wakers = self.core.direct_wakers.borrow();
+        waker_for(wakers.get(id.0 as usize).expect("reserved direct waker"))
     }
 
     /// Cancels an armed event. Returns `true` if the event was still
@@ -1027,8 +1016,6 @@ impl Future for YieldNow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     #[test]
     fn clock_starts_at_zero() {
@@ -1356,6 +1343,84 @@ mod tests {
             (fired, sim.events())
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn waker_entries_are_16_bytes() {
+        // One entry type backs the task, event and direct arenas.
+        assert_eq!(std::mem::size_of::<WakerEntry>(), 16);
+    }
+
+    /// Pending on its first poll (stashing the waker), ready on the next.
+    struct ParkOnce {
+        polls: Rc<Cell<u32>>,
+        waker: Rc<RefCell<Option<Waker>>>,
+    }
+
+    impl Future for ParkOnce {
+        type Output = ();
+
+        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+            self.polls.set(self.polls.get() + 1);
+            if self.polls.get() > 1 {
+                return Poll::Ready(());
+            }
+            *self.waker.borrow_mut() = Some(cx.waker().clone());
+            Poll::Pending
+        }
+    }
+
+    #[test]
+    fn early_wakers_survive_arena_growth() {
+        let sim = Sim::new();
+        let (h, log) = logging_handler(&sim);
+        let polls = Rc::new(Cell::new(0));
+        let parked = Rc::new(RefCell::new(None));
+        let s = sim.clone();
+        let (p, w) = (Rc::clone(&polls), Rc::clone(&parked));
+        sim.run_until(async move {
+            // One waker from the first chunk of each arena.
+            s.spawn_detached(ParkOnce { polls: p, waker: w });
+            yield_now().await;
+            let task_waker = parked.borrow_mut().take().expect("task parked");
+            let (ev, event_waker) = s.event_waker(h, 1);
+            let direct = s.reserve_direct_waker(h, 2);
+            let direct_waker = s.direct_waker(direct);
+            assert!((ev.slot as usize) < WAKER_CHUNK && (direct.0 as usize) < WAKER_CHUNK);
+
+            // Grow every arena past three chunk boundaries: polled tasks,
+            // parked events and reserved direct entries.
+            let grow = 3 * WAKER_CHUNK + 1;
+            for i in 0..grow {
+                s.spawn_detached(std::future::pending::<()>());
+                s.event_waker(h, 100 + i as u64);
+                s.reserve_direct_waker(h, 100 + i as u32);
+            }
+            yield_now().await;
+            for arena in [
+                &s.core.task_wakers,
+                &s.core.event_wakers,
+                &s.core.direct_wakers,
+            ] {
+                let chunks = arena.borrow().chunks.iter().filter(|c| c.is_some()).count();
+                assert!(chunks >= 4, "arena grew to only {chunks} chunks");
+            }
+
+            task_waker.wake();
+            event_waker.wake();
+            direct_waker.wake();
+            yield_now().await;
+        });
+        assert_eq!(
+            polls.get(),
+            2,
+            "the early task was polled again exactly once"
+        );
+        assert_eq!(
+            log.borrow().iter().map(|&(_, d)| d).collect::<Vec<_>>(),
+            vec![1, 2],
+            "the early event and direct wakers each dispatched exactly once"
+        );
     }
 
     /// One step of the randomized slab-lifecycle interpreter: indexes

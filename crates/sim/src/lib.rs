@@ -37,7 +37,8 @@ pub mod time;
 pub mod wheel;
 
 pub use executor::{
-    yield_now, EventHandlerId, JoinHandle, ScheduledEvent, Sim, Sleep, TaskId, YieldNow,
+    yield_now, DirectWakerId, EventHandlerId, JoinHandle, ScheduledEvent, Sim, Sleep, TaskId,
+    YieldNow,
 };
 pub use metrics::{
     mbps, mean, percentile, ByteMeter, Counter, Histogram, LatencyDigest, ProfileRow, Profiler,

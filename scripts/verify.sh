@@ -22,6 +22,12 @@ echo "==> zero-alloc steady state smoke (counting global allocator, release)"
 # exercises the same codegen as the benchmarks.
 cargo test -q --release --offline -p nfsperf-fleet --test zero_alloc
 
+echo "==> flyweight world heap high-water per client (counting global allocator, release)"
+# The CSV's bytes_per_client counts only the per-client slab; this gate
+# counts the whole world's heap peak, in-flight RPC state included, over
+# 65,280 clients that all have a WRITE in flight at once.
+cargo test -q --release --offline -p nfsperf-fleet --test resident_bytes
+
 echo "==> faithful WRITE allocation budget (counting global allocator, release)"
 # A faithful UDP WRITE round trip allocates for its requests and tasks,
 # but its wire buffers come from the payload pool: two steady-state
