@@ -1,7 +1,8 @@
 //! Microbenchmarks of the core data structures and substrates: the
 //! request index (the paper's list-vs-hash fix, measured directly), the
-//! CPU-charge profiler, the XDR codec, the TCP byte stream, and the
-//! simulation engine's primitives.
+//! CPU-charge profiler, the TCP byte stream at a deep backlog, and the
+//! simulation engine's primitives. The XDR codec is timed by the repo
+//! benchmark (`xdr.write3_encode_ns`, `xdr.write3_decode_ns`).
 
 use std::hint::black_box;
 
@@ -107,25 +108,6 @@ fn profiler_charge(h: &mut Harness) {
     black_box(profiler.report().len());
 }
 
-/// Encoding a full WRITE3 call message (header + 8 KiB payload).
-fn xdr_write3(h: &mut Harness) {
-    use nfsperf_nfs3::{FileHandle, StableHow, Write3Args};
-    use nfsperf_sunrpc::AuthUnix;
-    let cred = AuthUnix::root_on("bench");
-    let args = Write3Args::new(FileHandle::for_fileid(7), 0, 8192, StableHow::Unstable);
-    h.group("xdr");
-    h.bench("encode_write3_call_8k", || {
-        let msg = nfsperf_sunrpc::encode_call(black_box(1), 100_003, 3, 7, &cred, &args);
-        msg.len()
-    });
-    let msg = nfsperf_sunrpc::encode_call(1, 100_003, 3, 7, &cred, &args);
-    h.bench("decode_write3_call_8k", || {
-        let (hdr, mut dec) = nfsperf_sunrpc::decode_call(black_box(&msg)).unwrap();
-        let w = <Write3Args as nfsperf_xdr::XdrDecode>::decode(&mut dec).unwrap();
-        (hdr.xid, w.count)
-    });
-}
-
 /// The TCP byte stream at a deep send backlog: `records` record-marked
 /// 8 KiB WRITE calls queued on one connection at once (16 is 128 KiB, a
 /// full 16-slot RPC table), then driven until the peer has read them all
@@ -216,7 +198,6 @@ fn main() {
     index_append(&mut h);
     index_complete_oldest(&mut h);
     profiler_charge(&mut h);
-    xdr_write3(&mut h);
     tcp_stream_backlog(&mut h);
     sim_engine(&mut h);
     h.finish();

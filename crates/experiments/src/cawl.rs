@@ -126,15 +126,9 @@ pub fn cawl_cells(
                 // distinct but reproducible.
                 let cell_seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i + 1));
                 i += 1;
-                cells.push(runner::Cell::new(
-                    format!(
-                        "cawl/{}M/{}/{}x",
-                        ram >> 20,
-                        server.label(),
-                        halves as f64 / 2.0
-                    ),
-                    move || run_cawl(ram, server, halves, cell_seed),
-                ));
+                cells.push(runner::Cell::new(move || {
+                    run_cawl(ram, server, halves, cell_seed)
+                }));
             }
         }
     }

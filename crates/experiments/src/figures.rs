@@ -71,13 +71,13 @@ fn sweep_from_points(sizes_len: usize, points: &[(f64, f64)]) -> Sweep {
 pub fn throughput_sweep(tuning: ClientTuning, sizes: &[u64], jobs: usize) -> Sweep {
     let mut cells: Vec<runner::Cell<(f64, f64)>> = Vec::new();
     for &size in sizes {
-        cells.push(runner::Cell::new(format!("figure/local/{}", mb(size)), move || {
+        cells.push(runner::Cell::new(move || {
             throughput_point(tuning, None, size)
         }));
-        cells.push(runner::Cell::new(format!("figure/filer/{}", mb(size)), move || {
+        cells.push(runner::Cell::new(move || {
             throughput_point(tuning, Some(ServerKind::Filer), size)
         }));
-        cells.push(runner::Cell::new(format!("figure/knfsd/{}", mb(size)), move || {
+        cells.push(runner::Cell::new(move || {
             throughput_point(tuning, Some(ServerKind::Knfsd), size)
         }));
     }
@@ -477,66 +477,52 @@ pub fn exhibit_cells(sizes: &[u64]) -> Vec<runner::Cell<ExhibitPart>> {
 /// files).
 pub fn exhibit_cells_with(sizes: &[u64], ex: ExhibitSizes) -> Vec<runner::Cell<ExhibitPart>> {
     let mut cells: Vec<runner::Cell<ExhibitPart>> = Vec::new();
-    let point = |label: String, tuning: ClientTuning, server: Option<ServerKind>, size: u64| {
-        runner::Cell::new(label, move || {
-            ExhibitPart::Point(throughput_point(tuning, server, size))
-        })
+    let point = |tuning: ClientTuning, server: Option<ServerKind>, size: u64| {
+        runner::Cell::new(move || ExhibitPart::Point(throughput_point(tuning, server, size)))
     };
     for &size in sizes {
         let t = ClientTuning::linux_2_4_4();
-        cells.push(point(format!("figures/figure1/local/{}", mb(size)), t, None, size));
-        cells.push(point(
-            format!("figures/figure1/filer/{}", mb(size)),
-            t,
-            Some(ServerKind::Filer),
-            size,
-        ));
-        cells.push(point(
-            format!("figures/figure1/knfsd/{}", mb(size)),
-            t,
-            Some(ServerKind::Knfsd),
-            size,
-        ));
+        cells.push(point(t, None, size));
+        cells.push(point(t, Some(ServerKind::Filer), size));
+        cells.push(point(t, Some(ServerKind::Knfsd), size));
     }
-    cells.push(runner::Cell::new("figures/figure2", move || {
+    cells.push(runner::Cell::new(move || {
         ExhibitPart::Trace(latency_trace(
             "linux-2.4.4",
             ClientTuning::linux_2_4_4(),
             ex.figure2_bytes,
         ))
     }));
-    cells.push(runner::Cell::new("figures/figure3", move || {
+    cells.push(runner::Cell::new(move || {
         ExhibitPart::Trace(latency_trace(
             "no-flush",
             ClientTuning::no_flush(),
             ex.figure3_bytes,
         ))
     }));
-    cells.push(runner::Cell::new("figures/figure4", move || {
+    cells.push(runner::Cell::new(move || {
         ExhibitPart::Trace(latency_trace(
             "hash-table",
             ClientTuning::hash_table(),
             ex.figure4_bytes,
         ))
     }));
-    for (fig, tuning) in [
-        ("figure5", ClientTuning::hash_table()),
-        ("figure6", ClientTuning::full_patch()),
-    ] {
+    // Figure 5 (normal, BKL held), then Figure 6 (no lock).
+    for tuning in [ClientTuning::hash_table(), ClientTuning::full_patch()] {
         for kind in [ServerKind::Filer, ServerKind::Knfsd] {
-            cells.push(runner::Cell::new(
-                format!("figures/{fig}/{}", kind.label()),
-                move || ExhibitPart::Latencies(histogram_half(tuning, kind, ex.histogram_bytes)),
-            ));
+            cells.push(runner::Cell::new(move || {
+                ExhibitPart::Latencies(histogram_half(tuning, kind, ex.histogram_bytes))
+            }));
         }
     }
-    for (name, tuning, kind) in [
-        ("filer/normal", ClientTuning::hash_table(), ServerKind::Filer),
-        ("filer/no-lock", ClientTuning::full_patch(), ServerKind::Filer),
-        ("linux/normal", ClientTuning::hash_table(), ServerKind::Knfsd),
-        ("linux/no-lock", ClientTuning::full_patch(), ServerKind::Knfsd),
+    // Table 1: {filer, linux} x {normal, no-lock}.
+    for (tuning, kind) in [
+        (ClientTuning::hash_table(), ServerKind::Filer),
+        (ClientTuning::full_patch(), ServerKind::Filer),
+        (ClientTuning::hash_table(), ServerKind::Knfsd),
+        (ClientTuning::full_patch(), ServerKind::Knfsd),
     ] {
-        cells.push(runner::Cell::new(format!("figures/table1/{name}"), move || {
+        cells.push(runner::Cell::new(move || {
             ExhibitPart::Mbps(write_throughput_mbps(
                 &Scenario::new(tuning, kind),
                 ex.table1_bytes,
@@ -545,25 +531,14 @@ pub fn exhibit_cells_with(sizes: &[u64], ex: ExhibitSizes) -> Vec<runner::Cell<E
     }
     for &size in sizes {
         let t = ClientTuning::full_patch();
-        cells.push(point(format!("figures/figure7/local/{}", mb(size)), t, None, size));
-        cells.push(point(
-            format!("figures/figure7/filer/{}", mb(size)),
-            t,
-            Some(ServerKind::Filer),
-            size,
-        ));
-        cells.push(point(
-            format!("figures/figure7/knfsd/{}", mb(size)),
-            t,
-            Some(ServerKind::Knfsd),
-            size,
-        ));
+        cells.push(point(t, None, size));
+        cells.push(point(t, Some(ServerKind::Filer), size));
+        cells.push(point(t, Some(ServerKind::Knfsd), size));
     }
     for kind in [ServerKind::Filer, ServerKind::Knfsd, ServerKind::Slow100] {
-        cells.push(runner::Cell::new(
-            format!("figures/slow_server/{}", kind.label()),
-            move || ExhibitPart::Slow(slow_server_run(kind, ex.slow_bytes)),
-        ));
+        cells.push(runner::Cell::new(move || {
+            ExhibitPart::Slow(slow_server_run(kind, ex.slow_bytes))
+        }));
     }
     cells
 }
@@ -579,48 +554,42 @@ pub fn monolithic_exhibit_cells_with(
     let s1 = sizes.to_vec();
     let s7 = sizes.to_vec();
     vec![
-        runner::Cell::new("figures/figure1", move || {
-            ("figure1.csv", figure1(&s1, 1).to_csv())
-        }),
-        runner::Cell::new("figures/figure2", move || {
+        runner::Cell::new(move || ("figure1.csv", figure1(&s1, 1).to_csv())),
+        runner::Cell::new(move || {
             (
                 "figure2.csv",
                 latency_trace("linux-2.4.4", ClientTuning::linux_2_4_4(), ex.figure2_bytes)
                     .to_csv(),
             )
         }),
-        runner::Cell::new("figures/figure3", move || {
+        runner::Cell::new(move || {
             (
                 "figure3.csv",
                 latency_trace("no-flush", ClientTuning::no_flush(), ex.figure3_bytes).to_csv(),
             )
         }),
-        runner::Cell::new("figures/figure4", move || {
+        runner::Cell::new(move || {
             (
                 "figure4.csv",
                 latency_trace("hash-table", ClientTuning::hash_table(), ex.figure4_bytes).to_csv(),
             )
         }),
-        runner::Cell::new("figures/figure5", move || {
+        runner::Cell::new(move || {
             (
                 "figure5.csv",
                 histogram_pair("normal (BKL held)", ClientTuning::hash_table(), ex.histogram_bytes)
                     .to_csv(),
             )
         }),
-        runner::Cell::new("figures/figure6", move || {
+        runner::Cell::new(move || {
             (
                 "figure6.csv",
                 histogram_pair("no lock", ClientTuning::full_patch(), ex.histogram_bytes).to_csv(),
             )
         }),
-        runner::Cell::new("figures/table1", move || {
-            ("table1.csv", table1_csv(&table1_sized(ex.table1_bytes)))
-        }),
-        runner::Cell::new("figures/figure7", move || {
-            ("figure7.csv", figure7(&s7, 1).to_csv())
-        }),
-        runner::Cell::new("figures/slow_server", move || {
+        runner::Cell::new(move || ("table1.csv", table1_csv(&table1_sized(ex.table1_bytes)))),
+        runner::Cell::new(move || ("figure7.csv", figure7(&s7, 1).to_csv())),
+        runner::Cell::new(move || {
             (
                 "slow_server.csv",
                 slow_server_csv(&slow_server_comparison_sized(ex.slow_bytes)),

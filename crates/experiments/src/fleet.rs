@@ -263,38 +263,30 @@ pub fn fleet_cells(
     for &server in servers {
         for &transport in transports {
             for &clients in counts {
-                cells.push(runner::Cell::new(
-                    format!(
-                        "fleet/{}/{}/c{}",
-                        server.label(),
-                        transport.label(),
-                        clients
-                    ),
-                    move || {
-                        let run = run_fleet(&FleetConfig::new(
-                            server,
-                            transport,
-                            clients,
-                            bytes_per_client,
-                        ));
-                        let n = run.per_client_mbps.len() as f64;
-                        FleetCell {
-                            server,
-                            transport,
-                            clients,
-                            aggregate_mbps: run.aggregate_mbps,
-                            per_client_mean_mbps: run.per_client_mbps.iter().sum::<f64>() / n,
-                            per_client_min_mbps: run
-                                .per_client_mbps
-                                .iter()
-                                .copied()
-                                .fold(f64::INFINITY, f64::min),
-                            jain: run.jain,
-                            svc_p50_ms: worst_ms(&run.per_client_server, |c| c.service.p50),
-                            svc_p99_ms: worst_ms(&run.per_client_server, |c| c.service.p99),
-                        }
-                    },
-                ));
+                cells.push(runner::Cell::new(move || {
+                    let run = run_fleet(&FleetConfig::new(
+                        server,
+                        transport,
+                        clients,
+                        bytes_per_client,
+                    ));
+                    let n = run.per_client_mbps.len() as f64;
+                    FleetCell {
+                        server,
+                        transport,
+                        clients,
+                        aggregate_mbps: run.aggregate_mbps,
+                        per_client_mean_mbps: run.per_client_mbps.iter().sum::<f64>() / n,
+                        per_client_min_mbps: run
+                            .per_client_mbps
+                            .iter()
+                            .copied()
+                            .fold(f64::INFINITY, f64::min),
+                        jain: run.jain,
+                        svc_p50_ms: worst_ms(&run.per_client_server, |c| c.service.p50),
+                        svc_p99_ms: worst_ms(&run.per_client_server, |c| c.service.p99),
+                    }
+                }));
             }
         }
     }

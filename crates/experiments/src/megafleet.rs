@@ -297,29 +297,26 @@ pub fn megafleet_cells(
     let mut cells = Vec::new();
     for &server in servers {
         for &flyweights in counts {
-            cells.push(runner::Cell::new(
-                format!("megafleet/{}/f{}", server.label(), flyweights),
-                move || {
-                    let bytes = bytes_for_count(flyweights, quick);
-                    let run = run_megafleet(&MegaConfig::new(server, flyweights, bytes));
-                    MegaCell {
-                        server,
-                        flyweights,
-                        faithful: run.faithful,
-                        aggregate_mbps: run.aggregate_mbps,
-                        fly_mean_mbps: run.fly_mbps.iter().sum::<f64>()
-                            / run.fly_mbps.len().max(1) as f64,
-                        fly_jain: jain_index(&run.fly_mbps),
-                        faithful_mean_mbps: run.faithful_mbps.iter().sum::<f64>()
-                            / run.faithful_mbps.len().max(1) as f64,
-                        faithful_jain: jain_index(&run.faithful_mbps),
-                        fly_rpc_p99_ms: run.fly_rpc_p99_ms,
-                        faithful_svc_p99_ms: run.faithful_svc_p99_ms,
-                        events: run.events,
-                        bytes_per_client: run.bytes_per_client,
-                    }
-                },
-            ));
+            cells.push(runner::Cell::new(move || {
+                let bytes = bytes_for_count(flyweights, quick);
+                let run = run_megafleet(&MegaConfig::new(server, flyweights, bytes));
+                MegaCell {
+                    server,
+                    flyweights,
+                    faithful: run.faithful,
+                    aggregate_mbps: run.aggregate_mbps,
+                    fly_mean_mbps: run.fly_mbps.iter().sum::<f64>()
+                        / run.fly_mbps.len().max(1) as f64,
+                    fly_jain: jain_index(&run.fly_mbps),
+                    faithful_mean_mbps: run.faithful_mbps.iter().sum::<f64>()
+                        / run.faithful_mbps.len().max(1) as f64,
+                    faithful_jain: jain_index(&run.faithful_mbps),
+                    fly_rpc_p99_ms: run.fly_rpc_p99_ms,
+                    faithful_svc_p99_ms: run.faithful_svc_p99_ms,
+                    events: run.events,
+                    bytes_per_client: run.bytes_per_client,
+                }
+            }));
         }
     }
     cells

@@ -431,21 +431,10 @@ pub fn netqos_run_cells(
         for &sched in scheds {
             let base = NetQosConfig::new(server, sched, TrafficMix::Hog, victims, bytes_per_victim)
                 .baseline();
-            cells.push(runner::Cell::new(
-                format!("netqos/{}/{}/baseline", server.label(), sched.label()),
-                move || run_netqos(&base),
-            ));
+            cells.push(runner::Cell::new(move || run_netqos(&base)));
             for &mix in mixes {
                 let config = NetQosConfig::new(server, sched, mix, victims, bytes_per_victim);
-                cells.push(runner::Cell::new(
-                    format!(
-                        "netqos/{}/{}/{}",
-                        server.label(),
-                        sched.label(),
-                        mix.label()
-                    ),
-                    move || run_netqos(&config),
-                ));
+                cells.push(runner::Cell::new(move || run_netqos(&config)));
             }
         }
     }

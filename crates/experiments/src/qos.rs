@@ -343,15 +343,12 @@ pub fn qos_cells(
     let mut cells = Vec::new();
     for &server in servers {
         for &sched in scheds {
-            cells.push(runner::Cell::new(
-                format!("qos/{}/{}", server.label(), sched.label()),
-                move || {
-                    let config = QosConfig::new(server, sched, victims, bytes_per_victim);
-                    let base = run_qos(&config.baseline());
-                    let run = run_qos(&config);
-                    qos_row(server, sched, victims, &base, &run)
-                },
-            ));
+            cells.push(runner::Cell::new(move || {
+                let config = QosConfig::new(server, sched, victims, bytes_per_victim);
+                let base = run_qos(&config.baseline());
+                let run = run_qos(&config);
+                qos_row(server, sched, victims, &base, &run)
+            }));
         }
     }
     cells
@@ -372,14 +369,8 @@ pub fn qos_run_cells(
         for &sched in scheds {
             let config = QosConfig::new(server, sched, victims, bytes_per_victim);
             let base = config.baseline();
-            cells.push(runner::Cell::new(
-                format!("qos/{}/{}/baseline", server.label(), sched.label()),
-                move || run_qos(&base),
-            ));
-            cells.push(runner::Cell::new(
-                format!("qos/{}/{}/hog", server.label(), sched.label()),
-                move || run_qos(&config),
-            ));
+            cells.push(runner::Cell::new(move || run_qos(&base)));
+            cells.push(runner::Cell::new(move || run_qos(&config)));
         }
     }
     cells

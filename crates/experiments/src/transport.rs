@@ -90,13 +90,10 @@ pub fn transport_cells(file_size: u64, loss_rates: &[f64]) -> Vec<runner::Cell<T
     for (label, scenario) in flavours() {
         for &loss in loss_rates {
             let scenario = scenario.clone();
-            cells.push(runner::Cell::new(
-                format!("transport/{label}/loss{loss}"),
-                move || {
-                    let out = run_bonnie(&scenario.with_loss(loss), file_size);
-                    row(label, loss, &out)
-                },
-            ));
+            cells.push(runner::Cell::new(move || {
+                let out = run_bonnie(&scenario.with_loss(loss), file_size);
+                row(label, loss, &out)
+            }));
         }
     }
     cells

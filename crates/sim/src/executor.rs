@@ -346,8 +346,8 @@ struct SimCore {
     ready: Arc<ReadyQueue>,
     /// Count of tasks currently being polled; used to catch re-entrancy.
     polling: Cell<usize>,
-    /// Retired events (task polls + timer fires); feeds the
-    /// micro-profiler's events/sec metric.
+    /// Retired events (task polls + timer fires); credited to the
+    /// thread's [`profile`] tally.
     events: Cell<u64>,
     /// Events already credited to the thread-local profiler tally.
     events_credited: Cell<u64>,
@@ -355,8 +355,9 @@ struct SimCore {
 
 impl SimCore {
     /// Credits events retired since the last flush to the thread running
-    /// this world, so the sweep runner can report per-cell events/sec
-    /// without threading a counter through every experiment. Called when
+    /// this world, so a caller can count an experiment's events with
+    /// [`profile::take_thread_events`] without threading a counter
+    /// through its signature. Called when
     /// `run_until` returns — worlds whose daemon tasks hold `Rc` cycles
     /// back to the core may never drop, so crediting cannot wait for
     /// `Drop` alone.
@@ -907,8 +908,7 @@ impl Sim {
     }
 
     /// Events retired so far: task polls plus timer fires plus slab
-    /// event dispatches. The micro-profiler divides this by wall-clock
-    /// for events/sec.
+    /// event dispatches.
     pub fn events(&self) -> u64 {
         self.core.events.get()
     }

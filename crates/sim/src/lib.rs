@@ -44,9 +44,8 @@ pub use metrics::{
     mbps, mean, percentile, ByteMeter, Counter, Histogram, LatencyDigest, ProfileRow, Profiler,
     Trace,
 };
-pub use profile::{BenchComparison, BenchReport, CellStats, SweepStats};
 pub use rng::SimRng;
-pub use runner::{default_jobs, run_cells, run_cells_profiled, Cell};
+pub use runner::{default_jobs, run_cells, Cell};
 pub use select::{select2, Either};
 pub use sync::{
     channel, drive_poll, Gate, GatePass, LockGuard, LockStats, Receiver, SemAcquire, SemPermit, Semaphore,

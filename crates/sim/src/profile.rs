@@ -1,26 +1,17 @@
-//! In-tree micro-profiler for the sweep harness.
+//! Thread-local tally of retired simulator events.
 //!
-//! The simulator is deterministic, but the harness around it is not —
-//! wall-clock per cell and simulated-events-per-second are real-time
-//! measurements of how fast the *measurement machinery* runs. This
-//! module collects them without touching any experiment signature:
+//! Every [`crate::Sim`] adds its retired event count (task polls plus
+//! timer and event fires) to a tally kept by the thread it runs on: when
+//! `run_until` returns, and again when the world is torn down for any
+//! stragglers. [`take_thread_events`] reads and resets it, so a caller
+//! can count the events an experiment retires without threading a
+//! counter through its signature; the benchmark's equivalence suite
+//! uses it to check each hand-built world against the runner it mirrors.
 //!
-//! - every [`crate::Sim`] adds its retired event count to a thread-local
-//!   tally when `run_until` returns (and again at core drop, for any
-//!   stragglers);
-//! - [`crate::runner`] brackets each cell with [`take_thread_events`]
-//!   and an [`std::time::Instant`], producing one [`CellStats`] per
-//!   cell;
-//! - [`BenchReport`] aggregates cells into per-sweep rows and renders
-//!   `results/bench.json` (hand-rolled JSON — the workspace is
-//!   hermetic, so no serde).
-//!
-//! None of these numbers feed back into any simulation result: CSVs
-//! stay bit-identical whether or not profiling is read.
+//! The tally never feeds back into a simulation: every result is the
+//! same whether or not it is read.
 
 use std::cell::Cell;
-use std::fmt::Write as _;
-use std::time::Duration;
 
 thread_local! {
     /// Simulator events retired on this thread since the last
@@ -38,375 +29,6 @@ pub fn note_sim_events(n: u64) {
 /// Returns and resets the current thread's event tally.
 pub fn take_thread_events() -> u64 {
     THREAD_EVENTS.with(|c| c.replace(0))
-}
-
-/// Wall-clock and simulated-event cost of one executed sweep cell.
-#[derive(Debug, Clone)]
-pub struct CellStats {
-    /// The cell's label (for reports; not part of any CSV).
-    pub label: String,
-    /// Real time the cell took.
-    pub wall: Duration,
-    /// Simulator events (task polls + timer fires) the cell retired.
-    pub events: u64,
-}
-
-impl CellStats {
-    /// Simulated events per wall-clock second (0 for an instant cell).
-    pub fn events_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs > 0.0 {
-            self.events as f64 / secs
-        } else {
-            0.0
-        }
-    }
-}
-
-/// One benchmarked sweep: total wall-clock, events, and the jobs count
-/// it ran under.
-#[derive(Debug, Clone)]
-pub struct SweepStats {
-    /// Sweep name (`fleet`, `qos`, ...).
-    pub name: String,
-    /// Worker threads the sweep ran with.
-    pub jobs: usize,
-    /// Number of cells executed.
-    pub cells: usize,
-    /// End-to-end wall-clock for the sweep.
-    pub wall: Duration,
-    /// Total simulator events across all cells.
-    pub events: u64,
-}
-
-impl SweepStats {
-    /// Aggregates per-cell stats into one sweep row.
-    ///
-    /// `wall` is the end-to-end time (with parallelism it is less than
-    /// the sum of the cells').
-    pub fn from_cells(name: &str, jobs: usize, wall: Duration, cells: &[CellStats]) -> SweepStats {
-        SweepStats {
-            name: name.to_owned(),
-            jobs,
-            cells: cells.len(),
-            wall,
-            events: cells.iter().map(|c| c.events).sum(),
-        }
-    }
-
-    /// Simulated events per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs > 0.0 {
-            self.events as f64 / secs
-        } else {
-            0.0
-        }
-    }
-}
-
-/// A full benchmark run: the rows behind `results/bench.json`.
-#[derive(Debug, Clone, Default)]
-pub struct BenchReport {
-    /// Hardware threads available on the host that ran the benchmark
-    /// (`std::thread::available_parallelism`); `0` when unrecorded
-    /// (reports written before the field existed). On a
-    /// single-hardware-thread host `--jobs N` cannot speed anything up,
-    /// so [`BenchReport::compare`] skips the jobs-speedup gate instead
-    /// of flagging a bogus regression.
-    pub host_parallelism: usize,
-    /// One row per (sweep, jobs) measurement, in run order.
-    pub sweeps: Vec<SweepStats>,
-}
-
-impl BenchReport {
-    /// Creates an empty report.
-    pub fn new() -> BenchReport {
-        BenchReport::default()
-    }
-
-    /// Appends one measured sweep.
-    pub fn push(&mut self, s: SweepStats) {
-        self.sweeps.push(s);
-    }
-
-    /// The wall-clock speedup of `name` at `jobs` over the same sweep's
-    /// `jobs = 1` row, if both were measured.
-    ///
-    /// `None` when either row is missing **or** either wall-clock is
-    /// ~0 s (sub-resolution quick cells) — a zero denominator or
-    /// numerator would report `inf` / `0x` for what is really "too fast
-    /// to measure".
-    pub fn speedup(&self, name: &str, jobs: usize) -> Option<f64> {
-        let serial = self
-            .sweeps
-            .iter()
-            .find(|s| s.name == name && s.jobs == 1)?;
-        let parallel = self.sweeps.iter().find(|s| s.name == name && s.jobs == jobs)?;
-        let s = serial.wall.as_secs_f64();
-        let p = parallel.wall.as_secs_f64();
-        (s > 0.0 && p > 0.0).then(|| s / p)
-    }
-
-    /// Renders the report as JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\n  \"host_parallelism\": {},\n  \"sweeps\": [\n",
-            self.host_parallelism
-        );
-        for (i, s) in self.sweeps.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"name\": \"{}\", \"jobs\": {}, \"cells\": {}, \
-                 \"wall_secs\": {:.6}, \"events\": {}, \"events_per_sec\": {:.0}}}",
-                json_escape(&s.name),
-                s.jobs,
-                s.cells,
-                s.wall.as_secs_f64(),
-                s.events,
-                s.events_per_sec(),
-            );
-            out.push_str(if i + 1 < self.sweeps.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes the JSON to `path` via a temporary sibling file and an
-    /// atomic rename, so a crash mid-write can never leave a truncated
-    /// report behind for a later `--against` run to choke on.
-    pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, self.to_json())?;
-        std::fs::rename(&tmp, path)
-    }
-
-    /// Parses a report previously written by [`BenchReport::write_json`].
-    ///
-    /// The scanner accepts exactly the shape [`BenchReport::to_json`]
-    /// emits and rejects anything else with an error naming what is
-    /// wrong — a truncated or corrupt baseline must fail loudly, not
-    /// compare as garbage.
-    pub fn parse_json(text: &str) -> Result<BenchReport, String> {
-        let key = text
-            .find("\"sweeps\"")
-            .ok_or("not a bench report: missing \"sweeps\" key")?;
-        let open = text[key..]
-            .find('[')
-            .ok_or("malformed report: no array after \"sweeps\"")?
-            + key;
-        let close = text[open..]
-            .find(']')
-            .ok_or("malformed report: unterminated sweeps array")?
-            + open;
-        let mut rest = &text[open + 1..close];
-        let mut sweeps = Vec::new();
-        while let Some(obj_open) = rest.find('{') {
-            let obj_close = rest[obj_open..]
-                .find('}')
-                .ok_or("malformed report: unterminated sweep object")?
-                + obj_open;
-            sweeps.push(Self::parse_sweep(&rest[obj_open + 1..obj_close])?);
-            rest = &rest[obj_close + 1..];
-        }
-        if sweeps.is_empty() {
-            return Err("malformed report: no sweep rows".into());
-        }
-        // Optional for backward compatibility: baselines written before
-        // the field default to 0 ("unrecorded"), never an error.
-        let host_parallelism = match text.find("\"host_parallelism\":") {
-            Some(at) => {
-                let rest = text[at + "\"host_parallelism\":".len()..].trim_start();
-                let end = rest
-                    .find(|c: char| !c.is_ascii_digit())
-                    .unwrap_or(rest.len());
-                rest[..end]
-                    .parse()
-                    .map_err(|_| "bad value for \"host_parallelism\"".to_string())?
-            }
-            None => 0,
-        };
-        Ok(BenchReport {
-            host_parallelism,
-            sweeps,
-        })
-    }
-
-    fn parse_sweep(obj: &str) -> Result<SweepStats, String> {
-        fn field<'a>(obj: &'a str, key: &str) -> Result<&'a str, String> {
-            let pat = format!("\"{key}\":");
-            let at = obj
-                .find(&pat)
-                .ok_or_else(|| format!("sweep row missing \"{key}\""))?;
-            let rest = obj[at + pat.len()..].trim_start();
-            if let Some(s) = rest.strip_prefix('"') {
-                let end = s
-                    .find('"')
-                    .ok_or_else(|| format!("unterminated string for \"{key}\""))?;
-                return Ok(&s[..end]);
-            }
-            let end = rest.find(',').unwrap_or(rest.len());
-            Ok(rest[..end].trim())
-        }
-        fn num<T: std::str::FromStr>(obj: &str, key: &str) -> Result<T, String> {
-            let raw = field(obj, key)?;
-            raw.parse()
-                .map_err(|_| format!("bad value for \"{key}\": {raw:?}"))
-        }
-        let wall_secs: f64 = num(obj, "wall_secs")?;
-        if !wall_secs.is_finite() || wall_secs < 0.0 {
-            return Err(format!("bad value for \"wall_secs\": {wall_secs}"));
-        }
-        Ok(SweepStats {
-            name: field(obj, "name")?.to_owned(),
-            jobs: num(obj, "jobs")?,
-            cells: num(obj, "cells")?,
-            wall: Duration::from_secs_f64(wall_secs),
-            events: num(obj, "events")?,
-        })
-    }
-
-    /// Diffs this (fresh) report against a committed `baseline`:
-    /// events/sec per `(sweep, jobs)` row and wall-clock speedup per
-    /// sweep. A drop of more than `tolerance` (e.g. `0.30` = 30%) on
-    /// either axis is a regression; rows without a baseline counterpart
-    /// are reported but never fail.
-    pub fn compare(&self, baseline: &BenchReport, tolerance: f64) -> BenchComparison {
-        let mut out = BenchComparison::default();
-        for cur in &self.sweeps {
-            let Some(base) = baseline
-                .sweeps
-                .iter()
-                .find(|b| b.name == cur.name && b.jobs == cur.jobs)
-            else {
-                out.lines.push(format!(
-                    "{} @ jobs {}: no baseline row (skipped)",
-                    cur.name, cur.jobs
-                ));
-                continue;
-            };
-            let (c, b) = (cur.events_per_sec(), base.events_per_sec());
-            if b > 0.0 {
-                out.lines.push(format!(
-                    "{} @ jobs {}: {:.0} events/s vs baseline {:.0} ({:+.1}%)",
-                    cur.name,
-                    cur.jobs,
-                    c,
-                    b,
-                    (c / b - 1.0) * 100.0
-                ));
-                if c < b * (1.0 - tolerance) {
-                    out.regressions.push(format!(
-                        "{} @ jobs {}: events/sec fell {:.1}% (tolerance {:.0}%)",
-                        cur.name,
-                        cur.jobs,
-                        (1.0 - c / b) * 100.0,
-                        tolerance * 100.0
-                    ));
-                }
-            } else {
-                out.lines.push(format!(
-                    "{} @ jobs {}: baseline too fast to measure (skipped)",
-                    cur.name, cur.jobs
-                ));
-            }
-            if cur.jobs > 1 {
-                if self.host_parallelism == 1 {
-                    // One hardware thread: worker threads time-slice one
-                    // core, so parallel speedup is physically impossible
-                    // and gating on it would flag every run. Annotate
-                    // instead of comparing.
-                    out.lines.push(format!(
-                        "{} @ jobs {}: speedup gate skipped \
-                         (single-hardware-thread host)",
-                        cur.name, cur.jobs
-                    ));
-                } else if let (Some(cs), Some(bs)) = (
-                    self.speedup(&cur.name, cur.jobs),
-                    baseline.speedup(&cur.name, cur.jobs),
-                ) {
-                    out.lines.push(format!(
-                        "{} @ jobs {}: speedup {cs:.2}x vs baseline {bs:.2}x",
-                        cur.name, cur.jobs
-                    ));
-                    if cs < bs * (1.0 - tolerance) {
-                        out.regressions.push(format!(
-                            "{} @ jobs {}: speedup fell {:.1}% (tolerance {:.0}%)",
-                            cur.name,
-                            cur.jobs,
-                            (1.0 - cs / bs) * 100.0,
-                            tolerance * 100.0
-                        ));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// An aligned plain-text table of the rows for terminal output.
-    pub fn render(&self) -> String {
-        let mut out = String::from(
-            "sweep        jobs  cells   wall (s)      events    events/s\n",
-        );
-        for s in &self.sweeps {
-            let _ = writeln!(
-                out,
-                "{:<12} {:>4} {:>6} {:>10.3} {:>11} {:>11.0}",
-                s.name,
-                s.jobs,
-                s.cells,
-                s.wall.as_secs_f64(),
-                s.events,
-                s.events_per_sec(),
-            );
-        }
-        out
-    }
-}
-
-/// Result of diffing a fresh [`BenchReport`] against a baseline.
-#[derive(Debug, Clone, Default)]
-pub struct BenchComparison {
-    /// Human-readable per-row comparison lines.
-    pub lines: Vec<String>,
-    /// Drops past tolerance (empty means the comparison passed).
-    pub regressions: Vec<String>,
-}
-
-impl BenchComparison {
-    /// `true` when nothing regressed past tolerance.
-    pub fn passed(&self) -> bool {
-        self.regressions.is_empty()
-    }
-
-    /// Plain-text rendering: every comparison line, then regressions.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for l in &self.lines {
-            let _ = writeln!(out, "bench: {l}");
-        }
-        for r in &self.regressions {
-            let _ = writeln!(out, "bench REGRESSION: {r}");
-        }
-        out
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -434,242 +56,5 @@ mod tests {
             });
         }
         assert!(take_thread_events() > 0, "a run retires events");
-    }
-
-    #[test]
-    fn events_per_sec_handles_zero_wall() {
-        let c = CellStats {
-            label: "x".into(),
-            wall: Duration::ZERO,
-            events: 100,
-        };
-        assert_eq!(c.events_per_sec(), 0.0);
-    }
-
-    #[test]
-    fn report_json_shape_and_speedup() {
-        let mut r = BenchReport::new();
-        let cells = [
-            CellStats {
-                label: "a".into(),
-                wall: Duration::from_millis(10),
-                events: 1000,
-            },
-            CellStats {
-                label: "b".into(),
-                wall: Duration::from_millis(30),
-                events: 3000,
-            },
-        ];
-        r.push(SweepStats::from_cells(
-            "fleet",
-            1,
-            Duration::from_millis(40),
-            &cells,
-        ));
-        r.push(SweepStats::from_cells(
-            "fleet",
-            4,
-            Duration::from_millis(10),
-            &cells,
-        ));
-        let json = r.to_json();
-        assert!(json.contains("\"name\": \"fleet\""));
-        assert!(json.contains("\"jobs\": 4"));
-        assert!(json.contains("\"events\": 4000"));
-        let speedup = r.speedup("fleet", 4).unwrap();
-        assert!((speedup - 4.0).abs() < 1e-9, "speedup = {speedup}");
-        assert!(r.speedup("qos", 4).is_none());
-        assert!(r.render().contains("fleet"));
-
-        // Missing jobs-1 baseline: no speedup, not inf.
-        let mut only_parallel = BenchReport::new();
-        only_parallel.push(SweepStats::from_cells(
-            "qos",
-            4,
-            Duration::from_millis(10),
-            &cells,
-        ));
-        assert!(only_parallel.speedup("qos", 4).is_none());
-
-        // ~0 s wall-clocks (quick cells below timer resolution) must
-        // not divide to inf/NaN — both edges return None.
-        let mut zero_serial = BenchReport::new();
-        zero_serial.push(SweepStats::from_cells("z", 1, Duration::ZERO, &cells));
-        zero_serial.push(SweepStats::from_cells(
-            "z",
-            4,
-            Duration::from_millis(10),
-            &cells,
-        ));
-        assert!(zero_serial.speedup("z", 4).is_none(), "0s serial -> None");
-        let mut zero_parallel = BenchReport::new();
-        zero_parallel.push(SweepStats::from_cells(
-            "z",
-            1,
-            Duration::from_millis(10),
-            &cells,
-        ));
-        zero_parallel.push(SweepStats::from_cells("z", 4, Duration::ZERO, &cells));
-        assert!(zero_parallel.speedup("z", 4).is_none(), "0s parallel -> None");
-    }
-
-    fn sample_report() -> BenchReport {
-        let cells = [
-            CellStats {
-                label: "a".into(),
-                wall: Duration::from_millis(10),
-                events: 1000,
-            },
-            CellStats {
-                label: "b".into(),
-                wall: Duration::from_millis(30),
-                events: 3000,
-            },
-        ];
-        let mut r = BenchReport::new();
-        r.push(SweepStats::from_cells(
-            "fleet",
-            1,
-            Duration::from_millis(40),
-            &cells,
-        ));
-        r.push(SweepStats::from_cells(
-            "fleet",
-            4,
-            Duration::from_millis(20),
-            &cells,
-        ));
-        r
-    }
-
-    #[test]
-    fn json_round_trips_through_parse() {
-        let mut r = sample_report();
-        r.host_parallelism = 8;
-        let parsed = BenchReport::parse_json(&r.to_json()).expect("own JSON parses");
-        assert_eq!(parsed.host_parallelism, 8);
-        assert_eq!(parsed.sweeps.len(), r.sweeps.len());
-        for (p, orig) in parsed.sweeps.iter().zip(&r.sweeps) {
-            assert_eq!(p.name, orig.name);
-            assert_eq!(p.jobs, orig.jobs);
-            assert_eq!(p.cells, orig.cells);
-            assert_eq!(p.events, orig.events);
-            assert!((p.wall.as_secs_f64() - orig.wall.as_secs_f64()).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn parse_rejects_malformed_baselines() {
-        for (text, why) in [
-            ("", "empty"),
-            ("not json at all", "garbage"),
-            ("{\"sweeps\": []}", "no rows"),
-            ("{\"sweeps\": [{\"name\": \"x\"}]}", "missing fields"),
-            (
-                "{\"sweeps\": [{\"name\": \"x\", \"jobs\": 1, \"cells\": 1, \
-                 \"wall_secs\": -3.0, \"events\": 5}]}",
-                "negative wall",
-            ),
-        ] {
-            let err = BenchReport::parse_json(text);
-            assert!(err.is_err(), "{why}: must be rejected");
-        }
-        // A mid-write truncation (what the atomic rename prevents) is
-        // also rejected, never parsed as garbage.
-        let full = sample_report().to_json();
-        let truncated = &full[..full.len() / 2];
-        assert!(BenchReport::parse_json(truncated).is_err());
-    }
-
-    #[test]
-    fn compare_passes_identical_and_flags_slowdown() {
-        let base = sample_report();
-        let same = base.compare(&base, 0.30);
-        assert!(same.passed(), "identical reports: {:?}", same.regressions);
-
-        // An artificially 10x-slower build regresses past any sane
-        // tolerance.
-        let mut slow = base.clone();
-        for s in &mut slow.sweeps {
-            s.wall *= 10;
-        }
-        let diff = slow.compare(&base, 0.30);
-        assert!(!diff.passed(), "10x slower must regress");
-        assert!(diff.render().contains("REGRESSION"));
-
-        // Rows with no baseline counterpart are skipped, not failed.
-        let mut extra = base.clone();
-        extra.push(SweepStats {
-            name: "new-sweep".into(),
-            jobs: 1,
-            cells: 1,
-            wall: Duration::from_millis(1),
-            events: 10,
-        });
-        assert!(extra.compare(&base, 0.30).passed());
-    }
-
-    #[test]
-    fn old_baselines_without_host_parallelism_still_parse() {
-        let json = sample_report().to_json();
-        let stripped = json.replace("  \"host_parallelism\": 0,\n", "");
-        assert!(!stripped.contains("host_parallelism"));
-        let parsed = BenchReport::parse_json(&stripped).expect("old shape parses");
-        assert_eq!(parsed.host_parallelism, 0, "unrecorded defaults to 0");
-    }
-
-    #[test]
-    fn single_thread_host_skips_speedup_gate() {
-        let base = sample_report();
-        // Serial events/sec intact, but the parallel row is as slow as
-        // serial — on a multi-thread host this fails the speedup gate...
-        let mut slow_parallel = base.clone();
-        slow_parallel.sweeps[1].wall = slow_parallel.sweeps[0].wall;
-        slow_parallel.sweeps[1].events = base.sweeps[0].events * 2;
-        let gated = slow_parallel.compare(&base, 0.30);
-        assert!(
-            gated.regressions.iter().any(|r| r.contains("speedup")),
-            "multi-thread host still gates speedup: {:?}",
-            gated.regressions
-        );
-        // ...but a single-hardware-thread host cannot speed up at all:
-        // the gate is skipped and annotated instead of failing.
-        slow_parallel.host_parallelism = 1;
-        let skipped = slow_parallel.compare(&base, 0.30);
-        assert!(
-            !skipped.regressions.iter().any(|r| r.contains("speedup")),
-            "single-thread host must not gate speedup: {:?}",
-            skipped.regressions
-        );
-        assert!(
-            skipped
-                .lines
-                .iter()
-                .any(|l| l.contains("single-hardware-thread")),
-            "skip must be annotated: {:?}",
-            skipped.lines
-        );
-    }
-
-    #[test]
-    fn write_json_is_atomic_and_replaces() {
-        let dir = std::env::temp_dir().join(format!("nfsperf-bench-{}", std::process::id()));
-        let path = dir.join("bench.json");
-        let r = sample_report();
-        r.write_json(&path).expect("first write");
-        r.write_json(&path).expect("overwrite");
-        let text = std::fs::read_to_string(&path).expect("read back");
-        assert!(BenchReport::parse_json(&text).is_ok());
-        assert!(
-            !dir.join("bench.json.tmp").exists(),
-            "temp file must be renamed away"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn json_escapes_quotes() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
     }
 }

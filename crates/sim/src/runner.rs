@@ -15,33 +15,20 @@
 //! value. Parallelism exists only *across* whole simulated worlds,
 //! never within one; each `Sim` stays single-threaded and `!Send`,
 //! constructed and dropped entirely inside its worker.
-//!
-//! The pool also brackets every cell with the micro-profiler
-//! ([`crate::profile`]): per-cell wall-clock and simulated-event counts
-//! come back as [`CellStats`] for `nfsperf bench` and
-//! `results/bench.json`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
-use crate::profile::{self, CellStats};
-
-/// One unit of sweep work: a label (for profiling reports) plus the
-/// closure that builds, runs, and reduces an isolated simulation.
+/// One unit of sweep work: the closure that builds, runs, and reduces
+/// an isolated simulation.
 pub struct Cell<T> {
-    /// Human-readable cell name, e.g. `fleet/filer/udp/c8`.
-    pub label: String,
     run: Box<dyn FnOnce() -> T + Send>,
 }
 
 impl<T> Cell<T> {
     /// Creates a cell.
-    pub fn new(label: impl Into<String>, run: impl FnOnce() -> T + Send + 'static) -> Cell<T> {
-        Cell {
-            label: label.into(),
-            run: Box::new(run),
-        }
+    pub fn new(run: impl FnOnce() -> T + Send + 'static) -> Cell<T> {
+        Cell { run: Box::new(run) }
     }
 }
 
@@ -58,39 +45,26 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Runs every cell and returns the results in work-list order,
-/// discarding profiling data. See [`run_cells_profiled`].
-pub fn run_cells<T: Send>(jobs: usize, cells: Vec<Cell<T>>) -> Vec<T> {
-    run_cells_profiled(jobs, cells).0
-}
-
-/// Runs every cell on up to `jobs` worker threads and returns
-/// `(results, per-cell stats)`, both in work-list order.
+/// Runs every cell on up to `jobs` worker threads and returns the
+/// results in work-list order.
 ///
 /// With `jobs <= 1` (or one cell) everything runs on the calling
 /// thread, in order — the serial baseline. Results are identical
-/// either way; only the wall-clock in the stats differs.
+/// either way.
 ///
 /// # Panics
 ///
 /// A panicking cell propagates: the pool finishes joining and then
 /// re-panics on the calling thread (via `std::thread::scope`).
-pub fn run_cells_profiled<T: Send>(jobs: usize, cells: Vec<Cell<T>>) -> (Vec<T>, Vec<CellStats>) {
+pub fn run_cells<T: Send>(jobs: usize, cells: Vec<Cell<T>>) -> Vec<T> {
     let n = cells.len();
     if jobs <= 1 || n <= 1 {
-        let mut results = Vec::with_capacity(n);
-        let mut stats = Vec::with_capacity(n);
-        for cell in cells {
-            let (result, stat) = run_one(cell);
-            results.push(result);
-            stats.push(stat);
-        }
-        return (results, stats);
+        return cells.into_iter().map(|cell| (cell.run)()).collect();
     }
 
     let work: Vec<Mutex<Option<Cell<T>>>> =
         cells.into_iter().map(|c| Mutex::new(Some(c))).collect();
-    let done: Vec<Mutex<Option<(T, CellStats)>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let done: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
 
     std::thread::scope(|scope| {
@@ -105,40 +79,19 @@ pub fn run_cells_profiled<T: Send>(jobs: usize, cells: Vec<Cell<T>>) -> (Vec<T>,
                     .expect("cell slot poisoned")
                     .take()
                     .expect("cell claimed twice");
-                let out = run_one(cell);
+                let out = (cell.run)();
                 *done[i].lock().expect("result slot poisoned") = Some(out);
             });
         }
     });
 
-    let mut results = Vec::with_capacity(n);
-    let mut stats = Vec::with_capacity(n);
-    for slot in done {
-        let (result, stat) = slot
-            .into_inner()
-            .expect("result slot poisoned")
-            .expect("worker exited without storing a result");
-        results.push(result);
-        stats.push(stat);
-    }
-    (results, stats)
-}
-
-fn run_one<T>(cell: Cell<T>) -> (T, CellStats) {
-    let label = cell.label;
-    let _ = profile::take_thread_events();
-    let start = Instant::now();
-    let result = (cell.run)();
-    let wall = start.elapsed();
-    let events = profile::take_thread_events();
-    (
-        result,
-        CellStats {
-            label,
-            wall,
-            events,
-        },
-    )
+    done.into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("result slot poisoned")
+                .expect("worker exited without storing a result")
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -160,9 +113,7 @@ mod tests {
 
     #[test]
     fn serial_runs_in_order() {
-        let cells: Vec<Cell<u64>> = (0..5)
-            .map(|i| Cell::new(format!("c{i}"), move || sim_cell(i)))
-            .collect();
+        let cells: Vec<Cell<u64>> = (0..5).map(|i| Cell::new(move || sim_cell(i))).collect();
         let serial = run_cells(1, cells);
         assert_eq!(serial.len(), 5);
         for (i, v) in serial.iter().enumerate() {
@@ -172,11 +123,8 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_bit_for_bit() {
-        let make = || -> Vec<Cell<u64>> {
-            (0..16)
-                .map(|i| Cell::new(format!("c{i}"), move || sim_cell(i)))
-                .collect()
-        };
+        let make =
+            || -> Vec<Cell<u64>> { (0..16).map(|i| Cell::new(move || sim_cell(i))).collect() };
         let serial = run_cells(1, make());
         for jobs in [2, 4, 8, 32] {
             assert_eq!(run_cells(jobs, make()), serial, "jobs = {jobs}");
@@ -185,7 +133,7 @@ mod tests {
 
     #[test]
     fn more_jobs_than_cells_is_fine() {
-        let cells = vec![Cell::new("only", || 42u32)];
+        let cells = vec![Cell::new(|| 42u32)];
         assert_eq!(run_cells(16, cells), vec![42]);
     }
 
@@ -195,20 +143,6 @@ mod tests {
         assert!(run_cells(4, cells).is_empty());
     }
 
-    #[test]
-    fn profiled_run_reports_labels_and_events() {
-        let cells: Vec<Cell<u64>> = (0..3)
-            .map(|i| Cell::new(format!("cell-{i}"), move || sim_cell(i)))
-            .collect();
-        let (results, stats) = run_cells_profiled(2, cells);
-        assert_eq!(results.len(), 3);
-        assert_eq!(stats.len(), 3);
-        for (i, s) in stats.iter().enumerate() {
-            assert_eq!(s.label, format!("cell-{i}"));
-            assert!(s.events > 0, "cell {i} retired no events");
-        }
-    }
-
     // `std::thread::scope` re-panics with its own payload, so no
     // `expected =` here — the contract is only that the panic escapes.
     #[test]
@@ -216,7 +150,7 @@ mod tests {
     fn worker_panic_propagates() {
         let cells: Vec<Cell<u32>> = (0..4)
             .map(|i| {
-                Cell::new(format!("c{i}"), move || {
+                Cell::new(move || {
                     if i == 2 {
                         panic!("cell exploded");
                     }
@@ -230,31 +164,5 @@ mod tests {
     #[test]
     fn default_jobs_is_positive() {
         assert!(default_jobs() >= 1);
-    }
-
-    /// A cell that dies mid-run must not leak its half-counted events
-    /// into the next cell profiled on the same thread: `run_one` resets
-    /// the thread tally at cell *start*, not only at cell end.
-    #[test]
-    fn aborted_cell_leaves_no_stale_tally() {
-        // An aborting cell: it retires simulated events and then panics,
-        // so its profiling bracket never reaches the end-of-cell take.
-        let doomed: Vec<Cell<u32>> = vec![Cell::new("doomed", || {
-            profile::note_sim_events(1_000_000);
-            panic!("cell aborted mid-run");
-        })];
-        let escaped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = run_cells(1, doomed);
-        }));
-        assert!(escaped.is_err(), "doomed cell must panic");
-
-        // A clean cell profiled afterwards on this same thread must
-        // count only its own events, not the aborted cell's million.
-        let (_, stats) = run_cells_profiled(1, vec![Cell::new("clean", || sim_cell(0))]);
-        assert!(
-            stats[0].events > 0 && stats[0].events < 1_000_000,
-            "stale tally leaked into clean cell: {} events",
-            stats[0].events
-        );
     }
 }

@@ -84,7 +84,11 @@ def main():
     if args.pairs < 1:
         fail("--pairs must be at least 1")
 
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
+    if args.workload not in workloads:
+        fail(f"unknown workload {args.workload!r}; BENCHMARK.json names {', '.join(workloads)}")
+    metrics = bench["end_to_end"]
     tmp = Path(tempfile.mkdtemp(prefix="ab-"))
     try:
         base = tmp / "base"

@@ -118,7 +118,8 @@ cmp results/megafleet-smoke-1.csv results/megafleet-smoke.csv \
     || { echo "FAIL: megafleet sweep differs from the committed results/megafleet-smoke.csv"; exit 1; }
 rm -f results/megafleet-smoke-4.csv
 # Every cell must move bytes, keep the faithful tier fair, and hold the
-# flyweight memory budget (column 12: resident bytes per client).
+# flyweight slab budget (column 12: the per-client slab only; the
+# whole-heap gate is the resident_bytes test above).
 awk -F, 'NR == 1 {
         if ($13 != "at_knee") { print "FAIL: megafleet CSV missing at_knee column"; exit 1 }
     }
@@ -197,22 +198,22 @@ cmp results/transport-1.csv results/transport.csv \
     || { echo "FAIL: transport sweep differs from the committed results/transport.csv"; exit 1; }
 rm -f results/transport-1.csv results/transport-2.csv
 
-echo "==> harness micro-benchmark (results/bench.json vs committed baseline)"
-# Compare against the committed baseline; a sweep whose events/sec drops
-# more than the tolerance below it fails the build. The default 30% is
-# generous because quick cells run ~50-150 ms and CI machines are noisy;
-# override with NFSPERF_BENCH_TOLERANCE=0.50 etc. when needed.
-out="$(cargo run -q --release --offline --bin nfsperf -- bench --jobs 4 \
-    --out results/bench.json \
-    --against results/bench_baseline.json \
-    --tolerance "${NFSPERF_BENCH_TOLERANCE:-0.30}")"
-echo "$out"
-grep -q '"sweeps"' results/bench.json || { echo "FAIL: malformed bench.json"; exit 1; }
-# Every measured sweep must have retired simulated events.
-if grep -q '"events": 0,' results/bench.json; then
-    echo "FAIL: a bench sweep retired zero events"
-    exit 1
-fi
+echo "==> benchmark worlds at the committed seed (model counters vs simbench/digests.json)"
+# One run of each benchmark world at run.py's default seed. run.py checks
+# every world's conservation laws and, at that seed, requires every model
+# counter (sim.events, client.write_rpcs, server.writes, the p99s, ...)
+# to equal simbench/digests.json, so a change to the simulated event
+# schedule fails here by exact count, whatever the host's speed.
+for workload in paper-1g fleet-tcp-drr megafleet-1m; do
+    out="$(python3 simbench/run.py --workload "$workload" --seconds 0)"
+    echo "$out"
+    echo "$out" | tail -n 1 | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+if not r["correct"] or r["failed"] != 0:
+    sys.exit("FAIL: %s: correct=%s, %d failed" % (sys.argv[1], r["correct"], r["failed"]))
+' "$workload"
+done
 
 echo "==> no external dependencies"
 if grep -rn "^rand\|^proptest\|^criterion" Cargo.toml crates/*/Cargo.toml; then

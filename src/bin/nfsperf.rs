@@ -11,7 +11,6 @@
 //! nfsperf qos [--quick] [--out FILE] [--jobs N]
 //! nfsperf netqos [--quick] [--port-sched P] [--out FILE] [--jobs N]
 //! nfsperf cawl [--quick] [--out FILE] [--jobs N]
-//! nfsperf bench [--jobs N] [--out FILE] [--against OLD.json] [--tolerance T]
 //! nfsperf help
 //! ```
 //!
@@ -26,13 +25,13 @@ use std::process::ExitCode;
 
 use nfsperf_client::ClientTuning;
 use nfsperf_experiments::{
-    cawl_cells, cawl_sweep, figures, fleet_cells, fleet_sweep, megafleet_cells, megafleet_sweep,
-    netqos_sweep, qos_run_cells, qos_sweep, run_bonnie, transport_cells, transport_sweep, NetSched,
-    Scenario, ServerKind, TrafficMix, CAWL_QUICK_RAM_SIZES, CAWL_QUICK_SERVERS, CAWL_RAM_SIZES,
-    CAWL_SERVERS, FLEET_CLIENT_COUNTS, LOSS_RATES, MEGAFLEET_COUNTS, MEGAFLEET_QUICK_COUNTS,
+    cawl_sweep, figures, fleet_sweep, megafleet_sweep, netqos_sweep, qos_sweep, run_bonnie,
+    transport_sweep, NetSched, Scenario, ServerKind, TrafficMix, CAWL_QUICK_RAM_SIZES,
+    CAWL_QUICK_SERVERS, CAWL_RAM_SIZES, CAWL_SERVERS, FLEET_CLIENT_COUNTS, LOSS_RATES,
+    MEGAFLEET_COUNTS, MEGAFLEET_QUICK_COUNTS,
 };
 use nfsperf_server::SchedPolicy;
-use nfsperf_sim::{runner, BenchReport, SimDuration, SweepStats};
+use nfsperf_sim::{runner, SimDuration};
 use nfsperf_sunrpc::Transport;
 
 fn usage() -> &'static str {
@@ -51,8 +50,6 @@ USAGE:
     nfsperf qos [--quick] [--out FILE] [--jobs N]
     nfsperf netqos [--quick] [--port-sched P] [--out FILE] [--jobs N]
     nfsperf cawl [--quick] [--out FILE] [--jobs N]
-    nfsperf bench [--jobs N] [--out FILE] [--against OLD.json]
-                  [--tolerance T]
     nfsperf help
 
 OPTIONS (run):
@@ -101,14 +98,6 @@ COMMANDS:
                 marks each cell cache-fit or writeback-bound (--quick
                 for 16 MB RAM x {filer, fast}); writes CSV to --out
                 [results/cawl.csv]
-    bench       micro-benchmark of the sweep harness itself: runs the
-                quick fleet/qos/transport/cawl/megafleet sweeps serially and
-                again at
-                --jobs, reporting wall-clock and simulated events/sec;
-                writes JSON to --out [results/bench.json]. With
-                --against OLD.json, diffs events/sec and speedup per
-                sweep against that committed baseline and exits nonzero
-                on a drop past --tolerance [0.30]
 
     --jobs N    worker threads for a sweep's independent cells
                 [NFSPERF_JOBS, else the machine's parallelism]; results
@@ -528,123 +517,6 @@ fn cmd_cawl(mut args: Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs one sweep's work-list under the profiler and appends its row.
-fn bench_sweep<T: Send>(
-    report: &mut BenchReport,
-    name: &str,
-    jobs: usize,
-    cells: Vec<nfsperf_sim::Cell<T>>,
-) {
-    let n = cells.len();
-    eprintln!("bench: {name} x{n} cells, {jobs} worker(s) ...");
-    let start = std::time::Instant::now();
-    let (_, stats) = nfsperf_sim::run_cells_profiled(jobs, cells);
-    report.push(SweepStats::from_cells(name, jobs, start.elapsed(), &stats));
-}
-
-fn cmd_bench(mut args: Args) -> Result<(), String> {
-    let out = args
-        .value("--out")?
-        .unwrap_or_else(|| "results/bench.json".into());
-    let against = args.value("--against")?;
-    let tolerance: f64 = args.parsed("--tolerance")?.unwrap_or(0.30);
-    if !(0.0..1.0).contains(&tolerance) {
-        return Err(format!("--tolerance {tolerance} not in [0, 1)"));
-    }
-    let jobs = args.jobs()?;
-    args.finish()?;
-    let scheds = [
-        SchedPolicy::Fifo,
-        SchedPolicy::drr(),
-        SchedPolicy::classed_drr(),
-    ];
-    let mut report = BenchReport::new();
-    report.host_parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(0);
-    let mut job_counts = vec![1];
-    if jobs > 1 {
-        job_counts.push(jobs);
-    }
-    for &j in &job_counts {
-        bench_sweep(
-            &mut report,
-            "fleet",
-            j,
-            fleet_cells(
-                &[1, 2, 4],
-                &[ServerKind::Filer, ServerKind::Knfsd],
-                &[Transport::Udp, Transport::Tcp],
-                1 << 20,
-            ),
-        );
-        bench_sweep(
-            &mut report,
-            "qos",
-            j,
-            qos_run_cells(&[ServerKind::Filer], &scheds, 4, 1 << 20),
-        );
-        bench_sweep(
-            &mut report,
-            "netqos",
-            j,
-            nfsperf_experiments::netqos::netqos_run_cells(
-                &[ServerKind::Knfsd],
-                &NetSched::ALL,
-                &[TrafficMix::Hog],
-                2,
-                512 << 10,
-            ),
-        );
-        bench_sweep(&mut report, "transport", j, transport_cells(2 << 20, LOSS_RATES));
-        bench_sweep(
-            &mut report,
-            "cawl",
-            j,
-            cawl_cells(&CAWL_QUICK_RAM_SIZES, &CAWL_QUICK_SERVERS, 1),
-        );
-        bench_sweep(
-            &mut report,
-            "megafleet",
-            j,
-            megafleet_cells(&[1_000, 10_000], &[ServerKind::Filer], true),
-        );
-    }
-    print!("{}", report.render());
-    if jobs > 1 {
-        for name in ["fleet", "qos", "netqos", "transport", "cawl", "megafleet"] {
-            if let Some(s) = report.speedup(name, jobs) {
-                println!("{name}: {s:.2}x speedup at --jobs {jobs}");
-            }
-        }
-    }
-    let path = std::path::Path::new(&out);
-    report
-        .write_json(path)
-        .map_err(|e| format!("write {out}: {e}"))?;
-    println!("wrote {out}");
-    if let Some(base_path) = against {
-        let text = std::fs::read_to_string(&base_path)
-            .map_err(|e| format!("read baseline {base_path}: {e}"))?;
-        let baseline =
-            BenchReport::parse_json(&text).map_err(|e| format!("baseline {base_path}: {e}"))?;
-        let diff = report.compare(&baseline, tolerance);
-        print!("{}", diff.render());
-        if !diff.passed() {
-            return Err(format!(
-                "{} regression(s) past {:.0}% tolerance vs {base_path}",
-                diff.regressions.len(),
-                tolerance * 100.0
-            ));
-        }
-        println!(
-            "bench: within {:.0}% of baseline {base_path}",
-            tolerance * 100.0
-        );
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.is_empty() {
@@ -664,7 +536,6 @@ fn main() -> ExitCode {
         "qos" => cmd_qos(args),
         "netqos" => cmd_netqos(args),
         "cawl" => cmd_cawl(args),
-        "bench" => cmd_bench(args),
         "help" | "--help" | "-h" => {
             print!("{}", usage());
             Ok(())

@@ -69,10 +69,7 @@ fn randomized_worklists_match_serial_at_any_jobs() {
             let make = || -> Vec<Cell<u64>> {
                 cells
                     .iter()
-                    .enumerate()
-                    .map(|(i, &(seed, steps))| {
-                        Cell::new(format!("prop-{i}"), move || sim_cell(seed, steps))
-                    })
+                    .map(|&(seed, steps)| Cell::new(move || sim_cell(seed, steps)))
                     .collect()
             };
             let serial = run_cells(1, make());
