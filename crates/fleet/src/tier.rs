@@ -1,6 +1,6 @@
 //! The flyweight tier: up to a million behavioral clients in a slab.
 //!
-//! Per client the tier keeps one [`FlyClient`] record (~64 bytes: an RNG
+//! Per client the tier keeps one `FlyClient` record (~64 bytes: an RNG
 //! cursor, an emission clock, three virtual NIC clocks, two timestamps,
 //! two counters) — no pages, no flushd, no per-request locks, no NIC or
 //! mount objects. Each RPC is one slab record advanced by timed events:
@@ -16,7 +16,7 @@
 //! at least one RPC in flight until its last reply, so a megafleet holds
 //! one RPC record per client for its whole run, and at the server's
 //! knee nearly all of them queue inside the server at once. Each one
-//! costs a 48-byte [`FlyRpc`], a 16-byte executor waker entry, a shadow
+//! costs a 48-byte `FlyRpc`, a 16-byte executor waker entry, a shadow
 //! task slot, and inside the server a 56-byte [`FlyweightOp`] plus the
 //! scheduler's ticket. [`FlyTier::bytes_per_client`] counts none of
 //! these; the `resident_bytes` test measures the whole world's heap
@@ -785,7 +785,7 @@ impl FlyTier {
     }
 
     /// Resident bytes per client of the tier's per-client state: the
-    /// [`FlyClient`] record plus this client's amortized share of the
+    /// `FlyClient` record plus this client's amortized share of the
     /// shared latency pool, the model, and the fabric's per-stage state.
     /// Asserted ≤ 256 in tests and reported in the megafleet CSV's
     /// `bytes_per_client` column. It leaves out what each in-flight RPC

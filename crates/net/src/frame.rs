@@ -84,7 +84,7 @@ pub fn pool_copy(bytes: &[u8]) -> Vec<u8> {
 }
 
 /// Returns a retired buffer to the pool. Buffers that never allocated
-/// are dropped, and the pool is bounded at [`POOL_CAP`] so a burst
+/// are dropped, and the pool is bounded at `POOL_CAP` so a burst
 /// cannot pin memory forever.
 pub fn pool_put(mut buf: Vec<u8>) {
     if buf.capacity() == 0 {

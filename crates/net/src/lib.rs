@@ -18,7 +18,7 @@ pub use frame::{
     IP_HEADER, UDP_HEADER,
 };
 pub use nic::{DatagramPayload, Nic, NicSpec};
-pub use sched::{PortDrr, PortFifo, PortPolicy, PortSched, PortTicket, PortWrr, WeightTable};
+pub use sched::{PortPolicy, PortTicket, WeightTable};
 pub use switch::{Fabric, FabricConfig, LaneAdmit, LinkDir, SharedLink, Switch};
 
 use nfsperf_sim::SimDuration;

@@ -10,46 +10,33 @@
 //! [`SharedLink`] models that funnel: one full-duplex link with a
 //! serialization lane per direction. Any number of [`crate::Path`]s can
 //! route `via` the link; datagrams from different paths contend for the
-//! lane under a pluggable [`PortSched`] policy — arrival order by
-//! default, exactly as frames queue on a switch uplink port, or
-//! per-flow DRR/WRR when the experiment asks the switch to police a
-//! hog. [`Switch`] bundles the bookkeeping for the common topology — N
-//! client NICs, one server behind one uplink — so experiment code can
-//! attach clients one line at a time.
+//! lane under a [`PortPolicy`] — arrival order by default, exactly as
+//! frames queue on a switch uplink port, or per-flow DRR/WRR when the
+//! experiment asks the switch to police a hog. [`Switch`] bundles the
+//! bookkeeping for the common topology — N client NICs, one server
+//! behind one uplink — so experiment code can attach clients one line at
+//! a time.
 //!
-//! ## Lane admission (why this is bit-compatible with the old FIFO)
-//!
-//! Before port scheduling existed, a lane was a bare
-//! [`nfsperf_sim::Semaphore`] with one permit. The engine below
-//! replicates that semaphore's admission protocol exactly, with the
-//! waiter queue swapped for a [`PortSched`]:
-//!
-//! - **fast path**: slot free and nothing queued → take the slot
-//!   without queueing (the semaphore's `permits > 0 && queue.is_empty()`
-//!   barge);
-//! - **release**: free the slot, then wake exactly the scheduler's next
-//!   pick (`release_one`'s head wake) — at most one wake outstanding;
-//! - **steal**: a woken waiter that finds the slot taken (a fast-path
-//!   arrival barged in first) refunds its pick and re-queues at the
-//!   scheduler's mercy, as the semaphore's woken waiter re-queued at
-//!   the back.
-//!
-//! Under [`PortFifo`] every wake, poll, and queue transition happens in
-//! the same order as the semaphore lane, so sweeps under the default
-//! policy reproduce the pre-refactor CSVs byte for byte (a replay
-//! property test in this crate and the committed sweep artifacts both
-//! hold this line).
+//! Each lane is a one-slot [`Arbiter`] keyed by the datagram's source
+//! flow and wire bytes; the lane adds only its byte meters and strided
+//! queue-delay samples. The arbiter replicates the one-permit
+//! `Semaphore` the lane once was (fast-path barging, head-only wakes,
+//! re-queue on slot steal), so under `port-fifo` every wake, poll and
+//! queue transition happens in the semaphore lane's order and sweeps
+//! reproduce the pre-scheduling CSVs byte for byte (a replay property
+//! test below and the committed sweep artifacts both hold this line).
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::task::Waker;
 
+use nfsperf_sim::arbiter::{Arbiter, Claim, Key};
 use nfsperf_sim::{
     drive_poll, ByteMeter, Counter, LatencyDigest, Receiver, Sim, SimDuration, SimTime,
 };
 
 use crate::nic::{DatagramPayload, Nic, NicSpec};
-use crate::sched::{PortPolicy, PortSched, PortTicket};
+use crate::sched::PortPolicy;
 use crate::Path;
 
 /// Which way a datagram crosses a [`SharedLink`].
@@ -81,16 +68,9 @@ impl LinkDir {
     }
 }
 
-/// One directional lane: a single serialization slot whose waiters are
-/// ordered by a [`PortSched`].
+/// One directional lane: a one-slot arbiter plus its meters.
 struct Lane {
-    sched: Box<dyn PortSched>,
-    /// Whether a datagram currently holds the serialization slot.
-    busy: Cell<bool>,
-    /// Woken-but-not-yet-running picks (0 or 1 with a single slot):
-    /// release never wakes a second waiter past an outstanding one,
-    /// mirroring the semaphore's single head wake.
-    pending_wakes: Cell<usize>,
+    arbiter: Arbiter,
     meter: ByteMeter,
     datagrams: Counter,
     /// Sampled queue delays (arrival → slot grant). Sampling is strided
@@ -104,25 +84,12 @@ struct Lane {
 impl Lane {
     fn new(policy: &PortPolicy) -> Lane {
         Lane {
-            sched: policy.build(),
-            busy: Cell::new(false),
-            pending_wakes: Cell::new(0),
+            arbiter: Arbiter::new(1, policy.build()),
             meter: ByteMeter::new(),
             datagrams: Counter::new(),
             queue_delay: RefCell::new(Vec::new()),
             sample_counter: Cell::new(0),
             sample_stride: Cell::new(0),
-        }
-    }
-
-    /// Wakes the scheduler's next pick if the slot is free and no wake
-    /// is already outstanding — the engine's single-slot `kick`.
-    fn kick(&self) {
-        if !self.busy.get() && self.pending_wakes.get() == 0 {
-            if let Some(ticket) = self.sched.pick_next() {
-                self.pending_wakes.set(self.pending_wakes.get() + 1);
-                ticket.wake();
-            }
         }
     }
 
@@ -141,7 +108,7 @@ impl Lane {
     /// Live bytes beyond the pinned arbiter model: policy state plus any
     /// enabled sample pool.
     fn extra_resident_bytes(&self) -> usize {
-        self.sched.resident_bytes()
+        self.arbiter.order().resident_bytes()
             + self.queue_delay.borrow().capacity() * std::mem::size_of::<SimDuration>()
     }
 }
@@ -157,7 +124,7 @@ const LINK_MODEL_BYTES: usize = 136;
 
 /// Modeled per-lane arbiter footprint: the semaphore-era lane charged
 /// the semaphore itself plus a 32-byte allowance for pooled wait nodes.
-/// The engine's slot/wake cells and empty FIFO queue fit the same
+/// The arbiter's slot/wake cells and empty FIFO queue fit the same
 /// allowance; DRR/WRR deficit state is charged live, not hand-waved
 /// into this constant (that undercount is exactly what
 /// [`SharedLink::resident_bytes`] now fixes).
@@ -166,16 +133,14 @@ fn arbiter_model_bytes() -> usize {
 }
 
 /// In-flight state for one [`SharedLink::poll_admit`] traversal:
-/// arrival time (for queue-delay sampling) plus the queued ticket once
-/// the fast path fails. Built per hop with [`LaneAdmit::start`] and
-/// must be driven to admission once started — a queued ticket holds a
-/// scheduler slot, just as a parked [`SharedLink::traverse`] task does.
+/// arrival time (for queue-delay sampling) plus the lane arbiter's
+/// claim. Built per hop with [`LaneAdmit::start`] and must be driven to
+/// admission once started — a queued claim holds its place in the
+/// lane's order, just as a parked [`SharedLink::traverse`] task does.
 /// An admitted `LaneAdmit` is spent: the next hop starts a new one.
 pub struct LaneAdmit {
     arrival: SimTime,
-    /// `None` until the fast path fails, so a poll without a ticket is
-    /// the first.
-    ticket: Option<Rc<PortTicket>>,
+    claim: Claim,
 }
 
 impl LaneAdmit {
@@ -183,7 +148,7 @@ impl LaneAdmit {
     pub fn start(now: SimTime) -> LaneAdmit {
         LaneAdmit {
             arrival: now,
-            ticket: None,
+            claim: Claim::default(),
         }
     }
 }
@@ -195,7 +160,7 @@ impl LaneAdmit {
 /// behind each other. The rate comes from a [`NicSpec`] so the link can
 /// mirror the server's own interface (e.g. the knfsd's bus-limited NIC),
 /// putting the fleet bottleneck where the paper's hardware had it. The
-/// order waiters drain is the lane's [`PortSched`] policy.
+/// order waiters drain in is the lane's [`PortPolicy`].
 pub struct SharedLink {
     sim: Sim,
     /// Link name (for reports).
@@ -259,24 +224,14 @@ impl SharedLink {
         self.finish_traverse(dir, payload_len);
     }
 
-    /// Admits one datagram to the `dir` lane without a task: the lane's
-    /// only admission rule, which [`SharedLink::traverse`] drives for
-    /// async callers. Returns the wire time once the serialization slot
-    /// is held (the caller sleeps it, then calls
-    /// [`SharedLink::finish_traverse`]), or `None` after parking a waker
-    /// from `waker_factory`; call again when it fires. The contract is
-    /// the module's lane-admission protocol:
-    ///
-    /// - **fast path**, first call only: a free slot with nothing queued
-    ///   is taken without queueing;
-    /// - otherwise the datagram queues a ticket under the lane's
-    ///   [`PortSched`] and kicks, so a free slot wakes the next pick;
-    /// - a woken ticket re-checks the slot. If a fast-path arrival took
-    ///   it first, the pick is refunded (`ungrant`) and the ticket
-    ///   re-queues at the scheduler's mercy.
-    ///
-    /// Every caller, task-driven or taskless, shares each lane's one
-    /// scheduler, so mixed traffic drains in one order.
+    /// Admits one datagram to the `dir` lane without a task: the lane
+    /// arbiter's [`Arbiter::poll_claim`] keyed by `flow` and `wire_len`,
+    /// which [`SharedLink::traverse`] drives for async callers. Returns
+    /// the wire time once the serialization slot is held (the caller
+    /// sleeps it, then calls [`SharedLink::finish_traverse`]), or `None`
+    /// after parking a waker from `waker_factory`; call again when it
+    /// fires. Every caller, task-driven or taskless, shares each lane's
+    /// one arbiter, so mixed traffic drains in one order.
     pub fn poll_admit(
         &self,
         st: &mut LaneAdmit,
@@ -286,59 +241,30 @@ impl SharedLink {
         waker_factory: &mut dyn FnMut() -> Waker,
     ) -> Option<SimDuration> {
         let lane = &self.lanes[dir.lane()];
-        if st.ticket.is_none() {
-            // Fast path: slot free, nothing queued — barge in without
-            // queueing (the semaphore's uncontended acquire).
-            if !(lane.busy.get() || lane.sched.queued() > 0) {
-                return Some(self.take_slot(lane, st.arrival, wire_len));
-            }
-            let ticket = PortTicket::new(flow, wire_len as u64);
-            lane.sched.enqueue(Rc::clone(&ticket));
-            lane.kick();
-            st.ticket = Some(ticket);
+        let key = Key {
+            flow,
+            class: 0,
+            cost: wire_len as u64,
+        };
+        if !lane.arbiter.poll_claim(key, &mut st.claim, waker_factory) {
+            return None;
         }
-        loop {
-            let ticket = st.ticket.as_ref().expect("LaneAdmit ticket state");
-            if !ticket.is_woken() {
-                ticket.park(waker_factory());
-                return None;
-            }
-            ticket.rearm();
-            lane.pending_wakes.set(lane.pending_wakes.get() - 1);
-            if !lane.busy.get() {
-                break;
-            }
-            // Slot stolen by a fast-path arrival between our wake and
-            // our poll: refund the pick and re-queue.
-            lane.sched.ungrant(flow, wire_len as u64);
-            lane.sched.enqueue(Rc::clone(ticket));
-            lane.kick();
-        }
-        if let Some(t) = st.ticket.take() {
-            PortTicket::recycle(t);
-        }
-        Some(self.take_slot(lane, st.arrival, wire_len))
-    }
-
-    /// Marks `lane`'s slot held, samples the queue delay since
-    /// `arrival`, and returns the datagram's wire time.
-    fn take_slot(&self, lane: &Lane, arrival: SimTime, wire_len: usize) -> SimDuration {
-        lane.busy.set(true);
-        lane.sample_queue_delay(self.sim.now().since(arrival));
-        self.spec.transfer_time(wire_len)
+        lane.sample_queue_delay(self.sim.now().since(st.arrival));
+        Some(self.spec.transfer_time(wire_len))
     }
 
     /// Completes a traversal admitted by [`SharedLink::poll_admit`] once
     /// its wire time has elapsed: meters the payload while still holding
     /// the slot, so meters and datagram counts advance in dequeue order
-    /// even when the scheduler reorders flows, then releases the slot
-    /// and kicks the next pick.
+    /// even when the policy reorders flows, then releases the slot to the
+    /// lane's next pick.
     pub fn finish_traverse(&self, dir: LinkDir, payload_len: usize) {
         let lane = &self.lanes[dir.lane()];
         lane.meter.record(self.sim.now(), payload_len as u64);
         lane.datagrams.inc();
-        lane.busy.set(false);
-        lane.kick();
+        // Lane orders never carry an in-flight quota (`PortPolicy::build`),
+        // so the release reads no flow and any id will do.
+        lane.arbiter.release(0);
     }
 
     /// Payload bytes carried in `dir` (excluding framing).
@@ -916,41 +842,6 @@ mod replay_tests {
                 "script {i}"
             );
         }
-    }
-
-    /// Slot steal: a datagram woken for the free slot, robbed by a
-    /// fast-path arrival before it runs, refunds its DRR pick and
-    /// re-queues. It then goes next: the refund restores the credit that
-    /// puts it ahead of a flow that queued later. The wire never carries
-    /// two datagrams at once.
-    #[test]
-    fn robbed_pick_refunds_its_credit_and_requeues() {
-        let sim = Sim::new();
-        let spec = NicSpec::fast_ethernet();
-        // A quantum below the frame cost makes the refund decide order.
-        let link = SharedLink::with_policy(&sim, "uplink", spec, &PortPolicy::Drr { quantum: 500 });
-        let t = spec.transfer_time(1500).as_nanos();
-        let traverse = |flow: u32, delay: u64, wire: usize, times: usize| {
-            let (s, l) = (sim.clone(), Rc::clone(&link));
-            sim.spawn(async move {
-                s.sleep(SimDuration(delay)).await;
-                // Back-to-back traversals: the second barges into the
-                // slot the first just freed, in the same poll.
-                for _ in 0..times {
-                    l.traverse(flow, LinkDir::ToServer, wire, wire).await;
-                }
-                s.now().as_nanos()
-            })
-        };
-        let thief = traverse(0, 0, 1500, 2);
-        let robbed = traverse(1, 1_000, 1500, 1);
-        let later = traverse(2, t + 1_000, 64, 1);
-        let done = sim.run_until(async move { (thief.await, robbed.await, later.await) });
-        assert_eq!(
-            done,
-            (2 * t, 3 * t, 3 * t + spec.transfer_time(64).as_nanos())
-        );
-        assert_eq!(link.datagrams(LinkDir::ToServer), 4);
     }
 
     /// S2 regression: meter/datagram accounting must be ordered with the

@@ -18,10 +18,7 @@ pub mod server;
 pub use disk::DiskModel;
 pub use fs::{FsState, ROOT_FILEID};
 pub use nvram::{Nvram, NvramAdmit};
-pub use sched::{
-    ClassedDrr, Drr, Fifo, LatencyDigest, OpClass, ReqMeta, SchedPolicy, Scheduler, ServiceEngine,
-    SvcAdmit, SvcSlot, Ticket,
-};
+pub use sched::{LatencyDigest, OpClass, ReqMeta, SchedPolicy, ServiceEngine, SvcAdmit, SvcSlot};
 pub use server::{
     BackendConfig, DiskKind, FlyStep, FlyweightOp, NfsServer, PerClientStats, ServerConfig,
     ServerStats, SlimTierStats,

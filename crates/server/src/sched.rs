@@ -1,53 +1,41 @@
-//! Pluggable server request scheduling.
+//! Server request scheduling.
 //!
 //! The paper's counter-intuitive result — a *faster* server slows client
 //! writes down — is a statement about service order, not bandwidth: what
 //! the server answers first shapes how the client's dirty pages drain.
 //! This module makes that order a policy. Every RPC handler passes through
-//! a [`ServiceEngine`] that owns the server's service slots (the nfsd
-//! thread pool / filer service engine) and asks a [`Scheduler`] which
-//! queued request runs next:
+//! a [`ServiceEngine`]: the server's service slots (the nfsd thread pool /
+//! filer service engine) as an N-slot [`nfsperf_sim::arbiter::Arbiter`],
+//! the same arbiter each switch lane runs over its one slot. The key is
+//! the request's client, class and payload bytes; [`SchedPolicy`] picks
+//! the arbiter's order:
 //!
-//! - [`Fifo`] — arrival order, bit-compatible with the semaphore the
-//!   server used before this subsystem existed (asserted by the
-//!   determinism tests). This stays the default: the paper's servers
-//!   serve FIFO, and the reproduced figures must not move.
-//! - [`Drr`] — deficit round robin across clients with byte-weighted
-//!   quanta (Shreedhar & Varghese): each rotation a client's deficit
-//!   grows by one quantum, and it may dispatch requests until the head
-//!   request's byte cost exceeds the deficit. An 8 KB-write client and a
-//!   32 KB-write client get equal *bytes*, not equal *requests*.
-//! - [`ClassedDrr`] — DRR plus two priority classes per client (WRITE
-//!   and metadata above COMMIT, whose disk flushes are the expensive
-//!   tail) and a per-client in-flight quota, so one client with a deep
-//!   RPC slot table cannot occupy every nfsd at once.
-//! - [`Drr::weighted`] — DRR whose per-rotation top-up is scaled by a
-//!   per-client [`WeightTable`] (the same table type the network
-//!   fabric's `PortWrr` lanes use), so an SLA can hand one client a
-//!   multiple of another's service share.
-//!
-//! The engine replicates the exact admission semantics of
-//! [`nfsperf_sim::Semaphore`] so that `Fifo` is not merely equivalent but
-//! *bit-identical*: a fast-path arrival may barge past a just-woken
-//! waiter (which then re-queues at the back), and each slot release wakes
-//! at most the head of the queue.
+//! - `fifo` — arrival order, bit-compatible with the semaphore the server
+//!   used before scheduling existed (asserted by
+//!   `fifo_engine_is_bit_compatible_with_semaphore` and the determinism
+//!   tests). This stays the default: the paper's servers serve FIFO, and
+//!   the reproduced figures must not move.
+//! - `drr` — deficit round robin across clients with byte-weighted quanta
+//!   (Shreedhar & Varghese): an 8 KB-write client and a 32 KB-write
+//!   client get equal *bytes*, not equal *requests*. A per-client
+//!   [`WeightTable`] (`ServerConfig::client_weights`) scales each
+//!   client's top-up, so an SLA can hand one client a multiple of
+//!   another's service share.
+//! - `classed-drr` — DRR with two classes per client, WRITE and metadata
+//!   above COMMIT (whose disk flushes are the expensive tail), and a
+//!   per-client in-flight quota, so one client with a deep RPC slot table
+//!   cannot occupy every nfsd at once.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::future::Future;
 use std::rc::Rc;
 use std::task::Waker;
 
+use nfsperf_sim::arbiter::{Arbiter, Claim, Key, Order, DEFAULT_QUANTUM};
 use nfsperf_sim::{drive_poll, Counter, Sim, SimDuration, SimTime};
 
-pub use nfsperf_net::WeightTable;
+pub use nfsperf_sim::arbiter::WeightTable;
 pub use nfsperf_sim::LatencyDigest;
-
-/// Byte cost floor: a zero-byte op (COMMIT, GETATTR) still occupies a
-/// service slot, so DRR charges it as if it carried a small payload.
-/// Without a floor, a client could pump unlimited metadata ops through a
-/// single quantum.
-pub const COST_FLOOR: u64 = 512;
 
 /// Request class for scheduling purposes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,445 +61,17 @@ pub struct ReqMeta {
     pub arrival: SimTime,
 }
 
-/// A queued admission request: scheduling metadata plus the woken/waker
-/// handshake (the same shape as the simulator's `WaitNode`). The engine
-/// parks the requesting task on its ticket; the scheduler hands tickets
-/// back from `pick_next` and the engine wakes them.
-///
-/// The metadata is stored field by field so the class and the woken flag
-/// share one word: a million-client megafleet queues one ticket per
-/// flyweight at the server at once.
-pub struct Ticket {
-    client: Cell<usize>,
-    bytes: Cell<u64>,
-    arrival: Cell<SimTime>,
-    class: Cell<OpClass>,
-    woken: Cell<bool>,
-    waker: Cell<Option<Waker>>,
-}
-
-/// Free-list bound for recycled tickets; admissions beyond it fall back
-/// to plain allocation.
-const TICKET_POOL_CAP: usize = 64;
-
-thread_local! {
-    /// Recycled tickets, so steady-state admission allocates nothing.
-    /// Like the simulator's wait-node pool, `Ticket::new` only reuses a
-    /// ticket whose strong count has fallen back to one (the pool's own
-    /// reference): a scheduler queue still holding a clone can never
-    /// see its ticket repurposed.
-    static TICKET_POOL: RefCell<Vec<Rc<Ticket>>> = const { RefCell::new(Vec::new()) };
-}
-
-impl Ticket {
-    fn new(meta: ReqMeta) -> Rc<Ticket> {
-        TICKET_POOL.with(|p| {
-            let mut free = p.borrow_mut();
-            while let Some(t) = free.pop() {
-                if Rc::strong_count(&t) == 1 {
-                    t.set_meta(meta);
-                    t.woken.set(false);
-                    t.waker.take();
-                    return t;
-                }
-                // A holder is still alive somewhere; forget this one.
-            }
-            Rc::new(Ticket {
-                client: Cell::new(meta.client),
-                bytes: Cell::new(meta.bytes),
-                arrival: Cell::new(meta.arrival),
-                class: Cell::new(meta.class),
-                woken: Cell::new(false),
-                waker: Cell::new(None),
-            })
-        })
-    }
-
-    /// Returns a retired ticket to the pool.
-    fn recycle(t: Rc<Ticket>) {
-        TICKET_POOL.with(|p| {
-            let mut free = p.borrow_mut();
-            if free.len() < TICKET_POOL_CAP {
-                free.push(t);
-            }
-        });
-    }
-
-    /// The request's scheduling metadata.
-    pub fn meta(&self) -> ReqMeta {
-        ReqMeta {
-            client: self.client.get(),
-            class: self.class.get(),
-            bytes: self.bytes.get(),
-            arrival: self.arrival.get(),
+impl ReqMeta {
+    /// The request's arbiter key: COMMIT rides in class 1, below WRITE
+    /// and metadata — its knfsd service time is a whole dirty-pool
+    /// flush, so letting a COMMIT backlog monopolize slots starves
+    /// everyone's writes. Orders with one class ignore it.
+    fn key(&self) -> Key {
+        Key {
+            flow: u32::try_from(self.client).expect("client ids fit the arbiter's u32 flows"),
+            class: u8::from(self.class == OpClass::Commit),
+            cost: self.bytes,
         }
-    }
-
-    fn set_meta(&self, meta: ReqMeta) {
-        self.client.set(meta.client);
-        self.class.set(meta.class);
-        self.bytes.set(meta.bytes);
-        self.arrival.set(meta.arrival);
-    }
-
-    fn wake(&self) {
-        self.woken.set(true);
-        if let Some(w) = self.waker.take() {
-            w.wake();
-        }
-    }
-
-    /// Re-arms the handshake so the ticket can be queued again after a
-    /// slot steal.
-    fn rearm(&self) {
-        self.woken.set(false);
-    }
-
-    /// Whether the engine has picked and woken this ticket.
-    fn is_woken(&self) -> bool {
-        self.woken.get()
-    }
-
-    /// Stores a waker for the next wake. Callers must check
-    /// [`Ticket::is_woken`] first.
-    fn park(&self, waker: Waker) {
-        self.waker.set(Some(waker));
-    }
-}
-
-/// A request-ordering policy.
-///
-/// The [`ServiceEngine`] owns the slots; the scheduler owns the order.
-/// `enqueue` admits a ticket to the queue, `pick_next` removes and
-/// returns the next ticket to run (recording any grant state such as an
-/// in-flight quota), and `on_complete` retires a request when its slot is
-/// released. `try_grant`/`ungrant` bracket the engine's fast path and
-/// slot-steal recovery; policies without admission state keep the
-/// defaults.
-pub trait Scheduler {
-    /// Policy name for reports (`fifo`, `drr`, `classed-drr`).
-    fn label(&self) -> &'static str;
-
-    /// Admits a ticket to the queue.
-    fn enqueue(&self, ticket: Rc<Ticket>);
-
-    /// Removes and returns the next ticket to dispatch, or `None` if the
-    /// queue is empty or every queued client is at its in-flight quota.
-    /// Granting (quota accounting) happens here.
-    fn pick_next(&self) -> Option<Rc<Ticket>>;
-
-    /// Fast path: may `meta` start service immediately, bypassing the
-    /// (empty) queue? On `true` the grant is recorded.
-    fn try_grant(&self, _meta: &ReqMeta) -> bool {
-        true
-    }
-
-    /// Reverts a grant whose slot was stolen before service started; the
-    /// ticket re-enters the queue via `enqueue`.
-    fn ungrant(&self, _meta: &ReqMeta) {}
-
-    /// Retires a granted request when its service slot is released.
-    fn on_complete(&self, _meta: &ReqMeta) {}
-
-    /// Number of queued tickets.
-    fn queued(&self) -> usize;
-}
-
-/// Arrival-order scheduling — the pre-subsystem semaphore behavior.
-#[derive(Default)]
-pub struct Fifo {
-    queue: RefCell<VecDeque<Rc<Ticket>>>,
-}
-
-impl Scheduler for Fifo {
-    fn label(&self) -> &'static str {
-        "fifo"
-    }
-
-    fn enqueue(&self, ticket: Rc<Ticket>) {
-        self.queue.borrow_mut().push_back(ticket);
-    }
-
-    fn pick_next(&self) -> Option<Rc<Ticket>> {
-        self.queue.borrow_mut().pop_front()
-    }
-
-    fn queued(&self) -> usize {
-        self.queue.borrow().len()
-    }
-}
-
-/// Per-client scheduling state for the DRR core.
-struct DrrClient {
-    /// One FIFO per class, drained in class order (index 0 first).
-    queues: Vec<VecDeque<Rc<Ticket>>>,
-    /// Byte credit accumulated while waiting in the active ring.
-    deficit: u64,
-    /// Requests granted (picked or fast-pathed) and not yet completed.
-    granted: usize,
-    /// Whether the client is in the active ring.
-    in_ring: bool,
-}
-
-impl DrrClient {
-    fn has_work(&self) -> bool {
-        self.queues.iter().any(|q| !q.is_empty())
-    }
-}
-
-struct DrrInner {
-    clients: Vec<DrrClient>,
-    /// Round-robin ring of client ids with queued work.
-    ring: VecDeque<usize>,
-    queued: usize,
-}
-
-impl DrrInner {
-    fn ensure(&mut self, client: usize, classes: usize) {
-        while self.clients.len() <= client {
-            self.clients.push(DrrClient {
-                queues: vec![VecDeque::new(); classes],
-                deficit: 0,
-                granted: 0,
-                in_ring: false,
-            });
-        }
-    }
-}
-
-/// Deficit round robin core shared by [`Drr`] (one class, unlimited
-/// quota) and [`ClassedDrr`] (two classes, finite quota).
-struct DrrCore {
-    label: &'static str,
-    quantum: u64,
-    quota: usize,
-    classes: usize,
-    /// When set, client `c`'s per-rotation top-up is `quantum ×
-    /// weights.get(c)` — the SLA-table weighting; `None` is plain DRR.
-    weights: Option<WeightTable>,
-    inner: RefCell<DrrInner>,
-}
-
-impl DrrCore {
-    fn new(label: &'static str, quantum: u64, quota: usize, classes: usize) -> DrrCore {
-        assert!(quantum > 0, "DRR quantum must be positive");
-        assert!(quota > 0, "a zero in-flight quota would deadlock");
-        DrrCore {
-            label,
-            quantum,
-            quota,
-            classes,
-            weights: None,
-            inner: RefCell::new(DrrInner {
-                clients: Vec::new(),
-                ring: VecDeque::new(),
-                queued: 0,
-            }),
-        }
-    }
-
-    fn topup(&self, client: usize) -> u64 {
-        match &self.weights {
-            Some(w) => self.quantum * w.get(client as u32),
-            None => self.quantum,
-        }
-    }
-
-    fn class_of(&self, class: OpClass) -> usize {
-        if self.classes == 1 {
-            0
-        } else {
-            match class {
-                // COMMIT rides below WRITE/metadata: its knfsd service
-                // time is a whole dirty-pool flush, so letting a COMMIT
-                // backlog monopolize slots starves everyone's writes.
-                OpClass::Commit => 1,
-                OpClass::Write | OpClass::Meta => 0,
-            }
-        }
-    }
-
-    fn cost(bytes: u64) -> u64 {
-        bytes.max(COST_FLOOR)
-    }
-}
-
-impl Scheduler for DrrCore {
-    fn label(&self) -> &'static str {
-        self.label
-    }
-
-    fn enqueue(&self, ticket: Rc<Ticket>) {
-        let meta = ticket.meta();
-        let class = self.class_of(meta.class);
-        let mut inner = self.inner.borrow_mut();
-        inner.ensure(meta.client, self.classes);
-        inner.clients[meta.client].queues[class].push_back(ticket);
-        inner.queued += 1;
-        if !inner.clients[meta.client].in_ring {
-            inner.clients[meta.client].in_ring = true;
-            inner.ring.push_back(meta.client);
-        }
-    }
-
-    fn pick_next(&self) -> Option<Rc<Ticket>> {
-        let mut inner = self.inner.borrow_mut();
-        // Visits since the last top-up or ring change; once it spans the
-        // whole ring, every queued client is quota-blocked.
-        let mut blocked = 0usize;
-        loop {
-            let &client = inner.ring.front()?;
-            if !inner.clients[client].has_work() {
-                // Queue drained while the client kept its ring slot
-                // (possible after an ungrant/re-enqueue shuffle): retire
-                // it from the ring and forget its credit, as DRR does for
-                // any idling flow.
-                inner.ring.pop_front();
-                inner.clients[client].in_ring = false;
-                inner.clients[client].deficit = 0;
-                blocked = 0;
-                continue;
-            }
-            if inner.clients[client].granted >= self.quota {
-                blocked += 1;
-                if blocked >= inner.ring.len() {
-                    return None;
-                }
-                inner.ring.rotate_left(1);
-                continue;
-            }
-            let class = inner.clients[client]
-                .queues
-                .iter()
-                .position(|q| !q.is_empty())
-                .expect("has_work checked above");
-            let cost = DrrCore::cost(inner.clients[client].queues[class][0].meta().bytes);
-            if inner.clients[client].deficit < cost {
-                inner.clients[client].deficit += self.topup(client);
-                inner.ring.rotate_left(1);
-                blocked = 0;
-                continue;
-            }
-            let cl = &mut inner.clients[client];
-            cl.deficit -= cost;
-            cl.granted += 1;
-            let ticket = cl.queues[class].pop_front().expect("non-empty class queue");
-            inner.queued -= 1;
-            if !inner.clients[client].has_work() {
-                inner.ring.pop_front();
-                inner.clients[client].in_ring = false;
-                inner.clients[client].deficit = 0;
-            }
-            return Some(ticket);
-        }
-    }
-
-    fn try_grant(&self, meta: &ReqMeta) -> bool {
-        let mut inner = self.inner.borrow_mut();
-        inner.ensure(meta.client, self.classes);
-        if inner.clients[meta.client].granted < self.quota {
-            inner.clients[meta.client].granted += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn ungrant(&self, meta: &ReqMeta) {
-        let mut inner = self.inner.borrow_mut();
-        let cl = &mut inner.clients[meta.client];
-        cl.granted -= 1;
-        // Refund the byte cost pick_next charged; the ticket is about to
-        // re-enter the queue and would otherwise pay twice.
-        cl.deficit += DrrCore::cost(meta.bytes);
-    }
-
-    fn on_complete(&self, meta: &ReqMeta) {
-        let mut inner = self.inner.borrow_mut();
-        inner.clients[meta.client].granted -= 1;
-    }
-
-    fn queued(&self) -> usize {
-        self.inner.borrow().queued
-    }
-}
-
-/// Deficit round robin across clients, byte-weighted quanta, no classes,
-/// no in-flight quota.
-pub struct Drr(DrrCore);
-
-impl Drr {
-    /// Creates a DRR scheduler with the given per-rotation byte quantum.
-    pub fn new(quantum: u64) -> Drr {
-        Drr(DrrCore::new("drr", quantum, usize::MAX, 1))
-    }
-
-    /// Creates a weighted DRR scheduler: client `c`'s per-rotation
-    /// top-up is `quantum × weights.get(c)`.
-    pub fn weighted(quantum: u64, weights: WeightTable) -> Drr {
-        let mut core = DrrCore::new("wdrr", quantum, usize::MAX, 1);
-        core.weights = Some(weights);
-        Drr(core)
-    }
-}
-
-impl Scheduler for Drr {
-    fn label(&self) -> &'static str {
-        self.0.label()
-    }
-    fn enqueue(&self, ticket: Rc<Ticket>) {
-        self.0.enqueue(ticket);
-    }
-    fn pick_next(&self) -> Option<Rc<Ticket>> {
-        self.0.pick_next()
-    }
-    fn try_grant(&self, meta: &ReqMeta) -> bool {
-        self.0.try_grant(meta)
-    }
-    fn ungrant(&self, meta: &ReqMeta) {
-        self.0.ungrant(meta)
-    }
-    fn on_complete(&self, meta: &ReqMeta) {
-        self.0.on_complete(meta)
-    }
-    fn queued(&self) -> usize {
-        self.0.queued()
-    }
-}
-
-/// DRR with WRITE-above-COMMIT priority classes and a per-client
-/// in-flight quota.
-pub struct ClassedDrr(DrrCore);
-
-impl ClassedDrr {
-    /// Creates a classed DRR scheduler: `quantum` bytes of credit per
-    /// rotation, at most `quota` requests per client in service at once.
-    pub fn new(quantum: u64, quota: usize) -> ClassedDrr {
-        ClassedDrr(DrrCore::new("classed-drr", quantum, quota, 2))
-    }
-}
-
-impl Scheduler for ClassedDrr {
-    fn label(&self) -> &'static str {
-        self.0.label()
-    }
-    fn enqueue(&self, ticket: Rc<Ticket>) {
-        self.0.enqueue(ticket);
-    }
-    fn pick_next(&self) -> Option<Rc<Ticket>> {
-        self.0.pick_next()
-    }
-    fn try_grant(&self, meta: &ReqMeta) -> bool {
-        self.0.try_grant(meta)
-    }
-    fn ungrant(&self, meta: &ReqMeta) {
-        self.0.ungrant(meta)
-    }
-    fn on_complete(&self, meta: &ReqMeta) {
-        self.0.on_complete(meta)
-    }
-    fn queued(&self) -> usize {
-        self.0.queued()
     }
 }
 
@@ -536,23 +96,20 @@ pub enum SchedPolicy {
 }
 
 impl SchedPolicy {
-    /// Default DRR quantum: one client's largest WRITE (32 KB) per
-    /// rotation.
-    pub const DEFAULT_QUANTUM: u64 = 32 * 1024;
     /// Default per-client in-flight quota for [`SchedPolicy::ClassedDrr`].
     pub const DEFAULT_QUOTA: usize = 2;
 
     /// DRR with the default quantum.
     pub fn drr() -> SchedPolicy {
         SchedPolicy::Drr {
-            quantum: SchedPolicy::DEFAULT_QUANTUM,
+            quantum: DEFAULT_QUANTUM,
         }
     }
 
     /// Classed DRR with the default quantum and quota.
     pub fn classed_drr() -> SchedPolicy {
         SchedPolicy::ClassedDrr {
-            quantum: SchedPolicy::DEFAULT_QUANTUM,
+            quantum: DEFAULT_QUANTUM,
             quota: SchedPolicy::DEFAULT_QUOTA,
         }
     }
@@ -577,42 +134,29 @@ impl SchedPolicy {
         }
     }
 
-    /// Builds the scheduler, upgrading a DRR policy to weighted DRR when
-    /// a client weight table is supplied (FIFO ignores weights — there is
-    /// no share to scale).
-    fn build_weighted(&self, weights: Option<&WeightTable>) -> Box<dyn Scheduler> {
-        match (*self, weights) {
-            (SchedPolicy::Drr { quantum }, Some(w)) => Box::new(Drr::weighted(quantum, w.clone())),
-            (SchedPolicy::Fifo, _) => Box::new(Fifo::default()),
-            (SchedPolicy::Drr { quantum }, None) => Box::new(Drr::new(quantum)),
-            (SchedPolicy::ClassedDrr { quantum, quota }, _) => {
-                Box::new(ClassedDrr::new(quantum, quota))
+    /// Builds the arbiter order, scaling plain DRR's per-client top-ups
+    /// by a weight table when one is supplied (FIFO has no share to
+    /// scale, and classed DRR keeps uniform weights).
+    fn build(&self, weights: Option<&WeightTable>) -> Order {
+        match *self {
+            SchedPolicy::Fifo => Order::fifo(),
+            SchedPolicy::Drr { quantum } => {
+                Order::drr(quantum, weights.cloned().unwrap_or_default(), 1, None)
+            }
+            SchedPolicy::ClassedDrr { quantum, quota } => {
+                Order::drr(quantum, WeightTable::uniform(), 2, Some(quota))
             }
         }
     }
 }
 
-/// The server's service-slot pool plus its scheduling policy.
-///
-/// Admission follows the exact shape of [`nfsperf_sim::Semaphore`] so
-/// that [`SchedPolicy::Fifo`] reproduces the pre-subsystem event order
-/// bit for bit:
-///
-/// - fast path: a free slot with an empty queue is taken immediately
-///   (this can barge past a woken-but-not-yet-running waiter, exactly as
-///   the semaphore allowed);
-/// - a released slot wakes at most one queued ticket (the scheduler's
-///   pick), and a woken ticket that finds its slot stolen re-queues at
-///   the back;
-/// - `pending_wakes` tracks picks whose tasks have not yet run, so a
-///   release never wakes two tickets for one slot.
+/// The server's service slots: an N-slot arbiter keyed by each request's
+/// client, class and payload bytes, plus the byte counters and
+/// per-client latency samples the server reports.
 pub struct ServiceEngine {
     sim: Sim,
     policy: SchedPolicy,
-    sched: Box<dyn Scheduler>,
-    slots: usize,
-    free: Cell<usize>,
-    pending_wakes: Cell<usize>,
+    arbiter: Arbiter,
     enqueued_bytes: Counter,
     served_bytes: Counter,
     queue_delay: RefCell<Vec<Vec<SimDuration>>>,
@@ -631,8 +175,8 @@ impl ServiceEngine {
         ServiceEngine::with_weights(sim, slots, policy, None)
     }
 
-    /// Like [`ServiceEngine::new`], upgrading a DRR policy to weighted
-    /// DRR when a per-client SLA weight table is supplied.
+    /// Like [`ServiceEngine::new`], scaling a DRR policy's per-client
+    /// top-ups by an SLA weight table when one is supplied.
     pub fn with_weights(
         sim: &Sim,
         slots: usize,
@@ -643,10 +187,7 @@ impl ServiceEngine {
         Rc::new(ServiceEngine {
             sim: sim.clone(),
             policy,
-            sched: policy.build_weighted(weights),
-            slots,
-            free: Cell::new(slots),
-            pending_wakes: Cell::new(0),
+            arbiter: Arbiter::new(slots, policy.build(weights)),
             enqueued_bytes: Counter::new(),
             served_bytes: Counter::new(),
             queue_delay: RefCell::new(Vec::new()),
@@ -667,24 +208,19 @@ impl ServiceEngine {
         self.policy
     }
 
-    /// The policy's report label.
-    pub fn label(&self) -> &'static str {
-        self.sched.label()
-    }
-
     /// Total service slots.
     pub fn slots(&self) -> usize {
-        self.slots
+        self.arbiter.slots()
     }
 
     /// Requests currently in service.
     pub fn in_flight(&self) -> usize {
-        self.slots - self.free.get()
+        self.arbiter.slots() - self.arbiter.free()
     }
 
     /// Requests waiting for a slot.
     pub fn queued(&self) -> usize {
-        self.sched.queued()
+        self.arbiter.queued()
     }
 
     /// Payload bytes of every request admitted so far.
@@ -719,32 +255,23 @@ impl ServiceEngine {
             .unwrap_or_default()
     }
 
-    /// Acquires a service slot for `meta`, waiting in scheduler order:
+    /// Acquires a service slot for `meta`, waiting in policy order:
     /// drives [`ServiceEngine::poll_admit`] from the calling task.
     /// Dropping the returned [`SvcSlot`] releases the slot and dispatches
-    /// the scheduler's next pick.
+    /// the next pick.
     pub fn admit(self: &Rc<Self>, meta: ReqMeta) -> impl Future<Output = SvcSlot> + '_ {
         let mut st = SvcAdmit::default();
         drive_poll(move |wf| self.poll_admit(meta, &mut st, wf))
     }
 
-    /// Acquires a service slot without a task: the engine's only
-    /// admission rule, which [`ServiceEngine::admit`] drives for async
-    /// callers. Returns `Some(slot)` once admitted, `None` after parking
-    /// a waker from `waker_factory` (call again when it fires). The
-    /// contract is the engine's slot protocol (see [`ServiceEngine`]):
-    ///
-    /// - the request's bytes count as enqueued on the first call;
-    /// - **fast path**, first call only: a free slot, an empty queue and
-    ///   the policy's `try_grant` admit at once;
-    /// - otherwise the request queues a ticket and kicks, since a new
-    ///   arrival can be eligible while slots idle;
-    /// - a woken ticket re-checks for a free slot. If a fast-path arrival
-    ///   took it first, the grant is refunded (`ungrant`) and the ticket
-    ///   re-queues at the back.
-    ///
-    /// Every caller, task-driven or taskless, shares the one scheduler
-    /// queue, so mixed traffic is served in one order.
+    /// Acquires a service slot without a task: the arbiter's
+    /// [`Arbiter::poll_claim`] for the request's key, which
+    /// [`ServiceEngine::admit`] drives for async callers. Returns
+    /// `Some(slot)` once admitted, `None` after parking a waker from
+    /// `waker_factory` (call again when it fires). The request's bytes
+    /// count as enqueued on the first call. Every caller, task-driven or
+    /// taskless, shares the one arbiter, so mixed traffic is served in
+    /// one order.
     pub fn poll_admit(
         self: &Rc<Self>,
         meta: ReqMeta,
@@ -768,61 +295,20 @@ impl ServiceEngine {
         st: &mut SvcAdmit,
         waker_factory: &mut dyn FnMut() -> Waker,
     ) -> bool {
-        if !st.started {
-            st.started = true;
+        if !st.claim.is_queued() {
             self.enqueued_bytes.add(meta.bytes);
-            if self.free.get() > 0 && self.sched.queued() == 0 && self.sched.try_grant(&meta) {
-                self.take_slot(&meta);
-                return true;
-            }
-            let ticket = Ticket::new(meta);
-            self.sched.enqueue(Rc::clone(&ticket));
-            self.kick();
-            st.ticket = Some(ticket);
         }
-        loop {
-            let ticket = st.ticket.as_ref().expect("SvcAdmit ticket state");
-            if !ticket.is_woken() {
-                ticket.park(waker_factory());
-                return false;
-            }
-            ticket.rearm();
-            self.pending_wakes.set(self.pending_wakes.get() - 1);
-            if self.free.get() > 0 {
-                if let Some(t) = st.ticket.take() {
-                    Ticket::recycle(t);
-                }
-                self.take_slot(&meta);
-                return true;
-            }
-            // A fast-path arrival stole the slot between our wake and our
-            // poll: give the grant back and re-queue at the back.
-            self.sched.ungrant(&meta);
-            self.sched.enqueue(Rc::clone(ticket));
-            self.kick();
+        if !self
+            .arbiter
+            .poll_claim(meta.key(), &mut st.claim, waker_factory)
+        {
+            return false;
         }
-    }
-
-    fn take_slot(&self, meta: &ReqMeta) {
-        self.free.set(self.free.get() - 1);
         if meta.client < self.sample_cap.get() {
             let delay = self.sim.now().since(meta.arrival);
             record_sample(&self.queue_delay, meta.client, delay);
         }
-    }
-
-    /// Wakes scheduler picks while slots are free and not already spoken
-    /// for by an earlier wake.
-    fn kick(&self) {
-        while self.free.get() > self.pending_wakes.get() {
-            match self.sched.pick_next() {
-                Some(ticket) => {
-                    self.pending_wakes.set(self.pending_wakes.get() + 1);
-                    ticket.wake();
-                }
-                None => break,
-            }
-        }
+        true
     }
 
     /// Ends the service of a request admitted with `meta`: the drop of
@@ -834,9 +320,7 @@ impl ServiceEngine {
             let sojourn = self.sim.now().since(meta.arrival);
             record_sample(&self.service_lat, meta.client, sojourn);
         }
-        self.sched.on_complete(meta);
-        self.free.set(self.free.get() + 1);
-        self.kick();
+        self.arbiter.release(meta.key().flow);
     }
 }
 
@@ -850,18 +334,16 @@ fn record_sample(store: &RefCell<Vec<Vec<SimDuration>>>, client: usize, sample: 
 
 /// In-flight state for [`ServiceEngine::poll_admit`]; `Default` is the
 /// not-yet-started state. Must be driven to admission once started — a
-/// queued ticket holds scheduler state, just as a parked task does.
+/// queued claim holds its place in the order, just as a parked task does.
 #[derive(Default)]
 pub struct SvcAdmit {
-    started: bool,
-    ticket: Option<Rc<Ticket>>,
+    claim: Claim,
 }
 
 impl SvcAdmit {
     /// Resets to the not-yet-started state for reuse by the next RPC.
     pub fn reset(&mut self) {
-        self.started = false;
-        self.ticket = None;
+        self.claim = Claim::default();
     }
 }
 
@@ -894,50 +376,6 @@ mod tests {
         }
     }
 
-    /// Drains a scheduler by repeated pick, completing each pick
-    /// immediately; returns the client ids in service order.
-    fn drain(sched: &dyn Scheduler) -> Vec<usize> {
-        let mut order = Vec::new();
-        while let Some(t) = sched.pick_next() {
-            order.push(t.meta().client);
-            sched.on_complete(&t.meta());
-        }
-        order
-    }
-
-    /// Slot steal: a request woken for the free slot, robbed by a
-    /// fast-path arrival before it runs, refunds its DRR grant and
-    /// re-queues. It is then served next: the refund restores the credit
-    /// that puts it ahead of a client that queued later.
-    #[test]
-    fn robbed_grant_refunds_its_credit_and_requeues() {
-        let sim = Sim::new();
-        // A quantum below the request cost makes the refund decide order.
-        let engine = ServiceEngine::new(&sim, 1, SchedPolicy::Drr { quantum: 512 });
-        let serve = |client: usize, delay: u64, bytes: u64, times: usize| {
-            let (s, e) = (sim.clone(), Rc::clone(&engine));
-            sim.spawn(async move {
-                s.sleep(SimDuration::from_micros(delay)).await;
-                let mut admitted = 0;
-                // Back-to-back requests: the second barges into the slot
-                // the first just freed, in the same poll.
-                for _ in 0..times {
-                    let slot = e.admit(meta(client, OpClass::Write, bytes)).await;
-                    admitted = s.now().as_nanos() / 1_000;
-                    s.sleep(SimDuration::from_micros(100)).await;
-                    drop(slot);
-                }
-                admitted
-            })
-        };
-        let thief = serve(0, 0, 4096, 2);
-        let robbed = serve(1, 1, 4096, 1);
-        let later = serve(2, 101, 0, 1);
-        let admitted = sim.run_until(async move { (thief.await, robbed.await, later.await) });
-        assert_eq!(admitted, (100, 200, 300), "admission instants, µs");
-        assert_eq!(engine.served_bytes(), 3 * 4096);
-    }
-
     /// The flyweight sample cap: clients at or above the cap are served
     /// normally but leave no latency vectors behind, so a million
     /// flyweight ids cost the engine nothing.
@@ -965,143 +403,95 @@ mod tests {
         assert!(engine.queue_delay.borrow().len() <= 1);
     }
 
+    /// DRR state is sparse: an engine that has admitted client ids 0 and
+    /// 999_983 holds scheduler state only while a client is backlogged
+    /// or, under classed DRR's finite quota, holds grants — never one
+    /// entry per client id below the highest.
     #[test]
-    fn fifo_serves_in_arrival_order() {
-        let sched = Fifo::default();
-        for (client, bytes) in [(2usize, 8192u64), (0, 512), (1, 32768), (0, 8192)] {
-            sched.enqueue(Ticket::new(meta(client, OpClass::Write, bytes)));
+    fn drr_engine_holds_state_only_for_busy_clients() {
+        for policy in [SchedPolicy::drr(), SchedPolicy::classed_drr()] {
+            let sim = Sim::new();
+            let engine = ServiceEngine::new(&sim, 1, policy);
+            let state = |e: &ServiceEngine| e.arbiter.order().resident_bytes();
+            let serve = |client: usize, delay: u64| {
+                let (s, e) = (sim.clone(), Rc::clone(&engine));
+                sim.spawn(async move {
+                    s.sleep(SimDuration::from_micros(delay)).await;
+                    let slot = e.admit(meta(client, OpClass::Write, 8192)).await;
+                    s.sleep(SimDuration::from_micros(100)).await;
+                    drop(slot);
+                })
+            };
+            let (a, b) = (serve(0, 0), serve(999_983, 1));
+            let (s, e) = (sim.clone(), Rc::clone(&engine));
+            let busy = sim.run_until(async move {
+                s.sleep(SimDuration::from_micros(50)).await;
+                let busy = state(&e);
+                a.await;
+                b.await;
+                busy
+            });
+            // One backlogged client (and one granted one under the
+            // quota): a few small tables, not ~a million entries.
+            assert!(
+                busy > 0 && busy < 1024,
+                "{policy:?}: {busy} bytes while busy"
+            );
+            let idle = state(&engine);
+            assert!(idle < 1024, "{policy:?}: {idle} bytes when idle");
+            assert_eq!(engine.served_bytes(), 2 * 8192);
         }
-        assert_eq!(drain(&sched), vec![2, 0, 1, 0]);
-        assert_eq!(sched.queued(), 0);
     }
 
-    /// DRR quantum accounting: with an 8 KB quantum, a client sending
-    /// 32 KB writes is served once for every four services of a client
-    /// sending 8 KB writes — equal bytes, not equal requests.
-    #[test]
-    fn drr_quantum_accounting_is_byte_weighted() {
-        let sched = Drr::new(8192);
-        for _ in 0..8 {
-            sched.enqueue(Ticket::new(meta(0, OpClass::Write, 8192)));
-        }
-        for _ in 0..2 {
-            sched.enqueue(Ticket::new(meta(1, OpClass::Write, 32768)));
-        }
-        assert_eq!(drain(&sched), vec![0, 0, 0, 0, 1, 0, 0, 0, 0, 1]);
-    }
-
-    /// Weighted DRR: an SLA table entry of 4 gives client 1 four quanta
-    /// per rotation, so it drains four requests to client 0's one.
-    #[test]
-    fn weighted_drr_scales_the_topup_by_the_sla_table() {
-        let sched = Drr::weighted(8192, WeightTable::new(vec![1, 4]));
-        assert_eq!(sched.label(), "wdrr");
-        for _ in 0..4 {
-            sched.enqueue(Ticket::new(meta(0, OpClass::Write, 8192)));
-        }
-        for _ in 0..8 {
-            sched.enqueue(Ticket::new(meta(1, OpClass::Write, 8192)));
-        }
-        assert_eq!(
-            drain(&sched),
-            vec![0, 1, 1, 1, 1, 0, 1, 1, 1, 1, 0, 0],
-            "client 1 earns 4x service per rotation"
-        );
-        // Clients beyond the table default to weight 1: plain DRR.
-        let uniform = Drr::weighted(8192, WeightTable::uniform());
-        for client in [5usize, 9] {
-            for _ in 0..2 {
-                uniform.enqueue(Ticket::new(meta(client, OpClass::Write, 8192)));
-            }
-        }
-        assert_eq!(drain(&uniform), vec![5, 9, 5, 9]);
-    }
-
-    /// The DRR fairness bound: between two backlogged clients, served
-    /// bytes never diverge by more than a quantum plus one max-size op.
-    #[test]
-    fn drr_prefix_byte_balance() {
-        let sched = Drr::new(8192);
-        for _ in 0..16 {
-            sched.enqueue(Ticket::new(meta(0, OpClass::Write, 8192)));
-        }
-        for _ in 0..4 {
-            sched.enqueue(Ticket::new(meta(1, OpClass::Write, 32768)));
-        }
-        let mut served = [0i64, 0i64];
-        let mut picks = 0usize;
-        while let Some(t) = sched.pick_next() {
-            let m = t.meta();
-            served[m.client] += m.bytes as i64;
-            sched.on_complete(&m);
-            picks += 1;
-            // Only meaningful while both clients stay backlogged.
-            if picks <= 16 {
-                assert!(
-                    (served[0] - served[1]).abs() <= 8192 + 32768,
-                    "byte divergence {} after {picks} picks",
-                    served[0] - served[1]
-                );
-            }
-        }
-        assert_eq!(served[0], 16 * 8192);
-        assert_eq!(served[1], 4 * 32768);
-    }
-
-    #[test]
-    fn classed_drr_enforces_in_flight_quota() {
-        let sched = ClassedDrr::new(32768, 2);
-        for _ in 0..5 {
-            sched.enqueue(Ticket::new(meta(0, OpClass::Write, 8192)));
-        }
-        sched.enqueue(Ticket::new(meta(1, OpClass::Write, 8192)));
-
-        let first = sched.pick_next().expect("slot 1");
-        assert_eq!(first.meta().client, 0);
-        let second = sched.pick_next().expect("slot 2");
-        assert_eq!(second.meta().client, 0);
-        // Client 0 is at quota: the next pick must skip to client 1.
-        let third = sched.pick_next().expect("client 1 eligible");
-        assert_eq!(third.meta().client, 1);
-        // Everyone queued is now at quota or empty: no pick.
-        assert!(sched.pick_next().is_none());
-        assert_eq!(sched.queued(), 3);
-        // Completing one of client 0's requests unblocks it.
-        sched.on_complete(&first.meta());
-        assert_eq!(sched.pick_next().expect("unblocked").meta().client, 0);
-    }
-
+    /// Classed DRR puts COMMIT in the lower class: while a WRITE holds
+    /// the one slot, a client queues three COMMITs, then a metadata op
+    /// and a WRITE, and the latter two are served first. Plain DRR keeps
+    /// the client's arrival order.
     #[test]
     fn classed_drr_serves_writes_before_commit_backlog() {
-        let sched = ClassedDrr::new(32768, 8);
-        // A COMMIT backlog arrives first...
-        for _ in 0..3 {
-            sched.enqueue(Ticket::new(meta(0, OpClass::Commit, 0)));
+        use OpClass::{Commit, Meta, Write};
+        for (policy, want) in [
+            (
+                SchedPolicy::classed_drr(),
+                [Write, Meta, Write, Commit, Commit, Commit],
+            ),
+            (
+                SchedPolicy::drr(),
+                [Write, Commit, Commit, Commit, Meta, Write],
+            ),
+        ] {
+            let sim = Sim::new();
+            let engine = ServiceEngine::new(&sim, 1, policy);
+            let served = Rc::new(RefCell::new(Vec::new()));
+            let ops = [
+                (1, Write, 0),
+                (0, Commit, 1),
+                (0, Commit, 2),
+                (0, Commit, 3),
+                (0, Meta, 4),
+                (0, Write, 5),
+            ];
+            let handles: Vec<_> = ops
+                .into_iter()
+                .map(|(client, class, delay)| {
+                    let (s, e, served) = (sim.clone(), Rc::clone(&engine), Rc::clone(&served));
+                    sim.spawn(async move {
+                        s.sleep(SimDuration::from_micros(delay)).await;
+                        let bytes = if class == Write { 8192 } else { 0 };
+                        let slot = e.admit(meta(client, class, bytes)).await;
+                        served.borrow_mut().push(class);
+                        s.sleep(SimDuration::from_micros(100)).await;
+                        drop(slot);
+                    })
+                })
+                .collect();
+            sim.run_until(async move {
+                for h in handles {
+                    h.await;
+                }
+            });
+            assert_eq!(*served.borrow(), want, "{policy:?}");
         }
-        // ...then a WRITE from the same client.
-        sched.enqueue(Ticket::new(meta(0, OpClass::Write, 8192)));
-        let first = sched.pick_next().expect("pick");
-        assert_eq!(first.meta().class, OpClass::Write);
-        // The backlog still drains afterwards.
-        assert_eq!(
-            (0..3)
-                .map(|_| sched.pick_next().expect("commit").meta().class)
-                .filter(|c| *c == OpClass::Commit)
-                .count(),
-            3
-        );
-    }
-
-    #[test]
-    fn fast_path_grant_counts_against_quota() {
-        let sched = ClassedDrr::new(32768, 1);
-        let m = meta(0, OpClass::Write, 8192);
-        assert!(sched.try_grant(&m));
-        assert!(!sched.try_grant(&m), "quota 1 must reject a second grant");
-        sched.ungrant(&m);
-        assert!(sched.try_grant(&m), "ungrant must return the quota");
-        sched.on_complete(&m);
-        assert!(sched.try_grant(&m));
     }
 
     /// One simulated client-service world: `ops` are (start_delay_us,

@@ -527,7 +527,7 @@ impl NfsServer {
 
     /// Starts a flyweight WRITE of `bytes` payload for client id
     /// `client`: same checkpoint gate, scheduler admission, CPU cost, and
-    /// backend step as [`NfsServer::handle_write`], but without XDR
+    /// backend step as `NfsServer::handle_write`, but without XDR
     /// decode, file-system state, or per-client digests. Counts the op
     /// and stamps its arrival, then hands back a state machine the
     /// caller advances with [`NfsServer::poll_flyweight`].
@@ -537,7 +537,7 @@ impl NfsServer {
     }
 
     /// Starts a flyweight COMMIT for client id `client`: same gate,
-    /// admission, and backend step as [`NfsServer::handle_commit`].
+    /// admission, and backend step as `NfsServer::handle_commit`.
     pub fn begin_flyweight_commit(&self, client: usize) -> FlyweightOp {
         self.slim_ops.inc();
         FlyweightOp::new(client, OpClass::Commit, 0, self.sim.now())

@@ -1,0 +1,934 @@
+//! One slot arbiter: `N` slots, waiters served in a policy order.
+//!
+//! The test bed has two contended resources beyond the client: the
+//! switch uplink port (one serialization slot per direction) and the
+//! server's service slots (knfsd's nfsd threads, the filer's engine).
+//! Both are this mechanism. An [`Arbiter`] owns the slots and the
+//! admission protocol, and an [`Order`] owns who goes next:
+//!
+//! - [`Order::fifo`] — arrival order;
+//! - [`Order::drr`] — Shreedhar–Varghese deficit round robin across
+//!   keys, with byte-weighted quanta scaled per key by a
+//!   [`WeightTable`], up to two priority classes per key, and an
+//!   optional per-key in-flight quota.
+//!
+//! The protocol replicates [`crate::Semaphore`]'s admission exactly, with
+//! the waiter queue swapped for the order, so that a FIFO arbiter is not
+//! merely equivalent to a semaphore but *bit-identical* to one (the lane
+//! and service-engine replay tests hold this line):
+//!
+//! - **fast path**: a free slot, an empty queue and the order's grant
+//!   admit at once, without queueing (this can barge past a
+//!   woken-but-not-yet-running waiter, as the semaphore allows);
+//! - **release**: frees the slot, then wakes the order's next picks
+//!   while free slots outnumber wakes still outstanding, so a release
+//!   never wakes two tickets for one slot;
+//! - **steal**: a woken waiter that finds every slot taken (a fast-path
+//!   arrival barged in first) refunds its pick and re-queues at the
+//!   order's mercy, as the semaphore's woken waiter re-queues at the back.
+
+use std::cell::{Cell, RefCell};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasherDefault;
+use std::rc::Rc;
+use std::sync::Arc;
+use std::task::Waker;
+
+/// DRR cost floor: a tiny request (a COMMIT, a runt frame) still
+/// occupies a slot, so DRR charges it as if it carried a small payload.
+/// Without a floor a key could pump unlimited runts through one quantum.
+pub const COST_FLOOR: u64 = 512;
+
+/// Default DRR quantum: one largest WRITE (32 KB) per rotation.
+pub const DEFAULT_QUANTUM: u64 = 32 * 1024;
+
+/// What a waiter is scheduled by: its flow (the client or source flow
+/// id), its priority class (0 first) and its byte cost before the floor.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Key {
+    /// Flow id: the DRR ring and in-flight quota are per flow.
+    pub flow: u32,
+    /// Priority class; a DRR order with one class treats every class as 0.
+    pub class: u8,
+    /// Byte cost charged against the flow's deficit (floored at
+    /// [`COST_FLOOR`]).
+    pub cost: u64,
+}
+
+/// Per-flow weights for a DRR order: flow `f` earns `quantum × weight(f)`
+/// of deficit per ring rotation. Flows beyond the table (and zero entries)
+/// default to weight 1, so a table only needs to name the flows it
+/// privileges.
+///
+/// Backed by an `Arc` so one table can be threaded from an experiment's
+/// config into every lane and server without copies, and cloned across
+/// the deterministic runner's worker threads.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct WeightTable(Arc<Vec<u32>>);
+
+impl WeightTable {
+    /// A table assigning `weights[f]` to flow `f`.
+    pub fn new(weights: Vec<u32>) -> WeightTable {
+        WeightTable(Arc::new(weights))
+    }
+
+    /// The all-ones table (every flow weight 1 — plain DRR).
+    pub fn uniform() -> WeightTable {
+        WeightTable::default()
+    }
+
+    /// Flow `f`'s weight (1 for flows beyond the table or zero entries —
+    /// a zero weight would starve the flow forever and deadlock its
+    /// senders).
+    pub fn get(&self, flow: u32) -> u64 {
+        match self.0.get(flow as usize) {
+            Some(&w) if w > 0 => u64::from(w),
+            _ => 1,
+        }
+    }
+
+    /// Number of explicit entries.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the table has no explicit entries.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+/// A queued admission: its [`Key`] plus the take-once woken/waker
+/// handshake. The arbiter parks the waiter's waker on its ticket, the
+/// order hands tickets back from `pick_next`, and the arbiter wakes them:
+/// exactly one wake per park, never cancelled, which is what lets the
+/// flyweight tier park reusable direct wakers here.
+pub struct Ticket {
+    flow: Cell<u32>,
+    class: Cell<u8>,
+    woken: Cell<bool>,
+    cost: Cell<u64>,
+    waker: Cell<Option<Waker>>,
+}
+
+/// Free-list bound for recycled tickets; admissions beyond it fall back
+/// to plain allocation.
+const TICKET_POOL_CAP: usize = 64;
+
+thread_local! {
+    /// Recycled tickets, so steady-state admission allocates nothing.
+    /// Like the simulator's wait-node pool, [`Ticket::keyed`] only
+    /// reuses a ticket whose strong count has fallen back to one (the
+    /// pool's own reference): an order still holding a clone can never
+    /// see its ticket repurposed.
+    static TICKET_POOL: RefCell<Vec<Rc<Ticket>>> = const { RefCell::new(Vec::new()) };
+}
+
+impl Ticket {
+    /// A class-0 ticket for `cost` bytes from `flow`.
+    pub fn new(flow: u32, cost: u64) -> Rc<Ticket> {
+        Ticket::keyed(Key {
+            flow,
+            class: 0,
+            cost,
+        })
+    }
+
+    /// A ticket for `key`, reusing a retired ticket when the pool has one.
+    pub(crate) fn keyed(key: Key) -> Rc<Ticket> {
+        TICKET_POOL.with(|p| {
+            let mut free = p.borrow_mut();
+            while let Some(t) = free.pop() {
+                if Rc::strong_count(&t) == 1 {
+                    t.flow.set(key.flow);
+                    t.class.set(key.class);
+                    t.cost.set(key.cost);
+                    t.woken.set(false);
+                    t.waker.take();
+                    return t;
+                }
+                // A holder is still alive somewhere; forget this one.
+            }
+            Rc::new(Ticket {
+                flow: Cell::new(key.flow),
+                class: Cell::new(key.class),
+                woken: Cell::new(false),
+                cost: Cell::new(key.cost),
+                waker: Cell::new(None),
+            })
+        })
+    }
+
+    fn recycle(t: Rc<Ticket>) {
+        TICKET_POOL.with(|p| {
+            let mut free = p.borrow_mut();
+            if free.len() < TICKET_POOL_CAP {
+                free.push(t);
+            }
+        });
+    }
+
+    /// The waiter's flow id.
+    pub fn flow(&self) -> u32 {
+        self.flow.get()
+    }
+
+    /// The waiter's byte cost (before the floor).
+    pub(crate) fn cost(&self) -> u64 {
+        self.cost.get()
+    }
+
+    /// The waiter's priority class.
+    pub(crate) fn class(&self) -> u8 {
+        self.class.get()
+    }
+
+    fn wake(&self) {
+        self.woken.set(true);
+        if let Some(w) = self.waker.take() {
+            w.wake();
+        }
+    }
+}
+
+/// Per-flow DRR state. It exists only while the flow is backlogged,
+/// holds grants under a finite quota, or holds a slot-steal refund
+/// awaiting its re-enqueue, so a million idle flows cost nothing.
+#[derive(Default)]
+struct Backlog {
+    /// Queued tickets: class 0 ahead of class 1, each in arrival order.
+    queue: VecDeque<Rc<Ticket>>,
+    /// How many class-0 tickets lead `queue`.
+    urgent: u32,
+    /// Grants not yet released (counted only under a finite quota).
+    granted: u32,
+    /// Byte credit accumulated in the ring.
+    deficit: u64,
+}
+
+/// Deterministic hasher: flows hash with fixed SipHash keys, so nothing
+/// about the table depends on process-level randomness.
+type FlowMap = HashMap<u32, Backlog, BuildHasherDefault<DefaultHasher>>;
+
+#[derive(Default)]
+struct DrrState {
+    flows: FlowMap,
+    /// Round-robin ring of backlogged flows.
+    ring: VecDeque<u32>,
+    queued: usize,
+}
+
+/// DRR parameters; see [`Order::drr`].
+struct Drr {
+    quantum: u64,
+    weights: WeightTable,
+    classes: u8,
+    /// Max grants per flow in service at once; `None` is unbounded and
+    /// keeps no grant state.
+    quota: Option<u32>,
+    state: RefCell<DrrState>,
+}
+
+impl Drr {
+    fn enqueue(&self, ticket: Rc<Ticket>) {
+        let flow = ticket.flow();
+        let urgent = ticket.class().min(self.classes - 1) == 0;
+        let st = &mut *self.state.borrow_mut();
+        let b = st.flows.entry(flow).or_default();
+        if b.queue.is_empty() {
+            st.ring.push_back(flow);
+        }
+        if urgent {
+            b.queue.insert(b.urgent as usize, ticket);
+            b.urgent += 1;
+        } else {
+            b.queue.push_back(ticket);
+        }
+        st.queued += 1;
+    }
+
+    fn pick_next(&self) -> Option<Rc<Ticket>> {
+        let st = &mut *self.state.borrow_mut();
+        // Visits since the last top-up; once it spans the whole ring,
+        // every backlogged flow is at its quota.
+        let mut blocked = 0usize;
+        loop {
+            let &flow = st.ring.front()?;
+            let b = st.flows.get_mut(&flow).expect("ring flows are backlogged");
+            if self.quota.is_some_and(|q| b.granted >= q) {
+                blocked += 1;
+                if blocked >= st.ring.len() {
+                    return None;
+                }
+                st.ring.rotate_left(1);
+                continue;
+            }
+            let cost = b.queue[0].cost().max(COST_FLOOR);
+            if b.deficit < cost {
+                b.deficit += self.quantum * self.weights.get(flow);
+                st.ring.rotate_left(1);
+                blocked = 0;
+                continue;
+            }
+            b.deficit -= cost;
+            b.urgent = b.urgent.saturating_sub(1);
+            if self.quota.is_some() {
+                b.granted += 1;
+            }
+            let ticket = b.queue.pop_front().expect("backlogged flow");
+            st.queued -= 1;
+            if b.queue.is_empty() {
+                // An idling flow leaves the ring and forgets its credit.
+                st.ring.pop_front();
+                b.deficit = 0;
+                if b.granted == 0 {
+                    st.flows.remove(&flow);
+                }
+            }
+            return Some(ticket);
+        }
+    }
+
+    fn try_grant(&self, flow: u32) -> bool {
+        let Some(quota) = self.quota else {
+            return true;
+        };
+        let mut st = self.state.borrow_mut();
+        let b = st.flows.entry(flow).or_default();
+        if b.granted < quota {
+            b.granted += 1;
+            true
+        } else {
+            false
+        }
+    }
+
+    fn ungrant(&self, key: Key) {
+        // Refund the cost pick_next charged: the ticket re-enqueues next
+        // and would otherwise pay twice. A drained flow's state is gone
+        // by now under an unbounded quota; the refund recreates it.
+        let mut st = self.state.borrow_mut();
+        let b = st.flows.entry(key.flow).or_default();
+        if self.quota.is_some() {
+            b.granted -= 1;
+        }
+        b.deficit += key.cost.max(COST_FLOOR);
+    }
+
+    fn on_complete(&self, flow: u32) {
+        if self.quota.is_none() {
+            return;
+        }
+        let st = &mut *self.state.borrow_mut();
+        let b = st.flows.get_mut(&flow).expect("a granted flow has state");
+        b.granted -= 1;
+        if b.granted == 0 && b.queue.is_empty() {
+            st.flows.remove(&flow);
+        }
+    }
+
+    fn resident_bytes(&self) -> usize {
+        let st = self.state.borrow();
+        let queues: usize = st
+            .flows
+            .values()
+            .map(|b| b.queue.capacity() * std::mem::size_of::<Rc<Ticket>>())
+            .sum();
+        st.flows.capacity() * std::mem::size_of::<(u32, Backlog)>()
+            + st.ring.capacity() * std::mem::size_of::<u32>()
+            + queues
+    }
+}
+
+/// The order an [`Arbiter`] serves its waiters in.
+///
+/// `enqueue` admits a ticket and `pick_next` removes the next one to
+/// serve, charging its cost and counting its grant. The arbiter brackets
+/// its fast path and slot-steal recovery with the grant hooks.
+pub struct Order(OrderKind);
+
+enum OrderKind {
+    Fifo(RefCell<VecDeque<Rc<Ticket>>>),
+    Drr(Drr),
+}
+
+impl Order {
+    /// Arrival order.
+    pub fn fifo() -> Order {
+        Order(OrderKind::Fifo(RefCell::default()))
+    }
+
+    /// Deficit round robin across flows: each rotation tops a flow's
+    /// deficit up by `quantum × weights.get(flow)`, and its head ticket
+    /// is served once its floored cost fits. Within a flow, class 0 is
+    /// served before class 1 (`classes` is 1 or 2). A finite `quota`
+    /// caps each flow's grants in service at once.
+    pub fn drr(quantum: u64, weights: WeightTable, classes: u8, quota: Option<usize>) -> Order {
+        assert!(quantum > 0, "DRR quantum must be positive");
+        assert!(
+            (1..=2).contains(&classes),
+            "DRR orders have one or two classes"
+        );
+        assert!(quota != Some(0), "a zero in-flight quota would deadlock");
+        Order(OrderKind::Drr(Drr {
+            quantum,
+            weights,
+            classes,
+            quota: quota.map(|q| u32::try_from(q).unwrap_or(u32::MAX)),
+            state: RefCell::default(),
+        }))
+    }
+
+    /// Admits a ticket to the queue.
+    pub fn enqueue(&self, ticket: Rc<Ticket>) {
+        match &self.0 {
+            OrderKind::Fifo(q) => q.borrow_mut().push_back(ticket),
+            OrderKind::Drr(d) => d.enqueue(ticket),
+        }
+    }
+
+    /// Removes and returns the next ticket to serve, or `None` if nothing
+    /// is queued or every queued flow is at its quota.
+    pub fn pick_next(&self) -> Option<Rc<Ticket>> {
+        match &self.0 {
+            OrderKind::Fifo(q) => q.borrow_mut().pop_front(),
+            OrderKind::Drr(d) => d.pick_next(),
+        }
+    }
+
+    /// Number of queued tickets.
+    pub(crate) fn queued(&self) -> usize {
+        match &self.0 {
+            OrderKind::Fifo(q) => q.borrow().len(),
+            OrderKind::Drr(d) => d.state.borrow().queued,
+        }
+    }
+
+    /// Fast path: may `flow` start at once, bypassing the (empty) queue?
+    /// On `true` the grant is counted.
+    fn try_grant(&self, flow: u32) -> bool {
+        match &self.0 {
+            OrderKind::Fifo(_) => true,
+            OrderKind::Drr(d) => d.try_grant(flow),
+        }
+    }
+
+    /// Reverts a pick whose slot was stolen; the ticket re-enqueues next.
+    fn ungrant(&self, key: Key) {
+        if let OrderKind::Drr(d) = &self.0 {
+            d.ungrant(key);
+        }
+    }
+
+    /// Retires a grant when its slot is released.
+    fn on_complete(&self, flow: u32) {
+        if let OrderKind::Drr(d) = &self.0 {
+            d.on_complete(flow);
+        }
+    }
+
+    /// Live bytes of DRR state (flow table, ring, per-flow queues); zero
+    /// for FIFO, whose one queue the lane's fixed arbiter model covers.
+    pub fn resident_bytes(&self) -> usize {
+        match &self.0 {
+            OrderKind::Fifo(_) => 0,
+            OrderKind::Drr(d) => d.resident_bytes(),
+        }
+    }
+}
+
+/// `slots` concurrent holders, waiters admitted in an [`Order`]; see the
+/// module docs for the protocol.
+pub struct Arbiter {
+    order: Order,
+    slots: usize,
+    free: Cell<usize>,
+    /// Picks woken whose waiters have not yet run: a release wakes a new
+    /// pick only while free slots outnumber these.
+    pending_wakes: Cell<usize>,
+}
+
+/// In-flight state for [`Arbiter::poll_claim`]; `Default` is the
+/// not-yet-queued state. Once queued it must be driven to admission — a
+/// queued ticket holds its place in the order, as a parked task does.
+#[derive(Default)]
+pub struct Claim(Option<Rc<Ticket>>);
+
+impl Claim {
+    /// Whether the claim holds a queued ticket (it has polled, missed
+    /// the fast path, and is not yet admitted).
+    pub fn is_queued(&self) -> bool {
+        self.0.is_some()
+    }
+}
+
+impl Arbiter {
+    /// An arbiter over `slots` slots serving waiters in `order`.
+    pub fn new(slots: usize, order: Order) -> Arbiter {
+        assert!(slots > 0, "an arbiter needs at least one slot");
+        Arbiter {
+            order,
+            slots,
+            free: Cell::new(slots),
+            pending_wakes: Cell::new(0),
+        }
+    }
+
+    /// Total slots.
+    pub fn slots(&self) -> usize {
+        self.slots
+    }
+
+    /// Slots not held.
+    pub fn free(&self) -> usize {
+        self.free.get()
+    }
+
+    /// Waiters queued for a slot.
+    pub fn queued(&self) -> usize {
+        self.order.queued()
+    }
+
+    /// The arbiter's order.
+    pub fn order(&self) -> &Order {
+        &self.order
+    }
+
+    /// Claims a slot for `key` without a task. Returns `true` once the
+    /// slot is held (hand it back with [`Arbiter::release`]), or `false`
+    /// after parking a waker from `waker_factory`; call again with the
+    /// same `claim` when it fires. The first call may take the fast path;
+    /// later calls re-check a woken ticket and re-queue it after a steal.
+    pub fn poll_claim(
+        &self,
+        key: Key,
+        claim: &mut Claim,
+        waker_factory: &mut dyn FnMut() -> Waker,
+    ) -> bool {
+        if claim.0.is_none() {
+            if self.free.get() > 0 && self.order.queued() == 0 && self.order.try_grant(key.flow) {
+                self.free.set(self.free.get() - 1);
+                return true;
+            }
+            let ticket = Ticket::keyed(key);
+            self.order.enqueue(Rc::clone(&ticket));
+            // A new arrival can be eligible while slots idle (a quota
+            // block, or a pick this very enqueue makes).
+            self.kick();
+            claim.0 = Some(ticket);
+        }
+        loop {
+            let ticket = claim.0.as_ref().expect("queued claim");
+            if !ticket.woken.get() {
+                ticket.waker.set(Some(waker_factory()));
+                return false;
+            }
+            ticket.woken.set(false);
+            self.pending_wakes.set(self.pending_wakes.get() - 1);
+            if self.free.get() > 0 {
+                break;
+            }
+            // A fast-path arrival stole the slot between our wake and our
+            // poll: refund the pick and re-queue.
+            self.order.ungrant(key);
+            self.order.enqueue(Rc::clone(ticket));
+            self.kick();
+        }
+        if let Some(t) = claim.0.take() {
+            Ticket::recycle(t);
+        }
+        self.free.set(self.free.get() - 1);
+        true
+    }
+
+    /// Releases a slot `flow` claimed and wakes the order's next picks.
+    /// Only a DRR order with a finite quota reads `flow` (to retire its
+    /// grant); other orders ignore it.
+    pub fn release(&self, flow: u32) {
+        self.order.on_complete(flow);
+        self.free.set(self.free.get() + 1);
+        self.kick();
+    }
+
+    /// Wakes the order's picks while free slots are not already spoken
+    /// for by an earlier wake.
+    fn kick(&self) {
+        while self.free.get() > self.pending_wakes.get() {
+            let Some(ticket) = self.order.pick_next() else {
+                break;
+            };
+            self.pending_wakes.set(self.pending_wakes.get() + 1);
+            ticket.wake();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::prop_assert;
+    use crate::proptest::{check, CaseOutcome};
+
+    fn drr(quantum: u64) -> Order {
+        Order::drr(quantum, WeightTable::uniform(), 1, None)
+    }
+
+    /// Drains an order by repeated pick, completing each pick at once;
+    /// returns the flows in service order.
+    fn drain(order: &Order) -> Vec<u32> {
+        let mut served = Vec::new();
+        while let Some(t) = order.pick_next() {
+            served.push(t.flow());
+            order.on_complete(t.flow());
+        }
+        served
+    }
+
+    fn enqueue(order: &Order, flow: u32, cost: u64, n: usize) {
+        for _ in 0..n {
+            order.enqueue(Ticket::new(flow, cost));
+        }
+    }
+
+    fn never() -> Waker {
+        Waker::noop().clone()
+    }
+
+    fn key(flow: u32, cost: u64) -> Key {
+        Key {
+            flow,
+            class: 0,
+            cost,
+        }
+    }
+
+    fn flows(order: &Order) -> usize {
+        match &order.0 {
+            OrderKind::Drr(d) => d.state.borrow().flows.len(),
+            OrderKind::Fifo(_) => 0,
+        }
+    }
+
+    /// One ticket per queued waiter (a megafleet queues a million at the
+    /// server): no larger than the smaller of the two per-layer tickets
+    /// it replaced (40 bytes), and a claim is one pointer.
+    #[test]
+    fn ticket_and_claim_stay_small() {
+        assert!(std::mem::size_of::<Ticket>() <= 40);
+        assert_eq!(std::mem::size_of::<Claim>(), std::mem::size_of::<usize>());
+    }
+
+    #[test]
+    fn fifo_serves_in_arrival_order() {
+        let order = Order::fifo();
+        for (flow, cost) in [(2u32, 8500u64), (0, 600), (1, 33000), (0, 8500)] {
+            order.enqueue(Ticket::new(flow, cost));
+        }
+        assert_eq!(drain(&order), vec![2, 0, 1, 0]);
+        assert_eq!(order.queued(), 0);
+        assert_eq!(order.resident_bytes(), 0);
+    }
+
+    /// With an 8192-byte quantum, a flow sending 8192-byte requests is
+    /// served four times per service of a flow sending 32768-byte ones:
+    /// equal bytes, not equal requests.
+    #[test]
+    fn drr_quantum_accounting_is_byte_weighted() {
+        let order = drr(8192);
+        enqueue(&order, 0, 8192, 8);
+        enqueue(&order, 1, 32768, 2);
+        assert_eq!(drain(&order), vec![0, 0, 0, 0, 1, 0, 0, 0, 0, 1]);
+    }
+
+    /// The deficit ledger itself: flow 1 (32 KB) needs four 8 KB top-ups
+    /// before its first service, while flow 0 is served on its turn.
+    #[test]
+    fn drr_deficit_hand_trace() {
+        let order = drr(8192);
+        enqueue(&order, 1, 32768, 2);
+        enqueue(&order, 0, 8192, 1);
+        assert_eq!(drain(&order), vec![0, 1, 1]);
+    }
+
+    /// 64 runts at the 512-byte floor cost one 32 KB quantum: flow 0
+    /// cannot squeeze more than 64 runts into one rotation.
+    #[test]
+    fn drr_cost_floor_charges_runts() {
+        let order = drr(32 * 1024);
+        enqueue(&order, 0, 1, 65);
+        enqueue(&order, 1, 512, 1);
+        let served = drain(&order);
+        assert_eq!(served.iter().position(|f| *f == 1), Some(64));
+    }
+
+    /// A weight of 4 earns flow 1 four quanta per rotation, so it drains
+    /// four requests to flow 0's one; flows beyond the table weigh 1.
+    #[test]
+    fn weights_scale_the_topup() {
+        let order = Order::drr(8192, WeightTable::new(vec![1, 4]), 1, None);
+        enqueue(&order, 0, 8192, 4);
+        enqueue(&order, 1, 8192, 8);
+        assert_eq!(drain(&order), vec![0, 1, 1, 1, 1, 0, 1, 1, 1, 1, 0, 0]);
+        enqueue(&order, 5, 8192, 2);
+        enqueue(&order, 9, 8192, 2);
+        assert_eq!(drain(&order), vec![5, 9, 5, 9]);
+    }
+
+    #[test]
+    fn weight_table_defaults_to_one() {
+        let t = WeightTable::new(vec![3, 0]);
+        assert_eq!(t.get(0), 3);
+        assert_eq!(t.get(1), 1, "zero weight clamps to 1 (no starvation)");
+        assert_eq!(t.get(99), 1, "beyond the table defaults to 1");
+        assert!(WeightTable::uniform().is_empty());
+        assert_eq!(WeightTable::new(vec![2]).len(), 1);
+    }
+
+    /// Class 0 is served before a class-1 backlog that queued first, and
+    /// each class keeps its arrival order; a one-class order ignores it.
+    #[test]
+    fn class_zero_is_served_before_a_class_one_backlog() {
+        let classed = Order::drr(32768, WeightTable::uniform(), 2, Some(8));
+        let flat = drr(32768);
+        for (i, class) in [1u8, 0, 1, 0].into_iter().enumerate() {
+            for order in [&classed, &flat] {
+                order.enqueue(Ticket::keyed(Key {
+                    flow: 0,
+                    class,
+                    cost: i as u64,
+                }));
+            }
+        }
+        let costs = |order: &Order| -> Vec<u64> {
+            std::iter::from_fn(|| order.pick_next().map(|t| t.cost())).collect()
+        };
+        assert_eq!(costs(&classed), vec![1, 3, 0, 2]);
+        assert_eq!(costs(&flat), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn quota_caps_grants_per_flow() {
+        let order = Order::drr(32768, WeightTable::uniform(), 2, Some(2));
+        enqueue(&order, 0, 8192, 5);
+        enqueue(&order, 1, 8192, 1);
+        let first = order.pick_next().expect("slot 1");
+        assert_eq!(first.flow(), 0);
+        assert_eq!(order.pick_next().expect("slot 2").flow(), 0);
+        // Flow 0 is at quota: the next pick skips to flow 1, and then
+        // everyone queued is at quota or empty.
+        assert_eq!(order.pick_next().expect("flow 1 eligible").flow(), 1);
+        assert!(order.pick_next().is_none());
+        assert_eq!(order.queued(), 3);
+        // Completing one of flow 0's grants unblocks it.
+        order.on_complete(first.flow());
+        assert_eq!(order.pick_next().expect("unblocked").flow(), 0);
+    }
+
+    /// The fast path's grant counts against the quota, and a slot-steal
+    /// refund gives it back.
+    #[test]
+    fn fast_path_grant_counts_against_quota() {
+        let order = Order::drr(32768, WeightTable::uniform(), 2, Some(1));
+        assert!(order.try_grant(0));
+        assert!(!order.try_grant(0), "quota 1 must reject a second grant");
+        order.ungrant(key(0, 8192));
+        assert!(order.try_grant(0), "ungrant must return the quota");
+        order.on_complete(0);
+        assert!(order.try_grant(0));
+    }
+
+    /// Per-flow state exists only while a flow is backlogged or, under a
+    /// finite quota, holds grants.
+    #[test]
+    fn idle_flows_hold_no_state() {
+        for quota in [None, Some(2)] {
+            let order = Order::drr(8192, WeightTable::uniform(), 1, quota);
+            for flow in (0..64u32).chain([999_983]) {
+                order.enqueue(Ticket::new(flow, 1000));
+            }
+            assert_eq!(flows(&order), 65);
+            assert!(order.resident_bytes() > 0);
+            let picked: Vec<_> = std::iter::from_fn(|| order.pick_next()).collect();
+            let granted = if quota.is_some() { 65 } else { 0 };
+            assert_eq!(flows(&order), granted, "quota {quota:?}");
+            for t in picked {
+                order.on_complete(t.flow());
+            }
+            assert_eq!(flows(&order), 0, "quota {quota:?}");
+            let OrderKind::Drr(d) = &order.0 else {
+                unreachable!()
+            };
+            assert!(d.state.borrow().ring.is_empty());
+        }
+    }
+
+    /// Slot steal: a waiter woken for the free slot, robbed by a
+    /// fast-path arrival before it polls, refunds its pick and re-queues.
+    /// The refund restores the credit that serves it ahead of a flow that
+    /// queued before its re-queue, and the refunded ticket is picked
+    /// again without a second top-up.
+    #[test]
+    fn robbed_claim_refunds_its_credit_and_requeues() {
+        // A quantum below the costs makes the refund decide the order.
+        let arb = Arbiter::new(1, drr(500));
+        let wf = &mut never;
+        let mut thief = Claim::default();
+        assert!(arb.poll_claim(key(0, 1500), &mut thief, wf), "fast path");
+        let mut robbed = Claim::default();
+        assert!(!arb.poll_claim(key(1, 1500), &mut robbed, wf));
+        // The release picks and wakes flow 1; the thief barges in first.
+        arb.release(0);
+        assert!(arb.poll_claim(key(0, 1500), &mut Claim::default(), wf));
+        let mut later = Claim::default();
+        assert!(!arb.poll_claim(key(2, 64), &mut later, wf));
+        assert!(
+            !arb.poll_claim(key(1, 1500), &mut robbed, wf),
+            "slot stolen"
+        );
+        assert_eq!(arb.queued(), 2);
+        arb.release(0);
+        assert!(
+            arb.poll_claim(key(1, 1500), &mut robbed, wf),
+            "refund serves flow 1 first"
+        );
+        assert!(!arb.poll_claim(key(2, 64), &mut later, wf));
+        arb.release(1);
+        assert!(arb.poll_claim(key(2, 64), &mut later, wf));
+        arb.release(2);
+        assert_eq!((arb.free(), arb.queued()), (1, 0));
+        assert_eq!(flows(arb.order()), 0);
+    }
+
+    /// One script step: enqueue a (flow, cost, class) ticket, then pick
+    /// `picks` times.
+    type Step = (u32, u64, u8, u8);
+
+    /// Runs `script` through `order`, then drains it. Returns each pick's
+    /// flow and floored cost, with every flow's backlog episode just
+    /// before the pick (`None` while the flow is idle; a flow that drains
+    /// starts a new episode when it queues again).
+    fn run_script(order: &Order, script: &[Step]) -> Vec<(u32, u64, [Option<u32>; 4])> {
+        let mut picks = Vec::new();
+        let mut backlog = [0usize; 4];
+        let mut episode = [0u32; 4];
+        let mut pick = |backlog: &mut [usize; 4]| {
+            let before = std::array::from_fn(|f| (backlog[f] > 0).then_some(episode[f]));
+            let Some(t) = order.pick_next() else {
+                return false;
+            };
+            let f = t.flow() as usize;
+            backlog[f] -= 1;
+            if backlog[f] == 0 {
+                episode[f] += 1;
+            }
+            picks.push((t.flow(), t.cost().max(COST_FLOOR), before));
+            true
+        };
+        for &(flow, cost, class, n) in script {
+            order.enqueue(Ticket::keyed(Key { flow, class, cost }));
+            backlog[flow as usize] += 1;
+            for _ in 0..n {
+                pick(&mut backlog);
+            }
+        }
+        while pick(&mut backlog) {}
+        assert_eq!(backlog, [0; 4], "the order lost tickets");
+        picks
+    }
+
+    /// DRR fairness oracle: over any window of picks in which flows `i`
+    /// and `j` stay backlogged, their weight-normalized served cost
+    /// differs by less than `Max/w_i + Max/w_j + 2·quantum`, where `Max`
+    /// is the largest floored cost. This is not Shreedhar–Varghese's
+    /// Theorem 1 bound, `Max + 2·quantum`: this property refuted that one
+    /// for this order (quantum 3057, Max 2739: 1551 vs 10505 served). The
+    /// bound checked here is their per-visit accounting redone for this
+    /// order, which tops a flow up by `Q_f = quantum·w_f` when its visit
+    /// ends rather than when its next one starts:
+    ///
+    /// - Let `L_k` be the flow's credit at the end of its `k`-th visit,
+    ///   just before the top-up. The visit ended because the head ticket
+    ///   costs more, so `0 ≤ L_k < Max`. Visit `k` starts with
+    ///   `L_{k-1} + Q_f` and serves `L_{k-1} + Q_f − L_k`; only the first
+    ///   visit after the flow joins the ring starts at zero and serves
+    ///   nothing.
+    /// - Summing, `n` consecutive visits serve less than `n·Q_f + Max`,
+    ///   and more than `n·Q_f − Max`, or `(n − 1)·Q_f − Max` if they
+    ///   include that empty first visit.
+    /// - While both flows are on the ring their visits alternate, so if
+    ///   `n` of `i`'s visits overlap the window, at least `n − 1` of
+    ///   `j`'s lie wholly inside it. Dividing by the weights, `i` leads
+    ///   by less than `quantum + Max/w_i + Max/w_j`, plus one quantum if
+    ///   `j`'s empty first visit is among them.
+    ///
+    /// Classic DRR has no empty visit and gets the smaller bound, which
+    /// with equal weights and `Max ≤ quantum` lies within the theorem's.
+    /// The argument does not need costs within one quantum; the scripts
+    /// keep them there anyway, as the theorem assumes.
+    #[test]
+    fn prop_drr_stays_within_the_fairness_bound() {
+        let gen = |g: &mut crate::proptest::Gen| {
+            (
+                g.u64_in(0, 16_384),
+                g.vec(0, 4, |g| g.u32_in(0, 4)),
+                g.u8_in(0, 1),
+                g.vec(1, 64, |g| {
+                    (g.u32_in(0, 3), g.any_u64(), g.u8_in(0, 1), g.u8_in(0, 2))
+                }),
+            )
+        };
+        check(
+            "prop_drr_stays_within_the_fairness_bound",
+            gen,
+            |(quantum, weights, classes, script): &(u64, Vec<u32>, u8, Vec<Step>)| {
+                // Offsets keep shrunk inputs valid: quantum ≥ the floor,
+                // costs ≤ quantum, one or two classes.
+                let quantum = COST_FLOOR + quantum;
+                let script: Vec<Step> = script
+                    .iter()
+                    .map(|&(flow, cost, class, n)| (flow, cost % (quantum + 1), class, n))
+                    .collect();
+                let weights = WeightTable::new(weights.clone());
+                let order = Order::drr(quantum, weights.clone(), 1 + classes, None);
+                let max = script
+                    .iter()
+                    .map(|s| s.1.max(COST_FLOOR))
+                    .max()
+                    .unwrap_or(0);
+                let picks = run_script(&order, &script);
+                for i in 0..4u32 {
+                    for j in i + 1..4 {
+                        let (wi, wj) = (weights.get(i) as i128, weights.get(j) as i128);
+                        let bound = max as i128 * (wi + wj) + 2 * quantum as i128 * wi * wj;
+                        let both =
+                            |before: &[Option<u32>; 4]| (before[i as usize], before[j as usize]);
+                        for start in 0..picks.len() {
+                            let window = both(&picks[start].2);
+                            if window.0.is_none() || window.1.is_none() {
+                                continue;
+                            }
+                            let (mut si, mut sj) = (0i128, 0i128);
+                            for (flow, cost, before) in &picks[start..] {
+                                if both(before) != window {
+                                    break;
+                                }
+                                if *flow == i {
+                                    si += *cost as i128;
+                                } else if *flow == j {
+                                    sj += *cost as i128;
+                                }
+                                prop_assert!(
+                                    (si * wj - sj * wi).abs() < bound,
+                                    "flows {i},{j} from pick {start}: served {si} vs {sj}, \
+                                     weights {wi},{wj}, max {max}, quantum {quantum}"
+                                );
+                            }
+                        }
+                    }
+                }
+                CaseOutcome::Pass
+            },
+        );
+    }
+}

@@ -20,7 +20,7 @@
 //! single-threaded case:
 //!
 //! - the ready queue is a plain `VecDeque` behind an [`std::cell::UnsafeCell`]
-//!   ([`ReadyQueue`]) rather than a `Mutex` — the `Waker` contract forces
+//!   (`ReadyQueue`) rather than a `Mutex` — the `Waker` contract forces
 //!   `Send + Sync`, but every waker in this executor is created and invoked
 //!   on the simulator's own thread, so the lock was pure overhead;
 //! - pending timers live in a hierarchical timer wheel

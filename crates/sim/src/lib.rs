@@ -25,6 +25,7 @@
 //! assert_eq!(elapsed.as_nanos(), 3_000_000);
 //! ```
 
+pub mod arbiter;
 pub mod executor;
 pub mod metrics;
 pub mod profile;

@@ -17,7 +17,7 @@
 //!
 //! The executor pops entries one at a time (each wake can re-arm
 //! timers), so the wheel buffers the current expiring slot in
-//! [`TimerWheel::pending`] and drains it before advancing. New
+//! `TimerWheel::pending` and drains it before advancing. New
 //! registrations always carry deadlines strictly after `now`, so they
 //! can never tie with (or precede) the buffered batch.
 
@@ -48,7 +48,7 @@ pub struct WheelEntry<T> {
 /// chain through the slab's `next` fields. Pushing links an index,
 /// cascading relinks indices (no entry is moved or copied), and
 /// draining a level-0 slot collects indices into the reused
-/// [`TimerWheel::pending`] buffer — so once the slab and the two index
+/// `TimerWheel::pending` buffer — so once the slab and the two index
 /// buffers have grown to the working set, steady-state operation
 /// performs no allocation at all, no matter which slots the advancing
 /// horizon touches next. (The previous per-slot `Vec` storage recycled

@@ -12,6 +12,12 @@ host falls on both sides alike. A run that fails a world or misses its
 digests stops the script: its numbers would describe a different
 simulation.
 
+Setup time drifts between batches of processes (placement, page cache), so
+``setup_s`` does not come from the two run.py invocations. Inside each pair
+the script alternates the two trees' built ``simbench setup`` binaries
+process by process, with run.py's seed and per-workload (processes,
+repeat) sampling, and reports each side's median of those samples.
+
 For every end-to-end metric of BENCHMARK.json it prints both sides'
 medians, the parent's quartiles, the median and quartiles of the per-pair
 change/parent ratio, and how many pairs the change won. The last stdout
@@ -19,7 +25,9 @@ line is the same table as one JSON object.
 """
 
 import argparse
+import importlib.util
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -28,6 +36,18 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# Each tree builds into and runs from its own simbench/target.
+ENV = {k: v for k, v in os.environ.items() if k != "CARGO_TARGET_DIR"}
+
+
+def run_py_constants():
+    """run.py's default seed and setup sampling table, read from this
+    checkout's copy so the two never drift apart."""
+    spec = importlib.util.spec_from_file_location("simbench_run", ROOT / "simbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.DEFAULT_SEED, module.SETUP_SAMPLING
 
 
 def fail(msg):
@@ -49,7 +69,7 @@ def build(tree):
     the first pair, where the build time would land in that pair's run."""
     manifest = tree / "simbench" / "Cargo.toml"
     cmd = ["cargo", "build", "--release", "--offline", "--quiet", "--manifest-path", str(manifest)]
-    if subprocess.run(cmd).returncode != 0:
+    if subprocess.run(cmd, env=ENV).returncode != 0:
         fail(f"build of {tree} failed")
 
 
@@ -57,7 +77,7 @@ def run_once(tree, workload):
     """One `run.py --trace 0` invocation; returns its result object, or
     fails if any world failed or missed its digests."""
     cmd = [sys.executable, str(tree / "simbench" / "run.py"), "--workload", workload, "--trace", "0"]
-    proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True)
+    proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, env=ENV)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         fail(f"run.py in {tree} exited {proc.returncode}")
@@ -66,6 +86,18 @@ def run_once(tree, workload):
         fail(f"run.py in {tree}: {result['failed']} of {result['attempted']} world runs failed, "
              f"correct={result['correct']}")
     return result
+
+
+def setup_once(tree, workload, seed, repeat):
+    """One `simbench setup` process of `tree`'s built binary; returns its
+    setup times in seconds."""
+    binary = tree / "simbench" / "target" / "release" / "simbench"
+    cmd = [str(binary), "setup", "--workload", workload, "--seed", str(seed), "--repeat", str(repeat)]
+    proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, env=ENV)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        fail(f"simbench setup in {tree} exited {proc.returncode}")
+    return json.loads(lines[-1])["setups_s"]
 
 
 def quartiles(values):
@@ -89,6 +121,8 @@ def main():
     if args.workload not in workloads:
         fail(f"unknown workload {args.workload!r}; BENCHMARK.json names {', '.join(workloads)}")
     metrics = bench["end_to_end"]
+    seed, sampling = run_py_constants()
+    processes, repeat = sampling[args.workload]
     tmp = Path(tempfile.mkdtemp(prefix="ab-"))
     try:
         base = tmp / "base"
@@ -104,12 +138,19 @@ def main():
                 order.reverse()
             for side, tree in order:
                 runs[side].append(run_once(tree, args.workload))
+            setups = {"parent": [], "change": []}
+            for k in range(processes):
+                for side, tree in (order if k % 2 == 0 else order[::-1]):
+                    setups[side] += setup_once(tree, args.workload, seed, repeat)
+            for side in setups:
+                runs[side][-1]["metrics"]["setup_s"]["value"] = statistics.median(setups[side])
             print(f"pair {i + 1}/{args.pairs} done ({order[0][0]} first)", file=sys.stderr)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
     table = {}
-    print(f"{args.workload}, {args.pairs} pairs, run.py's default seed and run length")
+    print(f"{args.workload}, {args.pairs} pairs, run.py's default seed and run length; "
+          f"setup_s from {processes} interleaved `simbench setup` processes per side per pair")
     print(f"  {'metric':14} {'parent':>12} {'change':>12} {'parent q1..q3':>25} "
           f"{'ratio':>7} {'ratio q1..q3':>15} {'wins':>6}")
     for m in metrics:

@@ -15,6 +15,11 @@ cargo test -q --workspace --offline
 echo "==> cargo clippy --all-targets --workspace --offline -- -D warnings"
 cargo clippy --all-targets --workspace --offline -- -D warnings
 
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps --offline"
+# Intra-doc links must resolve, and public docs must not link private
+# items: a rename that leaves a dangling link fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> zero-alloc steady state smoke (counting global allocator, release)"
 # The flyweight engine must retire RPCs without touching the heap once
 # warm: the counting allocator asserts two disjoint steady-state windows
