@@ -139,7 +139,12 @@ impl Harness {
         };
         println!(
             "{:<44} mean {:>12}  p50 {:>12}  p99 {:>12}  ({} samples x {} iters)",
-            result.name, result.mean, result.p50, result.p99, result.samples, result.iters_per_sample
+            result.name,
+            result.mean,
+            result.p50,
+            result.p99,
+            result.samples,
+            result.iters_per_sample
         );
         self.results.push(result);
     }

@@ -262,9 +262,11 @@ impl NfsMount {
                     StableHow::Unstable => {
                         // Pages stay pinned awaiting COMMIT — the memory
                         // model's contract; only the segment changes.
-                        self.kernel
-                            .mem
-                            .move_pages(PageSeg::Writeback, PageSeg::Unstable, batch.len());
+                        self.kernel.mem.move_pages(
+                            PageSeg::Writeback,
+                            PageSeg::Unstable,
+                            batch.len(),
+                        );
                         inode.batch_unstable(&batch, res.verf);
                     }
                 },
@@ -539,10 +541,7 @@ impl NfsMount {
         let began = self.kernel.sim.now();
         self.kernel
             .cpus
-            .work(
-                "balance_dirty_pages",
-                self.kernel.costs.balance_dirty_pages,
-            )
+            .work("balance_dirty_pages", self.kernel.costs.balance_dirty_pages)
             .await;
         while mem.over_hard_limit() {
             if inode.dirty_requests() > 0 {
@@ -606,11 +605,7 @@ impl NfsMount {
     /// daemon spends its time scanning rather than sending, which is why
     /// writeback falls further and further behind in the Figure 3
     /// configuration.
-    async fn schedule_dirty(
-        self: &Rc<Self>,
-        inode: &Rc<NfsInode>,
-        label: &'static str,
-    ) -> usize {
+    async fn schedule_dirty(self: &Rc<Self>, inode: &Rc<NfsInode>, label: &'static str) -> usize {
         let mut issued = 0;
         while inode.dirty_requests() > 0 {
             match self.schedule_one_batch(inode, label).await {

@@ -575,7 +575,11 @@ fn unstable_pages_stay_pinned_until_commit() {
         assert_eq!(server.fs.size_of(&fh).unwrap(), 512 * 1024);
     });
     assert!(w.mount.stats().verf_mismatches > 0);
-    assert_eq!(w.kernel.mem.dirty_pages(), 0, "all pages released after durable COMMIT");
+    assert_eq!(
+        w.kernel.mem.dirty_pages(),
+        0,
+        "all pages released after durable COMMIT"
+    );
     for seg in [PageSeg::Dirty, PageSeg::Writeback, PageSeg::Unstable] {
         assert_eq!(w.kernel.mem.seg_pages(seg), 0);
     }
@@ -623,7 +627,10 @@ fn foreground_throttling_bounds_dirty_and_lands_all_bytes() {
         file.close().await.unwrap();
         t
     });
-    assert!(kernel.mem.throttle_events() > 0, "2x RAM must cross the dirty ratio");
+    assert!(
+        kernel.mem.throttle_events() > 0,
+        "2x RAM must cross the dirty ratio"
+    );
     assert!(
         kernel.mem.peak_dirty_pages() <= kernel.mem.hard_limit(),
         "foreground writeback must bound dirty memory at the hard limit"
@@ -633,7 +640,11 @@ fn foreground_throttling_bounds_dirty_and_lands_all_bytes() {
         "a 2x-RAM write cannot run at memory speed, took {elapsed}"
     );
     assert_eq!(kernel.mem.dirty_pages(), 0);
-    assert_eq!(server.stats().write_bytes, 32 << 20, "every byte lands despite throttling");
+    assert_eq!(
+        server.stats().write_bytes,
+        32 << 20,
+        "every byte lands despite throttling"
+    );
 }
 
 /// Property: any interleaving of writes, fsyncs, sleeps, and server
@@ -737,7 +748,8 @@ fn partial_page_hole_splits_the_write_batch() {
         assert_eq!(server.fs.size_of(&file.inode().fh).unwrap(), 5120);
     });
     assert_eq!(
-        w.server.stats().writes, 2,
+        w.server.stats().writes,
+        2,
         "byte-discontiguous requests must go in separate WRITE RPCs"
     );
 }

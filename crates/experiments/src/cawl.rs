@@ -27,8 +27,7 @@ pub const CAWL_RAM_SIZES: [u64; 3] = [64 << 20, 256 << 20, 1 << 30];
 pub const CAWL_QUICK_RAM_SIZES: [u64; 1] = [16 << 20];
 
 /// Servers for the full sweep.
-pub const CAWL_SERVERS: [ServerKind; 3] =
-    [ServerKind::Filer, ServerKind::Knfsd, ServerKind::Fast];
+pub const CAWL_SERVERS: [ServerKind; 3] = [ServerKind::Filer, ServerKind::Knfsd, ServerKind::Fast];
 
 /// Servers for the quick smoke sweep.
 pub const CAWL_QUICK_SERVERS: [ServerKind; 2] = [ServerKind::Filer, ServerKind::Fast];
@@ -112,11 +111,7 @@ pub fn run_cawl(ram_bytes: u64, server: ServerKind, file_halves: u64, seed: u64)
 
 /// Builds the work-list: one independent world per RAM × server × file
 /// size, each deriving its own seed, in row order.
-pub fn cawl_cells(
-    rams: &[u64],
-    servers: &[ServerKind],
-    seed: u64,
-) -> Vec<runner::Cell<CawlCell>> {
+pub fn cawl_cells(rams: &[u64], servers: &[ServerKind], seed: u64) -> Vec<runner::Cell<CawlCell>> {
     let mut cells = Vec::new();
     let mut i = 0u64;
     for &ram in rams {

@@ -577,8 +577,12 @@ pub fn monolithic_exhibit_cells_with(
         runner::Cell::new(move || {
             (
                 "figure5.csv",
-                histogram_pair("normal (BKL held)", ClientTuning::hash_table(), ex.histogram_bytes)
-                    .to_csv(),
+                histogram_pair(
+                    "normal (BKL held)",
+                    ClientTuning::hash_table(),
+                    ex.histogram_bytes,
+                )
+                .to_csv(),
             )
         }),
         runner::Cell::new(move || {
@@ -608,9 +612,14 @@ pub fn monolithic_exhibit_cells_with(
 pub fn assemble_exhibits(sizes: &[u64], parts: Vec<ExhibitPart>) -> Vec<(&'static str, String)> {
     let mut it = parts.into_iter();
     let mut next = |expect: &'static str| {
-        let part = it.next().unwrap_or_else(|| panic!("missing exhibit part: expected {expect}"));
+        let part = it
+            .next()
+            .unwrap_or_else(|| panic!("missing exhibit part: expected {expect}"));
         let kind = part.kind();
-        assert_eq!(kind, expect, "exhibit part mismatch: expected {expect}, got {kind}");
+        assert_eq!(
+            kind, expect,
+            "exhibit part mismatch: expected {expect}, got {kind}"
+        );
         part
     };
     let points = |n: usize, next: &mut dyn FnMut(&'static str) -> ExhibitPart| {
@@ -651,11 +660,7 @@ pub fn assemble_exhibits(sizes: &[u64], parts: Vec<ExhibitPart>) -> Vec<(&'stati
         linux_no_lock: mbps(next("Mbps")),
     };
     let fig7 = sweep_from_points(sizes.len(), &points(sizes.len(), &mut next));
-    let cmp = slow_server_from_runs(
-        slow(next("Slow")),
-        slow(next("Slow")),
-        slow(next("Slow")),
-    );
+    let cmp = slow_server_from_runs(slow(next("Slow")), slow(next("Slow")), slow(next("Slow")));
     assert!(it.next().is_none(), "unconsumed exhibit parts");
 
     vec![

@@ -305,7 +305,10 @@ pub fn fleet_sweep(
     jobs: usize,
 ) -> FleetSweep {
     FleetSweep {
-        rows: runner::run_cells(jobs, fleet_cells(counts, servers, transports, bytes_per_client)),
+        rows: runner::run_cells(
+            jobs,
+            fleet_cells(counts, servers, transports, bytes_per_client),
+        ),
         bytes_per_client,
     }
 }
@@ -459,8 +462,18 @@ mod tests {
 
     #[test]
     fn two_clients_beat_one_and_share_fairly() {
-        let one = run_fleet(&FleetConfig::new(ServerKind::Filer, Transport::Udp, 1, 1 << 20));
-        let two = run_fleet(&FleetConfig::new(ServerKind::Filer, Transport::Udp, 2, 1 << 20));
+        let one = run_fleet(&FleetConfig::new(
+            ServerKind::Filer,
+            Transport::Udp,
+            1,
+            1 << 20,
+        ));
+        let two = run_fleet(&FleetConfig::new(
+            ServerKind::Filer,
+            Transport::Udp,
+            2,
+            1 << 20,
+        ));
         assert!(
             two.aggregate_mbps > one.aggregate_mbps,
             "a second client must add aggregate throughput before the knee: {} vs {}",
@@ -476,7 +489,12 @@ mod tests {
 
     #[test]
     fn fleet_runs_over_tcp() {
-        let run = run_fleet(&FleetConfig::new(ServerKind::Filer, Transport::Tcp, 2, 1 << 20));
+        let run = run_fleet(&FleetConfig::new(
+            ServerKind::Filer,
+            Transport::Tcp,
+            2,
+            1 << 20,
+        ));
         assert_eq!(run.per_client_server.len(), 2);
         for c in &run.per_client_server {
             assert_eq!(c.write_bytes, 1 << 20);

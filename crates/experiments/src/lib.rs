@@ -26,11 +26,17 @@ pub use ablations::{
     soft_limit_sweep, workload_comparison, wsize_sweep, CpuAblation, MtuAblation,
     WorkloadComparison,
 };
+pub use arrivals::{OpenLoop, TrafficMix};
 pub use cawl::{
     cawl_cells, cawl_sweep, run_cawl, CawlCell, CawlSweep, CAWL_FILE_HALVES, CAWL_QUICK_RAM_SIZES,
     CAWL_QUICK_SERVERS, CAWL_RAM_SIZES, CAWL_SERVERS,
 };
 pub use concurrency::{concurrent_writers, future_work_comparison, ConcurrencyResult, Topology};
+pub use figures::{
+    figure1, figure2, figure3, figure4, figure5, figure6, figure7, paper_file_sizes,
+    quick_file_sizes, slow_server_comparison, table1, throughput_sweep, HistogramPair,
+    LatencyTrace, SlowServerComparison, Table1,
+};
 pub use fleet::{
     fleet_cells, fleet_sweep, jain_index, run_fleet, FleetCell, FleetConfig, FleetRun, FleetSweep,
     FLEET_CLIENT_COUNTS,
@@ -39,12 +45,6 @@ pub use megafleet::{
     bytes_for_count, megafleet_cells, megafleet_sweep, run_megafleet, MegaCell, MegaConfig,
     MegaRun, MegaSweep, MEGAFLEET_COUNTS, MEGAFLEET_FAITHFUL, MEGAFLEET_QUICK_COUNTS,
 };
-pub use figures::{
-    figure1, figure2, figure3, figure4, figure5, figure6, figure7, paper_file_sizes,
-    quick_file_sizes, slow_server_comparison, table1, throughput_sweep, HistogramPair,
-    LatencyTrace, SlowServerComparison, Table1,
-};
-pub use arrivals::{OpenLoop, TrafficMix};
 pub use netqos::{
     netqos_sweep, run_netqos, NetQosCell, NetQosConfig, NetQosRun, NetQosSweep, NetSched,
 };

@@ -324,7 +324,12 @@ pub fn megafleet_cells(
 
 /// Runs the sweep on up to `jobs` workers; rows (and the CSV) are
 /// bit-identical at any `jobs` value.
-pub fn megafleet_sweep(counts: &[u32], servers: &[ServerKind], quick: bool, jobs: usize) -> MegaSweep {
+pub fn megafleet_sweep(
+    counts: &[u32],
+    servers: &[ServerKind],
+    quick: bool,
+    jobs: usize,
+) -> MegaSweep {
     MegaSweep {
         rows: runner::run_cells(jobs, megafleet_cells(counts, servers, quick)),
         quick,

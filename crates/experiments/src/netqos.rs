@@ -402,7 +402,11 @@ fn netqos_row(config: &NetQosConfig, base: &NetQosRun, run: &NetQosRun) -> NetQo
         aggressors: config.mix.aggressors(),
         victim_mean_mbps: run.victim_mbps.iter().sum::<f64>() / n,
         base_victim_mbps: base.victim_mbps.iter().sum::<f64>() / n,
-        victim_min_mbps: run.victim_mbps.iter().copied().fold(f64::INFINITY, f64::min),
+        victim_min_mbps: run
+            .victim_mbps
+            .iter()
+            .copied()
+            .fold(f64::INFINITY, f64::min),
         aggressor_mbps: run.aggressor_mbps.iter().sum(),
         jain_all: run.jain_all,
         victim_jain: run.victim_jain,
@@ -571,9 +575,10 @@ impl NetQosSweep {
             if r.sched == NetSched::Fifo {
                 continue;
             }
-            let fifo = self.rows.iter().find(|f| {
-                f.server == r.server && f.mix == r.mix && f.sched == NetSched::Fifo
-            });
+            let fifo = self
+                .rows
+                .iter()
+                .find(|f| f.server == r.server && f.mix == r.mix && f.sched == NetSched::Fifo);
             if let Some(fifo) = fifo {
                 out.push_str(&format!(
                     "{} {} + {}: victim {:.2} -> {:.2} MB/s (baseline {:.2}), jain {:.2} -> {:.2}, victim jain {:.2} -> {:.2}, qdelay p99 {:.1}x -> {:.1}x base\n",

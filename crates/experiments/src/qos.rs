@@ -312,7 +312,11 @@ fn qos_row(
         sched,
         victims,
         victim_mean_mbps: run.victim_mbps.iter().sum::<f64>() / n,
-        victim_min_mbps: run.victim_mbps.iter().copied().fold(f64::INFINITY, f64::min),
+        victim_min_mbps: run
+            .victim_mbps
+            .iter()
+            .copied()
+            .fold(f64::INFINITY, f64::min),
         hog_mbps: run.hog_mbps,
         jain_all: run.jain_all,
         victim_jain: run.victim_jain,

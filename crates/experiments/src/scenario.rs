@@ -193,7 +193,13 @@ pub fn run_bonnie(scenario: &Scenario, file_size: u64) -> RunOutput {
             mem: scenario.mem,
         },
     );
-    let (cnic, crx) = Nic::with_loss(&sim, "client", scenario.client_nic, scenario.loss, scenario.seed);
+    let (cnic, crx) = Nic::with_loss(
+        &sim,
+        "client",
+        scenario.client_nic,
+        scenario.loss,
+        scenario.seed,
+    );
     let (snic, srx) = Nic::new(&sim, "server", scenario.server_nic);
     let to_server = Path::new(Rc::clone(&cnic), snic, Path::default_latency());
     let spawn_server = match scenario.mount.transport {
@@ -257,7 +263,13 @@ where
             mem: scenario.mem,
         },
     );
-    let (cnic, crx) = Nic::with_loss(&sim, "client", scenario.client_nic, scenario.loss, scenario.seed);
+    let (cnic, crx) = Nic::with_loss(
+        &sim,
+        "client",
+        scenario.client_nic,
+        scenario.loss,
+        scenario.seed,
+    );
     let (snic, srx) = Nic::new(&sim, "server", scenario.server_nic);
     let to_server = Path::new(Rc::clone(&cnic), snic, Path::default_latency());
     let spawn_server = match scenario.mount.transport {

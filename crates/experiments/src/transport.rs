@@ -58,8 +58,8 @@ pub struct TransportSweep {
 /// The three mount flavours compared.
 fn flavours() -> Vec<(&'static str, Scenario)> {
     let base = |transport| {
-        let mut s = Scenario::new(ClientTuning::full_patch(), ServerKind::Filer)
-            .with_transport(transport);
+        let mut s =
+            Scenario::new(ClientTuning::full_patch(), ServerKind::Filer).with_transport(transport);
         s.record_latencies = false;
         s
     };

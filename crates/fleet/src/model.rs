@@ -154,7 +154,11 @@ pub struct Calibration {
 /// for a given config.
 pub fn calibrate(config: &CalibrationConfig) -> Calibration {
     let sim = Sim::new();
-    let switch = Switch::new(&sim, config.server_nic, nfsperf_net::Path::default_latency());
+    let switch = Switch::new(
+        &sim,
+        config.server_nic,
+        nfsperf_net::Path::default_latency(),
+    );
     let server = NfsServer::new(&sim, config.server.clone());
     let kernel = Kernel::new(
         &sim,
@@ -302,10 +306,7 @@ mod tests {
     fn calibration_is_deterministic_and_plausible() {
         let cfg = CalibrationConfig {
             probe_bytes: 256 * 1024,
-            ..CalibrationConfig::new(
-                ServerConfig::netapp_f85(),
-                NicSpec::gigabit(),
-            )
+            ..CalibrationConfig::new(ServerConfig::netapp_f85(), NicSpec::gigabit())
         };
         let a = calibrate(&cfg);
         let b = calibrate(&cfg);

@@ -865,7 +865,10 @@ mod tests {
         assert_eq!(slim.clients, 64);
         assert_eq!(slim.writes, 64 * 8);
         assert_eq!(slim.write_bytes, 64 * 8 * 8192);
-        assert_eq!(slim.commits, 64, "8 writes under wpc=16: one close COMMIT each");
+        assert_eq!(
+            slim.commits, 64,
+            "8 writes under wpc=16: one close COMMIT each"
+        );
         let per = tier.per_client_mbps();
         assert_eq!(per.len(), 64);
         assert!(per.iter().all(|m| *m > 0.0));

@@ -343,7 +343,8 @@ impl MemoryModel {
 
     /// Adds time a writer spent doing or awaiting foreground writeback.
     pub fn add_throttle_time(&self, d: SimDuration) {
-        self.throttle_time.set(self.throttle_time.get() + d.as_nanos());
+        self.throttle_time
+            .set(self.throttle_time.get() + d.as_nanos());
     }
 
     /// Total time writers spent blocked on the hard limit (including
@@ -579,7 +580,8 @@ mod tests {
         let s = sim.clone();
         sim.spawn(async move {
             loop {
-                m.wait_for_writeback_work(SimDuration::from_secs(3600)).await;
+                m.wait_for_writeback_work(SimDuration::from_secs(3600))
+                    .await;
                 w.set(w.get() + 1);
                 // "Writeback": drain everything, then re-park.
                 s.sleep(SimDuration::from_micros(5)).await;
@@ -765,7 +767,8 @@ mod tests {
                         .push(format!("total {} over hard limit {hard}", m.dirty_pages()));
                 }
                 if m.throttle_time() < last_throttle {
-                    errs.borrow_mut().push("throttle_time went backwards".into());
+                    errs.borrow_mut()
+                        .push("throttle_time went backwards".into());
                 }
                 last_throttle = m.throttle_time();
             }
@@ -798,7 +801,10 @@ mod tests {
             return Err(e.clone());
         }
         if mem.dirty_pages() != 0 {
-            return Err(format!("{} pages pinned after full drain", mem.dirty_pages()));
+            return Err(format!(
+                "{} pages pinned after full drain",
+                mem.dirty_pages()
+            ));
         }
         Ok(())
     }

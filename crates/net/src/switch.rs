@@ -435,7 +435,8 @@ impl Fabric {
     /// client ids route through them.
     pub fn new(sim: &Sim, config: FabricConfig) -> Fabric {
         assert!(config.fanout > 0, "a fabric needs a positive fanout");
-        let core = SharedLink::with_policy(sim, "core-uplink", config.core_spec, &config.port_sched);
+        let core =
+            SharedLink::with_policy(sim, "core-uplink", config.core_spec, &config.port_sched);
         Fabric {
             sim: sim.clone(),
             config,
@@ -832,8 +833,21 @@ mod replay_tests {
     fn port_fifo_replays_semaphore_on_barge_heavy_scripts() {
         let scripts: &[&[Arrival]] = &[
             &[(0, 1500, 0), (0, 1500, 1), (0, 1500, 2), (0, 1500, 0)],
-            &[(0, 9000, 0), (100, 64, 1), (100, 64, 2), (700, 1500, 0), (701, 64, 1)],
-            &[(0, 64, 0), (1, 64, 0), (2, 64, 0), (3, 9000, 1), (3, 64, 2), (500, 128, 0)],
+            &[
+                (0, 9000, 0),
+                (100, 64, 1),
+                (100, 64, 2),
+                (700, 1500, 0),
+                (701, 64, 1),
+            ],
+            &[
+                (0, 64, 0),
+                (1, 64, 0),
+                (2, 64, 0),
+                (3, 9000, 1),
+                (3, 64, 2),
+                (500, 128, 0),
+            ],
         ];
         for (i, script) in scripts.iter().enumerate() {
             assert_eq!(
@@ -877,12 +891,14 @@ mod replay_tests {
         let s = sim.clone();
         handles.push(sim.spawn(async move {
             s.sleep(SimDuration::from_micros(1)).await;
-            l.traverse(1, LinkDir::ToServer, VICTIM_BYTES as usize, VICTIM_BYTES as usize)
-                .await;
-            obs.set((
-                l.datagrams(LinkDir::ToServer),
-                l.bytes(LinkDir::ToServer),
-            ));
+            l.traverse(
+                1,
+                LinkDir::ToServer,
+                VICTIM_BYTES as usize,
+                VICTIM_BYTES as usize,
+            )
+            .await;
+            obs.set((l.datagrams(LinkDir::ToServer), l.bytes(LinkDir::ToServer)));
         }));
         sim.run_until(async move {
             for h in handles {
@@ -892,7 +908,10 @@ mod replay_tests {
         let (datagrams_at_victim, bytes_at_victim) = observed.get();
         // DRR promotes the victim past the hog backlog: it completes
         // second, not ninth as FIFO would have it.
-        assert_eq!(datagrams_at_victim, 2, "victim served right after the in-service hog frame");
+        assert_eq!(
+            datagrams_at_victim, 2,
+            "victim served right after the in-service hog frame"
+        );
         // The meter at that instant covers exactly the dequeues so far:
         // one hog frame plus the victim. Nothing lagging, nothing early.
         assert_eq!(

@@ -295,7 +295,10 @@ mod tests {
         let client = TcpEndpoint::new(&sim, to_server, crx, TcpConfig::for_mtu(1500));
         let root = server.fs.root_handle();
 
-        async fn recv_reply(records: &mut RecordReader, conn: &Rc<nfsperf_tcp::TcpConn>) -> Vec<u8> {
+        async fn recv_reply(
+            records: &mut RecordReader,
+            conn: &Rc<nfsperf_tcp::TcpConn>,
+        ) -> Vec<u8> {
             loop {
                 if let Some(r) = records.next_record() {
                     return r;
@@ -505,8 +508,7 @@ mod tests {
                                         self.server.begin_flyweight_write(self.base + idx, BYTES);
                                 } else if !chain.committed {
                                     chain.committed = true;
-                                    chain.op =
-                                        self.server.begin_flyweight_commit(self.base + idx);
+                                    chain.op = self.server.begin_flyweight_commit(self.base + idx);
                                 } else {
                                     self.finish
                                         .set(self.finish.get().max(self.sim.now().as_nanos()));

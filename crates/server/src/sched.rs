@@ -622,7 +622,11 @@ mod tests {
         let (q1, s1d) = engine.digests(1);
         assert_eq!(q0.p50, SimDuration::ZERO, "client 0 never queued");
         assert_eq!(s0.p50, SimDuration::from_micros(100));
-        assert_eq!(q1.p50, SimDuration::from_micros(100), "client 1 waited out client 0");
+        assert_eq!(
+            q1.p50,
+            SimDuration::from_micros(100),
+            "client 1 waited out client 0"
+        );
         assert_eq!(s1d.p50, SimDuration::from_micros(150));
         assert_eq!(engine.enqueued_bytes(), 100);
         assert_eq!(engine.served_bytes(), 100);
@@ -746,8 +750,9 @@ mod tests {
     /// re-kick the scheduler.
     #[test]
     fn quota_block_resolves_on_completion() {
-        let ops: Vec<(usize, u64, u64, u64)> =
-            (0..10u64).map(|i| (0usize, 0u64, 50u64, 8192 * (i % 2))).collect();
+        let ops: Vec<(usize, u64, u64, u64)> = (0..10u64)
+            .map(|i| (0usize, 0u64, 50u64, 8192 * (i % 2)))
+            .collect();
         let (peaks, enq, served) = run_property_world(
             SchedPolicy::ClassedDrr {
                 quantum: 16 * 1024,

@@ -521,7 +521,8 @@ impl NfsServer {
     pub fn register_slim_clients(&self, count: usize) -> usize {
         let base = self.per_client.borrow().len();
         self.engine.set_sample_cap(base);
-        self.slim_clients.set(self.slim_clients.get() + count as u64);
+        self.slim_clients
+            .set(self.slim_clients.get() + count as u64);
         base
     }
 

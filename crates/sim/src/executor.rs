@@ -255,7 +255,10 @@ enum TimerPayload {
     /// Fire-and-forget timed dispatch: no slab slot, no generation, no
     /// ready-queue round trip — for schedulers that never cancel (the
     /// flyweight tier's stage hops). Fired directly off the wheel.
-    Direct { handler: u32, data: u64 },
+    Direct {
+        handler: u32,
+        data: u64,
+    },
 }
 
 /// One generation-counted record in the event slab: which handler to
@@ -796,7 +799,10 @@ impl Sim {
     /// Panics if `deadline` is not in the future — there is no inline
     /// path; callers handle elapsed deadlines themselves.
     pub fn schedule_direct(&self, deadline: SimTime, handler: EventHandlerId, data: u64) {
-        assert!(deadline > self.now(), "schedule_direct needs a future deadline");
+        assert!(
+            deadline > self.now(),
+            "schedule_direct needs a future deadline"
+        );
         let seq = self.core.timer_seq.get();
         self.core.timer_seq.set(seq + 1);
         self.core.timers.borrow_mut().push(
@@ -1519,8 +1525,7 @@ mod tests {
                                     continue;
                                 }
                                 let (ev, data, deadline) = armed[target % armed.len()];
-                                let already_fired =
-                                    log.borrow().iter().any(|&(_, d)| d == data);
+                                let already_fired = log.borrow().iter().any(|&(_, d)| d == data);
                                 let already_cancelled = cancelled.contains(&data);
                                 let ok = s.cancel_event(ev);
                                 if ok {

@@ -160,7 +160,12 @@ impl Gen {
     }
 
     /// Vector of `len in [min_len, max_len)` elements drawn by `f`.
-    pub fn vec<T>(&mut self, min_len: usize, max_len: usize, mut f: impl FnMut(&mut Gen) -> T) -> Vec<T> {
+    pub fn vec<T>(
+        &mut self,
+        min_len: usize,
+        max_len: usize,
+        mut f: impl FnMut(&mut Gen) -> T,
+    ) -> Vec<T> {
         let len = self.usize_in(min_len, max_len);
         (0..len).map(|_| f(self)).collect()
     }
@@ -340,8 +345,7 @@ where
             CaseOutcome::Pass => ran += 1,
             CaseOutcome::Reject => continue,
             CaseOutcome::Fail(msg) => {
-                let (minimal, min_msg, steps) =
-                    shrink_failure(config, &prop, value, msg);
+                let (minimal, min_msg, steps) = shrink_failure(config, &prop, value, msg);
                 panic!(
                     "property '{name}' failed (case {ran}, seed {case_seed:#018x}):\n  \
                      {min_msg}\n  minimal failing input (after {steps} shrink steps): \
@@ -605,12 +609,7 @@ mod tests {
     #[test]
     fn impossible_assume_panics_with_diagnosis() {
         let err = std::panic::catch_unwind(|| {
-            check_with(
-                &quick(),
-                "never",
-                |g| g.any_u64(),
-                |_| CaseOutcome::Reject,
-            );
+            check_with(&quick(), "never", |g| g.any_u64(), |_| CaseOutcome::Reject);
         })
         .expect_err("must give up");
         let msg = err.downcast_ref::<String>().unwrap();

@@ -344,10 +344,7 @@ mod tests {
         for seq in 0..10u64 {
             w.push(777, seq, 0u32);
         }
-        assert_eq!(
-            drain(&mut w),
-            (0..10).map(|s| (777, s)).collect::<Vec<_>>()
-        );
+        assert_eq!(drain(&mut w), (0..10).map(|s| (777, s)).collect::<Vec<_>>());
     }
 
     #[test]

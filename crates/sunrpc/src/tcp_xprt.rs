@@ -291,8 +291,7 @@ impl TcpRpcXprt {
     }
 
     fn on_conn_death(self: &Rc<Self>, conn: &Rc<TcpConn>) {
-        let is_current =
-            matches!(&*self.conn.borrow(), ConnState::Up(c) if Rc::ptr_eq(c, conn));
+        let is_current = matches!(&*self.conn.borrow(), ConnState::Up(c) if Rc::ptr_eq(c, conn));
         if !is_current {
             return;
         }
@@ -425,11 +424,7 @@ mod tests {
         });
     }
 
-    fn build(
-        sim: &Sim,
-        config: XprtConfig,
-        server_delay: SimDuration,
-    ) -> (Kernel, Rc<TcpRpcXprt>) {
+    fn build(sim: &Sim, config: XprtConfig, server_delay: SimDuration) -> (Kernel, Rc<TcpRpcXprt>) {
         let kernel = Kernel::new(sim, KernelConfig::default());
         let (cnic, crx) = Nic::new(sim, "client", NicSpec::gigabit());
         let (snic, srx) = Nic::new(sim, "server", NicSpec::gigabit());

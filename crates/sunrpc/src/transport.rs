@@ -70,11 +70,7 @@ impl Xprt {
     }
 
     /// Issues one RPC and awaits the raw result bytes.
-    pub async fn call(
-        &self,
-        proc: u32,
-        args: &dyn XdrEncode,
-    ) -> Result<DatagramPayload, RpcError> {
+    pub async fn call(&self, proc: u32, args: &dyn XdrEncode) -> Result<DatagramPayload, RpcError> {
         match self {
             Xprt::Udp(x) => x.call(proc, args).await,
             Xprt::Tcp(x) => x.call(proc, args).await,

@@ -568,7 +568,8 @@ impl TcpConn {
             } else {
                 cwnd + (mss * mss / cwnd).max(1) // congestion avoidance
             };
-            self.cwnd.set(grown.min(self.config.max_cwnd as u64).max(mss));
+            self.cwnd
+                .set(grown.min(self.config.max_cwnd as u64).max(mss));
             // Restart the retransmission timer for the new leading byte.
             self.timer_epoch.set(self.timer_epoch.get() + 1);
             self.timer_kick.wake_all();
@@ -667,8 +668,7 @@ impl TcpConn {
                 self.ssthresh.set((flight / 2).max(2 * mss));
                 self.cwnd.set(mss);
                 self.dup_acks.set(0);
-                self.rto
-                    .set((self.rto.get() * 2).min(self.config.max_rto));
+                self.rto.set((self.rto.get() * 2).min(self.config.max_rto));
                 self.retransmit_first();
             }
         }

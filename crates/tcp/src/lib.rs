@@ -39,8 +39,7 @@ mod tests {
     /// client NIC transmits (requests and the client's ACKs).
     fn world(loss: f64) -> (Sim, Rc<TcpEndpoint>, Rc<TcpEndpoint>) {
         let sim = Sim::new();
-        let (client_nic, client_rx) =
-            Nic::with_loss(&sim, "client", NicSpec::gigabit(), loss, 42);
+        let (client_nic, client_rx) = Nic::with_loss(&sim, "client", NicSpec::gigabit(), loss, 42);
         let (server_nic, server_rx) = Nic::new(&sim, "server", NicSpec::gigabit());
         let c2s = Path::new(client_nic, server_nic, Path::default_latency());
         let s2c = c2s.reversed();
@@ -178,7 +177,10 @@ mod tests {
         let err = sim.run_until(async move { client.connect().await.err().unwrap() });
         assert_eq!(err, TcpError::ConnectTimedOut);
         // 5 retries with doubling backoff from 1 s: 1+2+4+8+16+32 = 63 s.
-        assert_eq!(sim.now() - nfsperf_sim::SimTime::ZERO, SimDuration::from_secs(63));
+        assert_eq!(
+            sim.now() - nfsperf_sim::SimTime::ZERO,
+            SimDuration::from_secs(63)
+        );
     }
 
     #[test]

@@ -65,6 +65,12 @@ fn main() {
 
     println!("\n== workload pattern: sequential vs random, list vs hash ==");
     let wc = exp::workload_comparison();
-    println!("  sequential: list {:>7.1} us   hash {:>6.1} us", wc.seq_list_us, wc.seq_hash_us);
-    println!("  random    : list {:>7.1} us   hash {:>6.1} us", wc.rand_list_us, wc.rand_hash_us);
+    println!(
+        "  sequential: list {:>7.1} us   hash {:>6.1} us",
+        wc.seq_list_us, wc.seq_hash_us
+    );
+    println!(
+        "  random    : list {:>7.1} us   hash {:>6.1} us",
+        wc.rand_list_us, wc.rand_hash_us
+    );
 }

@@ -18,7 +18,11 @@ use nfsperf_sunrpc::Transport;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let counts: &[usize] = if quick { &[1, 2, 4] } else { exp::FLEET_CLIENT_COUNTS };
+    let counts: &[usize] = if quick {
+        &[1, 2, 4]
+    } else {
+        exp::FLEET_CLIENT_COUNTS
+    };
     let bytes_per_client: u64 = if quick { 1 << 20 } else { 4 << 20 };
 
     println!(

@@ -21,7 +21,13 @@ fn main() {
     } else {
         (&[ServerKind::Filer, ServerKind::Knfsd], 7, 2 << 20)
     };
-    let sweep = qos_sweep(servers, &scheds, victims, bytes, nfsperf_sim::default_jobs());
+    let sweep = qos_sweep(
+        servers,
+        &scheds,
+        victims,
+        bytes,
+        nfsperf_sim::default_jobs(),
+    );
     print!("{}", sweep.render());
     let path = std::path::Path::new("results/qos.csv");
     sweep.write_csv(path).expect("write results/qos.csv");

@@ -296,7 +296,11 @@ fn cmd_figures(mut args: Args) -> Result<(), String> {
     // so the pool always has work; `assemble_exhibits` pairs the parts
     // back into CSVs byte-identical to the monolithic exhibits.
     let cells = figures::exhibit_cells(&sizes);
-    eprintln!("rendering {} exhibit cells on {} worker(s) ...", cells.len(), jobs);
+    eprintln!(
+        "rendering {} exhibit cells on {} worker(s) ...",
+        cells.len(),
+        jobs
+    );
     let parts = runner::run_cells(jobs, cells);
     for (name, body) in figures::assemble_exhibits(&sizes, parts) {
         std::fs::write(dir.join(name), body).map_err(|e| e.to_string())?;
@@ -363,7 +367,11 @@ fn cmd_fleet(mut args: Args) -> Result<(), String> {
         .unwrap_or_else(|| "results/fleet.csv".into());
     let jobs = args.jobs()?;
     args.finish()?;
-    let counts: &[usize] = if quick { &[1, 2, 4] } else { FLEET_CLIENT_COUNTS };
+    let counts: &[usize] = if quick {
+        &[1, 2, 4]
+    } else {
+        FLEET_CLIENT_COUNTS
+    };
     let bytes_per_client: u64 = if quick { 1 << 20 } else { 4 << 20 };
     println!(
         "fleet scaling sweep: {} MB per client, shared uplink at the server NIC rate",

@@ -65,7 +65,13 @@ fn knfsd_fleet_holds_its_ceiling() {
     // the regression this guards: concurrent COMMITs re-flushing the
     // shared dirty pool made aggregate throughput *fall* as clients were
     // added.
-    let sweep = fleet_sweep(&[1, 2, 4, 8], &[ServerKind::Knfsd], &[Transport::Udp], MB, 1);
+    let sweep = fleet_sweep(
+        &[1, 2, 4, 8],
+        &[ServerKind::Knfsd],
+        &[Transport::Udp],
+        MB,
+        1,
+    );
     let curve = sweep.series(ServerKind::Knfsd, Transport::Udp);
     let peak = curve.iter().map(|(_, a)| *a).fold(0.0, f64::max);
     for (clients, agg) in &curve {

@@ -67,8 +67,7 @@ fn flyweight_gap_distribution_matches_the_measured_trace() {
     ));
     let measured_min = cal.gaps.first().unwrap().0;
     let measured_max = cal.gaps.last().unwrap().0;
-    let measured_mean =
-        cal.gaps.iter().map(|g| g.0).sum::<u64>() as f64 / cal.gaps.len() as f64;
+    let measured_mean = cal.gaps.iter().map(|g| g.0).sum::<u64>() as f64 / cal.gaps.len() as f64;
 
     let mut state = 0x1f5u64.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let n = 10_000;
@@ -109,8 +108,7 @@ fn mixed_fleet_faithful_throughput_matches_the_pure_fleet() {
     let pure_mean = pure.per_client_mbps.iter().sum::<f64>() / pure.per_client_mbps.len() as f64;
 
     let mixed = run_megafleet(&MegaConfig::new(ServerKind::Filer, 28, bytes));
-    let mixed_mean =
-        mixed.faithful_mbps.iter().sum::<f64>() / mixed.faithful_mbps.len() as f64;
+    let mixed_mean = mixed.faithful_mbps.iter().sum::<f64>() / mixed.faithful_mbps.len() as f64;
 
     let err = (mixed_mean - pure_mean).abs() / pure_mean;
     assert!(

@@ -33,52 +33,68 @@ use nfsperf_xdr::{Decoder, Encoder, XdrDecode, XdrEncode};
 
 #[test]
 fn xdr_u32_round_trip() {
-    check("xdr_u32_round_trip", |g| g.any_u32(), |&v| {
-        let mut e = Encoder::new();
-        e.put_u32(v);
-        let bytes = e.into_bytes();
-        prop_assert_eq!(bytes.len(), 4);
-        prop_assert_eq!(Decoder::new(&bytes).get_u32().unwrap(), v);
-        CaseOutcome::Pass
-    });
+    check(
+        "xdr_u32_round_trip",
+        |g| g.any_u32(),
+        |&v| {
+            let mut e = Encoder::new();
+            e.put_u32(v);
+            let bytes = e.into_bytes();
+            prop_assert_eq!(bytes.len(), 4);
+            prop_assert_eq!(Decoder::new(&bytes).get_u32().unwrap(), v);
+            CaseOutcome::Pass
+        },
+    );
 }
 
 #[test]
 fn xdr_u64_round_trip() {
-    check("xdr_u64_round_trip", |g| g.any_u64(), |&v| {
-        let mut e = Encoder::new();
-        e.put_u64(v);
-        let bytes = e.into_bytes();
-        prop_assert_eq!(Decoder::new(&bytes).get_u64().unwrap(), v);
-        CaseOutcome::Pass
-    });
+    check(
+        "xdr_u64_round_trip",
+        |g| g.any_u64(),
+        |&v| {
+            let mut e = Encoder::new();
+            e.put_u64(v);
+            let bytes = e.into_bytes();
+            prop_assert_eq!(Decoder::new(&bytes).get_u64().unwrap(), v);
+            CaseOutcome::Pass
+        },
+    );
 }
 
 #[test]
 fn xdr_opaque_round_trip() {
-    check("xdr_opaque_round_trip", |g| g.bytes(0, 2048), |data| {
-        let mut e = Encoder::new();
-        e.put_opaque(data);
-        let bytes = e.into_bytes();
-        // Always 4-byte aligned.
-        prop_assert_eq!(bytes.len() % 4, 0);
-        let mut d = Decoder::new(&bytes);
-        prop_assert_eq!(d.get_opaque().unwrap(), &data[..]);
-        prop_assert!(d.is_empty());
-        CaseOutcome::Pass
-    });
+    check(
+        "xdr_opaque_round_trip",
+        |g| g.bytes(0, 2048),
+        |data| {
+            let mut e = Encoder::new();
+            e.put_opaque(data);
+            let bytes = e.into_bytes();
+            // Always 4-byte aligned.
+            prop_assert_eq!(bytes.len() % 4, 0);
+            let mut d = Decoder::new(&bytes);
+            prop_assert_eq!(d.get_opaque().unwrap(), &data[..]);
+            prop_assert!(d.is_empty());
+            CaseOutcome::Pass
+        },
+    );
 }
 
 #[test]
 fn xdr_string_round_trip() {
-    check("xdr_string_round_trip", |g| g.unicode_string(0, 257), |s| {
-        let mut e = Encoder::new();
-        e.put_string(s);
-        let bytes = e.into_bytes();
-        let mut d = Decoder::new(&bytes);
-        prop_assert_eq!(&d.get_string().unwrap(), s);
-        CaseOutcome::Pass
-    });
+    check(
+        "xdr_string_round_trip",
+        |g| g.unicode_string(0, 257),
+        |s| {
+            let mut e = Encoder::new();
+            e.put_string(s);
+            let bytes = e.into_bytes();
+            let mut d = Decoder::new(&bytes);
+            prop_assert_eq!(&d.get_string().unwrap(), s);
+            CaseOutcome::Pass
+        },
+    );
 }
 
 #[test]
@@ -937,11 +953,7 @@ fn timer_wheel_matches_reference_heap_order() {
     // wheel level (including cascades).
     check(
         "timer_wheel_matches_reference_heap_order",
-        |g| {
-            g.vec(0, 300, |g| {
-                (g.u8_in(0, 4), g.any_u64() >> g.u32_in(0, 64))
-            })
-        },
+        |g| g.vec(0, 300, |g| (g.u8_in(0, 4), g.any_u64() >> g.u32_in(0, 64))),
         |ops: &Vec<(u8, u64)>| {
             let mut wheel: TimerWheel<u64> = TimerWheel::new();
             let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();

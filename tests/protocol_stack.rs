@@ -283,7 +283,11 @@ fn enospc_reported_at_close_without_leaks() {
         nfsperf_kernel::VfsError::Server(nfsperf_nfs3::NfsStat3::Nospc as u32),
         "ENOSPC must surface at close"
     );
-    assert_eq!(kernel.mem.dirty_pages(), 0, "failed writes must not pin pages");
+    assert_eq!(
+        kernel.mem.dirty_pages(),
+        0,
+        "failed writes must not pin pages"
+    );
     assert_eq!(mount.outstanding_requests(), 0);
     assert!(mount.stats().write_failures > 0);
 }

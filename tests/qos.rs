@@ -100,7 +100,10 @@ fn hog_bytes_are_accounted_at_the_server() {
         hog.write_bytes > 0,
         "the hog's stream must reach the server"
     );
-    assert!(hog.commits > 0, "the hog's periodic fsync must send COMMITs");
+    assert!(
+        hog.commits > 0,
+        "the hog's periodic fsync must send COMMITs"
+    );
     // The baseline world has no hog at all.
     let base = run_qos(&config.baseline());
     assert_eq!(base.per_client_server.len(), 3);

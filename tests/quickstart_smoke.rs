@@ -51,8 +51,14 @@ fn quickstart_world_completes_with_nonzero_throughput() {
         "write throughput must be non-zero, got {}",
         report.write_mbps()
     );
-    assert!(report.flush_mbps() > 0.0, "flush throughput must be non-zero");
-    assert!(report.close_mbps() > 0.0, "close throughput must be non-zero");
+    assert!(
+        report.flush_mbps() > 0.0,
+        "flush throughput must be non-zero"
+    );
+    assert!(
+        report.close_mbps() > 0.0,
+        "close throughput must be non-zero"
+    );
 
     let xprt = mount.xprt().stats();
     assert!(xprt.calls > 0, "the mount must have issued RPCs");
@@ -60,9 +66,5 @@ fn quickstart_world_completes_with_nonzero_throughput() {
 
     let srv = server.stats();
     assert!(srv.writes > 0, "the server must have seen WRITEs");
-    assert_eq!(
-        srv.write_bytes,
-        4 << 20,
-        "every byte must reach the server"
-    );
+    assert_eq!(srv.write_bytes, 4 << 20, "every byte must reach the server");
 }
