@@ -17,10 +17,14 @@
 //! one RPC record per client for its whole run, and at the server's
 //! knee nearly all of them queue inside the server at once. Each one
 //! costs a 48-byte `FlyRpc`, a 16-byte executor waker entry, a shadow
-//! task slot, and inside the server a 56-byte [`FlyweightOp`] plus the
-//! scheduler's ticket. [`FlyTier::bytes_per_client`] counts none of
-//! these; the `resident_bytes` test measures the whole world's heap
-//! high-water mark per client with a counting allocator.
+//! task slot, one 8-byte ready-queue word or 32-byte wheel record while
+//! it waits on the executor (its posts and stage timers are direct
+//! dispatches, which arm no event slot), and, queued at the core uplink
+//! or inside the server, a 24-byte arbiter ticket in a 48-byte heap
+//! chunk; inside the server it also holds a 48-byte [`FlyweightOp`].
+//! [`FlyTier::bytes_per_client`] counts none of these; the
+//! `resident_bytes` test measures the whole world's heap high-water mark
+//! per client with a counting allocator.
 //!
 //! Per-client serialization that a real NIC would impose (receive drain
 //! at the server port, transmit of the reply, receive at the client) is
@@ -436,10 +440,11 @@ impl FlyTier {
                 (seq, at)
             };
             // The request half claims a shadow slot (see
-            // `FlyRpc::shadow`) and starts from the ready queue.
+            // `FlyRpc::shadow`) and starts from the ready queue. The post
+            // is never cancelled, so it needs no event slot.
             let r = self.alloc_rpc(idx, seq, SimTime(at));
             self.rpcs.borrow_mut().slots[r as usize].shadow = shadow_id(self.sim.spawn_shadow());
-            self.sim.post_event(self.handler.get(), u64::from(r));
+            self.sim.post_direct(self.handler.get(), r);
         }
     }
 
@@ -479,16 +484,16 @@ impl FlyTier {
         }
     }
 
-    /// Schedules RPC `data`'s next dispatch at `deadline` and returns
+    /// Schedules RPC `r`'s next dispatch at `deadline` and returns
     /// `true`; returns `false` when the deadline is not in the future,
     /// in which case the caller continues inline — as a task's `Sleep`
     /// completes without touching the wheel when its deadline has
     /// passed.
-    fn sleep_then(&self, deadline: SimTime, data: u64) -> bool {
+    fn sleep_then(&self, deadline: SimTime, r: u32) -> bool {
         if deadline > self.sim.now() {
             // Stage hops are never cancelled, so the timer can carry the
             // dispatch itself — no slab slot, no ready-queue round trip.
-            self.sim.schedule_direct(deadline, self.handler.get(), data);
+            self.sim.schedule_direct(deadline, self.handler.get(), r);
             true
         } else {
             false
@@ -501,7 +506,6 @@ impl FlyTier {
     /// interleave in one order.
     fn step(self: &Rc<Self>, r: u32) {
         let h = self.handler.get();
-        let data = u64::from(r);
         let mut rpcs = self.rpcs.borrow_mut();
         let rpc = &mut rpcs.slots[r as usize];
         // Every park hands out the record's direct waker: no slab arm,
@@ -516,7 +520,7 @@ impl FlyTier {
                 RpcStage::Start => {
                     rpc.stage = RpcStage::Launch;
                     if rpc.emitted_at > self.sim.now() {
-                        self.sim.schedule_direct(rpc.emitted_at, h, data);
+                        self.sim.schedule_direct(rpc.emitted_at, h, r);
                         return;
                     }
                 }
@@ -535,7 +539,7 @@ impl FlyTier {
                     };
                     rpc.stage = RpcStage::AggXfer;
                     let done = self.sim.now() + xfer;
-                    if self.sleep_then(done, data) {
+                    if self.sleep_then(done, r) {
                         return;
                     }
                 }
@@ -556,7 +560,7 @@ impl FlyTier {
                     };
                     rpc.stage = RpcStage::CoreXfer;
                     let done = self.sim.now() + xfer;
-                    if self.sleep_then(done, data) {
+                    if self.sleep_then(done, r) {
                         return;
                     }
                 }
@@ -566,7 +570,7 @@ impl FlyTier {
                         .finish_traverse(LinkDir::ToServer, self.request(rpc.op).payload);
                     rpc.stage = RpcStage::PortDrain;
                     let woke = self.sim.now() + self.fabric.latency();
-                    if self.sleep_then(woke, data) {
+                    if self.sleep_then(woke, r) {
                         return;
                     }
                 }
@@ -575,7 +579,7 @@ impl FlyTier {
                     let drained =
                         self.advance_clock(rpc.idx, ClockId::PortRx, self.config.port_nic, w);
                     rpc.stage = RpcStage::HandOff;
-                    if self.sleep_then(drained, data) {
+                    if self.sleep_then(drained, r) {
                         return;
                     }
                 }
@@ -585,7 +589,7 @@ impl FlyTier {
                     // slot released after.
                     rpc.stage = RpcStage::Service;
                     let service_shadow = shadow_id(self.sim.spawn_shadow());
-                    self.sim.post_event(h, data);
+                    self.sim.post_direct(h, r);
                     self.sim.drop_shadow(rpc.shadow as usize);
                     rpc.shadow = service_shadow;
                     return;
@@ -607,7 +611,7 @@ impl FlyTier {
                             FlyStep::Parked => return,
                             FlyStep::Sleep(d) => {
                                 if d > SimDuration::ZERO {
-                                    self.sim.schedule_direct(self.sim.now() + d, h, data);
+                                    self.sim.schedule_direct(self.sim.now() + d, h, r);
                                     return;
                                 }
                             }
@@ -621,7 +625,7 @@ impl FlyTier {
                     let sent =
                         self.advance_clock(rpc.idx, ClockId::PortTx, self.config.port_nic, w);
                     rpc.stage = RpcStage::CoreRStart;
-                    if self.sleep_then(sent, data) {
+                    if self.sleep_then(sent, r) {
                         return;
                     }
                 }
@@ -639,7 +643,7 @@ impl FlyTier {
                     };
                     rpc.stage = RpcStage::CoreRXfer;
                     let done = self.sim.now() + xfer;
-                    if self.sleep_then(done, data) {
+                    if self.sleep_then(done, r) {
                         return;
                     }
                 }
@@ -660,7 +664,7 @@ impl FlyTier {
                     };
                     rpc.stage = RpcStage::AggRXfer;
                     let done = self.sim.now() + xfer;
-                    if self.sleep_then(done, data) {
+                    if self.sleep_then(done, r) {
                         return;
                     }
                 }
@@ -670,7 +674,7 @@ impl FlyTier {
                         .finish_traverse(LinkDir::ToClients, self.reply(rpc.op).payload);
                     rpc.stage = RpcStage::CliDrain;
                     let woke = self.sim.now() + self.fabric.latency();
-                    if self.sleep_then(woke, data) {
+                    if self.sleep_then(woke, r) {
                         return;
                     }
                 }
@@ -679,7 +683,7 @@ impl FlyTier {
                     let drained =
                         self.advance_clock(rpc.idx, ClockId::CliRx, self.config.client_nic, w);
                     rpc.stage = RpcStage::Complete;
-                    if self.sleep_then(drained, data) {
+                    if self.sleep_then(drained, r) {
                         return;
                     }
                 }
@@ -791,7 +795,7 @@ impl FlyTier {
     /// `bytes_per_client` column. It leaves out what each in-flight RPC
     /// holds (see the module docs), which at a million clients is most
     /// of the process: the `resident_bytes` test measures the whole
-    /// world at about 380 heap bytes per client.
+    /// world at about 300 heap bytes per client.
     pub fn bytes_per_client(&self) -> usize {
         let n = self.config.clients as usize;
         let shared = self.latencies.borrow().capacity() * std::mem::size_of::<SimDuration>()
@@ -899,6 +903,11 @@ mod tests {
             std::mem::size_of::<FlyRpc>() <= 48,
             "FlyRpc grew to {} bytes",
             std::mem::size_of::<FlyRpc>()
+        );
+        assert!(
+            std::mem::size_of::<FlyweightOp>() <= 48,
+            "FlyweightOp grew to {} bytes",
+            std::mem::size_of::<FlyweightOp>()
         );
         assert_eq!(
             std::mem::size_of::<OpSlot>(),

@@ -4,8 +4,8 @@
 //! `FlyTier::bytes_per_client` counts the per-client slab and the tier's
 //! shared state only. A running tier also holds, for every RPC in
 //! flight, its record, its direct waker, its shadow task slot, its
-//! launch event, its wheel entries, and its lane and server-queue
-//! tickets. At megafleet scale every client has an RPC in flight at
+//! ready-queue and wheel words, its server-side op, and its lane and
+//! server-queue tickets. At megafleet scale every client has an RPC in flight at
 //! once, so those are per-client costs too. This harness wraps the
 //! system allocator with a live-byte counter and its high-water mark and
 //! charges the whole world's peak to the clients.
@@ -65,15 +65,15 @@ static COUNTER: PeakAlloc = PeakAlloc;
 /// every client in flight at once, against the filer through the
 /// two-tier fabric. The count sits 256 under 2^16 so that every table
 /// that grows by doubling ends just under a power of two: the tier's
-/// RPC and op slabs hold one entry per client, the executor's task,
-/// event and timer tables one per client plus the world's own few
-/// dozen. At exactly 2^16 clients those executor tables pass 2^16
-/// entries and double to 2^17; this counter would charge that
-/// never-touched capacity to the clients (449 B each instead of 370).
+/// RPC and op slabs hold one entry per client, the executor's task and
+/// timer tables one per client plus the world's own few dozen. At
+/// exactly 2^16 clients those executor tables pass 2^16 entries and
+/// double to 2^17; this counter would charge that never-touched capacity
+/// to the clients (365 B each instead of 302).
 const CLIENTS: u32 = 65_280;
 
 /// High-water heap bytes per flyweight client the whole world may hold.
-const BUDGET: usize = 384;
+const BUDGET: usize = 320;
 
 #[test]
 fn flyweight_world_peak_heap_per_client_within_budget() {

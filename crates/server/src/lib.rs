@@ -541,7 +541,7 @@ mod tests {
                     committed: false,
                     op: server.begin_flyweight_write(base + c, BYTES),
                 });
-                sim.post_event(h, c as u64);
+                sim.schedule_event(sim.now(), h, c as u64);
             }
             let s = sim.clone();
             let d = Rc::clone(&driver);

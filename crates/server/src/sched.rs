@@ -287,8 +287,8 @@ impl ServiceEngine {
     /// [`ServiceEngine::poll_admit`] without the guard: returns `true`
     /// once a slot is taken for `meta`, which the caller must hand back
     /// through [`ServiceEngine::release`] when service ends. For callers
-    /// that keep `meta` anyway and cannot spare a guard's 40 bytes per
-    /// request (the flyweight op).
+    /// that keep the request's fields anyway and cannot spare a guard's
+    /// 40 bytes per request (the flyweight op).
     pub(crate) fn poll_claim(
         &self,
         meta: ReqMeta,
@@ -491,6 +491,50 @@ mod tests {
                 }
             });
             assert_eq!(*served.borrow(), want, "{policy:?}");
+        }
+    }
+
+    /// A READ whose wire count is `u32::MAX` queues behind a held slot
+    /// and is served under every policy: the arbiter caps its cost
+    /// rather than refusing it, and the engine still counts every byte.
+    #[test]
+    fn huge_wire_count_queues_and_is_served() {
+        for policy in [
+            SchedPolicy::Fifo,
+            SchedPolicy::drr(),
+            SchedPolicy::classed_drr(),
+        ] {
+            let sim = Sim::new();
+            let engine = ServiceEngine::new(&sim, 1, policy);
+            let served = Rc::new(RefCell::new(Vec::new()));
+            let ops = [(0, 8192, 0), (1, u64::from(u32::MAX), 1), (2, 8192, 2)];
+            let handles: Vec<_> = ops
+                .into_iter()
+                .map(|(client, bytes, delay)| {
+                    let (s, e, served) = (sim.clone(), Rc::clone(&engine), Rc::clone(&served));
+                    sim.spawn(async move {
+                        s.sleep(SimDuration::from_micros(delay)).await;
+                        let slot = e.admit(meta(client, OpClass::Meta, bytes)).await;
+                        served.borrow_mut().push(client);
+                        s.sleep(SimDuration::from_micros(100)).await;
+                        drop(slot);
+                    })
+                })
+                .collect();
+            sim.run_until(async move {
+                for h in handles {
+                    h.await;
+                }
+            });
+            // DRR may serve the small request first; all three are served.
+            let mut served = served.borrow().clone();
+            served.sort_unstable();
+            assert_eq!(served, [0, 1, 2], "{policy:?}");
+            assert_eq!(
+                engine.served_bytes(),
+                2 * 8192 + u64::from(u32::MAX),
+                "{policy:?}"
+            );
         }
     }
 

@@ -369,27 +369,43 @@ enum FlyStage {
 /// RPC inside the server and drives it with
 /// [`NfsServer::poll_flyweight`]. All wait state lives inline, one stage
 /// at a time, so constructing a fresh op per RPC allocates nothing and
-/// an op is 56 bytes: at a million clients nearly every RPC can sit in
-/// the server's queue at once. Unlike a faithful request, an op holds
-/// its service slot without a guard, so it must be driven to done once
+/// an op is 48 bytes: at a million clients nearly every RPC can sit in
+/// the server's queue at once. The op keeps its [`ReqMeta`] fields
+/// narrowed (client and bytes as `u32`) and builds the meta when the
+/// service engine needs it. Unlike a faithful request, an op holds its
+/// service slot without a guard, so it must be driven to done once
 /// admitted: dropping one mid-service would leave the slot taken, and
 /// debug builds assert that it never happens.
 pub struct FlyweightOp {
-    /// Client id, class (WRITE or COMMIT), payload bytes and arrival.
-    meta: ReqMeta,
+    /// When the op reached the server.
+    arrival: SimTime,
+    /// Client id.
+    client: u32,
+    /// Payload bytes (0 for a COMMIT).
+    bytes: u32,
+    /// WRITE or COMMIT.
+    class: OpClass,
     stage: FlyStage,
 }
 
 impl FlyweightOp {
     fn new(client: usize, class: OpClass, bytes: u64, arrival: SimTime) -> FlyweightOp {
         FlyweightOp {
-            meta: ReqMeta {
-                client,
-                class,
-                bytes,
-                arrival,
-            },
+            arrival,
+            client: u32::try_from(client).expect("flyweight client ids fit 32 bits"),
+            bytes: u32::try_from(bytes).expect("flyweight payloads fit 32 bits"),
+            class,
             stage: FlyStage::Gate(GatePass::default()),
+        }
+    }
+
+    /// The op's scheduling metadata, as a faithful request carries it.
+    fn meta(&self) -> ReqMeta {
+        ReqMeta {
+            client: self.client as usize,
+            class: self.class,
+            bytes: u64::from(self.bytes),
+            arrival: self.arrival,
         }
     }
 
@@ -532,6 +548,11 @@ impl NfsServer {
     /// decode, file-system state, or per-client digests. Counts the op
     /// and stamps its arrival, then hands back a state machine the
     /// caller advances with [`NfsServer::poll_flyweight`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `client` or `bytes` does not fit 32 bits, as a WRITE's
+    /// wire count always does.
     pub fn begin_flyweight_write(&self, client: usize, bytes: u64) -> FlyweightOp {
         self.slim_ops.inc();
         FlyweightOp::new(client, OpClass::Write, bytes, self.sim.now())
@@ -557,7 +578,8 @@ impl NfsServer {
         op: &mut FlyweightOp,
         waker_factory: &mut dyn FnMut() -> std::task::Waker,
     ) -> FlyStep {
-        let kind = match op.meta.class {
+        let meta = op.meta();
+        let kind = match meta.class {
             OpClass::Write => DataOp::Write,
             OpClass::Commit => DataOp::Commit,
             OpClass::Meta => unreachable!("flyweight ops are WRITEs or COMMITs"),
@@ -575,14 +597,14 @@ impl NfsServer {
                     op.stage = FlyStage::Admit(SvcAdmit::default());
                 }
                 FlyStage::Admit(admit) => {
-                    if !self.engine.poll_claim(op.meta, admit, waker_factory) {
+                    if !self.engine.poll_claim(meta, admit, waker_factory) {
                         return FlyStep::Parked;
                     }
                     op.stage = FlyStage::Backend(BackendStep::default());
-                    return FlyStep::Sleep(self.service_time(op.meta.bytes));
+                    return FlyStep::Sleep(self.service_time(meta.bytes));
                 }
                 FlyStage::Backend(step) => {
-                    match self.poll_backend(kind, op.meta.bytes, step, waker_factory) {
+                    match self.poll_backend(kind, meta.bytes, step, waker_factory) {
                         FlyStep::Done => {}
                         step => return step,
                     }
@@ -590,9 +612,9 @@ impl NfsServer {
                     match kind {
                         DataOp::Write => {
                             self.writes.inc();
-                            self.write_bytes.add(op.meta.bytes);
+                            self.write_bytes.add(meta.bytes);
                             self.slim_writes.inc();
-                            self.slim_write_bytes.add(op.meta.bytes);
+                            self.slim_write_bytes.add(meta.bytes);
                         }
                         DataOp::Commit => {
                             self.commits.inc();
@@ -601,7 +623,7 @@ impl NfsServer {
                     }
                     // Counters first, slot release last, as a faithful
                     // request releases its slot when its handler returns.
-                    self.engine.release(&op.meta);
+                    self.engine.release(&meta);
                     op.stage = FlyStage::Done;
                     return FlyStep::Done;
                 }

@@ -35,6 +35,11 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::task::Waker;
 
+/// DRR cost cap: 2^30 − 1 bytes, the most a queued [`Ticket`] keeps
+/// in its 30 cost bits. A larger cost (a wire count no transfer size
+/// allows) is charged as this much, at the pick and at the refund alike.
+pub const MAX_COST: u64 = (1 << 30) - 1;
+
 /// DRR cost floor: a tiny request (a COMMIT, a runt frame) still
 /// occupies a slot, so DRR charges it as if it carried a small payload.
 /// Without a floor a key could pump unlimited runts through one quantum.
@@ -49,10 +54,11 @@ pub const DEFAULT_QUANTUM: u64 = 32 * 1024;
 pub struct Key {
     /// Flow id: the DRR ring and in-flight quota are per flow.
     pub flow: u32,
-    /// Priority class; a DRR order with one class treats every class as 0.
+    /// Priority class; a DRR order with one class treats every class as
+    /// 0, and one with two serves every nonzero class as 1.
     pub class: u8,
-    /// Byte cost charged against the flow's deficit (floored at
-    /// [`COST_FLOOR`]).
+    /// Byte cost charged against the flow's deficit, floored at
+    /// [`COST_FLOOR`] and capped at [`MAX_COST`].
     pub cost: u64,
 }
 
@@ -104,13 +110,27 @@ impl WeightTable {
 /// order hands tickets back from `pick_next`, and the arbiter wakes them:
 /// exactly one wake per park, never cancelled, which is what lets the
 /// flyweight tier park reusable direct wakers here.
+///
+/// 24 bytes, so an `Rc<Ticket>` is a 40-byte allocation: at a million
+/// flyweight clients about a million tickets are live at once, queued at
+/// the core uplink or in the server. The cost, the class and the woken
+/// flag share one word, so the cost is capped at [`MAX_COST`].
 pub struct Ticket {
-    flow: Cell<u32>,
-    class: Cell<u8>,
-    woken: Cell<bool>,
-    cost: Cell<u64>,
     waker: Cell<Option<Waker>>,
+    flow: Cell<u32>,
+    /// Cost in the low 30 bits ([`COST_MASK`]), then [`CLASS_BIT`] and
+    /// [`WOKEN_BIT`].
+    bits: Cell<u32>,
 }
+
+/// The cost bits of a ticket's word.
+const COST_MASK: u32 = MAX_COST as u32;
+/// Set for a class other than 0. Orders have at most two classes and
+/// serve every nonzero class as class 1, so one bit keeps the key.
+const CLASS_BIT: u32 = 1 << 30;
+/// Set once the arbiter has woken the ticket, cleared when its waiter
+/// takes the wake.
+const WOKEN_BIT: u32 = 1 << 31;
 
 /// Free-list bound for recycled tickets; admissions beyond it fall back
 /// to plain allocation.
@@ -126,7 +146,7 @@ thread_local! {
 }
 
 impl Ticket {
-    /// A class-0 ticket for `cost` bytes from `flow`.
+    /// A class-0 ticket for `cost` bytes from `flow`, capped at [`MAX_COST`].
     pub fn new(flow: u32, cost: u64) -> Rc<Ticket> {
         Ticket::keyed(Key {
             flow,
@@ -136,26 +156,25 @@ impl Ticket {
     }
 
     /// A ticket for `key`, reusing a retired ticket when the pool has one.
+    /// The cost is capped at [`MAX_COST`].
     pub(crate) fn keyed(key: Key) -> Rc<Ticket> {
+        let cost = key.cost.min(MAX_COST) as u32;
+        let bits = cost | if key.class == 0 { 0 } else { CLASS_BIT };
         TICKET_POOL.with(|p| {
             let mut free = p.borrow_mut();
             while let Some(t) = free.pop() {
                 if Rc::strong_count(&t) == 1 {
                     t.flow.set(key.flow);
-                    t.class.set(key.class);
-                    t.cost.set(key.cost);
-                    t.woken.set(false);
+                    t.bits.set(bits);
                     t.waker.take();
                     return t;
                 }
                 // A holder is still alive somewhere; forget this one.
             }
             Rc::new(Ticket {
-                flow: Cell::new(key.flow),
-                class: Cell::new(key.class),
-                woken: Cell::new(false),
-                cost: Cell::new(key.cost),
                 waker: Cell::new(None),
+                flow: Cell::new(key.flow),
+                bits: Cell::new(bits),
             })
         })
     }
@@ -174,18 +193,27 @@ impl Ticket {
         self.flow.get()
     }
 
-    /// The waiter's byte cost (before the floor).
+    /// The waiter's byte cost (before the floor, after the cap).
     pub(crate) fn cost(&self) -> u64 {
-        self.cost.get()
+        u64::from(self.bits.get() & COST_MASK)
     }
 
-    /// The waiter's priority class.
+    /// The waiter's priority class: 0, or 1 for any nonzero class.
     pub(crate) fn class(&self) -> u8 {
-        self.class.get()
+        u8::from(self.bits.get() & CLASS_BIT != 0)
+    }
+
+    fn woken(&self) -> bool {
+        self.bits.get() & WOKEN_BIT != 0
+    }
+
+    fn set_woken(&self, woken: bool) {
+        let bits = self.bits.get() & !WOKEN_BIT;
+        self.bits.set(if woken { bits | WOKEN_BIT } else { bits });
     }
 
     fn wake(&self) {
-        self.woken.set(true);
+        self.set_woken(true);
         if let Some(w) = self.waker.take() {
             w.wake();
         }
@@ -313,7 +341,7 @@ impl Drr {
         if self.quota.is_some() {
             b.granted -= 1;
         }
-        b.deficit += key.cost.max(COST_FLOOR);
+        b.deficit += key.cost.clamp(COST_FLOOR, MAX_COST);
     }
 
     fn on_complete(&self, flow: u32) {
@@ -520,11 +548,11 @@ impl Arbiter {
         }
         loop {
             let ticket = claim.0.as_ref().expect("queued claim");
-            if !ticket.woken.get() {
+            if !ticket.woken() {
                 ticket.waker.set(Some(waker_factory()));
                 return false;
             }
-            ticket.woken.set(false);
+            ticket.set_woken(false);
             self.pending_wakes.set(self.pending_wakes.get() - 1);
             if self.free.get() > 0 {
                 break;
@@ -615,8 +643,39 @@ mod tests {
     /// it replaced (40 bytes), and a claim is one pointer.
     #[test]
     fn ticket_and_claim_stay_small() {
-        assert!(std::mem::size_of::<Ticket>() <= 40);
+        assert!(std::mem::size_of::<Ticket>() <= 24);
         assert_eq!(std::mem::size_of::<Claim>(), std::mem::size_of::<usize>());
+    }
+
+    #[test]
+    fn packed_ticket_keeps_cost_class_and_woken_apart() {
+        let t = Ticket::keyed(Key {
+            flow: u32::MAX,
+            class: 2,
+            cost: u64::from(COST_MASK),
+        });
+        assert_eq!(
+            (t.flow(), t.cost(), t.class()),
+            (u32::MAX, (1 << 30) - 1, 1)
+        );
+        t.wake();
+        assert!(t.woken());
+        assert_eq!((t.cost(), t.class()), (u64::from(COST_MASK), 1));
+        t.set_woken(false);
+        assert!(!t.woken());
+        assert_eq!((t.cost(), t.class()), (u64::from(COST_MASK), 1));
+    }
+
+    #[test]
+    fn ticket_caps_a_cost_past_30_bits() {
+        for cost in [MAX_COST + 1, u64::from(u32::MAX), u64::MAX] {
+            let t = Ticket::keyed(Key {
+                flow: 3,
+                class: 0,
+                cost,
+            });
+            assert_eq!((t.flow(), t.cost(), t.class()), (3, MAX_COST, 0));
+        }
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //! - pending timers live in a hierarchical timer wheel
 //!   ([`crate::wheel::TimerWheel`]) instead of a binary heap: `O(1)`
 //!   registration, `O(levels)` pops, and the exact
-//!   `(deadline, registration-seq)` firing order the heap gave.
+//!   `(deadline, registration-seq)` firing order the heap gave. Each
+//!   timer is one ready-queue word (see [`Sim::register_timer`]).
 
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::collections::VecDeque;
@@ -49,8 +50,9 @@ pub type TaskId = usize;
 const EVENT_TAG: usize = 1 << (usize::BITS - 1);
 /// Ready-queue entries with this bit set (and [`EVENT_TAG`] clear) are
 /// direct dispatches: a pre-encoded `(handler, data)` pair with no slab
-/// slot and no generation, for parked waits that are woken exactly once
-/// and never cancelled (see [`Sim::direct_waker`]).
+/// slot and no generation, for dispatches that are never cancelled (see
+/// [`Sim::post_direct`], [`Sim::schedule_direct`] and
+/// [`Sim::direct_waker`]).
 const DIRECT_TAG: usize = 1 << (usize::BITS - 2);
 /// Generations are 31 bits so a tagged `(gen, slot)` pair plus the tag
 /// fits one ready-queue word.
@@ -68,6 +70,16 @@ fn encode_event(slot: u32, gen: u32) -> usize {
 #[inline]
 fn encode_direct(handler: u32, data: u32) -> usize {
     DIRECT_TAG | ((handler as usize) << 32) | data as usize
+}
+
+/// `handler`'s id, checked to fit a direct word's 30 handler bits.
+#[inline]
+fn direct_handler(handler: EventHandlerId) -> u32 {
+    assert!(
+        handler.0 < DIRECT_HANDLER_MAX,
+        "direct dispatches carry 30-bit handler ids"
+    );
+    handler.0
 }
 
 type LocalFuture = Pin<Box<dyn Future<Output = ()> + 'static>>;
@@ -241,26 +253,6 @@ fn waker_for(entry: &WakerEntry) -> Waker {
     unsafe { Waker::from_raw(raw) }
 }
 
-/// What a wheel timer does when it fires: wake a task waker, or push an
-/// already-encoded slab-event entry onto the ready queue.
-///
-/// Events must NOT arm timers through their slot waker: the slot's waker
-/// entry holds the generation of its *current* arm, and a stale timer
-/// left in the wheel by a cancelled arm would then resurrect whatever
-/// event occupies the slot next (the ABA the generation counter exists
-/// to prevent). `Event` snapshots `(slot, gen)` at registration instead.
-enum TimerPayload {
-    Task(Waker),
-    Event(usize),
-    /// Fire-and-forget timed dispatch: no slab slot, no generation, no
-    /// ready-queue round trip — for schedulers that never cancel (the
-    /// flyweight tier's stage hops). Fired directly off the wheel.
-    Direct {
-        handler: u32,
-        data: u64,
-    },
-}
-
 /// One generation-counted record in the event slab: which handler to
 /// call with which payload, valid only while `gen` matches the handle
 /// that armed it.
@@ -319,7 +311,10 @@ const NO_SLOT: usize = usize::MAX;
 struct SimCore {
     now: Cell<SimTime>,
     timer_seq: Cell<u64>,
-    timers: RefCell<TimerWheel<TimerPayload>>,
+    /// Pending timers, each the ready-queue word its firing produces: a
+    /// task slot id, an [`encode_event`] snapshot, or an
+    /// [`encode_direct`] dispatch.
+    timers: RefCell<TimerWheel<usize>>,
     tasks: RefCell<Vec<TaskSlot>>,
     /// One waker entry per polled task-table slot, holding the slot id.
     /// It never goes stale: it is created at the slot's first poll and
@@ -442,26 +437,46 @@ impl Sim {
     /// Registers a waker to fire at `deadline`.
     ///
     /// Used by [`Sleep`]; most code should call [`Sim::sleep`] instead.
+    /// The timer stores the waker's ready-queue word, not the waker: a
+    /// task slot's word never changes, so pushing the stored word when
+    /// the timer fires is exactly what waking the waker would do.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `waker` is one of this simulator's own wakers (a
+    /// task polled by this `Sim`).
     pub fn register_timer(&self, deadline: SimTime, waker: Waker) {
-        let seq = self.core.timer_seq.get();
-        self.core.timer_seq.set(seq + 1);
-        self.core
-            .timers
-            .borrow_mut()
-            .push(deadline.as_nanos(), seq, TimerPayload::Task(waker));
+        assert!(
+            std::ptr::eq(waker.vtable(), &WAKER_VTABLE),
+            "register_timer needs a waker of this simulator"
+        );
+        // SAFETY: every waker with this vtable points at a live
+        // `WakerEntry` of some core (see `WakerEntry`); the entry's
+        // queue pointer is checked before its word is read.
+        let entry = unsafe { &*(waker.data() as *const WakerEntry) };
+        assert!(
+            std::ptr::eq(entry.ready, Arc::as_ptr(&self.core.ready)),
+            "register_timer got a waker of another simulator"
+        );
+        self.push_timer(deadline, entry.word.get());
     }
 
-    /// Registers a timer that pushes an encoded slab-event ready entry
-    /// when it fires; shares the `(deadline, seq)` order with task
-    /// timers. See [`TimerPayload`] for why the generation must be
-    /// captured here rather than read at fire time.
-    fn register_event_timer(&self, deadline: SimTime, code: usize) {
+    /// Registers a timer that produces the ready-queue `word` when it
+    /// fires, in `(deadline, registration-seq)` order with every other
+    /// timer.
+    ///
+    /// An event timer stores the [`encode_event`] snapshot of its arm,
+    /// never the slot's waker: the slot's waker entry holds the generation
+    /// of its *current* arm, so a stale timer left in the wheel by a
+    /// cancelled arm would otherwise resurrect whatever event occupies the
+    /// slot next (the ABA the generation counter exists to prevent).
+    fn push_timer(&self, deadline: SimTime, word: usize) {
         let seq = self.core.timer_seq.get();
         self.core.timer_seq.set(seq + 1);
         self.core
             .timers
             .borrow_mut()
-            .push(deadline.as_nanos(), seq, TimerPayload::Event(code));
+            .push(deadline.as_nanos(), seq, word);
     }
 
     /// Returns a future that completes after `dur` of simulated time.
@@ -645,7 +660,7 @@ impl Sim {
     /// Dispatches one direct ready entry: retires the event and runs the
     /// handler with the word's payload. No slot to free, no generation
     /// to check — the encoding is complete in the word (see
-    /// [`Sim::direct_waker`]).
+    /// [`Sim::post_direct`]).
     fn dispatch_direct(&self, word: usize) {
         self.core.events.set(self.core.events.get() + 1);
         let handler = (word >> 32) as u32 & (DIRECT_HANDLER_MAX - 1);
@@ -674,21 +689,15 @@ impl Sim {
             self.core.now.set(deadline);
         }
         self.core.events.set(self.core.events.get() + 1);
-        match entry.payload {
-            TimerPayload::Task(waker) => waker.wake(),
-            TimerPayload::Event(code) => self.core.ready.push(code),
+        if entry.payload & (EVENT_TAG | DIRECT_TAG) == DIRECT_TAG {
             // The ready queue is always drained empty before a timer
             // fires, so dispatching inline observes the exact order (and
             // event count) the push-pop round trip through the ready
             // queue would: one event for the fire above, one for the
-            // dispatch here.
-            TimerPayload::Direct { handler, data } => {
-                self.core.events.set(self.core.events.get() + 1);
-                let h = self.core.event_handlers.borrow()[handler as usize].clone();
-                if let Some(h) = h {
-                    h(data);
-                }
-            }
+            // dispatch.
+            self.dispatch_direct(entry.payload);
+        } else {
+            self.core.ready.push(entry.payload);
         }
         true
     }
@@ -789,30 +798,23 @@ impl Sim {
     }
 
     /// Registers a timed dispatch of `handler(data)` at `deadline` with
-    /// no way to cancel it: the timer carries the handler id and payload
-    /// itself, touching neither the event slab nor the ready queue.
-    /// Cheaper than [`Sim::schedule_event`] on hot paths that never
-    /// cancel; identical event arithmetic (fire + dispatch).
+    /// no way to cancel it: the timer is one tagged `(handler, data)` word
+    /// that dispatches straight off the wheel, touching neither the event slab
+    /// nor the ready queue. Cheaper than [`Sim::schedule_event`] on hot
+    /// paths that never cancel; identical event arithmetic (fire +
+    /// dispatch). The handler receives `data` widened to `u64`.
     ///
     /// # Panics
     ///
     /// Panics if `deadline` is not in the future — there is no inline
-    /// path; callers handle elapsed deadlines themselves.
-    pub fn schedule_direct(&self, deadline: SimTime, handler: EventHandlerId, data: u64) {
+    /// path; callers handle elapsed deadlines themselves — or if the
+    /// handler id does not fit a direct word's 30 bits.
+    pub fn schedule_direct(&self, deadline: SimTime, handler: EventHandlerId, data: u32) {
         assert!(
             deadline > self.now(),
             "schedule_direct needs a future deadline"
         );
-        let seq = self.core.timer_seq.get();
-        self.core.timer_seq.set(seq + 1);
-        self.core.timers.borrow_mut().push(
-            deadline.as_nanos(),
-            seq,
-            TimerPayload::Direct {
-                handler: handler.0,
-                data,
-            },
-        );
+        self.push_timer(deadline, encode_direct(direct_handler(handler), data));
     }
 
     /// Arms a slab event that dispatches `handler(data)` at `deadline`
@@ -826,19 +828,28 @@ impl Sim {
     ) -> ScheduledEvent {
         let ev = self.arm_event(handler, data);
         if deadline > self.now() {
-            self.register_event_timer(deadline, encode_event(ev.slot, ev.gen));
+            self.push_timer(deadline, encode_event(ev.slot, ev.gen));
         } else {
             self.core.ready.push(encode_event(ev.slot, ev.gen));
         }
         ev
     }
 
-    /// Arms a slab event that dispatches on the next ready-queue drain —
-    /// the taskless analogue of [`Sim::spawn`]'s initial poll.
-    pub fn post_event(&self, handler: EventHandlerId, data: u64) -> ScheduledEvent {
-        let ev = self.arm_event(handler, data);
-        self.core.ready.push(encode_event(ev.slot, ev.gen));
-        ev
+    /// Queues `handler(data)` for the next ready-queue drain with no way
+    /// to cancel it — the taskless analogue of [`Sim::spawn`]'s initial
+    /// poll. Against [`Sim::schedule_event`] at a deadline of now, it
+    /// takes the same place in the ready queue and retires one event
+    /// at dispatch, but arms no slab slot and no generation; the entry is
+    /// one tagged `(handler, data)` word. The handler receives `data`
+    /// widened to `u64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handler id does not fit a direct word's 30 bits.
+    pub fn post_direct(&self, handler: EventHandlerId, data: u32) {
+        self.core
+            .ready
+            .push(encode_direct(direct_handler(handler), data));
     }
 
     /// Arms a slab event and returns its waker, for parking in a sync
@@ -865,10 +876,7 @@ impl Sim {
     /// store is append-only (it must outlive every waker), so each call
     /// costs one 16-byte entry for the simulator's life.
     pub fn reserve_direct_waker(&self, handler: EventHandlerId, data: u32) -> DirectWakerId {
-        assert!(
-            handler.0 < DIRECT_HANDLER_MAX,
-            "direct wakers carry 30-bit handler ids"
-        );
+        let handler = direct_handler(handler);
         let id = self.core.direct_len.get();
         self.core
             .direct_len
@@ -877,7 +885,7 @@ impl Sim {
         wakers
             .get_or_init(id as usize, |_| 0)
             .word
-            .set(encode_direct(handler.0, data));
+            .set(encode_direct(handler, data));
         DirectWakerId(id)
     }
 
@@ -1240,7 +1248,7 @@ mod tests {
         sim.run_until(async move {
             s.sleep(SimDuration::from_nanos(500)).await;
             s.schedule_event(SimTime(100), h, 7);
-            s.post_event(h, 8);
+            s.schedule_event(s.now(), h, 8);
             yield_now().await;
         });
         assert_eq!(*log.borrow(), vec![(500, 7), (500, 8)]);
@@ -1256,7 +1264,7 @@ mod tests {
         let s = sim.clone();
         sim.run_until(async move {
             let base = s.events();
-            s.post_event(h, 0);
+            s.schedule_event(s.now(), h, 0);
             yield_now().await;
             assert_eq!(s.events() - base, 2); // 1 dispatch + 1 yield poll
         });
@@ -1349,6 +1357,101 @@ mod tests {
             (fired, sim.events())
         };
         assert_eq!(run(), run());
+    }
+
+    /// Posts a dispatch of `data` to `h`, as a direct word or a slab event.
+    fn post(s: &Sim, h: EventHandlerId, data: u32, direct: bool) {
+        if direct {
+            s.post_direct(h, data);
+        } else {
+            s.schedule_event(s.now(), h, u64::from(data));
+        }
+    }
+
+    #[test]
+    fn post_direct_takes_the_place_of_a_slab_post() {
+        // The same script with slab posts and with direct posts: each
+        // dispatch lands between the same task polls and retires one
+        // event, but only the slab posts arm event slots.
+        let run = |direct: bool| {
+            let sim = Sim::new();
+            let (h, log) = logging_handler(&sim);
+            let s = sim.clone();
+            let l = Rc::clone(&log);
+            let (events, slots) = sim.run_until(async move {
+                let base = s.events();
+                for i in 0..3u32 {
+                    let l = Rc::clone(&l);
+                    s.spawn_detached(async move { l.borrow_mut().push((0, 100 + u64::from(i))) });
+                    post(&s, h, i, direct);
+                }
+                yield_now().await;
+                (s.events() - base, s.core.event_slots.borrow().len())
+            });
+            let order = log.borrow().iter().map(|&(_, d)| d).collect::<Vec<_>>();
+            (order, events, slots)
+        };
+        let (slab, direct) = (run(false), run(true));
+        assert_eq!(slab.0, vec![100, 0, 101, 1, 102, 2]);
+        assert_eq!(direct.0, slab.0);
+        // Three task polls, three dispatches and the main task's re-poll.
+        assert_eq!((slab.1, direct.1), (7, 7));
+        assert_eq!((slab.2, direct.2), (3, 0));
+    }
+
+    #[test]
+    fn task_event_and_direct_timers_at_one_deadline_fire_in_registration_order() {
+        let sim = Sim::new();
+        let (h, log) = logging_handler(&sim);
+        let s = sim.clone();
+        let l = Rc::clone(&log);
+        let at = SimTime(1_000);
+        sim.run_until(async move {
+            s.schedule_event(at, h, 10);
+            s.schedule_direct(at, h, 11);
+            let s2 = s.clone();
+            s.spawn_detached(async move {
+                s2.sleep_until(at).await;
+                l.borrow_mut().push((s2.now().as_nanos(), 20));
+            });
+            // The task registers its timer when it is first polled.
+            yield_now().await;
+            s.schedule_direct(at, h, 12);
+            s.schedule_event(at, h, 13);
+            s.sleep_until(SimTime(2_000)).await;
+        });
+        let log = log.borrow();
+        assert!(log.iter().all(|&(t, _)| t == 1_000));
+        let order: Vec<u64> = log.iter().map(|&(_, d)| d).collect();
+        assert_eq!(order, vec![10, 11, 20, 12, 13]);
+    }
+
+    #[test]
+    #[should_panic(expected = "register_timer needs a waker of this simulator")]
+    fn register_timer_rejects_a_noop_waker() {
+        Sim::new().register_timer(SimTime(5), Waker::noop().clone());
+    }
+
+    #[test]
+    #[should_panic(expected = "register_timer got a waker of another simulator")]
+    fn register_timer_rejects_a_task_waker_of_another_sim() {
+        let (a, b) = (Sim::new(), Sim::new());
+        a.run_until(async move {
+            let waker = std::future::poll_fn(|cx| Poll::Ready(cx.waker().clone())).await;
+            b.register_timer(SimTime(5), waker);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "direct dispatches carry 30-bit handler ids")]
+    fn schedule_direct_rejects_a_handler_id_past_30_bits() {
+        Sim::new().schedule_direct(SimTime(5), EventHandlerId(DIRECT_HANDLER_MAX), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "direct dispatches carry 30-bit handler ids")]
+    fn post_direct_rejects_a_handler_id_past_30_bits() {
+        Sim::new().post_direct(EventHandlerId(DIRECT_HANDLER_MAX), 0);
     }
 
     #[test]
@@ -1517,7 +1620,7 @@ mod tests {
                             SlabOp::Post { data: _ } => {
                                 let data = next_data;
                                 next_data += 1;
-                                let ev = s.post_event(h, data);
+                                let ev = s.schedule_event(s.now(), h, data);
                                 armed.push((ev, data, s.now().as_nanos()));
                             }
                             SlabOp::Cancel { target } => {

@@ -36,12 +36,13 @@ pub struct WheelEntry<T> {
     pub deadline: u64,
     /// Registration sequence number, unique per wheel.
     pub seq: u64,
-    /// The registered payload (the executor stores a `Waker`).
+    /// The registered payload (the executor stores one ready-queue word).
     pub payload: T,
 }
 
-/// The wheel itself, generic over the payload so tests can model it
-/// with plain integers.
+/// The wheel itself, generic over a `Copy` payload so tests can model
+/// it with plain integers. The executor stores one ready-queue word per
+/// timer, so a slab record is 32 bytes.
 ///
 /// Entries live in one slab (`entries` plus a `free` index list); each
 /// `slots[level][slot]` is just the head of an intrusive singly-linked
@@ -54,7 +55,7 @@ pub struct WheelEntry<T> {
 /// horizon touches next. (The previous per-slot `Vec` storage recycled
 /// only one scratch buffer, so every first touch of a slot — and every
 /// capacity redistribution after a drain — still allocated.)
-pub struct TimerWheel<T> {
+pub struct TimerWheel<T: Copy> {
     /// Slab of entry records; `free` lists the vacant indices.
     entries: Vec<SlabEntry<T>>,
     free: Vec<u32>,
@@ -80,23 +81,22 @@ pub struct TimerWheel<T> {
 /// Chain terminator / vacant-slot marker.
 const NIL: u32 = u32::MAX;
 
-/// One slab record: a [`WheelEntry`] plus its chain link. The payload
-/// is an `Option` only so removal can move it out without unsafe code;
-/// stored entries always hold `Some`.
+/// One slab record: a [`WheelEntry`] plus its chain link. The payload is
+/// `Copy`, so removal copies it out and a vacant record needs no marker.
 struct SlabEntry<T> {
     deadline: u64,
     seq: u64,
     next: u32,
-    payload: Option<T>,
+    payload: T,
 }
 
-impl<T> Default for TimerWheel<T> {
+impl<T: Copy> Default for TimerWheel<T> {
     fn default() -> Self {
         TimerWheel::new()
     }
 }
 
-impl<T> TimerWheel<T> {
+impl<T: Copy> TimerWheel<T> {
     /// Creates an empty wheel positioned at time zero.
     pub fn new() -> TimerWheel<T> {
         TimerWheel {
@@ -163,7 +163,7 @@ impl<T> TimerWheel<T> {
             deadline,
             seq,
             next: NIL,
-            payload: Some(payload),
+            payload,
         };
         let idx = match self.free.pop() {
             Some(idx) => {
@@ -249,11 +249,11 @@ impl<T> TimerWheel<T> {
                 // nanosecond granularity: return it without the pending
                 // buffer round trip (push, sort check, pop).
                 if self.entries[head as usize].next == NIL {
-                    let slot = &mut self.entries[head as usize];
+                    let slot = &self.entries[head as usize];
                     let entry = WheelEntry {
                         deadline: slot.deadline,
                         seq: slot.seq,
-                        payload: slot.payload.take().expect("stored entry has a payload"),
+                        payload: slot.payload,
                     };
                     self.free.push(head);
                     self.len -= 1;
@@ -288,11 +288,11 @@ impl<T> TimerWheel<T> {
 
     fn take_pending(&mut self) -> Option<WheelEntry<T>> {
         let idx = self.pending.pop()?;
-        let slot = &mut self.entries[idx as usize];
+        let slot = &self.entries[idx as usize];
         let entry = WheelEntry {
             deadline: slot.deadline,
             seq: slot.seq,
-            payload: slot.payload.take().expect("pending entry has a payload"),
+            payload: slot.payload,
         };
         self.free.push(idx);
         self.len -= 1;
@@ -400,17 +400,8 @@ mod tests {
     }
 
     #[test]
-    fn payloads_drop_cleanly_when_wheel_dropped_mid_drain() {
-        use std::rc::Rc;
-        let tracker = Rc::new(());
-        {
-            let mut w = TimerWheel::new();
-            for seq in 0..4u64 {
-                w.push(9, seq, Rc::clone(&tracker));
-            }
-            let _ = w.pop(); // moves one entry out of the pending buffer
-        }
-        // 1 popped + 3 dropped with the wheel; no leaks or double-frees.
-        assert_eq!(Rc::strong_count(&tracker), 1);
+    fn one_word_payload_records_stay_32_bytes() {
+        // The executor's timers are one ready-queue word each.
+        assert!(std::mem::size_of::<SlabEntry<usize>>() <= 32);
     }
 }

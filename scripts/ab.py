@@ -1,22 +1,25 @@
 #!/usr/bin/env python3
 """Interleaved A/B of the benchmark between a base revision and this checkout.
 
-    python3 scripts/ab.py BASE_REV --workload megafleet-1m --pairs 10
+    python3 scripts/ab.py BASE_REV --workload megafleet-1m --pairs 10 [--seed N]
 
 Exports BASE_REV with `git archive` into a temporary directory; the change
 side is this checkout's working tree, which must not be edited while the
 script runs. Builds both `simbench` packages up front, then runs N pairs of
-``simbench/run.py --trace 0`` with run.py's own seed and run length,
-alternating which side goes first in each pair so that drift on a shared
-host falls on both sides alike. A run that fails a world or misses its
-digests stops the script: its numbers would describe a different
-simulation.
+``simbench/run.py --trace 0`` with run.py's own run length, alternating
+which side goes first in each pair so that drift on a shared host falls on
+both sides alike. The seed is run.py's default unless ``--seed`` names
+another, so that a claim can also be checked on a seed not used while
+writing the change. A run that fails a world or misses its digests stops
+the script: its numbers would describe a different simulation. At a
+non-default seed run.py has no digests to match, but it still checks each
+world's conservation laws and that its counters repeat.
 
 Setup time drifts between batches of processes (placement, page cache), so
 ``setup_s`` does not come from the two run.py invocations. Inside each pair
 the script alternates the two trees' built ``simbench setup`` binaries
-process by process, with run.py's seed and per-workload (processes,
-repeat) sampling, and reports each side's median of those samples.
+process by process, with the run's seed and run.py's per-workload
+(processes, repeat) sampling, and reports each side's median of those samples.
 
 For every end-to-end metric of BENCHMARK.json it prints both sides'
 medians, the parent's quartiles, the median and quartiles of the per-pair
@@ -73,10 +76,11 @@ def build(tree):
         fail(f"build of {tree} failed")
 
 
-def run_once(tree, workload):
-    """One `run.py --trace 0` invocation; returns its result object, or
-    fails if any world failed or missed its digests."""
-    cmd = [sys.executable, str(tree / "simbench" / "run.py"), "--workload", workload, "--trace", "0"]
+def run_once(tree, workload, seed):
+    """One `run.py --trace 0` invocation at `seed`; returns its result
+    object, or fails if any world failed or missed its digests."""
+    cmd = [sys.executable, str(tree / "simbench" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, env=ENV)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -112,6 +116,7 @@ def main():
     ap.add_argument("base_rev")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=None, help="world seed (default: run.py's)")
     args = ap.parse_args()
     if args.pairs < 1:
         fail("--pairs must be at least 1")
@@ -121,7 +126,8 @@ def main():
     if args.workload not in workloads:
         fail(f"unknown workload {args.workload!r}; BENCHMARK.json names {', '.join(workloads)}")
     metrics = bench["end_to_end"]
-    seed, sampling = run_py_constants()
+    default_seed, sampling = run_py_constants()
+    seed = default_seed if args.seed is None else args.seed
     processes, repeat = sampling[args.workload]
     tmp = Path(tempfile.mkdtemp(prefix="ab-"))
     try:
@@ -137,7 +143,7 @@ def main():
             if i % 2:
                 order.reverse()
             for side, tree in order:
-                runs[side].append(run_once(tree, args.workload))
+                runs[side].append(run_once(tree, args.workload, seed))
             setups = {"parent": [], "change": []}
             for k in range(processes):
                 for side, tree in (order if k % 2 == 0 else order[::-1]):
@@ -149,7 +155,8 @@ def main():
         shutil.rmtree(tmp, ignore_errors=True)
 
     table = {}
-    print(f"{args.workload}, {args.pairs} pairs, run.py's default seed and run length; "
+    seed_note = "run.py's default seed" if seed == default_seed else f"seed {seed} (no digests)"
+    print(f"{args.workload}, {args.pairs} pairs, {seed_note} and run.py's run length; "
           f"setup_s from {processes} interleaved `simbench setup` processes per side per pair")
     print(f"  {'metric':14} {'parent':>12} {'change':>12} {'parent q1..q3':>25} "
           f"{'ratio':>7} {'ratio q1..q3':>15} {'wins':>6}")
@@ -179,9 +186,10 @@ def main():
               f"{wins:>3}/{args.pairs}")
     for side in ("parent", "change"):
         attempted = sum(r["attempted"] for r in runs[side])
-        print(f"  {side}: {attempted} world runs, none failed, digests matched")
+        checked = "digests matched" if seed == default_seed else "counters repeated"
+        print(f"  {side}: {attempted} world runs, none failed, {checked}")
         table[f"{side}_attempted"] = attempted
-    print(json.dumps({"workload": args.workload, "pairs": args.pairs, "metrics": table}))
+    print(json.dumps({"workload": args.workload, "pairs": args.pairs, "seed": seed, "metrics": table}))
 
 
 if __name__ == "__main__":

@@ -12,6 +12,11 @@ cargo build --release --offline
 echo "==> cargo test -q --workspace --offline"
 cargo test -q --workspace --offline
 
+echo "==> cargo fmt --all --check"
+# rustfmt's default style over the workspace (the simbench workspace is
+# outside it): a change that leaves unformatted lines fails here.
+cargo fmt --all --check
+
 echo "==> cargo clippy --all-targets --workspace --offline -- -D warnings"
 cargo clippy --all-targets --workspace --offline -- -D warnings
 
