@@ -147,7 +147,7 @@ pub fn cawl_sweep(rams: &[u64], servers: &[ServerKind], jobs: usize) -> CawlSwee
 }
 
 impl CawlSweep {
-    /// The sweep as CSV (also what [`CawlSweep::write_csv`] writes).
+    /// The sweep as CSV.
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
             "ram_mb,server,file_mb,file_over_ram,app_mbps,flush_mbps,\
@@ -170,14 +170,6 @@ impl CawlSweep {
             ));
         }
         out
-    }
-
-    /// Writes the CSV to `path`.
-    pub fn write_csv(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_csv())
     }
 
     /// Renders an ASCII table plus regime-knee and faster-server

@@ -13,11 +13,9 @@
 //! paper's hardware would have. Fairness is summarized with Jain's
 //! index: `(Σx)² / (n·Σx²)`, 1.0 when every client gets an equal share.
 
-use std::rc::Rc;
-
-use nfsperf_client::{ClientTuning, MountConfig, NfsMount};
-use nfsperf_kernel::{CostTable, Kernel, KernelConfig, SimFile};
-use nfsperf_net::{LinkDir, Nic, NicSpec, Path, Switch};
+use nfsperf_client::{ClientTuning, MountConfig};
+use nfsperf_fleet::{mount_client, write_all};
+use nfsperf_net::{LinkDir, NicSpec, Path, Switch};
 use nfsperf_server::{NfsServer, PerClientStats, SchedPolicy, ServerConfig, ServerStats};
 use nfsperf_sim::{mbps, runner, Sim, SimDuration};
 use nfsperf_sunrpc::Transport;
@@ -139,70 +137,32 @@ pub fn run_fleet(config: &FleetConfig) -> FleetRun {
         },
     );
 
-    let mut mounts = Vec::new();
-    for i in 0..config.clients {
-        let kernel = Kernel::new(
-            &sim,
-            KernelConfig {
-                ncpus: 2,
-                ram_bytes: 256 << 20,
-                // SplitMix-style spread so per-machine jitter streams are
-                // distinct but reproducible.
-                seed: config
-                    .seed
-                    .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1)),
-                costs: CostTable::default(),
-                mem: nfsperf_kernel::MemTuning::default(),
-            },
-        );
-        let (cnic, crx) = Nic::new(&sim, "client", config.client_nic);
-        let (to_server, port_rx) = switch.attach(&cnic, config.client_nic);
-        match config.transport {
-            Transport::Udp => server.attach_udp(port_rx, to_server.reversed()),
-            Transport::Tcp => server.attach_tcp(port_rx, to_server.reversed()),
-        };
-        mounts.push(NfsMount::mount(
-            &kernel,
-            to_server,
-            crx,
-            MountConfig {
+    let mounts: Vec<_> = (0..config.clients)
+        .map(|i| {
+            let attach = |cnic: &_, spec| switch.attach(cnic, spec);
+            let mount = MountConfig {
                 tuning: config.tuning,
                 transport: config.transport,
                 ..MountConfig::default()
-            },
-        ));
-    }
+            };
+            mount_client(
+                &sim,
+                &server,
+                config.seed,
+                i,
+                config.client_nic,
+                attach,
+                mount,
+            )
+            .1
+        })
+        .collect();
 
     let bytes = config.bytes_per_client;
     let s2 = sim.clone();
     let (elapsed, per_elapsed) = sim.run_until(async move {
         let t0 = s2.now();
-        let workers: Vec<_> = mounts
-            .iter()
-            .enumerate()
-            .map(|(i, mount)| {
-                let mount = Rc::clone(mount);
-                let s3 = s2.clone();
-                s2.spawn(async move {
-                    let file = mount
-                        .create(&format!("fleet{i}.scratch"))
-                        .await
-                        .expect("create");
-                    let mut off = 0;
-                    while off < bytes {
-                        let n = 8192.min(bytes - off);
-                        file.write(off, n).await.expect("write");
-                        off += n;
-                    }
-                    file.close().await.expect("close");
-                    s3.now().since(t0)
-                })
-            })
-            .collect();
-        let mut per = Vec::with_capacity(workers.len());
-        for w in workers {
-            per.push(w.await);
-        }
+        let per = write_all(&s2, &mounts, bytes, |i| format!("fleet{i}.scratch")).await;
         (s2.now().since(t0), per)
     });
 
@@ -335,7 +295,7 @@ impl FleetSweep {
             .map(|w| w[0].0)
     }
 
-    /// The sweep as CSV (also what [`FleetSweep::write_csv`] writes).
+    /// The sweep as CSV.
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
             "server,transport,clients,aggregate_mbps,per_client_mean_mbps,per_client_min_mbps,jain,svc_p50_ms,svc_p99_ms\n",
@@ -355,14 +315,6 @@ impl FleetSweep {
             ));
         }
         out
-    }
-
-    /// Writes the CSV to `path`.
-    pub fn write_csv(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_csv())
     }
 
     /// Renders an ASCII table plus the per-curve saturation knees.

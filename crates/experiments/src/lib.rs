@@ -52,7 +52,7 @@ pub use qos::{
     assemble_qos_rows, qos_cells, qos_run_cells, qos_sweep, run_qos, QosCell, QosConfig, QosRun,
     QosSweep,
 };
-pub use render::{ascii_table, write_rows_csv, Series, Sweep};
+pub use render::{ascii_table, write_csv, Series, Sweep};
 pub use scenario::{
     run_bonnie, run_custom, run_local, run_local_with_ram, write_throughput_mbps, RunOutput,
     Scenario, ServerKind,

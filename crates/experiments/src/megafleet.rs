@@ -14,10 +14,11 @@
 
 use std::rc::Rc;
 
-use nfsperf_client::{ClientTuning, MountConfig, NfsMount};
-use nfsperf_fleet::{calibrate, CalibrationConfig, FlyTier, FlyTierConfig};
-use nfsperf_kernel::{CostTable, Kernel, KernelConfig, SimFile};
-use nfsperf_net::{Fabric, FabricConfig, Nic, NicSpec};
+use nfsperf_client::{ClientTuning, MountConfig};
+use nfsperf_fleet::{
+    calibrate, mount_client, write_all, CalibrationConfig, FlyTier, FlyTierConfig,
+};
+use nfsperf_net::{Fabric, FabricConfig, NicSpec};
 use nfsperf_server::SlimTierStats;
 use nfsperf_server::{NfsServer, PerClientStats, ServerStats};
 use nfsperf_sim::{mbps, runner, Sim, SimDuration};
@@ -147,34 +148,29 @@ pub fn run_megafleet(config: &MegaConfig) -> MegaRun {
 
     // Faithful clients attach first: fabric ids and server client ids
     // 0..faithful, so the flyweight ranges start right after them.
-    let mut mounts = Vec::new();
-    for i in 0..config.faithful {
-        let kernel = Kernel::new(
-            &sim,
-            KernelConfig {
-                ncpus: 2,
-                ram_bytes: 256 << 20,
-                seed: config
-                    .seed
-                    .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1)),
-                costs: CostTable::default(),
-                mem: nfsperf_kernel::MemTuning::default(),
-            },
-        );
-        let (cnic, crx) = Nic::new(&sim, "client", config.client_nic);
-        let (_id, to_server, port_rx) = fabric.attach(&cnic, config.client_nic);
-        server.attach_udp(port_rx, to_server.reversed());
-        mounts.push(NfsMount::mount(
-            &kernel,
-            to_server,
-            crx,
-            MountConfig {
+    let mounts: Vec<_> = (0..config.faithful)
+        .map(|i| {
+            let attach = |cnic: &_, spec| {
+                let (_id, to_server, port_rx) = fabric.attach(cnic, spec);
+                (to_server, port_rx)
+            };
+            let mount = MountConfig {
                 tuning: ClientTuning::full_patch(),
                 transport: Transport::Udp,
                 ..MountConfig::default()
-            },
-        ));
-    }
+            };
+            mount_client(
+                &sim,
+                &server,
+                config.seed,
+                i,
+                config.client_nic,
+                attach,
+                mount,
+            )
+            .1
+        })
+        .collect();
 
     let writes_per_fly = (config.bytes_per_client / calibration.model.write_payload).max(1) as u32;
     let tier = FlyTier::launch(
@@ -194,32 +190,7 @@ pub fn run_megafleet(config: &MegaConfig) -> MegaRun {
     let t2 = Rc::clone(&tier);
     let (elapsed, per_faithful) = sim.run_until(async move {
         let t0 = s2.now();
-        let workers: Vec<_> = mounts
-            .iter()
-            .enumerate()
-            .map(|(i, mount)| {
-                let mount = Rc::clone(mount);
-                let s3 = s2.clone();
-                s2.spawn(async move {
-                    let file = mount
-                        .create(&format!("mega{i}.scratch"))
-                        .await
-                        .expect("create");
-                    let mut off = 0;
-                    while off < bytes {
-                        let n = 8192.min(bytes - off);
-                        file.write(off, n).await.expect("write");
-                        off += n;
-                    }
-                    file.close().await.expect("close");
-                    s3.now().since(t0)
-                })
-            })
-            .collect();
-        let mut per = Vec::with_capacity(workers.len());
-        for w in workers {
-            per.push(w.await);
-        }
+        let per = write_all(&s2, &mounts, bytes, |i| format!("mega{i}.scratch")).await;
         t2.wait_done().await;
         (s2.now().since(t0), per)
     });
@@ -381,14 +352,6 @@ impl MegaSweep {
             ));
         }
         out
-    }
-
-    /// Writes the CSV to `path`.
-    pub fn write_csv(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_csv())
     }
 
     /// Renders an ASCII table plus per-server knees.

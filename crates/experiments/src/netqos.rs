@@ -34,8 +34,8 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use nfsperf_client::{ClientTuning, MountConfig, NfsMount};
-use nfsperf_kernel::{CostTable, Kernel, KernelConfig, SimFile};
+use nfsperf_client::{ClientTuning, MountConfig};
+use nfsperf_fleet::{mount_client, write_all};
 use nfsperf_net::{LinkDir, Nic, NicSpec, Path, PortPolicy, Switch, WeightTable};
 use nfsperf_server::NfsServer;
 use nfsperf_sim::{mbps, runner, Sim, SimDuration};
@@ -203,18 +203,6 @@ pub fn run_netqos(config: &NetQosConfig) -> NetQosRun {
     // weight-table layout.
     let victims: Vec<_> = (0..config.victims)
         .map(|i| {
-            let kernel = Kernel::new(
-                &sim,
-                KernelConfig {
-                    ncpus: 2,
-                    ram_bytes: 256 << 20,
-                    seed: config
-                        .seed
-                        .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1)),
-                    costs: CostTable::default(),
-                    mem: nfsperf_kernel::MemTuning::default(),
-                },
-            );
             // Victims alternate between two classes: odd flows mount
             // aggressively (gigabit port, deep slot table, 32 KB wsize),
             // even flows meekly (100bT, shallow slots, the paper's 8 KB
@@ -229,21 +217,15 @@ pub fn run_netqos(config: &NetQosConfig) -> NetQosRun {
             } else {
                 NicSpec::fast_ethernet()
             };
-            let (cnic, crx) = Nic::new(&sim, "client", nic);
-            let (to_server, port_rx) = switch.attach(&cnic, nic);
-            server.attach_udp(port_rx, to_server.reversed());
-            NfsMount::mount(
-                &kernel,
-                to_server,
-                crx,
-                MountConfig {
-                    tuning: ClientTuning::full_patch(),
-                    transport: Transport::Udp,
-                    wsize: if strong { 32 * 1024 } else { 8 * 1024 },
-                    slots: if strong { 32 } else { 8 },
-                    ..MountConfig::default()
-                },
-            )
+            let mount = MountConfig {
+                tuning: ClientTuning::full_patch(),
+                transport: Transport::Udp,
+                wsize: if strong { 32 * 1024 } else { 8 * 1024 },
+                slots: if strong { 32 } else { 8 },
+                ..MountConfig::default()
+            };
+            let attach = |cnic: &_, spec| switch.attach(cnic, spec);
+            mount_client(&sim, &server, config.seed, i, nic, attach, mount).1
         })
         .collect();
 
@@ -298,32 +280,7 @@ pub fn run_netqos(config: &NetQosConfig) -> NetQosRun {
     let s2 = sim.clone();
     let (elapsed, per_elapsed) = sim.run_until(async move {
         let t0 = s2.now();
-        let workers: Vec<_> = victims
-            .iter()
-            .enumerate()
-            .map(|(i, mount)| {
-                let mount = Rc::clone(mount);
-                let s3 = s2.clone();
-                s2.spawn(async move {
-                    let file = mount
-                        .create(&format!("netqos{i}.victim"))
-                        .await
-                        .expect("victim create");
-                    let mut off = 0;
-                    while off < bytes {
-                        let n = 8192.min(bytes - off);
-                        file.write(off, n).await.expect("victim write");
-                        off += n;
-                    }
-                    file.close().await.expect("victim close");
-                    s3.now().since(t0)
-                })
-            })
-            .collect();
-        let mut per = Vec::with_capacity(workers.len());
-        for w in workers {
-            per.push(w.await);
-        }
+        let per = write_all(&s2, &victims, bytes, |i| format!("netqos{i}.victim")).await;
         (s2.now().since(t0), per)
     });
 
@@ -498,7 +455,7 @@ pub fn netqos_sweep(
 }
 
 impl NetQosSweep {
-    /// The sweep as CSV (also what [`NetQosSweep::write_csv`] writes).
+    /// The sweep as CSV.
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
             "server,sched,mix,victims,aggressors,victim_mean_mbps,base_victim_mbps,\
@@ -525,14 +482,6 @@ impl NetQosSweep {
             ));
         }
         out
-    }
-
-    /// Writes the CSV to `path`.
-    pub fn write_csv(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_csv())
     }
 
     /// Renders an ASCII table plus a per-(server, mix) verdict comparing

@@ -17,11 +17,10 @@
 //! included); tails as the worst victim's server-side p99, compared
 //! against a hog-free baseline run under the same policy.
 
-use std::rc::Rc;
-
-use nfsperf_client::{ClientTuning, MountConfig, NfsMount};
-use nfsperf_kernel::{CostTable, Kernel, KernelConfig, SimFile};
-use nfsperf_net::{Nic, NicSpec, Path, Switch};
+use nfsperf_client::{ClientTuning, MountConfig};
+use nfsperf_fleet::{mount_client, write_all};
+use nfsperf_kernel::SimFile;
+use nfsperf_net::{NicSpec, Path, Switch};
 use nfsperf_server::{NfsServer, PerClientStats, SchedPolicy, ServerConfig, ServerStats};
 use nfsperf_sim::{mbps, runner, Sim, SimDuration};
 use nfsperf_sunrpc::Transport;
@@ -122,22 +121,8 @@ pub fn run_qos(config: &QosConfig) -> QosRun {
     );
 
     let machine = |i: usize, nic: NicSpec, mount: MountConfig| {
-        let kernel = Kernel::new(
-            &sim,
-            KernelConfig {
-                ncpus: 2,
-                ram_bytes: 256 << 20,
-                seed: config
-                    .seed
-                    .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1)),
-                costs: CostTable::default(),
-                mem: nfsperf_kernel::MemTuning::default(),
-            },
-        );
-        let (cnic, crx) = Nic::new(&sim, "client", nic);
-        let (to_server, port_rx) = switch.attach(&cnic, nic);
-        server.attach_udp(port_rx, to_server.reversed());
-        NfsMount::mount(&kernel, to_server, crx, mount)
+        let attach = |cnic: &_, spec| switch.attach(cnic, spec);
+        mount_client(&sim, &server, config.seed, i, nic, attach, mount).1
     };
 
     // Victims first (client ids 0..victims), hog last, so victim stats
@@ -194,32 +179,7 @@ pub fn run_qos(config: &QosConfig) -> QosRun {
                 }
             });
         }
-        let workers: Vec<_> = victims
-            .iter()
-            .enumerate()
-            .map(|(i, mount)| {
-                let mount = Rc::clone(mount);
-                let s3 = s2.clone();
-                s2.spawn(async move {
-                    let file = mount
-                        .create(&format!("qos{i}.victim"))
-                        .await
-                        .expect("victim create");
-                    let mut off = 0;
-                    while off < bytes {
-                        let n = 8192.min(bytes - off);
-                        file.write(off, n).await.expect("victim write");
-                        off += n;
-                    }
-                    file.close().await.expect("victim close");
-                    s3.now().since(t0)
-                })
-            })
-            .collect();
-        let mut per = Vec::with_capacity(workers.len());
-        for w in workers {
-            per.push(w.await);
-        }
+        let per = write_all(&s2, &victims, bytes, |i| format!("qos{i}.victim")).await;
         (s2.now().since(t0), per)
     });
 
@@ -430,7 +390,7 @@ pub fn qos_sweep(
 }
 
 impl QosSweep {
-    /// The sweep as CSV (also what [`QosSweep::write_csv`] writes).
+    /// The sweep as CSV.
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
             "server,sched,victims,victim_mean_mbps,victim_min_mbps,hog_mbps,\
@@ -453,14 +413,6 @@ impl QosSweep {
             ));
         }
         out
-    }
-
-    /// Writes the CSV to `path`.
-    pub fn write_csv(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_csv())
     }
 
     /// Renders an ASCII table plus a starvation/mitigation verdict per

@@ -79,14 +79,6 @@ impl Sweep {
         out
     }
 
-    /// Writes the CSV to `path`.
-    pub fn write_csv(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_csv())
-    }
-
     /// A quick fixed-width ASCII chart of all series (one symbol each).
     pub fn ascii_plot(&self, width: usize, height: usize) -> String {
         const SYMBOLS: [char; 6] = ['*', '+', 'o', 'x', '#', '@'];
@@ -173,30 +165,12 @@ pub fn ascii_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Writes arbitrary CSV rows (headers plus stringified cells) to `path`.
-pub fn write_rows_csv(path: &Path, headers: &[&str], rows: &[Vec<String>]) -> io::Result<()> {
+/// Writes a CSV body to `path`, creating its parent directories.
+pub fn write_csv(path: &Path, body: &str) -> io::Result<()> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
-    let mut out = String::new();
-    out.push_str(
-        &headers
-            .iter()
-            .map(|h| csv_escape(h))
-            .collect::<Vec<_>>()
-            .join(","),
-    );
-    out.push('\n');
-    for row in rows {
-        out.push_str(
-            &row.iter()
-                .map(|c| csv_escape(c))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-    }
-    std::fs::write(path, out)
+    std::fs::write(path, body)
 }
 
 #[cfg(test)]
@@ -270,12 +244,9 @@ mod tests {
     fn write_files() {
         let dir = std::env::temp_dir().join("nfsperf-render-test");
         let p = dir.join("t.csv");
-        sweep().write_csv(&p).unwrap();
+        write_csv(&p, &sweep().to_csv()).unwrap();
         let body = std::fs::read_to_string(&p).unwrap();
         assert!(body.starts_with("x,a,b"));
-        write_rows_csv(&p, &["h"], &[vec!["1".into()]]).unwrap();
-        let body = std::fs::read_to_string(&p).unwrap();
-        assert_eq!(body, "h\n1\n");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

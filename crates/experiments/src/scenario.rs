@@ -178,10 +178,18 @@ pub struct RunOutput {
     pub tcp_stats: Option<TcpStats>,
 }
 
-/// Runs the Bonnie sequential-write benchmark of `file_size` bytes under
-/// the scenario. One fresh world per call; fully deterministic for a
-/// given scenario.
-pub fn run_bonnie(scenario: &Scenario, file_size: u64) -> RunOutput {
+/// The scenario's single-client world: the client machine, its lossy
+/// NIC on a direct path to the server, the server on the mount's
+/// transport, and the mount.
+struct World {
+    sim: Sim,
+    kernel: Kernel,
+    cnic: Rc<Nic>,
+    server: Rc<NfsServer>,
+    mount: Rc<NfsMount>,
+}
+
+fn build_world(scenario: &Scenario) -> World {
     let sim = Sim::new();
     let kernel = Kernel::new(
         &sim,
@@ -213,7 +221,26 @@ pub fn run_bonnie(scenario: &Scenario, file_size: u64) -> RunOutput {
         scenario.server_config.clone(),
     );
     let mount = NfsMount::mount(&kernel, to_server, crx, scenario.mount.clone());
+    World {
+        sim,
+        kernel,
+        cnic,
+        server,
+        mount,
+    }
+}
 
+/// Runs the Bonnie sequential-write benchmark of `file_size` bytes under
+/// the scenario. One fresh world per call; fully deterministic for a
+/// given scenario.
+pub fn run_bonnie(scenario: &Scenario, file_size: u64) -> RunOutput {
+    let World {
+        sim,
+        kernel,
+        cnic,
+        server,
+        mount,
+    } = build_world(scenario);
     let config = BonnieConfig {
         record_latencies: scenario.record_latencies,
         ..BonnieConfig::new(file_size)
@@ -252,37 +279,7 @@ where
     F: FnOnce(Sim, NfsFile) -> Fut + 'static,
     Fut: std::future::Future<Output = BonnieReport> + 'static,
 {
-    let sim = Sim::new();
-    let kernel = Kernel::new(
-        &sim,
-        KernelConfig {
-            ncpus: scenario.ncpus,
-            ram_bytes: scenario.ram_bytes,
-            seed: scenario.seed,
-            costs: scenario.costs.clone(),
-            mem: scenario.mem,
-        },
-    );
-    let (cnic, crx) = Nic::with_loss(
-        &sim,
-        "client",
-        scenario.client_nic,
-        scenario.loss,
-        scenario.seed,
-    );
-    let (snic, srx) = Nic::new(&sim, "server", scenario.server_nic);
-    let to_server = Path::new(Rc::clone(&cnic), snic, Path::default_latency());
-    let spawn_server = match scenario.mount.transport {
-        Transport::Udp => NfsServer::spawn,
-        Transport::Tcp => NfsServer::spawn_tcp,
-    };
-    let _server = spawn_server(
-        &sim,
-        srx,
-        to_server.reversed(),
-        scenario.server_config.clone(),
-    );
-    let mount = NfsMount::mount(&kernel, to_server, crx, scenario.mount.clone());
+    let World { sim, mount, .. } = build_world(scenario);
     let s2 = sim.clone();
     sim.run_until(async move {
         let file = mount.create("custom.scratch").await.expect("create");

@@ -139,15 +139,8 @@ impl TransportSweep {
         out
     }
 
-    /// Writes the CSV to `path`.
-    pub fn write_csv(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_csv())
-    }
-
-    /// Renders the matrix as an ASCII table.
+    /// Renders the matrix as an ASCII table, followed by the TCP/UDP
+    /// flush-throughput ratio at 1% loss when the sweep has both cells.
     pub fn render(&self) -> String {
         let rows: Vec<Vec<String>> = self
             .rows
@@ -165,7 +158,7 @@ impl TransportSweep {
                 ]
             })
             .collect();
-        ascii_table(
+        let mut out = ascii_table(
             &[
                 "transport",
                 "loss",
@@ -177,7 +170,16 @@ impl TransportSweep {
                 "fast rexmit",
             ],
             &rows,
-        )
+        );
+        if let (Some(udp), Some(tcp)) = (self.cell("udp", 0.01), self.cell("tcp", 0.01)) {
+            out.push_str(&format!(
+                "at 1% loss, flush throughput: tcp {:.1} MB/s vs udp {:.1} MB/s ({:.1}x)\n",
+                tcp.flush_mbps,
+                udp.flush_mbps,
+                tcp.flush_mbps / udp.flush_mbps.max(0.001)
+            ));
+        }
+        out
     }
 }
 
@@ -220,10 +222,19 @@ mod tests {
 
     #[test]
     fn render_mentions_every_flavour() {
-        let sweep = transport_sweep(1 << 20, &[0.0], 1);
+        let sweep = transport_sweep(1 << 20, &[0.01], 1);
         let table = sweep.render();
         assert!(table.contains("udp+jumbo"));
         assert!(table.contains("tcp"));
         assert!(table.contains("flush MB/s"));
+        let (udp, tcp) = (
+            sweep.cell("udp", 0.01).unwrap(),
+            sweep.cell("tcp", 0.01).unwrap(),
+        );
+        let ratio = format!(
+            "at 1% loss, flush throughput: tcp {:.1} MB/s vs udp {:.1} MB/s",
+            tcp.flush_mbps, udp.flush_mbps
+        );
+        assert!(table.contains(&ratio), "{table}");
     }
 }

@@ -19,9 +19,14 @@
 //! slots, NVRAM/dirty-cache backends, and checkpoint gates. What is
 //! replayed from calibration: emission times, datagram sizes, the
 //! WRITE:COMMIT ratio, and the outstanding-RPC window.
+//!
+//! [`machine`] is the faithful client machine and sequential writer
+//! that the probe and every multi-client experiment world share.
 
+pub mod machine;
 pub mod model;
 pub mod tier;
 
+pub use machine::{mount_client, write_all, write_through_close};
 pub use model::{calibrate, BehaviorModel, Calibration, CalibrationConfig, FlyOp, GAP_QUANTILES};
 pub use tier::{FlyTier, FlyTierConfig, FlyTierRun, TierEngine};

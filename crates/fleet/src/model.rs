@@ -13,12 +13,13 @@
 
 use std::rc::Rc;
 
-use nfsperf_client::{ClientTuning, MountConfig, NfsMount};
-use nfsperf_kernel::{CostTable, Kernel, KernelConfig, SimFile};
-use nfsperf_net::{Nic, NicSpec, Switch};
+use nfsperf_client::{ClientTuning, MountConfig};
+use nfsperf_net::{NicSpec, Switch};
 use nfsperf_server::{NfsServer, ServerConfig};
 use nfsperf_sim::{Sim, SimDuration};
 use nfsperf_sunrpc::Transport;
+
+use crate::machine::{mount_client, write_through_close};
 
 /// Points in the gap quantile table (quantiles 0/16, 1/16, …, 16/16).
 pub const GAP_QUANTILES: usize = 17;
@@ -117,7 +118,8 @@ pub struct CalibrationConfig {
     pub client_nic: NicSpec,
     /// Bytes the probe writes sequentially before closing.
     pub probe_bytes: u64,
-    /// Kernel RNG seed for the probe machine.
+    /// Base RNG seed of the fleet being calibrated; the probe is its
+    /// machine 0 ([`crate::machine::mount_client`]).
     pub seed: u64,
     /// Client tuning (the patched client by default, matching the fleet
     /// sweep's assumption that the paper's fixes are in).
@@ -160,41 +162,27 @@ pub fn calibrate(config: &CalibrationConfig) -> Calibration {
         nfsperf_net::Path::default_latency(),
     );
     let server = NfsServer::new(&sim, config.server.clone());
-    let kernel = Kernel::new(
-        &sim,
-        KernelConfig {
-            ncpus: 2,
-            ram_bytes: 256 << 20,
-            // Client 0 of the fleet sweep's seed spread, so the probe is
-            // the same machine the mixed fleet embeds.
-            seed: config.seed.wrapping_add(0x9e37_79b9_7f4a_7c15),
-            costs: CostTable::default(),
-            mem: nfsperf_kernel::MemTuning::default(),
-        },
-    );
-    let (cnic, crx) = Nic::new(&sim, "probe", config.client_nic);
-    let (to_server, port_rx) = switch.attach(&cnic, config.client_nic);
-    server.attach_udp(port_rx, to_server.reversed());
     let mount_config = MountConfig {
         tuning: config.tuning,
         transport: Transport::Udp,
         ..MountConfig::default()
     };
     let slots = mount_config.slots;
-    let mount = NfsMount::mount(&kernel, to_server, crx, mount_config);
+    // Machine 0 of the fleet's seed spread: the same machine the mixed
+    // fleet embeds first.
+    let (cnic, mount) = mount_client(
+        &sim,
+        &server,
+        config.seed,
+        0,
+        config.client_nic,
+        |nic, spec| switch.attach(nic, spec),
+        mount_config,
+    );
 
     let bytes = config.probe_bytes;
     let m2 = Rc::clone(&mount);
-    sim.run_until(async move {
-        let file = m2.create("probe.scratch").await.expect("create");
-        let mut off = 0;
-        while off < bytes {
-            let n = 8192.min(bytes - off);
-            file.write(off, n).await.expect("write");
-            off += n;
-        }
-        file.close().await.expect("close");
-    });
+    sim.run_until(async move { write_through_close(&m2, "probe.scratch", bytes).await });
 
     let stats = mount.stats();
     let events = cnic.tx_events();

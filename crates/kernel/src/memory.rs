@@ -286,7 +286,7 @@ impl MemoryModel {
         let kicked = self.writeback_kick.wait();
         let timer = self.sim.sleep_until(deadline);
         // Wait for whichever comes first; both are cheap to abandon.
-        futures_select2(kicked, timer).await;
+        nfsperf_sim::select2(kicked, timer).await;
     }
 
     /// Explicitly kicks writeback daemons (e.g. on `fsync`).
@@ -352,29 +352,6 @@ impl MemoryModel {
     pub fn throttle_time(&self) -> SimDuration {
         SimDuration(self.throttle_time.get())
     }
-}
-
-/// Awaits whichever of two futures completes first, dropping the other.
-async fn futures_select2<A, B>(a: A, b: B)
-where
-    A: std::future::Future<Output = ()>,
-    B: std::future::Future<Output = ()>,
-{
-    use std::pin::pin;
-    use std::task::Poll;
-
-    let mut a = pin!(a);
-    let mut b = pin!(b);
-    std::future::poll_fn(move |cx| {
-        if let Poll::Ready(()) = a.as_mut().poll(cx) {
-            return Poll::Ready(());
-        }
-        if let Poll::Ready(()) = b.as_mut().poll(cx) {
-            return Poll::Ready(());
-        }
-        Poll::Pending
-    })
-    .await;
 }
 
 #[cfg(test)]

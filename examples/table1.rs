@@ -4,8 +4,11 @@
 //! ```sh
 //! cargo run --release --example table1
 //! ```
+//!
+//! Prints the measured table beside the paper's figures and writes
+//! `results/table1.csv` in the shape `nfsperf figures` writes.
 
-use nfsperf_experiments::{ascii_table, figures, write_rows_csv};
+use nfsperf_experiments::{ascii_table, figures, write_csv};
 
 fn main() {
     let t = figures::table1();
@@ -39,17 +42,7 @@ fn main() {
             &rows
         )
     );
-    write_rows_csv(
-        std::path::Path::new("results/table1.csv"),
-        &[
-            "server",
-            "normal_mbps",
-            "no_lock_mbps",
-            "paper_normal",
-            "paper_no_lock",
-        ],
-        &rows,
-    )
-    .expect("write csv");
-    println!("wrote results/table1.csv");
+    let path = std::path::Path::new("results/table1.csv");
+    write_csv(path, &figures::table1_csv(&t)).expect("write csv");
+    println!("wrote {}", path.display());
 }

@@ -208,6 +208,15 @@ cmp results/transport-1.csv results/transport.csv \
     || { echo "FAIL: transport sweep differs from the committed results/transport.csv"; exit 1; }
 rm -f results/transport-1.csv results/transport-2.csv
 
+echo "==> fleet sweep (full, --jobs 2 vs committed results/fleet.csv)"
+# The one exhibit whose every cell runs the shared fleet machine and
+# writer over both transports: a change to either, or to anything under
+# them, that moves a byte of the committed sweep fails here. About 4 s.
+cargo run -q --release --offline --bin nfsperf -- fleet --jobs 2 --out results/fleet-2.csv > /dev/null
+cmp results/fleet-2.csv results/fleet.csv \
+    || { echo "FAIL: fleet sweep differs from the committed results/fleet.csv"; exit 1; }
+rm -f results/fleet-2.csv
+
 echo "==> benchmark worlds at the committed seed (model counters vs simbench/digests.json)"
 # One run of each benchmark world at run.py's default seed. run.py checks
 # every world's conservation laws and, at that seed, requires every model

@@ -26,7 +26,7 @@ use std::process::ExitCode;
 use nfsperf_client::ClientTuning;
 use nfsperf_experiments::{
     cawl_sweep, figures, fleet_sweep, megafleet_sweep, netqos_sweep, qos_sweep, run_bonnie,
-    transport_sweep, NetSched, Scenario, ServerKind, TrafficMix, CAWL_QUICK_RAM_SIZES,
+    transport_sweep, write_csv, NetSched, Scenario, ServerKind, TrafficMix, CAWL_QUICK_RAM_SIZES,
     CAWL_QUICK_SERVERS, CAWL_RAM_SIZES, CAWL_SERVERS, FLEET_CLIENT_COUNTS, LOSS_RATES,
     MEGAFLEET_COUNTS, MEGAFLEET_QUICK_COUNTS,
 };
@@ -352,12 +352,7 @@ fn cmd_transport(mut args: Args) -> Result<(), String> {
         size >> 20
     );
     let sweep = transport_sweep(size, LOSS_RATES, jobs);
-    println!("{}", sweep.render());
-    sweep
-        .write_csv(std::path::Path::new(&out))
-        .map_err(|e| format!("write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
+    print_and_write(&sweep.render(), &sweep.to_csv(), &out)
 }
 
 fn cmd_fleet(mut args: Args) -> Result<(), String> {
@@ -384,12 +379,7 @@ fn cmd_fleet(mut args: Args) -> Result<(), String> {
         bytes_per_client,
         jobs,
     );
-    println!("{}", sweep.render());
-    sweep
-        .write_csv(std::path::Path::new(&out))
-        .map_err(|e| format!("write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
+    print_and_write(&sweep.render(), &sweep.to_csv(), &out)
 }
 
 fn cmd_megafleet(mut args: Args) -> Result<(), String> {
@@ -425,12 +415,7 @@ fn cmd_megafleet(mut args: Args) -> Result<(), String> {
         quick,
         jobs,
     );
-    println!("{}", sweep.render());
-    sweep
-        .write_csv(std::path::Path::new(&out))
-        .map_err(|e| format!("write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
+    print_and_write(&sweep.render(), &sweep.to_csv(), &out)
 }
 
 fn cmd_qos(mut args: Args) -> Result<(), String> {
@@ -457,12 +442,7 @@ fn cmd_qos(mut args: Args) -> Result<(), String> {
         bytes >> 20
     );
     let sweep = qos_sweep(servers, &scheds, victims, bytes, jobs);
-    println!("{}", sweep.render());
-    sweep
-        .write_csv(std::path::Path::new(&out))
-        .map_err(|e| format!("write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
+    print_and_write(&sweep.render(), &sweep.to_csv(), &out)
 }
 
 fn cmd_netqos(mut args: Args) -> Result<(), String> {
@@ -491,12 +471,7 @@ fn cmd_netqos(mut args: Args) -> Result<(), String> {
         bytes >> 20
     );
     let sweep = netqos_sweep(servers, &scheds, &TrafficMix::ALL, victims, bytes, jobs);
-    println!("{}", sweep.render());
-    sweep
-        .write_csv(std::path::Path::new(&out))
-        .map_err(|e| format!("write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
+    print_and_write(&sweep.render(), &sweep.to_csv(), &out)
 }
 
 fn cmd_cawl(mut args: Args) -> Result<(), String> {
@@ -517,10 +492,13 @@ fn cmd_cawl(mut args: Args) -> Result<(), String> {
         servers.len()
     );
     let sweep = cawl_sweep(rams, servers, jobs);
-    println!("{}", sweep.render());
-    sweep
-        .write_csv(std::path::Path::new(&out))
-        .map_err(|e| format!("write {out}: {e}"))?;
+    print_and_write(&sweep.render(), &sweep.to_csv(), &out)
+}
+
+/// Prints a sweep's table, then writes its CSV to `out`.
+fn print_and_write(table: &str, csv: &str, out: &str) -> Result<(), String> {
+    println!("{table}");
+    write_csv(std::path::Path::new(out), csv).map_err(|e| format!("write {out}: {e}"))?;
     println!("wrote {out}");
     Ok(())
 }

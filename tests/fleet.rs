@@ -2,7 +2,7 @@
 //! grows until the shared ceiling saturates, the plateau divides fairly,
 //! and the whole pipeline is deterministic down to the CSV bytes.
 
-use nfsperf_experiments::{fleet_sweep, run_fleet, FleetConfig, ServerKind};
+use nfsperf_experiments::{fleet_sweep, run_fleet, write_csv, FleetConfig, ServerKind};
 use nfsperf_sunrpc::Transport;
 
 const MB: u64 = 1 << 20;
@@ -103,6 +103,20 @@ fn fleet_runs_deterministically_across_transports() {
 }
 
 #[test]
+fn a_short_last_write_reaches_the_server_over_udp_and_tcp() {
+    // 100,000 bytes is twelve 8 KiB writes and a 1,696-byte tail: the
+    // one length here that is not a multiple of the writer's call size.
+    const BYTES: u64 = 100_000;
+    for transport in [Transport::Udp, Transport::Tcp] {
+        let run = run_fleet(&FleetConfig::new(ServerKind::Filer, transport, 2, BYTES));
+        assert_eq!(run.per_client_server.len(), 2);
+        for (i, c) in run.per_client_server.iter().enumerate() {
+            assert_eq!(c.write_bytes, BYTES, "{transport:?} client {i}");
+        }
+    }
+}
+
+#[test]
 fn fleet_csv_is_bit_identical_for_the_same_seed() {
     // jobs = 1 vs jobs = 4: the parallel runner must reproduce the
     // serial CSV byte for byte, not just the same seed twice.
@@ -126,8 +140,8 @@ fn fleet_csv_is_bit_identical_for_the_same_seed() {
     let dir = std::env::temp_dir().join("nfsperf-fleet-determinism");
     let pa = dir.join("a.csv");
     let pb = dir.join("b.csv");
-    first.write_csv(&pa).unwrap();
-    second.write_csv(&pb).unwrap();
+    write_csv(&pa, &first.to_csv()).unwrap();
+    write_csv(&pb, &second.to_csv()).unwrap();
     let (ba, bb) = (std::fs::read(&pa).unwrap(), std::fs::read(&pb).unwrap());
     assert!(!ba.is_empty());
     assert_eq!(ba, bb, "written CSV files must be bit-identical");

@@ -4,7 +4,7 @@
 //! deterministic down to the CSV bytes.
 
 use nfsperf_experiments::{
-    megafleet_sweep, run_fleet, run_megafleet, FleetConfig, MegaConfig, ServerKind,
+    megafleet_sweep, run_fleet, run_megafleet, write_csv, FleetConfig, MegaConfig, ServerKind,
 };
 use nfsperf_fleet::{calibrate, BehaviorModel, CalibrationConfig, GAP_QUANTILES};
 use nfsperf_sim::SimDuration;
@@ -154,8 +154,8 @@ fn megafleet_csv_is_bit_identical_across_jobs_and_runs() {
     let dir = std::env::temp_dir().join("nfsperf-megafleet-determinism");
     let pa = dir.join("a.csv");
     let pb = dir.join("b.csv");
-    first.write_csv(&pa).unwrap();
-    second.write_csv(&pb).unwrap();
+    write_csv(&pa, &first.to_csv()).unwrap();
+    write_csv(&pb, &second.to_csv()).unwrap();
     let (ba, bb) = (std::fs::read(&pa).unwrap(), std::fs::read(&pb).unwrap());
     assert!(!ba.is_empty());
     assert_eq!(ba, bb, "written CSV files must be bit-identical");
