@@ -16,12 +16,14 @@
 //! at least one RPC in flight until its last reply, so a megafleet holds
 //! one RPC record per client for its whole run, and at the server's
 //! knee nearly all of them queue inside the server at once. Each one
-//! costs a 48-byte `FlyRpc`, a 16-byte executor waker entry, a shadow
-//! task slot, one 8-byte ready-queue word or 32-byte wheel record while
-//! it waits on the executor (its posts and stage timers are direct
-//! dispatches, which arm no event slot), and, queued at the core uplink
-//! or inside the server, a 24-byte arbiter ticket in a 48-byte heap
-//! chunk; inside the server it also holds a 48-byte [`FlyweightOp`].
+//! costs a 64-byte `FlyRpc`, whose one hop field holds the lane's
+//! admission scratch in the fabric and the server's 32-byte
+//! [`FlyweightOp`] inside the server; a 16-byte executor waker entry; a
+//! shadow task slot; one 8-byte ready-queue word or 32-byte wheel record
+//! while it waits on the executor (its posts and stage timers are direct
+//! dispatches, which arm no event slot); and, queued at the core uplink
+//! or inside the server, a 24-byte entry in the thread's arbiter ticket
+//! slab plus its 4-byte id in the queue.
 //! [`FlyTier::bytes_per_client`] counts none of these; the
 //! `resident_bytes` test measures the whole world's heap high-water mark
 //! per client with a counting allocator.
@@ -36,7 +38,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use nfsperf_net::{wire_bytes, Fabric, LaneAdmit, LinkDir, NicSpec};
-use nfsperf_server::{FlyStep, FlyweightOp, NfsServer};
+use nfsperf_server::{FlyStep, FlyweightOp, NfsServer, OpClass};
 use nfsperf_sim::{
     mbps, DirectWakerId, EventHandlerId, Gate, LatencyDigest, Sim, SimDuration, SimTime,
 };
@@ -49,7 +51,7 @@ const WRITE_REPLY_BYTES: usize = 160;
 const COMMIT_REPLY_BYTES: usize = 128;
 
 /// One flyweight client's entire state. Kept `repr(C)` and packed into
-/// a slab; a unit test holds it to 72 bytes and, with the tier's shared
+/// a slab; a unit test holds it to 64 bytes and, with the tier's shared
 /// state amortized per client, [`FlyTier::bytes_per_client`] to 256.
 #[repr(C)]
 #[derive(Clone)]
@@ -186,17 +188,18 @@ enum RpcStage {
     Complete,
 }
 
-/// "No record" marker for the slab free lists and [`FlyRpc::srv`].
+/// "No record" marker for the slab free list.
 const NONE: u32 = u32::MAX;
 
-/// One in-flight event-driven RPC: the hot record, 48 bytes.
-/// Records live in a free-listed slab sized by peak concurrent RPCs, and
-/// every client has at least one RPC in flight until its last reply, so
-/// at a million clients a million records stay live for the whole run.
-/// They are part of what each client costs, though
-/// [`FlyTier::bytes_per_client`] does not count them. The server-side
-/// op, needed only while the RPC is inside the server, lives in a side
-/// slab ([`OpSlab`]).
+/// One in-flight event-driven RPC: one 64-byte record holding its
+/// client, its stage, and the wait state of the hop it is on, in the
+/// fabric or in the server (its queued arbiter ticket lives in the
+/// thread's ticket slab, its timer on the executor's wheel). Records
+/// live in a free-listed slab sized by peak concurrent RPCs, and every
+/// client has at least one RPC in flight until its last reply, so at a
+/// million clients a million records stay live for the whole run. They
+/// are part of what each client costs, though
+/// [`FlyTier::bytes_per_client`] does not count them.
 struct FlyRpc {
     /// Owning client's tier index; the free-list link (`NONE` = end)
     /// while the record is vacant.
@@ -209,11 +212,8 @@ struct FlyRpc {
     stage: RpcStage,
     /// When the request left the client (latency numerator start).
     emitted_at: SimTime,
-    /// Admission scratch for the hop currently being traversed.
-    lane: LaneAdmit,
-    /// Index of the server-side op in the tier's [`OpSlab`], claimed at
-    /// [`RpcStage::Service`] entry (`NONE` outside the server).
-    srv: u32,
+    /// Wait state of the hop the RPC is on.
+    hop: Hop,
     /// Shadow task-table slot held for the current half of this RPC
     /// (request, then service); see [`Sim::spawn_shadow`]. Shadows only
     /// steer where stale wakes land, so they change nothing simulated
@@ -228,6 +228,27 @@ struct FlyRpc {
     waker: DirectWakerId,
 }
 
+/// Where an RPC waits: in the fabric or in the server, never both, so
+/// the lane's admission scratch and the server's op share one field.
+/// The variant tag sits in a spare value of the op's own stage tag, so
+/// the field is the op's 32 bytes.
+enum Hop {
+    /// Admission scratch for the link currently being traversed.
+    Lane(LaneAdmit),
+    /// The server-side op, from [`RpcStage::Service`] entry until the
+    /// reply starts back.
+    Server(FlyweightOp),
+}
+
+impl Hop {
+    fn lane(&mut self) -> &mut LaneAdmit {
+        match self {
+            Hop::Lane(lane) => lane,
+            Hop::Server(_) => unreachable!("an RPC in the server holds no lane"),
+        }
+    }
+}
+
 /// UDP payload and wire bytes of one datagram.
 #[derive(Clone, Copy)]
 struct Datagram {
@@ -239,57 +260,6 @@ struct Datagram {
 struct RpcSlab {
     slots: Vec<FlyRpc>,
     free_head: u32,
-}
-
-/// A slot of the [`OpSlab`]: the server-side op of an RPC inside the
-/// server, or, while vacant, the free-list link (`NONE` = end).
-enum OpSlot {
-    Op(FlyweightOp),
-    Vacant(u32),
-}
-
-/// The server-side ops of the RPCs inside the server, in a side slab
-/// sized by their peak number rather than by every in-flight RPC and
-/// free-listed like [`RpcSlab`] (freed indexes are reused last-in,
-/// first-out). In the full megafleet sweep that peak is, of the RPCs in
-/// flight: on the filer 996,057 of 1,000,000 at 1M clients and 291,402
-/// of 400,000 at 100k; on the Linux server 5,079 of 1,000,000 at 1M,
-/// 100,000 of 400,000 at 100k and 3,352 of 16,000 at 1k.
-struct OpSlab {
-    slots: Vec<OpSlot>,
-    free_head: u32,
-}
-
-impl OpSlab {
-    fn insert(&mut self, op: FlyweightOp) -> u32 {
-        match self.free_head {
-            NONE => {
-                self.slots.push(OpSlot::Op(op));
-                (self.slots.len() - 1) as u32
-            }
-            head => {
-                let OpSlot::Vacant(next) = self.slots[head as usize] else {
-                    unreachable!("op free-list head {head} occupied");
-                };
-                self.free_head = next;
-                self.slots[head as usize] = OpSlot::Op(op);
-                head
-            }
-        }
-    }
-
-    fn get(&mut self, i: u32) -> &mut FlyweightOp {
-        match &mut self.slots[i as usize] {
-            OpSlot::Op(op) => op,
-            OpSlot::Vacant(_) => unreachable!("op slot {i} vacant"),
-        }
-    }
-
-    /// Drops the finished op at `i` and puts its slot on the free list.
-    fn free(&mut self, i: u32) {
-        self.slots[i as usize] = OpSlot::Vacant(self.free_head);
-        self.free_head = i;
-    }
 }
 
 /// A running flyweight tier. Create with [`FlyTier::launch`], then
@@ -309,7 +279,6 @@ pub struct FlyTier {
     server_base: usize,
     slab: RefCell<Vec<FlyClient>>,
     rpcs: RefCell<RpcSlab>,
-    ops: RefCell<OpSlab>,
     handler: Cell<EventHandlerId>,
     latencies: RefCell<Vec<SimDuration>>,
     lat_counter: Cell<u64>,
@@ -384,10 +353,6 @@ impl FlyTier {
                 slots: Vec::new(),
                 free_head: NONE,
             }),
-            ops: RefCell::new(OpSlab {
-                slots: Vec::new(),
-                free_head: NONE,
-            }),
             handler: Cell::new(sim.register_event_handler(Rc::new(|_| {}))),
             latencies: RefCell::new(Vec::new()),
             lat_counter: Cell::new(0),
@@ -457,8 +422,7 @@ impl FlyTier {
             op: FlyOp::Write,
             stage: RpcStage::Start,
             emitted_at: at,
-            lane: LaneAdmit::start(at),
-            srv: NONE,
+            hop: Hop::Lane(LaneAdmit::start(at)),
             shadow: 0,
             waker: match rpcs.free_head {
                 NONE => {
@@ -526,14 +490,14 @@ impl FlyTier {
                 }
                 RpcStage::Launch => {
                     rpc.op = self.model.op_at(rpc.seq, self.config.writes_per_client);
-                    rpc.lane = LaneAdmit::start(self.sim.now());
+                    rpc.hop = Hop::Lane(LaneAdmit::start(self.sim.now()));
                     rpc.stage = RpcStage::AggAdmit;
                 }
                 RpcStage::AggAdmit => {
                     let agg = self.fabric.agg_of(flow);
                     let w = self.request(rpc.op).wire;
                     let Some(xfer) =
-                        agg.poll_admit(&mut rpc.lane, LinkDir::ToServer, flow, w, &mut wf)
+                        agg.poll_admit(rpc.hop.lane(), LinkDir::ToServer, flow, w, &mut wf)
                     else {
                         return;
                     };
@@ -547,14 +511,14 @@ impl FlyTier {
                     self.fabric
                         .agg_of(flow)
                         .finish_traverse(LinkDir::ToServer, self.request(rpc.op).payload);
-                    rpc.lane = LaneAdmit::start(self.sim.now());
+                    rpc.hop = Hop::Lane(LaneAdmit::start(self.sim.now()));
                     rpc.stage = RpcStage::CoreAdmit;
                 }
                 RpcStage::CoreAdmit => {
                     let core = self.fabric.core();
                     let w = self.request(rpc.op).wire;
                     let Some(xfer) =
-                        core.poll_admit(&mut rpc.lane, LinkDir::ToServer, flow, w, &mut wf)
+                        core.poll_admit(rpc.hop.lane(), LinkDir::ToServer, flow, w, &mut wf)
                     else {
                         return;
                     };
@@ -595,19 +559,22 @@ impl FlyTier {
                     return;
                 }
                 RpcStage::Service => {
-                    let mut ops = self.ops.borrow_mut();
-                    if rpc.srv == NONE {
-                        let client = self.server_base + rpc.idx as usize;
-                        rpc.srv = ops.insert(match rpc.op {
-                            FlyOp::Write => self
-                                .server
-                                .begin_flyweight_write(client, self.model.write_payload),
-                            FlyOp::Commit => self.server.begin_flyweight_commit(client),
-                        });
+                    if let Hop::Lane(_) = rpc.hop {
+                        rpc.hop = Hop::Server(self.server.begin_flyweight());
                     }
-                    let srv = ops.get(rpc.srv);
+                    let Hop::Server(srv) = &mut rpc.hop else {
+                        unreachable!("set above")
+                    };
+                    let client = self.server_base + rpc.idx as usize;
+                    let (class, bytes) = match rpc.op {
+                        FlyOp::Write => (OpClass::Write, self.model.write_payload),
+                        FlyOp::Commit => (OpClass::Commit, 0),
+                    };
                     loop {
-                        match self.server.poll_flyweight(srv, &mut wf) {
+                        match self
+                            .server
+                            .poll_flyweight(srv, client, class, bytes, &mut wf)
+                        {
                             FlyStep::Parked => return,
                             FlyStep::Sleep(d) => {
                                 if d > SimDuration::ZERO {
@@ -618,9 +585,6 @@ impl FlyTier {
                             FlyStep::Done => break,
                         }
                     }
-                    ops.free(rpc.srv);
-                    drop(ops);
-                    rpc.srv = NONE;
                     let w = self.reply(rpc.op).wire;
                     let sent =
                         self.advance_clock(rpc.idx, ClockId::PortTx, self.config.port_nic, w);
@@ -630,14 +594,14 @@ impl FlyTier {
                     }
                 }
                 RpcStage::CoreRStart => {
-                    rpc.lane = LaneAdmit::start(self.sim.now());
+                    rpc.hop = Hop::Lane(LaneAdmit::start(self.sim.now()));
                     rpc.stage = RpcStage::CoreRAdmit;
                 }
                 RpcStage::CoreRAdmit => {
                     let core = self.fabric.core();
                     let w = self.reply(rpc.op).wire;
                     let Some(xfer) =
-                        core.poll_admit(&mut rpc.lane, LinkDir::ToClients, flow, w, &mut wf)
+                        core.poll_admit(rpc.hop.lane(), LinkDir::ToClients, flow, w, &mut wf)
                     else {
                         return;
                     };
@@ -651,14 +615,14 @@ impl FlyTier {
                     self.fabric
                         .core()
                         .finish_traverse(LinkDir::ToClients, self.reply(rpc.op).payload);
-                    rpc.lane = LaneAdmit::start(self.sim.now());
+                    rpc.hop = Hop::Lane(LaneAdmit::start(self.sim.now()));
                     rpc.stage = RpcStage::AggRAdmit;
                 }
                 RpcStage::AggRAdmit => {
                     let agg = self.fabric.agg_of(flow);
                     let w = self.reply(rpc.op).wire;
                     let Some(xfer) =
-                        agg.poll_admit(&mut rpc.lane, LinkDir::ToClients, flow, w, &mut wf)
+                        agg.poll_admit(rpc.hop.lane(), LinkDir::ToClients, flow, w, &mut wf)
                     else {
                         return;
                     };
@@ -795,7 +759,7 @@ impl FlyTier {
     /// `bytes_per_client` column. It leaves out what each in-flight RPC
     /// holds (see the module docs), which at a million clients is most
     /// of the process: the `resident_bytes` test measures the whole
-    /// world at about 300 heap bytes per client.
+    /// world at about 250 heap bytes per client.
     pub fn bytes_per_client(&self) -> usize {
         let n = self.config.clients as usize;
         let shared = self.latencies.borrow().capacity() * std::mem::size_of::<SimDuration>()
@@ -833,6 +797,7 @@ mod tests {
     use crate::model::GAP_QUANTILES;
     use nfsperf_net::FabricConfig;
     use nfsperf_server::ServerConfig;
+    use nfsperf_sim::arbiter::live_tickets;
 
     fn toy_model() -> BehaviorModel {
         BehaviorModel {
@@ -864,7 +829,13 @@ mod tests {
 
     #[test]
     fn tier_completes_and_accounts_every_write() {
+        let tickets = live_tickets();
         let (tier, server) = run_tier(64, 8);
+        assert_eq!(
+            live_tickets(),
+            tickets,
+            "a finished tier left arbiter tickets live"
+        );
         let slim = server.slim_stats();
         assert_eq!(slim.clients, 64);
         assert_eq!(slim.writes, 64 * 8);
@@ -895,24 +866,14 @@ mod tests {
     #[test]
     fn flyweight_state_stays_under_256_bytes_per_client() {
         assert!(
-            std::mem::size_of::<FlyClient>() <= 72,
+            std::mem::size_of::<FlyClient>() <= 64,
             "FlyClient grew to {} bytes",
             std::mem::size_of::<FlyClient>()
         );
         assert!(
-            std::mem::size_of::<FlyRpc>() <= 48,
+            std::mem::size_of::<FlyRpc>() <= 64,
             "FlyRpc grew to {} bytes",
             std::mem::size_of::<FlyRpc>()
-        );
-        assert!(
-            std::mem::size_of::<FlyweightOp>() <= 48,
-            "FlyweightOp grew to {} bytes",
-            std::mem::size_of::<FlyweightOp>()
-        );
-        assert_eq!(
-            std::mem::size_of::<OpSlot>(),
-            std::mem::size_of::<FlyweightOp>(),
-            "the op slab's free link must fit in the op's niche"
         );
         let (tier, _server) = run_tier(10_000, 2);
         let per = tier.bytes_per_client();
@@ -948,7 +909,13 @@ mod tests {
             sim.run_until(async move { t2.wait_done().await });
             (tier, server, fabric)
         };
+        let tickets = live_tickets();
         let (tier, server, fabric) = run(nfsperf_net::PortPolicy::drr());
+        assert_eq!(
+            live_tickets(),
+            tickets,
+            "a finished tier left arbiter tickets live"
+        );
         let slim = server.slim_stats();
         assert_eq!(slim.clients, 512);
         assert_eq!(slim.writes, 512 * 4);

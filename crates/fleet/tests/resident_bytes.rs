@@ -3,10 +3,10 @@
 //!
 //! `FlyTier::bytes_per_client` counts the per-client slab and the tier's
 //! shared state only. A running tier also holds, for every RPC in
-//! flight, its record, its direct waker, its shadow task slot, its
-//! ready-queue and wheel words, its server-side op, and its lane and
-//! server-queue tickets. At megafleet scale every client has an RPC in flight at
-//! once, so those are per-client costs too. This harness wraps the
+//! flight, its record (the server-side op included), its direct waker,
+//! its shadow task slot, its ready-queue and wheel words, and its lane
+//! and server-queue tickets. At megafleet scale every client has an RPC
+//! in flight at once, so those are per-client costs too. This harness wraps the
 //! system allocator with a live-byte counter and its high-water mark and
 //! charges the whole world's peak to the clients.
 
@@ -17,6 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use nfsperf_fleet::{BehaviorModel, FlyTier, FlyTierConfig};
 use nfsperf_net::{Fabric, FabricConfig, NicSpec};
 use nfsperf_server::{NfsServer, ServerConfig};
+use nfsperf_sim::arbiter::live_tickets;
 use nfsperf_sim::{Sim, SimDuration};
 
 /// Tracks live heap bytes and their high-water mark.
@@ -65,18 +66,20 @@ static COUNTER: PeakAlloc = PeakAlloc;
 /// every client in flight at once, against the filer through the
 /// two-tier fabric. The count sits 256 under 2^16 so that every table
 /// that grows by doubling ends just under a power of two: the tier's
-/// RPC and op slabs hold one entry per client, the executor's task and
-/// timer tables one per client plus the world's own few dozen. At
-/// exactly 2^16 clients those executor tables pass 2^16 entries and
-/// double to 2^17; this counter would charge that never-touched capacity
-/// to the clients (365 B each instead of 302).
+/// RPC slab and the arbiters' ticket slab hold up to one entry per
+/// client, the executor's task and timer tables one per client plus the
+/// world's own few dozen. At exactly 2^16 clients those executor tables
+/// pass 2^16 entries and double to 2^17; this counter would charge that
+/// never-touched capacity to the clients (310 B each instead of 247).
 const CLIENTS: u32 = 65_280;
 
-/// High-water heap bytes per flyweight client the whole world may hold.
-const BUDGET: usize = 320;
+/// High-water heap bytes per flyweight client the whole world may hold:
+/// the world reads 247, and the budget leaves under 7% above that.
+const BUDGET: usize = 264;
 
 #[test]
 fn flyweight_world_peak_heap_per_client_within_budget() {
+    let tickets = live_tickets();
     let base = LIVE.load(Ordering::Relaxed);
     PEAK.store(base, Ordering::Relaxed);
 
@@ -105,6 +108,11 @@ fn flyweight_world_peak_heap_per_client_within_budget() {
     let slim = server.slim_stats();
     assert_eq!(slim.writes, u64::from(CLIENTS), "every client wrote once");
     assert_eq!(slim.commits, u64::from(CLIENTS), "and committed at close");
+    assert_eq!(
+        live_tickets(),
+        tickets,
+        "the finished world left arbiter tickets live"
+    );
     let per_client = (PEAK.load(Ordering::Relaxed) - base) / CLIENTS as usize;
     eprintln!(
         "peak heap {per_client} B per flyweight client (slab-only count: {} B)",

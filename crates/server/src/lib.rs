@@ -381,14 +381,18 @@ mod tests {
         assert!(server.stats().inline_flushes > 0);
     }
 
-    /// Drives one flyweight op to completion from a task: polls the
-    /// machine and sleeps each span it hands back.
-    async fn finish_flyweight(sim: &Sim, server: &NfsServer, mut op: server::FlyweightOp) {
+    /// Drives one flyweight op for `client` to completion from a task:
+    /// polls the machine and sleeps each span it hands back.
+    async fn finish_flyweight(sim: &Sim, server: &NfsServer, client: usize, class: OpClass) {
         use server::FlyStep;
+        let bytes = if class == OpClass::Write { 8192 } else { 0 };
+        let mut op = server.begin_flyweight();
         loop {
-            let step = nfsperf_sim::drive_poll(|wf| match server.poll_flyweight(&mut op, wf) {
-                FlyStep::Parked => None,
-                step => Some(step),
+            let step = nfsperf_sim::drive_poll(|wf| {
+                match server.poll_flyweight(&mut op, client, class, bytes, wf) {
+                    FlyStep::Parked => None,
+                    step => Some(step),
+                }
             })
             .await;
             match step {
@@ -409,11 +413,10 @@ mod tests {
         let s = sim.clone();
         sim.run_until(async move {
             let (_fh, _r) = create_and_write(&client, &srv, StableHow::Unstable, 2).await;
-            for i in 0..4u64 {
-                let op = srv.begin_flyweight_write(base + (i as usize % 10_000), 8192);
-                finish_flyweight(&s, &srv, op).await;
+            for i in 0..4usize {
+                finish_flyweight(&s, &srv, base + i % 10_000, OpClass::Write).await;
             }
-            finish_flyweight(&s, &srv, srv.begin_flyweight_commit(base)).await;
+            finish_flyweight(&s, &srv, base, OpClass::Commit).await;
         });
         let slim = server.slim_stats();
         assert_eq!(slim.clients, 10_000);
@@ -439,8 +442,10 @@ mod tests {
     fn flyweight_op_dropped_mid_service_asserts() {
         let (_sim, _client, server) = build(ServerConfig::linux_knfsd(), NicSpec::gigabit());
         let base = server.register_slim_clients(1);
-        let mut op = server.begin_flyweight_write(base, 8192);
-        let step = server.poll_flyweight(&mut op, &mut || std::task::Waker::noop().clone());
+        let mut op = server.begin_flyweight();
+        let step = server.poll_flyweight(&mut op, base, OpClass::Write, 8192, &mut || {
+            std::task::Waker::noop().clone()
+        });
         assert!(
             matches!(step, FlyStep::Sleep(_)),
             "a free slot admits at once"
@@ -491,7 +496,19 @@ mod tests {
                     let data = idx as u64;
                     let mut wf = move || sim.event_waker(h, data).1;
                     loop {
-                        match self.server.poll_flyweight(&mut chain.op, &mut wf) {
+                        let (class, bytes) = if chain.committed {
+                            (OpClass::Commit, 0)
+                        } else {
+                            (OpClass::Write, BYTES)
+                        };
+                        let client = self.base + idx;
+                        match self.server.poll_flyweight(
+                            &mut chain.op,
+                            client,
+                            class,
+                            bytes,
+                            &mut wf,
+                        ) {
                             FlyStep::Parked => return,
                             FlyStep::Sleep(d) => {
                                 let deadline =
@@ -504,11 +521,10 @@ mod tests {
                             FlyStep::Done => {
                                 if chain.writes_left > 0 {
                                     chain.writes_left -= 1;
-                                    chain.op =
-                                        self.server.begin_flyweight_write(self.base + idx, BYTES);
+                                    chain.op = self.server.begin_flyweight();
                                 } else if !chain.committed {
                                     chain.committed = true;
-                                    chain.op = self.server.begin_flyweight_commit(self.base + idx);
+                                    chain.op = self.server.begin_flyweight();
                                 } else {
                                     self.finish
                                         .set(self.finish.get().max(self.sim.now().as_nanos()));
@@ -539,7 +555,7 @@ mod tests {
                 driver.chains.borrow_mut().push(Chain {
                     writes_left: WRITES - 1,
                     committed: false,
-                    op: server.begin_flyweight_write(base + c, BYTES),
+                    op: server.begin_flyweight(),
                 });
                 sim.schedule_event(sim.now(), h, c as u64);
             }

@@ -366,49 +366,24 @@ enum FlyStage {
 
 /// One flyweight WRITE or COMMIT advanced as a poll-style state machine
 /// instead of a spawned task. The event-driven client tier keeps one per
-/// RPC inside the server and drives it with
-/// [`NfsServer::poll_flyweight`]. All wait state lives inline, one stage
-/// at a time, so constructing a fresh op per RPC allocates nothing and
-/// an op is 48 bytes: at a million clients nearly every RPC can sit in
-/// the server's queue at once. The op keeps its [`ReqMeta`] fields
-/// narrowed (client and bytes as `u32`) and builds the meta when the
-/// service engine needs it. Unlike a faithful request, an op holds its
+/// RPC inside the server, in the RPC's own record, and drives it with
+/// [`NfsServer::poll_flyweight`]. The op holds only what its caller does
+/// not already know: its arrival instant and the wait state of its
+/// pipeline position. The caller supplies the client id, class and
+/// payload at each poll. All wait state lives inline, one stage at a
+/// time, so constructing a fresh op per RPC allocates nothing and an op
+/// is 32 bytes: at a million clients nearly every RPC can sit in the
+/// server's queue at once. Unlike a faithful request, an op holds its
 /// service slot without a guard, so it must be driven to done once
 /// admitted: dropping one mid-service would leave the slot taken, and
 /// debug builds assert that it never happens.
 pub struct FlyweightOp {
     /// When the op reached the server.
     arrival: SimTime,
-    /// Client id.
-    client: u32,
-    /// Payload bytes (0 for a COMMIT).
-    bytes: u32,
-    /// WRITE or COMMIT.
-    class: OpClass,
     stage: FlyStage,
 }
 
 impl FlyweightOp {
-    fn new(client: usize, class: OpClass, bytes: u64, arrival: SimTime) -> FlyweightOp {
-        FlyweightOp {
-            arrival,
-            client: u32::try_from(client).expect("flyweight client ids fit 32 bits"),
-            bytes: u32::try_from(bytes).expect("flyweight payloads fit 32 bits"),
-            class,
-            stage: FlyStage::Gate(GatePass::default()),
-        }
-    }
-
-    /// The op's scheduling metadata, as a faithful request carries it.
-    fn meta(&self) -> ReqMeta {
-        ReqMeta {
-            client: self.client as usize,
-            class: self.class,
-            bytes: u64::from(self.bytes),
-            arrival: self.arrival,
-        }
-    }
-
     /// Whether the op has finished (reply left the server).
     pub fn is_done(&self) -> bool {
         matches!(self.stage, FlyStage::Done)
@@ -530,8 +505,8 @@ impl NfsServer {
     /// they never materialize [`PerClientStats`] or per-client latency
     /// vectors (the service engine's sample cap is set to the faithful
     /// population), only the shared [`SlimTierStats`] counters. Requests
-    /// for these ids enter through [`NfsServer::begin_flyweight_write`] /
-    /// [`NfsServer::begin_flyweight_commit`] and contend for the same
+    /// for these ids enter through [`NfsServer::begin_flyweight`] and
+    /// [`NfsServer::poll_flyweight`] and contend for the same
     /// service slots, NVRAM, checkpoints, and dirty cache as everyone
     /// else. Attach all faithful clients first.
     pub fn register_slim_clients(&self, count: usize) -> usize {
@@ -542,32 +517,25 @@ impl NfsServer {
         base
     }
 
-    /// Starts a flyweight WRITE of `bytes` payload for client id
-    /// `client`: same checkpoint gate, scheduler admission, CPU cost, and
-    /// backend step as `NfsServer::handle_write`, but without XDR
-    /// decode, file-system state, or per-client digests. Counts the op
-    /// and stamps its arrival, then hands back a state machine the
-    /// caller advances with [`NfsServer::poll_flyweight`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `client` or `bytes` does not fit 32 bits, as a WRITE's
-    /// wire count always does.
-    pub fn begin_flyweight_write(&self, client: usize, bytes: u64) -> FlyweightOp {
+    /// Starts a flyweight WRITE or COMMIT: same checkpoint gate,
+    /// scheduler admission, CPU cost, and backend step as
+    /// `NfsServer::handle_write` and `NfsServer::handle_commit`, but
+    /// without XDR decode, file-system state, or per-client digests.
+    /// Counts the op and stamps its arrival, then hands back a state
+    /// machine the caller advances with [`NfsServer::poll_flyweight`].
+    pub fn begin_flyweight(&self) -> FlyweightOp {
         self.slim_ops.inc();
-        FlyweightOp::new(client, OpClass::Write, bytes, self.sim.now())
+        FlyweightOp {
+            arrival: self.sim.now(),
+            stage: FlyStage::Gate(GatePass::default()),
+        }
     }
 
-    /// Starts a flyweight COMMIT for client id `client`: same gate,
-    /// admission, and backend step as `NfsServer::handle_commit`.
-    pub fn begin_flyweight_commit(&self, client: usize) -> FlyweightOp {
-        self.slim_ops.inc();
-        FlyweightOp::new(client, OpClass::Commit, 0, self.sim.now())
-    }
-
-    /// Advances a flyweight op until it parks, needs simulated time, or
-    /// finishes. On [`FlyStep::Parked`] the op has parked a waker built
-    /// by `waker_factory` in one of the server's wait queues — poll again
+    /// Advances a flyweight op for client id `client` (`class` WRITE with
+    /// `bytes` of payload, or COMMIT) until it parks, needs simulated
+    /// time, or finishes; every poll of one op passes the same three. On
+    /// [`FlyStep::Parked`] the op has parked a waker built by
+    /// `waker_factory` in one of the server's wait queues — poll again
     /// when it fires. On [`FlyStep::Sleep`] the caller models that much
     /// service or disk-transfer time and polls again. The checkpoint
     /// gate, scheduler queue and backend step are the ones faithful
@@ -576,10 +544,18 @@ impl NfsServer {
     pub fn poll_flyweight(
         &self,
         op: &mut FlyweightOp,
+        client: usize,
+        class: OpClass,
+        bytes: u64,
         waker_factory: &mut dyn FnMut() -> std::task::Waker,
     ) -> FlyStep {
-        let meta = op.meta();
-        let kind = match meta.class {
+        let meta = ReqMeta {
+            client,
+            class,
+            bytes,
+            arrival: op.arrival,
+        };
+        let kind = match class {
             OpClass::Write => DataOp::Write,
             OpClass::Commit => DataOp::Commit,
             OpClass::Meta => unreachable!("flyweight ops are WRITEs or COMMITs"),

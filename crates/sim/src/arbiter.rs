@@ -26,12 +26,21 @@
 //! - **steal**: a woken waiter that finds every slot taken (a fast-path
 //!   arrival barged in first) refunds its pick and re-queues at the
 //!   order's mercy, as the semaphore's woken waiter re-queues at the back.
+//!
+//! A waiter that misses the fast path queues a [`Ticket`]: a 24-byte
+//! entry in one slab per thread, which every arbiter on the thread
+//! shares, switch lanes and server engines alike. Orders queue 4-byte
+//! ids into it and a [`Claim`] holds one, so a million queued flyweight
+//! waiters cost 24 MB of entries, and the entries the core lane's waiters
+//! free are the ones the server's waiters take. [`live_tickets`] counts
+//! the entries in use, for end-of-world audits.
 
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
-use std::rc::Rc;
+use std::marker::PhantomData;
+use std::num::NonZeroU32;
 use std::sync::Arc;
 use std::task::Waker;
 
@@ -106,21 +115,41 @@ impl WeightTable {
 }
 
 /// A queued admission: its [`Key`] plus the take-once woken/waker
-/// handshake. The arbiter parks the waiter's waker on its ticket, the
-/// order hands tickets back from `pick_next`, and the arbiter wakes them:
-/// exactly one wake per park, never cancelled, which is what lets the
-/// flyweight tier park reusable direct wakers here.
+/// handshake, as a handle on one entry of this thread's ticket slab. The
+/// arbiter parks the waiter's waker on its ticket, the order hands
+/// tickets back from `pick_next`, and the arbiter wakes them: exactly
+/// one wake per park, never cancelled, which is what lets the flyweight
+/// tier park reusable direct wakers here.
 ///
-/// 24 bytes, so an `Rc<Ticket>` is a 40-byte allocation: at a million
-/// flyweight clients about a million tickets are live at once, queued at
-/// the core uplink or in the server. The cost, the class and the woken
-/// flag share one word, so the cost is capped at [`MAX_COST`].
-pub struct Ticket {
-    waker: Cell<Option<Waker>>,
-    flow: Cell<u32>,
+/// The handle is one 4-byte id and the entry it names is 24 bytes. At a
+/// million flyweight clients about a million tickets are live at once,
+/// queued at the core uplink or in the server, and orders queue them by
+/// id. One slab serves every arbiter on the thread, the switch lanes and
+/// the server engines alike, so the core lane's and the server's waiters
+/// reuse the same entries. Dropping a handle frees its entry; an order
+/// frees the tickets still queued in it when it drops.
+pub struct Ticket(Id);
+
+/// A ticket's slab position plus one, so `Option<Id>` is four bytes.
+/// Neither `Send` nor `Sync`: it names an entry of this thread's slab.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Id(NonZeroU32, PhantomData<*const ()>);
+
+impl Id {
+    fn index(self) -> usize {
+        self.0.get() as usize - 1
+    }
+}
+
+/// One ticket: its waker, its flow and one word holding its cost, class
+/// and woken flag, so the cost is capped at [`MAX_COST`]. A vacant entry
+/// keeps the free-list link in `flow`.
+struct Entry {
+    waker: Option<Waker>,
+    flow: u32,
     /// Cost in the low 30 bits ([`COST_MASK`]), then [`CLASS_BIT`] and
     /// [`WOKEN_BIT`].
-    bits: Cell<u32>,
+    bits: u32,
 }
 
 /// The cost bits of a ticket's word.
@@ -129,95 +158,126 @@ const COST_MASK: u32 = MAX_COST as u32;
 /// serve every nonzero class as class 1, so one bit keeps the key.
 const CLASS_BIT: u32 = 1 << 30;
 /// Set once the arbiter has woken the ticket, cleared when its waiter
-/// takes the wake.
+/// takes the wake. A queued ticket with the bit set is an orphan: its
+/// [`Claim`] was dropped, and the order frees it when it comes up.
 const WOKEN_BIT: u32 = 1 << 31;
+/// End of the slab's free list.
+const NO_ENTRY: u32 = u32::MAX;
 
-/// Free-list bound for recycled tickets; admissions beyond it fall back
-/// to plain allocation.
-const TICKET_POOL_CAP: usize = 64;
+/// The thread's tickets, vacant entries linked last-in, first-out.
+struct Slab {
+    entries: Vec<Entry>,
+    free: u32,
+    live: usize,
+}
 
 thread_local! {
-    /// Recycled tickets, so steady-state admission allocates nothing.
-    /// Like the simulator's wait-node pool, [`Ticket::keyed`] only
-    /// reuses a ticket whose strong count has fallen back to one (the
-    /// pool's own reference): an order still holding a clone can never
-    /// see its ticket repurposed.
-    static TICKET_POOL: RefCell<Vec<Rc<Ticket>>> = const { RefCell::new(Vec::new()) };
+    static SLAB: RefCell<Slab> = const {
+        RefCell::new(Slab {
+            entries: Vec::new(),
+            free: NO_ENTRY,
+            live: 0,
+        })
+    };
+}
+
+/// Runs `f` on this thread's slab. Wakers leave the slab through `f`'s
+/// result and are woken or dropped only after the borrow ends, since a
+/// waker may reach another ticket.
+fn slab<R>(f: impl FnOnce(&mut Slab) -> R) -> R {
+    SLAB.with(|s| f(&mut s.borrow_mut()))
+}
+
+/// [`slab`] for drop paths, which may run while the thread's locals are
+/// being torn down; `None` once the slab is gone.
+fn try_slab<R>(f: impl FnOnce(&mut Slab) -> R) -> Option<R> {
+    SLAB.try_with(|s| f(&mut s.borrow_mut())).ok()
+}
+
+impl Slab {
+    fn alloc(&mut self, key: Key) -> Id {
+        let cost = key.cost.min(MAX_COST) as u32;
+        let entry = Entry {
+            waker: None,
+            flow: key.flow,
+            bits: cost | if key.class == 0 { 0 } else { CLASS_BIT },
+        };
+        let index = match self.free {
+            NO_ENTRY => {
+                self.entries.push(entry);
+                self.entries.len() - 1
+            }
+            head => {
+                let index = head as usize;
+                self.free = self.entries[index].flow;
+                self.entries[index] = entry;
+                index
+            }
+        };
+        self.live += 1;
+        let id = u32::try_from(index + 1).expect("ticket slab past 2^32 - 2 entries");
+        Id(NonZeroU32::new(id).expect("ids start at one"), PhantomData)
+    }
+
+    /// Frees `id`'s entry, handing back any waker still parked on it.
+    fn free(&mut self, id: Id) -> Option<Waker> {
+        let e = &mut self.entries[id.index()];
+        e.flow = self.free;
+        e.bits = 0;
+        self.free = (id.index()) as u32;
+        self.live -= 1;
+        e.waker.take()
+    }
+
+    fn get(&self, id: Id) -> &Entry {
+        &self.entries[id.index()]
+    }
+
+    fn get_mut(&mut self, id: Id) -> &mut Entry {
+        &mut self.entries[id.index()]
+    }
+}
+
+/// Tickets live in this thread's slab: queued in an order, held by a
+/// claim between its wake and its admission, or held by a [`Ticket`].
+/// Zero once every arbiter and order on the thread has drained.
+pub fn live_tickets() -> usize {
+    slab(|s| s.live)
 }
 
 impl Ticket {
     /// A class-0 ticket for `cost` bytes from `flow`, capped at [`MAX_COST`].
-    pub fn new(flow: u32, cost: u64) -> Rc<Ticket> {
-        Ticket::keyed(Key {
+    pub fn new(flow: u32, cost: u64) -> Ticket {
+        let key = Key {
             flow,
             class: 0,
             cost,
-        })
+        };
+        Ticket(slab(|s| s.alloc(key)))
     }
 
-    /// A ticket for `key`, reusing a retired ticket when the pool has one.
-    /// The cost is capped at [`MAX_COST`].
-    pub(crate) fn keyed(key: Key) -> Rc<Ticket> {
-        let cost = key.cost.min(MAX_COST) as u32;
-        let bits = cost | if key.class == 0 { 0 } else { CLASS_BIT };
-        TICKET_POOL.with(|p| {
-            let mut free = p.borrow_mut();
-            while let Some(t) = free.pop() {
-                if Rc::strong_count(&t) == 1 {
-                    t.flow.set(key.flow);
-                    t.bits.set(bits);
-                    t.waker.take();
-                    return t;
-                }
-                // A holder is still alive somewhere; forget this one.
-            }
-            Rc::new(Ticket {
-                waker: Cell::new(None),
-                flow: Cell::new(key.flow),
-                bits: Cell::new(bits),
-            })
-        })
-    }
-
-    fn recycle(t: Rc<Ticket>) {
-        TICKET_POOL.with(|p| {
-            let mut free = p.borrow_mut();
-            if free.len() < TICKET_POOL_CAP {
-                free.push(t);
-            }
-        });
+    /// Hands the entry to an order without freeing it.
+    fn into_id(self) -> Id {
+        let id = self.0;
+        std::mem::forget(self);
+        id
     }
 
     /// The waiter's flow id.
     pub fn flow(&self) -> u32 {
-        self.flow.get()
+        slab(|s| s.get(self.0).flow)
     }
+}
 
-    /// The waiter's byte cost (before the floor, after the cap).
-    pub(crate) fn cost(&self) -> u64 {
-        u64::from(self.bits.get() & COST_MASK)
+impl Drop for Ticket {
+    fn drop(&mut self) {
+        let id = self.0;
+        drop(try_slab(|s| s.free(id)));
     }
+}
 
-    /// The waiter's priority class: 0, or 1 for any nonzero class.
-    pub(crate) fn class(&self) -> u8 {
-        u8::from(self.bits.get() & CLASS_BIT != 0)
-    }
-
-    fn woken(&self) -> bool {
-        self.bits.get() & WOKEN_BIT != 0
-    }
-
-    fn set_woken(&self, woken: bool) {
-        let bits = self.bits.get() & !WOKEN_BIT;
-        self.bits.set(if woken { bits | WOKEN_BIT } else { bits });
-    }
-
-    fn wake(&self) {
-        self.set_woken(true);
-        if let Some(w) = self.waker.take() {
-            w.wake();
-        }
-    }
+fn cost_of(id: Id) -> u64 {
+    u64::from(slab(|s| s.get(id).bits) & COST_MASK)
 }
 
 /// Per-flow DRR state. It exists only while the flow is backlogged,
@@ -226,7 +286,7 @@ impl Ticket {
 #[derive(Default)]
 struct Backlog {
     /// Queued tickets: class 0 ahead of class 1, each in arrival order.
-    queue: VecDeque<Rc<Ticket>>,
+    queue: VecDeque<Id>,
     /// How many class-0 tickets lead `queue`.
     urgent: u32,
     /// Grants not yet released (counted only under a finite quota).
@@ -259,9 +319,12 @@ struct Drr {
 }
 
 impl Drr {
-    fn enqueue(&self, ticket: Rc<Ticket>) {
-        let flow = ticket.flow();
-        let urgent = ticket.class().min(self.classes - 1) == 0;
+    fn enqueue(&self, ticket: Id) {
+        let (flow, bits) = slab(|s| {
+            let e = s.get(ticket);
+            (e.flow, e.bits)
+        });
+        let urgent = self.classes == 1 || bits & CLASS_BIT == 0;
         let st = &mut *self.state.borrow_mut();
         let b = st.flows.entry(flow).or_default();
         if b.queue.is_empty() {
@@ -276,7 +339,7 @@ impl Drr {
         st.queued += 1;
     }
 
-    fn pick_next(&self) -> Option<Rc<Ticket>> {
+    fn pick_next(&self) -> Option<Id> {
         let st = &mut *self.state.borrow_mut();
         // Visits since the last top-up; once it spans the whole ring,
         // every backlogged flow is at its quota.
@@ -292,7 +355,7 @@ impl Drr {
                 st.ring.rotate_left(1);
                 continue;
             }
-            let cost = b.queue[0].cost().max(COST_FLOOR);
+            let cost = cost_of(b.queue[0]).max(COST_FLOOR);
             if b.deficit < cost {
                 b.deficit += self.quantum * self.weights.get(flow);
                 st.ring.rotate_left(1);
@@ -361,7 +424,7 @@ impl Drr {
         let queues: usize = st
             .flows
             .values()
-            .map(|b| b.queue.capacity() * std::mem::size_of::<Rc<Ticket>>())
+            .map(|b| b.queue.capacity() * std::mem::size_of::<Id>())
             .sum();
         st.flows.capacity() * std::mem::size_of::<(u32, Backlog)>()
             + st.ring.capacity() * std::mem::size_of::<u32>()
@@ -377,7 +440,7 @@ impl Drr {
 pub struct Order(OrderKind);
 
 enum OrderKind {
-    Fifo(RefCell<VecDeque<Rc<Ticket>>>),
+    Fifo(RefCell<VecDeque<Id>>),
     Drr(Drr),
 }
 
@@ -409,16 +472,24 @@ impl Order {
     }
 
     /// Admits a ticket to the queue.
-    pub fn enqueue(&self, ticket: Rc<Ticket>) {
+    pub fn enqueue(&self, ticket: Ticket) {
+        self.push(ticket.into_id());
+    }
+
+    /// Removes and returns the next ticket to serve, or `None` if nothing
+    /// is queued or every queued flow is at its quota.
+    pub fn pick_next(&self) -> Option<Ticket> {
+        self.pick().map(Ticket)
+    }
+
+    fn push(&self, ticket: Id) {
         match &self.0 {
             OrderKind::Fifo(q) => q.borrow_mut().push_back(ticket),
             OrderKind::Drr(d) => d.enqueue(ticket),
         }
     }
 
-    /// Removes and returns the next ticket to serve, or `None` if nothing
-    /// is queued or every queued flow is at its quota.
-    pub fn pick_next(&self) -> Option<Rc<Ticket>> {
+    fn pick(&self) -> Option<Id> {
         match &self.0 {
             OrderKind::Fifo(q) => q.borrow_mut().pop_front(),
             OrderKind::Drr(d) => d.pick_next(),
@@ -466,6 +537,26 @@ impl Order {
     }
 }
 
+impl Drop for Order {
+    /// Frees the tickets still queued: an order owns the entries it
+    /// queues until it hands them back.
+    fn drop(&mut self) {
+        let queued: Vec<Id> = match &mut self.0 {
+            OrderKind::Fifo(q) => q.get_mut().drain(..).collect(),
+            OrderKind::Drr(d) => d
+                .state
+                .get_mut()
+                .flows
+                .drain()
+                .flat_map(|(_, b)| b.queue)
+                .collect(),
+        };
+        for id in queued {
+            drop(try_slab(|s| s.free(id)));
+        }
+    }
+}
+
 /// `slots` concurrent holders, waiters admitted in an [`Order`]; see the
 /// module docs for the protocol.
 pub struct Arbiter {
@@ -477,11 +568,35 @@ pub struct Arbiter {
     pending_wakes: Cell<usize>,
 }
 
-/// In-flight state for [`Arbiter::poll_claim`]; `Default` is the
-/// not-yet-queued state. Once queued it must be driven to admission — a
-/// queued ticket holds its place in the order, as a parked task does.
+/// In-flight state for [`Arbiter::poll_claim`]: the id of its queued
+/// ticket, four bytes. `Default` is the not-yet-queued state. Once queued
+/// it should be driven to admission, since a queued ticket holds its
+/// place in the order as a parked task does. Dropping a claim whose
+/// ticket is still queued marks the ticket an orphan, which the order
+/// frees when it comes up, passing its turn on. Dropping one between its
+/// wake and its admission frees the ticket, but the slot that wake set
+/// aside stays spoken for; only a world being torn down does that.
 #[derive(Default)]
-pub struct Claim(Option<Rc<Ticket>>);
+pub struct Claim(Option<Id>);
+
+impl Drop for Claim {
+    fn drop(&mut self) {
+        let Some(id) = self.0 else {
+            return;
+        };
+        drop(try_slab(|s| {
+            let e = s.get_mut(id);
+            if e.bits & WOKEN_BIT != 0 {
+                // Picked: the order let go of it, so the claim frees it.
+                s.free(id)
+            } else {
+                // Still queued: the order frees it at its pick.
+                e.bits |= WOKEN_BIT;
+                e.waker.take()
+            }
+        }));
+    }
+}
 
 impl Claim {
     /// Whether the claim holds a queued ticket (it has polled, missed
@@ -534,25 +649,35 @@ impl Arbiter {
         claim: &mut Claim,
         waker_factory: &mut dyn FnMut() -> Waker,
     ) -> bool {
-        if claim.0.is_none() {
-            if self.free.get() > 0 && self.order.queued() == 0 && self.order.try_grant(key.flow) {
-                self.free.set(self.free.get() - 1);
-                return true;
+        let id = match claim.0 {
+            Some(id) => id,
+            None => {
+                if self.free.get() > 0 && self.order.queued() == 0 && self.order.try_grant(key.flow)
+                {
+                    self.free.set(self.free.get() - 1);
+                    return true;
+                }
+                let id = slab(|s| s.alloc(key));
+                self.order.push(id);
+                claim.0 = Some(id);
+                // A new arrival can be eligible while slots idle (a quota
+                // block, or a pick this very enqueue makes).
+                self.kick();
+                id
             }
-            let ticket = Ticket::keyed(key);
-            self.order.enqueue(Rc::clone(&ticket));
-            // A new arrival can be eligible while slots idle (a quota
-            // block, or a pick this very enqueue makes).
-            self.kick();
-            claim.0 = Some(ticket);
-        }
+        };
         loop {
-            let ticket = claim.0.as_ref().expect("queued claim");
-            if !ticket.woken() {
-                ticket.waker.set(Some(waker_factory()));
+            let woken = slab(|s| {
+                let e = s.get_mut(id);
+                let woken = e.bits & WOKEN_BIT != 0;
+                e.bits &= !WOKEN_BIT;
+                woken
+            });
+            if !woken {
+                let waker = waker_factory();
+                drop(slab(|s| s.get_mut(id).waker.replace(waker)));
                 return false;
             }
-            ticket.set_woken(false);
             self.pending_wakes.set(self.pending_wakes.get() - 1);
             if self.free.get() > 0 {
                 break;
@@ -560,12 +685,11 @@ impl Arbiter {
             // A fast-path arrival stole the slot between our wake and our
             // poll: refund the pick and re-queue.
             self.order.ungrant(key);
-            self.order.enqueue(Rc::clone(ticket));
+            self.order.push(id);
             self.kick();
         }
-        if let Some(t) = claim.0.take() {
-            Ticket::recycle(t);
-        }
+        claim.0 = None;
+        drop(slab(|s| s.free(id)));
         self.free.set(self.free.get() - 1);
         true
     }
@@ -583,11 +707,31 @@ impl Arbiter {
     /// for by an earlier wake.
     fn kick(&self) {
         while self.free.get() > self.pending_wakes.get() {
-            let Some(ticket) = self.order.pick_next() else {
+            let Some(id) = self.order.pick() else {
                 break;
             };
-            self.pending_wakes.set(self.pending_wakes.get() + 1);
-            ticket.wake();
+            // The pick hands the ticket to its claim, or frees an orphan.
+            let woke = slab(|s| {
+                let e = s.get_mut(id);
+                if e.bits & WOKEN_BIT != 0 {
+                    let flow = e.flow;
+                    s.free(id);
+                    Err(flow)
+                } else {
+                    e.bits |= WOKEN_BIT;
+                    Ok(e.waker.take())
+                }
+            });
+            match woke {
+                Ok(waker) => {
+                    self.pending_wakes.set(self.pending_wakes.get() + 1);
+                    if let Some(w) = waker {
+                        w.wake();
+                    }
+                }
+                // The orphan's grant ends unserved.
+                Err(flow) => self.order.on_complete(flow),
+            }
         }
     }
 }
@@ -597,6 +741,23 @@ mod tests {
     use super::*;
     use crate::prop_assert;
     use crate::proptest::{check, CaseOutcome};
+
+    impl Ticket {
+        /// A ticket for `key`, its cost capped at [`MAX_COST`].
+        fn keyed(key: Key) -> Ticket {
+            Ticket(slab(|s| s.alloc(key)))
+        }
+
+        /// The waiter's byte cost (before the floor, after the cap).
+        fn cost(&self) -> u64 {
+            cost_of(self.0)
+        }
+
+        /// The waiter's priority class: 0, or 1 for any nonzero class.
+        fn class(&self) -> u8 {
+            u8::from(slab(|s| s.get(self.0).bits) & CLASS_BIT != 0)
+        }
+    }
 
     fn drr(quantum: u64) -> Order {
         Order::drr(quantum, WeightTable::uniform(), 1, None)
@@ -638,13 +799,14 @@ mod tests {
         }
     }
 
-    /// One ticket per queued waiter (a megafleet queues a million at the
-    /// server): no larger than the smaller of the two per-layer tickets
-    /// it replaced (40 bytes), and a claim is one pointer.
+    /// One slab entry per queued waiter (a megafleet queues a million at
+    /// the core uplink and the server): 24 bytes, and a claim, like a
+    /// queued id, is four.
     #[test]
     fn ticket_and_claim_stay_small() {
-        assert!(std::mem::size_of::<Ticket>() <= 24);
-        assert_eq!(std::mem::size_of::<Claim>(), std::mem::size_of::<usize>());
+        assert!(std::mem::size_of::<Entry>() <= 24);
+        assert!(std::mem::size_of::<Claim>() <= 4);
+        assert_eq!(std::mem::size_of::<Ticket>(), 4);
     }
 
     #[test]
@@ -658,12 +820,31 @@ mod tests {
             (t.flow(), t.cost(), t.class()),
             (u32::MAX, (1 << 30) - 1, 1)
         );
-        t.wake();
-        assert!(t.woken());
+        slab(|s| s.get_mut(t.0).bits |= WOKEN_BIT);
         assert_eq!((t.cost(), t.class()), (u64::from(COST_MASK), 1));
-        t.set_woken(false);
-        assert!(!t.woken());
+        slab(|s| s.get_mut(t.0).bits &= !WOKEN_BIT);
         assert_eq!((t.cost(), t.class()), (u64::from(COST_MASK), 1));
+    }
+
+    /// Tickets recycle their entries: a dropped handle's entry is the
+    /// next one handed out, and the live count follows.
+    #[test]
+    fn dropped_tickets_free_their_entries() {
+        let live = live_tickets();
+        let a = Ticket::new(1, 100);
+        let b = Ticket::new(2, 200);
+        assert_eq!(live_tickets(), live + 2);
+        let freed = a.0;
+        drop(a);
+        assert_eq!(Ticket::new(3, 300).0, freed);
+        assert_eq!((b.flow(), b.cost()), (2, 200));
+        drop(b);
+        assert_eq!(live_tickets(), live);
+        let order = Order::fifo();
+        enqueue(&order, 4, 400, 3);
+        assert_eq!(live_tickets(), live + 3);
+        drop(order);
+        assert_eq!(live_tickets(), live, "an order frees what it still queues");
     }
 
     #[test]
@@ -859,6 +1040,170 @@ mod tests {
         assert_eq!(flows(arb.order()), 0);
     }
 
+    /// Sets its flag when woken.
+    struct Flag(std::sync::atomic::AtomicBool);
+
+    impl std::task::Wake for Flag {
+        fn wake(self: Arc<Self>) {
+            self.0.store(true, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    /// A queued waiter of the conservation property: its arbiter, key,
+    /// claim, and the flag its parked wakers set.
+    struct Waiter {
+        arb: usize,
+        key: Key,
+        claim: Claim,
+        flag: Arc<Flag>,
+    }
+
+    impl Waiter {
+        fn woken(&self) -> bool {
+            self.flag.0.load(std::sync::atomic::Ordering::Relaxed)
+        }
+
+        /// Polls the claim, clearing the flag first; `true` once admitted.
+        fn poll(&mut self, arbs: &[Arbiter; 2]) -> bool {
+            self.flag
+                .0
+                .store(false, std::sync::atomic::Ordering::Relaxed);
+            let flag = &self.flag;
+            arbs[self.arb].poll_claim(self.key, &mut self.claim, &mut || {
+                Waker::from(Arc::clone(flag))
+            })
+        }
+    }
+
+    /// One conservation step: an action (its low bit picks the arbiter,
+    /// the rest arrive, release, poll the woken or drop a parked waiter)
+    /// and an arrival's flow, cost and class.
+    type Move = (u8, u32, u64, u8);
+
+    /// Ticket conservation across arbiters sharing the thread's slab: a
+    /// FIFO and a DRR arbiter (two classes, an optional quota) take
+    /// interleaved arrivals, releases and polls. Arrivals after a release
+    /// and before the woken waiter polls barge the fast path and steal
+    /// its slot, so the DRR side refunds and re-queues; dropped queued
+    /// claims leave orphans. After every step the queued ids are unique
+    /// and the slab holds exactly one entry per claim with a ticket plus
+    /// one per orphan still queued; once both arbiters drain, none.
+    #[test]
+    fn prop_tickets_are_conserved_across_arbiters() {
+        let gen = |g: &mut crate::proptest::Gen| {
+            (
+                g.u8_in(1, 4),
+                g.u8_in(0, 4),
+                g.vec(1, 96, |g| {
+                    (
+                        g.u8_in(0, 10),
+                        g.u32_in(0, 4),
+                        g.u64_in(0, 70_000),
+                        g.u8_in(0, 2),
+                    )
+                }),
+            )
+        };
+        check(
+            "prop_tickets_are_conserved_across_arbiters",
+            gen,
+            |(slots, quota, script): &(u8, u8, Vec<Move>)| {
+                let base = live_tickets();
+                let quota = (*quota > 0).then_some(*quota as usize);
+                let arbs = [
+                    Arbiter::new(1 + *slots as usize % 2, Order::fifo()),
+                    Arbiter::new(
+                        *slots as usize,
+                        Order::drr(8192, WeightTable::uniform(), 2, quota),
+                    ),
+                ];
+                let mut held: Vec<(usize, u32)> = Vec::new();
+                let mut waiters: Vec<Waiter> = Vec::new();
+                let poll_woken = |arb: Option<usize>,
+                                  waiters: &mut Vec<Waiter>,
+                                  held: &mut Vec<(usize, u32)>| {
+                    let mut i = 0;
+                    while i < waiters.len() {
+                        let w = &mut waiters[i];
+                        if arb.is_none_or(|a| a == w.arb) && w.woken() && w.poll(&arbs) {
+                            held.push((w.arb, w.key.flow));
+                            waiters.remove(i);
+                        } else {
+                            i += 1;
+                        }
+                    }
+                };
+                for &(act, flow, cost, class) in script {
+                    let arb = usize::from(act % 2);
+                    match act / 2 {
+                        0 | 1 => {
+                            let mut w = Waiter {
+                                arb,
+                                key: Key { flow, class, cost },
+                                claim: Claim::default(),
+                                flag: Arc::new(Flag(false.into())),
+                            };
+                            if w.poll(&arbs) {
+                                held.push((arb, flow));
+                            } else {
+                                waiters.push(w);
+                            }
+                        }
+                        2 => {
+                            if let Some(i) = held.iter().position(|h| h.0 == arb) {
+                                let (arb, flow) = held.remove(i);
+                                arbs[arb].release(flow);
+                            }
+                        }
+                        3 => poll_woken(Some(arb), &mut waiters, &mut held),
+                        _ => {
+                            if let Some(i) = waiters.iter().position(|w| w.arb == arb && !w.woken())
+                            {
+                                drop(waiters.remove(i));
+                            }
+                        }
+                    }
+                    let ids: Vec<Id> = waiters.iter().filter_map(|w| w.claim.0).collect();
+                    let unique: std::collections::HashSet<u32> =
+                        ids.iter().map(|id| id.0.get()).collect();
+                    prop_assert!(unique.len() == ids.len(), "a live id is held twice");
+                    let in_orders = waiters.iter().filter(|w| !w.woken()).count();
+                    let queued = arbs[0].queued() + arbs[1].queued();
+                    prop_assert!(queued >= in_orders, "a parked waiter is not queued");
+                    let orphans = queued - in_orders;
+                    prop_assert!(
+                        live_tickets() - base == ids.len() + orphans,
+                        "{} live tickets for {} claims and {orphans} orphans",
+                        live_tickets() - base,
+                        ids.len()
+                    );
+                }
+                // Drain: release every slot and admit every woken waiter
+                // until nothing is held or waiting.
+                for _ in 0..10_000 {
+                    if held.is_empty() && waiters.is_empty() {
+                        break;
+                    }
+                    for (arb, flow) in held.drain(..) {
+                        arbs[arb].release(flow);
+                    }
+                    poll_woken(None, &mut waiters, &mut held);
+                }
+                prop_assert!(
+                    waiters.is_empty(),
+                    "{} waiters never admitted",
+                    waiters.len()
+                );
+                for arb in &arbs {
+                    prop_assert!(arb.queued() == 0 && arb.free() == arb.slots());
+                    prop_assert!(flows(arb.order()) == 0, "a drained flow kept DRR state");
+                }
+                prop_assert!(live_tickets() == base, "the drained slab kept tickets");
+                CaseOutcome::Pass
+            },
+        );
+    }
+
     /// One script step: enqueue a (flow, cost, class) ticket, then pick
     /// `picks` times.
     type Step = (u32, u64, u8, u8);
@@ -931,9 +1276,9 @@ mod tests {
             (
                 g.u64_in(0, 16_384),
                 g.vec(0, 4, |g| g.u32_in(0, 4)),
-                g.u8_in(0, 1),
+                g.u8_in(0, 2),
                 g.vec(1, 64, |g| {
-                    (g.u32_in(0, 3), g.any_u64(), g.u8_in(0, 1), g.u8_in(0, 2))
+                    (g.u32_in(0, 4), g.any_u64(), g.u8_in(0, 2), g.u8_in(0, 3))
                 }),
             )
         };

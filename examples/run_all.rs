@@ -10,9 +10,9 @@
 //! worker threads (default: `NFSPERF_JOBS`, else the machine's
 //! parallelism) through [`nfsperf_sim::runner`]. The parts are
 //! reassembled in work-list order, so every CSV is bit-identical at any
-//! jobs count. Total wall-clock is appended to `results/run_all.log`.
-
-use std::io::Write;
+//! jobs count. The total wall-clock goes to stdout, never into
+//! `results/`, so a run leaves nothing behind but the CSVs (the
+//! committed `results/run_all.log` keeps earlier runs' lines).
 
 use nfsperf_experiments::figures;
 use nfsperf_sim::runner;
@@ -44,19 +44,12 @@ fn main() {
     for (name, body) in outputs {
         std::fs::write(format!("results/{name}"), body).unwrap();
     }
-    let log = format!(
-        "run_all: {} exhibits, jobs={}, wall={:.3}s, quick={}\n",
+    println!(
+        "run_all: {} exhibits, jobs={}, wall={:.3}s, quick={}",
         exhibits,
         jobs,
         wall.as_secs_f64(),
         quick
     );
-    std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open("results/run_all.log")
-        .and_then(|mut f| f.write_all(log.as_bytes()))
-        .expect("append to results/run_all.log");
-    print!("{log}");
     println!("all results written under results/");
 }

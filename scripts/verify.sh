@@ -96,6 +96,7 @@ awk -F, 'NR > 1 {
     END {
         if (rows == 0) { print "FAIL: empty fleet-quick.csv"; exit 1 }
     }' results/fleet-quick.csv
+rm -f results/fleet-quick.csv
 
 echo "==> qos smoke run (quick, --jobs 4 vs --jobs 1 bit-identical)"
 out="$(cargo run -q --release --offline --bin nfsperf -- qos --quick --jobs 4 --out results/qos-quick.csv)"
@@ -113,6 +114,7 @@ awk -F, 'NR > 1 {
     END {
         if (rows == 0) { print "FAIL: empty qos-quick.csv"; exit 1 }
     }' results/qos-quick.csv
+rm -f results/qos-quick.csv
 
 echo "==> megafleet smoke run (10k flyweights, --jobs 4 vs --jobs 1 vs committed results/megafleet-smoke.csv)"
 # The committed file is the reference for the flyweight tier: its
