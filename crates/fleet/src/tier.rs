@@ -1,9 +1,10 @@
 //! The flyweight tier: up to a million behavioral clients in a slab.
 //!
-//! Per client the tier keeps one `FlyClient` record (~64 bytes: an RNG
+//! Per client the tier keeps one `FlyClient` record (64 bytes: an RNG
 //! cursor, an emission clock, three virtual NIC clocks, two timestamps,
-//! two counters) — no pages, no flushd, no per-request locks, no NIC or
-//! mount objects. Each RPC is one slab record advanced by timed events:
+//! two counters) and a 4-byte client id — no pages, no flushd, no
+//! per-request locks, no NIC or mount objects. Each RPC is one slab
+//! record advanced by timed events:
 //! wait for the calibrated emission time, traverse the real aggregation
 //! and core uplinks (queueing behind every other client, faithful ones
 //! included), drain through the per-client server-port clock, run the
@@ -11,6 +12,19 @@
 //! cache), then unwind the reply the same way. Completion refills the
 //! client's outstanding-RPC window, which emits the next requests — so
 //! the tier's live record count tracks in-flight RPCs, not client count.
+//!
+//! The slab is laid out in the order the simulation visits it: by each
+//! client's jittered start instant, not by client id (see
+//! `start_order`). Launch applies every client's first emission while
+//! it writes the slab, but takes no RPC record: a client's first record
+//! is created when its start timer fires, so records, and their waker
+//! entries, also come into being in start order. The launch shadows are
+//! one fresh range of task slots, the one at slab position `p` being
+//! `base + p`. At a million clients a time-ordered walk over 64 MiB of
+//! clients and 64 MiB of records is then a nearly sequential one, where
+//! a walk in id order stalled on memory at every step. Nothing simulated
+//! depends on where a record lives: launch still posts in client-id
+//! order, and flow ids, server ids and RNG streams are the client id's.
 //!
 //! In-flight RPCs are nonetheless a per-client cost: every client keeps
 //! at least one RPC in flight until its last reply, so a megafleet holds
@@ -50,9 +64,11 @@ const WRITE_REPLY_BYTES: usize = 160;
 /// UDP payload bytes of a COMMIT reply.
 const COMMIT_REPLY_BYTES: usize = 128;
 
-/// One flyweight client's entire state. Kept `repr(C)` and packed into
-/// a slab; a unit test holds it to 64 bytes and, with the tier's shared
-/// state amortized per client, [`FlyTier::bytes_per_client`] to 256.
+/// One flyweight client's entire state but its id. Kept `repr(C)` and
+/// packed into a slab in start order, where its slab position stands in
+/// for the id and [`FlyTier`]'s 4-byte id map gives the id back; a unit
+/// test holds it to 64 bytes and, with the tier's shared state amortized
+/// per client, [`FlyTier::bytes_per_client`] to 256.
 #[repr(C)]
 #[derive(Clone)]
 struct FlyClient {
@@ -199,9 +215,11 @@ const NONE: u32 = u32::MAX;
 /// client has at least one RPC in flight until its last reply, so at a
 /// million clients a million records stay live for the whole run. They
 /// are part of what each client costs, though
-/// [`FlyTier::bytes_per_client`] does not count them.
+/// [`FlyTier::bytes_per_client`] does not count them. A client's first
+/// record is taken at its start instant ([`FlyTier::start`]), so the
+/// slab fills in start order, the order later events visit it.
 struct FlyRpc {
-    /// Owning client's tier index; the free-list link (`NONE` = end)
+    /// Owning client's slab position; the free-list link (`NONE` = end)
     /// while the record is vacant.
     idx: u32,
     /// The RPC's emission sequence number for that client.
@@ -277,9 +295,21 @@ pub struct FlyTier {
     replies: [Datagram; 2],
     fabric_base: u32,
     server_base: usize,
+    /// The client slab, in start order (see [`start_order`]): events
+    /// visit clients roughly in this order, so neighbours in time are
+    /// neighbours in memory.
     slab: RefCell<Vec<FlyClient>>,
+    /// Client id at each slab position: the flow id is
+    /// `fabric_base + id`, the server's client id `server_base + id`.
+    ids: Vec<u32>,
+    /// Task-table slot of position 0's launch shadow; position `p`'s is
+    /// `shadow_base + p` (see [`Sim::spawn_shadows`]).
+    shadow_base: u32,
     rpcs: RefCell<RpcSlab>,
+    /// Dispatches `step(record)`.
     handler: Cell<EventHandlerId>,
+    /// Dispatches `start(position)`, a client's first RPC.
+    start_handler: Cell<EventHandlerId>,
     latencies: RefCell<Vec<SimDuration>>,
     lat_counter: Cell<u64>,
     clients_done: Cell<u32>,
@@ -290,6 +320,18 @@ impl FlyTier {
     /// Registers `config.clients` flyweights with the fabric and the
     /// server (faithful clients must be attached first) and emits each
     /// client's first request at its jittered start time.
+    ///
+    /// Clients are laid out in start order, and each one's first
+    /// emission is applied while its record is written; the RPC record
+    /// itself is only taken at the client's start instant. Launch posts
+    /// stay in client-id order, each client's launch emissions together,
+    /// so the ready queue, the wheel's sequence numbers and every tie
+    /// between equal instants are those of emitting client by client.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulator's task table has a free slot (see
+    /// [`Sim::spawn_shadows`]): tiers launch before the clock runs.
     pub fn launch(
         sim: &Sim,
         server: &Rc<NfsServer>,
@@ -300,28 +342,43 @@ impl FlyTier {
         assert!(config.clients > 0, "a tier needs at least one client");
         let fabric_base = fabric.alloc_ids(config.clients);
         let server_base = server.register_slim_clients(config.clients as usize);
-        let spread = config.start_spread.0.max(1);
-        let mut slab = Vec::with_capacity(config.clients as usize);
-        for i in 0..config.clients {
-            let mut seed = config
-                .seed
-                .wrapping_add((i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            let jitter = splitmix64(&mut seed) % spread;
-            slab.push(FlyClient {
-                rng: seed,
-                planned: jitter,
-                port_rx_free: 0,
-                port_tx_free: 0,
-                cli_rx_free: 0,
-                first_emit: 0,
-                finish: 0,
-                emitted: 0,
-                completed: 0,
-            });
-        }
         let window = model.window.min(config.window_cap).max(1);
         let total_ops = model.total_ops(config.writes_per_client);
         assert!(total_ops > 0, "clients must emit at least one RPC");
+        let spread = config.start_spread.0.max(1);
+        // Client `id`'s RNG cursor before its start jitter is drawn.
+        let seed_of = |id: u32| {
+            config
+                .seed
+                .wrapping_add((u64::from(id) + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        };
+        let position = start_order(config.clients, spread, |id| {
+            splitmix64(&mut seed_of(id)) % spread
+        });
+        let mut ids = vec![0; config.clients as usize];
+        for (id, &p) in position.iter().enumerate() {
+            ids[p as usize] = id as u32;
+        }
+        let now = sim.now().as_nanos();
+        let slab: Vec<FlyClient> = ids
+            .iter()
+            .map(|&id| {
+                let mut rng = seed_of(id);
+                let at = (splitmix64(&mut rng) % spread).max(now);
+                FlyClient {
+                    planned: at + model.sample_gap(&mut rng).0,
+                    rng,
+                    port_rx_free: 0,
+                    port_tx_free: 0,
+                    cli_rx_free: 0,
+                    first_emit: at,
+                    finish: 0,
+                    emitted: 1,
+                    completed: 0,
+                }
+            })
+            .collect();
+        let shadows = sim.spawn_shadows(config.clients as usize);
         let finished = Gate::new();
         finished.close();
         let datagram = |payload: usize, nic: NicSpec| Datagram {
@@ -349,11 +406,14 @@ impl FlyTier {
             fabric_base,
             server_base,
             slab: RefCell::new(slab),
+            ids,
+            shadow_base: shadow_id(shadows.start),
             rpcs: RefCell::new(RpcSlab {
                 slots: Vec::new(),
                 free_head: NONE,
             }),
             handler: Cell::new(sim.register_event_handler(Rc::new(|_| {}))),
+            start_handler: Cell::new(sim.register_event_handler(Rc::new(|_| {}))),
             latencies: RefCell::new(Vec::new()),
             lat_counter: Cell::new(0),
             clients_done: Cell::new(0),
@@ -362,8 +422,20 @@ impl FlyTier {
         let t = Rc::clone(&tier);
         tier.handler
             .set(sim.register_event_handler(Rc::new(move |data| t.step(data as u32))));
-        for i in 0..tier.config.clients {
-            tier.try_emit(i);
+        let t = Rc::clone(&tier);
+        tier.start_handler
+            .set(sim.register_event_handler(Rc::new(move |data| t.start(data as u32))));
+        // No client has completed an RPC yet, so whether one emits again
+        // at launch is the same for all of them: testing it once spares
+        // `try_emit` a random slab read per client when none does.
+        let emits_again = tier.window > 1
+            && tier.total_ops > 1
+            && tier.model.op_at(1, tier.config.writes_per_client) == FlyOp::Write;
+        for p in position {
+            sim.post_direct(tier.start_handler.get(), p);
+            if emits_again {
+                tier.try_emit(p);
+            }
         }
         tier
     }
@@ -373,7 +445,8 @@ impl FlyTier {
         self.finished.pass().await;
     }
 
-    /// Emits requests for client `idx` while its window has room: each
+    /// Emits requests for the client at slab position `idx` while its
+    /// window has room (its first emission is applied at launch): each
     /// emission claims the next planned departure time (never earlier
     /// than now) and advances the plan by a sampled gap. A COMMIT is a
     /// barrier — it waits for the client's in-flight WRITEs to drain,
@@ -397,9 +470,6 @@ impl FlyTier {
                 }
                 let at = c.planned.max(self.sim.now().as_nanos());
                 c.planned = at + self.model.sample_gap(&mut c.rng).0;
-                if c.emitted == 0 {
-                    c.first_emit = at;
-                }
                 let seq = c.emitted;
                 c.emitted += 1;
                 (seq, at)
@@ -407,23 +477,39 @@ impl FlyTier {
             // The request half claims a shadow slot (see
             // `FlyRpc::shadow`) and starts from the ready queue. The post
             // is never cancelled, so it needs no event slot.
-            let r = self.alloc_rpc(idx, seq, SimTime(at));
-            self.rpcs.borrow_mut().slots[r as usize].shadow = shadow_id(self.sim.spawn_shadow());
+            let shadow = shadow_id(self.sim.spawn_shadow());
+            let r = self.alloc_rpc(idx, seq, SimTime(at), RpcStage::Start, shadow);
             self.sim.post_direct(self.handler.get(), r);
         }
     }
 
-    /// Claims (or grows) an RPC record for one emission.
-    fn alloc_rpc(&self, idx: u32, seq: u32, at: SimTime) -> u32 {
+    /// A client's first RPC, at slab position `p`: waits for the start
+    /// instant applied at launch, as [`RpcStage::Start`] does for later
+    /// emissions (the same post, timer and dispatch), then takes a record
+    /// and launches it. So records, and their waker entries, come into
+    /// being in start order, and launch writes none.
+    fn start(self: &Rc<Self>, p: u32) {
+        let at = SimTime(self.slab.borrow()[p as usize].first_emit);
+        if at > self.sim.now() {
+            self.sim.schedule_direct(at, self.start_handler.get(), p);
+            return;
+        }
+        let r = self.alloc_rpc(p, 0, at, RpcStage::Launch, self.shadow_base + p);
+        self.step(r);
+    }
+
+    /// Claims (or grows) an RPC record for one emission of the client at
+    /// slab position `idx`, holding request shadow `shadow`.
+    fn alloc_rpc(&self, idx: u32, seq: u32, at: SimTime, stage: RpcStage, shadow: u32) -> u32 {
         let mut rpcs = self.rpcs.borrow_mut();
         let fresh = FlyRpc {
             idx,
             seq,
             op: FlyOp::Write,
-            stage: RpcStage::Start,
+            stage,
             emitted_at: at,
             hop: Hop::Lane(LaneAdmit::start(at)),
-            shadow: 0,
+            shadow,
             waker: match rpcs.free_head {
                 NONE => {
                     // Reserved once per record; the index (the waker's
@@ -478,7 +564,8 @@ impl FlyTier {
         // wake dispatches.
         let (sim, waker) = (&self.sim, rpc.waker);
         let mut wf = move || sim.direct_waker(waker);
-        let flow = self.fabric_base + rpc.idx;
+        let id = self.ids[rpc.idx as usize];
+        let flow = self.fabric_base + id;
         loop {
             match rpc.stage {
                 RpcStage::Start => {
@@ -565,7 +652,7 @@ impl FlyTier {
                     let Hop::Server(srv) = &mut rpc.hop else {
                         unreachable!("set above")
                     };
-                    let client = self.server_base + rpc.idx as usize;
+                    let client = self.server_base + id as usize;
                     let (class, bytes) = match rpc.op {
                         FlyOp::Write => (OpClass::Write, self.model.write_payload),
                         FlyOp::Commit => (OpClass::Commit, 0),
@@ -657,12 +744,11 @@ impl FlyTier {
         // Free the record before completing: `try_emit` inside
         // `complete` may immediately reuse it for this client's next
         // emission, and `complete` must see the slab borrow released.
-        let (idx, seq, emitted_at, op, shadow) =
-            (rpc.idx, rpc.seq, rpc.emitted_at, rpc.op, rpc.shadow);
+        let (idx, emitted_at, op, shadow) = (rpc.idx, rpc.emitted_at, rpc.op, rpc.shadow);
         rpcs.slots[r as usize].idx = rpcs.free_head;
         rpcs.free_head = r;
         drop(rpcs);
-        self.complete(idx, seq, emitted_at, op);
+        self.complete(idx, emitted_at, op);
         // The service shadow is released only after `complete` (and any
         // emissions it made) ran.
         self.sim.drop_shadow(shadow as usize);
@@ -694,7 +780,7 @@ impl FlyTier {
         SimTime(free)
     }
 
-    fn complete(self: &Rc<Self>, idx: u32, _seq: u32, emitted_at: SimTime, op: FlyOp) {
+    fn complete(self: &Rc<Self>, idx: u32, emitted_at: SimTime, op: FlyOp) {
         let now = self.sim.now();
         let finished_client = {
             let mut slab = self.slab.borrow_mut();
@@ -715,9 +801,10 @@ impl FlyTier {
             if self.clients_done.get() == self.config.clients {
                 self.finished.open();
                 // No RPC can arm another event now: break the
-                // handler → tier reference cycle so the tier frees when
+                // handler → tier reference cycles so the tier frees when
                 // its caller drops it.
                 self.sim.clear_event_handler(self.handler.get());
+                self.sim.clear_event_handler(self.start_handler.get());
             }
         } else {
             self.try_emit(idx);
@@ -725,14 +812,16 @@ impl FlyTier {
     }
 
     /// Each client's achieved throughput (payload bytes over its own
-    /// first-emission-to-last-reply span), MB/s.
+    /// first-emission-to-last-reply span), MB/s, in client-id order: the
+    /// megafleet mean and Jain index are float sums over it, so the order
+    /// is part of their result.
     pub fn per_client_mbps(&self) -> Vec<f64> {
         let bytes = u64::from(self.config.writes_per_client) * self.model.write_payload;
-        self.slab
-            .borrow()
-            .iter()
-            .map(|c| mbps(bytes, SimTime(c.finish).since(SimTime(c.first_emit))))
-            .collect()
+        let mut out = vec![0.0; self.ids.len()];
+        for (c, &id) in self.slab.borrow().iter().zip(&self.ids) {
+            out[id as usize] = mbps(bytes, SimTime(c.finish).since(SimTime(c.first_emit)));
+        }
+        out
     }
 
     /// Time from the tier's first emission to its last completion.
@@ -756,10 +845,11 @@ impl FlyTier {
     /// `FlyClient` record plus this client's amortized share of the
     /// shared latency pool, the model, and the fabric's per-stage state.
     /// Asserted ≤ 256 in tests and reported in the megafleet CSV's
-    /// `bytes_per_client` column. It leaves out what each in-flight RPC
-    /// holds (see the module docs), which at a million clients is most
-    /// of the process: the `resident_bytes` test measures the whole
-    /// world at about 250 heap bytes per client.
+    /// `bytes_per_client` column. It leaves out the 4-byte id of each
+    /// slab position, which the committed column predates, and what each
+    /// in-flight RPC holds (see the module docs), which at a million
+    /// clients is most of the process: the `resident_bytes` test
+    /// measures the whole world at about 250 heap bytes per client.
     pub fn bytes_per_client(&self) -> usize {
         let n = self.config.clients as usize;
         let shared = self.latencies.borrow().capacity() * std::mem::size_of::<SimDuration>()
@@ -784,6 +874,34 @@ fn shadow_id(slot: usize) -> u32 {
     u32::try_from(slot).expect("task table past 2^32 slots")
 }
 
+/// The slab position of each of `n` client ids, laid out by start
+/// instant: `start_of(id)` (below `spread`) picks one of `n` equal-width
+/// buckets of the spread, and a counting sort places the buckets in
+/// order, ids ascending within each. O(n), and close enough to the
+/// exact order for locality; an exact sort of a million keys costs
+/// tens of milliseconds of launch.
+fn start_order(n: u32, spread: u64, start_of: impl Fn(u32) -> u64) -> Vec<u32> {
+    let width = spread.div_ceil(u64::from(n));
+    // First each id's bucket, with `next[b + 1]` counting bucket `b`...
+    let mut position: Vec<u32> = Vec::with_capacity(n as usize);
+    let mut next = vec![0u32; n as usize + 1];
+    for id in 0..n {
+        let bucket = (start_of(id) / width) as u32;
+        position.push(bucket);
+        next[bucket as usize + 1] += 1;
+    }
+    // ...then `next[b]` is bucket `b`'s first free position.
+    for b in 1..next.len() {
+        next[b] += next[b - 1];
+    }
+    for slot in &mut position {
+        let bucket = *slot as usize;
+        *slot = next[bucket];
+        next[bucket] += 1;
+    }
+    position
+}
+
 #[derive(Clone, Copy)]
 enum ClockId {
     PortRx,
@@ -798,6 +916,8 @@ mod tests {
     use nfsperf_net::FabricConfig;
     use nfsperf_server::ServerConfig;
     use nfsperf_sim::arbiter::live_tickets;
+    use nfsperf_sim::proptest::{check, CaseOutcome};
+    use nfsperf_sim::{prop_assert, prop_assert_eq, prop_assume};
 
     fn toy_model() -> BehaviorModel {
         BehaviorModel {
@@ -811,17 +931,14 @@ mod tests {
     }
 
     fn run_tier(clients: u32, writes: u32) -> (Rc<FlyTier>, Rc<NfsServer>) {
+        run_tier_with(FlyTierConfig::new(clients, writes, NicSpec::gigabit()))
+    }
+
+    fn run_tier_with(config: FlyTierConfig) -> (Rc<FlyTier>, Rc<NfsServer>) {
         let sim = Sim::new();
-        let server_nic = NicSpec::gigabit();
-        let fabric = Rc::new(Fabric::new(&sim, FabricConfig::new(server_nic)));
+        let fabric = Rc::new(Fabric::new(&sim, FabricConfig::new(config.port_nic)));
         let server = NfsServer::new(&sim, ServerConfig::netapp_f85());
-        let tier = FlyTier::launch(
-            &sim,
-            &server,
-            &fabric,
-            toy_model(),
-            FlyTierConfig::new(clients, writes, server_nic),
-        );
+        let tier = FlyTier::launch(&sim, &server, &fabric, toy_model(), config);
         let t2 = Rc::clone(&tier);
         sim.run_until(async move { t2.wait_done().await });
         (tier, server)
@@ -851,6 +968,115 @@ mod tests {
         // No faithful clients attached: the server kept zero per-client
         // stats entries for the whole tier.
         assert!(server.per_client_stats().is_empty());
+    }
+
+    /// With a 1 ns start spread every client starts at instant 0, so
+    /// each first RPC takes its record inline at its launch post instead
+    /// of after a start timer: a path no committed world reaches.
+    #[test]
+    fn tier_starting_every_client_at_its_post_accounts_every_write() {
+        for clients in [1, 64] {
+            let tickets = live_tickets();
+            let (tier, server) = run_tier_with(FlyTierConfig {
+                start_spread: SimDuration(1),
+                ..FlyTierConfig::new(clients, 8, NicSpec::gigabit())
+            });
+            assert_eq!(
+                live_tickets(),
+                tickets,
+                "a finished tier left arbiter tickets live"
+            );
+            let slim = server.slim_stats();
+            assert_eq!(slim.clients, u64::from(clients));
+            assert_eq!(slim.writes, u64::from(clients) * 8);
+            assert_eq!(slim.write_bytes, u64::from(clients) * 8 * 8192);
+            assert_eq!(slim.commits, u64::from(clients));
+            let per = tier.per_client_mbps();
+            assert_eq!(per.len(), clients as usize);
+            assert!(per.iter().all(|m| *m > 0.0));
+        }
+    }
+
+    /// The slab is in start order, but every record still holds its own
+    /// client's start, and per-client results come back in client-id
+    /// order (the megafleet mean and Jain index sum them in that order).
+    #[test]
+    fn per_client_results_follow_client_ids_not_the_slab_layout() {
+        let (tier, _server) = run_tier(64, 2);
+        assert!(
+            tier.ids.iter().enumerate().any(|(p, &id)| p as u32 != id),
+            "64 jittered starts left the slab in id order"
+        );
+        let config = &tier.config;
+        let per = tier.per_client_mbps();
+        let slab = tier.slab.borrow();
+        let width = config.start_spread.0.div_ceil(64);
+        assert!(
+            slab.windows(2)
+                .all(|w| w[0].first_emit / width <= w[1].first_emit / width),
+            "the slab is not in start order"
+        );
+        let bytes = u64::from(config.writes_per_client) * tier.model.write_payload;
+        for (c, &id) in slab.iter().zip(&tier.ids) {
+            let mut seed = config
+                .seed
+                .wrapping_add((u64::from(id) + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            assert_eq!(
+                c.first_emit,
+                splitmix64(&mut seed) % config.start_spread.0,
+                "client {id}'s record holds another client's start"
+            );
+            let own = mbps(bytes, SimTime(c.finish).since(SimTime(c.first_emit)));
+            assert_eq!(per[id as usize], own, "client {id}'s throughput");
+        }
+    }
+
+    #[test]
+    fn start_order_puts_lone_and_simultaneous_clients_in_id_order() {
+        assert_eq!(start_order(1, 1, |_| 0), [0]);
+        assert_eq!(start_order(1, 1_000, |_| 999), [0]);
+        assert_eq!(start_order(5, 1, |_| 0), [0, 1, 2, 3, 4]);
+        assert_eq!(start_order(4, 4, |id| 3 - u64::from(id)), [3, 2, 1, 0]);
+    }
+
+    /// The launch layout is a bijection from client ids to slab
+    /// positions that walks the spread's `n` buckets in order, ids
+    /// ascending within a bucket, so equal instants keep id order.
+    #[test]
+    fn prop_start_order_is_a_stable_bucket_sort() {
+        check(
+            "prop_start_order_is_a_stable_bucket_sort",
+            |g| {
+                let spread = if g.any_bool() {
+                    g.u64_in(1, 8)
+                } else {
+                    g.u64_in(1, 1 << 40)
+                };
+                let starts = g.vec(1, 48, |g| g.u64_in(0, spread));
+                (spread, starts)
+            },
+            |(spread, starts)| {
+                prop_assume!(*spread > 0 && !starts.is_empty());
+                prop_assume!(starts.iter().all(|s| s < spread));
+                let n = starts.len() as u32;
+                let position = start_order(n, *spread, |id| starts[id as usize]);
+                let mut ids = vec![u32::MAX; starts.len()];
+                for (id, &p) in position.iter().enumerate() {
+                    prop_assert!((p as usize) < ids.len(), "position {p} past {n}");
+                    prop_assert_eq!(ids[p as usize], u32::MAX);
+                    ids[p as usize] = id as u32;
+                }
+                let width = spread.div_ceil(u64::from(n));
+                for pair in ids.windows(2) {
+                    let [a, b] = [pair[0], pair[1]].map(|id| starts[id as usize]);
+                    prop_assert!(a / width <= b / width, "buckets out of order");
+                    if a / width == b / width {
+                        prop_assert!(pair[0] < pair[1], "ids out of order in a bucket");
+                    }
+                }
+                CaseOutcome::Pass
+            },
+        );
     }
 
     #[test]

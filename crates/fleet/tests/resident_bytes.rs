@@ -2,10 +2,11 @@
 //! on the heap.
 //!
 //! `FlyTier::bytes_per_client` counts the per-client slab and the tier's
-//! shared state only. A running tier also holds, for every RPC in
-//! flight, its record (the server-side op included), its direct waker,
-//! its shadow task slot, its ready-queue and wheel words, and its lane
-//! and server-queue tickets. At megafleet scale every client has an RPC
+//! shared state only. A running tier also holds each client's 4-byte id
+//! (the slab is in start order) and, for every RPC in flight, its
+//! record (the server-side op included), its direct waker, its shadow
+//! task slot, its ready-queue and wheel words, and its lane and
+//! server-queue tickets. At megafleet scale every client has an RPC
 //! in flight at once, so those are per-client costs too. This harness wraps the
 //! system allocator with a live-byte counter and its high-water mark and
 //! charges the whole world's peak to the clients.
@@ -70,11 +71,11 @@ static COUNTER: PeakAlloc = PeakAlloc;
 /// client, the executor's task and timer tables one per client plus the
 /// world's own few dozen. At exactly 2^16 clients those executor tables
 /// pass 2^16 entries and double to 2^17; this counter would charge that
-/// never-touched capacity to the clients (310 B each instead of 247).
+/// never-touched capacity to the clients (314 B each instead of 251).
 const CLIENTS: u32 = 65_280;
 
 /// High-water heap bytes per flyweight client the whole world may hold:
-/// the world reads 247, and the budget leaves under 7% above that.
+/// the world reads 251, and the budget leaves under 6% above that.
 const BUDGET: usize = 264;
 
 #[test]

@@ -554,6 +554,31 @@ impl Sim {
         self.insert_slot(TaskSlot::Shadow)
     }
 
+    /// Reserves `n` fresh shadow slots as one contiguous range, as `n`
+    /// calls of [`Sim::spawn_shadow`] on a table with no free slot would,
+    /// so a caller can keep one base id instead of `n` ids. The slots are
+    /// pushed one at a time, which leaves the table's capacity growth
+    /// exactly as those calls would. Fresh slots have no history, so
+    /// which of them backs which caller changes no wake and no event.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table has a free slot: [`Sim::spawn_shadow`] would
+    /// reuse it first, so the range would not be what those calls claim.
+    pub fn spawn_shadows(&self, n: usize) -> std::ops::Range<TaskId> {
+        assert_eq!(
+            self.core.free_head.get(),
+            NO_SLOT,
+            "spawn_shadows needs a task table with no free slot"
+        );
+        let mut tasks = self.core.tasks.borrow_mut();
+        let base = tasks.len();
+        for _ in 0..n {
+            tasks.push(TaskSlot::Shadow);
+        }
+        base..tasks.len()
+    }
+
     /// Frees a slot reserved by [`Sim::spawn_shadow`].
     pub fn drop_shadow(&self, id: TaskId) {
         let mut tasks = self.core.tasks.borrow_mut();
@@ -1056,6 +1081,79 @@ mod tests {
             s2.sleep(SimDuration::ZERO).await;
             assert_eq!(s2.now(), SimTime::ZERO);
         });
+    }
+
+    #[test]
+    fn spawn_shadows_claims_one_contiguous_range() {
+        let sim = Sim::new();
+        let first = sim.spawn_shadow();
+        let range = sim.spawn_shadows(3);
+        assert_eq!(range, first + 1..first + 4);
+        assert_eq!(sim.spawn_shadows(0), first + 4..first + 4);
+        assert_eq!(sim.spawn_shadow(), first + 4, "the next claim follows it");
+    }
+
+    #[test]
+    #[should_panic(expected = "no free slot")]
+    fn spawn_shadows_refuses_a_table_with_free_slots() {
+        let sim = Sim::new();
+        let slot = sim.spawn_shadow();
+        sim.drop_shadow(slot);
+        sim.spawn_shadows(1);
+    }
+
+    /// A scripted world of stale wakes: `slots[k]` is caller `k`'s launch
+    /// shadow. For each caller in a fixed order, the main task drops its
+    /// shadow, lets a task that stashes its waker run on the freed slot
+    /// and finish, claims a shadow that lands back on that slot for every
+    /// other caller when `reclaim` is set, and fires every stashed waker;
+    /// the stale wakes then land on live shadows or on free slots.
+    /// Returns the retired events.
+    fn stale_wake_world(sim: &Sim, slots: Vec<TaskId>, reclaim: bool) -> u64 {
+        let stash: Rc<RefCell<Vec<Waker>>> = Rc::default();
+        let s = sim.clone();
+        sim.run_until(async move {
+            let mut held = Vec::new();
+            for k in [2, 0, 5, 1, 4, 3] {
+                s.drop_shadow(slots[k]);
+                let st = Rc::clone(&stash);
+                s.spawn_detached(std::future::poll_fn(move |cx| {
+                    st.borrow_mut().push(cx.waker().clone());
+                    Poll::Ready(())
+                }));
+                yield_now().await;
+                if reclaim && k % 2 == 0 {
+                    held.push(s.spawn_shadow());
+                }
+                for w in stash.borrow().iter() {
+                    w.wake_by_ref();
+                }
+                yield_now().await;
+                if reclaim && k == 1 {
+                    s.drop_shadow(held.remove(0));
+                }
+            }
+        });
+        sim.events()
+    }
+
+    #[test]
+    fn shadows_claimed_as_a_range_retire_the_same_events() {
+        const N: usize = 6;
+        let one_by_one = Sim::new();
+        let slots = (0..N).map(|_| one_by_one.spawn_shadow()).collect();
+        let by_claims = stale_wake_world(&one_by_one, slots, true);
+        // The range hands caller `k` the slot `N - 1 - k` places in: a
+        // relabeling of fresh slots, as the flyweight tier's start order is.
+        let ranged = Sim::new();
+        let range = ranged.spawn_shadows(N);
+        let slots = (0..N).map(|k| range.end - 1 - k).collect();
+        assert_eq!(stale_wake_world(&ranged, slots, true), by_claims);
+        // Stale wakes did land on reclaimed shadows: without the
+        // reclaims the same script retires fewer events.
+        let unclaimed = Sim::new();
+        let slots = (0..N).map(|_| unclaimed.spawn_shadow()).collect();
+        assert!(stale_wake_world(&unclaimed, slots, false) < by_claims);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 """Interleaved A/B of the benchmark between a base revision and this checkout.
 
     python3 scripts/ab.py BASE_REV --workload megafleet-1m --pairs 10 [--seed N]
+    python3 scripts/ab.py BASE_REV --exhibit megafleet --pairs 5
 
 Exports BASE_REV with `git archive` into a temporary directory; the change
 side is this checkout's working tree, which must not be edited while the
@@ -25,6 +26,15 @@ For every end-to-end metric of BENCHMARK.json it prints both sides'
 medians, the parent's quartiles, the median and quartiles of the per-pair
 change/parent ratio, and how many pairs the change won. The last stdout
 line is the same table as one JSON object.
+
+``--exhibit megafleet`` measures a committed exhibit end to end instead:
+it builds both trees' ``nfsperf`` binaries and runs the full sweep
+(``nfsperf megafleet --jobs 2``) once per side per pair, alternating which
+side goes first, timing each process's wall clock. Every CSV either side
+writes must equal this checkout's committed ``results/megafleet.csv``
+byte for byte, or the script stops. It prints each side's median wall
+clock, the parent's quartiles, the change/parent ratio's median and
+quartiles, and the pairs the change won, then the same as one JSON line.
 """
 
 import argparse
@@ -36,12 +46,16 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Each tree builds into and runs from its own simbench/target.
+# Each tree builds into and runs from its own target directories.
 ENV = {k: v for k, v in os.environ.items() if k != "CARGO_TARGET_DIR"}
+
+# Exhibit name: (`nfsperf` arguments, the committed CSV it regenerates).
+EXHIBITS = {"megafleet": (["megafleet", "--jobs", "2"], "results/megafleet.csv")}
 
 
 def run_py_constants():
@@ -104,6 +118,50 @@ def setup_once(tree, workload, seed, repeat):
     return json.loads(lines[-1])["setups_s"]
 
 
+def build_nfsperf(tree):
+    """Builds `tree`'s `nfsperf` binary and returns its path."""
+    cmd = ["cargo", "build", "--release", "--offline", "--quiet", "--bin", "nfsperf",
+           "--manifest-path", str(tree / "Cargo.toml")]
+    if subprocess.run(cmd, env=ENV).returncode != 0:
+        fail(f"build of nfsperf in {tree} failed")
+    return tree / "target" / "release" / "nfsperf"
+
+
+def exhibit_ab(base_rev, exhibit, pairs):
+    """Interleaves both trees' full `exhibit` run process by process and
+    prints the wall-clock table."""
+    args, committed = EXHIBITS[exhibit]
+    expected = (ROOT / committed).read_bytes()
+    walls = {"parent": [], "change": []}
+    tmp = Path(tempfile.mkdtemp(prefix="ab-"))
+    try:
+        base = tmp / "base"
+        export(base_rev, base)
+        binaries = {"parent": (base, build_nfsperf(base)), "change": (ROOT, build_nfsperf(ROOT))}
+        for i in range(pairs):
+            order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+            for side in order:
+                tree, binary = binaries[side]
+                out = tmp / f"{side}-{i}.csv"
+                start = time.monotonic()
+                proc = subprocess.run([str(binary), *args, "--out", str(out)], cwd=tree,
+                                      stdout=subprocess.DEVNULL, env=ENV)
+                walls[side].append(time.monotonic() - start)
+                if proc.returncode != 0:
+                    fail(f"nfsperf {' '.join(args)} in {tree} exited {proc.returncode}")
+                if out.read_bytes() != expected:
+                    fail(f"the {side} tree's {exhibit} CSV differs from the committed {committed}")
+            print(f"pair {i + 1}/{pairs} done ({order[0]} first)", file=sys.stderr)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+    print(f"exhibit {exhibit} (nfsperf {' '.join(args)}), {pairs} pairs; "
+          f"every CSV equal to {committed}")
+    print(HEADER)
+    row = compare("wall_s", walls["parent"], walls["change"], "lower", pairs)
+    print(json.dumps({"exhibit": exhibit, "pairs": pairs, "metrics": {"wall_s": row}}))
+
+
 def quartiles(values):
     if len(values) < 2:
         return values[0], values[0]
@@ -111,15 +169,50 @@ def quartiles(values):
     return q1, q3
 
 
+HEADER = (f"  {'metric':14} {'parent':>12} {'change':>12} {'parent q1..q3':>25} "
+          f"{'ratio':>7} {'ratio q1..q3':>15} {'wins':>6}")
+
+
+def compare(name, par, chg, better, pairs):
+    """Prints one metric's row of the table and returns it as a dict."""
+    ratios = [c / p if p else float("inf") for p, c in zip(par, chg)]
+    higher = better == "higher"
+    wins = sum(1 for p, c in zip(par, chg) if (c > p if higher else c < p))
+    pq1, pq3 = quartiles(par)
+    rq1, rq3 = quartiles(ratios)
+    row = {
+        "parent_median": statistics.median(par),
+        "change_median": statistics.median(chg),
+        "parent_q1": pq1,
+        "parent_q3": pq3,
+        "ratio_median": statistics.median(ratios),
+        "ratio_q1": rq1,
+        "ratio_q3": rq3,
+        "wins": wins,
+        "better": better,
+    }
+    print(f"  {name:14} {row['parent_median']:>12.6g} {row['change_median']:>12.6g} "
+          f"{pq1:>12.6g}..{pq3:<12.6g} {row['ratio_median']:>7.4f} {rq1:>7.4f}..{rq3:<7.4f} "
+          f"{wins:>3}/{pairs}")
+    return row
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base_rev")
-    ap.add_argument("--workload", required=True)
+    target = ap.add_mutually_exclusive_group(required=True)
+    target.add_argument("--workload")
+    target.add_argument("--exhibit", choices=sorted(EXHIBITS))
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=None, help="world seed (default: run.py's)")
     args = ap.parse_args()
     if args.pairs < 1:
         fail("--pairs must be at least 1")
+    if args.exhibit:
+        if args.seed is not None:
+            fail("--seed applies to --workload runs only")
+        exhibit_ab(args.base_rev, args.exhibit, args.pairs)
+        return
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
@@ -158,32 +251,12 @@ def main():
     seed_note = "run.py's default seed" if seed == default_seed else f"seed {seed} (no digests)"
     print(f"{args.workload}, {args.pairs} pairs, {seed_note} and run.py's run length; "
           f"setup_s from {processes} interleaved `simbench setup` processes per side per pair")
-    print(f"  {'metric':14} {'parent':>12} {'change':>12} {'parent q1..q3':>25} "
-          f"{'ratio':>7} {'ratio q1..q3':>15} {'wins':>6}")
+    print(HEADER)
     for m in metrics:
         name = m["name"]
         par = [r["metrics"][name]["value"] for r in runs["parent"]]
         chg = [r["metrics"][name]["value"] for r in runs["change"]]
-        ratios = [c / p if p else float("inf") for p, c in zip(par, chg)]
-        higher = m["better"] == "higher"
-        wins = sum(1 for p, c in zip(par, chg) if (c > p if higher else c < p))
-        pq1, pq3 = quartiles(par)
-        rq1, rq3 = quartiles(ratios)
-        row = {
-            "parent_median": statistics.median(par),
-            "change_median": statistics.median(chg),
-            "parent_q1": pq1,
-            "parent_q3": pq3,
-            "ratio_median": statistics.median(ratios),
-            "ratio_q1": rq1,
-            "ratio_q3": rq3,
-            "wins": wins,
-            "better": m["better"],
-        }
-        table[name] = row
-        print(f"  {name:14} {row['parent_median']:>12.6g} {row['change_median']:>12.6g} "
-              f"{pq1:>12.6g}..{pq3:<12.6g} {row['ratio_median']:>7.4f} {rq1:>7.4f}..{rq3:<7.4f} "
-              f"{wins:>3}/{args.pairs}")
+        table[name] = compare(name, par, chg, m["better"], args.pairs)
     for side in ("parent", "change"):
         attempted = sum(r["attempted"] for r in runs[side])
         checked = "digests matched" if seed == default_seed else "counters repeated"
