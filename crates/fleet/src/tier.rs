@@ -33,9 +33,10 @@
 //! costs a 64-byte `FlyRpc`, whose one hop field holds the lane's
 //! admission scratch in the fabric and the server's 32-byte
 //! [`FlyweightOp`] inside the server; a 16-byte executor waker entry; a
-//! shadow task slot; one 8-byte ready-queue word or 32-byte wheel record
-//! while it waits on the executor (its posts and stage timers are direct
-//! dispatches, which arm no event slot); and, queued at the core uplink
+//! shadow task slot; one 8-byte ready-queue word or 24-byte wheel entry
+//! (kept by value in a pooled block) while it waits on the executor (its
+//! posts and stage timers are direct dispatches, which arm no event
+//! slot); and, queued at the core uplink
 //! or inside the server, a 24-byte entry in the thread's arbiter ticket
 //! slab plus its 4-byte id in the queue.
 //! [`FlyTier::bytes_per_client`] counts none of these; the

@@ -26,7 +26,7 @@
 //! reproduce the pre-scheduling CSVs byte for byte (a replay property
 //! test below and the committed sweep artifacts both hold this line).
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, Ref, RefCell};
 use std::rc::Rc;
 use std::task::Waker;
 
@@ -462,19 +462,26 @@ impl Fabric {
     }
 
     /// The aggregation switch client `id` hangs off (created on first
-    /// touch). O(1): the route is the index `id / fanout`.
-    pub fn agg_of(&self, id: u32) -> Rc<SharedLink> {
+    /// touch). O(1): the route is the index `id / fanout`. Returns a
+    /// borrow, so the per-hop lookup costs no refcount traffic; a caller
+    /// that keeps the link clones the `Rc`. A link creation registers
+    /// nothing with the simulator, so when it happens is unobservable.
+    ///
+    /// Panics if it must create a switch while an earlier borrow is held.
+    pub fn agg_of(&self, id: u32) -> Ref<'_, Rc<SharedLink>> {
         let idx = id as usize / self.config.fanout;
-        let mut aggs = self.aggs.borrow_mut();
-        while aggs.len() <= idx {
-            aggs.push(SharedLink::with_policy(
-                &self.sim,
-                "agg-uplink",
-                self.config.agg_spec,
-                &self.config.port_sched,
-            ));
+        if idx >= self.aggs.borrow().len() {
+            let mut aggs = self.aggs.borrow_mut();
+            while aggs.len() <= idx {
+                aggs.push(SharedLink::with_policy(
+                    &self.sim,
+                    "agg-uplink",
+                    self.config.agg_spec,
+                    &self.config.port_sched,
+                ));
+            }
         }
-        Rc::clone(&aggs[idx])
+        Ref::map(self.aggs.borrow(), |aggs| &aggs[idx])
     }
 
     /// Aggregation switches materialized so far.
@@ -494,7 +501,7 @@ impl Fabric {
     /// order: its aggregation uplink, then the core.
     pub fn stages_to_server(&self, id: u32) -> Vec<(Rc<SharedLink>, LinkDir)> {
         vec![
-            (self.agg_of(id), LinkDir::ToServer),
+            (Rc::clone(&self.agg_of(id)), LinkDir::ToServer),
             (self.core(), LinkDir::ToServer),
         ]
     }
@@ -666,9 +673,9 @@ mod tests {
             },
         );
         assert_eq!(fabric.agg_count(), 0, "no switches before first route");
-        let a = fabric.agg_of(0);
-        let b = fabric.agg_of(3);
-        let c = fabric.agg_of(4);
+        let a = Rc::clone(&fabric.agg_of(0));
+        let b = Rc::clone(&fabric.agg_of(3));
+        let c = Rc::clone(&fabric.agg_of(4));
         assert!(Rc::ptr_eq(&a, &b), "ids 0..4 share one aggregation switch");
         assert!(!Rc::ptr_eq(&a, &c), "id 4 hangs off the next switch");
         assert_eq!(fabric.agg_count(), 2);

@@ -4,22 +4,43 @@
 //! simulator's hottest path. Every `Sim::sleep` is one insert and one
 //! pop; with tens of millions of timers per benchmark run the heap's
 //! `O(log n)` sift and its comparator dominated the profile. The wheel
-//! makes inserts `O(1)` and pops `O(levels)` with small constants:
+//! makes inserts `O(1)` and pops one slot lookup plus, only for slots
+//! holding several entries, a cascade:
 //!
 //! - 11 levels of 64 slots each (6 bits per level, 66 bits ≥ the full
 //!   `u64` nanosecond clock); level `l` slots are `64^l` ns wide,
-//! - one occupancy bitmask word per level, so "earliest non-empty slot"
-//!   is a rotate plus a trailing-zeros count, never a scan,
-//! - expiring slots above level 0 cascade their entries down; level-0
-//!   slots are one nanosecond wide, so every entry in one holds the
-//!   same deadline and a sort by registration sequence reproduces the
+//! - an entry's level is the highest 6-bit group in which its deadline
+//!   differs from the wheel's position (the *horizon*), and its slot is
+//!   its deadline's group at that level,
+//! - one occupancy bitmask word per level plus one word of occupied
+//!   levels, so "earliest occupied slot" is two trailing-zeros counts.
+//!
+//! **Invariant.** An entry at level `l` shares every group above `l`
+//! with the horizon and is strictly ahead of it in group `l` (level 0:
+//! at or ahead), so every slot of a level lies ahead of the horizon's
+//! slot there and the lowest set bit is the earliest slot, with no
+//! wrap. It also orders the levels: level-`l` entries lie before the
+//! end of the horizon's current level-`(l+1)` slot, and every entry
+//! above level `l` at or after it. `pop` therefore claims the lowest
+//! set bit of the lowest occupied level and looks at no other level.
+//! Then:
+//!
+//! - a claimed slot holding one entry fires it at once, at any level,
+//!   and moves the horizon to its deadline: every lower level is empty
+//!   and the new horizon stays inside the same level-`(l+1)` slot, so
+//!   every remaining entry keeps its level;
+//! - a claimed slot holding several entries moves the horizon to the
+//!   slot's start and cascades them, each to a strictly lower level;
+//! - a level-0 slot is one nanosecond wide, so its entries share one
+//!   deadline and a sort by registration sequence reproduces the
 //!   heap's exact `(deadline, seq)` firing order bit for bit.
 //!
 //! The executor pops entries one at a time (each wake can re-arm
-//! timers), so the wheel buffers the current expiring slot in
+//! timers), so the wheel buffers a multi-entry level-0 slot in
 //! `TimerWheel::pending` and drains it before advancing. New
-//! registrations always carry deadlines strictly after `now`, so they
-//! can never tie with (or precede) the buffered batch.
+//! registrations carry deadlines at or after the buffered batch's
+//! (simulated time never runs backwards) and later sequence numbers,
+//! so they can never fire ahead of it.
 
 /// Bits of the clock consumed per level.
 const SLOT_BITS: u32 = 6;
@@ -27,6 +48,11 @@ const SLOT_BITS: u32 = 6;
 const SLOTS: usize = 1 << SLOT_BITS;
 /// Levels needed so `LEVELS * SLOT_BITS >= 64`.
 const LEVELS: usize = 11;
+/// Entries per pooled block: with the executor's one-word payload, 21
+/// 24-byte entries and the 8-byte header fill 512 bytes.
+const BLOCK_ENTRIES: usize = 21;
+/// Chain terminator for slot heads, block links and the free list.
+const NIL: u32 = u32::MAX;
 
 /// One pending timer: fires at `deadline`; equal deadlines fire in
 /// ascending `seq` (registration) order.
@@ -40,54 +66,70 @@ pub struct WheelEntry<T> {
     pub payload: T,
 }
 
+impl<T: Copy> WheelEntry<T> {
+    #[inline]
+    fn copied(&self) -> WheelEntry<T> {
+        WheelEntry {
+            deadline: self.deadline,
+            seq: self.seq,
+            payload: self.payload,
+        }
+    }
+}
+
+/// A pooled run of entries kept by value. A slot is a chain of blocks
+/// whose head is the only one that may be partly filled; a free block
+/// links the pool's free list through `next`. (No cache-line alignment:
+/// above 16 bytes the system allocator cannot grow the pool in place
+/// and copies it at every doubling.)
+#[repr(C)]
+struct Block<T> {
+    /// Next block of the slot's chain (or of the free list), or [`NIL`].
+    next: u32,
+    /// Filled entries, from the front.
+    len: u32,
+    entries: [WheelEntry<T>; BLOCK_ENTRIES],
+}
+
 /// The wheel itself, generic over a `Copy` payload so tests can model
 /// it with plain integers. The executor stores one ready-queue word per
-/// timer, so a slab record is 32 bytes.
+/// timer, so an entry is 24 bytes.
 ///
-/// Entries live in one slab (`entries` plus a `free` index list); each
-/// `slots[level][slot]` is just the head of an intrusive singly-linked
-/// chain through the slab's `next` fields. Pushing links an index,
-/// cascading relinks indices (no entry is moved or copied), and
-/// draining a level-0 slot collects indices into the reused
-/// `TimerWheel::pending` buffer — so once the slab and the two index
-/// buffers have grown to the working set, steady-state operation
-/// performs no allocation at all, no matter which slots the advancing
-/// horizon touches next. (The previous per-slot `Vec` storage recycled
-/// only one scratch buffer, so every first touch of a slot — and every
-/// capacity redistribution after a drain — still allocated.)
+/// Entries live by value in 512-byte blocks drawn from one pool
+/// (`blocks` plus a free list threaded through the vacant blocks);
+/// `slots[level][slot]` heads a chain of blocks. Pushing appends to the
+/// slot's head block, a cascade streams each claimed block into its
+/// targets and returns it to the pool, and a multi-entry level-0 slot
+/// is copied into the reused `TimerWheel::pending` buffer. The pool
+/// holds at most `ceil(live / 21)` full blocks plus one partial block
+/// per slot (704), and once it and the buffer have grown to the working
+/// set, steady-state operation performs no allocation at all, no matter
+/// which slots the advancing horizon touches next.
 pub struct TimerWheel<T: Copy> {
-    /// Slab of entry records; `free` lists the vacant indices.
-    entries: Vec<SlabEntry<T>>,
-    free: Vec<u32>,
-    /// `slots[level][slot]` holds the chain head (or [`NIL`]) of entries
-    /// whose deadline maps there relative to `horizon`.
+    /// Every block ever allocated, in use or on the free list.
+    blocks: Vec<Block<T>>,
+    /// Head of the free-block list (LIFO, so a block freed by a cascade
+    /// is the next one reused while it is still in cache).
+    free: u32,
+    /// `slots[level][slot]` heads the block chain (or is [`NIL`]) of the
+    /// entries whose deadline maps there relative to `horizon`.
     slots: Box<[[u32; SLOTS]; LEVELS]>,
     /// Per-level occupancy bitmasks; bit `s` set iff `slots[level][s]`
     /// is non-empty.
     occupied: [u64; LEVELS],
-    /// Bit `l` set iff `occupied[l] != 0`, so the pop scan visits only
-    /// levels that hold timers (typically two or three of the eleven).
+    /// Bit `l` set iff `occupied[l] != 0`.
     level_mask: u16,
     /// The wheel's position: no stored entry's deadline is below it.
     horizon: u64,
-    /// Indices of the currently expiring (level-0) slot, sorted by
+    /// The currently expiring multi-entry level-0 slot, sorted by
     /// *descending* `seq` and drained from the back (ascending `seq`),
     /// so draining is a pop with no element shifting.
-    pending: Vec<u32>,
+    pending: Vec<WheelEntry<T>>,
     /// Live entry count (stored + still pending).
     len: usize,
-}
-
-/// Chain terminator / vacant-slot marker.
-const NIL: u32 = u32::MAX;
-
-/// One slab record: a [`WheelEntry`] plus its chain link. The payload is
-/// `Copy`, so removal copies it out and a vacant record needs no marker.
-struct SlabEntry<T> {
-    deadline: u64,
-    seq: u64,
-    next: u32,
-    payload: T,
+    /// Claimed slots whose entries were cascaded to lower levels.
+    #[cfg(test)]
+    cascades: usize,
 }
 
 impl<T: Copy> Default for TimerWheel<T> {
@@ -100,14 +142,16 @@ impl<T: Copy> TimerWheel<T> {
     /// Creates an empty wheel positioned at time zero.
     pub fn new() -> TimerWheel<T> {
         TimerWheel {
-            entries: Vec::new(),
-            free: Vec::new(),
+            blocks: Vec::new(),
+            free: NIL,
             slots: Box::new([[NIL; SLOTS]; LEVELS]),
             occupied: [0; LEVELS],
             level_mask: 0,
             horizon: 0,
             pending: Vec::new(),
             len: 0,
+            #[cfg(test)]
+            cascades: 0,
         }
     }
 
@@ -142,16 +186,55 @@ impl<T: Copy> TimerWheel<T> {
         ((deadline >> (SLOT_BITS as usize * level)) & (SLOTS as u64 - 1)) as usize
     }
 
-    /// Links slab index `idx` into the slot its deadline maps to.
-    fn store(&mut self, idx: u32) {
-        let deadline = self.entries[idx as usize].deadline;
-        debug_assert!(deadline >= self.horizon, "timer below the horizon");
-        let level = Self::level_for(deadline ^ self.horizon);
-        let slot = Self::slot_index(deadline, level);
-        self.entries[idx as usize].next = self.slots[level][slot];
-        self.slots[level][slot] = idx;
+    /// Appends `entry` to the slot its deadline maps to.
+    #[inline]
+    fn store(&mut self, entry: WheelEntry<T>) {
+        debug_assert!(entry.deadline >= self.horizon, "timer below the horizon");
+        let level = Self::level_for(entry.deadline ^ self.horizon);
+        let slot = Self::slot_index(entry.deadline, level);
+        let head = self.slots[level][slot];
+        if head != NIL {
+            let block = &mut self.blocks[head as usize];
+            if (block.len as usize) < BLOCK_ENTRIES {
+                block.entries[block.len as usize] = entry;
+                block.len += 1;
+                return;
+            }
+        }
+        self.slots[level][slot] = self.take_block(head, entry);
         self.occupied[level] |= 1 << slot;
         self.level_mask |= 1 << level;
+    }
+
+    /// A block from the pool (or a new one) holding just `entry`,
+    /// chained ahead of `next`.
+    fn take_block(&mut self, next: u32, entry: WheelEntry<T>) -> u32 {
+        if self.free != NIL {
+            let idx = self.free;
+            let block = &mut self.blocks[idx as usize];
+            self.free = block.next;
+            block.next = next;
+            block.len = 1;
+            block.entries[0] = entry;
+            return idx;
+        }
+        let idx = u32::try_from(self.blocks.len()).expect("timer block pool overflow");
+        self.blocks.push(Block {
+            next,
+            len: 1,
+            entries: std::array::from_fn(|_| entry.copied()),
+        });
+        idx
+    }
+
+    /// Returns block `idx` to the pool and yields the block it chained to.
+    #[inline]
+    fn release_block(&mut self, idx: u32) -> u32 {
+        let block = &mut self.blocks[idx as usize];
+        let next = block.next;
+        block.next = self.free;
+        self.free = idx;
+        next
     }
 
     /// Registers a timer.
@@ -159,144 +242,109 @@ impl<T: Copy> TimerWheel<T> {
     /// `deadline` must be at or after the last popped entry's deadline
     /// (simulated time never runs backwards).
     pub fn push(&mut self, deadline: u64, seq: u64, payload: T) {
-        let entry = SlabEntry {
+        self.store(WheelEntry {
             deadline,
             seq,
-            next: NIL,
             payload,
-        };
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                self.entries[idx as usize] = entry;
-                idx
-            }
-            None => {
-                let idx = u32::try_from(self.entries.len()).expect("timer slab overflow");
-                self.entries.push(entry);
-                idx
-            }
-        };
-        self.store(idx);
+        });
         self.len += 1;
     }
 
-    /// Absolute start time of the next pass over `slot` at `level`,
-    /// given the wheel's current position.
+    /// Absolute start time of `slot` at `level` within the horizon's
+    /// current level-`(level + 1)` slot.
     #[inline]
     fn slot_start(&self, level: usize, slot: usize) -> u64 {
-        let shift = SLOT_BITS as usize * level;
-        let cur = self.horizon >> shift;
-        let cur_slot = (cur & (SLOTS as u64 - 1)) as usize;
-        let base = cur - cur_slot as u64;
-        let passed = slot < cur_slot;
-        (base + slot as u64 + if passed { SLOTS as u64 } else { 0 }) << shift
+        let shift = SLOT_BITS * level as u32;
+        let above = u64::MAX.checked_shl(shift + SLOT_BITS).unwrap_or(0);
+        (self.horizon & above) | ((slot as u64) << shift)
     }
 
-    /// Earliest occupied slot of `level` as `(start_time, slot)`, if any.
-    #[inline]
-    fn earliest_slot(&self, level: usize) -> Option<(u64, usize)> {
-        let mask = self.occupied[level];
-        if mask == 0 {
-            return None;
+    /// Checks the invariant `pop` relies on when it claims `slot` of
+    /// `level`: no lower level is occupied, and every occupied slot of
+    /// this and every higher level lies ahead of the horizon's slot at
+    /// that level (at or ahead, at level 0), so no higher-level entry
+    /// can precede or tie with the claimed slot.
+    fn debug_check_claim(&self, level: usize, slot: usize) {
+        debug_assert_eq!(self.level_mask & ((1 << level) - 1), 0);
+        debug_assert_eq!(slot, self.occupied[level].trailing_zeros() as usize);
+        for l in level..LEVELS {
+            if self.occupied[l] != 0 {
+                let first = self.occupied[l].trailing_zeros() as usize;
+                let cur = Self::slot_index(self.horizon, l);
+                debug_assert!(
+                    first > cur || (l == 0 && first == cur),
+                    "level {l} slot {first} is not ahead of the horizon's slot {cur}"
+                );
+            }
         }
-        let shift = SLOT_BITS as usize * level;
-        let cur_slot = ((self.horizon >> shift) & (SLOTS as u64 - 1)) as u32;
-        // Rotate so the current slot is bit 0; the first set bit of the
-        // rotated mask is then the next slot the wheel reaches.
-        let rel = mask.rotate_right(cur_slot).trailing_zeros() as usize;
-        let slot = (cur_slot as usize + rel) % SLOTS;
-        Some((self.slot_start(level, slot), slot))
     }
 
     /// Removes and returns the earliest timer: smallest `(deadline,
     /// seq)` over everything pushed and not yet popped.
     pub fn pop(&mut self) -> Option<WheelEntry<T>> {
-        if let Some(entry) = self.take_pending() {
+        if let Some(entry) = self.pending.pop() {
+            self.len -= 1;
             return Some(entry);
         }
         if self.len == 0 {
             return None;
         }
         loop {
-            // The globally earliest entry lives in the occupied slot with
-            // the smallest start time; on ties the *highest* level must
-            // cascade first, since its slot may contain deadlines equal
-            // to the lower level's (with earlier registration seqs).
-            let mut best: Option<(u64, usize, usize)> = None;
-            let mut lvls = self.level_mask;
-            while lvls != 0 {
-                let level = lvls.trailing_zeros() as usize;
-                lvls &= lvls - 1;
-                if let Some((start, slot)) = self.earliest_slot(level) {
-                    match best {
-                        Some((bs, _, _)) if bs < start => {}
-                        _ => best = Some((start, level, slot)),
-                    }
-                }
-            }
-            let (start, level, slot) = best.expect("len > 0 but wheel empty");
-            // Claim the slot's whole chain and advance; every stored
-            // entry fires at or after the slot's start.
-            let mut head = std::mem::replace(&mut self.slots[level][slot], NIL);
+            // The lowest occupied level holds the earliest entries, and
+            // its lowest set bit their slot (see the module invariant).
+            let level = self.level_mask.trailing_zeros() as usize;
+            let slot = self.occupied[level].trailing_zeros() as usize;
+            self.debug_check_claim(level, slot);
+            let head = std::mem::replace(&mut self.slots[level][slot], NIL);
             self.occupied[level] &= !(1 << slot);
             if self.occupied[level] == 0 {
                 self.level_mask &= !(1 << level);
             }
+            let block = &self.blocks[head as usize];
+            if block.len == 1 && block.next == NIL {
+                // A lone entry fires from any level without cascading.
+                let entry = block.entries[0].copied();
+                self.release_block(head);
+                debug_assert!(entry.deadline >= self.horizon);
+                self.horizon = entry.deadline;
+                self.len -= 1;
+                return Some(entry);
+            }
+            let start = self.slot_start(level, slot);
             debug_assert!(start >= self.horizon);
             self.horizon = start;
+            let mut idx = head;
             if level == 0 {
-                // Single-entry slot — the overwhelmingly common case at
-                // nanosecond granularity: return it without the pending
-                // buffer round trip (push, sort check, pop).
-                if self.entries[head as usize].next == NIL {
-                    let slot = &self.entries[head as usize];
-                    let entry = WheelEntry {
-                        deadline: slot.deadline,
-                        seq: slot.seq,
-                        payload: slot.payload,
-                    };
-                    self.free.push(head);
-                    self.len -= 1;
-                    return Some(entry);
-                }
-                // One-nanosecond slot: every entry shares `start` as its
-                // deadline; seq order is the heap's tie-break. Descending
-                // sort so `take_pending` pops ascending from the back.
+                // One-nanosecond slot: every entry's deadline is `start`,
+                // and seq order is the heap's tie-break. Descending sort
+                // so the back of `pending` is the next to fire.
                 debug_assert!(self.pending.is_empty());
-                while head != NIL {
-                    self.pending.push(head);
-                    head = self.entries[head as usize].next;
+                while idx != NIL {
+                    let block = &self.blocks[idx as usize];
+                    let filled = &block.entries[..block.len as usize];
+                    self.pending.extend(filled.iter().map(WheelEntry::copied));
+                    idx = self.release_block(idx);
                 }
-                if self.pending.len() > 1 {
-                    let entries = &self.entries;
-                    self.pending
-                        .sort_unstable_by_key(|&i| std::cmp::Reverse(entries[i as usize].seq));
-                }
-                return self.take_pending();
+                self.pending
+                    .sort_unstable_by_key(|e| std::cmp::Reverse(e.seq));
+                self.len -= 1;
+                return self.pending.pop();
             }
-            // Cascade the whole chain in one relink pass: relative to the
-            // new horizon each entry's delta shrank below this level's
-            // span, so each lands strictly lower and the loop terminates.
-            // Payloads never move — only the `next` links change.
-            while head != NIL {
-                let next = self.entries[head as usize].next;
-                self.store(head);
-                head = next;
+            // Cascade: relative to the new horizon each entry's deadline
+            // now shares this level's group too, so each lands strictly
+            // lower and the loop terminates.
+            #[cfg(test)]
+            {
+                self.cascades += 1;
+            }
+            while idx != NIL {
+                for i in 0..self.blocks[idx as usize].len as usize {
+                    let entry = self.blocks[idx as usize].entries[i].copied();
+                    self.store(entry);
+                }
+                idx = self.release_block(idx);
             }
         }
-    }
-
-    fn take_pending(&mut self) -> Option<WheelEntry<T>> {
-        let idx = self.pending.pop()?;
-        let slot = &self.entries[idx as usize];
-        let entry = WheelEntry {
-            deadline: slot.deadline,
-            seq: slot.seq,
-            payload: slot.payload,
-        };
-        self.free.push(idx);
-        self.len -= 1;
-        Some(entry)
     }
 }
 
@@ -400,8 +448,117 @@ mod tests {
     }
 
     #[test]
-    fn one_word_payload_records_stay_32_bytes() {
+    fn one_word_payload_entries_fill_512_byte_blocks() {
         // The executor's timers are one ready-queue word each.
-        assert!(std::mem::size_of::<SlabEntry<usize>>() <= 32);
+        assert_eq!(std::mem::size_of::<WheelEntry<usize>>(), 24);
+        assert_eq!(std::mem::size_of::<Block<usize>>(), 512);
+    }
+
+    #[test]
+    fn lone_entries_fire_from_any_level_without_cascading() {
+        let mut w = TimerWheel::new();
+        let far = [
+            1u64 << 10,
+            1 << 20,
+            1 << 40,
+            17 << 36,
+            (1 << 41) + 5,
+            u64::MAX,
+        ];
+        for (seq, &d) in far.iter().enumerate() {
+            w.push(d, seq as u64, 0u32);
+        }
+        for &d in &far {
+            let e = w.pop().unwrap();
+            assert_eq!(e.deadline, d);
+            assert_eq!(w.horizon, d, "a lone entry moves the horizon to itself");
+        }
+        assert_eq!(w.cascades, 0);
+        // Two entries in one slot do cascade, once, then fire alone.
+        let mut w = TimerWheel::new();
+        w.push(5 << 30, 0, 0u32);
+        w.push((5 << 30) + 7, 1, 0u32);
+        assert_eq!(drain(&mut w), vec![(5 << 30, 0), ((5 << 30) + 7, 1)]);
+        assert_eq!(w.cascades, 1);
+    }
+
+    #[test]
+    fn equal_deadlines_registered_at_different_horizons_fire_in_seq_order() {
+        // The same deadline lands at level 4 when registered at time 0
+        // and ever lower as lone timers walk the horizon towards it,
+        // down to level 0 once the horizon reaches it; the early entries
+        // cascade down next to the late ones and seq still orders them.
+        let d = (3 << 24) + 100;
+        let mut w = TimerWheel::new();
+        w.push(d, 0, 0u32);
+        let mut seq = 1;
+        for step in [1, 1 << 20, 3 << 24, (3 << 24) + 64, d - 1] {
+            w.push(step, seq, 0u32);
+            assert_eq!(w.pop().unwrap().deadline, step);
+            w.push(d, seq + 1, 0u32);
+            seq += 2;
+        }
+        assert_eq!(w.pop().unwrap().seq, 0);
+        // Registered at the horizon, behind the buffered batch.
+        w.push(d, seq, 0u32);
+        let seqs: Vec<u64> = drain(&mut w).iter().map(|&(_, s)| s).collect();
+        assert_eq!(seqs, vec![2, 4, 6, 8, 10, 11]);
+    }
+
+    #[test]
+    fn block_pool_stays_bounded_and_a_repeated_cycle_allocates_nothing() {
+        // One launch-burst cycle: 5,000 timers spread over ~1 ms pushed
+        // at once, drained with a short re-arm after every fifth pop.
+        // The second cycle runs the same offsets from horizon 2^60,
+        // whose bits below 60 are all zero, so every entry lands on the
+        // same level and slot as in the first.
+        fn cycle(w: &mut TimerWheel<u32>, base: u64, marker: u64) -> usize {
+            let mut x = 0x9E37_79B9_7F4A_7C15u64;
+            let mut seq = 0;
+            let mut peak = 0;
+            for _ in 0..5_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                w.push(base + 1 + (x % 1_000_000), seq, 0u32);
+                seq += 1;
+            }
+            w.push(marker, seq, 0u32);
+            seq += 1;
+            let mut n = 0;
+            while let Some(e) = w.pop() {
+                peak = peak.max(w.len() + 1);
+                let bound = w.len().div_ceil(BLOCK_ENTRIES) + LEVELS * SLOTS;
+                assert!(w.blocks.len() - free_blocks(w) <= bound);
+                n += 1;
+                if n % 5 == 0 && e.deadline < base + 1_000_000 {
+                    w.push(e.deadline + 1 + (n as u64 % 300), seq, 0u32);
+                    seq += 1;
+                }
+                if e.deadline == marker {
+                    break;
+                }
+            }
+            peak
+        }
+        fn free_blocks(w: &TimerWheel<u32>) -> usize {
+            let mut n = 0;
+            let mut idx = w.free;
+            while idx != NIL {
+                n += 1;
+                idx = w.blocks[idx as usize].next;
+            }
+            n
+        }
+        let mut w = TimerWheel::new();
+        let peak = cycle(&mut w, 0, 1 << 60);
+        assert!(w.is_empty());
+        assert!(w.blocks.len() <= peak.div_ceil(BLOCK_ENTRIES) + LEVELS * SLOTS);
+        let (blocks, pending) = (w.blocks.capacity(), w.pending.capacity());
+        cycle(&mut w, 1 << 60, 1 << 61);
+        assert!(w.is_empty());
+        assert_eq!(free_blocks(&w), w.blocks.len());
+        assert_eq!(w.blocks.capacity(), blocks, "second cycle grew the pool");
+        assert_eq!(w.pending.capacity(), pending);
     }
 }

@@ -3,6 +3,7 @@
 
     python3 scripts/ab.py BASE_REV --workload megafleet-1m --pairs 10 [--seed N]
     python3 scripts/ab.py BASE_REV --exhibit megafleet --pairs 5
+    python3 scripts/ab.py BASE_REV --exhibit figures --pairs 3
 
 Exports BASE_REV with `git archive` into a temporary directory; the change
 side is this checkout's working tree, which must not be edited while the
@@ -27,14 +28,17 @@ medians, the parent's quartiles, the median and quartiles of the per-pair
 change/parent ratio, and how many pairs the change won. The last stdout
 line is the same table as one JSON object.
 
-``--exhibit megafleet`` measures a committed exhibit end to end instead:
-it builds both trees' ``nfsperf`` binaries and runs the full sweep
-(``nfsperf megafleet --jobs 2``) once per side per pair, alternating which
-side goes first, timing each process's wall clock. Every CSV either side
-writes must equal this checkout's committed ``results/megafleet.csv``
-byte for byte, or the script stops. It prints each side's median wall
-clock, the parent's quartiles, the change/parent ratio's median and
-quartiles, and the pairs the change won, then the same as one JSON line.
+``--exhibit NAME`` measures a committed exhibit end to end instead: it
+builds both trees' ``nfsperf`` binaries and runs the exhibit's full
+command (``nfsperf megafleet --jobs 2``, or ``nfsperf figures --jobs 2``
+for the paper's nine figure and table CSVs) once per side per pair,
+alternating which side goes first, timing each process's wall clock.
+Each run writes into its own temporary ``--out``, and every file it
+writes must equal this checkout's committed ``results/<name>`` byte for
+byte, with none missing, or the script stops. It prints each side's
+median wall clock, the parent's quartiles, the change/parent ratio's
+median and quartiles, and the pairs the change won, then the same as one
+JSON line.
 """
 
 import argparse
@@ -54,8 +58,13 @@ ROOT = Path(__file__).resolve().parent.parent
 # Each tree builds into and runs from its own target directories.
 ENV = {k: v for k, v in os.environ.items() if k != "CARGO_TARGET_DIR"}
 
-# Exhibit name: (`nfsperf` arguments, the committed CSV it regenerates).
-EXHIBITS = {"megafleet": (["megafleet", "--jobs", "2"], "results/megafleet.csv")}
+# Exhibit name: (`nfsperf` arguments, the `results/` files it regenerates,
+# whether its `--out` names a directory rather than the one CSV).
+EXHIBITS = {
+    "megafleet": (["megafleet", "--jobs", "2"], ["megafleet.csv"], False),
+    "figures": (["figures", "--jobs", "2"],
+                [f"figure{i}.csv" for i in range(1, 8)] + ["table1.csv", "slow_server.csv"], True),
+}
 
 
 def run_py_constants():
@@ -130,8 +139,8 @@ def build_nfsperf(tree):
 def exhibit_ab(base_rev, exhibit, pairs):
     """Interleaves both trees' full `exhibit` run process by process and
     prints the wall-clock table."""
-    args, committed = EXHIBITS[exhibit]
-    expected = (ROOT / committed).read_bytes()
+    args, names, out_is_dir = EXHIBITS[exhibit]
+    expected = {name: (ROOT / "results" / name).read_bytes() for name in names}
     walls = {"parent": [], "change": []}
     tmp = Path(tempfile.mkdtemp(prefix="ab-"))
     try:
@@ -142,21 +151,26 @@ def exhibit_ab(base_rev, exhibit, pairs):
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             for side in order:
                 tree, binary = binaries[side]
-                out = tmp / f"{side}-{i}.csv"
+                out = tmp / f"{side}-{i}" if out_is_dir else tmp / f"{side}-{i}.csv"
                 start = time.monotonic()
                 proc = subprocess.run([str(binary), *args, "--out", str(out)], cwd=tree,
                                       stdout=subprocess.DEVNULL, env=ENV)
                 walls[side].append(time.monotonic() - start)
                 if proc.returncode != 0:
                     fail(f"nfsperf {' '.join(args)} in {tree} exited {proc.returncode}")
-                if out.read_bytes() != expected:
-                    fail(f"the {side} tree's {exhibit} CSV differs from the committed {committed}")
+                written = sorted(out.iterdir()) if out_is_dir else [out]
+                if len(written) != len(names):
+                    fail(f"the {side} tree's {exhibit} wrote {len(written)} files, not {len(names)}")
+                for path in written:
+                    name = path.name if out_is_dir else names[0]
+                    if path.read_bytes() != expected.get(name):
+                        fail(f"the {side} tree's {path.name} differs from the committed results/{name}")
             print(f"pair {i + 1}/{pairs} done ({order[0]} first)", file=sys.stderr)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
     print(f"exhibit {exhibit} (nfsperf {' '.join(args)}), {pairs} pairs; "
-          f"every CSV equal to {committed}")
+          f"every file equal to its committed copy in results/ ({', '.join(names)})")
     print(HEADER)
     row = compare("wall_s", walls["parent"], walls["change"], "lower", pairs)
     print(json.dumps({"exhibit": exhibit, "pairs": pairs, "metrics": {"wall_s": row}}))

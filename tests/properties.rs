@@ -936,17 +936,82 @@ fn send_vectored_framing_matches_encode_record() {
 // Timer wheel vs the reference heap model.
 // ---------------------------------------------------------------------
 
+/// One step of a timer-wheel script, run on the wheel and on the
+/// reference `BinaryHeap<Reverse<(deadline, seq)>>` side by side.
+#[derive(Clone, Copy, Debug)]
+enum WheelOp {
+    /// Pop from both; they must agree, including on empty.
+    Pop,
+    /// Push at `now + delay`, saturating at the end of the clock (so a
+    /// huge delay never wraps below `now`).
+    After(u64),
+    /// Push again at the deadline of push number `i % pushes` so far, or
+    /// at `now` once that has passed: equal deadlines registered at
+    /// different horizons.
+    Again(usize),
+}
+
+/// Runs `ops` on a fresh wheel and the reference heap, then drains
+/// both. Every pop must agree on `(deadline, seq)` and payload, and on
+/// emptiness. Pushes never go below the last popped deadline, as in the
+/// executor, where simulated time never runs backwards.
+fn wheel_matches_heap(ops: impl IntoIterator<Item = WheelOp>) -> CaseOutcome {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    use nfsperf_sim::wheel::TimerWheel;
+
+    let mut wheel: TimerWheel<u64> = TimerWheel::new();
+    let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+    let mut pushed: Vec<u64> = Vec::new();
+    let mut now = 0u64;
+    for op in ops {
+        let deadline = match op {
+            WheelOp::Pop => {
+                match (wheel.pop(), heap.pop()) {
+                    (None, None) => {}
+                    (Some(e), Some(Reverse((deadline, s)))) => {
+                        prop_assert_eq!((e.deadline, e.seq), (deadline, s));
+                        prop_assert_eq!(e.payload, s);
+                        now = deadline;
+                    }
+                    (w, h) => {
+                        prop_assert!(
+                            false,
+                            "emptiness disagrees: wheel {:?} heap {:?}",
+                            w.map(|e| (e.deadline, e.seq)),
+                            h
+                        );
+                    }
+                }
+                continue;
+            }
+            WheelOp::After(delay) => now.saturating_add(delay),
+            WheelOp::Again(_) if pushed.is_empty() => continue,
+            WheelOp::Again(i) => pushed[i % pushed.len()].max(now),
+        };
+        let seq = pushed.len() as u64;
+        wheel.push(deadline, seq, seq);
+        heap.push(Reverse((deadline, seq)));
+        pushed.push(deadline);
+    }
+    prop_assert_eq!(wheel.len(), heap.len());
+    // Drain the rest; full order must match.
+    while let Some(Reverse((deadline, s))) = heap.pop() {
+        let e = wheel.pop().expect("wheel ran dry before the heap");
+        prop_assert_eq!((e.deadline, e.seq), (deadline, s));
+    }
+    prop_assert!(wheel.pop().is_none());
+    prop_assert!(wheel.is_empty());
+    CaseOutcome::Pass
+}
+
 /// The executor's timer wheel must fire in exactly the order the old
 /// `BinaryHeap<Reverse<(deadline, seq)>>` did — smallest deadline first,
 /// ties by registration sequence — across interleaved pushes and pops at
 /// wildly mixed time scales.
 #[test]
 fn timer_wheel_matches_reference_heap_order() {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    use nfsperf_sim::wheel::TimerWheel;
-
     // Each op: (kind, raw). kind 0 = pop; 1..4 = push with a delay whose
     // magnitude is `raw` shifted down by a generated amount, so delays
     // span from nanoseconds to most of the u64 clock and exercise every
@@ -955,47 +1020,69 @@ fn timer_wheel_matches_reference_heap_order() {
         "timer_wheel_matches_reference_heap_order",
         |g| g.vec(0, 300, |g| (g.u8_in(0, 4), g.any_u64() >> g.u32_in(0, 64))),
         |ops: &Vec<(u8, u64)>| {
-            let mut wheel: TimerWheel<u64> = TimerWheel::new();
-            let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-            let mut seq = 0u64;
-            let mut now = 0u64;
-            for &(kind, raw) in ops {
-                if kind == 0 {
-                    // Pop from both; they must agree, including on empty.
-                    match (wheel.pop(), heap.pop()) {
-                        (None, None) => {}
-                        (Some(e), Some(Reverse((deadline, s)))) => {
-                            prop_assert_eq!((e.deadline, e.seq), (deadline, s));
-                            prop_assert_eq!(e.payload, s);
-                            now = deadline;
-                        }
-                        (w, h) => {
-                            prop_assert!(
-                                false,
-                                "emptiness disagrees: wheel {:?} heap {:?}",
-                                w.map(|e| (e.deadline, e.seq)),
-                                h
-                            );
-                        }
-                    }
-                } else {
-                    // New deadlines are strictly after `now`, as in the
-                    // executor (sleeps have positive duration).
-                    let deadline = now.saturating_add(1).saturating_add(raw);
-                    wheel.push(deadline, seq, seq);
-                    heap.push(Reverse((deadline, seq)));
-                    seq += 1;
+            // New deadlines are strictly after `now`, as in the executor
+            // (sleeps have positive duration).
+            wheel_matches_heap(ops.iter().map(|&(kind, raw)| match kind {
+                0 => WheelOp::Pop,
+                _ => WheelOp::After(raw.saturating_add(1)),
+            }))
+        },
+    );
+}
+
+/// Thousands of operations per case: short re-arms that fire alone or
+/// in small slots, any delay up to the end of the clock (many saturate
+/// at `u64::MAX` and tie there), lone far timers that fire from a high
+/// level, and deadlines registered again at later horizons that meet
+/// their earlier twins after cascading.
+#[test]
+fn timer_wheel_long_interleavings_match_reference_heap() {
+    check(
+        "timer_wheel_long_interleavings_match_reference_heap",
+        |g| {
+            g.vec(1_000, 4_000, |g| {
+                (g.u8_in(0, 6), g.any_u64() >> g.u32_in(0, 64))
+            })
+        },
+        |ops: &Vec<(u8, u64)>| {
+            wheel_matches_heap(ops.iter().map(|&(kind, raw)| match kind {
+                0 | 1 => WheelOp::Pop,
+                2 => WheelOp::After(1 + raw % 64),
+                3 => WheelOp::After(1 + raw % (1 << 24)),
+                4 => WheelOp::After(raw.saturating_add(1)),
+                _ => WheelOp::Again(raw as usize),
+            }))
+        },
+    );
+}
+
+/// The megafleet launch shape: `n` timers pushed at time 0 over
+/// `spread` ns, then drained with a short re-arm after some pops, while
+/// one lone timer waits far beyond the burst.
+#[test]
+fn timer_wheel_launch_burst_matches_reference_heap() {
+    check(
+        "timer_wheel_launch_burst_matches_reference_heap",
+        |g| (g.usize_in(1, 4_000), g.u64_in(1, 1 << 40), g.any_u64()),
+        |&(n, spread, seed): &(usize, u64, u64)| {
+            let mut x = seed | 1;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let mut ops = vec![WheelOp::After(spread << 20)];
+            ops.extend((0..n).map(|_| WheelOp::After(1 + next() % spread)));
+            for _ in 0..2 * n {
+                ops.push(WheelOp::Pop);
+                match next() % 4 {
+                    0 => ops.push(WheelOp::After(1 + next() % 10_000)),
+                    1 => ops.push(WheelOp::Again(next() as usize)),
+                    _ => {}
                 }
             }
-            prop_assert_eq!(wheel.len(), heap.len());
-            // Drain the rest; full order must match.
-            while let Some(Reverse((deadline, s))) = heap.pop() {
-                let e = wheel.pop().expect("wheel ran dry before the heap");
-                prop_assert_eq!((e.deadline, e.seq), (deadline, s));
-            }
-            prop_assert!(wheel.pop().is_none());
-            prop_assert!(wheel.is_empty());
-            CaseOutcome::Pass
+            wheel_matches_heap(ops)
         },
     );
 }
