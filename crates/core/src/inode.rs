@@ -174,6 +174,11 @@ impl NfsInode {
             if !contiguous || run.len() == wsize_pages {
                 break;
             }
+            if run.is_empty() {
+                // The batch lives as long as its WRITE, queued ones
+                // included: size it to the wsize, not to `push`'s four.
+                run.reserve_exact(wsize_pages);
+            }
             run.push(Rc::clone(req));
         }
         drop(index);

@@ -195,7 +195,7 @@ pub fn run_qos(config: &QosConfig) -> QosRun {
         all.push(hog_mbps);
     }
     let victim_stats = &per_client_server[..config.victims];
-    QosRun {
+    let run = QosRun {
         jain_all: jain_index(&all),
         victim_jain: jain_index(&victim_mbps),
         victim_mbps,
@@ -213,7 +213,9 @@ pub fn run_qos(config: &QosConfig) -> QosRun {
         elapsed,
         server_stats: server.stats(),
         per_client_server,
-    }
+    };
+    sim.teardown();
+    run
 }
 
 /// One row of the QoS sweep: a hog run paired with its hog-free

@@ -234,15 +234,20 @@ fn build_world(scenario: &Scenario) -> World {
 /// the scenario. One fresh world per call; fully deterministic for a
 /// given scenario.
 pub fn run_bonnie(scenario: &Scenario, file_size: u64) -> RunOutput {
+    run_bonnie_in(build_world(scenario), scenario.record_latencies, file_size)
+}
+
+/// [`run_bonnie`] in a built world, which it reads out and tears down.
+fn run_bonnie_in(world: World, record_latencies: bool, file_size: u64) -> RunOutput {
     let World {
         sim,
         kernel,
         cnic,
         server,
         mount,
-    } = build_world(scenario);
+    } = world;
     let config = BonnieConfig {
-        record_latencies: scenario.record_latencies,
+        record_latencies,
         ..BonnieConfig::new(file_size)
     };
     let m2 = Rc::clone(&mount);
@@ -252,7 +257,7 @@ pub fn run_bonnie(scenario: &Scenario, file_size: u64) -> RunOutput {
         nfsperf_bonnie::run(&s2, &file, &config).await
     });
 
-    RunOutput {
+    let out = RunOutput {
         report,
         mount_stats: mount.stats(),
         xprt_stats: mount.xprt().stats(),
@@ -268,7 +273,9 @@ pub fn run_bonnie(scenario: &Scenario, file_size: u64) -> RunOutput {
         hard_limit_pages: kernel.mem.hard_limit(),
         client_drops: cnic.drops(),
         tcp_stats: mount.xprt().tcp().map(|x| x.tcp_stats()),
-    }
+    };
+    sim.teardown();
+    out
 }
 
 /// Builds the scenario's world and runs an arbitrary workload closure
@@ -281,10 +288,12 @@ where
 {
     let World { sim, mount, .. } = build_world(scenario);
     let s2 = sim.clone();
-    sim.run_until(async move {
+    let report = sim.run_until(async move {
         let file = mount.create("custom.scratch").await.expect("create");
         workload(s2, file).await
-    })
+    });
+    sim.teardown();
+    report
 }
 
 /// Runs the benchmark against the local ext2 model (the Figure 1/7
@@ -309,10 +318,12 @@ pub fn run_local_with_ram(file_size: u64, ram_bytes: u64, record_latencies: bool
         ..BonnieConfig::new(file_size)
     };
     let s2 = sim.clone();
-    sim.run_until(async move {
+    let report = sim.run_until(async move {
         let file = fs.create("bonnie.scratch");
         nfsperf_bonnie::run(&s2, &file, &config).await
-    })
+    });
+    sim.teardown();
+    report
 }
 
 /// Convenience: run and return only write-phase throughput in MB/s.
@@ -376,6 +387,24 @@ mod tests {
             a.report.latencies, b.report.latencies,
             "CPU jitter should differ across seeds"
         );
+    }
+
+    #[test]
+    fn a_finished_cell_frees_its_world() {
+        // Daemon tasks hold `Sim` clones and the core holds the tasks:
+        // only the teardown at the end of the cell breaks that cycle.
+        for transport in [Transport::Udp, Transport::Tcp] {
+            let s = Scenario::new(ClientTuning::full_patch(), ServerKind::Filer)
+                .with_transport(transport);
+            let world = build_world(&s);
+            let core = world.sim.downgrade();
+            let out = run_bonnie_in(world, false, 1 << 20);
+            assert_eq!(out.server_stats.write_bytes, 1 << 20);
+            assert!(
+                !core.is_live(),
+                "a finished {transport:?} cell kept its simulator core"
+            );
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ use std::cell::{Cell, RefCell, UnsafeCell};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::sync::Arc;
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
@@ -140,6 +140,12 @@ impl ReadyQueue {
         self.assert_owner();
         // SAFETY: as in `push`.
         unsafe { (*self.queue.get()).pop_front() }
+    }
+
+    fn clear(&self) {
+        self.assert_owner();
+        // SAFETY: as in `push`.
+        unsafe { (*self.queue.get()).clear() }
     }
 }
 
@@ -395,6 +401,17 @@ pub struct Sim {
     core: Rc<SimCore>,
 }
 
+/// A weak handle to a simulator's core, from [`Sim::downgrade`]: it
+/// tells whether a world's core still exists without keeping it alive.
+pub struct WeakSim(Weak<SimCore>);
+
+impl WeakSim {
+    /// Whether the core has not been freed yet.
+    pub fn is_live(&self) -> bool {
+        self.0.strong_count() > 0
+    }
+}
+
 impl Default for Sim {
     fn default() -> Self {
         Self::new()
@@ -497,6 +514,36 @@ impl Sim {
             deadline,
             registered: false,
         }
+    }
+
+    /// Ends the world: drops every task, pending timer and event handler
+    /// the core holds.
+    ///
+    /// Daemon tasks and handlers hold `Sim` clones, and the core holds
+    /// them, so without this a finished world's core and every layer
+    /// its tasks reach stay allocated until the process exits. The task
+    /// table, the timer wheel and the handlers are taken out of the core
+    /// before any of them is dropped, so a `Drop` impl that wakes, arms
+    /// or spawns finds the core unborrowed; whatever such a drop spawns
+    /// is dropped in turn. The core itself is freed with the last `Sim`
+    /// handle. The world cannot run again afterwards.
+    pub fn teardown(&self) {
+        loop {
+            let tasks = std::mem::take(&mut *self.core.tasks.borrow_mut());
+            self.core.free_head.set(NO_SLOT);
+            let timers = std::mem::take(&mut *self.core.timers.borrow_mut());
+            let handlers = std::mem::take(&mut *self.core.event_handlers.borrow_mut());
+            if tasks.is_empty() && handlers.is_empty() {
+                break;
+            }
+            drop((tasks, timers, handlers));
+        }
+        self.core.ready.clear();
+    }
+
+    /// A weak handle to this simulator's core.
+    pub fn downgrade(&self) -> WeakSim {
+        WeakSim(Rc::downgrade(&self.core))
     }
 
     /// Spawns a background task, returning a handle to await its output.
@@ -612,8 +659,9 @@ impl Sim {
     /// Drives `main` to completion, running spawned tasks and advancing the
     /// simulated clock as needed, and returns its output.
     ///
-    /// Background tasks that are still pending when `main` completes are
-    /// dropped (daemons need no explicit shutdown).
+    /// Background tasks that are still pending when `main` completes stay
+    /// parked, so a later `run_until` can resume them; [`Sim::teardown`]
+    /// drops them when the world is finished.
     ///
     /// # Panics
     ///
@@ -1060,6 +1108,40 @@ mod tests {
     fn clock_starts_at_zero() {
         let sim = Sim::new();
         assert_eq!(sim.now(), SimTime::ZERO);
+    }
+
+    #[test]
+    fn teardown_frees_a_core_its_tasks_keep_alive() {
+        // A daemon parked for good, a sleeper and a handler, each holding
+        // a `Sim` clone: the core holds them, so it holds itself.
+        let world = || {
+            let sim = Sim::new();
+            let queue = Rc::new(crate::WaitQueue::new());
+            let (s, q) = (sim.clone(), Rc::clone(&queue));
+            sim.spawn_detached(async move {
+                let _sim = s;
+                q.wait().await;
+            });
+            let s = sim.clone();
+            sim.spawn_detached(async move { s.sleep(SimDuration::from_secs(9)).await });
+            let s = sim.clone();
+            sim.register_event_handler(Rc::new(move |_| {
+                let _ = s.now();
+            }));
+            let s = sim.clone();
+            sim.run_until(async move { s.sleep(SimDuration::from_secs(1)).await });
+            sim
+        };
+        let sim = world();
+        let core = sim.downgrade();
+        drop(sim);
+        assert!(core.is_live(), "the cycle keeps the core without teardown");
+
+        let sim = world();
+        let core = sim.downgrade();
+        sim.teardown();
+        drop(sim);
+        assert!(!core.is_live(), "teardown broke the cycle");
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod wheel;
 
 pub use executor::{
     yield_now, DirectWakerId, EventHandlerId, JoinHandle, ScheduledEvent, Sim, Sleep, TaskId,
-    YieldNow,
+    WeakSim, YieldNow,
 };
 pub use metrics::{
     mbps, mean, percentile, ByteMeter, Counter, Histogram, LatencyDigest, ProfileRow, Profiler,

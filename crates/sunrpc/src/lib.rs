@@ -14,6 +14,7 @@
 //!   reconnect-with-replay on connection death.
 
 pub mod msg;
+mod pending;
 pub mod record;
 pub mod tcp_xprt;
 pub mod transport;
@@ -27,4 +28,4 @@ pub use msg::{
 pub use record::{encode_record, encode_record_frags, record_marker, RecordReader, LAST_FRAGMENT};
 pub use tcp_xprt::TcpRpcXprt;
 pub use transport::{Transport, Xprt};
-pub use xprt::{RpcError, RpcXprt, XprtConfig, XprtStats};
+pub use xprt::{RpcError, RpcSlot, RpcXprt, XprtConfig, XprtStats};

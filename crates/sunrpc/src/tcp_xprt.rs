@@ -17,7 +17,6 @@
 //! reply — so a UDP-vs-TCP comparison isolates the *transport* difference.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use nfsperf_kernel::Kernel;
@@ -27,14 +26,9 @@ use nfsperf_tcp::{TcpConfig, TcpConn, TcpEndpoint, TcpStats};
 use nfsperf_xdr::XdrEncode;
 
 use crate::msg::{self, AuthUnix, ACCEPT_SUCCESS};
+use crate::pending::PendingTable;
 use crate::record::{self, RecordReader};
-use crate::xprt::{RpcError, XprtConfig, XprtStats};
-
-struct Pending {
-    reply: RefCell<Option<DatagramPayload>>,
-    failed: Cell<bool>,
-    arrived: WaitQueue,
-}
+use crate::xprt::{reserve_slot, RpcError, RpcSlot, XprtConfig, XprtStats};
 
 /// State of the one connection this transport maintains.
 #[derive(Clone)]
@@ -59,13 +53,12 @@ pub struct TcpRpcXprt {
     prog: u32,
     vers: u32,
     next_xid: Cell<u32>,
-    pending: RefCell<HashMap<u32, Rc<Pending>>>,
-    /// Encoded call bytes for every pending xid, kept for replay after a
+    /// Pending calls, each with its encoded bytes for replay after a
     /// reconnect.
-    sent: RefCell<HashMap<u32, Rc<Vec<u8>>>>,
+    pending: PendingTable,
     conn: RefCell<ConnState>,
     conn_changed: WaitQueue,
-    slots: Rc<Semaphore>,
+    pub(crate) slots: Rc<Semaphore>,
     calls: Counter,
     replies: Counter,
     orphans: Counter,
@@ -97,12 +90,11 @@ impl TcpRpcXprt {
             endpoint,
             cred: AuthUnix::root_on("nfsperf-client"),
             slots: Rc::new(Semaphore::new(config.slots)),
+            pending: PendingTable::new(config.slots),
             config,
             prog,
             vers,
             next_xid: Cell::new(0x7c90_0000),
-            pending: RefCell::new(HashMap::new()),
-            sent: RefCell::new(HashMap::new()),
             conn: RefCell::new(ConnState::Down),
             conn_changed: WaitQueue::new(),
             calls: Counter::new(),
@@ -123,18 +115,23 @@ impl TcpRpcXprt {
         proc: u32,
         args: &dyn XdrEncode,
     ) -> Result<DatagramPayload, RpcError> {
-        let _slot = self.slots.acquire().await;
+        let slot = reserve_slot(&self.slots).await;
+        self.call_in_slot(slot, proc, args).await
+    }
+
+    /// Issues one RPC in `slot`, which the call holds until it returns.
+    pub(crate) async fn call_in_slot(
+        self: &Rc<Self>,
+        _slot: RpcSlot,
+        proc: u32,
+        args: &dyn XdrEncode,
+    ) -> Result<DatagramPayload, RpcError> {
         self.calls.inc();
 
         let xid = self.next_xid.get();
         self.next_xid.set(xid.wrapping_add(1));
-
-        let pending = Rc::new(Pending {
-            reply: RefCell::new(None),
-            failed: Cell::new(false),
-            arrived: WaitQueue::new(),
-        });
-        self.pending.borrow_mut().insert(xid, Rc::clone(&pending));
+        let entry = self.pending.claim(xid);
+        let pending = self.pending.get(entry);
 
         // Encode under the BKL, exactly like the UDP transport.
         let encoded = {
@@ -147,7 +144,7 @@ impl TcpRpcXprt {
                 xid, self.prog, self.vers, proc, &self.cred, args,
             ))
         };
-        self.sent.borrow_mut().insert(xid, Rc::clone(&encoded));
+        *pending.sent.borrow_mut() = Some(Rc::clone(&encoded));
 
         let outcome = match self.transmit(&encoded).await {
             Err(e) => Err(e),
@@ -161,8 +158,7 @@ impl TcpRpcXprt {
                 pending.arrived.wait().await;
             },
         };
-        self.pending.borrow_mut().remove(&xid);
-        self.sent.borrow_mut().remove(&xid);
+        self.pending.release(entry);
         // A replay still sending the message keeps it alive; otherwise
         // this was its last holder.
         if let Ok(encoded) = Rc::try_unwrap(encoded) {
@@ -273,8 +269,7 @@ impl TcpRpcXprt {
                         continue;
                     }
                 };
-                let slot = self.pending.borrow().get(&xid).map(Rc::clone);
-                match slot {
+                match self.pending.find(xid) {
                     Some(p) => {
                         self.replies.inc();
                         *p.reply.borrow_mut() = Some(reply);
@@ -297,7 +292,7 @@ impl TcpRpcXprt {
         }
         *self.conn.borrow_mut() = ConnState::Down;
         self.conn_changed.wake_all();
-        if !self.pending.borrow().is_empty() {
+        if !self.pending.is_empty() {
             let me = Rc::clone(self);
             self.kernel.sim.spawn_detached(async move {
                 me.replay().await;
@@ -314,24 +309,22 @@ impl TcpRpcXprt {
             // Reconnect failed: ensure_conn already failed all pending.
             return;
         };
-        let mut xids: Vec<u32> = self.pending.borrow().keys().copied().collect();
+        let mut xids: Vec<u32> = self.pending.xids().collect();
         xids.sort_unstable();
         for xid in xids {
-            // The call may have completed while we were reconnecting.
-            let encoded = match self.sent.borrow().get(&xid) {
-                Some(e) => Rc::clone(e),
+            // The call may have completed while we were reconnecting, or
+            // not yet have encoded its message.
+            let encoded = match self.pending.find(xid).and_then(|p| p.sent.borrow().clone()) {
+                Some(e) => e,
                 None => continue,
             };
-            if !self.pending.borrow().contains_key(&xid) {
-                continue;
-            }
             self.replays.inc();
             self.sendmsg(&conn, &encoded).await;
         }
     }
 
     fn fail_all_pending(&self) {
-        for p in self.pending.borrow().values() {
+        for p in self.pending.claimed() {
             p.failed.set(true);
             p.arrived.wake_all();
         }

@@ -2,7 +2,15 @@
 //! 2.4-style UDP transport or the RPC-over-TCP transport, chosen per
 //! mount. Callers (the NFS client write path) see one `call` surface and
 //! never depend on `nfsperf-tcp` directly.
+//!
+//! A call comes in two parts, as a 2.4 `rpc_task` does: the wait for a
+//! slot-table entry ([`Xprt::reserve`]) and the call proper
+//! ([`Xprt::call_in_slot`]: encode, send, await and decode the reply).
+//! A caller that queues many requests behind the slot table keeps only
+//! the small slot wait per request and builds each call's state machine
+//! once its slot is granted.
 
+use std::future::Future;
 use std::rc::Rc;
 
 use nfsperf_kernel::Kernel;
@@ -11,7 +19,7 @@ use nfsperf_sim::Receiver;
 use nfsperf_xdr::XdrEncode;
 
 use crate::tcp_xprt::TcpRpcXprt;
-use crate::xprt::{RpcError, RpcXprt, XprtConfig, XprtStats};
+use crate::xprt::{reserve_slot, RpcError, RpcSlot, RpcXprt, XprtConfig, XprtStats};
 
 /// Which RPC transport a mount uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -69,11 +77,33 @@ impl Xprt {
         })
     }
 
-    /// Issues one RPC and awaits the raw result bytes.
+    /// Issues one RPC and awaits the raw result bytes: waits for a slot,
+    /// then calls in it.
     pub async fn call(&self, proc: u32, args: &dyn XdrEncode) -> Result<DatagramPayload, RpcError> {
+        let slot = self.reserve().await;
+        self.call_in_slot(slot, proc, args).await
+    }
+
+    /// Waits FIFO for a free slot-table entry. The future holds only the
+    /// wait, a few words, however long the queue.
+    pub fn reserve(&self) -> impl Future<Output = RpcSlot> + '_ {
+        reserve_slot(match self {
+            Xprt::Udp(x) => &x.slots,
+            Xprt::Tcp(x) => &x.slots,
+        })
+    }
+
+    /// Issues one RPC in `slot`, a slot this transport granted, and
+    /// awaits the raw result bytes; the slot frees when the call returns.
+    pub async fn call_in_slot(
+        &self,
+        slot: RpcSlot,
+        proc: u32,
+        args: &dyn XdrEncode,
+    ) -> Result<DatagramPayload, RpcError> {
         match self {
-            Xprt::Udp(x) => x.call(proc, args).await,
-            Xprt::Tcp(x) => x.call(proc, args).await,
+            Xprt::Udp(x) => x.call_in_slot(slot, proc, args).await,
+            Xprt::Tcp(x) => x.call_in_slot(slot, proc, args).await,
         }
     }
 

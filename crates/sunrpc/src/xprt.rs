@@ -19,16 +19,19 @@
 //! Retransmission uses the 2.4 defaults: 700 ms initial timeout with
 //! exponential backoff.
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::cell::Cell;
+use std::future::Future;
 use std::rc::Rc;
 
 use nfsperf_kernel::Kernel;
 use nfsperf_net::{pool_copy, pool_put, DatagramPayload, Path};
-use nfsperf_sim::{select2, Counter, Either, Receiver, Semaphore, SimDuration, WaitQueue};
+use nfsperf_sim::{
+    drive_poll, select2, Counter, Either, Receiver, SemAcquire, SemPermit, Semaphore, SimDuration,
+};
 use nfsperf_xdr::XdrEncode;
 
 use crate::msg::{self, AuthUnix, ACCEPT_SUCCESS};
+use crate::pending::PendingTable;
 
 /// Transport configuration.
 #[derive(Debug, Clone)]
@@ -83,9 +86,22 @@ impl std::fmt::Display for RpcError {
 
 impl std::error::Error for RpcError {}
 
-struct Pending {
-    reply: RefCell<Option<DatagramPayload>>,
-    arrived: WaitQueue,
+/// A granted entry of a transport's slot table: what a 2.4 `rpc_task`
+/// waits for before it builds and sends its request. A call issued in
+/// the slot holds it until the reply is decoded; dropping it frees the
+/// slot for the next queued caller.
+pub struct RpcSlot {
+    _permit: SemPermit,
+}
+
+/// Waits FIFO for one of `slots`' entries.
+pub(crate) fn reserve_slot(slots: &Rc<Semaphore>) -> impl Future<Output = RpcSlot> + '_ {
+    let mut st = SemAcquire::default();
+    drive_poll(move |wf| {
+        slots
+            .poll_acquire(&mut st, wf)
+            .map(|permit| RpcSlot { _permit: permit })
+    })
 }
 
 /// Aggregate transport statistics.
@@ -110,8 +126,8 @@ pub struct RpcXprt {
     prog: u32,
     vers: u32,
     next_xid: Cell<u32>,
-    pending: RefCell<HashMap<u32, Rc<Pending>>>,
-    slots: Rc<Semaphore>,
+    pending: PendingTable,
+    pub(crate) slots: Rc<Semaphore>,
     calls: Counter,
     retransmits: Counter,
     replies: Counter,
@@ -134,11 +150,11 @@ impl RpcXprt {
             path,
             cred: AuthUnix::root_on("nfsperf-client"),
             slots: Rc::new(Semaphore::new(config.slots)),
+            pending: PendingTable::new(config.slots),
             config,
             prog,
             vers,
             next_xid: Cell::new(0x0136_5ee0),
-            pending: RefCell::new(HashMap::new()),
             calls: Counter::new(),
             retransmits: Counter::new(),
             replies: Counter::new(),
@@ -154,17 +170,22 @@ impl RpcXprt {
     /// Issues one RPC and awaits the raw result bytes (after the reply
     /// header). Holds one transport slot for the full duration.
     pub async fn call(&self, proc: u32, args: &dyn XdrEncode) -> Result<DatagramPayload, RpcError> {
-        let _slot = self.slots.acquire().await;
+        let slot = reserve_slot(&self.slots).await;
+        self.call_in_slot(slot, proc, args).await
+    }
+
+    /// Issues one RPC in `slot`, which the call holds until it returns.
+    pub(crate) async fn call_in_slot(
+        &self,
+        _slot: RpcSlot,
+        proc: u32,
+        args: &dyn XdrEncode,
+    ) -> Result<DatagramPayload, RpcError> {
         self.calls.inc();
 
         let xid = self.next_xid.get();
         self.next_xid.set(xid.wrapping_add(1));
-
-        let pending = Rc::new(Pending {
-            reply: RefCell::new(None),
-            arrived: WaitQueue::new(),
-        });
-        self.pending.borrow_mut().insert(xid, Rc::clone(&pending));
+        let entry = self.pending.claim(xid);
 
         // Encode under the BKL (the 2.4 RPC layer protects its state with
         // it); in the patched configuration the lock is dropped before
@@ -197,7 +218,7 @@ impl RpcXprt {
         let mut timeout = self.config.initial_timeout;
         let mut attempt = 0;
         let outcome = loop {
-            match select2(Self::wait_reply(&pending), self.kernel.sim.sleep(timeout)).await {
+            match select2(self.wait_reply(entry), self.kernel.sim.sleep(timeout)).await {
                 Either::Left(reply) => break Ok(reply),
                 Either::Right(()) => {
                     if attempt >= self.config.max_retries {
@@ -210,7 +231,7 @@ impl RpcXprt {
                 }
             }
         };
-        self.pending.borrow_mut().remove(&xid);
+        self.pending.release(entry);
         // The call message outlived its last (re)transmission; recycle it.
         pool_put(msg);
         let payload = outcome?;
@@ -243,7 +264,8 @@ impl RpcXprt {
         }
     }
 
-    async fn wait_reply(pending: &Rc<Pending>) -> DatagramPayload {
+    async fn wait_reply(&self, entry: usize) -> DatagramPayload {
+        let pending = self.pending.get(entry);
         loop {
             if let Some(r) = pending.reply.borrow_mut().take() {
                 return r;
@@ -274,8 +296,7 @@ impl RpcXprt {
                     continue;
                 }
             };
-            let slot = self.pending.borrow().get(&xid).map(Rc::clone);
-            match slot {
+            match self.pending.find(xid) {
                 Some(p) => {
                     self.replies.inc();
                     *p.reply.borrow_mut() = Some(payload);

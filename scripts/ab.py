@@ -4,6 +4,8 @@
     python3 scripts/ab.py BASE_REV --workload megafleet-1m --pairs 10 [--seed N]
     python3 scripts/ab.py BASE_REV --exhibit megafleet --pairs 5
     python3 scripts/ab.py BASE_REV --exhibit figures --pairs 3
+    python3 scripts/ab.py BASE_REV --exhibit fleet --pairs 5
+    python3 scripts/ab.py BASE_REV --exhibit transport --pairs 5
 
 Exports BASE_REV with `git archive` into a temporary directory; the change
 side is this checkout's working tree, which must not be edited while the
@@ -30,15 +32,17 @@ line is the same table as one JSON object.
 
 ``--exhibit NAME`` measures a committed exhibit end to end instead: it
 builds both trees' ``nfsperf`` binaries and runs the exhibit's full
-command (``nfsperf megafleet --jobs 2``, or ``nfsperf figures --jobs 2``
-for the paper's nine figure and table CSVs) once per side per pair,
-alternating which side goes first, timing each process's wall clock.
-Each run writes into its own temporary ``--out``, and every file it
-writes must equal this checkout's committed ``results/<name>`` byte for
-byte, with none missing, or the script stops. It prints each side's
-median wall clock, the parent's quartiles, the change/parent ratio's
-median and quartiles, and the pairs the change won, then the same as one
-JSON line.
+command (``nfsperf megafleet --jobs 2``; ``nfsperf figures --jobs 2``
+for the paper's nine figure and table CSVs; ``nfsperf fleet --jobs 2``;
+``nfsperf transport --jobs 2``) once per side per pair, alternating
+which side goes first, timing each process's wall clock and reading its
+peak resident set (``ru_maxrss``) from ``os.wait4``. Each run writes
+into its own temporary ``--out``, and every file it writes must equal
+this checkout's committed ``results/<name>`` byte for byte, with none
+missing, or the script stops. For ``wall_s`` and ``max_rss_mib`` it
+prints each side's median, the parent's quartiles, the change/parent
+ratio's median and quartiles, and the pairs the change won, then the
+same as one JSON line.
 """
 
 import argparse
@@ -64,6 +68,8 @@ EXHIBITS = {
     "megafleet": (["megafleet", "--jobs", "2"], ["megafleet.csv"], False),
     "figures": (["figures", "--jobs", "2"],
                 [f"figure{i}.csv" for i in range(1, 8)] + ["table1.csv", "slow_server.csv"], True),
+    "fleet": (["fleet", "--jobs", "2"], ["fleet.csv"], False),
+    "transport": (["transport", "--jobs", "2"], ["transport.csv"], False),
 }
 
 
@@ -136,12 +142,25 @@ def build_nfsperf(tree):
     return tree / "target" / "release" / "nfsperf"
 
 
+def run_measured(cmd, cwd):
+    """Runs `cmd` in `cwd` with stdout discarded; returns its exit code,
+    wall-clock seconds and peak resident set in MiB."""
+    start = time.monotonic()
+    proc = subprocess.Popen(cmd, cwd=cwd, stdout=subprocess.DEVNULL, env=ENV)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.monotonic() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    # Linux reports ru_maxrss in KiB.
+    return proc.returncode, wall, usage.ru_maxrss / 1024
+
+
 def exhibit_ab(base_rev, exhibit, pairs):
     """Interleaves both trees' full `exhibit` run process by process and
-    prints the wall-clock table."""
+    prints the wall-clock and peak-RSS table."""
     args, names, out_is_dir = EXHIBITS[exhibit]
     expected = {name: (ROOT / "results" / name).read_bytes() for name in names}
     walls = {"parent": [], "change": []}
+    rss = {"parent": [], "change": []}
     tmp = Path(tempfile.mkdtemp(prefix="ab-"))
     try:
         base = tmp / "base"
@@ -152,12 +171,11 @@ def exhibit_ab(base_rev, exhibit, pairs):
             for side in order:
                 tree, binary = binaries[side]
                 out = tmp / f"{side}-{i}" if out_is_dir else tmp / f"{side}-{i}.csv"
-                start = time.monotonic()
-                proc = subprocess.run([str(binary), *args, "--out", str(out)], cwd=tree,
-                                      stdout=subprocess.DEVNULL, env=ENV)
-                walls[side].append(time.monotonic() - start)
-                if proc.returncode != 0:
-                    fail(f"nfsperf {' '.join(args)} in {tree} exited {proc.returncode}")
+                code, wall, max_rss = run_measured([str(binary), *args, "--out", str(out)], tree)
+                walls[side].append(wall)
+                rss[side].append(max_rss)
+                if code != 0:
+                    fail(f"nfsperf {' '.join(args)} in {tree} exited {code}")
                 written = sorted(out.iterdir()) if out_is_dir else [out]
                 if len(written) != len(names):
                     fail(f"the {side} tree's {exhibit} wrote {len(written)} files, not {len(names)}")
@@ -172,8 +190,11 @@ def exhibit_ab(base_rev, exhibit, pairs):
     print(f"exhibit {exhibit} (nfsperf {' '.join(args)}), {pairs} pairs; "
           f"every file equal to its committed copy in results/ ({', '.join(names)})")
     print(HEADER)
-    row = compare("wall_s", walls["parent"], walls["change"], "lower", pairs)
-    print(json.dumps({"exhibit": exhibit, "pairs": pairs, "metrics": {"wall_s": row}}))
+    rows = {
+        "wall_s": compare("wall_s", walls["parent"], walls["change"], "lower", pairs),
+        "max_rss_mib": compare("max_rss_mib", rss["parent"], rss["change"], "lower", pairs),
+    }
+    print(json.dumps({"exhibit": exhibit, "pairs": pairs, "metrics": rows}))
 
 
 def quartiles(values):

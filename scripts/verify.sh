@@ -45,6 +45,14 @@ echo "==> faithful WRITE allocation budget (counting global allocator, release)"
 # per-WRITE budget.
 cargo test -q --release --offline -p nfsperf-bonnie --test write_alloc_budget
 
+echo "==> queued WRITE heap bytes (peak-tracking global allocator, release)"
+# A Bonnie close queues every dirty batch as a WRITE task behind the
+# 16-entry RPC slot table; over 10,000 of them wait at once here. The
+# heap growth per queued WRITE must stay within the committed budget:
+# a task that holds its whole RPC state machine while it waits lands
+# at four times the budget.
+cargo test -q --release --offline -p nfsperf-bonnie --test queued_write_bytes
+
 echo "==> benchmark world equivalence (simbench worlds vs the experiment runners)"
 # simbench is its own workspace, so the workspace tests above skip it.
 # Its suite holds each hand-built benchmark world to the same simulated
