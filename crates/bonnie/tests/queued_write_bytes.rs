@@ -64,11 +64,13 @@ unsafe impl GlobalAlloc for PeakAlloc {
 static COUNTER: PeakAlloc = PeakAlloc;
 
 /// Heap growth allowed per queued WRITE: the spawned task (112 bytes),
-/// its two-entry batch vector, its wait-queue node and its share of the
-/// task table, the waker arena and the slot table's wait queue. The
-/// close measures 256; a task that holds the whole RPC state machine
-/// while it waits measures 1,032.
-const BYTES_PER_QUEUED_WRITE_BUDGET: usize = 264;
+/// its two-entry batch vector, its 24-byte entry in the waiter slab and
+/// its 4-byte id in the slot table's queue, and its share of the task
+/// table and the waker arena. The close measures 235 (256 when each
+/// waiter was a 48-byte reference-counted node queued by pointer); a
+/// task that holds the whole RPC state machine while it waits measures
+/// 1,032.
+const BYTES_PER_QUEUED_WRITE_BUDGET: usize = 240;
 
 /// Bytes the file holds: 24,576 pages, 12,288 WRITEs of 8 KiB. Under
 /// the 112 MiB background threshold of the client's 256 MiB, so the

@@ -916,7 +916,7 @@ mod tests {
     use crate::model::GAP_QUANTILES;
     use nfsperf_net::FabricConfig;
     use nfsperf_server::ServerConfig;
-    use nfsperf_sim::arbiter::live_tickets;
+    use nfsperf_sim::arbiter::live_waiters;
     use nfsperf_sim::proptest::{check, CaseOutcome};
     use nfsperf_sim::{prop_assert, prop_assert_eq, prop_assume};
 
@@ -935,6 +935,16 @@ mod tests {
         run_tier_with(FlyTierConfig::new(clients, writes, NicSpec::gigabit()))
     }
 
+    /// Tears a finished tier's world down and checks that the waiter
+    /// slab is back to `base`: no lane, engine or wait queue kept an
+    /// entry past its world.
+    fn assert_slab_drained(tier: Rc<FlyTier>, server: Rc<NfsServer>, base: usize) {
+        let sim = tier.sim.clone();
+        drop((tier, server));
+        sim.teardown();
+        assert_eq!(live_waiters(), base, "a torn-down tier left waiters live");
+    }
+
     fn run_tier_with(config: FlyTierConfig) -> (Rc<FlyTier>, Rc<NfsServer>) {
         let sim = Sim::new();
         let fabric = Rc::new(Fabric::new(&sim, FabricConfig::new(config.port_nic)));
@@ -947,13 +957,8 @@ mod tests {
 
     #[test]
     fn tier_completes_and_accounts_every_write() {
-        let tickets = live_tickets();
+        let tickets = live_waiters();
         let (tier, server) = run_tier(64, 8);
-        assert_eq!(
-            live_tickets(),
-            tickets,
-            "a finished tier left arbiter tickets live"
-        );
         let slim = server.slim_stats();
         assert_eq!(slim.clients, 64);
         assert_eq!(slim.writes, 64 * 8);
@@ -969,6 +974,7 @@ mod tests {
         // No faithful clients attached: the server kept zero per-client
         // stats entries for the whole tier.
         assert!(server.per_client_stats().is_empty());
+        assert_slab_drained(tier, server, tickets);
     }
 
     /// With a 1 ns start spread every client starts at instant 0, so
@@ -977,16 +983,11 @@ mod tests {
     #[test]
     fn tier_starting_every_client_at_its_post_accounts_every_write() {
         for clients in [1, 64] {
-            let tickets = live_tickets();
+            let tickets = live_waiters();
             let (tier, server) = run_tier_with(FlyTierConfig {
                 start_spread: SimDuration(1),
                 ..FlyTierConfig::new(clients, 8, NicSpec::gigabit())
             });
-            assert_eq!(
-                live_tickets(),
-                tickets,
-                "a finished tier left arbiter tickets live"
-            );
             let slim = server.slim_stats();
             assert_eq!(slim.clients, u64::from(clients));
             assert_eq!(slim.writes, u64::from(clients) * 8);
@@ -995,6 +996,7 @@ mod tests {
             let per = tier.per_client_mbps();
             assert_eq!(per.len(), clients as usize);
             assert!(per.iter().all(|m| *m > 0.0));
+            assert_slab_drained(tier, server, tickets);
         }
     }
 
@@ -1136,31 +1138,30 @@ mod tests {
             sim.run_until(async move { t2.wait_done().await });
             (tier, server, fabric)
         };
-        let tickets = live_tickets();
+        let tickets = live_waiters();
         let (tier, server, fabric) = run(nfsperf_net::PortPolicy::drr());
-        assert_eq!(
-            live_tickets(),
-            tickets,
-            "a finished tier left arbiter tickets live"
-        );
         let slim = server.slim_stats();
         assert_eq!(slim.clients, 512);
         assert_eq!(slim.writes, 512 * 4);
         assert_eq!(slim.write_bytes, 512 * 4 * 8192);
-        assert!(tier.per_client_mbps().iter().all(|m| *m > 0.0));
+        let mbps = tier.per_client_mbps();
+        assert!(mbps.iter().all(|m| *m > 0.0));
+        let drr_bytes = fabric.resident_bytes();
+        drop(fabric);
+        assert_slab_drained(tier, server, tickets);
         // Quiescent DRR retires per-flow state: entries are gone, so only
         // empty map/ring capacities linger — O(peak live flows), well
         // under the flyweight budget, never O(queued datagrams).
         let (_, _, fifo_fabric) = run(nfsperf_net::PortPolicy::Fifo);
-        let slack = fabric.resident_bytes() - fifo_fabric.resident_bytes();
+        let slack = drr_bytes - fifo_fabric.resident_bytes();
         assert!(
             slack < 512 * 256,
             "retired DRR fabric still holds {slack} bytes of scheduler state"
         );
         // Determinism holds under DRR too.
         let (tier2, server2, _) = run(nfsperf_net::PortPolicy::drr());
-        assert_eq!(tier.per_client_mbps(), tier2.per_client_mbps());
-        assert_eq!(server.slim_stats(), server2.slim_stats());
+        assert_eq!(mbps, tier2.per_client_mbps());
+        assert_eq!(slim, server2.slim_stats());
     }
 
     #[test]

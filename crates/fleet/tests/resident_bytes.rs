@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use nfsperf_fleet::{BehaviorModel, FlyTier, FlyTierConfig};
 use nfsperf_net::{Fabric, FabricConfig, NicSpec};
 use nfsperf_server::{NfsServer, ServerConfig};
-use nfsperf_sim::arbiter::live_tickets;
+use nfsperf_sim::arbiter::live_waiters;
 use nfsperf_sim::{Sim, SimDuration};
 
 /// Tracks live heap bytes and their high-water mark.
@@ -82,7 +82,7 @@ const BUDGET: usize = 256;
 
 #[test]
 fn flyweight_world_peak_heap_per_client_within_budget() {
-    let tickets = live_tickets();
+    let tickets = live_waiters();
     let base = LIVE.load(Ordering::Relaxed);
     PEAK.store(base, Ordering::Relaxed);
 
@@ -111,11 +111,6 @@ fn flyweight_world_peak_heap_per_client_within_budget() {
     let slim = server.slim_stats();
     assert_eq!(slim.writes, u64::from(CLIENTS), "every client wrote once");
     assert_eq!(slim.commits, u64::from(CLIENTS), "and committed at close");
-    assert_eq!(
-        live_tickets(),
-        tickets,
-        "the finished world left arbiter tickets live"
-    );
     let per_client = (PEAK.load(Ordering::Relaxed) - base) / CLIENTS as usize;
     eprintln!(
         "peak heap {per_client} B per flyweight client (slab-only count: {} B)",
@@ -124,5 +119,14 @@ fn flyweight_world_peak_heap_per_client_within_budget() {
     assert!(
         per_client <= BUDGET,
         "the flyweight world peaked at {per_client} heap bytes per client (budget {BUDGET})"
+    );
+    // The world's daemons still wait; once it is torn down, no lane,
+    // engine or wait queue may keep a waiter entry.
+    drop((tier, server, fabric));
+    sim.teardown();
+    assert_eq!(
+        live_waiters(),
+        tickets,
+        "the torn-down world left waiters live"
     );
 }

@@ -7,9 +7,11 @@
 //! arbiter's order:
 //!
 //! - `port-fifo` — arrival order, bit-compatible with the bare
-//!   `Semaphore` the lane used before port scheduling existed (asserted
-//!   by a replay property test and by byte-identical sweep CSVs under
-//!   the default policy);
+//!   `Semaphore` the lane used before port scheduling existed, which is
+//!   now a FIFO arbiter itself (asserted by a replay property test, by
+//!   `nfsperf_sim`'s replay of the semaphore against its pre-slab
+//!   reference, and by byte-identical sweep CSVs under the default
+//!   policy);
 //! - `port-drr` — deficit round robin keyed by the datagram's *source
 //!   flow id* with byte-weighted quanta: a flow sending jumbo datagrams
 //!   and a flow sending small ones get equal wire *bytes*, not equal

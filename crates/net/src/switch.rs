@@ -19,12 +19,14 @@
 //!
 //! Each lane is a one-slot [`Arbiter`] keyed by the datagram's source
 //! flow and wire bytes; the lane adds only its byte meters and strided
-//! queue-delay samples. The arbiter replicates the one-permit
-//! `Semaphore` the lane once was (fast-path barging, head-only wakes,
-//! re-queue on slot steal), so under `port-fifo` every wake, poll and
-//! queue transition happens in the semaphore lane's order and sweeps
-//! reproduce the pre-scheduling CSVs byte for byte (a replay property
-//! test below and the committed sweep artifacts both hold this line).
+//! queue-delay samples. Under `port-fifo` the lane is the one-permit
+//! `Semaphore` it once was, since a semaphore is now itself a FIFO
+//! arbiter (fast-path barging, head-only wakes, re-queue on slot
+//! steal): every wake, poll and queue transition happens in the
+//! semaphore lane's order, and sweeps reproduce the pre-scheduling CSVs
+//! byte for byte. A replay property test below, `nfsperf_sim`'s replay
+//! of the semaphore against its pre-slab reference, and the committed
+//! sweep artifacts hold this line.
 
 use std::cell::{Cell, Ref, RefCell};
 use std::rc::Rc;
@@ -122,15 +124,16 @@ impl Lane {
 /// [`SharedLink::resident_bytes`]).
 const LINK_MODEL_BYTES: usize = 136;
 
-/// Modeled per-lane arbiter footprint: the semaphore-era lane charged
-/// the semaphore itself plus a 32-byte allowance for pooled wait nodes.
-/// The arbiter's slot/wake cells and empty FIFO queue fit the same
+/// Modeled per-lane arbiter footprint, pinned at the semaphore-era
+/// value: the 80-byte semaphore plus a 32-byte allowance for pooled wait
+/// nodes. It is a literal because the semaphore is now itself an
+/// arbiter and changes size with it; reading the live size would move
+/// megafleet's `bytes_per_client` column with every such change. The
+/// arbiter's slot/wake cells and empty FIFO queue fit the same
 /// allowance; DRR/WRR deficit state is charged live, not hand-waved
 /// into this constant (that undercount is exactly what
 /// [`SharedLink::resident_bytes`] now fixes).
-fn arbiter_model_bytes() -> usize {
-    std::mem::size_of::<nfsperf_sim::Semaphore>() + 32
-}
+const ARBITER_MODEL_BYTES: usize = 112;
 
 /// In-flight state for one [`SharedLink::poll_admit`] traversal:
 /// arrival time (for queue-delay sampling) plus the lane arbiter's
@@ -304,7 +307,7 @@ impl SharedLink {
             + self
                 .lanes
                 .iter()
-                .map(|lane| arbiter_model_bytes() + lane.extra_resident_bytes())
+                .map(|lane| ARBITER_MODEL_BYTES + lane.extra_resident_bytes())
                 .sum::<usize>()
     }
 }
@@ -627,16 +630,18 @@ mod tests {
 
     /// The pinned structural model: under FIFO with sampling off, a
     /// link's resident charge must equal the semaphore-era figure
-    /// (SharedLink was 136 bytes; each lane charged
-    /// `size_of::<Semaphore>() + 32`), keeping megafleet's memory column
-    /// stable across the scheduler refactor.
+    /// (SharedLink was 136 bytes; each lane charged the 80-byte
+    /// semaphore plus 32), keeping megafleet's memory column stable
+    /// across the scheduler refactor and the semaphore's own.
     #[test]
     fn fifo_link_resident_bytes_match_semaphore_era_model() {
         let sim = Sim::new();
         let link = SharedLink::new(&sim, "l", NicSpec::gigabit());
-        let expect = 136 + 2 * (std::mem::size_of::<nfsperf_sim::Semaphore>() + 32);
-        assert_eq!(link.resident_bytes(), expect);
-        assert_eq!(expect, 360, "semaphore-era per-link footprint");
+        assert_eq!(
+            link.resident_bytes(),
+            360,
+            "semaphore-era per-link footprint"
+        );
     }
 
     #[test]
@@ -783,7 +788,8 @@ mod replay_tests {
 
     /// The same script against the raw one-permit semaphore lane the
     /// link used before port scheduling existed (the old `traverse`
-    /// body, verbatim).
+    /// body, verbatim). The semaphore is a FIFO arbiter now, held to its
+    /// pre-slab rules by `nfsperf_sim`'s reference replay.
     fn run_script_semaphore(script: &[Arrival]) -> Vec<u64> {
         let sim = Sim::new();
         let spec = NicSpec::fast_ethernet();

@@ -4,7 +4,8 @@ use std::future::Future;
 use std::rc::Rc;
 use std::task::Waker;
 
-use nfsperf_sim::{drive_poll, ByteMeter, SemAcquire, SemPermit, Semaphore, Sim, SimDuration};
+use nfsperf_sim::arbiter::Claim;
+use nfsperf_sim::{drive_poll, ByteMeter, SemPermit, Semaphore, Sim, SimDuration};
 
 /// A simple disk: one arm (writes serialize), per-operation positioning
 /// cost, and a streaming rate.
@@ -54,7 +55,7 @@ impl DiskModel {
     /// [`DiskModel::poll_write_stream`], sleeps the transfer time it
     /// hands back, then [`DiskModel::finish_write`].
     pub async fn write_stream(&self, bytes: u64) {
-        let mut st = SemAcquire::default();
+        let mut st = Claim::default();
         let (arm, xfer) = drive_poll(move |wf| self.poll_write_stream(bytes, &mut st, wf)).await;
         self.sim.sleep(xfer).await;
         self.finish_write(bytes, arm);
@@ -74,7 +75,7 @@ impl DiskModel {
     /// already flushing the bytes it cares about. Drives
     /// [`DiskModel::poll_barrier`].
     pub fn barrier(&self) -> impl Future<Output = ()> + '_ {
-        let mut st = SemAcquire::default();
+        let mut st = Claim::default();
         drive_poll(move |wf| self.poll_barrier(&mut st, wf).then_some(()))
     }
 
@@ -86,7 +87,7 @@ impl DiskModel {
     pub fn poll_write_stream(
         &self,
         bytes: u64,
-        st: &mut SemAcquire,
+        st: &mut Claim,
         waker_factory: &mut dyn FnMut() -> Waker,
     ) -> Option<(SemPermit, SimDuration)> {
         let permit = self.arm.poll_acquire(st, waker_factory)?;
@@ -103,11 +104,7 @@ impl DiskModel {
 
     /// The barrier without a task: `true` once the arm has been acquired
     /// and immediately released, `false` after parking.
-    pub fn poll_barrier(
-        &self,
-        st: &mut SemAcquire,
-        waker_factory: &mut dyn FnMut() -> Waker,
-    ) -> bool {
+    pub fn poll_barrier(&self, st: &mut Claim, waker_factory: &mut dyn FnMut() -> Waker) -> bool {
         self.arm.poll_acquire(st, waker_factory).is_some()
     }
 

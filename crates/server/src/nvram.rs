@@ -101,16 +101,16 @@ impl Nvram {
                 self.full_stalls.set(self.full_stalls.get() + 1);
             }
         }
-        if let Some(w) = st.wait.as_ref() {
-            if !w.is_woken() {
-                w.park(waker_factory());
+        if let Some(w) = st.wait.as_mut() {
+            if !w.poll_wake(waker_factory) {
                 return false;
             }
             st.wait = None;
         }
         if self.used.get() + bytes > self.capacity {
-            let w = self.space.wait();
-            w.park(waker_factory());
+            // A fresh wait has had no wake: this parks it.
+            let mut w = self.space.wait();
+            w.poll_wake(waker_factory);
             st.wait = Some(w);
             return false;
         }

@@ -577,7 +577,8 @@ mod tests {
     }
 
     /// The same world against the plain semaphore the server used before
-    /// this subsystem.
+    /// this subsystem. The semaphore is a FIFO arbiter now, held to its
+    /// pre-slab rules by `nfsperf_sim`'s reference replay.
     fn run_ops_semaphore(slots: usize, ops: &[(u64, u64)]) -> Vec<u64> {
         let sim = Sim::new();
         let sem = Rc::new(Semaphore::new(slots));

@@ -12,7 +12,8 @@ use nfsperf_nfs3::{
     WccData, Write3Args, Write3Res, WriteVerf, NFS_PROGRAM, NFS_V3,
 };
 use nfsperf_sim::{
-    drive_poll, Counter, Gate, GatePass, Receiver, SemAcquire, SemPermit, Sim, SimDuration, SimTime,
+    arbiter::Claim, drive_poll, Counter, Gate, GatePass, Receiver, SemPermit, Sim, SimDuration,
+    SimTime,
 };
 use nfsperf_sunrpc::{
     decode_call, encode_reply, encode_reply_status, record_marker, RecordReader,
@@ -343,7 +344,7 @@ enum BackendStep {
     /// Waiting for the disk arm to flush `flush` dirty bytes, or, when
     /// `flush` is 0 (a COMMIT that found the pool claimed), to pass the
     /// arm as a barrier.
-    Disk { flush: u64, arm: SemAcquire },
+    Disk { flush: u64, arm: Claim },
     /// Holding the arm while the flush's transfer time elapses.
     Xfer { flush: u64, arm: SemPermit },
     /// Finished.
@@ -667,7 +668,7 @@ impl NfsServer {
                     } else {
                         BackendStep::Disk {
                             flush,
-                            arm: SemAcquire::default(),
+                            arm: Claim::default(),
                         }
                     };
                 }

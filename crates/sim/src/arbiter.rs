@@ -1,10 +1,13 @@
-//! One slot arbiter: `N` slots, waiters served in a policy order.
+//! One slot arbiter: `N` slots, waiters served in a policy order; and
+//! the one parked-waiter record every wait in the simulator uses.
 //!
-//! The test bed has two contended resources beyond the client: the
-//! switch uplink port (one serialization slot per direction) and the
-//! server's service slots (knfsd's nfsd threads, the filer's engine).
-//! Both are this mechanism. An [`Arbiter`] owns the slots and the
-//! admission protocol, and an [`Order`] owns who goes next:
+//! The test bed has several contended resources: the client's CPUs and
+//! RPC slot tables, the NIC links, the switch uplink port (one
+//! serialization slot per direction), the server's service slots
+//! (knfsd's nfsd threads, the filer's engine) and its disk arm. All are
+//! this mechanism ([`crate::Semaphore`] is a FIFO arbiter). An
+//! [`Arbiter`] owns the slots and the admission protocol, and an
+//! [`Order`] owns who goes next:
 //!
 //! - [`Order::fifo`] — arrival order;
 //! - [`Order::drr`] — Shreedhar–Varghese deficit round robin across
@@ -12,28 +15,30 @@
 //!   [`WeightTable`], up to two priority classes per key, and an
 //!   optional per-key in-flight quota.
 //!
-//! The protocol replicates [`crate::Semaphore`]'s admission exactly, with
-//! the waiter queue swapped for the order, so that a FIFO arbiter is not
-//! merely equivalent to a semaphore but *bit-identical* to one (the lane
-//! and service-engine replay tests hold this line):
+//! The protocol is the counting semaphore's, with the waiter queue
+//! swapped for the order:
 //!
-//! - **fast path**: a free slot, an empty queue and the order's grant
-//!   admit at once, without queueing (this can barge past a
-//!   woken-but-not-yet-running waiter, as the semaphore allows);
+//! - **fast path**: a free slot, no live waiter queued and the order's
+//!   grant admit at once, without queueing (this can barge past a
+//!   woken-but-not-yet-running waiter);
 //! - **release**: frees the slot, then wakes the order's next picks
-//!   while free slots outnumber wakes still outstanding, so a release
-//!   never wakes two tickets for one slot;
+//!   while free slots outnumber wakes still outstanding, so a DRR release
+//!   never wakes two tickets for one slot. A FIFO release always wakes
+//!   its head, as a semaphore's release does: after a steal that wake
+//!   may find the slot taken and re-queue;
 //! - **steal**: a woken waiter that finds every slot taken (a fast-path
 //!   arrival barged in first) refunds its pick and re-queues at the
-//!   order's mercy, as the semaphore's woken waiter re-queues at the back.
+//!   order's mercy; in a FIFO, at the back.
 //!
 //! A waiter that misses the fast path queues a [`Ticket`]: a 24-byte
-//! entry in one slab per thread, which every arbiter on the thread
-//! shares, switch lanes and server engines alike. Orders queue 4-byte
-//! ids into it and a [`Claim`] holds one, so a million queued flyweight
-//! waiters cost 24 MB of entries, and the entries the core lane's waiters
-//! free are the ones the server's waiters take. [`live_tickets`] counts
-//! the entries in use, for end-of-world audits.
+//! entry in one slab per thread. The slab is the simulator's only
+//! parked-waiter record. Every arbiter on the thread shares it, switch
+//! lanes and server engines alike, and so do [`crate::WaitQueue`] (and
+//! through it gates and channels) and [`crate::SimLock`]. Queues hold
+//! 4-byte ids into it and a [`Claim`] holds one, so a million queued
+//! flyweight waiters cost 24 MB of entries, and the entries the core
+//! lane's waiters free are the ones the server's waiters take.
+//! [`live_waiters`] counts the entries in use, for end-of-world audits.
 
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::DefaultHasher;
@@ -115,7 +120,7 @@ impl WeightTable {
 }
 
 /// A queued admission: its [`Key`] plus the take-once woken/waker
-/// handshake, as a handle on one entry of this thread's ticket slab. The
+/// handshake, as a handle on one entry of this thread's waiter slab. The
 /// arbiter parks the waiter's waker on its ticket, the order hands
 /// tickets back from `pick_next`, and the arbiter wakes them: exactly
 /// one wake per park, never cancelled, which is what lets the flyweight
@@ -133,7 +138,7 @@ pub struct Ticket(Id);
 /// A ticket's slab position plus one, so `Option<Id>` is four bytes.
 /// Neither `Send` nor `Sync`: it names an entry of this thread's slab.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Id(NonZeroU32, PhantomData<*const ()>);
+pub(crate) struct Id(NonZeroU32, PhantomData<*const ()>);
 
 impl Id {
     fn index(self) -> usize {
@@ -141,9 +146,10 @@ impl Id {
     }
 }
 
-/// One ticket: its waker, its flow and one word holding its cost, class
-/// and woken flag, so the cost is capped at [`MAX_COST`]. A vacant entry
-/// keeps the free-list link in `flow`.
+/// One parked waiter: its waker, its flow and one word holding its cost,
+/// class and woken flag, so the cost is capped at [`MAX_COST`]. Waiters
+/// with no key (a wait queue's, a lock's) keep zeroes there. A vacant
+/// entry keeps the free-list link in `flow`.
 struct Entry {
     waker: Option<Waker>,
     flow: u32,
@@ -157,10 +163,18 @@ const COST_MASK: u32 = MAX_COST as u32;
 /// Set for a class other than 0. Orders have at most two classes and
 /// serve every nonzero class as class 1, so one bit keeps the key.
 const CLASS_BIT: u32 = 1 << 30;
-/// Set once the arbiter has woken the ticket, cleared when its waiter
-/// takes the wake. A queued ticket with the bit set is an orphan: its
-/// [`Claim`] was dropped, and the order frees it when it comes up.
+/// Set once the queue has woken the entry; an arbiter's waiter clears it
+/// when it takes the wake. A queued entry with the bit set is an orphan:
+/// its [`Claim`] was dropped, and the queue frees it when it comes up.
 const WOKEN_BIT: u32 = 1 << 31;
+
+impl Entry {
+    /// Woken and not yet taken by its waiter, or orphaned.
+    fn woken(&self) -> bool {
+        self.bits & WOKEN_BIT != 0
+    }
+}
+
 /// End of the slab's free list.
 const NO_ENTRY: u32 = u32::MAX;
 
@@ -215,7 +229,7 @@ impl Slab {
             }
         };
         self.live += 1;
-        let id = u32::try_from(index + 1).expect("ticket slab past 2^32 - 2 entries");
+        let id = u32::try_from(index + 1).expect("waiter slab past 2^32 - 2 entries");
         Id(NonZeroU32::new(id).expect("ids start at one"), PhantomData)
     }
 
@@ -236,13 +250,120 @@ impl Slab {
     fn get_mut(&mut self, id: Id) -> &mut Entry {
         &mut self.entries[id.index()]
     }
+
+    /// Hands a dequeued entry its wake: sets its woken bit and returns
+    /// its waker, or, if its handle is gone (an orphan), frees it and
+    /// returns its flow.
+    fn deliver(&mut self, id: Id) -> Result<Option<Waker>, u32> {
+        let e = self.get_mut(id);
+        if e.woken() {
+            let flow = e.flow;
+            self.free(id);
+            Err(flow)
+        } else {
+            e.bits |= WOKEN_BIT;
+            Ok(e.waker.take())
+        }
+    }
+
+    /// The one rule for a handle that lets go of its entry before it is
+    /// admitted (see [`Claim`]'s drop).
+    fn abandon(&mut self, id: Id) -> Option<Waker> {
+        let e = self.get_mut(id);
+        if e.woken() {
+            // Woken: the queue let go of it, so the handle frees it.
+            self.free(id)
+        } else {
+            // Still queued: the queue frees it when it comes up.
+            e.bits |= WOKEN_BIT;
+            e.waker.take()
+        }
+    }
 }
 
-/// Tickets live in this thread's slab: queued in an order, held by a
-/// claim between its wake and its admission, or held by a [`Ticket`].
-/// Zero once every arbiter and order on the thread has drained.
-pub fn live_tickets() -> usize {
+/// Entries live in this thread's slab: waiters queued in an order, a
+/// wait queue or a lock, claims between their wake and their admission,
+/// orphans not yet reached, and [`Ticket`]s. Zero once every arbiter,
+/// queue and lock on the thread has drained or been dropped.
+pub fn live_waiters() -> usize {
     slab(|s| s.live)
+}
+
+/// Frees `id`'s entry, from a drop path.
+pub(crate) fn free_on_drop(id: Id) {
+    drop(try_slab(|s| s.free(id)));
+}
+
+/// A FIFO of queued slab ids: an [`Order::fifo`]'s queue and a
+/// [`crate::WaitQueue`]'s. It owns the entries it queues until it hands
+/// them back, and frees those still queued when it drops.
+#[derive(Default)]
+pub(crate) struct Fifo(RefCell<VecDeque<Id>>);
+
+impl Fifo {
+    pub(crate) fn push(&self, id: Id) {
+        self.0.borrow_mut().push_back(id);
+    }
+
+    pub(crate) fn pop(&self) -> Option<Id> {
+        self.0.borrow_mut().pop_front()
+    }
+
+    /// Queued entries, orphans not yet reached included.
+    pub(crate) fn len(&self) -> usize {
+        self.0.borrow().len()
+    }
+
+    /// Whether no live waiter is queued. Frees the orphans that lead the
+    /// queue, so a queue holding only orphans reads as empty.
+    pub(crate) fn idle(&self) -> bool {
+        let mut q = self.0.borrow_mut();
+        while let Some(&id) = q.front() {
+            if !slab(|s| s.get(id).woken()) {
+                return false;
+            }
+            q.pop_front();
+            slab(|s| s.free(id));
+        }
+        true
+    }
+
+    /// Live waiters queued, orphans excluded: a walk of the queue.
+    pub(crate) fn live(&self) -> usize {
+        let q = self.0.borrow();
+        slab(|s| q.iter().filter(|&&id| !s.get(id).woken()).count())
+    }
+}
+
+impl Drop for Fifo {
+    fn drop(&mut self) {
+        for id in self.0.get_mut().drain(..) {
+            free_on_drop(id);
+        }
+    }
+}
+
+/// A new waiter's entry with no key (a wait queue's or a lock's), for
+/// the caller to queue.
+pub(crate) fn new_waiter() -> Id {
+    slab(|s| {
+        s.alloc(Key {
+            flow: 0,
+            class: 0,
+            cost: 0,
+        })
+    })
+}
+
+/// Hands the dequeued `id` its wake, returning the waker to fire; `None`
+/// if it was an orphan, which is freed instead.
+pub(crate) fn deliver(id: Id) -> Option<Option<Waker>> {
+    slab(|s| s.deliver(id)).ok()
+}
+
+/// [`deliver`], firing the waker; `false` for an orphan.
+pub(crate) fn wake(id: Id) -> bool {
+    deliver(id).map(|waker| waker.map(Waker::wake)).is_some()
 }
 
 impl Ticket {
@@ -271,8 +392,7 @@ impl Ticket {
 
 impl Drop for Ticket {
     fn drop(&mut self) {
-        let id = self.0;
-        drop(try_slab(|s| s.free(id)));
+        free_on_drop(self.0);
     }
 }
 
@@ -440,14 +560,14 @@ impl Drr {
 pub struct Order(OrderKind);
 
 enum OrderKind {
-    Fifo(RefCell<VecDeque<Id>>),
+    Fifo(Fifo),
     Drr(Drr),
 }
 
 impl Order {
     /// Arrival order.
     pub fn fifo() -> Order {
-        Order(OrderKind::Fifo(RefCell::default()))
+        Order(OrderKind::Fifo(Fifo::default()))
     }
 
     /// Deficit round robin across flows: each rotation tops a flow's
@@ -484,23 +604,32 @@ impl Order {
 
     fn push(&self, ticket: Id) {
         match &self.0 {
-            OrderKind::Fifo(q) => q.borrow_mut().push_back(ticket),
+            OrderKind::Fifo(q) => q.push(ticket),
             OrderKind::Drr(d) => d.enqueue(ticket),
         }
     }
 
     fn pick(&self) -> Option<Id> {
         match &self.0 {
-            OrderKind::Fifo(q) => q.borrow_mut().pop_front(),
+            OrderKind::Fifo(q) => q.pop(),
             OrderKind::Drr(d) => d.pick_next(),
         }
     }
 
-    /// Number of queued tickets.
+    /// Number of queued tickets, orphans not yet reached included.
     pub(crate) fn queued(&self) -> usize {
         match &self.0 {
-            OrderKind::Fifo(q) => q.borrow().len(),
+            OrderKind::Fifo(q) => q.len(),
             OrderKind::Drr(d) => d.state.borrow().queued,
+        }
+    }
+
+    /// Whether the fast path may pass the queue: nothing queued, or, in a
+    /// FIFO, only orphans (which it frees).
+    fn idle(&self) -> bool {
+        match &self.0 {
+            OrderKind::Fifo(q) => q.idle(),
+            OrderKind::Drr(d) => d.state.borrow().queued == 0,
         }
     }
 
@@ -537,22 +666,12 @@ impl Order {
     }
 }
 
-impl Drop for Order {
+impl Drop for Drr {
     /// Frees the tickets still queued: an order owns the entries it
-    /// queues until it hands them back.
+    /// queues until it hands them back (a FIFO's queue does the same).
     fn drop(&mut self) {
-        let queued: Vec<Id> = match &mut self.0 {
-            OrderKind::Fifo(q) => q.get_mut().drain(..).collect(),
-            OrderKind::Drr(d) => d
-                .state
-                .get_mut()
-                .flows
-                .drain()
-                .flat_map(|(_, b)| b.queue)
-                .collect(),
-        };
-        for id in queued {
-            drop(try_slab(|s| s.free(id)));
+        for (_, b) in self.state.get_mut().flows.drain() {
+            b.queue.into_iter().for_each(free_on_drop);
         }
     }
 }
@@ -568,33 +687,29 @@ pub struct Arbiter {
     pending_wakes: Cell<usize>,
 }
 
-/// In-flight state for [`Arbiter::poll_claim`]: the id of its queued
-/// ticket, four bytes. `Default` is the not-yet-queued state. Once queued
-/// it should be driven to admission, since a queued ticket holds its
-/// place in the order as a parked task does. Dropping a claim whose
-/// ticket is still queued marks the ticket an orphan, which the order
-/// frees when it comes up, passing its turn on. Dropping one between its
-/// wake and its admission frees the ticket, but the slot that wake set
-/// aside stays spoken for; only a world being torn down does that.
+/// A parked waiter's handle: the id of its slab entry, four bytes, or
+/// nothing before it queues. It is an [`Arbiter::poll_claim`]'s
+/// in-flight state (`Default` is the not-yet-queued state), and the
+/// inside of every [`crate::WaitFuture`], so wait queues, locks and
+/// arbiters follow one rule when a waiter goes away.
+///
+/// Once queued, a claim should be driven to admission, since a queued
+/// entry holds its place as a parked task does. Dropping a handle whose
+/// entry is still queued marks the entry an orphan; the queue frees it
+/// when it comes up and passes the wake on (an arbiter passes its turn,
+/// a wait queue's `wake_one` wakes the next waiter). Dropping one
+/// between its wake and its admission frees the entry, and the wake is
+/// lost with it. For a wait-queue waiter that is all; for an arbiter
+/// claim, the slot that wake set aside stays spoken for, which only a
+/// world being torn down does.
 #[derive(Default)]
 pub struct Claim(Option<Id>);
 
 impl Drop for Claim {
     fn drop(&mut self) {
-        let Some(id) = self.0 else {
-            return;
-        };
-        drop(try_slab(|s| {
-            let e = s.get_mut(id);
-            if e.bits & WOKEN_BIT != 0 {
-                // Picked: the order let go of it, so the claim frees it.
-                s.free(id)
-            } else {
-                // Still queued: the order frees it at its pick.
-                e.bits |= WOKEN_BIT;
-                e.waker.take()
-            }
-        }));
+        if let Some(id) = self.0 {
+            drop(try_slab(|s| s.abandon(id)));
+        }
     }
 }
 
@@ -603,6 +718,36 @@ impl Claim {
     /// the fast path, and is not yet admitted).
     pub fn is_queued(&self) -> bool {
         self.0.is_some()
+    }
+
+    /// The handle of a waiter just queued as `id`.
+    pub(crate) fn parked(id: Id) -> Claim {
+        Claim(Some(id))
+    }
+
+    /// A wait queue's or lock's waiter: `true` once its wake has come,
+    /// freeing the entry (the handle is then empty); otherwise parks a
+    /// waker from `waker_factory`, to be fired by the wake, and returns
+    /// `false`.
+    pub(crate) fn poll_wake(&mut self, waker_factory: &mut dyn FnMut() -> Waker) -> bool {
+        let Some(id) = self.0 else {
+            return true;
+        };
+        // A woken entry's waker was taken by its wake: `free` hands back
+        // nothing.
+        if slab(|s| s.get(id).woken().then(|| s.free(id))).is_none() {
+            self.park(waker_factory());
+            return false;
+        }
+        self.0 = None;
+        true
+    }
+
+    /// Parks `waker` to be fired by the waiter's wake.
+    fn park(&self, waker: Waker) {
+        if let Some(id) = self.0 {
+            drop(slab(|s| s.get_mut(id).waker.replace(waker)));
+        }
     }
 }
 
@@ -652,8 +797,7 @@ impl Arbiter {
         let id = match claim.0 {
             Some(id) => id,
             None => {
-                if self.free.get() > 0 && self.order.queued() == 0 && self.order.try_grant(key.flow)
-                {
+                if self.free.get() > 0 && self.order.idle() && self.order.try_grant(key.flow) {
                     self.free.set(self.free.get() - 1);
                     return true;
                 }
@@ -662,20 +806,19 @@ impl Arbiter {
                 claim.0 = Some(id);
                 // A new arrival can be eligible while slots idle (a quota
                 // block, or a pick this very enqueue makes).
-                self.kick();
+                self.kick(false);
                 id
             }
         };
         loop {
             let woken = slab(|s| {
                 let e = s.get_mut(id);
-                let woken = e.bits & WOKEN_BIT != 0;
+                let woken = e.woken();
                 e.bits &= !WOKEN_BIT;
                 woken
             });
             if !woken {
-                let waker = waker_factory();
-                drop(slab(|s| s.get_mut(id).waker.replace(waker)));
+                claim.park(waker_factory());
                 return false;
             }
             self.pending_wakes.set(self.pending_wakes.get() - 1);
@@ -686,7 +829,7 @@ impl Arbiter {
             // poll: refund the pick and re-queue.
             self.order.ungrant(key);
             self.order.push(id);
-            self.kick();
+            self.kick(false);
         }
         claim.0 = None;
         drop(slab(|s| s.free(id)));
@@ -700,30 +843,22 @@ impl Arbiter {
     pub fn release(&self, flow: u32) {
         self.order.on_complete(flow);
         self.free.set(self.free.get() + 1);
-        self.kick();
+        // A FIFO wakes its head even when an earlier wake already spoke
+        // for the freed slot, as a semaphore's release does.
+        self.kick(matches!(self.order.0, OrderKind::Fifo(_)));
     }
 
     /// Wakes the order's picks while free slots are not already spoken
-    /// for by an earlier wake.
-    fn kick(&self) {
-        while self.free.get() > self.pending_wakes.get() {
+    /// for by an earlier wake, and at least one if `owed`.
+    fn kick(&self, mut owed: bool) {
+        while owed || self.free.get() > self.pending_wakes.get() {
             let Some(id) = self.order.pick() else {
                 break;
             };
             // The pick hands the ticket to its claim, or frees an orphan.
-            let woke = slab(|s| {
-                let e = s.get_mut(id);
-                if e.bits & WOKEN_BIT != 0 {
-                    let flow = e.flow;
-                    s.free(id);
-                    Err(flow)
-                } else {
-                    e.bits |= WOKEN_BIT;
-                    Ok(e.waker.take())
-                }
-            });
-            match woke {
+            match slab(|s| s.deliver(id)) {
                 Ok(waker) => {
+                    owed = false;
                     self.pending_wakes.set(self.pending_wakes.get() + 1);
                     if let Some(w) = waker {
                         w.wake();
@@ -830,21 +965,21 @@ mod tests {
     /// next one handed out, and the live count follows.
     #[test]
     fn dropped_tickets_free_their_entries() {
-        let live = live_tickets();
+        let live = live_waiters();
         let a = Ticket::new(1, 100);
         let b = Ticket::new(2, 200);
-        assert_eq!(live_tickets(), live + 2);
+        assert_eq!(live_waiters(), live + 2);
         let freed = a.0;
         drop(a);
         assert_eq!(Ticket::new(3, 300).0, freed);
         assert_eq!((b.flow(), b.cost()), (2, 200));
         drop(b);
-        assert_eq!(live_tickets(), live);
+        assert_eq!(live_waiters(), live);
         let order = Order::fifo();
         enqueue(&order, 4, 400, 3);
-        assert_eq!(live_tickets(), live + 3);
+        assert_eq!(live_waiters(), live + 3);
         drop(order);
-        assert_eq!(live_tickets(), live, "an order frees what it still queues");
+        assert_eq!(live_waiters(), live, "an order frees what it still queues");
     }
 
     #[test]
@@ -1108,7 +1243,7 @@ mod tests {
             "prop_tickets_are_conserved_across_arbiters",
             gen,
             |(slots, quota, script): &(u8, u8, Vec<Move>)| {
-                let base = live_tickets();
+                let base = live_waiters();
                 let quota = (*quota > 0).then_some(*quota as usize);
                 let arbs = [
                     Arbiter::new(1 + *slots as usize % 2, Order::fifo()),
@@ -1172,9 +1307,9 @@ mod tests {
                     prop_assert!(queued >= in_orders, "a parked waiter is not queued");
                     let orphans = queued - in_orders;
                     prop_assert!(
-                        live_tickets() - base == ids.len() + orphans,
+                        live_waiters() - base == ids.len() + orphans,
                         "{} live tickets for {} claims and {orphans} orphans",
-                        live_tickets() - base,
+                        live_waiters() - base,
                         ids.len()
                     );
                 }
@@ -1198,7 +1333,7 @@ mod tests {
                     prop_assert!(arb.queued() == 0 && arb.free() == arb.slots());
                     prop_assert!(flows(arb.order()) == 0, "a drained flow kept DRR state");
                 }
-                prop_assert!(live_tickets() == base, "the drained slab kept tickets");
+                prop_assert!(live_waiters() == base, "the drained slab kept tickets");
                 CaseOutcome::Pass
             },
         );

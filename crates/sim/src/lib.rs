@@ -49,7 +49,7 @@ pub use rng::SimRng;
 pub use runner::{default_jobs, run_cells, Cell};
 pub use select::{select2, Either};
 pub use sync::{
-    channel, drive_poll, Gate, GatePass, LockGuard, LockStats, Receiver, SemAcquire, SemPermit,
-    Semaphore, Sender, SimLock, WaitFuture, WaitQueue,
+    channel, drive_poll, Gate, GatePass, LockGuard, LockStats, Receiver, SemPermit, Semaphore,
+    Sender, SimLock, WaitFuture, WaitQueue,
 };
 pub use time::{SimDuration, SimTime};

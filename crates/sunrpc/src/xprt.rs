@@ -26,7 +26,8 @@ use std::rc::Rc;
 use nfsperf_kernel::Kernel;
 use nfsperf_net::{pool_copy, pool_put, DatagramPayload, Path};
 use nfsperf_sim::{
-    drive_poll, select2, Counter, Either, Receiver, SemAcquire, SemPermit, Semaphore, SimDuration,
+    arbiter::Claim, drive_poll, select2, Counter, Either, Receiver, SemPermit, Semaphore,
+    SimDuration,
 };
 use nfsperf_xdr::XdrEncode;
 
@@ -96,7 +97,7 @@ pub struct RpcSlot {
 
 /// Waits FIFO for one of `slots`' entries.
 pub(crate) fn reserve_slot(slots: &Rc<Semaphore>) -> impl Future<Output = RpcSlot> + '_ {
-    let mut st = SemAcquire::default();
+    let mut st = Claim::default();
     drive_poll(move |wf| {
         slots
             .poll_acquire(&mut st, wf)
