@@ -935,6 +935,21 @@ mod tests {
         run_tier_with(FlyTierConfig::new(clients, writes, NicSpec::gigabit()))
     }
 
+    /// Checks that a finished tier's world holds no waiter entry beyond
+    /// its daemons' (`base` is the count before the world was built).
+    /// The filer's one daemon that parks on a wait queue is the NVRAM
+    /// drain loop, and only once the log is empty; any other entry is a
+    /// client's waiter left behind (an orphan its queue never reached,
+    /// or a claim never driven), caught here before teardown frees it.
+    fn assert_only_daemons_wait(server: &NfsServer, base: usize) {
+        let daemons = usize::from(server.nvram_used() == Some(0));
+        assert_eq!(
+            live_waiters(),
+            base + daemons,
+            "a finished tier left client waiters live"
+        );
+    }
+
     /// Tears a finished tier's world down and checks that the waiter
     /// slab is back to `base`: no lane, engine or wait queue kept an
     /// entry past its world.
@@ -959,6 +974,7 @@ mod tests {
     fn tier_completes_and_accounts_every_write() {
         let tickets = live_waiters();
         let (tier, server) = run_tier(64, 8);
+        assert_only_daemons_wait(&server, tickets);
         let slim = server.slim_stats();
         assert_eq!(slim.clients, 64);
         assert_eq!(slim.writes, 64 * 8);
@@ -988,6 +1004,7 @@ mod tests {
                 start_spread: SimDuration(1),
                 ..FlyTierConfig::new(clients, 8, NicSpec::gigabit())
             });
+            assert_only_daemons_wait(&server, tickets);
             let slim = server.slim_stats();
             assert_eq!(slim.clients, u64::from(clients));
             assert_eq!(slim.writes, u64::from(clients) * 8);
@@ -1140,6 +1157,7 @@ mod tests {
         };
         let tickets = live_waiters();
         let (tier, server, fabric) = run(nfsperf_net::PortPolicy::drr());
+        assert_only_daemons_wait(&server, tickets);
         let slim = server.slim_stats();
         assert_eq!(slim.clients, 512);
         assert_eq!(slim.writes, 512 * 4);

@@ -111,6 +111,15 @@ fn flyweight_world_peak_heap_per_client_within_budget() {
     let slim = server.slim_stats();
     assert_eq!(slim.writes, u64::from(CLIENTS), "every client wrote once");
     assert_eq!(slim.commits, u64::from(CLIENTS), "and committed at close");
+    // The finished world's one parked daemon is the filer's NVRAM drain
+    // loop, once the log is empty; any other live waiter entry is a
+    // client's, left behind.
+    let daemons = usize::from(server.nvram_used() == Some(0));
+    assert_eq!(
+        live_waiters(),
+        tickets + daemons,
+        "the finished world left client waiters live"
+    );
     let per_client = (PEAK.load(Ordering::Relaxed) - base) / CLIENTS as usize;
     eprintln!(
         "peak heap {per_client} B per flyweight client (slab-only count: {} B)",

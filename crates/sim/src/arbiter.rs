@@ -21,11 +21,11 @@
 //! - **fast path**: a free slot, no live waiter queued and the order's
 //!   grant admit at once, without queueing (this can barge past a
 //!   woken-but-not-yet-running waiter);
-//! - **release**: frees the slot, then wakes the order's next picks
-//!   while free slots outnumber wakes still outstanding, so a DRR release
-//!   never wakes two tickets for one slot. A FIFO release always wakes
-//!   its head, as a semaphore's release does: after a steal that wake
-//!   may find the slot taken and re-queue;
+//! - **release**: frees the slot, wakes the order's next pick, then
+//!   wakes more while free slots outnumber wakes still outstanding. The
+//!   first wake comes even when an earlier one already spoke for the
+//!   slot, as a semaphore's release woke its head: after a steal it may
+//!   find the slot taken and re-queue;
 //! - **steal**: a woken waiter that finds every slot taken (a fast-path
 //!   arrival barged in first) refunds its pick and re-queues at the
 //!   order's mercy; in a FIFO, at the back.
@@ -316,7 +316,14 @@ impl Fifo {
 
     /// Whether no live waiter is queued. Frees the orphans that lead the
     /// queue, so a queue holding only orphans reads as empty.
+    #[inline]
     pub(crate) fn idle(&self) -> bool {
+        self.0.borrow().is_empty() || self.free_leading_orphans()
+    }
+
+    /// [`Fifo::idle`] for a queue that is not empty.
+    #[cold]
+    fn free_leading_orphans(&self) -> bool {
         let mut q = self.0.borrow_mut();
         while let Some(&id) = q.front() {
             if !slab(|s| s.get(id).woken()) {
@@ -559,9 +566,11 @@ impl Drr {
 /// its fast path and slot-steal recovery with the grant hooks.
 pub struct Order(OrderKind);
 
+/// DRR's parameters and flow table are boxed, so a FIFO order (every
+/// semaphore, NIC link and slot table) carries only its queue.
 enum OrderKind {
     Fifo(Fifo),
-    Drr(Drr),
+    Drr(Box<Drr>),
 }
 
 impl Order {
@@ -582,13 +591,13 @@ impl Order {
             "DRR orders have one or two classes"
         );
         assert!(quota != Some(0), "a zero in-flight quota would deadlock");
-        Order(OrderKind::Drr(Drr {
+        Order(OrderKind::Drr(Box::new(Drr {
             quantum,
             weights,
             classes,
             quota: quota.map(|q| u32::try_from(q).unwrap_or(u32::MAX)),
             state: RefCell::default(),
-        }))
+        })))
     }
 
     /// Admits a ticket to the queue.
@@ -650,6 +659,7 @@ impl Order {
     }
 
     /// Retires a grant when its slot is released.
+    #[inline]
     fn on_complete(&self, flow: u32) {
         if let OrderKind::Drr(d) = &self.0 {
             d.on_complete(flow);
@@ -682,8 +692,8 @@ pub struct Arbiter {
     order: Order,
     slots: usize,
     free: Cell<usize>,
-    /// Picks woken whose waiters have not yet run: a release wakes a new
-    /// pick only while free slots outnumber these.
+    /// Picks woken whose waiters have not yet run: past a release's first
+    /// wake, a new pick is woken only while free slots outnumber these.
     pending_wakes: Cell<usize>,
 }
 
@@ -788,7 +798,27 @@ impl Arbiter {
     /// after parking a waker from `waker_factory`; call again with the
     /// same `claim` when it fires. The first call may take the fast path;
     /// later calls re-check a woken ticket and re-queue it after a steal.
+    #[inline]
     pub fn poll_claim(
+        &self,
+        key: Key,
+        claim: &mut Claim,
+        waker_factory: &mut dyn FnMut() -> Waker,
+    ) -> bool {
+        if claim.0.is_none()
+            && self.free.get() > 0
+            && self.order.idle()
+            && self.order.try_grant(key.flow)
+        {
+            self.free.set(self.free.get() - 1);
+            return true;
+        }
+        self.poll_queued(key, claim, waker_factory)
+    }
+
+    /// [`Arbiter::poll_claim`] past the fast path: queues a new claim,
+    /// or re-checks a queued one.
+    fn poll_queued(
         &self,
         key: Key,
         claim: &mut Claim,
@@ -797,16 +827,12 @@ impl Arbiter {
         let id = match claim.0 {
             Some(id) => id,
             None => {
-                if self.free.get() > 0 && self.order.idle() && self.order.try_grant(key.flow) {
-                    self.free.set(self.free.get() - 1);
-                    return true;
-                }
                 let id = slab(|s| s.alloc(key));
                 self.order.push(id);
                 claim.0 = Some(id);
                 // A new arrival can be eligible while slots idle (a quota
                 // block, or a pick this very enqueue makes).
-                self.kick(false);
+                self.kick();
                 id
             }
         };
@@ -829,7 +855,7 @@ impl Arbiter {
             // poll: refund the pick and re-queue.
             self.order.ungrant(key);
             self.order.push(id);
-            self.kick(false);
+            self.kick();
         }
         claim.0 = None;
         drop(slab(|s| s.free(id)));
@@ -840,34 +866,43 @@ impl Arbiter {
     /// Releases a slot `flow` claimed and wakes the order's next picks.
     /// Only a DRR order with a finite quota reads `flow` (to retire its
     /// grant); other orders ignore it.
+    #[inline]
     pub fn release(&self, flow: u32) {
         self.order.on_complete(flow);
         self.free.set(self.free.get() + 1);
-        // A FIFO wakes its head even when an earlier wake already spoke
-        // for the freed slot, as a semaphore's release does.
-        self.kick(matches!(self.order.0, OrderKind::Fifo(_)));
+        // The next pick is woken even when an earlier wake already spoke
+        // for the freed slot, as a semaphore's release woke its head. An
+        // order with no pick to give has none for `kick` either, and an
+        // empty one is not asked.
+        if self.order.queued() > 0 && self.wake_next() {
+            self.kick();
+        }
     }
 
     /// Wakes the order's picks while free slots are not already spoken
-    /// for by an earlier wake, and at least one if `owed`.
-    fn kick(&self, mut owed: bool) {
-        while owed || self.free.get() > self.pending_wakes.get() {
-            let Some(id) = self.order.pick() else {
-                break;
-            };
+    /// for by an earlier wake.
+    fn kick(&self) {
+        while self.free.get() > self.pending_wakes.get() && self.wake_next() {}
+    }
+
+    /// Wakes the order's next live pick, freeing the orphans picked on
+    /// the way; `false` once the order has none to give.
+    fn wake_next(&self) -> bool {
+        while let Some(id) = self.order.pick() {
             // The pick hands the ticket to its claim, or frees an orphan.
             match slab(|s| s.deliver(id)) {
                 Ok(waker) => {
-                    owed = false;
                     self.pending_wakes.set(self.pending_wakes.get() + 1);
                     if let Some(w) = waker {
                         w.wake();
                     }
+                    return true;
                 }
                 // The orphan's grant ends unserved.
                 Err(flow) => self.order.on_complete(flow),
             }
         }
+        false
     }
 }
 
@@ -942,6 +977,14 @@ mod tests {
         assert!(std::mem::size_of::<Entry>() <= 24);
         assert!(std::mem::size_of::<Claim>() <= 4);
         assert_eq!(std::mem::size_of::<Ticket>(), 4);
+    }
+
+    /// A FIFO arbiter is a semaphore, four per faithful client: it holds
+    /// its queue and three counters, and DRR's state stays boxed.
+    #[test]
+    fn fifo_arbiter_carries_no_drr_state() {
+        assert!(std::mem::size_of::<Order>() <= std::mem::size_of::<Fifo>() + 8);
+        assert!(std::mem::size_of::<Arbiter>() <= 72);
     }
 
     #[test]
