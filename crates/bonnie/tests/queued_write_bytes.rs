@@ -10,10 +10,8 @@
 //! close), and divides the close's heap growth by the most WRITEs queued
 //! behind the slot table at once.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use nfsperf_client::{ClientTuning, MountConfig, NfsMount};
 use nfsperf_kernel::{CostTable, Kernel, KernelConfig, MemTuning, SimFile};
@@ -21,44 +19,8 @@ use nfsperf_net::{Nic, NicSpec, Path};
 use nfsperf_server::{NfsServer, ServerConfig};
 use nfsperf_sim::{Sim, SimDuration};
 
-/// Tracks live heap bytes and their high-water mark.
-struct PeakAlloc;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grow(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for PeakAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            grow(layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = unsafe { System.realloc(ptr, layout, new_size) };
-        if !p.is_null() {
-            // A resize: only the size difference changes the live count.
-            if new_size >= layout.size() {
-                grow(new_size - layout.size());
-            } else {
-                LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
-            }
-        }
-        p
-    }
-}
+mod common;
+use common::{peak_bytes, reset_peak, PeakAlloc};
 
 #[global_allocator]
 static COUNTER: PeakAlloc = PeakAlloc;
@@ -119,8 +81,7 @@ fn a_queued_write_holds_few_heap_bytes() {
     });
     assert_eq!(mount.stats().write_rpcs, 0, "nothing was written back yet");
 
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
+    let base = reset_peak();
     let closed = Rc::new(Cell::new(false));
     let (s, m, done) = (sim.clone(), Rc::clone(&mount), Rc::clone(&closed));
     let sampler = sim.spawn(async move {
@@ -136,7 +97,7 @@ fn a_queued_write_holds_few_heap_bytes() {
         closed.set(true);
         sampler.await
     });
-    let growth = PEAK.load(Ordering::Relaxed) - base;
+    let growth = peak_bytes() - base;
 
     assert_eq!(
         server.stats().write_bytes,

@@ -20,17 +20,15 @@
 //! shape at a smaller client count).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use nfsperf_bonnie::{BonnieConfig, BonnieReport};
-use nfsperf_client::{ClientTuning, MountConfig, NfsMount};
-use nfsperf_kernel::{CostTable, Kernel, KernelConfig, MemTuning};
-use nfsperf_net::{Nic, NicSpec, Path, Switch};
-use nfsperf_server::{NfsServer, SchedPolicy, ServerConfig};
-use nfsperf_sim::{JoinHandle, Sim, SimTime};
+use nfsperf_server::{SchedPolicy, ServerConfig};
+use nfsperf_sim::SimTime;
 use nfsperf_sunrpc::Transport;
+
+mod common;
+use common::{build, World};
 
 /// Heap acquisitions allowed per steady-state UDP WRITE RPC (8 KiB, two
 /// pages). Set just above what the round trip measures (10.46); a
@@ -79,100 +77,6 @@ fn allocs() -> u64 {
 /// measures its world. It guards no data, so a lock poisoned by the
 /// other case failing is still good to take.
 static SERIAL: Mutex<()> = Mutex::new(());
-
-/// A built world: the simulator, its one server and a Bonnie writer
-/// per client.
-struct World {
-    sim: Sim,
-    server: Rc<NfsServer>,
-    writers: Vec<JoinHandle<BonnieReport>>,
-}
-
-/// Builds `clients` full-patch clients (32 MiB of RAM each) writing
-/// `bytes_per_client` each to one server over `transport`. One client
-/// talks to the server over a direct gigabit link; several are 100bT
-/// machines sharing a switch whose uplink is the server's bus-limited
-/// NIC, as in the `fleet-tcp-drr` benchmark world.
-fn build(
-    transport: Transport,
-    config: ServerConfig,
-    clients: usize,
-    bytes_per_client: u64,
-) -> World {
-    let sim = Sim::new();
-    let kernel = |i: usize| {
-        Kernel::new(
-            &sim,
-            KernelConfig {
-                ncpus: 2,
-                ram_bytes: 32 << 20,
-                seed: 501 + i as u64,
-                costs: CostTable::default(),
-                mem: MemTuning::default(),
-            },
-        )
-    };
-    let attach = |server: &Rc<NfsServer>, rx, reply_path| match transport {
-        Transport::Udp => server.attach_udp(rx, reply_path),
-        Transport::Tcp => server.attach_tcp(rx, reply_path),
-    };
-    let mount_config = MountConfig {
-        tuning: ClientTuning::full_patch(),
-        transport,
-        ..MountConfig::default()
-    };
-    let mut mounts = Vec::new();
-    let server = if clients == 1 {
-        let kernel = kernel(0);
-        let (cnic, crx) = Nic::new(&sim, "client", NicSpec::gigabit());
-        let (snic, srx) = Nic::new(&sim, "server", NicSpec::gigabit());
-        let to_server = Path::new(Rc::clone(&cnic), snic, Path::default_latency());
-        let server = NfsServer::new(&sim, config);
-        attach(&server, srx, to_server.reversed());
-        mounts.push(NfsMount::mount(&kernel, to_server, crx, mount_config));
-        server
-    } else {
-        let client_nic = NicSpec::fast_ethernet();
-        let switch = Switch::new(
-            &sim,
-            NicSpec::bus_limited(26_000_000),
-            Path::default_latency(),
-        );
-        let server = NfsServer::new(&sim, config);
-        for i in 0..clients {
-            let kernel = kernel(i);
-            let (cnic, crx) = Nic::new(&sim, "client", client_nic);
-            let (to_server, port_rx) = switch.attach(&cnic, client_nic);
-            attach(&server, port_rx, to_server.reversed());
-            mounts.push(NfsMount::mount(
-                &kernel,
-                to_server,
-                crx,
-                mount_config.clone(),
-            ));
-        }
-        server
-    };
-    let writers = mounts
-        .into_iter()
-        .enumerate()
-        .map(|(i, mount)| {
-            let s = sim.clone();
-            sim.spawn(async move {
-                let file = mount
-                    .create(&format!("budget{i}.scratch"))
-                    .await
-                    .expect("create");
-                nfsperf_bonnie::run(&s, &file, &BonnieConfig::new(bytes_per_client)).await
-            })
-        })
-        .collect();
-    World {
-        sim,
-        server,
-        writers,
-    }
-}
 
 /// Runs `world` to `warm_ms` of virtual time, then through a short
 /// window to `mid_ms` and a long one to `end_ms`, and returns the

@@ -246,6 +246,8 @@ fn run_bonnie_in(world: World, record_latencies: bool, file_size: u64) -> RunOut
         server,
         mount,
     } = world;
+    // `max_wire_gap` reads the client's departure log.
+    cnic.log_departures();
     let config = BonnieConfig {
         record_latencies,
         ..BonnieConfig::new(file_size)

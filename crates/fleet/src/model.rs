@@ -1,8 +1,9 @@
 //! Calibrating a behavioral client from a faithful client's wire trace.
 //!
 //! One faithful client runs the paper's sequential-write workload solo
-//! against the target server; its NIC's departure log (`Nic::tx_events`)
-//! is the tcpdump's-eye view of the write path. From it the model keeps
+//! against the target server; its NIC's departure log (`Nic::tx_events`,
+//! which the probe asks for with `Nic::log_departures`) is the
+//! tcpdump's-eye view of the write path. From it the model keeps
 //! a 17-point quantile table of WRITE inter-departure gaps (replayed by
 //! inverse-CDF sampling), the observed WRITE datagram size, the
 //! WRITE:COMMIT ratio from mount counters, and the probe mount's RPC
@@ -180,6 +181,7 @@ pub fn calibrate(config: &CalibrationConfig) -> Calibration {
         mount_config,
     );
 
+    cnic.log_departures();
     let bytes = config.probe_bytes;
     let m2 = Rc::clone(&mount);
     sim.run_until(async move { write_through_close(&m2, "probe.scratch", bytes).await });

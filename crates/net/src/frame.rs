@@ -40,39 +40,86 @@ pub fn wire_bytes(udp_payload: usize, mtu: usize) -> usize {
     udp_payload + UDP_HEADER + frags * (IP_HEADER + ETHERNET_OVERHEAD)
 }
 
-/// Free list of wire-payload buffers.
+/// Capacity of a segment-class pool buffer: the largest datagram one
+/// IP fragment carries at the standard 1,500-byte MTU. That is exactly a
+/// full TCP data segment there (the simulated 24-byte header plus a
+/// 1,448-byte MSS), so a segment in flight pins no more than it sends.
+pub const SEGMENT_BYTES: usize = 1500 - IP_HEADER - UDP_HEADER;
+
+/// Free list of wire-payload buffers, filed in two size classes.
 ///
 /// Steady-state WRITE/COMMIT traffic moves one `Vec<u8>` datagram per
 /// transmission; without recycling, every RPC allocates (and frees) its
 /// payload, its retransmit copies, and its reply. The pool keeps
-/// retired buffers (capacity intact, length zeroed) on a bounded
-/// per-thread free list so the steady state reuses them instead.
+/// retired buffers (capacity intact, length zeroed) on bounded
+/// per-thread free lists so the steady state reuses them instead.
 /// Thread-local because each sweep cell runs its whole simulation on
 /// one worker thread; pooling never crosses simulations.
 ///
+/// [`pool_put`] files each buffer by capacity: one of at most
+/// [`SEGMENT_BYTES`] goes to the *segment* class, anything larger to the
+/// *large* class. Most large buffers are WRITE-sized, 8 KiB and up: the
+/// CALL messages and the records they arrive in. A TCP data segment is
+/// at most [`SEGMENT_BYTES`] at the standard MTU, and a window of them
+/// is in flight per connection, so drawing segments from the large
+/// class would pin an 8 KiB buffer for every 1.5 KB on the wire.
+/// [`pool_get_for`] keeps them apart.
+///
 /// The contract has two halves. Producers draw from the pool: the RPC
-/// encoders write CALL and REPLY messages into [`pool_get`] buffers,
-/// transports copy with [`pool_copy`], and TCP segments and reassembled
-/// records come from it too. Every consumer of a datagram or reply body
-/// returns it with [`pool_put`] once it is done: the server after
-/// decoding a call, the reply sinks after sending, the client transport
-/// after parsing a reply header or dropping an orphan, and the mount
-/// after decoding a result body. A buffer dropped instead is only a
-/// missed reuse, never a leak, but the 8 KiB WRITE buffers then churn
-/// the heap once per RPC.
+/// encoders write CALL and REPLY messages into [`pool_get`] (large
+/// class) buffers, transports copy with [`pool_copy`], reassembled
+/// records come from the large class, and TCP segments from
+/// [`pool_get_for`]. Every consumer of a datagram or reply body returns
+/// it with [`pool_put`] once it is done: the server after decoding a
+/// call, the reply sinks after sending, the TCP endpoint after reading a
+/// data segment, the client transport after parsing a reply header or
+/// dropping an orphan, and the mount after decoding a result body. A
+/// buffer dropped instead is only a missed reuse, never a leak, but the
+/// 8 KiB WRITE buffers then churn the heap once per RPC.
 const POOL_CAP: usize = 64;
 
-thread_local! {
-    static PAYLOAD_POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+/// The two free lists, each bounded at `POOL_CAP`.
+struct Pool {
+    /// Buffers of capacity at most [`SEGMENT_BYTES`].
+    segments: Vec<Vec<u8>>,
+    /// Everything larger.
+    large: Vec<Vec<u8>>,
 }
 
-/// Takes an empty buffer from the payload pool (or a fresh one when the
-/// pool is dry). The buffer's capacity is whatever its previous life
-/// grew it to.
+thread_local! {
+    static PAYLOAD_POOL: RefCell<Pool> = const {
+        RefCell::new(Pool {
+            segments: Vec::new(),
+            large: Vec::new(),
+        })
+    };
+}
+
+/// Takes an empty large-class buffer from the payload pool (or a fresh,
+/// unallocated one when that class is dry). The buffer's capacity is
+/// whatever its previous life grew it to.
 pub fn pool_get() -> Vec<u8> {
     PAYLOAD_POOL
-        .with(|p| p.borrow_mut().pop())
+        .with(|p| p.borrow_mut().large.pop())
         .unwrap_or_default()
+}
+
+/// Takes an empty buffer that holds `bytes` without growing. Up to
+/// [`SEGMENT_BYTES`] it comes from the segment class and its capacity is
+/// exactly [`SEGMENT_BYTES`]: a fresh one is allocated at that size,
+/// and a smaller one filed there is grown to it. Larger requests (a
+/// segment at a jumbo MTU) come from the large class.
+pub fn pool_get_for(bytes: usize) -> Vec<u8> {
+    if bytes > SEGMENT_BYTES {
+        let mut buf = pool_get();
+        buf.reserve(bytes);
+        return buf;
+    }
+    let mut buf = PAYLOAD_POOL
+        .with(|p| p.borrow_mut().segments.pop())
+        .unwrap_or_default();
+    buf.reserve_exact(SEGMENT_BYTES);
+    buf
 }
 
 /// Copies `bytes` into a pooled buffer — the allocation-free spelling of
@@ -83,9 +130,9 @@ pub fn pool_copy(bytes: &[u8]) -> Vec<u8> {
     buf
 }
 
-/// Returns a retired buffer to the pool. Buffers that never allocated
-/// are dropped, and the pool is bounded at `POOL_CAP` so a burst
-/// cannot pin memory forever.
+/// Returns a retired buffer to the pool, filed by its capacity. Buffers
+/// that never allocated are dropped, and each class is bounded at
+/// `POOL_CAP` so a burst cannot pin memory forever.
 pub fn pool_put(mut buf: Vec<u8>) {
     if buf.capacity() == 0 {
         return;
@@ -93,27 +140,44 @@ pub fn pool_put(mut buf: Vec<u8>) {
     buf.clear();
     PAYLOAD_POOL.with(|p| {
         let mut pool = p.borrow_mut();
-        if pool.len() < POOL_CAP {
-            pool.push(buf);
+        let class = if buf.capacity() <= SEGMENT_BYTES {
+            &mut pool.segments
+        } else {
+            &mut pool.large
+        };
+        if class.len() < POOL_CAP {
+            class.push(buf);
         }
     });
 }
 
-/// Buffers currently parked in this thread's pool (for tests).
+/// Buffers currently parked in this thread's pool, both classes (for
+/// tests).
 pub fn pool_len() -> usize {
-    PAYLOAD_POOL.with(|p| p.borrow().len())
+    PAYLOAD_POOL.with(|p| {
+        let pool = p.borrow();
+        pool.segments.len() + pool.large.len()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Empties this thread's pool so a test's counts are its own.
+    fn drain_pool() {
+        PAYLOAD_POOL.with(|p| {
+            let mut pool = p.borrow_mut();
+            pool.segments.clear();
+            pool.large.clear();
+        });
+    }
+
     #[test]
     fn payload_pool_recycles_capacity() {
-        // Drain whatever other tests left behind so counts are ours.
-        while pool_get().capacity() > 0 {}
+        drain_pool();
         let mut buf = pool_get();
-        buf.extend_from_slice(&[1, 2, 3]);
+        buf.extend_from_slice(&[7; 4096]);
         let cap = buf.capacity();
         let ptr = buf.as_ptr();
         pool_put(buf);
@@ -122,8 +186,39 @@ mod tests {
         assert!(reused.capacity() >= cap);
         assert_eq!(reused, vec![9, 9], "cleared before reuse");
         pool_put(reused);
-        assert!(pool_len() >= 1);
+        assert_eq!(pool_len(), 1);
         pool_put(Vec::new());
+        assert_eq!(pool_len(), 1, "an unallocated buffer is not kept");
+    }
+
+    #[test]
+    fn segment_buffers_never_come_from_the_large_class() {
+        drain_pool();
+        for _ in 0..4 {
+            pool_put(Vec::with_capacity(8 << 10));
+        }
+        let seg = pool_get_for(SEGMENT_BYTES);
+        assert_eq!(seg.capacity(), SEGMENT_BYTES, "fresh at segment size");
+        assert_eq!(pool_len(), 4, "the WRITE-sized buffers stay put");
+        let ptr = seg.as_ptr();
+        pool_put(seg);
+        let small = pool_get_for(64);
+        assert_eq!(small.as_ptr(), ptr, "a retired segment is reused");
+        assert_eq!(small.capacity(), SEGMENT_BYTES);
+        // A small buffer filed in the segment class is grown to the
+        // class size when drawn, so every segment buffer is alike.
+        pool_put(Vec::with_capacity(100));
+        assert_eq!(pool_get_for(1).capacity(), SEGMENT_BYTES);
+        // A request past the class (a jumbo-MTU segment) is large.
+        assert!(pool_get_for(SEGMENT_BYTES + 1).capacity() >= 8 << 10);
+        assert_eq!(pool_len(), 3);
+        drain_pool();
+    }
+
+    #[test]
+    fn segment_class_is_one_standard_mtu_fragment() {
+        assert_eq!(fragments_for(SEGMENT_BYTES, 1500), 1);
+        assert_eq!(fragments_for(SEGMENT_BYTES + 1, 1500), 2);
     }
 
     #[test]

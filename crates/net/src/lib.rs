@@ -14,8 +14,8 @@ pub mod sched;
 pub mod switch;
 
 pub use frame::{
-    fragments_for, pool_copy, pool_get, pool_len, pool_put, wire_bytes, ETHERNET_OVERHEAD,
-    IP_HEADER, UDP_HEADER,
+    fragments_for, pool_copy, pool_get, pool_get_for, pool_len, pool_put, wire_bytes,
+    ETHERNET_OVERHEAD, IP_HEADER, SEGMENT_BYTES, UDP_HEADER,
 };
 pub use nic::{DatagramPayload, Nic, NicSpec};
 pub use sched::{PortPolicy, PortTicket, WeightTable};

@@ -11,10 +11,11 @@
 //! the wire drains asynchronously. Backpressure comes from higher layers
 //! (the RPC slot table), exactly as in the reproduced system.
 
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use nfsperf_sim::{
-    channel, ByteMeter, Counter, Receiver, Semaphore, Sender, Sim, SimDuration, SimTime, Trace,
+    channel, ByteMeter, Counter, Receiver, Semaphore, Sender, Sim, SimDuration, SimTime,
 };
 
 use crate::frame::{fragments_for, pool_put, wire_bytes};
@@ -85,8 +86,10 @@ pub struct Nic {
     rx_meter: Rc<ByteMeter>,
     /// Departure log: (when serialization finished, payload bytes) —
     /// the tcpdump's-eye view used to confirm client stalls do not
-    /// appear on the wire.
-    tx_events: Rc<Trace<usize>>,
+    /// appear on the wire. `None` unless the owner asked for it with
+    /// [`Nic::log_departures`]: it grows by one entry per datagram for
+    /// the whole run, so no NIC keeps it by default.
+    tx_log: RefCell<Option<Vec<(SimTime, usize)>>>,
     tx_fragments: Rc<Counter>,
     drops: Rc<Counter>,
     /// When set, each IP fragment is lost with this probability and a
@@ -127,7 +130,7 @@ impl Nic {
             rx_push: tx,
             tx_meter: Rc::new(ByteMeter::new()),
             rx_meter: Rc::new(ByteMeter::new()),
-            tx_events: Rc::new(Trace::new()),
+            tx_log: RefCell::new(None),
             tx_fragments: Rc::new(Counter::new()),
             drops: Rc::new(Counter::new()),
             loss_probability,
@@ -181,7 +184,9 @@ impl Nic {
                 sim.sleep(src.spec.transfer_time(wire_len)).await;
             }
             src.tx_meter.record(sim.now(), payload.len() as u64);
-            src.tx_events.record(sim.now(), payload.len());
+            if let Some(log) = src.tx_log.borrow_mut().as_mut() {
+                log.push((sim.now(), payload.len()));
+            }
 
             // Loss is sampled per IP fragment: a datagram survives only
             // if every fragment does, so a multi-fragment UDP datagram
@@ -245,23 +250,53 @@ impl Nic {
         self.rx_meter.throughput_mbps()
     }
 
+    /// Starts this NIC's departure log: from now on every datagram that
+    /// finishes serializing is recorded with its payload size, for
+    /// [`Nic::tx_events`] and [`Nic::max_tx_gap`]. The log costs 16 bytes
+    /// per datagram for the rest of the run, so only a NIC whose owner
+    /// reads it asks: the fleet's calibration probe and the single-client
+    /// scenario worlds. Asking again keeps what is logged.
+    pub fn log_departures(&self) {
+        self.tx_log.borrow_mut().get_or_insert_with(Vec::new);
+    }
+
     /// Departure log: when each datagram finished serializing, with its
     /// payload size — the on-the-wire view of client behaviour.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the NIC never asked for a log ([`Nic::log_departures`]):
+    /// an empty answer would read as a silent wire.
     pub fn tx_events(&self) -> Vec<(SimTime, usize)> {
-        self.tx_events.samples()
+        self.with_log(<[_]>::to_vec)
     }
 
     /// Largest gap between consecutive datagram departures of at least
     /// `min_bytes` payload (`None` with fewer than two such departures).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the NIC never asked for a log, as [`Nic::tx_events`]
+    /// does.
     pub fn max_tx_gap(&self, min_bytes: usize) -> Option<SimDuration> {
-        let events: Vec<SimTime> = self
-            .tx_events
-            .samples()
-            .into_iter()
-            .filter(|(_, len)| *len >= min_bytes)
-            .map(|(t, _)| t)
-            .collect();
-        events.windows(2).map(|w| w[1].since(w[0])).max()
+        self.with_log(|log| {
+            let departures: Vec<SimTime> = log
+                .iter()
+                .filter(|(_, len)| *len >= min_bytes)
+                .map(|&(t, _)| t)
+                .collect();
+            departures.windows(2).map(|w| w[1].since(w[0])).max()
+        })
+    }
+
+    fn with_log<R>(&self, f: impl FnOnce(&[(SimTime, usize)]) -> R) -> R {
+        match self.tx_log.borrow().as_deref() {
+            Some(log) => f(log),
+            None => panic!(
+                "NIC {} keeps no departure log: call Nic::log_departures before the run",
+                self.name
+            ),
+        }
     }
 
     /// IP fragments generated by this NIC so far.
@@ -403,23 +438,67 @@ mod tests {
 mod trace_tests {
     use super::*;
 
-    #[test]
-    fn tx_events_record_departures() {
-        let sim = Sim::new();
-        let (a, _arx) = Nic::new(&sim, "a", NicSpec::gigabit());
-        let (b, brx) = Nic::new(&sim, "b", NicSpec::gigabit());
+    /// Sends three 1,000-byte datagrams from `a` to `b` and runs until
+    /// `b` has them.
+    fn send_three(sim: &Sim, a: &Rc<Nic>, b: &Rc<Nic>, brx: Receiver<DatagramPayload>) {
         for _ in 0..3 {
-            a.transmit(&b, SimDuration::from_micros(10), vec![0u8; 1000]);
+            a.transmit(b, SimDuration::from_micros(10), vec![0u8; 1000]);
         }
         sim.run_until(async move {
             for _ in 0..3 {
                 brx.recv().await.unwrap();
             }
         });
+    }
+
+    #[test]
+    fn tx_events_record_departures() {
+        let sim = Sim::new();
+        let (a, _arx) = Nic::new(&sim, "a", NicSpec::gigabit());
+        let (b, brx) = Nic::new(&sim, "b", NicSpec::gigabit());
+        a.log_departures();
+        send_three(&sim, &a, &b, brx);
         let events = a.tx_events();
         assert_eq!(events.len(), 3);
         assert!(events.windows(2).all(|w| w[1].0 >= w[0].0), "ordered");
         assert!(a.max_tx_gap(1).is_some());
         assert!(a.max_tx_gap(100_000).is_none(), "no big datagrams");
+        assert!(b.tx_log.borrow().is_none(), "only the NIC that asked logs");
+    }
+
+    #[test]
+    fn max_tx_gap_is_the_widest_spacing_of_large_departures() {
+        let sim = Sim::new();
+        let (a, _arx) = Nic::new(&sim, "a", NicSpec::gigabit());
+        let (b, brx) = Nic::new(&sim, "b", NicSpec::gigabit());
+        a.log_departures();
+        let s = sim.clone();
+        sim.run_until(async move {
+            for (at_us, len) in [(0, 5000), (40, 64), (100, 5000), (400, 5000)] {
+                s.sleep_until(SimTime(at_us * 1000)).await;
+                a.transmit(&b, SimDuration::ZERO, vec![0u8; len]);
+            }
+            for _ in 0..4 {
+                brx.recv().await.unwrap();
+            }
+            // Each 5,000-byte datagram serializes for the same time, so
+            // departure gaps equal send gaps: 100 µs, then 300 µs.
+            assert_eq!(a.max_tx_gap(4096), Some(SimDuration::from_micros(300)));
+            assert_eq!(a.max_tx_gap(1), Some(SimDuration::from_micros(300)));
+        });
+    }
+
+    #[test]
+    fn a_nic_that_never_asked_keeps_no_departure_log() {
+        let sim = Sim::new();
+        let (a, _arx) = Nic::new(&sim, "a", NicSpec::gigabit());
+        let (b, brx) = Nic::new(&sim, "b", NicSpec::gigabit());
+        send_three(&sim, &a, &b, brx);
+        assert_eq!(a.tx_bytes(), 3000, "the datagrams left");
+        assert!(a.tx_log.borrow().is_none(), "nothing kept per datagram");
+        let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| a.tx_events()));
+        assert!(read.is_err(), "reading a log never asked for panics");
+        let gap = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| a.max_tx_gap(1)));
+        assert!(gap.is_err(), "so does its gap");
     }
 }

@@ -738,19 +738,34 @@ impl Claim {
     /// A wait queue's or lock's waiter: `true` once its wake has come,
     /// freeing the entry (the handle is then empty); otherwise parks a
     /// waker from `waker_factory`, to be fired by the wake, and returns
-    /// `false`.
+    /// `false`. The check and the park are one slab visit, so the
+    /// factory runs while the slab is borrowed: it must only build a
+    /// waker (clone a task's, or make an executor one), never reach a
+    /// waiter, which would find the slab borrowed and panic. The waker
+    /// it replaces leaves the slab before it is dropped.
     pub(crate) fn poll_wake(&mut self, waker_factory: &mut dyn FnMut() -> Waker) -> bool {
         let Some(id) = self.0 else {
             return true;
         };
-        // A woken entry's waker was taken by its wake: `free` hands back
-        // nothing.
-        if slab(|s| s.get(id).woken().then(|| s.free(id))).is_none() {
-            self.park(waker_factory());
-            return false;
+        let mut replaced = None;
+        let woken = slab(|s| {
+            let e = s.get_mut(id);
+            if e.woken() {
+                // Its wake took the entry's waker: `free` hands back
+                // nothing.
+                let taken = s.free(id);
+                debug_assert!(taken.is_none());
+                true
+            } else {
+                replaced = e.waker.replace(waker_factory());
+                false
+            }
+        });
+        drop(replaced);
+        if woken {
+            self.0 = None;
         }
-        self.0 = None;
-        true
+        woken
     }
 
     /// Parks `waker` to be fired by the waiter's wake.

@@ -347,6 +347,13 @@ struct SimCore {
     /// Registered dispatch targets; an event stores only an index here
     /// plus a `u64` payload, so dispatch is one dynamic call.
     event_handlers: RefCell<Vec<Option<EventHandlerFn>>>,
+    /// Handlers cleared while a run is on the stack, dropped when the
+    /// outermost run returns: dispatch calls a handler through a pointer
+    /// borrowed from `event_handlers`, not a refcount, and a handler may
+    /// clear itself.
+    retired_handlers: RefCell<Vec<EventHandlerFn>>,
+    /// `run_until` calls on the stack.
+    runs: Cell<u32>,
     ready: Arc<ReadyQueue>,
     /// Count of tasks currently being polled; used to catch re-entrancy.
     polling: Cell<usize>,
@@ -369,6 +376,28 @@ impl SimCore {
         let total = self.events.get();
         profile::note_sim_events(total - self.events_credited.get());
         self.events_credited.set(total);
+    }
+}
+
+/// One `run_until` on the stack, counted in `SimCore::runs` until it
+/// returns or unwinds. The outermost one frees the handlers cleared
+/// during it.
+struct RunGuard<'a>(&'a SimCore);
+
+impl<'a> RunGuard<'a> {
+    fn enter(core: &'a SimCore) -> RunGuard<'a> {
+        core.runs.set(core.runs.get() + 1);
+        RunGuard(core)
+    }
+}
+
+impl Drop for RunGuard<'_> {
+    fn drop(&mut self) {
+        let runs = self.0.runs.get() - 1;
+        self.0.runs.set(runs);
+        if runs == 0 {
+            drop(std::mem::take(&mut *self.0.retired_handlers.borrow_mut()));
+        }
     }
 }
 
@@ -437,6 +466,8 @@ impl Sim {
                 direct_wakers: arena(),
                 direct_len: Cell::new(0),
                 event_handlers: RefCell::new(Vec::new()),
+                retired_handlers: RefCell::new(Vec::new()),
+                runs: Cell::new(0),
                 ready,
                 polling: Cell::new(0),
                 events: Cell::new(0),
@@ -527,7 +558,16 @@ impl Sim {
     /// or spawns finds the core unborrowed; whatever such a drop spawns
     /// is dropped in turn. The core itself is freed with the last `Sim`
     /// handle. The world cannot run again afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called from inside a run (a task or handler of this
+    /// world).
     pub fn teardown(&self) {
+        assert_eq!(self.core.runs.get(), 0, "teardown from inside a run");
+        drop(std::mem::take(
+            &mut *self.core.retired_handlers.borrow_mut(),
+        ));
         loop {
             let tasks = std::mem::take(&mut *self.core.tasks.borrow_mut());
             self.core.free_head.set(NO_SLOT);
@@ -673,6 +713,7 @@ impl Sim {
         F: Future<Output = T> + 'static,
     {
         let handle = self.spawn(main);
+        let _run = RunGuard::enter(&self.core);
         loop {
             self.drain_ready();
             if let Some(out) = handle.try_take() {
@@ -724,10 +765,7 @@ impl Sim {
         };
         self.core.event_free.borrow_mut().push(slot);
         self.core.events.set(self.core.events.get() + 1);
-        let h = self.core.event_handlers.borrow()[handler as usize].clone();
-        if let Some(h) = h {
-            h(data);
-        }
+        self.call_handler(handler, data);
     }
 
     /// Dispatches one direct ready entry: retires the event and runs the
@@ -737,10 +775,28 @@ impl Sim {
     fn dispatch_direct(&self, word: usize) {
         self.core.events.set(self.core.events.get() + 1);
         let handler = (word >> 32) as u32 & (DIRECT_HANDLER_MAX - 1);
-        let h = self.core.event_handlers.borrow()[handler as usize].clone();
-        if let Some(h) = h {
-            h(u64::from(word as u32));
-        }
+        self.call_handler(handler, u64::from(word as u32));
+    }
+
+    /// Runs registered handler `handler` on `data`, or nothing if it was
+    /// cleared. The call goes through a pointer borrowed from the
+    /// handler table, with no refcount traffic and no table borrow held,
+    /// so the handler may register handlers (moving the table, not the
+    /// closures) or clear any of them, itself included.
+    #[inline]
+    fn call_handler(&self, handler: u32, data: u64) {
+        let Some(h) = self.core.event_handlers.borrow()[handler as usize]
+            .as_ref()
+            .map(Rc::as_ptr)
+        else {
+            return;
+        };
+        // SAFETY: dispatch runs only inside `run_until`, and while a run
+        // is on the stack nothing drops a registered handler:
+        // `clear_event_handler` moves it to `retired_handlers`, freed
+        // when the outermost run returns, and `teardown` refuses to run
+        // inside a run. So the closure outlives this call.
+        unsafe { (*h)(data) }
     }
 
     /// Advances the clock to the next timer and wakes it.
@@ -838,9 +894,16 @@ impl Sim {
     /// Drops a registered handler (events already armed for it are
     /// silently discarded at dispatch). Subsystems that capture `Rc`
     /// cycles back into the simulation call this when they finish, so
-    /// their world can be reclaimed.
+    /// their world can be reclaimed. Cleared from inside a run (by a
+    /// task or by a handler, its own dispatch included), the handler is
+    /// dropped when the outermost run returns rather than at once.
     pub fn clear_event_handler(&self, id: EventHandlerId) {
-        self.core.event_handlers.borrow_mut()[id.0 as usize] = None;
+        let cleared = self.core.event_handlers.borrow_mut()[id.0 as usize].take();
+        if let Some(h) = cleared {
+            if self.core.runs.get() > 0 {
+                self.core.retired_handlers.borrow_mut().push(h);
+            }
+        }
     }
 
     /// Claims a free event slot and arms it with `(handler, data)`,
@@ -1512,6 +1575,69 @@ mod tests {
             s.sleep(SimDuration::from_nanos(200)).await;
         });
         assert!(log.borrow().is_empty());
+    }
+
+    #[test]
+    fn a_handler_outlives_its_own_dispatch_when_it_clears_itself() {
+        /// Flags its drop, so a handler freed mid-dispatch shows.
+        struct Guard(Rc<Cell<bool>>);
+        impl Drop for Guard {
+            fn drop(&mut self) {
+                self.0.set(true);
+            }
+        }
+        let sim = Sim::new();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let dropped = Rc::new(Cell::new(false));
+        let own_id = Rc::new(Cell::new(None));
+        let quitter = sim.register_event_handler(Rc::new({
+            let (s, log, own_id) = (sim.clone(), log.clone(), own_id.clone());
+            let guard = Guard(dropped.clone());
+            move |data| {
+                s.clear_event_handler(own_id.get().unwrap());
+                assert!(!guard.0.get(), "a cleared handler was freed mid-dispatch");
+                log.borrow_mut().push(("quitter", data));
+            }
+        }));
+        own_id.set(Some(quitter));
+        // Registers enough handlers mid-dispatch to move the table
+        // under the call, then posts to the last of them.
+        let spawner = sim.register_event_handler(Rc::new({
+            let (s, log) = (sim.clone(), log.clone());
+            move |data| {
+                let mut newest = None;
+                for _ in 0..64 {
+                    let log = log.clone();
+                    newest = Some(s.register_event_handler(Rc::new(move |d| {
+                        log.borrow_mut().push(("newcomer", d));
+                    })));
+                }
+                s.post_direct(newest.unwrap(), data as u32 + 1);
+                log.borrow_mut().push(("spawner", data));
+            }
+        }));
+        let s = sim.clone();
+        let still_held = dropped.clone();
+        sim.run_until(async move {
+            s.post_direct(quitter, 1);
+            s.post_direct(spawner, 10);
+            s.schedule_direct(SimTime(5), quitter, 2);
+            s.schedule_event(SimTime(6), quitter, 3);
+            s.sleep(SimDuration::from_nanos(10)).await;
+            assert!(!still_held.get(), "freed before the run returned");
+        });
+        assert!(
+            dropped.get(),
+            "the cleared handler is freed when the run returns"
+        );
+        assert_eq!(
+            *log.borrow(),
+            vec![("quitter", 1), ("spawner", 10), ("newcomer", 11)]
+        );
+        // As with a refcounted dispatch: the run task's two polls, the
+        // sleep's fire, three live dispatches, and a fire plus a
+        // discarded dispatch for each timer left to the cleared handler.
+        assert_eq!(sim.events(), 2 + 1 + 3 + 2 * 2);
     }
 
     #[test]

@@ -43,7 +43,6 @@ pub use executor::{
 };
 pub use metrics::{
     mbps, mean, percentile, ByteMeter, Counter, Histogram, LatencyDigest, ProfileRow, Profiler,
-    Trace,
 };
 pub use rng::SimRng;
 pub use runner::{default_jobs, run_cells, Cell};

@@ -1,10 +1,7 @@
-//! Measurement infrastructure: counters, traces, histograms and a
-//! profiler.
+//! Measurement infrastructure: counters, histograms and a profiler.
 //!
 //! These mirror the instruments the paper uses on the real kernel:
 //!
-//! - [`Trace`] ↔ `do_gettimeofday()` timestamps logged around a code
-//!   section (Figures 2–4 are latency-vs-call-count traces),
 //! - [`Histogram`] ↔ the latency histograms of Figures 5 and 6,
 //! - [`Profiler`] ↔ the sample-driven kernel execution profiler used to
 //!   find `nfs_find_request` and the BKL text section,
@@ -48,63 +45,6 @@ impl Counter {
     /// Resets to zero.
     pub fn reset(&self) {
         self.value.set(0);
-    }
-}
-
-/// A time-stamped sample trace.
-///
-/// Records `(when, value)` pairs; the figure runners use it for per-call
-/// latency traces.
-pub struct Trace<T> {
-    samples: RefCell<Vec<(SimTime, T)>>,
-}
-
-impl<T> Default for Trace<T> {
-    fn default() -> Self {
-        Trace {
-            samples: RefCell::new(Vec::new()),
-        }
-    }
-}
-
-impl<T: Clone> Trace<T> {
-    /// Creates an empty trace.
-    pub fn new() -> Trace<T> {
-        Trace::default()
-    }
-
-    /// Appends a sample.
-    pub fn record(&self, at: SimTime, value: T) {
-        self.samples.borrow_mut().push((at, value));
-    }
-
-    /// Copies out all samples.
-    pub fn samples(&self) -> Vec<(SimTime, T)> {
-        self.samples.borrow().clone()
-    }
-
-    /// Copies out only the values, in record order.
-    pub fn values(&self) -> Vec<T> {
-        self.samples
-            .borrow()
-            .iter()
-            .map(|(_, v)| v.clone())
-            .collect()
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.borrow().len()
-    }
-
-    /// Returns `true` if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Discards all samples.
-    pub fn clear(&self) {
-        self.samples.borrow_mut().clear();
     }
 }
 
@@ -497,17 +437,6 @@ mod tests {
         assert_eq!(c.get(), 5);
         c.reset();
         assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn trace_records_in_order() {
-        let t = Trace::new();
-        t.record(SimTime(1), 10u32);
-        t.record(SimTime(2), 20u32);
-        assert_eq!(t.values(), vec![10, 20]);
-        assert_eq!(t.len(), 2);
-        t.clear();
-        assert!(t.is_empty());
     }
 
     #[test]

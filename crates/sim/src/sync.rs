@@ -121,7 +121,10 @@ pub struct WaitFuture(Claim);
 impl WaitFuture {
     /// Returns `true` once the wake reached this waiter; otherwise parks
     /// the waker `waker_factory` builds, to be fired by the wake, and
-    /// returns `false`. Poll-style (taskless) callers use this instead
+    /// returns `false`. The check and the park are one visit to the
+    /// waiter slab, and the factory is called inside it, only to park:
+    /// it must build a waker and do nothing else with the simulator's
+    /// waiters. Poll-style (taskless) callers use this instead
     /// of `await`, and when the waker fires they call it again and
     /// re-check the guarded predicate, exactly like a task would after
     /// its poll.

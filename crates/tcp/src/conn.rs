@@ -24,9 +24,9 @@
 //! operation's cost grows with the queued backlog. The send buffer is a
 //! ring holding `[snd_una, snd_end)`: a cumulative ACK drops only the
 //! bytes it acknowledges. Each data segment is written from the ring's
-//! slices, behind its header, into a pooled wire buffer
-//! (`nfsperf_net::pool_get`) that the receiving endpoint returns to the
-//! pool. Received segments are views borrowed from their datagram: only
+//! slices, behind its header, into a segment-sized pooled wire buffer
+//! (`nfsperf_net::pool_get_for`) that the receiving endpoint returns to
+//! the pool. Received segments are views borrowed from their datagram: only
 //! out-of-order data is copied aside, in-order bytes go straight to the
 //! receive buffer, and [`TcpConn::recv_into`] hands that buffer over by
 //! swapping it with an empty one.
@@ -35,7 +35,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-use nfsperf_net::{pool_get, Path};
+use nfsperf_net::{pool_get_for, Path};
 use nfsperf_sim::{select2, Counter, Either, Sim, SimDuration, SimTime, WaitQueue};
 
 use crate::segment::{write_header, Segment, FLAG_ACK, FLAG_FIN, FLAG_RST, FLAG_SYN, HEADER_LEN};
@@ -399,12 +399,13 @@ impl TcpConn {
     /// Transmits `len` buffered bytes, starting `off` bytes past
     /// `snd_una`, as one data segment with sequence number `seq`. The bytes
     /// are copied from the ring straight into a pooled wire buffer behind
-    /// the header.
+    /// the header. The buffer is segment-sized (`pool_get_for`): a window
+    /// of segments is in flight per connection, and a WRITE-sized buffer
+    /// under each would pin over five times the bytes it carries.
     fn send_data(&self, seq: u64, off: usize, len: usize) {
         self.counters.segments_sent.inc();
         self.counters.data_segments_sent.inc();
-        let mut wire = pool_get();
-        wire.reserve(HEADER_LEN + len);
+        let mut wire = pool_get_for(HEADER_LEN + len);
         write_header(&mut wire, self.id, seq, self.rcv_nxt.get(), FLAG_ACK);
         {
             let buf = self.snd_buf.borrow();

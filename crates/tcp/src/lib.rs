@@ -285,4 +285,68 @@ mod tests {
         assert_eq!(a.0, b.0, "elapsed time diverged");
         assert_eq!(a.1, b.1, "transport stats diverged");
     }
+
+    #[test]
+    fn a_full_segment_fills_the_pools_segment_class_exactly() {
+        let mss = TcpConfig::for_mtu(1500).mss;
+        assert_eq!(crate::segment::HEADER_LEN + mss, nfsperf_net::SEGMENT_BYTES);
+    }
+
+    #[test]
+    fn data_segments_travel_in_segment_sized_buffers() {
+        // Only WRITE-sized buffers in the pool: a segment that drew from
+        // it would carry 1,472 bytes in an 8 KiB allocation.
+        for _ in 0..64 {
+            nfsperf_net::pool_put(Vec::with_capacity(8 << 10));
+        }
+        let sim = Sim::new();
+        let (client_nic, client_rx) = Nic::new(&sim, "client", NicSpec::gigabit());
+        let (server_nic, server_rx) = Nic::new(&sim, "server", NicSpec::gigabit());
+        let c2s = Path::new(client_nic, server_nic, Path::default_latency());
+        let s2c = c2s.reversed();
+        let config = TcpConfig::for_mtu(1500);
+        let most = config.mss + crate::segment::HEADER_LEN;
+        let client = TcpEndpoint::new(&sim, c2s, client_rx, config.clone());
+        // Every datagram the server NIC receives passes the capacity
+        // check on its way to the server endpoint.
+        let (relay_tx, relay_rx) = nfsperf_sim::channel();
+        let server = TcpEndpoint::new(&sim, s2c, relay_rx, config);
+        let seen = Rc::new(std::cell::Cell::new((0, 0)));
+        sim.spawn_detached({
+            let seen = Rc::clone(&seen);
+            async move {
+                while let Some(datagram) = server_rx.recv().await {
+                    if datagram.len() > crate::segment::HEADER_LEN {
+                        let (n, widest) = seen.get();
+                        seen.set((n + 1, widest.max(datagram.capacity())));
+                    }
+                    relay_tx.send(datagram);
+                }
+            }
+        });
+        let size = 64 * 1024;
+        let data = payload(size);
+        let server_task = sim.spawn({
+            let server = Rc::clone(&server);
+            async move {
+                let conn = server.accept().await.unwrap();
+                recv_exactly(&conn, size).await
+            }
+        });
+        let received = sim.run_until(async move {
+            let conn = client.connect().await.unwrap();
+            conn.send(&data).unwrap();
+            server_task.await
+        });
+        assert_eq!(received.len(), size);
+        let (data_segments, widest) = seen.get();
+        assert!(
+            data_segments >= size / most,
+            "{data_segments} data segments"
+        );
+        assert!(
+            widest <= most,
+            "a data segment's buffer holds {widest} bytes (header + MSS = {most})"
+        );
+    }
 }

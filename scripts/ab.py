@@ -6,6 +6,9 @@
     python3 scripts/ab.py BASE_REV --exhibit figures --pairs 3
     python3 scripts/ab.py BASE_REV --exhibit fleet --pairs 5
     python3 scripts/ab.py BASE_REV --exhibit transport --pairs 5
+    python3 scripts/ab.py BASE_REV --exhibit qos --pairs 3
+    python3 scripts/ab.py BASE_REV --exhibit netqos --pairs 3
+    python3 scripts/ab.py BASE_REV --exhibit cawl --pairs 3
 
 Exports BASE_REV with `git archive` into a temporary directory; the change
 side is this checkout's working tree, which must not be edited while the
@@ -33,9 +36,10 @@ line is the same table as one JSON object.
 ``--exhibit NAME`` measures a committed exhibit end to end instead: it
 builds both trees' ``nfsperf`` binaries and runs the exhibit's full
 command (``nfsperf megafleet --jobs 2``; ``nfsperf figures --jobs 2``
-for the paper's nine figure and table CSVs; ``nfsperf fleet --jobs 2``;
-``nfsperf transport --jobs 2``) once per side per pair, alternating
-which side goes first, timing each process's wall clock and reading its
+for the paper's nine figure and table CSVs; ``nfsperf fleet``,
+``transport``, ``qos``, ``netqos`` or ``cawl``, each with ``--jobs 2``)
+once per side per pair, alternating which side goes first, timing each
+process's wall clock and reading its
 peak resident set (``ru_maxrss``) from ``os.wait4``. Each run writes
 into its own temporary ``--out``, and every file it writes must equal
 this checkout's committed ``results/<name>`` byte for byte, with none
@@ -70,6 +74,9 @@ EXHIBITS = {
                 [f"figure{i}.csv" for i in range(1, 8)] + ["table1.csv", "slow_server.csv"], True),
     "fleet": (["fleet", "--jobs", "2"], ["fleet.csv"], False),
     "transport": (["transport", "--jobs", "2"], ["transport.csv"], False),
+    "qos": (["qos", "--jobs", "2"], ["qos.csv"], False),
+    "netqos": (["netqos", "--jobs", "2"], ["netqos.csv"], False),
+    "cawl": (["cawl", "--jobs", "2"], ["cawl.csv"], False),
 }
 
 

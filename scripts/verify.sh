@@ -53,6 +53,13 @@ echo "==> queued WRITE heap bytes (peak-tracking global allocator, release)"
 # at four times the budget.
 cargo test -q --release --offline -p nfsperf-bonnie --test queued_write_bytes
 
+echo "==> TCP/DRR fleet heap high-water (peak-tracking global allocator, release)"
+# Eight 100bT clients write 16 MiB each over TCP into a DRR knfsd. The
+# heap's peak per client must stay within the committed budget: a NIC
+# that logs every departure for the whole run, or a TCP segment that
+# pins a WRITE-sized pool buffer, lands above it.
+cargo test -q --release --offline -p nfsperf-bonnie --test tcp_drr_heap_peak
+
 echo "==> benchmark world equivalence (simbench worlds vs the experiment runners)"
 # simbench is its own workspace, so the workspace tests above skip it.
 # Its suite holds each hand-built benchmark world to the same simulated
