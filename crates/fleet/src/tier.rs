@@ -17,12 +17,12 @@
 //! client's jittered start instant, not by client id (see
 //! `start_order`). Launch applies every client's first emission while
 //! it writes the slab, but takes no RPC record: a client's first record
-//! is created when its start timer fires, so records, and their waker
-//! entries, also come into being in start order. The launch shadows are
-//! one fresh range of task slots, the one at slab position `p` being
-//! `base + p`. At a million clients a time-ordered walk over 64 MiB of
-//! clients and 64 MiB of records is then a nearly sequential one, where
-//! a walk in id order stalled on memory at every step. Nothing simulated
+//! is created when its start timer fires, so records also come into
+//! being in start order. The launch shadows are one fresh range of task
+//! slots, the one at slab position `p` being `base + p`. At a million
+//! clients a time-ordered walk over 64 MiB of clients and 56 MiB of
+//! records is then a nearly sequential one, where a walk in id order
+//! stalled on memory at every step. Nothing simulated
 //! depends on where a record lives: launch still posts in client-id
 //! order, and flow ids, server ids and RNG streams are the client id's.
 //!
@@ -30,15 +30,16 @@
 //! at least one RPC in flight until its last reply, so a megafleet holds
 //! one RPC record per client for its whole run, and at the server's
 //! knee nearly all of them queue inside the server at once. Each one
-//! costs a 64-byte `FlyRpc`, whose one hop field holds the lane's
+//! costs a 56-byte `FlyRpc`, whose one hop field holds the lane's
 //! admission scratch in the fabric and the server's 32-byte
-//! [`FlyweightOp`] inside the server; a 16-byte executor waker entry; a
-//! shadow task slot; one 8-byte ready-queue word or 24-byte wheel entry
-//! (kept by value in a pooled block) while it waits on the executor (its
-//! posts and stage timers are direct dispatches, which arm no event
-//! slot); and, queued at the core uplink
-//! or inside the server, a 24-byte entry in the thread's arbiter ticket
-//! slab plus its 4-byte id in the queue.
+//! [`FlyweightOp`] inside the server; a shadow task slot; one 8-byte
+//! ready-queue word or 16-byte wheel entry (kept by value in a pooled
+//! block) while it waits on the executor (its posts and stage timers
+//! are direct dispatches, which arm no event slot, and its parks hand
+//! out direct wakers, which are the dispatch word itself and keep no
+//! executor entry); and, queued at the core uplink or inside the
+//! server, a 24-byte entry in the thread's arbiter ticket slab plus its
+//! 4-byte id in the queue.
 //! [`FlyTier::bytes_per_client`] counts none of these; the
 //! `resident_bytes` test measures the whole world's heap high-water mark
 //! per client with a counting allocator.
@@ -54,9 +55,7 @@ use std::rc::Rc;
 
 use nfsperf_net::{wire_bytes, Fabric, LaneAdmit, LinkDir, NicSpec};
 use nfsperf_server::{FlyStep, FlyweightOp, NfsServer, OpClass};
-use nfsperf_sim::{
-    mbps, DirectWakerId, EventHandlerId, Gate, LatencyDigest, Sim, SimDuration, SimTime,
-};
+use nfsperf_sim::{mbps, EventHandlerId, Gate, LatencyDigest, Sim, SimDuration, SimTime};
 
 use crate::model::{splitmix64, BehaviorModel, FlyOp};
 
@@ -208,7 +207,7 @@ enum RpcStage {
 /// "No record" marker for the slab free list.
 const NONE: u32 = u32::MAX;
 
-/// One in-flight event-driven RPC: one 64-byte record holding its
+/// One in-flight event-driven RPC: one 56-byte record holding its
 /// client, its stage, and the wait state of the hop it is on, in the
 /// fabric or in the server (its queued arbiter ticket lives in the
 /// thread's ticket slab, its timer on the executor's wheel). Records
@@ -240,11 +239,6 @@ struct FlyRpc {
     /// megafleet CSVs and the benchmark's `simbench/digests.json`, and
     /// go when those are rebaselined.
     shadow: u32,
-    /// Direct waker dispatching `step(record index)`, reserved once when
-    /// the record first exists and used by every park of every RPC that
-    /// ever occupies it (the index never changes): parking builds the
-    /// waker from the id, waking is one ready-queue push.
-    waker: DirectWakerId,
 }
 
 /// Where an RPC waits: in the fabric or in the server, never both, so
@@ -487,8 +481,8 @@ impl FlyTier {
     /// A client's first RPC, at slab position `p`: waits for the start
     /// instant applied at launch, as [`RpcStage::Start`] does for later
     /// emissions (the same post, timer and dispatch), then takes a record
-    /// and launches it. So records, and their waker entries, come into
-    /// being in start order, and launch writes none.
+    /// and launches it. So records come into being in start order, and
+    /// launch writes none.
     fn start(self: &Rc<Self>, p: u32) {
         let at = SimTime(self.slab.borrow()[p as usize].first_emit);
         if at > self.sim.now() {
@@ -511,16 +505,6 @@ impl FlyTier {
             emitted_at: at,
             hop: Hop::Lane(LaneAdmit::start(at)),
             shadow,
-            waker: match rpcs.free_head {
-                NONE => {
-                    // Reserved once per record; the index (the waker's
-                    // payload) never changes, so every later RPC in this
-                    // slot reuses it.
-                    let r = rpcs.slots.len() as u32;
-                    self.sim.reserve_direct_waker(self.handler.get(), r)
-                }
-                head => rpcs.slots[head as usize].waker,
-            },
         };
         match rpcs.free_head {
             NONE => {
@@ -559,12 +543,13 @@ impl FlyTier {
         let h = self.handler.get();
         let mut rpcs = self.rpcs.borrow_mut();
         let rpc = &mut rpcs.slots[r as usize];
-        // Every park hands out the record's direct waker: no slab arm,
-        // no generation — safe because each park is woken at most once
+        // Every park hands out a direct waker for `step(r)`, built on the
+        // spot from the record index: no slab arm, no generation, no
+        // stored state — safe because each park is woken at most once
         // and the record cannot advance past the parked stage until that
         // wake dispatches.
-        let (sim, waker) = (&self.sim, rpc.waker);
-        let mut wf = move || sim.direct_waker(waker);
+        let sim = &self.sim;
+        let mut wf = move || sim.direct_waker(h, r);
         let id = self.ids[rpc.idx as usize];
         let flow = self.fabric_base + id;
         loop {
@@ -1116,10 +1101,10 @@ mod tests {
             "FlyClient grew to {} bytes",
             std::mem::size_of::<FlyClient>()
         );
-        assert!(
-            std::mem::size_of::<FlyRpc>() <= 64,
-            "FlyRpc grew to {} bytes",
-            std::mem::size_of::<FlyRpc>()
+        assert_eq!(
+            std::mem::size_of::<FlyRpc>(),
+            56,
+            "FlyRpc is a 56-byte record"
         );
         let (tier, _server) = run_tier(10_000, 2);
         let per = tier.bytes_per_client();

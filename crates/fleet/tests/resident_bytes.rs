@@ -4,8 +4,8 @@
 //! `FlyTier::bytes_per_client` counts the per-client slab and the tier's
 //! shared state only. A running tier also holds each client's 4-byte id
 //! (the slab is in start order) and, for every RPC in flight, its
-//! record (the server-side op included), its direct waker, its shadow
-//! task slot, its ready-queue and wheel words, and its lane and
+//! record (the server-side op included), its shadow task slot, its
+//! ready-queue and wheel words, and its lane and
 //! server-queue tickets. At megafleet scale every client has an RPC
 //! in flight at once, so those are per-client costs too. This harness wraps the
 //! system allocator with a live-byte counter and its high-water mark and
@@ -71,14 +71,16 @@ static COUNTER: PeakAlloc = PeakAlloc;
 /// client, the executor's task table one per client plus the world's
 /// own few dozen. At exactly 2^16 clients that table passes 2^16
 /// entries and doubles to 2^17; this counter would charge that
-/// never-touched capacity to the clients (278 B each instead of 247).
-/// The timer wheel keeps its 24-byte entries 21 to a 512-byte block,
+/// never-touched capacity to the clients (252 B each instead of 221).
+/// The timer wheel keeps its 16-byte entries 31 to a 504-byte block,
 /// so its pool is far from a doubling at either count.
 const CLIENTS: u32 = 65_280;
 
 /// High-water heap bytes per flyweight client the whole world may hold:
-/// the world reads 247, and the budget leaves under 4% above that.
-const BUDGET: usize = 256;
+/// the world reads 221, and the budget leaves 5% above that. With a
+/// 16-byte arena entry per direct waker and a sequence number in every
+/// wheel entry, it read 246.
+const BUDGET: usize = 232;
 
 #[test]
 fn flyweight_world_peak_heap_per_client_within_budget() {

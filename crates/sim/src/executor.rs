@@ -6,7 +6,8 @@
 //! never enters the model. Determinism is guaranteed by:
 //!
 //! - a FIFO ready queue (tasks run in wake order),
-//! - a timer heap ordered by `(deadline, insertion sequence)`, and
+//! - timers that fire by deadline, equal deadlines in registration
+//!   order, and
 //! - a seeded pseudo-random number generator ([`crate::rng::SimRng`]).
 //!
 //! The design mirrors classical process-oriented simulation: each simulated
@@ -26,8 +27,9 @@
 //! - pending timers live in a hierarchical timer wheel
 //!   ([`crate::wheel::TimerWheel`]) instead of a binary heap: `O(1)`
 //!   registration, `O(levels)` pops, and the exact
-//!   `(deadline, registration-seq)` firing order the heap gave. Each
-//!   timer is one ready-queue word (see [`Sim::register_timer`]).
+//!   `(deadline, registration-seq)` firing order the heap gave, kept by
+//!   FIFO slot chains with no stored sequence number. Each timer is one
+//!   ready-queue word (see [`Sim::register_timer`]).
 
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::collections::VecDeque;
@@ -149,17 +151,19 @@ impl ReadyQueue {
     }
 }
 
-/// Backing data for every waker this executor hands out: the ready-queue
-/// word to push and the queue to push it on. One vtable serves all three
-/// waker kinds, which differ only in the word:
+/// Backing data for the task and event wakers this executor hands out:
+/// the ready-queue word to push and the queue to push it on. One vtable
+/// serves both kinds, which differ only in the word:
 ///
 /// - a task slot's entry holds its slot id, fixed for the core's life;
 /// - an event slot's entry holds [`encode_event`] of the slot and the
 ///   generation current at arm time, refreshed by every arm, so a wake
 ///   that races a completed or cancelled arm pushes a stale generation
-///   and is dropped at dispatch;
-/// - a direct entry holds a fully encoded [`encode_direct`] word, so
-///   waking is a single push with nothing to free at dispatch.
+///   and is dropped at dispatch.
+///
+/// These wakers name their queue because code outside a run may wake
+/// them (a `JoinHandle`'s output, a channel fed between runs). Direct
+/// wakers need no entry: see [`Sim::direct_waker`].
 ///
 /// Entries live in [`WakerArena`]s owned by the core, so the vtable is
 /// entirely free of reference counting: `clone` copies the data
@@ -171,10 +175,9 @@ impl ReadyQueue {
 /// are only cloned, woken, and dropped on the core's own thread, and
 /// never outlive the core — every holder (the timer wheel, wait nodes,
 /// join states) lives inside a structure of the same simulated world.
-/// An event waker must be woken at most once per arm, and a direct
-/// waker at most once per park, which every primitive in [`crate::sync`]
-/// (and the lane/server ticket handshakes built on the same shape)
-/// guarantees.
+/// An event waker must be woken at most once per arm, which every
+/// primitive in [`crate::sync`] (and the lane/server ticket handshakes
+/// built on the same shape) guarantees.
 struct WakerEntry {
     word: Cell<usize>,
     ready: *const ReadyQueue,
@@ -193,6 +196,53 @@ static WAKER_VTABLE: RawWakerVTable = RawWakerVTable::new(
         (*e.ready).push(e.word.get());
     },
     // drop: no-op.
+    |_| {},
+);
+
+thread_local! {
+    /// The ready queue of the world whose run is innermost on this
+    /// thread (null outside every run), where a direct waker's word goes.
+    /// Set and restored by [`ReadyScope`].
+    static CURRENT_READY: Cell<*const ReadyQueue> = const { Cell::new(std::ptr::null()) };
+}
+
+/// Makes a world's ready queue this thread's [`CURRENT_READY`] for the
+/// guard's life, then restores the one it replaced, so a run nested in
+/// another world's run hands the thread back to the outer world.
+struct ReadyScope(*const ReadyQueue);
+
+impl ReadyScope {
+    fn enter(ready: &ReadyQueue) -> ReadyScope {
+        ReadyScope(CURRENT_READY.replace(ready))
+    }
+}
+
+impl Drop for ReadyScope {
+    fn drop(&mut self) {
+        CURRENT_READY.set(self.0);
+    }
+}
+
+/// Pushes a direct waker's word onto the current world's ready queue.
+fn wake_direct(data: *const ()) {
+    let ready = CURRENT_READY.get();
+    assert!(
+        !ready.is_null(),
+        "direct waker woken with no run on this thread"
+    );
+    // SAFETY: a non-null `CURRENT_READY` is the queue of a world whose
+    // run (or teardown) is on this thread's stack, which keeps its core,
+    // and so the queue, alive until the scope restores the pointer.
+    unsafe { (*ready).push(data.addr()) };
+}
+
+/// The vtable of [`Sim::direct_waker`]: the waker's data pointer *is*
+/// the [`encode_direct`] word, so there is nothing to clone or drop, and
+/// a wake pushes the word onto whichever world is running on the thread.
+static DIRECT_VTABLE: RawWakerVTable = RawWakerVTable::new(
+    |data| RawWaker::new(data, &DIRECT_VTABLE),
+    wake_direct,
+    wake_direct,
     |_| {},
 );
 
@@ -276,11 +326,6 @@ pub struct EventHandlerId(u32);
 /// A registered dispatch target: called with each armed event's payload.
 pub type EventHandlerFn = Rc<dyn Fn(u64)>;
 
-/// A direct waker reserved by [`Sim::reserve_direct_waker`]: four bytes
-/// a caller keeps per record instead of a 16-byte [`Waker`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DirectWakerId(u32);
-
 /// Handle to one armed slab event.
 ///
 /// A `ScheduledEvent` is a `(slot, generation)` pair: dispatching or
@@ -316,7 +361,6 @@ const NO_SLOT: usize = usize::MAX;
 
 struct SimCore {
     now: Cell<SimTime>,
-    timer_seq: Cell<u64>,
     /// Pending timers, each the ready-queue word its firing produces: a
     /// task slot id, an [`encode_event`] snapshot, or an
     /// [`encode_direct`] dispatch.
@@ -338,12 +382,6 @@ struct SimCore {
     event_slots: RefCell<Vec<EventSlot>>,
     event_free: RefCell<Vec<u32>>,
     event_wakers: RefCell<WakerArena>,
-    /// Entries reserved by [`Sim::reserve_direct_waker`], densely from
-    /// index 0 (`direct_len` is the next), sized by the callers' own slab
-    /// growth (one per flyweight RPC record), so it stops growing when
-    /// they do.
-    direct_wakers: RefCell<WakerArena>,
-    direct_len: Cell<u32>,
     /// Registered dispatch targets; an event stores only an index here
     /// plus a `u64` payload, so dispatch is one dynamic call.
     event_handlers: RefCell<Vec<Option<EventHandlerFn>>>,
@@ -377,26 +415,55 @@ impl SimCore {
         profile::note_sim_events(total - self.events_credited.get());
         self.events_credited.set(total);
     }
+
+    /// Drops every task, pending timer and event handler (see
+    /// [`Sim::teardown`]), with this world's ready queue the thread's
+    /// current one, so a drop that wakes a direct waker pushes onto it;
+    /// the queue is cleared last.
+    fn clear(&self) {
+        let _ready = ReadyScope::enter(&self.ready);
+        drop(std::mem::take(&mut *self.retired_handlers.borrow_mut()));
+        loop {
+            let tasks = std::mem::take(&mut *self.tasks.borrow_mut());
+            self.free_head.set(NO_SLOT);
+            let timers = std::mem::take(&mut *self.timers.borrow_mut());
+            let handlers = std::mem::take(&mut *self.event_handlers.borrow_mut());
+            if tasks.is_empty() && handlers.is_empty() {
+                break;
+            }
+            drop((tasks, timers, handlers));
+        }
+        self.ready.clear();
+    }
 }
 
 /// One `run_until` on the stack, counted in `SimCore::runs` until it
-/// returns or unwinds. The outermost one frees the handlers cleared
-/// during it.
-struct RunGuard<'a>(&'a SimCore);
+/// returns or unwinds, with the world's ready queue the thread's current
+/// one meanwhile. The outermost one frees the handlers cleared during
+/// it.
+struct RunGuard<'a> {
+    core: &'a SimCore,
+    _ready: ReadyScope,
+}
 
 impl<'a> RunGuard<'a> {
     fn enter(core: &'a SimCore) -> RunGuard<'a> {
         core.runs.set(core.runs.get() + 1);
-        RunGuard(core)
+        RunGuard {
+            core,
+            _ready: ReadyScope::enter(&core.ready),
+        }
     }
 }
 
 impl Drop for RunGuard<'_> {
     fn drop(&mut self) {
-        let runs = self.0.runs.get() - 1;
-        self.0.runs.set(runs);
+        let runs = self.core.runs.get() - 1;
+        self.core.runs.set(runs);
         if runs == 0 {
-            drop(std::mem::take(&mut *self.0.retired_handlers.borrow_mut()));
+            drop(std::mem::take(
+                &mut *self.core.retired_handlers.borrow_mut(),
+            ));
         }
     }
 }
@@ -405,6 +472,7 @@ impl Drop for SimCore {
     fn drop(&mut self) {
         // Backstop for events retired outside any `run_until` call.
         self.flush_events_to_profiler();
+        self.clear();
     }
 }
 
@@ -455,7 +523,6 @@ impl Sim {
         Sim {
             core: Rc::new(SimCore {
                 now: Cell::new(SimTime::ZERO),
-                timer_seq: Cell::new(0),
                 timers: RefCell::new(TimerWheel::new()),
                 tasks: RefCell::new(Vec::new()),
                 task_wakers: arena(),
@@ -463,8 +530,6 @@ impl Sim {
                 event_slots: RefCell::new(Vec::new()),
                 event_free: RefCell::new(Vec::new()),
                 event_wakers: arena(),
-                direct_wakers: arena(),
-                direct_len: Cell::new(0),
                 event_handlers: RefCell::new(Vec::new()),
                 retired_handlers: RefCell::new(Vec::new()),
                 runs: Cell::new(0),
@@ -510,8 +575,8 @@ impl Sim {
     }
 
     /// Registers a timer that produces the ready-queue `word` when it
-    /// fires, in `(deadline, registration-seq)` order with every other
-    /// timer.
+    /// fires: by deadline, after every timer registered before it for
+    /// the same deadline.
     ///
     /// An event timer stores the [`encode_event`] snapshot of its arm,
     /// never the slot's waker: the slot's waker entry holds the generation
@@ -519,12 +584,10 @@ impl Sim {
     /// cancelled arm would otherwise resurrect whatever event occupies the
     /// slot next (the ABA the generation counter exists to prevent).
     fn push_timer(&self, deadline: SimTime, word: usize) {
-        let seq = self.core.timer_seq.get();
-        self.core.timer_seq.set(seq + 1);
         self.core
             .timers
             .borrow_mut()
-            .push(deadline.as_nanos(), seq, word);
+            .push(deadline.as_nanos(), word);
     }
 
     /// Returns a future that completes after `dur` of simulated time.
@@ -565,20 +628,7 @@ impl Sim {
     /// world).
     pub fn teardown(&self) {
         assert_eq!(self.core.runs.get(), 0, "teardown from inside a run");
-        drop(std::mem::take(
-            &mut *self.core.retired_handlers.borrow_mut(),
-        ));
-        loop {
-            let tasks = std::mem::take(&mut *self.core.tasks.borrow_mut());
-            self.core.free_head.set(NO_SLOT);
-            let timers = std::mem::take(&mut *self.core.timers.borrow_mut());
-            let handlers = std::mem::take(&mut *self.core.event_handlers.borrow_mut());
-            if tasks.is_empty() && handlers.is_empty() {
-                break;
-            }
-            drop((tasks, timers, handlers));
-        }
-        self.core.ready.clear();
+        self.core.clear();
     }
 
     /// A weak handle to this simulator's core.
@@ -1000,38 +1050,30 @@ impl Sim {
         (ev, waker_for(entry))
     }
 
-    /// Reserves a reusable waker that dispatches `handler(data)` each
-    /// time it is woken — the zero-state spelling of [`Sim::event_waker`]
-    /// for callers whose parks are woken exactly once and never cancelled
-    /// (the flyweight tier's admission and service waits). The word is
-    /// encoded once; waking is a single ready-queue push and dispatch
-    /// touches no slab. [`Sim::direct_waker`] builds the waker from the
-    /// returned id on demand, for every park over the id's lifetime.
+    /// A waker that dispatches `handler(data)` each time it is woken —
+    /// the zero-state spelling of [`Sim::event_waker`] for callers whose
+    /// parks are woken exactly once and never cancelled (the flyweight
+    /// tier's admission and service waits). The waker's data *is* the
+    /// encoded `(handler, data)` word: building one allocates nothing,
+    /// keeps no entry and counts no references, waking is a single
+    /// ready-queue push, and dispatch touches no slab.
     ///
-    /// Reserve once per caller-side slot and keep the id: the backing
-    /// store is append-only (it must outlive every waker), so each call
-    /// costs one 16-byte entry for the simulator's life.
-    pub fn reserve_direct_waker(&self, handler: EventHandlerId, data: u32) -> DirectWakerId {
-        let handler = direct_handler(handler);
-        let id = self.core.direct_len.get();
-        self.core
-            .direct_len
-            .set(id.checked_add(1).expect("direct waker ids are 32-bit"));
-        let mut wakers = self.core.direct_wakers.borrow_mut();
-        wakers
-            .get_or_init(id as usize, |_| 0)
-            .word
-            .set(encode_direct(handler, data));
-        DirectWakerId(id)
-    }
-
-    /// The waker of a direct entry reserved by
-    /// [`Sim::reserve_direct_waker`]. Building it allocates nothing and
-    /// counts no references.
+    /// A wake pushes the word onto the ready queue of the world running
+    /// on the waking thread (the innermost `run_until`, or a
+    /// [`Sim::teardown`]), so wake it only from inside this world's run:
+    /// a task, a handler, or a drop during its teardown.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handler id does not fit a direct word's 30 bits.
+    /// Waking the waker panics if no world is running on the thread.
     #[inline]
-    pub fn direct_waker(&self, id: DirectWakerId) -> Waker {
-        let wakers = self.core.direct_wakers.borrow();
-        waker_for(wakers.get(id.0 as usize).expect("reserved direct waker"))
+    pub fn direct_waker(&self, handler: EventHandlerId, data: u32) -> Waker {
+        let word = encode_direct(direct_handler(handler), data);
+        let raw = RawWaker::new(std::ptr::without_provenance(word), &DIRECT_VTABLE);
+        // SAFETY: the vtable reads only the word and the thread's
+        // current ready queue; see `wake_direct`.
+        unsafe { Waker::from_raw(raw) }
     }
 
     /// Cancels an armed event. Returns `true` if the event was still
@@ -1762,8 +1804,60 @@ mod tests {
 
     #[test]
     fn waker_entries_are_16_bytes() {
-        // One entry type backs the task, event and direct arenas.
+        // One entry type backs the task and event arenas.
         assert_eq!(std::mem::size_of::<WakerEntry>(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "direct waker woken with no run on this thread")]
+    fn a_direct_wake_with_no_run_on_the_thread_panics() {
+        let sim = Sim::new();
+        let (h, _log) = logging_handler(&sim);
+        sim.direct_waker(h, 1).wake();
+    }
+
+    #[test]
+    fn a_direct_wake_after_a_nested_run_lands_in_the_outer_world() {
+        let (outer, inner) = (Sim::new(), Sim::new());
+        let (oh, olog) = logging_handler(&outer);
+        let (ih, ilog) = logging_handler(&inner);
+        let s = outer.clone();
+        outer.run_until(async move {
+            s.sleep(SimDuration::from_nanos(10)).await;
+            let i = inner.clone();
+            inner.run_until(async move {
+                i.sleep(SimDuration::from_nanos(3)).await;
+                // Inside the nested run, the inner world is current.
+                i.direct_waker(ih, 7).wake();
+                yield_now().await;
+            });
+            s.direct_waker(oh, 8).wake();
+            yield_now().await;
+        });
+        assert_eq!(*ilog.borrow(), vec![(3, 7)]);
+        assert_eq!(*olog.borrow(), vec![(10, 8)]);
+    }
+
+    #[test]
+    fn teardown_takes_a_direct_wake_from_a_drop() {
+        /// Wakes its waker when dropped, as a released slot wakes the
+        /// next waiter.
+        struct WakeOnDrop(Waker);
+        impl Drop for WakeOnDrop {
+            fn drop(&mut self) {
+                self.0.wake_by_ref();
+            }
+        }
+        let sim = Sim::new();
+        let (h, log) = logging_handler(&sim);
+        let waker = sim.direct_waker(h, 1);
+        sim.spawn_detached(async move {
+            let _held = WakeOnDrop(waker);
+            std::future::pending::<()>().await;
+        });
+        sim.run_until(async {});
+        sim.teardown();
+        assert!(log.borrow().is_empty(), "the woken word was dropped unrun");
     }
 
     /// Pending on its first poll (stashing the waker), ready on the next.
@@ -1799,24 +1893,18 @@ mod tests {
             yield_now().await;
             let task_waker = parked.borrow_mut().take().expect("task parked");
             let (ev, event_waker) = s.event_waker(h, 1);
-            let direct = s.reserve_direct_waker(h, 2);
-            let direct_waker = s.direct_waker(direct);
-            assert!((ev.slot as usize) < WAKER_CHUNK && (direct.0 as usize) < WAKER_CHUNK);
+            let direct_waker = s.direct_waker(h, 2);
+            assert!((ev.slot as usize) < WAKER_CHUNK);
 
-            // Grow every arena past three chunk boundaries: polled tasks,
-            // parked events and reserved direct entries.
+            // Grow both arenas past three chunk boundaries: polled tasks
+            // and parked events. A direct waker has no entry to move.
             let grow = 3 * WAKER_CHUNK + 1;
             for i in 0..grow {
                 s.spawn_detached(std::future::pending::<()>());
                 s.event_waker(h, 100 + i as u64);
-                s.reserve_direct_waker(h, 100 + i as u32);
             }
             yield_now().await;
-            for arena in [
-                &s.core.task_wakers,
-                &s.core.event_wakers,
-                &s.core.direct_wakers,
-            ] {
+            for arena in [&s.core.task_wakers, &s.core.event_wakers] {
                 let chunks = arena.borrow().chunks.iter().filter(|c| c.is_some()).count();
                 assert!(chunks >= 4, "arena grew to only {chunks} chunks");
             }

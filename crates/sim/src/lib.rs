@@ -38,8 +38,7 @@ pub mod time;
 pub mod wheel;
 
 pub use executor::{
-    yield_now, DirectWakerId, EventHandlerId, JoinHandle, ScheduledEvent, Sim, Sleep, TaskId,
-    WeakSim, YieldNow,
+    yield_now, EventHandlerId, JoinHandle, ScheduledEvent, Sim, Sleep, TaskId, WeakSim, YieldNow,
 };
 pub use metrics::{
     mbps, mean, percentile, ByteMeter, Counter, Histogram, LatencyDigest, ProfileRow, Profiler,

@@ -32,6 +32,14 @@ echo "==> zero-alloc steady state smoke (counting global allocator, release)"
 # exercises the same codegen as the benchmarks.
 cargo test -q --release --offline -p nfsperf-fleet --test zero_alloc
 
+echo "==> timer wheel vs reference heap, 5,000 cases per property (release)"
+# The wheel stores no sequence number: equal deadlines fire in push order
+# only because every slot chain is FIFO (pushes append at the tail, a
+# cascade walks the oldest block first). The workspace tests run these
+# heap-reference properties at the default 256 cases; this step runs
+# each at 5,000, about 4 s in release.
+NFSPERF_PROPTEST_CASES=5000 cargo test -q --release --offline --test properties timer_wheel
+
 echo "==> flyweight world heap high-water per client (counting global allocator, release)"
 # The CSV's bytes_per_client counts only the per-client slab; this gate
 # counts the whole world's heap peak, in-flight RPC state included, over
