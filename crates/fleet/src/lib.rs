@@ -8,7 +8,7 @@
 //! departure distribution, datagram size, WRITE/COMMIT mix, and
 //! concurrency window. [`model::calibrate`] measures exactly that from
 //! one faithful client's transmit trace, and [`tier::FlyTier`] replays
-//! it from ~64 bytes of state per client — so 10k–1M clients can hammer
+//! it from ~56 bytes of state per client — so 10k–1M clients can hammer
 //! one server through a real multi-stage switch fabric
 //! ([`nfsperf_net::Fabric`]) while a handful of embedded faithful
 //! clients keep paper fidelity.

@@ -1,8 +1,9 @@
 //! The flyweight tier: up to a million behavioral clients in a slab.
 //!
-//! Per client the tier keeps one `FlyClient` record (64 bytes: an RNG
-//! cursor, an emission clock, three virtual NIC clocks, two timestamps,
-//! two counters) and a 4-byte client id — no pages, no flushd, no
+//! Per client the tier keeps one `FlyClient` record (56 bytes: an RNG
+//! cursor, an emission clock, three virtual NIC clocks, a finish
+//! timestamp, two counters; the first-emission instant is derived from
+//! the client's seed) and a 4-byte client id — no pages, no flushd, no
 //! per-request locks, no NIC or mount objects. Each RPC is one slab
 //! record advanced by timed events:
 //! wait for the calibrated emission time, traverse the real aggregation
@@ -20,7 +21,7 @@
 //! is created when its start timer fires, so records also come into
 //! being in start order. The launch shadows are one fresh range of task
 //! slots, the one at slab position `p` being `base + p`. At a million
-//! clients a time-ordered walk over 64 MiB of clients and 56 MiB of
+//! clients a time-ordered walk over 56 MiB of clients and 48 MiB of
 //! records is then a nearly sequential one, where a walk in id order
 //! stalled on memory at every step. Nothing simulated
 //! depends on where a record lives: launch still posts in client-id
@@ -30,9 +31,9 @@
 //! at least one RPC in flight until its last reply, so a megafleet holds
 //! one RPC record per client for its whole run, and at the server's
 //! knee nearly all of them queue inside the server at once. Each one
-//! costs a 56-byte `FlyRpc`, whose one hop field holds the lane's
-//! admission scratch in the fabric and the server's 32-byte
-//! [`FlyweightOp`] inside the server; a shadow task slot; one 8-byte
+//! costs a 48-byte `FlyRpc`, whose one hop field holds the lane's
+//! admission state in the fabric and the server's 24-byte
+//! [`FlyweightOp`] inside the server; a 16-byte shadow task slot; one 8-byte
 //! ready-queue word or 16-byte wheel entry (kept by value in a pooled
 //! block) while it waits on the executor (its posts and stage timers
 //! are direct dispatches, which arm no event slot, and its parks hand
@@ -67,8 +68,9 @@ const COMMIT_REPLY_BYTES: usize = 128;
 /// One flyweight client's entire state but its id. Kept `repr(C)` and
 /// packed into a slab in start order, where its slab position stands in
 /// for the id and [`FlyTier`]'s 4-byte id map gives the id back; a unit
-/// test holds it to 64 bytes and, with the tier's shared state amortized
-/// per client, [`FlyTier::bytes_per_client`] to 256.
+/// test holds it to 56 bytes and, with the tier's shared state amortized
+/// per client, [`FlyTier::bytes_per_client`] to 256. Its first-emission
+/// instant is not stored: [`FlyTier::first_emit`] derives it from the id.
 #[repr(C)]
 #[derive(Clone)]
 struct FlyClient {
@@ -82,8 +84,6 @@ struct FlyClient {
     port_tx_free: u64,
     /// Client-NIC receive-drain virtual clock, ns.
     cli_rx_free: u64,
-    /// When the first RPC left, ns (throughput denominator).
-    first_emit: u64,
     /// When the last reply finished draining, ns.
     finish: u64,
     /// RPCs emitted so far.
@@ -207,7 +207,7 @@ enum RpcStage {
 /// "No record" marker for the slab free list.
 const NONE: u32 = u32::MAX;
 
-/// One in-flight event-driven RPC: one 56-byte record holding its
+/// One in-flight event-driven RPC: one 48-byte record holding its
 /// client, its stage, and the wait state of the hop it is on, in the
 /// fabric or in the server (its queued arbiter ticket lives in the
 /// thread's ticket slab, its timer on the executor's wheel). Records
@@ -244,7 +244,7 @@ struct FlyRpc {
 /// Where an RPC waits: in the fabric or in the server, never both, so
 /// the lane's admission scratch and the server's op share one field.
 /// The variant tag sits in a spare value of the op's own stage tag, so
-/// the field is the op's 32 bytes.
+/// the field is the op's 24 bytes.
 enum Hop {
     /// Admission scratch for the link currently being traversed.
     Lane(LaneAdmit),
@@ -297,6 +297,9 @@ pub struct FlyTier {
     /// Client id at each slab position: the flow id is
     /// `fabric_base + id`, the server's client id `server_base + id`.
     ids: Vec<u32>,
+    /// The clock at launch, ns: no client starts before it (see
+    /// [`FlyTier::first_emit`]).
+    launched_at: u64,
     /// Task-table slot of position 0's launch shadow; position `p`'s is
     /// `shadow_base + p` (see [`Sim::spawn_shadows`]).
     shadow_base: u32,
@@ -341,32 +344,25 @@ impl FlyTier {
         let total_ops = model.total_ops(config.writes_per_client);
         assert!(total_ops > 0, "clients must emit at least one RPC");
         let spread = config.start_spread.0.max(1);
-        // Client `id`'s RNG cursor before its start jitter is drawn.
-        let seed_of = |id: u32| {
-            config
-                .seed
-                .wrapping_add((u64::from(id) + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        };
         let position = start_order(config.clients, spread, |id| {
-            splitmix64(&mut seed_of(id)) % spread
+            splitmix64(&mut seed_of(config.seed, id)) % spread
         });
         let mut ids = vec![0; config.clients as usize];
         for (id, &p) in position.iter().enumerate() {
             ids[p as usize] = id as u32;
         }
-        let now = sim.now().as_nanos();
+        let launched_at = sim.now().as_nanos();
         let slab: Vec<FlyClient> = ids
             .iter()
             .map(|&id| {
-                let mut rng = seed_of(id);
-                let at = (splitmix64(&mut rng) % spread).max(now);
+                let mut rng = seed_of(config.seed, id);
+                let at = (splitmix64(&mut rng) % spread).max(launched_at);
                 FlyClient {
                     planned: at + model.sample_gap(&mut rng).0,
                     rng,
                     port_rx_free: 0,
                     port_tx_free: 0,
                     cli_rx_free: 0,
-                    first_emit: at,
                     finish: 0,
                     emitted: 1,
                     completed: 0,
@@ -402,6 +398,7 @@ impl FlyTier {
             server_base,
             slab: RefCell::new(slab),
             ids,
+            launched_at,
             shadow_base: shadow_id(shadows.start),
             rpcs: RefCell::new(RpcSlab {
                 slots: Vec::new(),
@@ -484,7 +481,7 @@ impl FlyTier {
     /// and launches it. So records come into being in start order, and
     /// launch writes none.
     fn start(self: &Rc<Self>, p: u32) {
-        let at = SimTime(self.slab.borrow()[p as usize].first_emit);
+        let at = SimTime(self.first_emit(p));
         if at > self.sim.now() {
             self.sim.schedule_direct(at, self.start_handler.get(), p);
             return;
@@ -804,18 +801,36 @@ impl FlyTier {
     pub fn per_client_mbps(&self) -> Vec<f64> {
         let bytes = u64::from(self.config.writes_per_client) * self.model.write_payload;
         let mut out = vec![0.0; self.ids.len()];
-        for (c, &id) in self.slab.borrow().iter().zip(&self.ids) {
-            out[id as usize] = mbps(bytes, SimTime(c.finish).since(SimTime(c.first_emit)));
+        for (p, (c, &id)) in self.slab.borrow().iter().zip(&self.ids).enumerate() {
+            let first = SimTime(self.first_emit(p as u32));
+            out[id as usize] = mbps(bytes, SimTime(c.finish).since(first));
         }
         out
     }
 
     /// Time from the tier's first emission to its last completion.
     pub fn elapsed(&self) -> SimDuration {
-        let slab = self.slab.borrow();
-        let first = slab.iter().map(|c| c.first_emit).min().unwrap_or(0);
-        let last = slab.iter().map(|c| c.finish).max().unwrap_or(0);
+        let first = (0..self.config.clients)
+            .map(|p| self.first_emit(p))
+            .min()
+            .unwrap_or(0);
+        let last = self
+            .slab
+            .borrow()
+            .iter()
+            .map(|c| c.finish)
+            .max()
+            .unwrap_or(0);
         SimDuration(last.saturating_sub(first))
+    }
+
+    /// When the client at slab position `p` emits its first RPC, ns: its
+    /// start jitter, drawn from its seed, but never before launch. Derived
+    /// rather than stored, which keeps [`FlyClient`] at 56 bytes.
+    fn first_emit(&self, p: u32) -> u64 {
+        let spread = self.config.start_spread.0.max(1);
+        let id = self.ids[p as usize];
+        (splitmix64(&mut seed_of(self.config.seed, id)) % spread).max(self.launched_at)
     }
 
     /// Digest of the strided client-observed WRITE RPC latencies.
@@ -853,6 +868,12 @@ impl FlyTier {
             bytes_per_client: self.bytes_per_client(),
         }
     }
+}
+
+/// Client `id`'s RNG cursor in a tier seeded with `seed`, before its
+/// start jitter is drawn.
+fn seed_of(seed: u64, id: u32) -> u64 {
+    seed.wrapping_add((u64::from(id) + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
 /// A shadow's task-table slot as stored in [`FlyRpc::shadow`].
@@ -903,7 +924,7 @@ mod tests {
     use nfsperf_server::ServerConfig;
     use nfsperf_sim::arbiter::live_waiters;
     use nfsperf_sim::proptest::{check, CaseOutcome};
-    use nfsperf_sim::{prop_assert, prop_assert_eq, prop_assume};
+    use nfsperf_sim::{prop_assert, prop_assert_eq};
 
     fn toy_model() -> BehaviorModel {
         BehaviorModel {
@@ -1002,9 +1023,10 @@ mod tests {
         }
     }
 
-    /// The slab is in start order, but every record still holds its own
-    /// client's start, and per-client results come back in client-id
-    /// order (the megafleet mean and Jain index sum them in that order).
+    /// The slab is in start order, but the start derived for each slab
+    /// position is its own client's, drawn from that client's seed, and
+    /// per-client results come back in client-id order (the megafleet
+    /// mean and Jain index sum them in that order).
     #[test]
     fn per_client_results_follow_client_ids_not_the_slab_layout() {
         let (tier, _server) = run_tier(64, 2);
@@ -1013,27 +1035,33 @@ mod tests {
             "64 jittered starts left the slab in id order"
         );
         let config = &tier.config;
-        let per = tier.per_client_mbps();
-        let slab = tier.slab.borrow();
-        let width = config.start_spread.0.div_ceil(64);
-        assert!(
-            slab.windows(2)
-                .all(|w| w[0].first_emit / width <= w[1].first_emit / width),
-            "the slab is not in start order"
-        );
-        let bytes = u64::from(config.writes_per_client) * tier.model.write_payload;
-        for (c, &id) in slab.iter().zip(&tier.ids) {
+        assert_eq!(tier.launched_at, 0, "the tier launched at time zero");
+        let starts: Vec<u64> = (0..64).map(|p| tier.first_emit(p)).collect();
+        for (&start, &id) in starts.iter().zip(&tier.ids) {
             let mut seed = config
                 .seed
                 .wrapping_add((u64::from(id) + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
             assert_eq!(
-                c.first_emit,
+                start,
                 splitmix64(&mut seed) % config.start_spread.0,
-                "client {id}'s record holds another client's start"
+                "slab position of client {id} derives another client's start"
             );
-            let own = mbps(bytes, SimTime(c.finish).since(SimTime(c.first_emit)));
+        }
+        let width = config.start_spread.0.div_ceil(64);
+        assert!(
+            starts.windows(2).all(|w| w[0] / width <= w[1] / width),
+            "the slab is not in start order"
+        );
+        let per = tier.per_client_mbps();
+        let bytes = u64::from(config.writes_per_client) * tier.model.write_payload;
+        let slab = tier.slab.borrow();
+        for ((c, &id), &start) in slab.iter().zip(&tier.ids).zip(&starts) {
+            let own = mbps(bytes, SimTime(c.finish).since(SimTime(start)));
             assert_eq!(per[id as usize], own, "client {id}'s throughput");
         }
+        let last = slab.iter().map(|c| c.finish).max().unwrap();
+        let first = *starts.iter().min().unwrap();
+        assert_eq!(tier.elapsed(), SimDuration(last - first));
     }
 
     #[test]
@@ -1061,8 +1089,6 @@ mod tests {
                 (spread, starts)
             },
             |(spread, starts)| {
-                prop_assume!(*spread > 0 && !starts.is_empty());
-                prop_assume!(starts.iter().all(|s| s < spread));
                 let n = starts.len() as u32;
                 let position = start_order(n, *spread, |id| starts[id as usize]);
                 let mut ids = vec![u32::MAX; starts.len()];
@@ -1096,15 +1122,15 @@ mod tests {
 
     #[test]
     fn flyweight_state_stays_under_256_bytes_per_client() {
-        assert!(
-            std::mem::size_of::<FlyClient>() <= 64,
-            "FlyClient grew to {} bytes",
-            std::mem::size_of::<FlyClient>()
+        assert_eq!(
+            std::mem::size_of::<FlyClient>(),
+            56,
+            "FlyClient is a 56-byte record"
         );
         assert_eq!(
             std::mem::size_of::<FlyRpc>(),
-            56,
-            "FlyRpc is a 56-byte record"
+            48,
+            "FlyRpc is a 48-byte record"
         );
         let (tier, _server) = run_tier(10_000, 2);
         let per = tier.bytes_per_client();

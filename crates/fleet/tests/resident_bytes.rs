@@ -71,16 +71,18 @@ static COUNTER: PeakAlloc = PeakAlloc;
 /// client, the executor's task table one per client plus the world's
 /// own few dozen. At exactly 2^16 clients that table passes 2^16
 /// entries and doubles to 2^17; this counter would charge that
-/// never-touched capacity to the clients (252 B each instead of 221).
+/// never-touched capacity to the clients (220 B each instead of 197).
 /// The timer wheel keeps its 16-byte entries 31 to a 504-byte block,
 /// so its pool is far from a doubling at either count.
 const CLIENTS: u32 = 65_280;
 
 /// High-water heap bytes per flyweight client the whole world may hold:
-/// the world reads 221, and the budget leaves 5% above that. With a
+/// the world reads 197, and the budget leaves 5% above that. With a
+/// 24-byte task slot per launch shadow, a stored first-emission instant
+/// in every client record and a 56-byte RPC record, it read 221; with a
 /// 16-byte arena entry per direct waker and a sequence number in every
-/// wheel entry, it read 246.
-const BUDGET: usize = 232;
+/// wheel entry before that, 246.
+const BUDGET: usize = 207;
 
 #[test]
 fn flyweight_world_peak_heap_per_client_within_budget() {

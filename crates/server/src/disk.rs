@@ -1,17 +1,26 @@
 //! Disk models: a single arm with seek cost and streaming bandwidth.
 
 use std::future::Future;
-use std::rc::Rc;
 use std::task::Waker;
 
-use nfsperf_sim::arbiter::Claim;
-use nfsperf_sim::{drive_poll, ByteMeter, SemPermit, Semaphore, Sim, SimDuration};
+use nfsperf_sim::arbiter::{Arbiter, Claim, Key, Order};
+use nfsperf_sim::{drive_poll, ByteMeter, Sim, SimDuration};
+
+/// The key every claim on the arm queues under: a FIFO reads none of it.
+const ARM: Key = Key {
+    flow: 0,
+    class: 0,
+    cost: 0,
+};
 
 /// A simple disk: one arm (writes serialize), per-operation positioning
 /// cost, and a streaming rate.
 pub struct DiskModel {
     sim: Sim,
-    arm: Rc<Semaphore>,
+    /// One slot, claimed in FIFO order: a one-permit semaphore without
+    /// the permit object, so a holder that keeps its own wait state can
+    /// hold the arm as a bare marker (see [`DiskModel::poll_write_stream`]).
+    arm: Arbiter,
     /// Streaming bandwidth in bytes/second.
     stream_bps: u64,
     /// Positioning (seek + rotational) cost per operation.
@@ -25,7 +34,7 @@ impl DiskModel {
         assert!(stream_bytes_per_sec > 0, "disk rate must be positive");
         DiskModel {
             sim: sim.clone(),
-            arm: Rc::new(Semaphore::new(1)),
+            arm: Arbiter::new(1, Order::fifo()),
             stream_bps: stream_bytes_per_sec,
             position,
             meter: ByteMeter::new(),
@@ -56,18 +65,21 @@ impl DiskModel {
     /// hands back, then [`DiskModel::finish_write`].
     pub async fn write_stream(&self, bytes: u64) {
         let mut st = Claim::default();
-        let (arm, xfer) = drive_poll(move |wf| self.poll_write_stream(bytes, &mut st, wf)).await;
+        let xfer = drive_poll(move |wf| self.poll_write_stream(bytes, &mut st, wf)).await;
+        let held = ArmHeld(self);
         self.sim.sleep(xfer).await;
-        self.finish_write(bytes, arm);
+        held.finish_write(bytes);
     }
 
     /// Writes `bytes` with a positioning cost first (scattered writes).
     pub async fn write_seek(&self, bytes: u64) {
-        let _arm = self.arm.acquire().await;
+        let mut st = Claim::default();
+        drive_poll(|wf| self.arm.poll_claim(ARM, &mut st, wf).then_some(())).await;
+        let held = ArmHeld(self);
         self.sim
             .sleep(self.position + self.transfer_time(bytes))
             .await;
-        self.meter.record(self.sim.now(), bytes);
+        held.finish_write(bytes);
     }
 
     /// Waits for any in-progress disk operation to finish without
@@ -82,30 +94,45 @@ impl DiskModel {
     /// First half of a streaming write, without a task: acquires the arm
     /// in FIFO order (parking a waker from `waker_factory` and returning
     /// `None` while it is held elsewhere) and, once held, returns the
-    /// permit plus the streaming transfer time. The caller sleeps the
-    /// transfer, then calls [`DiskModel::finish_write`].
+    /// streaming transfer time. The caller then holds the arm with no
+    /// guard: it sleeps the transfer and calls
+    /// [`DiskModel::finish_write`], or [`DiskModel::abandon_write`] if it
+    /// is dropped first.
     pub fn poll_write_stream(
         &self,
         bytes: u64,
         st: &mut Claim,
         waker_factory: &mut dyn FnMut() -> Waker,
-    ) -> Option<(SemPermit, SimDuration)> {
-        let permit = self.arm.poll_acquire(st, waker_factory)?;
-        Some((permit, self.transfer_time(bytes)))
+    ) -> Option<SimDuration> {
+        self.arm
+            .poll_claim(ARM, st, waker_factory)
+            .then(|| self.transfer_time(bytes))
     }
 
     /// Completes a streaming write admitted by
     /// [`DiskModel::poll_write_stream`] after its transfer time elapsed:
     /// meters the bytes while still holding the arm, then releases it.
-    pub fn finish_write(&self, bytes: u64, permit: SemPermit) {
+    pub fn finish_write(&self, bytes: u64) {
         self.meter.record(self.sim.now(), bytes);
-        drop(permit);
+        self.arm.release(ARM.flow);
+    }
+
+    /// Releases the arm of a streaming write admitted by
+    /// [`DiskModel::poll_write_stream`] whose holder goes away before its
+    /// transfer time elapses (a world torn down mid-flush); meters
+    /// nothing.
+    pub fn abandon_write(&self) {
+        self.arm.release(ARM.flow);
     }
 
     /// The barrier without a task: `true` once the arm has been acquired
     /// and immediately released, `false` after parking.
     pub fn poll_barrier(&self, st: &mut Claim, waker_factory: &mut dyn FnMut() -> Waker) -> bool {
-        self.arm.poll_acquire(st, waker_factory).is_some()
+        let held = self.arm.poll_claim(ARM, st, waker_factory);
+        if held {
+            self.arm.release(ARM.flow);
+        }
+        held
     }
 
     fn transfer_time(&self, bytes: u64) -> SimDuration {
@@ -120,6 +147,24 @@ impl DiskModel {
     /// Mean write throughput over the active period, MB/s.
     pub fn throughput_mbps(&self) -> f64 {
         self.meter.throughput_mbps()
+    }
+}
+
+/// The arm held by a task-driven write, released when dropped: after
+/// [`ArmHeld::finish_write`] meters the bytes, or mid-transfer (a world
+/// torn down) with nothing metered, as a dropped semaphore permit was.
+struct ArmHeld<'a>(&'a DiskModel);
+
+impl ArmHeld<'_> {
+    /// Meters `bytes` while still holding the arm, then releases it.
+    fn finish_write(self, bytes: u64) {
+        self.0.meter.record(self.0.sim.now(), bytes);
+    }
+}
+
+impl Drop for ArmHeld<'_> {
+    fn drop(&mut self) {
+        self.0.abandon_write();
     }
 }
 

@@ -453,6 +453,57 @@ mod tests {
         drop(op);
     }
 
+    #[test]
+    fn flyweight_ops_are_24_bytes() {
+        // At a million clients nearly every op can sit in the server at
+        // once, each inside its RPC's record.
+        assert_eq!(std::mem::size_of::<server::FlyweightOp>(), 24);
+    }
+
+    /// A faithful COMMIT holds the disk arm as bare backend state while
+    /// it sleeps its flush. A world torn down mid-flush drops that task,
+    /// and the drop releases the arm: a flyweight COMMIT polled after the
+    /// teardown passes the disk barrier at once.
+    #[test]
+    fn teardown_mid_flush_releases_the_disk_arm() {
+        let (sim, client, server) = build(ServerConfig::linux_knfsd(), NicSpec::gigabit());
+        let (srv, s) = (Rc::clone(&server), sim.clone());
+        sim.run_until(async move {
+            let (fh, _) = create_and_write(&client, &srv, StableHow::Unstable, 4).await;
+            client.to_server.send(encode_call(
+                client.xid.get(),
+                NFS_PROGRAM,
+                NFS_V3,
+                NfsProc3::Commit as u32,
+                &AuthUnix::root_on("test"),
+                &Commit3Args {
+                    file: fh,
+                    offset: 0,
+                    count: 0,
+                },
+            ));
+            // The COMMIT claims the dirty pool as its 32 KiB flush starts,
+            // about a millisecond before the flush ends.
+            while srv.dirty_bytes() != Some(0) {
+                s.sleep(SimDuration::from_micros(1)).await;
+            }
+        });
+        assert_eq!(server.stats().commits, 1);
+        sim.teardown();
+        let base = server.register_slim_clients(1);
+        let mut op = server.begin_flyweight();
+        let mut poll = || {
+            server.poll_flyweight(&mut op, base, OpClass::Commit, 0, &mut || {
+                std::task::Waker::noop().clone()
+            })
+        };
+        assert!(matches!(poll(), FlyStep::Sleep(_)), "a free slot admits");
+        assert!(
+            matches!(poll(), FlyStep::Done),
+            "the torn-down flush kept the disk arm"
+        );
+    }
+
     /// The poll-style flyweight machine, driven by timed events, on every
     /// backend — including ones sized down to force NVRAM stalls and
     /// inline dirty-cache flushes, where wait-queue order decides who

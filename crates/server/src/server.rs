@@ -12,8 +12,7 @@ use nfsperf_nfs3::{
     WccData, Write3Args, Write3Res, WriteVerf, NFS_PROGRAM, NFS_V3,
 };
 use nfsperf_sim::{
-    arbiter::Claim, drive_poll, Counter, Gate, GatePass, Receiver, SemPermit, Sim, SimDuration,
-    SimTime,
+    arbiter::Claim, drive_poll, Counter, Gate, GatePass, Receiver, Sim, SimDuration, SimTime,
 };
 use nfsperf_sunrpc::{
     decode_call, encode_reply, encode_reply_status, record_marker, RecordReader,
@@ -345,8 +344,12 @@ enum BackendStep {
     /// `flush` is 0 (a COMMIT that found the pool claimed), to pass the
     /// arm as a barrier.
     Disk { flush: u64, arm: Claim },
-    /// Holding the arm while the flush's transfer time elapses.
-    Xfer { flush: u64, arm: SemPermit },
+    /// Holding the arm while the flush's transfer time elapses. The arm
+    /// is held as this state alone, with no permit object: the server
+    /// owns its disk, so [`NfsServer::poll_backend`] releases it on
+    /// leaving the state, and a task-driven step dropped mid-flush
+    /// releases it on drop (see [`NfsServer::backend_step`]).
+    Xfer { flush: u64 },
     /// Finished.
     Done,
 }
@@ -373,11 +376,12 @@ enum FlyStage {
 /// pipeline position. The caller supplies the client id, class and
 /// payload at each poll. All wait state lives inline, one stage at a
 /// time, so constructing a fresh op per RPC allocates nothing and an op
-/// is 32 bytes: at a million clients nearly every RPC can sit in the
+/// is 24 bytes: at a million clients nearly every RPC can sit in the
 /// server's queue at once. Unlike a faithful request, an op holds its
-/// service slot without a guard, so it must be driven to done once
-/// admitted: dropping one mid-service would leave the slot taken, and
-/// debug builds assert that it never happens.
+/// service slot, and while it flushes the disk arm, without a guard, so
+/// it must be driven to done once admitted: dropping one mid-service
+/// would leave the slot (and the arm) taken, and debug builds assert
+/// that it never happens.
 pub struct FlyweightOp {
     /// When the op reached the server.
     arrival: SimTime,
@@ -687,20 +691,16 @@ impl NfsServer {
                 }
                 (BackendStep::Disk { flush, arm }, Backend::CacheDisk { disk, .. }) => {
                     let flush = *flush;
-                    let Some((arm, xfer)) = disk.poll_write_stream(flush, arm, waker_factory)
-                    else {
+                    let Some(xfer) = disk.poll_write_stream(flush, arm, waker_factory) else {
                         return FlyStep::Parked;
                     };
-                    *st = BackendStep::Xfer { flush, arm };
+                    *st = BackendStep::Xfer { flush };
                     return FlyStep::Sleep(xfer);
                 }
-                (BackendStep::Xfer { .. }, Backend::CacheDisk { dirty, disk, .. }) => {
+                (&mut BackendStep::Xfer { flush }, Backend::CacheDisk { dirty, disk, .. }) => {
                     // The flush's transfer time has elapsed.
-                    let BackendStep::Xfer { flush, arm } = std::mem::replace(st, BackendStep::Done)
-                    else {
-                        unreachable!("matched above")
-                    };
-                    disk.finish_write(flush, arm);
+                    *st = BackendStep::Done;
+                    disk.finish_write(flush);
                     if kind == DataOp::Write {
                         dirty.set(dirty.get().saturating_sub(flush));
                         dirty.set(dirty.get() + bytes);
@@ -714,11 +714,22 @@ impl NfsServer {
 
     /// Runs one backend step from a request task: drives
     /// [`NfsServer::poll_backend`] and sleeps each transfer it hands
-    /// back.
+    /// back. A task dropped while it sleeps a flush (a world torn down)
+    /// releases the disk arm the step holds.
     async fn backend_step(&self, kind: DataOp, bytes: u64) {
-        let mut st = BackendStep::default();
+        struct Step<'a>(&'a NfsServer, BackendStep);
+        impl Drop for Step<'_> {
+            fn drop(&mut self) {
+                if let (BackendStep::Xfer { .. }, Backend::CacheDisk { disk, .. }) =
+                    (&self.1, &self.0.backend)
+                {
+                    disk.abandon_write();
+                }
+            }
+        }
+        let mut st = Step(self, BackendStep::default());
         loop {
-            let step = drive_poll(|wf| match self.poll_backend(kind, bytes, &mut st, wf) {
+            let step = drive_poll(|wf| match self.poll_backend(kind, bytes, &mut st.1, wf) {
                 FlyStep::Parked => None,
                 step => Some(step),
             })

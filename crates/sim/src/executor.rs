@@ -338,26 +338,40 @@ pub struct ScheduledEvent {
     gen: u32,
 }
 
-/// A slot in the task table. The free list is intrusive — vacant slots
-/// link to the next free slot through the table itself, with the head in
-/// [`SimCore::free_head`] — so claiming and releasing a slot (which the
-/// flyweight tier does four times per RPC for its shadows) is one table
-/// borrow, not a table borrow plus a side-vector borrow.
+/// A slot in the task table: a live task, or a vacant slot whose
+/// `next` word says what else it is. The free list is intrusive (vacant
+/// slots link to the next free slot through the table itself, with the
+/// head in [`SimCore::free_head`]), so claiming and releasing a slot,
+/// which the flyweight tier does four times per RPC for its shadows, is
+/// one table borrow. Two variants over a boxed future fit in 16 bytes
+/// (the box's non-null pointer tells them apart); a third variant would
+/// make it 24, and at a million clients the table holds a million launch
+/// shadows.
+///
+/// `next` values at and above [`POLLING`] are reserved; the others are
+/// free-list links:
+///
+/// - a slot index, or [`NO_SLOT`] to end the list: free. The list is
+///   LIFO, so slot recycling order, which is observable through where
+///   stale wakes land, is that of a free vector.
+/// - [`SHADOW`]: a shadow occupant, with no future to run; a wake that
+///   reaches it still retires one event (see [`Sim::spawn_shadow`]).
+/// - [`POLLING`]: a task whose future is out of the table while it is
+///   polled; a wake that reaches it retires none.
 enum TaskSlot {
-    /// Free; `next` is the previously freed slot (`NO_SLOT` ends the
-    /// list). LIFO, exactly like the free vector it replaces, so slot
-    /// recycling order — observable through where stale wakes land — is
-    /// unchanged.
-    Vacant { next: usize },
-    /// A shadow occupant: no future to run, but a wake that reaches it
-    /// still counts one retired event (see [`Sim::spawn_shadow`]).
-    Shadow,
-    /// A live task; the future is `None` only while being polled.
-    Task(Option<LocalFuture>),
+    /// A live task, not being polled.
+    Task(LocalFuture),
+    /// No future in the table; see the type's docs for `next`.
+    Vacant { next: u32 },
 }
 
 /// Free-list terminator for [`TaskSlot::Vacant`].
-const NO_SLOT: usize = usize::MAX;
+const NO_SLOT: u32 = u32::MAX;
+/// [`TaskSlot::Vacant`]'s `next` for a shadow occupant.
+const SHADOW: u32 = u32::MAX - 1;
+/// [`TaskSlot::Vacant`]'s `next` for a task being polled; the lowest
+/// reserved value, so every slot index lies below it.
+const POLLING: u32 = u32::MAX - 2;
 
 struct SimCore {
     now: Cell<SimTime>,
@@ -371,8 +385,8 @@ struct SimCore {
     /// serves every later poll of every task that ever occupies the slot.
     task_wakers: RefCell<WakerArena>,
     /// Head of the intrusive free list running through `tasks` (see
-    /// [`TaskSlot::Vacant`]); `NO_SLOT` when the table is full.
-    free_head: Cell<usize>,
+    /// [`TaskSlot`]); `NO_SLOT` when the table is full.
+    free_head: Cell<u32>,
     /// The timed-event slab: generation-counted single-shot records
     /// dispatched straight off the ready queue with no future, no task
     /// slot and no per-event allocation. Slots are recycled through
@@ -671,7 +685,7 @@ impl Sim {
     where
         F: Future<Output = ()> + 'static,
     {
-        let id = self.insert_slot(TaskSlot::Task(Some(Box::pin(fut))));
+        let id = self.insert_slot(TaskSlot::Task(Box::pin(fut)));
         self.core.ready.push(id);
     }
 
@@ -688,7 +702,7 @@ impl Sim {
     /// million-client run by a handful of events, so they go when those
     /// references are rebaselined. Release with [`Sim::drop_shadow`].
     pub fn spawn_shadow(&self) -> TaskId {
-        self.insert_slot(TaskSlot::Shadow)
+        self.insert_slot(TaskSlot::Vacant { next: SHADOW })
     }
 
     /// Reserves `n` fresh shadow slots as one contiguous range, as `n`
@@ -710,8 +724,12 @@ impl Sim {
         );
         let mut tasks = self.core.tasks.borrow_mut();
         let base = tasks.len();
+        assert!(
+            base + n <= POLLING as usize,
+            "task table past {POLLING} slots"
+        );
         for _ in 0..n {
-            tasks.push(TaskSlot::Shadow);
+            tasks.push(TaskSlot::Vacant { next: SHADOW });
         }
         base..tasks.len()
     }
@@ -720,30 +738,33 @@ impl Sim {
     pub fn drop_shadow(&self, id: TaskId) {
         let mut tasks = self.core.tasks.borrow_mut();
         debug_assert!(
-            matches!(tasks.get(id), Some(TaskSlot::Shadow)),
+            matches!(tasks.get(id), Some(TaskSlot::Vacant { next: SHADOW })),
             "drop_shadow on a non-shadow slot {id}"
         );
         tasks[id] = TaskSlot::Vacant {
             next: self.core.free_head.get(),
         };
-        self.core.free_head.set(id);
+        self.core.free_head.set(id as u32);
     }
 
     fn insert_slot(&self, slot: TaskSlot) -> TaskId {
         let mut tasks = self.core.tasks.borrow_mut();
         let head = self.core.free_head.get();
-        let id = if head != NO_SLOT {
-            let TaskSlot::Vacant { next } = tasks[head] else {
+        if head != NO_SLOT {
+            let TaskSlot::Vacant { next } = tasks[head as usize] else {
                 unreachable!("free-list head {head} not vacant");
             };
             self.core.free_head.set(next);
-            tasks[head] = slot;
-            head
+            tasks[head as usize] = slot;
+            head as TaskId
         } else {
+            assert!(
+                tasks.len() < POLLING as usize,
+                "task table past {POLLING} slots"
+            );
             tasks.push(slot);
             tasks.len() - 1
-        };
-        id
+        }
     }
 
     /// Drives `main` to completion, running spawned tasks and advancing the
@@ -884,23 +905,26 @@ impl Sim {
     fn poll_task(&self, id: TaskId) {
         // Take the future out of the table so that the task may itself
         // spawn tasks (which re-borrows the table) while being polled.
-        let fut = {
+        let mut fut = {
             let mut tasks = self.core.tasks.borrow_mut();
-            match tasks.get_mut(id) {
-                Some(TaskSlot::Shadow) => {
-                    // A stale wake reached a recycled slot that a
-                    // shadow now occupies: retire one event, as a
-                    // spurious no-op poll of a task there would.
+            let Some(slot) = tasks.get_mut(id) else {
+                return;
+            };
+            match std::mem::replace(slot, TaskSlot::Vacant { next: POLLING }) {
+                TaskSlot::Task(f) => f,
+                vacant => {
+                    // A stale wake reached a recycled slot that a shadow
+                    // now occupies: retire one event, as a spurious no-op
+                    // poll of a task there would. One that reached a free
+                    // slot or a task being polled retires none.
+                    let shadow = matches!(vacant, TaskSlot::Vacant { next: SHADOW });
+                    *slot = vacant;
                     drop(tasks);
-                    self.core.events.set(self.core.events.get() + 1);
+                    if shadow {
+                        self.core.events.set(self.core.events.get() + 1);
+                    }
                     return;
                 }
-                Some(TaskSlot::Task(fut)) => match fut.take() {
-                    Some(f) => f,
-                    // Already being polled or already finished: spurious wake.
-                    None => return,
-                },
-                _ => return,
             }
         };
 
@@ -910,23 +934,20 @@ impl Sim {
         let mut cx = Context::from_waker(&waker);
         self.core.polling.set(self.core.polling.get() + 1);
         self.core.events.set(self.core.events.get() + 1);
-        let mut fut = fut;
         let poll = fut.as_mut().poll(&mut cx);
         self.core.polling.set(self.core.polling.get() - 1);
 
         let mut tasks = self.core.tasks.borrow_mut();
+        let slot = &mut tasks[id];
+        debug_assert!(matches!(slot, TaskSlot::Vacant { next: POLLING }));
         match poll {
             Poll::Ready(()) => {
-                tasks[id] = TaskSlot::Vacant {
+                *slot = TaskSlot::Vacant {
                     next: self.core.free_head.get(),
                 };
-                self.core.free_head.set(id);
+                self.core.free_head.set(id as u32);
             }
-            Poll::Pending => {
-                if let Some(TaskSlot::Task(slot)) = tasks.get_mut(id) {
-                    *slot = Some(fut);
-                }
-            }
+            Poll::Pending => *slot = TaskSlot::Task(fut),
         }
     }
 
@@ -1111,7 +1132,7 @@ impl Sim {
             .tasks
             .borrow()
             .iter()
-            .filter(|t| matches!(t, TaskSlot::Task(_)))
+            .filter(|t| matches!(t, TaskSlot::Task(_) | TaskSlot::Vacant { next: POLLING }))
             .count()
     }
 }
@@ -1341,6 +1362,66 @@ mod tests {
         let unclaimed = Sim::new();
         let slots = (0..N).map(|_| unclaimed.spawn_shadow()).collect();
         assert!(stale_wake_world(&unclaimed, slots, false) < by_claims);
+    }
+
+    #[test]
+    fn task_slots_are_16_bytes() {
+        // A boxed future's non-null pointer tells the two variants apart;
+        // a third variant would cost a tag word.
+        assert_eq!(std::mem::size_of::<TaskSlot>(), 16);
+    }
+
+    /// A wake that reaches a task while that task is being polled (here
+    /// a direct poll of its own slot from inside its poll) retires no
+    /// event and runs nothing; the future goes back into its slot when
+    /// the poll returns, so a later wake still finishes the task.
+    #[test]
+    fn a_wake_reaching_a_task_mid_poll_retires_nothing_and_keeps_it() {
+        let sim = Sim::new();
+        let polls = Rc::new(Cell::new(0));
+        let stash: Rc<RefCell<Option<Waker>>> = Rc::default();
+        let (s, p, st) = (sim.clone(), Rc::clone(&polls), Rc::clone(&stash));
+        sim.spawn_detached(std::future::poll_fn(move |cx| {
+            p.set(p.get() + 1);
+            if p.get() > 1 {
+                return Poll::Ready(());
+            }
+            let before = s.events();
+            s.poll_task(0);
+            assert_eq!(s.events(), before, "a wake mid-poll retired an event");
+            assert_eq!(p.get(), 1, "a wake mid-poll ran the task again");
+            *st.borrow_mut() = Some(cx.waker().clone());
+            Poll::Pending
+        }));
+        sim.run_until(yield_now());
+        assert_eq!(polls.get(), 1);
+        assert_eq!(sim.live_tasks(), 1, "the pending task left its slot");
+        sim.run_until(async move {
+            stash.borrow_mut().take().unwrap().wake();
+            yield_now().await;
+        });
+        assert_eq!(polls.get(), 2, "the future was not put back");
+        assert_eq!(sim.live_tasks(), 0);
+    }
+
+    /// A finished task's slot becomes the free-list head, so slots are
+    /// reused last-freed first.
+    #[test]
+    fn a_finished_task_slot_heads_the_free_list() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        sim.spawn_detached(async {});
+        sim.spawn_detached(async move { s.sleep(SimDuration::from_micros(1)).await });
+        let s = sim.clone();
+        // Slot 0 finishes at once, slot 1 after a microsecond, then the
+        // main task in slot 2.
+        sim.run_until(async move {
+            s.sleep(SimDuration::from_micros(2)).await;
+            assert_eq!(s.core.free_head.get(), 1, "the last finished task");
+        });
+        assert_eq!(sim.core.free_head.get(), 2, "the main task's slot");
+        let reused: Vec<_> = (0..4).map(|_| sim.spawn_shadow()).collect();
+        assert_eq!(reused, [2, 1, 0, 3]);
     }
 
     #[test]
@@ -1934,29 +2015,6 @@ mod tests {
         Post { data: u64 },
         Cancel { target: usize },
         Run { nanos: u64 },
-    }
-
-    impl crate::proptest::Shrink for SlabOp {
-        fn shrink_candidates(&self) -> Vec<SlabOp> {
-            match *self {
-                SlabOp::Schedule { delay, data } => delay
-                    .shrink_candidates()
-                    .into_iter()
-                    .map(|d| SlabOp::Schedule { delay: d, data })
-                    .collect(),
-                SlabOp::Post { .. } => Vec::new(),
-                SlabOp::Cancel { target } => target
-                    .shrink_candidates()
-                    .into_iter()
-                    .map(|t| SlabOp::Cancel { target: t })
-                    .collect(),
-                SlabOp::Run { nanos } => nanos
-                    .shrink_candidates()
-                    .into_iter()
-                    .map(|n| SlabOp::Run { nanos: n })
-                    .collect(),
-            }
-        }
     }
 
     /// ABA / use-after-cancel property (ISSUE 10 S3): over random

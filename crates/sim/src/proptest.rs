@@ -7,9 +7,12 @@
 //! 1. **Seeded case generation** — every case draws its inputs from a
 //!    [`SimRng`] seeded deterministically from a base seed, so a run is
 //!    bit-reproducible.
-//! 2. **Shrinking on failure** — when a case fails, the driver walks
-//!    [`Shrink::shrink_candidates`] greedily toward a minimal failing
-//!    input before reporting.
+//! 2. **Shrinking on failure** — when a case fails, `check_with` shrinks
+//!    the sequence of choices the generator drew (each an offset above
+//!    its range's low end) greedily toward a minimal failing input, and
+//!    re-runs the generator on each candidate sequence. Every candidate
+//!    is thus one the generator itself produces: a draw from
+//!    `u64_in(1, n)` shrinks toward 1, never to 0.
 //! 3. **Failure-seed reporting** — the panic message names the exact
 //!    per-case seed; re-running with `NFSPERF_PROPTEST_SEED=<seed>`
 //!    (optionally `NFSPERF_PROPTEST_CASES=1`) replays that case first.
@@ -99,58 +102,111 @@ impl Config {
 
 /// Typed random-input generator handed to the generation closure.
 ///
-/// Wraps one per-case [`SimRng`]; all draws are deterministic in the case
-/// seed. Integer ranges are half-open (`lo..hi`), matching the upstream
+/// Draws come from one per-case [`SimRng`], so they are deterministic in
+/// the case seed, or, while a failure shrinks, from a replayed choice
+/// sequence. Either way each draw records its choice: an offset above
+/// the low end of its range, or the raw word of an unbounded draw.
+/// Integer ranges are half-open (`lo..hi`), matching the upstream
 /// `proptest` range syntax the suite was written against.
 pub struct Gen {
-    rng: SimRng,
+    source: Source,
+    /// The choice of every draw so far, in draw order.
+    choices: Vec<u64>,
+}
+
+/// Where a [`Gen`]'s draws come from.
+enum Source {
+    Rng(SimRng),
+    /// A choice sequence, read in order; past its end every choice is 0,
+    /// and a choice past its draw's range is clamped to the range's top.
+    Replay {
+        queue: Vec<u64>,
+        next: usize,
+    },
 }
 
 impl Gen {
     fn new(seed: u64) -> Gen {
         Gen {
-            rng: SimRng::new(seed),
+            source: Source::Rng(SimRng::new(seed)),
+            choices: Vec::new(),
         }
+    }
+
+    fn replay(queue: Vec<u64>) -> Gen {
+        Gen {
+            source: Source::Replay { queue, next: 0 },
+            choices: Vec::new(),
+        }
+    }
+
+    /// The choices drawn, without trailing zeros: a replay reads 0 past
+    /// its sequence's end anyway.
+    fn into_choices(mut self) -> Vec<u64> {
+        while self.choices.last() == Some(&0) {
+            self.choices.pop();
+        }
+        self.choices
+    }
+
+    /// The next replayed choice (0 past the sequence's end).
+    fn replayed(queue: &[u64], next: &mut usize) -> u64 {
+        let c = queue.get(*next).copied().unwrap_or(0);
+        *next += 1;
+        c
     }
 
     /// Any `u64`.
     pub fn any_u64(&mut self) -> u64 {
-        self.rng.next_u64()
+        let c = match &mut self.source {
+            Source::Rng(rng) => rng.next_u64(),
+            Source::Replay { queue, next } => Gen::replayed(queue, next),
+        };
+        self.choices.push(c);
+        c
     }
 
     /// Any `u32`.
     pub fn any_u32(&mut self) -> u32 {
-        self.rng.next_u64() as u32
+        self.any_u64() as u32
     }
 
     /// Any `u8`.
     pub fn any_u8(&mut self) -> u8 {
-        self.rng.next_u64() as u8
+        self.any_u64() as u8
     }
 
     /// Any `bool`.
     pub fn any_bool(&mut self) -> bool {
-        self.rng.next_u64() & 1 == 1
+        self.any_u64() & 1 == 1
     }
 
     /// Uniform `u64` in `[lo, hi)`.
     pub fn u64_in(&mut self, lo: u64, hi: u64) -> u64 {
-        self.rng.uniform_u64(lo, hi)
+        let c = match &mut self.source {
+            Source::Rng(rng) => rng.uniform_u64(lo, hi) - lo,
+            Source::Replay { queue, next } => {
+                assert!(lo < hi, "empty range [{lo}, {hi})");
+                Gen::replayed(queue, next).min(hi - lo - 1)
+            }
+        };
+        self.choices.push(c);
+        lo + c
     }
 
     /// Uniform `u32` in `[lo, hi)`.
     pub fn u32_in(&mut self, lo: u32, hi: u32) -> u32 {
-        self.rng.uniform_u64(u64::from(lo), u64::from(hi)) as u32
+        self.u64_in(u64::from(lo), u64::from(hi)) as u32
     }
 
     /// Uniform `u8` in `[lo, hi)`.
     pub fn u8_in(&mut self, lo: u8, hi: u8) -> u8 {
-        self.rng.uniform_u64(u64::from(lo), u64::from(hi)) as u8
+        self.u64_in(u64::from(lo), u64::from(hi)) as u8
     }
 
     /// Uniform `usize` in `[lo, hi)`.
     pub fn usize_in(&mut self, lo: usize, hi: usize) -> usize {
-        self.rng.uniform_u64(lo as u64, hi as u64) as usize
+        self.u64_in(lo as u64, hi as u64) as usize
     }
 
     /// Byte vector with length uniform in `[min_len, max_len)`.
@@ -197,129 +253,13 @@ impl Gen {
     }
 }
 
-/// Types that can propose strictly "smaller" candidate values for
-/// shrinking. Candidates need not satisfy a property's preconditions —
-/// the driver skips candidates the property rejects.
-pub trait Shrink: Sized + Clone {
-    /// Candidate simpler values, most aggressive first.
-    fn shrink_candidates(&self) -> Vec<Self>;
-}
-
-macro_rules! impl_shrink_uint {
-    ($($t:ty),*) => {$(
-        impl Shrink for $t {
-            fn shrink_candidates(&self) -> Vec<Self> {
-                let v = *self;
-                let mut out = Vec::new();
-                if v != 0 {
-                    out.push(0);
-                    if v / 2 != 0 {
-                        out.push(v / 2);
-                    }
-                    out.push(v - 1);
-                }
-                out.dedup();
-                out
-            }
-        }
-    )*};
-}
-impl_shrink_uint!(u8, u16, u32, u64, usize);
-
-impl Shrink for bool {
-    fn shrink_candidates(&self) -> Vec<Self> {
-        if *self {
-            vec![false]
-        } else {
-            Vec::new()
-        }
-    }
-}
-
-impl Shrink for String {
-    fn shrink_candidates(&self) -> Vec<Self> {
-        let chars: Vec<char> = self.chars().collect();
-        let n = chars.len();
-        let mut out = Vec::new();
-        if n > 0 {
-            out.push(String::new());
-            out.push(chars[..n / 2].iter().collect());
-            out.push(chars[n / 2..].iter().collect());
-            out.push(chars[..n - 1].iter().collect());
-            // Simplify the first non-'a' character.
-            if let Some(i) = chars.iter().position(|&c| c != 'a') {
-                let mut simpler = chars.clone();
-                simpler[i] = 'a';
-                out.push(simpler.into_iter().collect());
-            }
-        }
-        out.retain(|s| s != self);
-        out.dedup();
-        out
-    }
-}
-
-impl<T: Shrink> Shrink for Vec<T> {
-    fn shrink_candidates(&self) -> Vec<Self> {
-        let n = self.len();
-        let mut out: Vec<Vec<T>> = Vec::new();
-        if n > 0 {
-            out.push(Vec::new());
-            if n > 1 {
-                out.push(self[..n / 2].to_vec());
-                out.push(self[n / 2..].to_vec());
-            }
-            // Drop single elements (bounded so huge vectors shrink fast
-            // via the halving candidates above instead).
-            for i in 0..n.min(8) {
-                let mut v = self.clone();
-                v.remove(i);
-                out.push(v);
-            }
-            // Shrink individual elements in place.
-            for i in 0..n.min(8) {
-                for cand in self[i].shrink_candidates() {
-                    let mut v = self.clone();
-                    v[i] = cand;
-                    out.push(v);
-                }
-            }
-        }
-        out
-    }
-}
-
-macro_rules! impl_shrink_tuple {
-    ($(($($name:ident : $idx:tt),+)),+ $(,)?) => {$(
-        impl<$($name: Shrink),+> Shrink for ($($name,)+) {
-            fn shrink_candidates(&self) -> Vec<Self> {
-                let mut out = Vec::new();
-                $(
-                    for cand in self.$idx.shrink_candidates() {
-                        let mut t = self.clone();
-                        t.$idx = cand;
-                        out.push(t);
-                    }
-                )+
-                out
-            }
-        }
-    )+};
-}
-impl_shrink_tuple!(
-    (A: 0),
-    (A: 0, B: 1),
-    (A: 0, B: 1, C: 2),
-    (A: 0, B: 1, C: 2, D: 3),
-);
-
 /// Runs `prop` against `config.cases` inputs drawn by `gen`.
 ///
 /// Panics (failing the enclosing `#[test]`) on the first property
 /// violation, after shrinking, with the per-case seed needed to replay it.
 pub fn check_with<T, G, P>(config: &Config, name: &str, gen: G, prop: P)
 where
-    T: Shrink + Debug,
+    T: Debug,
     G: Fn(&mut Gen) -> T,
     P: Fn(&T) -> CaseOutcome,
 {
@@ -340,12 +280,18 @@ where
             splitmix64(&mut seed_stream)
         };
         attempts += 1;
-        let value = gen(&mut Gen::new(case_seed));
+        let mut g = Gen::new(case_seed);
+        let value = gen(&mut g);
         match prop(&value) {
             CaseOutcome::Pass => ran += 1,
             CaseOutcome::Reject => continue,
             CaseOutcome::Fail(msg) => {
-                let (minimal, min_msg, steps) = shrink_failure(config, &prop, value, msg);
+                let failure = Failure {
+                    choices: g.into_choices(),
+                    value,
+                    msg,
+                };
+                let (minimal, min_msg, steps) = shrink_failure(config, &gen, &prop, failure);
                 panic!(
                     "property '{name}' failed (case {ran}, seed {case_seed:#018x}):\n  \
                      {min_msg}\n  minimal failing input (after {steps} shrink steps): \
@@ -360,40 +306,93 @@ where
 /// [`check_with`] using [`Config::from_env`].
 pub fn check<T, G, P>(name: &str, gen: G, prop: P)
 where
-    T: Shrink + Debug,
+    T: Debug,
     G: Fn(&mut Gen) -> T,
     P: Fn(&T) -> CaseOutcome,
 {
     check_with(&Config::from_env(), name, gen, prop);
 }
 
-/// Greedy descent: repeatedly adopt the first shrink candidate that still
-/// fails, until no candidate fails or the iteration budget runs out.
-fn shrink_failure<T, P>(config: &Config, prop: &P, start: T, msg: String) -> (T, String, u32)
+/// A failing input with the choice sequence that generated it.
+struct Failure<T> {
+    choices: Vec<u64>,
+    value: T,
+    msg: String,
+}
+
+/// Greedy descent over choice sequences: repeatedly adopt the first
+/// candidate sequence whose generated input still fails (and is not
+/// rejected), until none does or the iteration budget runs out. The
+/// adopted sequence is the one the generator actually read, so unread
+/// and clamped choices never carry over. It is never longer than the
+/// candidate nor above it at any place, and each candidate is shorter
+/// than the current sequence or below it at one place, so every step
+/// makes progress.
+fn shrink_failure<T, G, P>(
+    config: &Config,
+    gen: &G,
+    prop: &P,
+    start: Failure<T>,
+) -> (T, String, u32)
 where
-    T: Shrink + Debug,
+    G: Fn(&mut Gen) -> T,
     P: Fn(&T) -> CaseOutcome,
 {
     let mut current = start;
-    let mut current_msg = msg;
     let mut iters = 0u32;
     let mut steps = 0u32;
     'outer: loop {
-        for cand in current.shrink_candidates() {
+        let choices = std::mem::take(&mut current.choices);
+        for cand in shrink_candidates(&choices) {
             if iters >= config.max_shrink_iters {
                 break 'outer;
             }
             iters += 1;
-            if let CaseOutcome::Fail(m) = prop(&cand) {
-                current = cand;
-                current_msg = m;
+            let mut g = Gen::replay(cand);
+            let value = gen(&mut g);
+            if let CaseOutcome::Fail(msg) = prop(&value) {
+                current = Failure {
+                    choices: g.into_choices(),
+                    value,
+                    msg,
+                };
                 steps += 1;
                 continue 'outer;
             }
         }
         break;
     }
-    (current, current_msg, steps)
+    (current.value, current.msg, steps)
+}
+
+/// Simpler choice sequences than `choices`, most aggressive first: every
+/// choice 0, the first half alone (the rest read as 0), each choice
+/// deleted (a vector's later elements move up, so a failing element can
+/// reach the front), then each choice lowered to 0, halved, or
+/// decremented.
+fn shrink_candidates(choices: &[u64]) -> impl Iterator<Item = Vec<u64>> + '_ {
+    let n = choices.len();
+    let drops = (0..n).filter(move |_| n > 1).map(move |i| {
+        let mut v = choices.to_vec();
+        v.remove(i);
+        v
+    });
+    let lowers = (0..n).flat_map(move |i| {
+        let c = choices[i];
+        let mut to = vec![0, c / 2, c.saturating_sub(1)];
+        to.dedup();
+        to.into_iter().filter(move |&t| t < c).map(move |t| {
+            let mut v = choices.to_vec();
+            v[i] = t;
+            v
+        })
+    });
+    (n > 0)
+        .then(Vec::new)
+        .into_iter()
+        .chain((n > 1).then(|| choices[..n / 2].to_vec()))
+        .chain(drops)
+        .chain(lowers)
 }
 
 /// Asserts a condition inside a property; on failure the enclosing
@@ -634,6 +633,34 @@ mod tests {
         .expect_err("must fail");
         let msg = err.downcast_ref::<String>().unwrap();
         assert!(msg.contains("[100]"), "not minimal: {msg}");
+    }
+
+    /// Shrinking re-runs the generator, so a failure drawn from
+    /// `u64_in(1, n)` shrinks to the range's low end, 1, and the property
+    /// never sees 0, even where a later draw's range depends on it.
+    #[test]
+    fn shrinking_never_leaves_the_generator_s_range() {
+        let saw_zero = std::cell::Cell::new(false);
+        let fail_with = |gen: &dyn Fn(&mut Gen) -> (u64, u64)| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                check_with(&quick(), "spread", gen, |&(spread, start)| {
+                    saw_zero.set(saw_zero.get() || spread == 0);
+                    // Divides by `spread`, as a start-jitter property would.
+                    prop_assert!(start % spread == start && spread < 4);
+                    CaseOutcome::Pass
+                });
+            }))
+            .expect_err("property must fail");
+            err.downcast_ref::<String>().unwrap().clone()
+        };
+        let msg = fail_with(&|g| (g.u64_in(1, 1 << 40), 0));
+        assert!(msg.contains(": (4, 0)\n"), "not shrunk to spread 4: {msg}");
+        let msg = fail_with(&|g| {
+            let spread = g.u64_in(1, 1 << 40);
+            (spread, g.u64_in(0, spread))
+        });
+        assert!(msg.contains(": (4, 0)\n"), "not shrunk to spread 4: {msg}");
+        assert!(!saw_zero.get(), "a shrink candidate drew spread 0");
     }
 
     #[test]

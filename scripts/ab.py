@@ -2,7 +2,7 @@
 """Interleaved A/B of the benchmark between a base revision and this checkout.
 
     python3 scripts/ab.py BASE_REV --workload megafleet-1m --pairs 10 [--seed N]
-    python3 scripts/ab.py BASE_REV --exhibit megafleet --pairs 5
+    python3 scripts/ab.py BASE_REV --exhibit megafleet --pairs 5 [--jobs 1]
     python3 scripts/ab.py BASE_REV --exhibit figures --pairs 3
     python3 scripts/ab.py BASE_REV --exhibit fleet --pairs 5
     python3 scripts/ab.py BASE_REV --exhibit transport --pairs 5
@@ -35,15 +35,18 @@ line is the same table as one JSON object.
 
 ``--exhibit NAME`` measures a committed exhibit end to end instead: it
 builds both trees' ``nfsperf`` binaries and runs the exhibit's full
-command (``nfsperf megafleet --jobs 2``; ``nfsperf figures --jobs 2``
-for the paper's nine figure and table CSVs; ``nfsperf fleet``,
-``transport``, ``qos``, ``netqos`` or ``cawl``, each with ``--jobs 2``)
-once per side per pair, alternating which side goes first, timing each
-process's wall clock and reading its
-peak resident set (``ru_maxrss``) from ``os.wait4``. Each run writes
+command (``nfsperf megafleet``; ``nfsperf figures`` for the paper's nine
+figure and table CSVs; ``nfsperf fleet``, ``transport``, ``qos``,
+``netqos`` or ``cawl``), each with ``--jobs 2`` unless ``--jobs N`` names
+another worker count, once per side per pair, alternating which side
+goes first, timing each process's wall clock and reading its peak
+resident set (``ru_maxrss``) from ``os.wait4``. A process's peak depends
+on which of its cells overlap, so ``--jobs 1``, one cell at a time, is
+the setting that resolves a change in per-cell memory. Each run writes
 into its own temporary ``--out``, and every file it writes must equal
-this checkout's committed ``results/<name>`` byte for byte, with none
-missing, or the script stops. For ``wall_s`` and ``max_rss_mib`` it
+its own tree's committed ``results/<name>`` byte for byte, with none
+missing, or the script stops; the header names any file whose committed
+copies differ between the trees. For ``wall_s`` and ``max_rss_mib`` it
 prints each side's median, the parent's quartiles, the change/parent
 ratio's median and quartiles, and the pairs the change won, then the
 same as one JSON line.
@@ -66,18 +69,21 @@ ROOT = Path(__file__).resolve().parent.parent
 # Each tree builds into and runs from its own target directories.
 ENV = {k: v for k, v in os.environ.items() if k != "CARGO_TARGET_DIR"}
 
-# Exhibit name: (`nfsperf` arguments, the `results/` files it regenerates,
-# whether its `--out` names a directory rather than the one CSV).
+# Exhibit name: (the `results/` files its `nfsperf` subcommand of the same
+# name regenerates, whether its `--out` names a directory rather than the
+# one CSV).
 EXHIBITS = {
-    "megafleet": (["megafleet", "--jobs", "2"], ["megafleet.csv"], False),
-    "figures": (["figures", "--jobs", "2"],
-                [f"figure{i}.csv" for i in range(1, 8)] + ["table1.csv", "slow_server.csv"], True),
-    "fleet": (["fleet", "--jobs", "2"], ["fleet.csv"], False),
-    "transport": (["transport", "--jobs", "2"], ["transport.csv"], False),
-    "qos": (["qos", "--jobs", "2"], ["qos.csv"], False),
-    "netqos": (["netqos", "--jobs", "2"], ["netqos.csv"], False),
-    "cawl": (["cawl", "--jobs", "2"], ["cawl.csv"], False),
+    "megafleet": (["megafleet.csv"], False),
+    "figures": ([f"figure{i}.csv" for i in range(1, 8)] + ["table1.csv", "slow_server.csv"], True),
+    "fleet": (["fleet.csv"], False),
+    "transport": (["transport.csv"], False),
+    "qos": (["qos.csv"], False),
+    "netqos": (["netqos.csv"], False),
+    "cawl": (["cawl.csv"], False),
 }
+
+# Workers of an exhibit run unless `--jobs` names another count.
+EXHIBIT_JOBS = 2
 
 
 def run_py_constants():
@@ -161,11 +167,11 @@ def run_measured(cmd, cwd):
     return proc.returncode, wall, usage.ru_maxrss / 1024
 
 
-def exhibit_ab(base_rev, exhibit, pairs):
-    """Interleaves both trees' full `exhibit` run process by process and
-    prints the wall-clock and peak-RSS table."""
-    args, names, out_is_dir = EXHIBITS[exhibit]
-    expected = {name: (ROOT / "results" / name).read_bytes() for name in names}
+def exhibit_ab(base_rev, exhibit, pairs, jobs):
+    """Interleaves both trees' full `exhibit` run at `jobs` workers process
+    by process and prints the wall-clock and peak-RSS table."""
+    names, out_is_dir = EXHIBITS[exhibit]
+    args = [exhibit, "--jobs", str(jobs)]
     walls = {"parent": [], "change": []}
     rss = {"parent": [], "change": []}
     tmp = Path(tempfile.mkdtemp(prefix="ab-"))
@@ -173,6 +179,9 @@ def exhibit_ab(base_rev, exhibit, pairs):
         base = tmp / "base"
         export(base_rev, base)
         binaries = {"parent": (base, build_nfsperf(base)), "change": (ROOT, build_nfsperf(ROOT))}
+        committed = {side: {name: (tree / "results" / name).read_bytes() for name in names}
+                     for side, (tree, _) in binaries.items()}
+        moved = [name for name in names if committed["parent"][name] != committed["change"][name]]
         for i in range(pairs):
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             for side in order:
@@ -188,14 +197,15 @@ def exhibit_ab(base_rev, exhibit, pairs):
                     fail(f"the {side} tree's {exhibit} wrote {len(written)} files, not {len(names)}")
                 for path in written:
                     name = path.name if out_is_dir else names[0]
-                    if path.read_bytes() != expected.get(name):
-                        fail(f"the {side} tree's {path.name} differs from the committed results/{name}")
+                    if path.read_bytes() != committed[side].get(name):
+                        fail(f"the {side} tree's {path.name} differs from its committed results/{name}")
             print(f"pair {i + 1}/{pairs} done ({order[0]} first)", file=sys.stderr)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    print(f"exhibit {exhibit} (nfsperf {' '.join(args)}), {pairs} pairs; "
-          f"every file equal to its committed copy in results/ ({', '.join(names)})")
+    print(f"exhibit {exhibit} (nfsperf {' '.join(args)}), {pairs} pairs; every file equal to "
+          f"its own tree's committed copy in results/ ({', '.join(names)}); committed copies "
+          f"that differ between the trees: {', '.join(moved) or 'none'}")
     print(HEADER)
     rows = {
         "wall_s": compare("wall_s", walls["parent"], walls["change"], "lower", pairs),
@@ -247,14 +257,21 @@ def main():
     target.add_argument("--exhibit", choices=sorted(EXHIBITS))
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=None, help="world seed (default: run.py's)")
+    ap.add_argument("--jobs", type=int, default=None,
+                    help=f"exhibit worker count (default: {EXHIBIT_JOBS})")
     args = ap.parse_args()
     if args.pairs < 1:
         fail("--pairs must be at least 1")
     if args.exhibit:
         if args.seed is not None:
             fail("--seed applies to --workload runs only")
-        exhibit_ab(args.base_rev, args.exhibit, args.pairs)
+        jobs = EXHIBIT_JOBS if args.jobs is None else args.jobs
+        if jobs < 1:
+            fail("--jobs must be at least 1")
+        exhibit_ab(args.base_rev, args.exhibit, args.pairs, jobs)
         return
+    if args.jobs is not None:
+        fail("--jobs applies to --exhibit runs only")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]

@@ -630,9 +630,7 @@ fn merge_yields_exact_union_when_contiguous() {
             )
         },
         |&(a_start, a_len, b_start, b_len)| {
-            // Shrinking may drive a length to 0 or a range past the page;
-            // re-check the generator's preconditions as assumptions.
-            prop_assume!(a_len >= 1 && b_len >= 1);
+            // Both ranges must lie inside the page.
             prop_assume!(a_start + a_len <= PAGE_SIZE);
             prop_assume!(b_start + b_len <= PAGE_SIZE);
             let req = NfsPageReq::new(0, a_start, a_len, SimTime::ZERO);
@@ -670,8 +668,6 @@ fn record_round_trips_at_arbitrary_fragment_boundaries() {
             )
         },
         |(msg, max_frag, chunks)| {
-            prop_assume!(*max_frag >= 1);
-            prop_assume!(chunks.iter().all(|&c| c >= 1));
             let wire = encode_record_frags(msg, *max_frag);
             let mut rd = RecordReader::new();
             let mut out = Vec::new();
@@ -710,8 +706,6 @@ fn back_to_back_records_survive_mixed_fragmentation() {
             )
         },
         |(records, chunks)| {
-            prop_assume!(records.iter().all(|(_, f)| *f >= 1));
-            prop_assume!(chunks.iter().all(|&c| c >= 1));
             let mut wire = Vec::new();
             // Stream offset at which each record ends.
             let mut ends = Vec::new();
@@ -1066,9 +1060,6 @@ fn timer_wheel_launch_burst_matches_reference_heap() {
         "timer_wheel_launch_burst_matches_reference_heap",
         |g| (g.usize_in(1, 4_000), g.u64_in(1, 1 << 40), g.any_u64()),
         |&(n, spread, seed): &(usize, u64, u64)| {
-            // Shrinking ignores the generator's bounds; a zero spread
-            // would divide by zero instead of reporting the failure.
-            prop_assume!(n >= 1 && spread >= 1);
             let mut x = seed | 1;
             let mut next = move || {
                 x ^= x << 13;
