@@ -1,13 +1,17 @@
 //! The paper's evaluation, figure by figure and table by table.
 //!
-//! Each runner reproduces one exhibit from Section 3 of the paper and
-//! returns the same data the paper plots; the `examples/` binaries render
-//! them and EXPERIMENTS.md records paper-vs-measured.
+//! [`exhibit_cells`] splits the seven figures, Table 1 and the §3.5
+//! slow-server comparison into independent simulated worlds;
+//! [`assemble_exhibits`] folds their results into [`Exhibits`], which
+//! renders the nine CSVs and a measured-vs-paper summary. `nfsperf
+//! figures` is the one entry point; EXPERIMENTS.md records the numbers.
+
+use std::fmt;
 
 use nfsperf_client::ClientTuning;
 use nfsperf_sim::{runner, Histogram, SimDuration};
 
-use crate::render::{Series, Sweep};
+use crate::render::{ascii_table, Series, Sweep};
 use crate::scenario::{run_bonnie, run_local, write_throughput_mbps, Scenario, ServerKind};
 
 /// The paper's file-size sweep: 25 MB to 450 MB in 25 MB steps.
@@ -153,24 +157,6 @@ impl LatencyTrace {
     }
 }
 
-/// Figure 2: per-call latency of the stock client writing a 40 MB file
-/// to the filer — periodic multi-millisecond spikes from the
-/// `MAX_REQUEST_SOFT` flush-and-wait.
-pub fn figure2() -> LatencyTrace {
-    latency_trace("linux-2.4.4", ClientTuning::linux_2_4_4(), 40 << 20)
-}
-
-/// Figure 3: the same trace with flushing removed (100 MB file) — no
-/// spikes, but latency climbs as the request list grows.
-pub fn figure3() -> LatencyTrace {
-    latency_trace("no-flush", ClientTuning::no_flush(), 100 << 20)
-}
-
-/// Figure 4: the hash-table client (100 MB file) — latency stays flat.
-pub fn figure4() -> LatencyTrace {
-    latency_trace("hash-table", ClientTuning::hash_table(), 100 << 20)
-}
-
 /// Result of a latency-histogram experiment (Figures 5 and 6).
 pub struct HistogramPair {
     /// Which configuration produced it.
@@ -245,19 +231,6 @@ impl HistogramPair {
         ));
         out
     }
-}
-
-/// Figure 5: latency histograms with the global kernel lock held across
-/// `sock_sendmsg` (30 MB file). The *faster* server (the filer) shows
-/// more slow calls.
-pub fn figure5() -> HistogramPair {
-    histogram_pair("normal (BKL held)", ClientTuning::hash_table(), 30 << 20)
-}
-
-/// Figure 6: the same histograms with the lock released around
-/// `sock_sendmsg` — jitter collapses, minimum latency unchanged.
-pub fn figure6() -> HistogramPair {
-    histogram_pair("no lock", ClientTuning::full_patch(), 30 << 20)
 }
 
 /// Table 1: client memory write throughput (5 MB file) before and after
@@ -602,14 +575,37 @@ pub fn monolithic_exhibit_cells_with(
     ]
 }
 
+/// Every exhibit of the paper's evaluation, assembled from the phased
+/// cells.
+pub struct Exhibits {
+    /// Figure 1: local vs NFS throughput, stock 2.4.4 client.
+    pub figure1: Sweep,
+    /// Figure 2: per-call latency, stock client (flush spikes).
+    pub figure2: LatencyTrace,
+    /// Figure 3: per-call latency without the periodic flush.
+    pub figure3: LatencyTrace,
+    /// Figure 4: per-call latency with the hash-table index.
+    pub figure4: LatencyTrace,
+    /// Figure 5: latency histograms, kernel lock held across
+    /// `sock_sendmsg`.
+    pub figure5: HistogramPair,
+    /// Figure 6: latency histograms, lock released.
+    pub figure6: HistogramPair,
+    /// Table 1: memory write throughput before and after the lock fix.
+    pub table1: Table1,
+    /// Figure 7: local vs NFS throughput, fully patched client.
+    pub figure7: Sweep,
+    /// §3.5: slower servers allow faster memory writes.
+    pub slow_server: SlowServerComparison,
+}
+
 /// Reassembles the phased results (in [`exhibit_cells_with`] work-list
-/// order) into the `(file name, CSV body)` list the monolithic cells
-/// produce — byte-identical, in the same file order.
+/// order) into the exhibits the monolithic cells render.
 ///
 /// # Panics
 ///
 /// Panics when `parts` does not match the work-list shape for `sizes`.
-pub fn assemble_exhibits(sizes: &[u64], parts: Vec<ExhibitPart>) -> Vec<(&'static str, String)> {
+pub fn assemble_exhibits(sizes: &[u64], parts: Vec<ExhibitPart>) -> Exhibits {
     let mut it = parts.into_iter();
     let mut next = |expect: &'static str| {
         let part = it
@@ -647,37 +643,214 @@ pub fn assemble_exhibits(sizes: &[u64], parts: Vec<ExhibitPart>) -> Vec<(&'stati
         _ => unreachable!(),
     };
 
-    let fig1 = sweep_from_points(sizes.len(), &points(sizes.len(), &mut next));
-    let fig2 = trace(next("Trace"));
-    let fig3 = trace(next("Trace"));
-    let fig4 = trace(next("Trace"));
+    let figure1 = sweep_from_points(sizes.len(), &points(sizes.len(), &mut next));
+    let figure2 = trace(next("Trace"));
+    let figure3 = trace(next("Trace"));
+    let figure4 = trace(next("Trace"));
     let (f5f, f5k) = (lats(next("Latencies")), lats(next("Latencies")));
     let (f6f, f6k) = (lats(next("Latencies")), lats(next("Latencies")));
-    let t1 = Table1 {
+    let table1 = Table1 {
         filer_normal: mbps(next("Mbps")),
         filer_no_lock: mbps(next("Mbps")),
         linux_normal: mbps(next("Mbps")),
         linux_no_lock: mbps(next("Mbps")),
     };
-    let fig7 = sweep_from_points(sizes.len(), &points(sizes.len(), &mut next));
-    let cmp = slow_server_from_runs(slow(next("Slow")), slow(next("Slow")), slow(next("Slow")));
+    let figure7 = sweep_from_points(sizes.len(), &points(sizes.len(), &mut next));
+    let slow_server =
+        slow_server_from_runs(slow(next("Slow")), slow(next("Slow")), slow(next("Slow")));
     assert!(it.next().is_none(), "unconsumed exhibit parts");
 
-    vec![
-        ("figure1.csv", fig1.to_csv()),
-        ("figure2.csv", fig2.to_csv()),
-        ("figure3.csv", fig3.to_csv()),
-        ("figure4.csv", fig4.to_csv()),
-        (
-            "figure5.csv",
-            pair_from_latencies("normal (BKL held)", &f5f, &f5k).to_csv(),
-        ),
-        (
-            "figure6.csv",
-            pair_from_latencies("no lock", &f6f, &f6k).to_csv(),
-        ),
-        ("table1.csv", table1_csv(&t1)),
-        ("figure7.csv", fig7.to_csv()),
-        ("slow_server.csv", slow_server_csv(&cmp)),
-    ]
+    Exhibits {
+        figure1,
+        figure2,
+        figure3,
+        figure4,
+        figure5: pair_from_latencies("normal (BKL held)", &f5f, &f5k),
+        figure6: pair_from_latencies("no lock", &f6f, &f6k),
+        table1,
+        figure7,
+        slow_server,
+    }
+}
+
+impl Exhibits {
+    /// The nine `(file name, CSV body)` pairs, byte-identical to the
+    /// monolithic cells' output and in the same file order.
+    pub fn csvs(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("figure1.csv", self.figure1.to_csv()),
+            ("figure2.csv", self.figure2.to_csv()),
+            ("figure3.csv", self.figure3.to_csv()),
+            ("figure4.csv", self.figure4.to_csv()),
+            ("figure5.csv", self.figure5.to_csv()),
+            ("figure6.csv", self.figure6.to_csv()),
+            ("table1.csv", table1_csv(&self.table1)),
+            ("figure7.csv", self.figure7.to_csv()),
+            ("slow_server.csv", slow_server_csv(&self.slow_server)),
+        ]
+    }
+}
+
+/// The measured-vs-paper summary `nfsperf figures` prints: every
+/// exhibit's headline numbers beside the paper's in brackets, one
+/// section per CSV, titled `== <exhibit> (<file>.csv): ... ==`.
+impl fmt::Display for Exhibits {
+    fn fmt(&self, o: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ms1 = SimDuration::from_millis(1);
+        writeln!(
+            o,
+            "
+== Figure 1 (figure1.csv): local vs NFS throughput, stock client ==
+{}  [paper: NFS pinned at network/server speed, local at memory speed until RAM runs out]",
+            self.figure1.ascii_plot(64, 18)
+        )?;
+
+        let f2 = &self.figure2;
+        let calls = f2.latencies.len();
+        writeln!(
+            o,
+            "
+== Figure 2 (figure2.csv): write() latency, {} client ==
+  spikes >1ms: {} of {calls} calls ({:.2}%)   [paper: 37 of 2560, 1.4%]",
+            f2.label,
+            f2.spikes,
+            100.0 * f2.spikes as f64 / calls.max(1) as f64
+        )?;
+        let periods = f2.spike_periods(ms1);
+        if !periods.is_empty() {
+            let period = periods.iter().sum::<usize>() as f64 / periods.len() as f64;
+            writeln!(
+                o,
+                "  mean spike period: {period:.0} calls   [paper: every 80-90]"
+            )?;
+        }
+        let mut spikes: Vec<SimDuration> =
+            f2.latencies.iter().copied().filter(|l| *l > ms1).collect();
+        spikes.sort();
+        if let (Some(median), Some(max)) = (spikes.get(spikes.len() / 2), spikes.last()) {
+            writeln!(
+                o,
+                "  spike magnitude: median {median}, max {max}   [paper: ~19 ms]"
+            )?;
+        }
+        writeln!(
+            o,
+            "  mean: {}   mean excl >1ms: {}   [paper: 482.1 us vs 139.6 us]
+  write throughput: {:.1} MB/s",
+            f2.mean, f2.mean_excluding_spikes, f2.write_mbps
+        )?;
+
+        let f3 = &self.figure3;
+        let deciles: Vec<String> = nfsperf_bonnie::decile_means(&f3.latencies)
+            .iter()
+            .map(|d| d.to_string())
+            .collect();
+        writeln!(
+            o,
+            "
+== Figure 3 (figure3.csv): write() latency, {} client ==
+  calls: {}   spikes >1ms: {}   mean: {}   [paper: no spikes, mean 484.7 us]
+  decile means: {}
+  growth last/first decile: x{:.2}   [paper: grows with the request list]",
+            f3.label,
+            f3.latencies.len(),
+            f3.spikes,
+            f3.mean,
+            deciles.join(" "),
+            nfsperf_bonnie::trend_ratio(&f3.latencies)
+        )?;
+
+        let f4 = &self.figure4;
+        let deciles = nfsperf_bonnie::decile_means(&f4.latencies);
+        let zero = SimDuration::ZERO;
+        writeln!(
+            o,
+            "
+== Figure 4 (figure4.csv): write() latency, {} client ==
+  calls: {}   mean: {}   [paper: 136.9 us]
+  first decile {} -> last decile {}, growth x{:.2}   [paper: flat]
+  write throughput: {:.1} MB/s   [paper: ~115]",
+            f4.label,
+            f4.latencies.len(),
+            f4.mean,
+            deciles.first().unwrap_or(&zero),
+            deciles.last().unwrap_or(&zero),
+            nfsperf_bonnie::trend_ratio(&f4.latencies),
+            f4.write_mbps
+        )?;
+
+        for (n, pair, paper) in [
+            (5, &self.figure5, "filer 149 us max 381 us, linux 113 us"),
+            (6, &self.figure6, "filer 127 us max 292 us, linux 105 us"),
+        ] {
+            write!(
+                o,
+                "
+== Figure {n} (figure{n}.csv): write() latency histograms, {} ==
+  filer mean {} max {}   linux mean {} max {}   [paper: {paper}]
+  filer histogram:
+{}  linux histogram:
+{}",
+                pair.label,
+                pair.filer_mean,
+                pair.filer_max,
+                pair.knfsd_mean,
+                pair.knfsd_max,
+                pair.filer,
+                pair.knfsd
+            )?;
+        }
+
+        let t = &self.table1;
+        let mbps = |v: f64| format!("{v:.0} MB/s");
+        let rows = [
+            [
+                "NetApp filer",
+                &mbps(t.filer_normal),
+                &mbps(t.filer_no_lock),
+                "115 MB/s",
+                "140 MB/s",
+            ],
+            [
+                "Linux NFS server",
+                &mbps(t.linux_normal),
+                &mbps(t.linux_no_lock),
+                "138 MB/s",
+                "147 MB/s",
+            ],
+        ]
+        .map(|row| row.map(String::from).to_vec());
+        let headers = ["", "Normal", "No lock", "paper Normal", "paper No lock"];
+        write!(
+            o,
+            "
+== Table 1 (table1.csv): memory write throughput, lock held vs released ==
+{}",
+            ascii_table(&headers, &rows)
+        )?;
+
+        writeln!(
+            o,
+            "
+== Figure 7 (figure7.csv): local vs NFS throughput, fully patched client ==
+{}  [paper: NFS near memory speed while RAM lasts; past it the filer outlasts the Linux server]",
+            self.figure7.ascii_plot(64, 18)
+        )?;
+
+        let c = &self.slow_server;
+        writeln!(
+            o,
+            "
+== §3.5 (slow_server.csv): slower servers allow faster memory writes ==
+  filer {:.1} MB/s, linux {:.1} MB/s, slow-100bt {:.1} MB/s   [paper: filer < linux < slow]
+  lock waits blamed on rpc_xmit/sock_sendmsg: {:.0}%   [paper: ~90%]
+  network during run: filer {:.1} MB/s, linux {:.1} MB/s   [paper: 38 vs 26]",
+            c.filer_mbps,
+            c.knfsd_mbps,
+            c.slow_mbps,
+            100.0 * c.xmit_wait_fraction,
+            c.filer_net_mbps,
+            c.knfsd_net_mbps
+        )
+    }
 }

@@ -1,12 +1,12 @@
 //! Experiment runners reproducing the paper's evaluation.
 //!
-//! [`figures`] has one runner per exhibit (Figures 1–7, Table 1, the
-//! §3.5 slow-server comparison); [`ablations`] sweeps the design
-//! parameters; [`transport`] compares UDP and TCP mounts under packet
-//! loss; [`fleet`] scales client count against one shared server;
-//! [`megafleet`] pushes that to 10k–1M flyweight clients through a
-//! multi-stage fabric; [`scenario`] assembles worlds; [`render`] writes
-//! CSVs and ASCII charts.
+//! [`figures`] renders every exhibit (Figures 1–7, Table 1, the §3.5
+//! slow-server comparison) from one phased work-list; [`ablations`]
+//! sweeps the design parameters; [`transport`] compares UDP and TCP
+//! mounts under packet loss; [`fleet`] scales client count against one
+//! shared server; [`megafleet`] pushes that to 10k–1M flyweight clients
+//! through a multi-stage fabric; [`scenario`] assembles worlds;
+//! [`render`] writes CSVs and ASCII charts.
 
 pub mod ablations;
 pub mod arrivals;
@@ -33,9 +33,8 @@ pub use cawl::{
 };
 pub use concurrency::{concurrent_writers, future_work_comparison, ConcurrencyResult, Topology};
 pub use figures::{
-    figure1, figure2, figure3, figure4, figure5, figure6, figure7, paper_file_sizes,
-    quick_file_sizes, slow_server_comparison, table1, throughput_sweep, HistogramPair,
-    LatencyTrace, SlowServerComparison, Table1,
+    figure1, figure7, paper_file_sizes, quick_file_sizes, slow_server_comparison, table1,
+    throughput_sweep, Exhibits, HistogramPair, LatencyTrace, SlowServerComparison, Table1,
 };
 pub use fleet::{
     fleet_cells, fleet_sweep, jain_index, run_fleet, FleetCell, FleetConfig, FleetRun, FleetSweep,

@@ -407,8 +407,6 @@ struct SimCore {
     /// `run_until` calls on the stack.
     runs: Cell<u32>,
     ready: Arc<ReadyQueue>,
-    /// Count of tasks currently being polled; used to catch re-entrancy.
-    polling: Cell<usize>,
     /// Retired events (task polls + timer fires); credited to the
     /// thread's [`profile`] tally.
     events: Cell<u64>,
@@ -548,7 +546,6 @@ impl Sim {
                 retired_handlers: RefCell::new(Vec::new()),
                 runs: Cell::new(0),
                 ready,
-                polling: Cell::new(0),
                 events: Cell::new(0),
                 events_credited: Cell::new(0),
             }),
@@ -932,10 +929,8 @@ impl Sim {
         // poll: no allocation after that, no refcount.
         let waker = waker_for(self.core.task_wakers.borrow_mut().get_or_init(id, |j| j));
         let mut cx = Context::from_waker(&waker);
-        self.core.polling.set(self.core.polling.get() + 1);
         self.core.events.set(self.core.events.get() + 1);
         let poll = fut.as_mut().poll(&mut cx);
-        self.core.polling.set(self.core.polling.get() - 1);
 
         let mut tasks = self.core.tasks.borrow_mut();
         let slot = &mut tasks[id];

@@ -28,8 +28,9 @@ the script alternates the two trees' built ``simbench setup`` binaries
 process by process, with the run's seed and run.py's per-workload
 (processes, repeat) sampling, and reports each side's median of those samples.
 
-For every end-to-end metric of BENCHMARK.json it prints both sides'
-medians, the parent's quartiles, the median and quartiles of the per-pair
+Each pair's progress line on stderr gives every end-to-end metric of that
+pair, parent -> change. For every end-to-end metric of BENCHMARK.json it
+prints both sides' medians, the parent's quartiles, the median and quartiles of the per-pair
 change/parent ratio, and how many pairs the change won. The last stdout
 line is the same table as one JSON object.
 
@@ -199,7 +200,9 @@ def exhibit_ab(base_rev, exhibit, pairs, jobs):
                     name = path.name if out_is_dir else names[0]
                     if path.read_bytes() != committed[side].get(name):
                         fail(f"the {side} tree's {path.name} differs from its committed results/{name}")
-            print(f"pair {i + 1}/{pairs} done ({order[0]} first)", file=sys.stderr)
+            print(f"pair {i + 1}/{pairs} done ({order[0]} first): "
+                  f"wall_s {walls['parent'][-1]:.6g} -> {walls['change'][-1]:.6g}, "
+                  f"max_rss_mib {rss['parent'][-1]:.6g} -> {rss['change'][-1]:.6g}", file=sys.stderr)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -302,7 +305,10 @@ def main():
                     setups[side] += setup_once(tree, args.workload, seed, repeat)
             for side in setups:
                 runs[side][-1]["metrics"]["setup_s"]["value"] = statistics.median(setups[side])
-            print(f"pair {i + 1}/{args.pairs} done ({order[0][0]} first)", file=sys.stderr)
+            values = ", ".join(
+                f"{m['name']} {runs['parent'][-1]['metrics'][m['name']]['value']:.6g}"
+                f" -> {runs['change'][-1]['metrics'][m['name']]['value']:.6g}" for m in metrics)
+            print(f"pair {i + 1}/{args.pairs} done ({order[0][0]} first): {values}", file=sys.stderr)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 

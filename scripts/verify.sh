@@ -242,6 +242,25 @@ cmp results/fleet-2.csv results/fleet.csv \
     || { echo "FAIL: fleet sweep differs from the committed results/fleet.csv"; exit 1; }
 rm -f results/fleet-2.csv
 
+echo "==> paper exhibits (full, --jobs 2 vs committed results/, one summary section each)"
+# `nfsperf figures` is the one entry point for the paper's seven figures,
+# Table 1 and the section 3.5 slow-server comparison: every CSV it writes
+# must equal the committed copy, and the measured-vs-paper summary it
+# prints must hold one section titled with each CSV's name. About 7 s
+# at --jobs 2 on a 2-vCPU VM.
+figdir="$(mktemp -d)"
+out="$(cargo run -q --release --offline --bin nfsperf -- figures --jobs 2 --out "$figdir")"
+echo "$out"
+for csv in figure1 figure2 figure3 figure4 figure5 figure6 figure7 table1 slow_server; do
+    cmp "$figdir/$csv.csv" "results/$csv.csv" \
+        || { echo "FAIL: $csv.csv differs from the committed results/$csv.csv"; exit 1; }
+    echo "$out" | grep -qF "($csv.csv): " \
+        || { echo "FAIL: the figures summary has no $csv.csv section"; exit 1; }
+done
+[ "$(ls "$figdir" | wc -l)" -eq 9 ] \
+    || { echo "FAIL: figures wrote $(ls "$figdir" | wc -l) files, expected 9"; exit 1; }
+rm -rf "$figdir"
+
 echo "==> benchmark worlds at the committed seed (model counters vs simbench/digests.json)"
 # One run of each benchmark world at run.py's default seed. run.py checks
 # every world's conservation laws and, at that seed, requires every model

@@ -3,7 +3,6 @@
 //! ```text
 //! nfsperf run --tuning full-patch --server filer --size-mb 100 [options]
 //! nfsperf figures [--quick] [--out DIR] [--jobs N]
-//! nfsperf table1
 //! nfsperf concurrency
 //! nfsperf transport [--quick] [--out FILE] [--jobs N]
 //! nfsperf fleet [--quick] [--out FILE] [--jobs N]
@@ -42,7 +41,6 @@ USAGE:
                 [--ram-mb N] [--slots N] [--jumbo] [--seed N]
                 [--transport X] [--loss P] [--latencies FILE]
     nfsperf figures [--quick] [--out DIR] [--jobs N]
-    nfsperf table1
     nfsperf concurrency
     nfsperf transport [--quick] [--out FILE] [--jobs N]
     nfsperf fleet [--quick] [--out FILE] [--jobs N]
@@ -67,6 +65,10 @@ OPTIONS (run):
     --latencies write per-call latencies as CSV to FILE
 
 COMMANDS:
+    figures     the paper's exhibits: Figures 1-7, Table 1 and the
+                section 3.5 slow-server comparison (--quick for five file
+                sizes in the Figure 1/7 sweeps); writes nine CSVs to
+                --out [results] and prints measured vs paper
     transport   UDP vs UDP+jumbo vs TCP matrix across loss rates
                 (8 MB per cell; --quick for 2 MB); writes CSV to --out
                 [results/transport.csv]
@@ -302,26 +304,12 @@ fn cmd_figures(mut args: Args) -> Result<(), String> {
         jobs
     );
     let parts = runner::run_cells(jobs, cells);
-    for (name, body) in figures::assemble_exhibits(&sizes, parts) {
+    let exhibits = figures::assemble_exhibits(&sizes, parts);
+    for (name, body) in exhibits.csvs() {
         std::fs::write(dir.join(name), body).map_err(|e| e.to_string())?;
     }
     println!("wrote figures to {out_dir}/");
-    Ok(())
-}
-
-fn cmd_table1(args: Args) -> Result<(), String> {
-    args.finish()?;
-    let t = figures::table1();
-    println!("Table 1 — memory write throughput (MB/s), 5 MB file");
-    println!("                      Normal   No lock");
-    println!(
-        "  NetApp filer        {:>6.0}   {:>7.0}",
-        t.filer_normal, t.filer_no_lock
-    );
-    println!(
-        "  Linux NFS server    {:>6.0}   {:>7.0}",
-        t.linux_normal, t.linux_no_lock
-    );
+    print!("{exhibits}");
     Ok(())
 }
 
@@ -514,7 +502,6 @@ fn main() -> ExitCode {
     let result = match cmd.as_str() {
         "run" => cmd_run(args),
         "figures" => cmd_figures(args),
-        "table1" => cmd_table1(args),
         "concurrency" => cmd_concurrency(args),
         "transport" => cmd_transport(args),
         "fleet" => cmd_fleet(args),

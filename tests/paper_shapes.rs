@@ -2,7 +2,7 @@
 //! evaluation, asserted against the full simulated stack.
 //!
 //! These use reduced file sizes so that debug-mode `cargo test` stays
-//! fast; the `examples/` binaries run paper-scale parameters.
+//! fast; `nfsperf figures` runs paper-scale parameters.
 
 use nfsperf_client::ClientTuning;
 use nfsperf_experiments::{figures, run_bonnie, run_local, Scenario, ServerKind};
@@ -168,6 +168,10 @@ fn fig5_fig6_lock_contention_shapes() {
         &Scenario::new(ClientTuning::full_patch(), ServerKind::Filer),
         size,
     );
+    let free_knfsd = run_bonnie(
+        &Scenario::new(ClientTuning::full_patch(), ServerKind::Knfsd),
+        size,
+    );
     let mean = |o: &nfsperf_experiments::RunOutput| nfsperf_bonnie::mean(&o.report.latencies[1..]);
     let min =
         |o: &nfsperf_experiments::RunOutput| o.report.latencies[1..].iter().copied().min().unwrap();
@@ -178,6 +182,14 @@ fn fig5_fig6_lock_contention_shapes() {
         "filer run should have higher mean latency: {} vs {}",
         mean(&held_filer),
         mean(&held_knfsd)
+    );
+    // Fig 6: with the lock released the faster server still does not
+    // give faster client writes (paper: filer 127 us, linux 105 us).
+    assert!(
+        mean(&free_filer) >= mean(&free_knfsd),
+        "lock released: filer {} vs linux {}",
+        mean(&free_filer),
+        mean(&free_knfsd)
     );
     // Fig 6: the lock fix reduces mean latency against the filer.
     assert!(
@@ -250,6 +262,19 @@ fn slow_server_inversion_and_sendmsg_blame() {
     );
 }
 
+/// §3.5 on SMP: the lock-holding RPC layer makes the writer wait on the
+/// kernel lock, and a second client CPU relieves that wait.
+#[test]
+fn second_cpu_relieves_lock_waits() {
+    let a = nfsperf_experiments::cpu_ablation();
+    assert!(
+        a.one_cpu_wait_ns > a.two_cpu_wait_ns,
+        "a second CPU must relieve lock waiting: {} ns vs {} ns per call",
+        a.one_cpu_wait_ns,
+        a.two_cpu_wait_ns
+    );
+}
+
 /// Figure 7 claims: the patched client writes at memory speed while RAM
 /// lasts; past RAM the filer sustains more than the Linux server, which
 /// sustains more than the local IDE disk.
@@ -269,8 +294,8 @@ fn fig7_patched_shapes() {
 
     // Past-RAM point on a scaled-down machine (64 MB RAM, 96 MB file):
     // the same mechanism as the paper's 256 MB / 280 MB point at a
-    // fraction of the event count, so debug-mode tests stay fast. The
-    // release-mode benches and `examples/figure7` run the full scale.
+    // fraction of the event count, so debug-mode tests stay fast.
+    // `nfsperf figures` runs the full scale.
     let ram = 64 << 20;
     let size = 96 << 20;
     let local = nfsperf_experiments::run_local_with_ram(size, ram, false).write_mbps();

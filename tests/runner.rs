@@ -119,9 +119,38 @@ fn phased_cells_render_identical_csvs_to_monolithic() {
 
             let mono = run_cells(jobs, figures::monolithic_exhibit_cells_with(&sizes, ex));
             let parts = run_cells(jobs, figures::exhibit_cells_with(&sizes, ex));
-            let phased = figures::assemble_exhibits(&sizes, parts);
+            let phased = figures::assemble_exhibits(&sizes, parts).csvs();
             prop_assert_eq!(&mono, &phased);
             CaseOutcome::Pass
         },
     );
+}
+
+/// The measured-vs-paper summary `nfsperf figures` prints has one section
+/// per exhibit, titled with the CSV it summarises, and every section
+/// quotes the paper's figures beside the measured ones.
+#[test]
+fn figures_summary_names_every_exhibit() {
+    let sizes = [128 << 10, 256 << 10];
+    let ex = figures::ExhibitSizes::uniform(256 << 10);
+    let exhibits = figures::assemble_exhibits(
+        &sizes,
+        run_cells(2, figures::exhibit_cells_with(&sizes, ex)),
+    );
+    let summary = exhibits.to_string();
+    let csvs = exhibits.csvs();
+    assert_eq!(csvs.len(), 9);
+    for (name, _) in &csvs {
+        let title = format!("({name}): ");
+        assert_eq!(
+            summary.matches(&title).count(),
+            1,
+            "one summary section for {name}:\n{summary}"
+        );
+    }
+    let sections: Vec<&str> = summary.split("\n== ").skip(1).collect();
+    assert_eq!(sections.len(), csvs.len(), "{summary}");
+    for section in sections {
+        assert!(section.contains("paper"), "no paper anchor in:\n{section}");
+    }
 }
