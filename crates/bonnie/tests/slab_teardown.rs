@@ -4,9 +4,9 @@
 //! slab: WRITE tasks queued on the RPC slot table, daemons parked on
 //! wait queues, tasks sleeping on the kernel lock. A world stopped in the
 //! middle of a close still has thousands of WRITEs queued behind the
-//! slot table. Tearing it down must free every entry they and the
-//! world's daemons hold, so the slab's live count returns to where it
-//! started.
+//! slot table. Ending it by dropping its owner must free every entry
+//! they and the world's daemons hold, so the slab's live count returns
+//! to where it started.
 
 use std::rc::Rc;
 
@@ -21,7 +21,7 @@ use nfsperf_sim::{Sim, SimDuration};
 const FILE_BYTES: u64 = 32 << 20;
 
 #[test]
-fn teardown_mid_close_frees_every_parked_waiter() {
+fn a_world_ended_mid_close_frees_every_parked_waiter() {
     let base = live_waiters();
     let sim = Sim::new();
     let kernel = Kernel::new(
@@ -73,11 +73,10 @@ fn teardown_mid_close_frees_every_parked_waiter() {
     );
     assert!(live_waiters() >= base + queued);
 
-    drop((mount, server, kernel));
-    sim.teardown();
+    drop((mount, server, kernel, sim));
     assert_eq!(
         live_waiters(),
         base,
-        "the torn-down world left waiter entries live"
+        "the ended world left waiter entries live"
     );
 }

@@ -95,7 +95,6 @@ pub fn concurrent_writers(
             write_file(m, "w0", bytes_per_writer).await;
             s2.now().since(t0)
         });
-        sim.teardown();
         mbps(bytes_per_writer, elapsed)
     };
 
@@ -118,7 +117,6 @@ pub fn concurrent_writers(
             b.await;
             s2.now().since(t0)
         });
-        sim.teardown();
         mbps(2 * bytes_per_writer, elapsed)
     };
 

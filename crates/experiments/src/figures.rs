@@ -67,42 +67,6 @@ fn sweep_from_points(sizes_len: usize, points: &[(f64, f64)]) -> Sweep {
     }
 }
 
-/// Figures 1 and 7 share a shape: local ext2 vs NFS on both servers,
-/// write throughput against file size. Each `(size, backend)` point is
-/// an isolated world, fanned across up to `jobs` worker threads; results
-/// come back in work-list order, so the sweep (and its CSV) is
-/// bit-identical at any `jobs` value.
-pub fn throughput_sweep(tuning: ClientTuning, sizes: &[u64], jobs: usize) -> Sweep {
-    let mut cells: Vec<runner::Cell<(f64, f64)>> = Vec::new();
-    for &size in sizes {
-        cells.push(runner::Cell::new(move || {
-            throughput_point(tuning, None, size)
-        }));
-        cells.push(runner::Cell::new(move || {
-            throughput_point(tuning, Some(ServerKind::Filer), size)
-        }));
-        cells.push(runner::Cell::new(move || {
-            throughput_point(tuning, Some(ServerKind::Knfsd), size)
-        }));
-    }
-    let points = runner::run_cells(jobs, cells);
-    sweep_from_points(sizes.len(), &points)
-}
-
-/// Figure 1: local vs NFS memory write performance with the **stock**
-/// 2.4.4 client. NFS throughput stays pinned at network/server speed
-/// while local writes run at memory speed until RAM is exhausted.
-pub fn figure1(sizes: &[u64], jobs: usize) -> Sweep {
-    throughput_sweep(ClientTuning::linux_2_4_4(), sizes, jobs)
-}
-
-/// Figure 7: the same sweep with the **fully patched** client. NFS write
-/// throughput approaches local memory speed while RAM lasts, and the
-/// filer sustains more than the Linux server past exhaustion.
-pub fn figure7(sizes: &[u64], jobs: usize) -> Sweep {
-    throughput_sweep(ClientTuning::full_patch(), sizes, jobs)
-}
-
 /// Result of a latency-trace experiment (Figures 2, 3 and 4).
 pub struct LatencyTrace {
     /// Which configuration produced it.
@@ -202,12 +166,6 @@ fn pair_from_latencies(
         filer_max: f_lat.iter().copied().max().unwrap_or(SimDuration::ZERO),
         knfsd_max: k_lat.iter().copied().max().unwrap_or(SimDuration::ZERO),
     }
-}
-
-fn histogram_pair(label: &'static str, tuning: ClientTuning, size: u64) -> HistogramPair {
-    let filer = histogram_half(tuning, ServerKind::Filer, size);
-    let knfsd = histogram_half(tuning, ServerKind::Knfsd, size);
-    pair_from_latencies(label, &filer, &knfsd)
 }
 
 impl HistogramPair {
@@ -440,8 +398,7 @@ impl ExhibitPart {
 /// per figure-5/6 server half, per Table 1 entry, and per slow-server
 /// run — so a worker pool is never starved by one monolithic exhibit.
 /// Results pair back up in [`assemble_exhibits`]; the CSVs are
-/// byte-identical to the monolithic list
-/// ([`monolithic_exhibit_cells_with`]) at any `--jobs` value.
+/// byte-identical at any `--jobs` value.
 pub fn exhibit_cells(sizes: &[u64]) -> Vec<runner::Cell<ExhibitPart>> {
     exhibit_cells_with(sizes, ExhibitSizes::default())
 }
@@ -514,65 +471,6 @@ pub fn exhibit_cells_with(sizes: &[u64], ex: ExhibitSizes) -> Vec<runner::Cell<E
         }));
     }
     cells
-}
-
-/// The pre-split *monolithic* work-list: one cell per whole exhibit,
-/// each rendering `(file name, CSV body)` with its inner sweep run
-/// serially. Kept as the reference implementation the phased list is
-/// proven byte-identical against (`tests/runner.rs`).
-pub fn monolithic_exhibit_cells_with(
-    sizes: &[u64],
-    ex: ExhibitSizes,
-) -> Vec<runner::Cell<(&'static str, String)>> {
-    let s1 = sizes.to_vec();
-    let s7 = sizes.to_vec();
-    vec![
-        runner::Cell::new(move || ("figure1.csv", figure1(&s1, 1).to_csv())),
-        runner::Cell::new(move || {
-            (
-                "figure2.csv",
-                latency_trace("linux-2.4.4", ClientTuning::linux_2_4_4(), ex.figure2_bytes)
-                    .to_csv(),
-            )
-        }),
-        runner::Cell::new(move || {
-            (
-                "figure3.csv",
-                latency_trace("no-flush", ClientTuning::no_flush(), ex.figure3_bytes).to_csv(),
-            )
-        }),
-        runner::Cell::new(move || {
-            (
-                "figure4.csv",
-                latency_trace("hash-table", ClientTuning::hash_table(), ex.figure4_bytes).to_csv(),
-            )
-        }),
-        runner::Cell::new(move || {
-            (
-                "figure5.csv",
-                histogram_pair(
-                    "normal (BKL held)",
-                    ClientTuning::hash_table(),
-                    ex.histogram_bytes,
-                )
-                .to_csv(),
-            )
-        }),
-        runner::Cell::new(move || {
-            (
-                "figure6.csv",
-                histogram_pair("no lock", ClientTuning::full_patch(), ex.histogram_bytes).to_csv(),
-            )
-        }),
-        runner::Cell::new(move || ("table1.csv", table1_csv(&table1_sized(ex.table1_bytes)))),
-        runner::Cell::new(move || ("figure7.csv", figure7(&s7, 1).to_csv())),
-        runner::Cell::new(move || {
-            (
-                "slow_server.csv",
-                slow_server_csv(&slow_server_comparison_sized(ex.slow_bytes)),
-            )
-        }),
-    ]
 }
 
 /// Every exhibit of the paper's evaluation, assembled from the phased

@@ -167,7 +167,7 @@ pub fn run_fleet(config: &FleetConfig) -> FleetRun {
     });
 
     let per_client_mbps: Vec<f64> = per_elapsed.iter().map(|e| mbps(bytes, *e)).collect();
-    let run = FleetRun {
+    FleetRun {
         clients: config.clients,
         jain: jain_index(&per_client_mbps),
         per_client_mbps,
@@ -176,9 +176,7 @@ pub fn run_fleet(config: &FleetConfig) -> FleetRun {
         server_stats: server.stats(),
         per_client_server: server.per_client_stats(),
         uplink_mbps: switch.uplink().throughput_mbps(LinkDir::ToServer),
-    };
-    sim.teardown();
-    run
+    }
 }
 
 /// One row of the scaling sweep.

@@ -33,8 +33,8 @@ pub use cawl::{
 };
 pub use concurrency::{concurrent_writers, future_work_comparison, ConcurrencyResult, Topology};
 pub use figures::{
-    figure1, figure7, paper_file_sizes, quick_file_sizes, slow_server_comparison, table1,
-    throughput_sweep, Exhibits, HistogramPair, LatencyTrace, SlowServerComparison, Table1,
+    paper_file_sizes, quick_file_sizes, slow_server_comparison, table1, Exhibits, HistogramPair,
+    LatencyTrace, SlowServerComparison, Table1,
 };
 pub use fleet::{
     fleet_cells, fleet_sweep, jain_index, run_fleet, FleetCell, FleetConfig, FleetRun, FleetSweep,
@@ -48,8 +48,7 @@ pub use netqos::{
     netqos_sweep, run_netqos, NetQosCell, NetQosConfig, NetQosRun, NetQosSweep, NetSched,
 };
 pub use qos::{
-    assemble_qos_rows, qos_cells, qos_run_cells, qos_sweep, run_qos, QosCell, QosConfig, QosRun,
-    QosSweep,
+    assemble_qos_rows, qos_run_cells, qos_sweep, run_qos, QosCell, QosConfig, QosRun, QosSweep,
 };
 pub use render::{ascii_table, write_csv, Series, Sweep};
 pub use scenario::{

@@ -203,7 +203,7 @@ pub fn run_megafleet(config: &MegaConfig) -> MegaRun {
         .map(|c| c.service.p99.as_nanos() as f64 / 1e6)
         .fold(0.0, f64::max);
     let total_bytes = server.stats().write_bytes;
-    let run = MegaRun {
+    MegaRun {
         flyweights: config.flyweights,
         faithful: config.faithful,
         aggregate_mbps: mbps(total_bytes, elapsed),
@@ -217,9 +217,7 @@ pub fn run_megafleet(config: &MegaConfig) -> MegaRun {
         server_stats: server.stats(),
         slim_stats: server.slim_stats(),
         faithful_server,
-    };
-    sim.teardown();
-    run
+    }
 }
 
 /// One row of the megafleet scaling sweep.

@@ -291,16 +291,14 @@ pub fn run_netqos(config: &NetQosConfig) -> NetQosRun {
         .collect();
     let mut all = victim_mbps.clone();
     all.extend_from_slice(&aggressor_mbps);
-    let run = NetQosRun {
+    NetQosRun {
         jain_all: jain_index(&all),
         victim_jain: jain_index(&victim_mbps),
         victim_mbps,
         aggressor_mbps,
         qdelay_p99: switch.uplink().queue_delay(LinkDir::ToServer).p99,
         elapsed,
-    };
-    sim.teardown();
-    run
+    }
 }
 
 /// One row of the netqos sweep: an aggressor run paired with the

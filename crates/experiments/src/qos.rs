@@ -195,7 +195,7 @@ pub fn run_qos(config: &QosConfig) -> QosRun {
         all.push(hog_mbps);
     }
     let victim_stats = &per_client_server[..config.victims];
-    let run = QosRun {
+    QosRun {
         jain_all: jain_index(&all),
         victim_jain: jain_index(&victim_mbps),
         victim_mbps,
@@ -213,9 +213,7 @@ pub fn run_qos(config: &QosConfig) -> QosRun {
         elapsed,
         server_stats: server.stats(),
         per_client_server,
-    };
-    sim.teardown();
-    run
+    }
 }
 
 /// One row of the QoS sweep: a hog run paired with its hog-free
@@ -292,34 +290,6 @@ fn qos_row(
     }
 }
 
-/// Builds the *monolithic* work-list: one [`runner::Cell`] per
-/// `(server, sched)` pair; each cell runs the hog-free baseline and the
-/// hog world back to back (both inside the same worker).
-///
-/// Kept as the reference implementation for the phased list
-/// ([`qos_run_cells`] + [`assemble_qos_rows`]), which produces identical
-/// rows from twice as many half-size cells; `tests/runner.rs` proves the
-/// equivalence property.
-pub fn qos_cells(
-    servers: &[ServerKind],
-    scheds: &[SchedPolicy],
-    victims: usize,
-    bytes_per_victim: u64,
-) -> Vec<runner::Cell<QosCell>> {
-    let mut cells = Vec::new();
-    for &server in servers {
-        for &sched in scheds {
-            cells.push(runner::Cell::new(move || {
-                let config = QosConfig::new(server, sched, victims, bytes_per_victim);
-                let base = run_qos(&config.baseline());
-                let run = run_qos(&config);
-                qos_row(server, sched, victims, &base, &run)
-            }));
-        }
-    }
-    cells
-}
-
 /// Builds the *phased* work-list: every `(server, sched)` pair
 /// contributes two independent cells — the hog-free baseline world and
 /// the hog world — so a pool of workers always has twice as many units
@@ -343,8 +313,7 @@ pub fn qos_run_cells(
 }
 
 /// Pairs the phased results (work-list order: baseline then hog per
-/// `(server, sched)`) back into sweep rows, identical to what the
-/// monolithic [`qos_cells`] list returns.
+/// `(server, sched)`) back into sweep rows.
 pub fn assemble_qos_rows(
     servers: &[ServerKind],
     scheds: &[SchedPolicy],

@@ -237,7 +237,7 @@ pub fn run_bonnie(scenario: &Scenario, file_size: u64) -> RunOutput {
     run_bonnie_in(build_world(scenario), scenario.record_latencies, file_size)
 }
 
-/// [`run_bonnie`] in a built world, which it reads out and tears down.
+/// [`run_bonnie`] in a built world, which it reads out and ends.
 fn run_bonnie_in(world: World, record_latencies: bool, file_size: u64) -> RunOutput {
     let World {
         sim,
@@ -259,7 +259,7 @@ fn run_bonnie_in(world: World, record_latencies: bool, file_size: u64) -> RunOut
         nfsperf_bonnie::run(&s2, &file, &config).await
     });
 
-    let out = RunOutput {
+    RunOutput {
         report,
         mount_stats: mount.stats(),
         xprt_stats: mount.xprt().stats(),
@@ -275,9 +275,7 @@ fn run_bonnie_in(world: World, record_latencies: bool, file_size: u64) -> RunOut
         hard_limit_pages: kernel.mem.hard_limit(),
         client_drops: cnic.drops(),
         tcp_stats: mount.xprt().tcp().map(|x| x.tcp_stats()),
-    };
-    sim.teardown();
-    out
+    }
 }
 
 /// Builds the scenario's world and runs an arbitrary workload closure
@@ -290,12 +288,10 @@ where
 {
     let World { sim, mount, .. } = build_world(scenario);
     let s2 = sim.clone();
-    let report = sim.run_until(async move {
+    sim.run_until(async move {
         let file = mount.create("custom.scratch").await.expect("create");
         workload(s2, file).await
-    });
-    sim.teardown();
-    report
+    })
 }
 
 /// Runs the benchmark against the local ext2 model (the Figure 1/7
@@ -320,12 +316,10 @@ pub fn run_local_with_ram(file_size: u64, ram_bytes: u64, record_latencies: bool
         ..BonnieConfig::new(file_size)
     };
     let s2 = sim.clone();
-    let report = sim.run_until(async move {
+    sim.run_until(async move {
         let file = fs.create("bonnie.scratch");
         nfsperf_bonnie::run(&s2, &file, &config).await
-    });
-    sim.teardown();
-    report
+    })
 }
 
 /// Convenience: run and return only write-phase throughput in MB/s.
@@ -338,6 +332,7 @@ pub fn write_throughput_mbps(scenario: &Scenario, file_size: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nfsperf_sim::{SimDuration, SimTime};
 
     #[test]
     fn scenario_defaults_match_testbed() {
@@ -394,17 +389,43 @@ mod tests {
     #[test]
     fn a_finished_cell_frees_its_world() {
         // Daemon tasks hold `Sim` clones and the core holds the tasks:
-        // only the teardown at the end of the cell breaks that cycle.
+        // only the end of the world, when the cell drops its owner,
+        // breaks that cycle. `probe` rides in a parked daemon, a pending
+        // sleeper and an event handler with an event armed.
         for transport in [Transport::Udp, Transport::Tcp] {
             let s = Scenario::new(ClientTuning::full_patch(), ServerKind::Filer)
                 .with_transport(transport);
             let world = build_world(&s);
-            let core = world.sim.downgrade();
+            let probe = Rc::new(());
+            let sim = &world.sim;
+            let p = Rc::clone(&probe);
+            sim.spawn_detached(async move {
+                let _p = p;
+                std::future::pending::<()>().await;
+            });
+            let (s2, p) = (sim.clone(), Rc::clone(&probe));
+            sim.spawn_detached(async move {
+                let _p = p;
+                s2.sleep(SimDuration::from_secs(3600)).await;
+            });
+            let p = Rc::clone(&probe);
+            let h = sim.register_event_handler(Rc::new(move |_| {
+                let _ = &p;
+            }));
+            sim.schedule_event(SimTime::ZERO + SimDuration::from_secs(3600), h, 0);
+            let (mount, server) = (Rc::downgrade(&world.mount), Rc::downgrade(&world.server));
+
             let out = run_bonnie_in(world, false, 1 << 20);
             assert_eq!(out.server_stats.write_bytes, 1 << 20);
-            assert!(
-                !core.is_live(),
-                "a finished {transport:?} cell kept its simulator core"
+            assert_eq!(
+                Rc::strong_count(&probe),
+                1,
+                "a finished {transport:?} cell kept its tasks, timers or handlers"
+            );
+            assert_eq!(
+                (mount.strong_count(), server.strong_count()),
+                (0, 0),
+                "a finished {transport:?} cell kept its mount or server"
             );
         }
     }

@@ -635,11 +635,7 @@ impl FlyTier {
                     let Hop::Server(srv) = &mut rpc.hop else {
                         unreachable!("set above")
                     };
-                    let client = self.server_base + id as usize;
-                    let (class, bytes) = match rpc.op {
-                        FlyOp::Write => (OpClass::Write, self.model.write_payload),
-                        FlyOp::Commit => (OpClass::Commit, 0),
-                    };
+                    let (client, class, bytes) = self.service_meta(id, rpc.op);
                     loop {
                         match self
                             .server
@@ -735,6 +731,16 @@ impl FlyTier {
         // The service shadow is released only after `complete` (and any
         // emissions it made) ran.
         self.sim.drop_shadow(shadow as usize);
+    }
+
+    /// The server's client id, class and payload of client `id`'s `op`
+    /// RPC: what every poll of its server-side op passes.
+    fn service_meta(&self, id: u32, op: FlyOp) -> (usize, OpClass, u64) {
+        let client = self.server_base + id as usize;
+        match op {
+            FlyOp::Write => (client, OpClass::Write, self.model.write_payload),
+            FlyOp::Commit => (client, OpClass::Commit, 0),
+        }
     }
 
     /// The request datagram of an `op` RPC.
@@ -870,6 +876,24 @@ impl FlyTier {
     }
 }
 
+/// The tier's handlers hold it until its last client finishes. A world
+/// that ends before then drops the handlers with RPCs still in the
+/// server: their ops are given up, so the server's slots and disk arm
+/// are released as a faithful request's would be.
+impl Drop for FlyTier {
+    fn drop(&mut self) {
+        let rpcs = std::mem::take(&mut self.rpcs.get_mut().slots);
+        let ops = rpcs.into_iter().filter_map(|rpc| match rpc.hop {
+            Hop::Server(op) => {
+                let (client, class, bytes) = self.service_meta(self.ids[rpc.idx as usize], rpc.op);
+                Some((op, client, class, bytes))
+            }
+            Hop::Lane(_) => None,
+        });
+        self.server.abandon_flyweights(ops);
+    }
+}
+
 /// Client `id`'s RNG cursor in a tier seeded with `seed`, before its
 /// start jitter is drawn.
 fn seed_of(seed: u64, id: u32) -> u64 {
@@ -937,7 +961,7 @@ mod tests {
         }
     }
 
-    fn run_tier(clients: u32, writes: u32) -> (Rc<FlyTier>, Rc<NfsServer>) {
+    fn run_tier(clients: u32, writes: u32) -> (Sim, Rc<FlyTier>, Rc<NfsServer>) {
         run_tier_with(FlyTierConfig::new(clients, writes, NicSpec::gigabit()))
     }
 
@@ -946,7 +970,8 @@ mod tests {
     /// The filer's one daemon that parks on a wait queue is the NVRAM
     /// drain loop, and only once the log is empty; any other entry is a
     /// client's waiter left behind (an orphan its queue never reached,
-    /// or a claim never driven), caught here before teardown frees it.
+    /// or a claim never driven), caught here before the world's end
+    /// frees it.
     fn assert_only_daemons_wait(server: &NfsServer, base: usize) {
         let daemons = usize::from(server.nvram_used() == Some(0));
         assert_eq!(
@@ -956,30 +981,30 @@ mod tests {
         );
     }
 
-    /// Tears a finished tier's world down and checks that the waiter
-    /// slab is back to `base`: no lane, engine or wait queue kept an
-    /// entry past its world.
-    fn assert_slab_drained(tier: Rc<FlyTier>, server: Rc<NfsServer>, base: usize) {
-        let sim = tier.sim.clone();
-        drop((tier, server));
-        sim.teardown();
-        assert_eq!(live_waiters(), base, "a torn-down tier left waiters live");
+    /// Ends a finished tier's world by dropping its owner `sim` and
+    /// checks that the waiter slab is back to `base`: no lane, engine or
+    /// wait queue kept an entry past its world.
+    fn assert_slab_drained(sim: Sim, tier: Rc<FlyTier>, server: Rc<NfsServer>, base: usize) {
+        drop((tier, server, sim));
+        assert_eq!(live_waiters(), base, "an ended tier left waiters live");
     }
 
-    fn run_tier_with(config: FlyTierConfig) -> (Rc<FlyTier>, Rc<NfsServer>) {
+    /// Runs a tier to completion and returns its world's owner with it,
+    /// so the caller's checks run before the world ends.
+    fn run_tier_with(config: FlyTierConfig) -> (Sim, Rc<FlyTier>, Rc<NfsServer>) {
         let sim = Sim::new();
         let fabric = Rc::new(Fabric::new(&sim, FabricConfig::new(config.port_nic)));
         let server = NfsServer::new(&sim, ServerConfig::netapp_f85());
         let tier = FlyTier::launch(&sim, &server, &fabric, toy_model(), config);
         let t2 = Rc::clone(&tier);
         sim.run_until(async move { t2.wait_done().await });
-        (tier, server)
+        (sim, tier, server)
     }
 
     #[test]
     fn tier_completes_and_accounts_every_write() {
         let tickets = live_waiters();
-        let (tier, server) = run_tier(64, 8);
+        let (sim, tier, server) = run_tier(64, 8);
         assert_only_daemons_wait(&server, tickets);
         let slim = server.slim_stats();
         assert_eq!(slim.clients, 64);
@@ -996,7 +1021,7 @@ mod tests {
         // No faithful clients attached: the server kept zero per-client
         // stats entries for the whole tier.
         assert!(server.per_client_stats().is_empty());
-        assert_slab_drained(tier, server, tickets);
+        assert_slab_drained(sim, tier, server, tickets);
     }
 
     /// With a 1 ns start spread every client starts at instant 0, so
@@ -1006,7 +1031,7 @@ mod tests {
     fn tier_starting_every_client_at_its_post_accounts_every_write() {
         for clients in [1, 64] {
             let tickets = live_waiters();
-            let (tier, server) = run_tier_with(FlyTierConfig {
+            let (sim, tier, server) = run_tier_with(FlyTierConfig {
                 start_spread: SimDuration(1),
                 ..FlyTierConfig::new(clients, 8, NicSpec::gigabit())
             });
@@ -1019,7 +1044,7 @@ mod tests {
             let per = tier.per_client_mbps();
             assert_eq!(per.len(), clients as usize);
             assert!(per.iter().all(|m| *m > 0.0));
-            assert_slab_drained(tier, server, tickets);
+            assert_slab_drained(sim, tier, server, tickets);
         }
     }
 
@@ -1029,7 +1054,7 @@ mod tests {
     /// mean and Jain index sum them in that order).
     #[test]
     fn per_client_results_follow_client_ids_not_the_slab_layout() {
-        let (tier, _server) = run_tier(64, 2);
+        let (_sim, tier, _server) = run_tier(64, 2);
         assert!(
             tier.ids.iter().enumerate().any(|(p, &id)| p as u32 != id),
             "64 jittered starts left the slab in id order"
@@ -1110,10 +1135,62 @@ mod tests {
         );
     }
 
+    /// A world ended mid-run, while a flyweight COMMIT flushes the disk
+    /// and ops hold every service slot with more queued behind them,
+    /// gives the ops up: the slots and the disk arm come back, and no
+    /// waiter entry outlives the world.
+    #[test]
+    fn ending_a_world_mid_service_gives_up_its_flyweight_ops() {
+        let tickets = live_waiters();
+        let sim = Sim::new();
+        let fabric = Rc::new(Fabric::new(&sim, FabricConfig::new(NicSpec::gigabit())));
+        let server = NfsServer::new(&sim, ServerConfig::linux_knfsd());
+        let tier = FlyTier::launch(
+            &sim,
+            &server,
+            &fabric,
+            toy_model(),
+            FlyTierConfig::new(16, 64, NicSpec::gigabit()),
+        );
+        // 25 ms in, the first COMMIT has claimed the dirty pool and
+        // flushes it while the other slots' ops wait at the disk.
+        let s = sim.clone();
+        sim.run_until(async move { s.sleep(SimDuration::from_millis(25)).await });
+        let engine = Rc::clone(server.service_engine());
+        assert_eq!(engine.in_flight(), engine.slots(), "every slot is held");
+        assert!(engine.queued() > 0, "and more ops wait for one");
+        assert_eq!(server.dirty_bytes(), Some(0), "a flush is under way");
+
+        // The test's own handle keeps the tier past the world's end, so
+        // its ops are given up outside any run: nothing may be woken.
+        drop((sim, fabric));
+        assert_eq!(
+            engine.in_flight(),
+            engine.slots(),
+            "the tier still holds them"
+        );
+        drop(tier);
+        assert_eq!(engine.in_flight(), 0, "the ended world kept service slots");
+        let base = server.register_slim_clients(1);
+        let mut op = server.begin_flyweight();
+        let mut poll = || {
+            server.poll_flyweight(&mut op, base, OpClass::Commit, 0, &mut || {
+                std::task::Waker::noop().clone()
+            })
+        };
+        assert!(matches!(poll(), FlyStep::Sleep(_)), "a free slot admits");
+        assert!(
+            matches!(poll(), FlyStep::Done),
+            "the ended flush kept the disk arm"
+        );
+        drop((op, engine, server));
+        assert_eq!(live_waiters(), tickets, "the ended world left waiters live");
+    }
+
     #[test]
     fn tier_is_deterministic() {
-        let (a, sa) = run_tier(32, 4);
-        let (b, sb) = run_tier(32, 4);
+        let (_a_sim, a, sa) = run_tier(32, 4);
+        let (_b_sim, b, sb) = run_tier(32, 4);
         assert_eq!(a.per_client_mbps(), b.per_client_mbps());
         assert_eq!(a.elapsed(), b.elapsed());
         assert_eq!(a.rpc_latency(), b.rpc_latency());
@@ -1132,7 +1209,7 @@ mod tests {
             48,
             "FlyRpc is a 48-byte record"
         );
-        let (tier, _server) = run_tier(10_000, 2);
+        let (_sim, tier, _server) = run_tier(10_000, 2);
         let per = tier.bytes_per_client();
         assert!(
             per <= 256,
@@ -1164,10 +1241,10 @@ mod tests {
             );
             let t2 = Rc::clone(&tier);
             sim.run_until(async move { t2.wait_done().await });
-            (tier, server, fabric)
+            (sim, tier, server, fabric)
         };
         let tickets = live_waiters();
-        let (tier, server, fabric) = run(nfsperf_net::PortPolicy::drr());
+        let (sim, tier, server, fabric) = run(nfsperf_net::PortPolicy::drr());
         assert_only_daemons_wait(&server, tickets);
         let slim = server.slim_stats();
         assert_eq!(slim.clients, 512);
@@ -1177,18 +1254,18 @@ mod tests {
         assert!(mbps.iter().all(|m| *m > 0.0));
         let drr_bytes = fabric.resident_bytes();
         drop(fabric);
-        assert_slab_drained(tier, server, tickets);
+        assert_slab_drained(sim, tier, server, tickets);
         // Quiescent DRR retires per-flow state: entries are gone, so only
         // empty map/ring capacities linger — O(peak live flows), well
         // under the flyweight budget, never O(queued datagrams).
-        let (_, _, fifo_fabric) = run(nfsperf_net::PortPolicy::Fifo);
+        let (_fifo_sim, _, _, fifo_fabric) = run(nfsperf_net::PortPolicy::Fifo);
         let slack = drr_bytes - fifo_fabric.resident_bytes();
         assert!(
             slack < 512 * 256,
             "retired DRR fabric still holds {slack} bytes of scheduler state"
         );
         // Determinism holds under DRR too.
-        let (tier2, server2, _) = run(nfsperf_net::PortPolicy::drr());
+        let (_sim2, tier2, server2, _) = run(nfsperf_net::PortPolicy::drr());
         assert_eq!(mbps, tier2.per_client_mbps());
         assert_eq!(slim, server2.slim_stats());
     }

@@ -133,13 +133,8 @@ fn flyweight_world_peak_heap_per_client_within_budget() {
         per_client <= BUDGET,
         "the flyweight world peaked at {per_client} heap bytes per client (budget {BUDGET})"
     );
-    // The world's daemons still wait; once it is torn down, no lane,
+    // The world's daemons still wait; once its owner drops, no lane,
     // engine or wait queue may keep a waiter entry.
-    drop((tier, server, fabric));
-    sim.teardown();
-    assert_eq!(
-        live_waiters(),
-        tickets,
-        "the torn-down world left waiters live"
-    );
+    drop((tier, server, fabric, sim));
+    assert_eq!(live_waiters(), tickets, "the ended world left waiters live");
 }

@@ -119,7 +119,7 @@ impl DiskModel {
 
     /// Releases the arm of a streaming write admitted by
     /// [`DiskModel::poll_write_stream`] whose holder goes away before its
-    /// transfer time elapses (a world torn down mid-flush); meters
+    /// transfer time elapses (a world ended mid-flush); meters
     /// nothing.
     pub fn abandon_write(&self) {
         self.arm.release(ARM.flow);
@@ -152,7 +152,7 @@ impl DiskModel {
 
 /// The arm held by a task-driven write, released when dropped: after
 /// [`ArmHeld::finish_write`] meters the bytes, or mid-transfer (a world
-/// torn down) with nothing metered, as a dropped semaphore permit was.
+/// ended) with nothing metered, as a dropped semaphore permit was.
 struct ArmHeld<'a>(&'a DiskModel);
 
 impl ArmHeld<'_> {

@@ -461,11 +461,11 @@ mod tests {
     }
 
     /// A faithful COMMIT holds the disk arm as bare backend state while
-    /// it sleeps its flush. A world torn down mid-flush drops that task,
-    /// and the drop releases the arm: a flyweight COMMIT polled after the
-    /// teardown passes the disk barrier at once.
+    /// it sleeps its flush. A world ended mid-flush drops that task, and
+    /// the drop releases the arm: a flyweight COMMIT polled after the
+    /// world's owner dropped passes the disk barrier at once.
     #[test]
-    fn teardown_mid_flush_releases_the_disk_arm() {
+    fn a_world_ended_mid_flush_releases_the_disk_arm() {
         let (sim, client, server) = build(ServerConfig::linux_knfsd(), NicSpec::gigabit());
         let (srv, s) = (Rc::clone(&server), sim.clone());
         sim.run_until(async move {
@@ -489,7 +489,7 @@ mod tests {
             }
         });
         assert_eq!(server.stats().commits, 1);
-        sim.teardown();
+        drop(sim);
         let base = server.register_slim_clients(1);
         let mut op = server.begin_flyweight();
         let mut poll = || {
@@ -500,7 +500,7 @@ mod tests {
         assert!(matches!(poll(), FlyStep::Sleep(_)), "a free slot admits");
         assert!(
             matches!(poll(), FlyStep::Done),
-            "the torn-down flush kept the disk arm"
+            "the ended flush kept the disk arm"
         );
     }
 

@@ -379,9 +379,10 @@ enum FlyStage {
 /// is 24 bytes: at a million clients nearly every RPC can sit in the
 /// server's queue at once. Unlike a faithful request, an op holds its
 /// service slot, and while it flushes the disk arm, without a guard, so
-/// it must be driven to done once admitted: dropping one mid-service
-/// would leave the slot (and the arm) taken, and debug builds assert
-/// that it never happens.
+/// once admitted it must be driven to done, or handed to
+/// [`NfsServer::abandon_flyweights`] when its world ends: dropping one
+/// mid-service would leave the slot (and the arm) taken, and debug
+/// builds assert that it never happens.
 pub struct FlyweightOp {
     /// When the op reached the server.
     arrival: SimTime,
@@ -613,6 +614,47 @@ impl NfsServer {
         }
     }
 
+    /// Gives up flyweight ops whose world has ended, as the drop of a
+    /// faithful request's task does: each op holding its service slot
+    /// releases it, after releasing the disk arm if it was sleeping a
+    /// flush (nothing is metered), and each op still waiting drops its
+    /// place in line. Each op comes with the `client`, `class` and
+    /// `bytes` every poll of it passed. Every op's wait state is dropped
+    /// before any slot or arm is released, so a release finds the ops'
+    /// places in line orphaned and wakes none of them: the ops may be
+    /// given up outside any run.
+    pub fn abandon_flyweights(
+        &self,
+        ops: impl IntoIterator<Item = (FlyweightOp, usize, OpClass, u64)>,
+    ) {
+        let mut held = Vec::new();
+        for (mut op, client, class, bytes) in ops {
+            if let FlyStage::Backend(step) = std::mem::replace(&mut op.stage, FlyStage::Done) {
+                let meta = ReqMeta {
+                    client,
+                    class,
+                    bytes,
+                    arrival: op.arrival,
+                };
+                held.push((matches!(step, BackendStep::Xfer { .. }), meta));
+            }
+        }
+        for (flushing, meta) in held {
+            if flushing {
+                self.abandon_flush();
+            }
+            self.engine.release(&meta);
+        }
+    }
+
+    /// Releases the disk arm of a flush given up before its transfer time
+    /// elapsed (a world ended mid-flush): nothing is metered.
+    fn abandon_flush(&self) {
+        if let Backend::CacheDisk { disk, .. } = &self.backend {
+            disk.abandon_write();
+        }
+    }
+
     /// The durability work of one WRITE or COMMIT after its service
     /// time, without a task: the one backend rule that faithful requests
     /// (through [`NfsServer::backend_step`]) and flyweights (through
@@ -714,16 +756,14 @@ impl NfsServer {
 
     /// Runs one backend step from a request task: drives
     /// [`NfsServer::poll_backend`] and sleeps each transfer it hands
-    /// back. A task dropped while it sleeps a flush (a world torn down)
+    /// back. A task dropped while it sleeps a flush (a world ended)
     /// releases the disk arm the step holds.
     async fn backend_step(&self, kind: DataOp, bytes: u64) {
         struct Step<'a>(&'a NfsServer, BackendStep);
         impl Drop for Step<'_> {
             fn drop(&mut self) {
-                if let (BackendStep::Xfer { .. }, Backend::CacheDisk { disk, .. }) =
-                    (&self.1, &self.0.backend)
-                {
-                    disk.abandon_write();
+                if let BackendStep::Xfer { .. } = self.1 {
+                    self.0.abandon_flush();
                 }
             }
         }

@@ -10,6 +10,12 @@
 //!   order, and
 //! - a seeded pseudo-random number generator ([`crate::rng::SimRng`]).
 //!
+//! A world lives as long as the handle [`Sim::new`] returned. Its tasks
+//! and handlers hold clones of that handle, and the world holds them, so
+//! the owner's drop is what ends it: every task, timer and handler is
+//! dropped then, and a finished world frees itself. A clone never ends
+//! the world.
+//!
 //! The design mirrors classical process-oriented simulation: each simulated
 //! thread of control (an application writer, `nfs_flushd`, a server service
 //! loop, a disk) is an async task, and blocking kernel behaviour maps onto
@@ -35,7 +41,7 @@ use std::cell::{Cell, RefCell, UnsafeCell};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
-use std::rc::{Rc, Weak};
+use std::rc::Rc;
 use std::sync::Arc;
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
@@ -231,7 +237,7 @@ fn wake_direct(data: *const ()) {
         "direct waker woken with no run on this thread"
     );
     // SAFETY: a non-null `CURRENT_READY` is the queue of a world whose
-    // run (or teardown) is on this thread's stack, which keeps its core,
+    // run (or end) is on this thread's stack, which keeps its core,
     // and so the queue, alive until the scope restores the pointer.
     unsafe { (*ready).push(data.addr()) };
 }
@@ -418,18 +424,16 @@ impl SimCore {
     /// Credits events retired since the last flush to the thread running
     /// this world, so a caller can count an experiment's events with
     /// [`profile::take_thread_events`] without threading a counter
-    /// through its signature. Called when
-    /// `run_until` returns — worlds whose daemon tasks hold `Rc` cycles
-    /// back to the core may never drop, so crediting cannot wait for
-    /// `Drop` alone.
+    /// through its signature. Called when `run_until` returns, so the
+    /// count is there while the world still lives.
     fn flush_events_to_profiler(&self) {
         let total = self.events.get();
         profile::note_sim_events(total - self.events_credited.get());
         self.events_credited.set(total);
     }
 
-    /// Drops every task, pending timer and event handler (see
-    /// [`Sim::teardown`]), with this world's ready queue the thread's
+    /// Drops every task, pending timer and event handler (the end of the
+    /// world, see [`Sim`]), with this world's ready queue the thread's
     /// current one, so a drop that wakes a direct waker pushes onto it;
     /// the queue is cleared last.
     fn clear(&self) {
@@ -488,7 +492,13 @@ impl Drop for SimCore {
     }
 }
 
-/// Handle to the simulator; cheap to clone and share between tasks.
+/// Handle to a simulated world; cheap to clone and share between tasks.
+///
+/// The handle [`Sim::new`] returns owns the world: the world lives as
+/// long as that handle, and dropping it drops every task, timer and
+/// handler of the world. A clone never ends the world; it can read the
+/// clock and the counters after the owner is gone, but the world's
+/// tasks have been dropped and will not run again.
 ///
 /// # Examples
 ///
@@ -505,19 +515,49 @@ impl Drop for SimCore {
 /// });
 /// assert_eq!(out, 5_000);
 /// ```
-#[derive(Clone)]
 pub struct Sim {
     core: Rc<SimCore>,
+    /// Set only on the handle [`Sim::new`] returned: its drop ends the
+    /// world.
+    owner: bool,
 }
 
-/// A weak handle to a simulator's core, from [`Sim::downgrade`]: it
-/// tells whether a world's core still exists without keeping it alive.
-pub struct WeakSim(Weak<SimCore>);
+/// A handle to the same world that never ends it.
+impl Clone for Sim {
+    fn clone(&self) -> Sim {
+        Sim {
+            core: Rc::clone(&self.core),
+            owner: false,
+        }
+    }
+}
 
-impl WeakSim {
-    /// Whether the core has not been freed yet.
-    pub fn is_live(&self) -> bool {
-        self.0.strong_count() > 0
+/// Dropping the owner ends the world: every task, pending timer and
+/// event handler the core holds is dropped. Daemon tasks and handlers
+/// hold `Sim` clones and the core holds them, so without this a
+/// finished world and every layer its tasks reach would stay allocated
+/// until the process exits. The task table, the timer wheel and the
+/// handlers are taken out of the core before any of them is dropped, so
+/// a `Drop` impl that wakes, arms or spawns finds the core unborrowed;
+/// whatever such a drop spawns is dropped in turn. The core itself is
+/// freed with the last clone.
+///
+/// # Panics
+///
+/// Panics if the owner is dropped inside a run of its own world (by one
+/// of its tasks or handlers), unless that run is already unwinding, in
+/// which case the world is left to leak.
+impl Drop for Sim {
+    fn drop(&mut self) {
+        if !self.owner || (self.core.runs.get() > 0 && std::thread::panicking()) {
+            return;
+        }
+        assert_eq!(
+            self.core.runs.get(),
+            0,
+            "a world's owner dropped inside its own run"
+        );
+        self.core.clear();
     }
 }
 
@@ -549,6 +589,7 @@ impl Sim {
                 events: Cell::new(0),
                 events_credited: Cell::new(0),
             }),
+            owner: true,
         }
     }
 
@@ -619,32 +660,6 @@ impl Sim {
             deadline,
             registered: false,
         }
-    }
-
-    /// Ends the world: drops every task, pending timer and event handler
-    /// the core holds.
-    ///
-    /// Daemon tasks and handlers hold `Sim` clones, and the core holds
-    /// them, so without this a finished world's core and every layer
-    /// its tasks reach stay allocated until the process exits. The task
-    /// table, the timer wheel and the handlers are taken out of the core
-    /// before any of them is dropped, so a `Drop` impl that wakes, arms
-    /// or spawns finds the core unborrowed; whatever such a drop spawns
-    /// is dropped in turn. The core itself is freed with the last `Sim`
-    /// handle. The world cannot run again afterwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called from inside a run (a task or handler of this
-    /// world).
-    pub fn teardown(&self) {
-        assert_eq!(self.core.runs.get(), 0, "teardown from inside a run");
-        self.core.clear();
-    }
-
-    /// A weak handle to this simulator's core.
-    pub fn downgrade(&self) -> WeakSim {
-        WeakSim(Rc::downgrade(&self.core))
     }
 
     /// Spawns a background task, returning a handle to await its output.
@@ -768,8 +783,8 @@ impl Sim {
     /// simulated clock as needed, and returns its output.
     ///
     /// Background tasks that are still pending when `main` completes stay
-    /// parked, so a later `run_until` can resume them; [`Sim::teardown`]
-    /// drops them when the world is finished.
+    /// parked, so a later `run_until` can resume them; dropping the
+    /// owner drops them when the world is finished.
     ///
     /// # Panics
     ///
@@ -862,8 +877,9 @@ impl Sim {
         // SAFETY: dispatch runs only inside `run_until`, and while a run
         // is on the stack nothing drops a registered handler:
         // `clear_event_handler` moves it to `retired_handlers`, freed
-        // when the outermost run returns, and `teardown` refuses to run
-        // inside a run. So the closure outlives this call.
+        // when the outermost run returns, and the owner's drop refuses
+        // to end the world inside a run. So the closure outlives this
+        // call.
         unsafe { (*h)(data) }
     }
 
@@ -958,9 +974,9 @@ impl Sim {
     }
 
     /// Drops a registered handler (events already armed for it are
-    /// silently discarded at dispatch). Subsystems that capture `Rc`
-    /// cycles back into the simulation call this when they finish, so
-    /// their world can be reclaimed. Cleared from inside a run (by a
+    /// silently discarded at dispatch). Subsystems whose handler keeps
+    /// them alive call this when they finish, so they are freed then
+    /// rather than when the world ends. Cleared from inside a run (by a
     /// task or by a handler, its own dispatch included), the handler is
     /// dropped when the outermost run returns rather than at once.
     pub fn clear_event_handler(&self, id: EventHandlerId) {
@@ -1075,9 +1091,9 @@ impl Sim {
     /// ready-queue push, and dispatch touches no slab.
     ///
     /// A wake pushes the word onto the ready queue of the world running
-    /// on the waking thread (the innermost `run_until`, or a
-    /// [`Sim::teardown`]), so wake it only from inside this world's run:
-    /// a task, a handler, or a drop during its teardown.
+    /// on the waking thread (the innermost `run_until`, or the end of a
+    /// world as its owner drops), so wake it only from inside this
+    /// world's run: a task, a handler, or a drop as the world ends.
     ///
     /// # Panics
     ///
@@ -1231,38 +1247,62 @@ mod tests {
         assert_eq!(sim.now(), SimTime::ZERO);
     }
 
-    #[test]
-    fn teardown_frees_a_core_its_tasks_keep_alive() {
-        // A daemon parked for good, a sleeper and a handler, each holding
-        // a `Sim` clone: the core holds them, so it holds itself.
-        let world = || {
-            let sim = Sim::new();
-            let queue = Rc::new(crate::WaitQueue::new());
-            let (s, q) = (sim.clone(), Rc::clone(&queue));
-            sim.spawn_detached(async move {
-                let _sim = s;
-                q.wait().await;
-            });
-            let s = sim.clone();
-            sim.spawn_detached(async move { s.sleep(SimDuration::from_secs(9)).await });
-            let s = sim.clone();
-            sim.register_event_handler(Rc::new(move |_| {
-                let _ = s.now();
-            }));
-            let s = sim.clone();
-            sim.run_until(async move { s.sleep(SimDuration::from_secs(1)).await });
-            sim
-        };
-        let sim = world();
-        let core = sim.downgrade();
-        drop(sim);
-        assert!(core.is_live(), "the cycle keeps the core without teardown");
+    /// A world whose parked daemon, pending sleeper and event handler
+    /// each hold a `Sim` clone and a share of `probe`, with an event of
+    /// the handler still armed: the core holds them, so it holds itself.
+    fn probed_world(probe: &Rc<()>) -> Sim {
+        let sim = Sim::new();
+        let queue = Rc::new(crate::WaitQueue::new());
+        let (s, q, p) = (sim.clone(), Rc::clone(&queue), Rc::clone(probe));
+        sim.spawn_detached(async move {
+            let _held = (s, p);
+            q.wait().await;
+        });
+        let (s, p) = (sim.clone(), Rc::clone(probe));
+        sim.spawn_detached(async move {
+            let _p = p;
+            s.sleep(SimDuration::from_secs(9)).await;
+        });
+        let (s, p) = (sim.clone(), Rc::clone(probe));
+        let h = sim.register_event_handler(Rc::new(move |_| {
+            let _ = (s.now(), &p);
+        }));
+        sim.schedule_event(SimTime::ZERO + SimDuration::from_secs(9), h, 0);
+        let s = sim.clone();
+        sim.run_until(async move { s.sleep(SimDuration::from_secs(1)).await });
+        sim
+    }
 
-        let sim = world();
-        let core = sim.downgrade();
-        sim.teardown();
+    #[test]
+    fn dropping_the_owner_frees_what_the_world_holds() {
+        let probe = Rc::new(());
+        let sim = probed_world(&probe);
+        assert_eq!(Rc::strong_count(&probe), 4, "three holders live");
+        drop(sim.clone());
+        assert_eq!(Rc::strong_count(&probe), 4, "a clone ends nothing");
         drop(sim);
-        assert!(!core.is_live(), "teardown broke the cycle");
+        assert_eq!(Rc::strong_count(&probe), 1, "the owner's drop freed all");
+    }
+
+    #[test]
+    fn a_clone_outliving_the_owner_reads_the_clock() {
+        let probe = Rc::new(());
+        let sim = probed_world(&probe);
+        let clone = sim.clone();
+        let events = sim.events();
+        drop(sim);
+        assert_eq!(Rc::strong_count(&probe), 1);
+        assert_eq!(clone.now(), SimTime::ZERO + SimDuration::from_secs(1));
+        assert_eq!(clone.events(), events);
+        assert_eq!(clone.live_tasks(), 0, "the world's tasks went with it");
+    }
+
+    #[test]
+    #[should_panic(expected = "a world's owner dropped inside its own run")]
+    fn dropping_the_owner_inside_its_own_run_panics() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        s.run_until(async move { drop(sim) });
     }
 
     #[test]
@@ -1915,7 +1955,7 @@ mod tests {
     }
 
     #[test]
-    fn teardown_takes_a_direct_wake_from_a_drop() {
+    fn an_ending_world_takes_a_direct_wake_from_a_drop() {
         /// Wakes its waker when dropped, as a released slot wakes the
         /// next waiter.
         struct WakeOnDrop(Waker);
@@ -1932,7 +1972,7 @@ mod tests {
             std::future::pending::<()>().await;
         });
         sim.run_until(async {});
-        sim.teardown();
+        drop(sim);
         assert!(log.borrow().is_empty(), "the woken word was dropped unrun");
     }
 

@@ -2,7 +2,7 @@
 //!
 //! Every [`crate::Sim`] adds its retired event count (task polls plus
 //! timer and event fires) to a tally kept by the thread it runs on: when
-//! `run_until` returns, and again when the world is torn down for any
+//! `run_until` returns, and again when its core is freed for any
 //! stragglers. [`take_thread_events`] reads and resets it, so a caller
 //! can count the events an experiment retires without threading a
 //! counter through its signature; the benchmark's equivalence suite
@@ -20,8 +20,8 @@ thread_local! {
 }
 
 /// Credits `n` simulator events to the current thread's tally. Called
-/// by the executor when `run_until` returns and when a `Sim` world is
-/// torn down.
+/// by the executor when `run_until` returns and when a `Sim` world's
+/// core is freed.
 pub fn note_sim_events(n: u64) {
     THREAD_EVENTS.with(|c| c.set(c.get() + n));
 }

@@ -25,6 +25,29 @@ echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps --offline
 # items: a rename that leaves a dangling link fails here.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
+echo "==> workspace unit tests and tests/properties.rs under AddressSanitizer, leaks on (nightly)"
+# A simulated world is a reference cycle: its tasks and handlers hold
+# clones of its `Sim` handle, and the world holds them. Only the drop of
+# the handle `Sim::new` returned breaks it, so a world that outlives its
+# owner stays allocated until the process exits. LeakSanitizer fails a
+# test binary that exits with any allocation unreachable, and
+# AddressSanitizer fails any invalid access in the engine's unsafe code.
+# The step passes only with no report from either. The instrumented
+# build goes to its own target dir.
+asan_log="$(mktemp)"
+asan_test() {
+    RUSTFLAGS="-Zsanitizer=address" ASAN_OPTIONS="detect_leaks=1" \
+        cargo +nightly test -q --offline --target x86_64-unknown-linux-gnu \
+        --target-dir target/asan "$@" >> "$asan_log" 2>&1
+}
+if ! asan_test --workspace --lib || ! asan_test --test properties \
+    || grep -qE "ERROR: (AddressSanitizer|LeakSanitizer)" "$asan_log"; then
+    grep -E "ERROR: |SUMMARY: |error: |panicked" "$asan_log" || tail -n 40 "$asan_log"
+    echo "FAIL: sanitizer report or test failure under AddressSanitizer"
+    exit 1
+fi
+rm -f "$asan_log"
+
 echo "==> zero-alloc steady state smoke (counting global allocator, release)"
 # The flyweight engine must retire RPCs without touching the heap once
 # warm: the counting allocator asserts two disjoint steady-state windows
@@ -138,6 +161,15 @@ awk -F, 'NR > 1 {
         if (rows == 0) { print "FAIL: empty qos-quick.csv"; exit 1 }
     }' results/qos-quick.csv
 rm -f results/qos-quick.csv
+
+echo "==> qos sweep (full, --jobs 2 vs committed results/qos.csv)"
+# The committed CSV is the qos sweep's reference: every (server, sched)
+# row pairs a hog-free baseline cell with a hog cell, so a change that
+# moves either half of any row fails here. Well under a second.
+cargo run -q --release --offline --bin nfsperf -- qos --jobs 2 --out results/qos-2.csv > /dev/null
+cmp results/qos-2.csv results/qos.csv \
+    || { echo "FAIL: qos sweep differs from the committed results/qos.csv"; exit 1; }
+rm -f results/qos-2.csv
 
 echo "==> megafleet smoke run (10k flyweights, --jobs 4 vs --jobs 1 vs committed results/megafleet-smoke.csv)"
 # The committed file is the reference for the flyweight tier: its
