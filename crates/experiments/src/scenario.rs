@@ -391,7 +391,7 @@ mod tests {
         // Daemon tasks hold `Sim` clones and the core holds the tasks:
         // only the end of the world, when the cell drops its owner,
         // breaks that cycle. `probe` rides in a parked daemon, a pending
-        // sleeper and an event handler with an event armed.
+        // sleeper and an event handler with a timed dispatch pending.
         for transport in [Transport::Udp, Transport::Tcp] {
             let s = Scenario::new(ClientTuning::full_patch(), ServerKind::Filer)
                 .with_transport(transport);
@@ -412,7 +412,7 @@ mod tests {
             let h = sim.register_event_handler(Rc::new(move |_| {
                 let _ = &p;
             }));
-            sim.schedule_event(SimTime::ZERO + SimDuration::from_secs(3600), h, 0);
+            sim.schedule_direct(SimTime::ZERO + SimDuration::from_secs(3600), h, 0);
             let (mount, server) = (Rc::downgrade(&world.mount), Rc::downgrade(&world.server));
 
             let out = run_bonnie_in(world, false, 1 << 20);

@@ -413,10 +413,10 @@ impl FlyTier {
         });
         let t = Rc::clone(&tier);
         tier.handler
-            .set(sim.register_event_handler(Rc::new(move |data| t.step(data as u32))));
+            .set(sim.register_event_handler(Rc::new(move |data| t.step(data))));
         let t = Rc::clone(&tier);
         tier.start_handler
-            .set(sim.register_event_handler(Rc::new(move |data| t.start(data as u32))));
+            .set(sim.register_event_handler(Rc::new(move |data| t.start(data))));
         // No client has completed an RPC yet, so whether one emits again
         // at launch is the same for all of them: testing it once spares
         // `try_emit` a random slab read per client when none does.
@@ -523,8 +523,6 @@ impl FlyTier {
     /// passed.
     fn sleep_then(&self, deadline: SimTime, r: u32) -> bool {
         if deadline > self.sim.now() {
-            // Stage hops are never cancelled, so the timer can carry the
-            // dispatch itself — no slab slot, no ready-queue round trip.
             self.sim.schedule_direct(deadline, self.handler.get(), r);
             true
         } else {
@@ -541,10 +539,9 @@ impl FlyTier {
         let mut rpcs = self.rpcs.borrow_mut();
         let rpc = &mut rpcs.slots[r as usize];
         // Every park hands out a direct waker for `step(r)`, built on the
-        // spot from the record index: no slab arm, no generation, no
-        // stored state — safe because each park is woken at most once
-        // and the record cannot advance past the parked stage until that
-        // wake dispatches.
+        // spot from the record index with no stored state — safe because
+        // each park is woken at most once and the record cannot advance
+        // past the parked stage until that wake dispatches.
         let sim = &self.sim;
         let mut wf = move || sim.direct_waker(h, r);
         let id = self.ids[rpc.idx as usize];

@@ -1,15 +1,16 @@
 //! Counting-allocator proof that a steady-state flyweight RPC touches
 //! the heap zero times.
 //!
-//! The taskless engine advances every RPC through slab events and
-//! preallocated records: no future, no `Box`, no waker clone, no wire
-//! buffer. This harness wraps the system allocator with a counter and
-//! measures two virtual-time windows of different lengths after a
-//! warmup long enough to grow every slab, free list, timer heap, and
-//! latency pool to its steady capacity. Each `run_until` window pays
-//! the same fixed cost (boxing its own root future); if an RPC cost
-//! even one allocation, the 4×-longer window — carrying ~4× the RPCs —
-//! would count more. Equality is the zero-per-RPC proof.
+//! The taskless engine advances every RPC through direct words (posted,
+//! timed or woken, see `Sim::post_direct`) and preallocated records: no
+//! future, no `Box`, no waker clone, no wire buffer. This harness wraps
+//! the system allocator with a counter and measures two virtual-time
+//! windows of different lengths after a warmup long enough to grow every
+//! slab, free list, timer heap, and latency pool to its steady capacity.
+//! Each `run_until` window pays the same fixed cost (boxing its own root
+//! future); if an RPC cost even one allocation, the 4×-longer window —
+//! carrying ~4× the RPCs — would count more. Equality is the
+//! zero-per-RPC proof.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::rc::Rc;

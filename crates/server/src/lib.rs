@@ -504,7 +504,7 @@ mod tests {
         );
     }
 
-    /// The poll-style flyweight machine, driven by timed events, on every
+    /// The poll-style flyweight machine, driven by direct words, on every
     /// backend — including ones sized down to force NVRAM stalls and
     /// inline dirty-cache flushes, where wait-queue order decides who
     /// flushes what. The finish instants and counters are pinned, and a
@@ -539,20 +539,19 @@ mod tests {
                 finish: Cell<u64>,
             }
             impl Driver {
-                fn step(&self, idx: usize) {
+                fn step(&self, idx: u32) {
                     let mut chains = self.chains.borrow_mut();
-                    let chain = &mut chains[idx];
+                    let chain = &mut chains[idx as usize];
                     let sim = self.sim.clone();
                     let h = self.handler.get();
-                    let data = idx as u64;
-                    let mut wf = move || sim.event_waker(h, data).1;
+                    let mut wf = move || sim.direct_waker(h, idx);
                     loop {
                         let (class, bytes) = if chain.committed {
                             (OpClass::Commit, 0)
                         } else {
                             (OpClass::Write, BYTES)
                         };
-                        let client = self.base + idx;
+                        let client = self.base + idx as usize;
                         match self.server.poll_flyweight(
                             &mut chain.op,
                             client,
@@ -565,7 +564,7 @@ mod tests {
                                 let deadline =
                                     nfsperf_sim::SimTime(self.sim.now().as_nanos() + d.as_nanos());
                                 if deadline > self.sim.now() {
-                                    self.sim.schedule_event(deadline, h, data);
+                                    self.sim.schedule_direct(deadline, h, idx);
                                     return;
                                 }
                             }
@@ -600,15 +599,15 @@ mod tests {
                 finish: Cell::new(0),
             });
             let d = Rc::clone(&driver);
-            let h = sim.register_event_handler(Rc::new(move |data| d.step(data as usize)));
+            let h = sim.register_event_handler(Rc::new(move |data| d.step(data)));
             driver.handler.set(h);
-            for c in 0..CLIENTS {
+            for c in 0..CLIENTS as u32 {
                 driver.chains.borrow_mut().push(Chain {
                     writes_left: WRITES - 1,
                     committed: false,
                     op: server.begin_flyweight(),
                 });
-                sim.schedule_event(sim.now(), h, c as u64);
+                sim.post_direct(h, c);
             }
             let s = sim.clone();
             let d = Rc::clone(&driver);

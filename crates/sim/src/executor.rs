@@ -52,28 +52,16 @@ use crate::wheel::TimerWheel;
 /// Identifier of a spawned task.
 pub type TaskId = usize;
 
-/// Ready-queue entries with this bit set are encoded slab events, not
-/// task ids (the task table can never reach 2^63 slots). The remaining
-/// bits carry the event's slot index (low 32) and generation (next 31).
-const EVENT_TAG: usize = 1 << (usize::BITS - 1);
-/// Ready-queue entries with this bit set (and [`EVENT_TAG`] clear) are
-/// direct dispatches: a pre-encoded `(handler, data)` pair with no slab
-/// slot and no generation, for dispatches that are never cancelled (see
+/// Ready-queue entries with this bit set are direct dispatches, not task
+/// ids (task ids stay below [`POLLING`] < 2^32): a pre-encoded
+/// `(handler, data)` pair, data in the low 32 bits (see
 /// [`Sim::post_direct`], [`Sim::schedule_direct`] and
 /// [`Sim::direct_waker`]).
 const DIRECT_TAG: usize = 1 << (usize::BITS - 2);
-/// Generations are 31 bits so a tagged `(gen, slot)` pair plus the tag
-/// fits one ready-queue word.
-const EVENT_GEN_MASK: u32 = 0x7fff_ffff;
 /// Direct words carry the handler in bits 32..62, below [`DIRECT_TAG`].
 const DIRECT_HANDLER_MAX: u32 = 1 << 30;
 // The tagged encoding needs a 64-bit ready-queue word.
-const _: () = assert!(usize::BITS == 64, "slab events need 64-bit usize");
-
-#[inline]
-fn encode_event(slot: u32, gen: u32) -> usize {
-    EVENT_TAG | ((gen as usize) << 32) | slot as usize
-}
+const _: () = assert!(usize::BITS == 64, "direct words need 64-bit usize");
 
 #[inline]
 fn encode_direct(handler: u32, data: u32) -> usize {
@@ -157,15 +145,9 @@ impl ReadyQueue {
     }
 }
 
-/// Backing data for the task and event wakers this executor hands out:
-/// the ready-queue word to push and the queue to push it on. One vtable
-/// serves both kinds, which differ only in the word:
-///
-/// - a task slot's entry holds its slot id, fixed for the core's life;
-/// - an event slot's entry holds [`encode_event`] of the slot and the
-///   generation current at arm time, refreshed by every arm, so a wake
-///   that races a completed or cancelled arm pushes a stale generation
-///   and is dropped at dispatch.
+/// Backing data for the task wakers this executor hands out: the task
+/// slot's id, which is the ready-queue word to push and is fixed for the
+/// core's life, and the queue to push it on.
 ///
 /// These wakers name their queue because code outside a run may wake
 /// them (a `JoinHandle`'s output, a channel fed between runs). Direct
@@ -181,11 +163,8 @@ impl ReadyQueue {
 /// are only cloned, woken, and dropped on the core's own thread, and
 /// never outlive the core — every holder (the timer wheel, wait nodes,
 /// join states) lives inside a structure of the same simulated world.
-/// An event waker must be woken at most once per arm, which every
-/// primitive in [`crate::sync`] (and the lane/server ticket handshakes
-/// built on the same shape) guarantees.
 struct WakerEntry {
-    word: Cell<usize>,
+    word: usize,
     ready: *const ReadyQueue,
 }
 
@@ -195,11 +174,11 @@ static WAKER_VTABLE: RawWakerVTable = RawWakerVTable::new(
     // wake / wake_by_ref: push the entry's ready-queue word.
     |data| unsafe {
         let e = &*(data as *const WakerEntry);
-        (*e.ready).push(e.word.get());
+        (*e.ready).push(e.word);
     },
     |data| unsafe {
         let e = &*(data as *const WakerEntry);
-        (*e.ready).push(e.word.get());
+        (*e.ready).push(e.word);
     },
     // drop: no-op.
     |_| {},
@@ -255,14 +234,13 @@ static DIRECT_VTABLE: RawWakerVTable = RawWakerVTable::new(
 /// Entries per [`WakerArena`] chunk (16 KiB of entries).
 const WAKER_CHUNK: usize = 1024;
 
-/// An append-only arena of [`WakerEntry`]s indexed by slot, in
+/// An append-only arena of [`WakerEntry`]s indexed by task slot, in
 /// fixed-size chunks that are allocated on first touch and never move or
 /// free, so the address baked into a waker stays valid for the arena's
 /// life. Wakers are built on demand from an entry's address
 /// ([`waker_for`]); building one allocates nothing and counts no
-/// references, so nothing caches them. A slot that never needs a waker
-/// (a flyweight shadow, an event nobody parks) costs no entry unless a
-/// neighbour in its chunk does.
+/// references, so nothing caches them. A slot that is never polled (a
+/// flyweight shadow) costs no entry unless a neighbour in its chunk does.
 struct WakerArena {
     chunks: Vec<Option<Box<[WakerEntry]>>>,
     ready: *const ReadyQueue,
@@ -276,19 +254,10 @@ impl WakerArena {
         }
     }
 
-    /// Entry `i`, if its chunk exists.
-    #[inline]
-    fn get(&self, i: usize) -> Option<&WakerEntry> {
-        match self.chunks.get(i / WAKER_CHUNK) {
-            Some(Some(chunk)) => Some(&chunk[i % WAKER_CHUNK]),
-            _ => None,
-        }
-    }
-
     /// Entry `i`, allocating its chunk first if needed, with each new
-    /// entry's word set to `word_of(its index)`.
+    /// entry's word set to its index.
     #[inline]
-    fn get_or_init(&mut self, i: usize, word_of: fn(usize) -> usize) -> &WakerEntry {
+    fn get_or_init(&mut self, i: usize) -> &WakerEntry {
         let c = i / WAKER_CHUNK;
         if self.chunks.len() <= c {
             self.chunks.resize_with(c + 1, || None);
@@ -296,10 +265,7 @@ impl WakerArena {
         let ready = self.ready;
         let chunk = self.chunks[c].get_or_insert_with(|| {
             (c * WAKER_CHUNK..(c + 1) * WAKER_CHUNK)
-                .map(|j| WakerEntry {
-                    word: Cell::new(word_of(j)),
-                    ready,
-                })
+                .map(|word| WakerEntry { word, ready })
                 .collect()
         });
         &chunk[i % WAKER_CHUNK]
@@ -315,34 +281,13 @@ fn waker_for(entry: &WakerEntry) -> Waker {
     unsafe { Waker::from_raw(raw) }
 }
 
-/// One generation-counted record in the event slab: which handler to
-/// call with which payload, valid only while `gen` matches the handle
-/// that armed it.
-struct EventSlot {
-    gen: Cell<u32>,
-    handler: Cell<u32>,
-    data: Cell<u64>,
-}
-
 /// Identifier of a registered event handler (see
 /// [`Sim::register_event_handler`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventHandlerId(u32);
 
-/// A registered dispatch target: called with each armed event's payload.
-pub type EventHandlerFn = Rc<dyn Fn(u64)>;
-
-/// Handle to one armed slab event.
-///
-/// A `ScheduledEvent` is a `(slot, generation)` pair: dispatching or
-/// cancelling the event bumps the slot's generation, so a stale handle
-/// (or a stale ready-queue entry) can never fire a slot that has been
-/// recycled for a different event — the classic ABA guard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScheduledEvent {
-    slot: u32,
-    gen: u32,
-}
+/// A registered dispatch target: called with each dispatch's payload.
+pub type EventHandlerFn = Rc<dyn Fn(u32)>;
 
 /// A slot in the task table: a live task, or a vacant slot whose
 /// `next` word says what else it is. The free list is intrusive (vacant
@@ -382,8 +327,7 @@ const POLLING: u32 = u32::MAX - 2;
 struct SimCore {
     now: Cell<SimTime>,
     /// Pending timers, each the ready-queue word its firing produces: a
-    /// task slot id, an [`encode_event`] snapshot, or an
-    /// [`encode_direct`] dispatch.
+    /// task slot id or an [`encode_direct`] dispatch.
     timers: RefCell<TimerWheel<usize>>,
     tasks: RefCell<Vec<TaskSlot>>,
     /// One waker entry per polled task-table slot, holding the slot id.
@@ -393,17 +337,8 @@ struct SimCore {
     /// Head of the intrusive free list running through `tasks` (see
     /// [`TaskSlot`]); `NO_SLOT` when the table is full.
     free_head: Cell<u32>,
-    /// The timed-event slab: generation-counted single-shot records
-    /// dispatched straight off the ready queue with no future, no task
-    /// slot and no per-event allocation. Slots are recycled through
-    /// `event_free`. A slot parked in a sync primitive
-    /// ([`Sim::event_waker`]) gets a waker entry in `event_wakers`, whose
-    /// word every later arm of the slot refreshes.
-    event_slots: RefCell<Vec<EventSlot>>,
-    event_free: RefCell<Vec<u32>>,
-    event_wakers: RefCell<WakerArena>,
-    /// Registered dispatch targets; an event stores only an index here
-    /// plus a `u64` payload, so dispatch is one dynamic call.
+    /// Registered dispatch targets; a direct word stores only an index
+    /// here plus a `u32` payload, so dispatch is one dynamic call.
     event_handlers: RefCell<Vec<Option<EventHandlerFn>>>,
     /// Handlers cleared while a run is on the stack, dropped when the
     /// outermost run returns: dispatch calls a handler through a pointer
@@ -413,8 +348,8 @@ struct SimCore {
     /// `run_until` calls on the stack.
     runs: Cell<u32>,
     ready: Arc<ReadyQueue>,
-    /// Retired events (task polls + timer fires); credited to the
-    /// thread's [`profile`] tally.
+    /// Retired events (task polls, timer fires and direct dispatches);
+    /// credited to the thread's [`profile`] tally.
     events: Cell<u64>,
     /// Events already credited to the thread-local profiler tally.
     events_credited: Cell<u64>,
@@ -571,17 +506,13 @@ impl Sim {
     /// Creates a fresh simulator with the clock at zero.
     pub fn new() -> Sim {
         let ready = Arc::new(ReadyQueue::default());
-        let arena = || RefCell::new(WakerArena::new(Arc::as_ptr(&ready)));
         Sim {
             core: Rc::new(SimCore {
                 now: Cell::new(SimTime::ZERO),
                 timers: RefCell::new(TimerWheel::new()),
                 tasks: RefCell::new(Vec::new()),
-                task_wakers: arena(),
+                task_wakers: RefCell::new(WakerArena::new(Arc::as_ptr(&ready))),
                 free_head: Cell::new(NO_SLOT),
-                event_slots: RefCell::new(Vec::new()),
-                event_free: RefCell::new(Vec::new()),
-                event_wakers: arena(),
                 event_handlers: RefCell::new(Vec::new()),
                 retired_handlers: RefCell::new(Vec::new()),
                 runs: Cell::new(0),
@@ -623,18 +554,12 @@ impl Sim {
             std::ptr::eq(entry.ready, Arc::as_ptr(&self.core.ready)),
             "register_timer got a waker of another simulator"
         );
-        self.push_timer(deadline, entry.word.get());
+        self.push_timer(deadline, entry.word);
     }
 
     /// Registers a timer that produces the ready-queue `word` when it
     /// fires: by deadline, after every timer registered before it for
     /// the same deadline.
-    ///
-    /// An event timer stores the [`encode_event`] snapshot of its arm,
-    /// never the slot's waker: the slot's waker entry holds the generation
-    /// of its *current* arm, so a stale timer left in the wheel by a
-    /// cancelled arm would otherwise resurrect whatever event occupies the
-    /// slot next (the ABA the generation counter exists to prevent).
     fn push_timer(&self, deadline: SimTime, word: usize) {
         self.core
             .timers
@@ -813,52 +738,25 @@ impl Sim {
         }
     }
 
-    /// Polls every woken task — and dispatches every fired slab event —
-    /// until the ready queue is empty.
+    /// Polls every woken task and dispatches every direct word until the
+    /// ready queue is empty.
     fn drain_ready(&self) {
-        while let Some(id) = self.core.ready.pop() {
-            if id & EVENT_TAG != 0 {
-                self.dispatch_event(id as u32, ((id >> 32) as u32) & EVENT_GEN_MASK);
-            } else if id & DIRECT_TAG != 0 {
-                self.dispatch_direct(id);
+        while let Some(word) = self.core.ready.pop() {
+            if word & DIRECT_TAG != 0 {
+                self.dispatch_direct(word);
             } else {
-                self.poll_task(id);
+                self.poll_task(word);
             }
         }
     }
 
-    /// Dispatches one fired slab event: frees the slot, retires the
-    /// event, and runs the handler. A generation mismatch means the
-    /// event was cancelled (or its slot recycled) after the wake was
-    /// queued; like a spurious task wake it is dropped without counting.
-    fn dispatch_event(&self, slot: u32, gen: u32) {
-        let (handler, data) = {
-            let slots = self.core.event_slots.borrow();
-            let s = match slots.get(slot as usize) {
-                Some(s) => s,
-                None => return,
-            };
-            if s.gen.get() != gen {
-                return;
-            }
-            // Bump the generation before running anything: the handler
-            // may re-arm this very slot for a new event.
-            s.gen.set((gen + 1) & EVENT_GEN_MASK);
-            (s.handler.get(), s.data.get())
-        };
-        self.core.event_free.borrow_mut().push(slot);
-        self.core.events.set(self.core.events.get() + 1);
-        self.call_handler(handler, data);
-    }
-
-    /// Dispatches one direct ready entry: retires the event and runs the
-    /// handler with the word's payload. No slot to free, no generation
-    /// to check — the encoding is complete in the word (see
-    /// [`Sim::post_direct`]).
+    /// Dispatches one direct word: retires the event and runs the
+    /// handler with the word's payload. The encoding is complete in the
+    /// word (see [`Sim::post_direct`]).
     fn dispatch_direct(&self, word: usize) {
         self.core.events.set(self.core.events.get() + 1);
         let handler = (word >> 32) as u32 & (DIRECT_HANDLER_MAX - 1);
-        self.call_handler(handler, u64::from(word as u32));
+        self.call_handler(handler, word as u32);
     }
 
     /// Runs registered handler `handler` on `data`, or nothing if it was
@@ -867,7 +765,7 @@ impl Sim {
     /// so the handler may register handlers (moving the table, not the
     /// closures) or clear any of them, itself included.
     #[inline]
-    fn call_handler(&self, handler: u32, data: u64) {
+    fn call_handler(&self, handler: u32, data: u32) {
         let Some(h) = self.core.event_handlers.borrow()[handler as usize]
             .as_ref()
             .map(Rc::as_ptr)
@@ -902,7 +800,7 @@ impl Sim {
             self.core.now.set(deadline);
         }
         self.core.events.set(self.core.events.get() + 1);
-        if entry.payload & (EVENT_TAG | DIRECT_TAG) == DIRECT_TAG {
+        if entry.payload & DIRECT_TAG != 0 {
             // The ready queue is always drained empty before a timer
             // fires, so dispatching inline observes the exact order (and
             // event count) the push-pop round trip through the ready
@@ -943,7 +841,7 @@ impl Sim {
 
         // Built from the slot's arena entry, created at the slot's first
         // poll: no allocation after that, no refcount.
-        let waker = waker_for(self.core.task_wakers.borrow_mut().get_or_init(id, |j| j));
+        let waker = waker_for(self.core.task_wakers.borrow_mut().get_or_init(id));
         let mut cx = Context::from_waker(&waker);
         self.core.events.set(self.core.events.get() + 1);
         let poll = fut.as_mut().poll(&mut cx);
@@ -962,10 +860,10 @@ impl Sim {
         }
     }
 
-    /// Registers a dispatch target for slab events and returns its id.
+    /// Registers a dispatch target for direct words and returns its id.
     ///
     /// Handlers are registered once per subsystem (e.g. one per flyweight
-    /// tier); each armed event then carries only the id plus a `u64`
+    /// tier); each dispatch then carries only the id plus a `u32`
     /// payload, so the steady-state path allocates nothing.
     pub fn register_event_handler(&self, handler: EventHandlerFn) -> EventHandlerId {
         let mut handlers = self.core.event_handlers.borrow_mut();
@@ -973,12 +871,13 @@ impl Sim {
         EventHandlerId((handlers.len() - 1) as u32)
     }
 
-    /// Drops a registered handler (events already armed for it are
-    /// silently discarded at dispatch). Subsystems whose handler keeps
-    /// them alive call this when they finish, so they are freed then
-    /// rather than when the world ends. Cleared from inside a run (by a
-    /// task or by a handler, its own dispatch included), the handler is
-    /// dropped when the outermost run returns rather than at once.
+    /// Drops a registered handler (dispatches already posted, timed or
+    /// parked for it are silently discarded, each still retiring its
+    /// event). Subsystems whose handler keeps them alive call this when
+    /// they finish, so they are freed then rather than when the world
+    /// ends. Cleared from inside a run (by a task or by a handler, its
+    /// own dispatch included), the handler is dropped when the outermost
+    /// run returns rather than at once.
     pub fn clear_event_handler(&self, id: EventHandlerId) {
         let cleared = self.core.event_handlers.borrow_mut()[id.0 as usize].take();
         if let Some(h) = cleared {
@@ -988,39 +887,11 @@ impl Sim {
         }
     }
 
-    /// Claims a free event slot and arms it with `(handler, data)`,
-    /// refreshing the slot waker's generation snapshot.
-    fn arm_event(&self, handler: EventHandlerId, data: u64) -> ScheduledEvent {
-        let slot = match self.core.event_free.borrow_mut().pop() {
-            Some(s) => s,
-            None => {
-                let mut slots = self.core.event_slots.borrow_mut();
-                let slot = slots.len() as u32;
-                slots.push(EventSlot {
-                    gen: Cell::new(0),
-                    handler: Cell::new(0),
-                    data: Cell::new(0),
-                });
-                slot
-            }
-        };
-        let slots = self.core.event_slots.borrow();
-        let s = &slots[slot as usize];
-        let gen = s.gen.get();
-        s.handler.set(handler.0);
-        s.data.set(data);
-        if let Some(e) = self.core.event_wakers.borrow().get(slot as usize) {
-            e.word.set(encode_event(slot, gen));
-        }
-        ScheduledEvent { slot, gen }
-    }
-
-    /// Registers a timed dispatch of `handler(data)` at `deadline` with
-    /// no way to cancel it: the timer is one tagged `(handler, data)` word
-    /// that dispatches straight off the wheel, touching neither the event slab
-    /// nor the ready queue. Cheaper than [`Sim::schedule_event`] on hot
-    /// paths that never cancel; identical event arithmetic (fire +
-    /// dispatch). The handler receives `data` widened to `u64`.
+    /// Registers a timed dispatch of `handler(data)` at `deadline`: the
+    /// timer is one tagged `(handler, data)` word that dispatches
+    /// straight off the wheel, without a round trip through the ready
+    /// queue. It retires two events, the fire and the dispatch, as a
+    /// task's sleep retires its fire and its poll.
     ///
     /// # Panics
     ///
@@ -1035,31 +906,17 @@ impl Sim {
         self.push_timer(deadline, encode_direct(direct_handler(handler), data));
     }
 
-    /// Arms a slab event that dispatches `handler(data)` at `deadline`
-    /// — no future, no task, no allocation in steady state. A deadline
-    /// at or before now dispatches on the next ready-queue drain.
-    pub fn schedule_event(
-        &self,
-        deadline: SimTime,
-        handler: EventHandlerId,
-        data: u64,
-    ) -> ScheduledEvent {
-        let ev = self.arm_event(handler, data);
-        if deadline > self.now() {
-            self.push_timer(deadline, encode_event(ev.slot, ev.gen));
-        } else {
-            self.core.ready.push(encode_event(ev.slot, ev.gen));
-        }
-        ev
+    /// [`Sim::schedule_direct`] under the name simbench's `sim.timer_ns`
+    /// replay calls.
+    #[doc(hidden)]
+    pub fn schedule_event(&self, deadline: SimTime, handler: EventHandlerId, data: u32) {
+        self.schedule_direct(deadline, handler, data);
     }
 
-    /// Queues `handler(data)` for the next ready-queue drain with no way
-    /// to cancel it — the taskless analogue of [`Sim::spawn`]'s initial
-    /// poll. Against [`Sim::schedule_event`] at a deadline of now, it
-    /// takes the same place in the ready queue and retires one event
-    /// at dispatch, but arms no slab slot and no generation; the entry is
-    /// one tagged `(handler, data)` word. The handler receives `data`
-    /// widened to `u64`.
+    /// Queues `handler(data)` for the next ready-queue drain — the
+    /// taskless analogue of [`Sim::spawn`]'s initial poll: it takes a
+    /// task's place in the ready queue and retires one event at
+    /// dispatch. The entry is one tagged `(handler, data)` word.
     ///
     /// # Panics
     ///
@@ -1070,25 +927,12 @@ impl Sim {
             .push(encode_direct(direct_handler(handler), data));
     }
 
-    /// Arms a slab event and returns its waker, for parking in a sync
-    /// primitive ([`crate::sync`]): when the primitive wakes it, the
-    /// event dispatches. The waker must be woken at most once per arm
-    /// (which every primitive in this crate guarantees).
-    pub fn event_waker(&self, handler: EventHandlerId, data: u64) -> (ScheduledEvent, Waker) {
-        let ev = self.arm_event(handler, data);
-        let mut wakers = self.core.event_wakers.borrow_mut();
-        let entry = wakers.get_or_init(ev.slot as usize, |_| 0);
-        entry.word.set(encode_event(ev.slot, ev.gen));
-        (ev, waker_for(entry))
-    }
-
-    /// A waker that dispatches `handler(data)` each time it is woken —
-    /// the zero-state spelling of [`Sim::event_waker`] for callers whose
-    /// parks are woken exactly once and never cancelled (the flyweight
-    /// tier's admission and service waits). The waker's data *is* the
-    /// encoded `(handler, data)` word: building one allocates nothing,
-    /// keeps no entry and counts no references, waking is a single
-    /// ready-queue push, and dispatch touches no slab.
+    /// A waker that dispatches `handler(data)` each time it is woken,
+    /// for parks that are woken exactly once and never cancelled (the
+    /// flyweight tier's admission and service waits). The waker's data
+    /// *is* the encoded `(handler, data)` word: building one allocates
+    /// nothing, keeps no entry and counts no references, and waking is a
+    /// single ready-queue push.
     ///
     /// A wake pushes the word onto the ready queue of the world running
     /// on the waking thread (the innermost `run_until`, or the end of a
@@ -1108,31 +952,13 @@ impl Sim {
         unsafe { Waker::from_raw(raw) }
     }
 
-    /// Cancels an armed event. Returns `true` if the event was still
-    /// armed (it will now never dispatch); `false` if it had already
-    /// dispatched or been cancelled — the ABA-safe no-op.
-    pub fn cancel_event(&self, ev: ScheduledEvent) -> bool {
-        let slots = self.core.event_slots.borrow();
-        let s = match slots.get(ev.slot as usize) {
-            Some(s) => s,
-            None => return false,
-        };
-        if s.gen.get() != ev.gen {
-            return false;
-        }
-        s.gen.set((ev.gen + 1) & EVENT_GEN_MASK);
-        drop(slots);
-        self.core.event_free.borrow_mut().push(ev.slot);
-        true
-    }
-
-    /// Number of currently armed slab events. Mostly for tests.
+    /// Number of pending wheel timers, task and direct alike.
     pub fn live_events(&self) -> usize {
-        self.core.event_slots.borrow().len() - self.core.event_free.borrow().len()
+        self.core.timers.borrow().len()
     }
 
-    /// Events retired so far: task polls plus timer fires plus slab
-    /// event dispatches.
+    /// Events retired so far: task polls plus timer fires plus direct
+    /// dispatches.
     pub fn events(&self) -> u64 {
         self.core.events.get()
     }
@@ -1248,8 +1074,9 @@ mod tests {
     }
 
     /// A world whose parked daemon, pending sleeper and event handler
-    /// each hold a `Sim` clone and a share of `probe`, with an event of
-    /// the handler still armed: the core holds them, so it holds itself.
+    /// each hold a `Sim` clone and a share of `probe`, with a timed
+    /// dispatch to the handler still pending: the core holds them, so it
+    /// holds itself.
     fn probed_world(probe: &Rc<()>) -> Sim {
         let sim = Sim::new();
         let queue = Rc::new(crate::WaitQueue::new());
@@ -1267,7 +1094,7 @@ mod tests {
         let h = sim.register_event_handler(Rc::new(move |_| {
             let _ = (s.now(), &p);
         }));
-        sim.schedule_event(SimTime::ZERO + SimDuration::from_secs(9), h, 0);
+        sim.schedule_direct(SimTime::ZERO + SimDuration::from_secs(9), h, 0);
         let s = sim.clone();
         sim.run_until(async move { s.sleep(SimDuration::from_secs(1)).await });
         sim
@@ -1613,7 +1440,7 @@ mod tests {
         });
     }
 
-    type EventLog = Rc<RefCell<Vec<(u64, u64)>>>;
+    type EventLog = Rc<RefCell<Vec<(u64, u32)>>>;
 
     /// Registers a handler that appends `(now, data)` to a shared log.
     fn logging_handler(sim: &Sim) -> (EventHandlerId, EventLog) {
@@ -1627,14 +1454,15 @@ mod tests {
     }
 
     #[test]
-    fn events_fire_in_deadline_order() {
+    fn direct_timers_fire_in_deadline_order() {
         let sim = Sim::new();
         let (h, log) = logging_handler(&sim);
         let s = sim.clone();
         sim.run_until(async move {
-            s.schedule_event(SimTime(300), h, 3);
-            s.schedule_event(SimTime(100), h, 1);
-            s.schedule_event(SimTime(200), h, 2);
+            s.schedule_direct(SimTime(300), h, 3);
+            s.schedule_direct(SimTime(100), h, 1);
+            s.schedule_direct(SimTime(200), h, 2);
+            assert_eq!(s.live_events(), 3, "three timers pending");
             s.sleep(SimDuration::from_nanos(400)).await;
         });
         assert_eq!(*log.borrow(), vec![(100, 1), (200, 2), (300, 3)]);
@@ -1642,94 +1470,50 @@ mod tests {
     }
 
     #[test]
-    fn past_deadline_dispatches_without_advancing_clock() {
+    fn posts_dispatch_without_advancing_clock() {
         let sim = Sim::new();
         let (h, log) = logging_handler(&sim);
         let s = sim.clone();
         sim.run_until(async move {
             s.sleep(SimDuration::from_nanos(500)).await;
-            s.schedule_event(SimTime(100), h, 7);
-            s.schedule_event(s.now(), h, 8);
+            s.post_direct(h, 7);
+            s.post_direct(h, 8);
             yield_now().await;
         });
         assert_eq!(*log.borrow(), vec![(500, 7), (500, 8)]);
     }
 
     #[test]
-    fn event_dispatch_counts_one_engine_event() {
-        // Same cost as a task: a timer-armed event costs one fire
-        // (wheel pop) + one dispatch, exactly like sleep's fire + poll;
-        // a posted event costs one dispatch like a poll.
+    fn direct_dispatch_counts_one_engine_event() {
+        // Same cost as a task: a timed dispatch costs one fire (wheel
+        // pop) + one dispatch, exactly like sleep's fire + poll; a posted
+        // dispatch costs one dispatch like a poll.
         let sim = Sim::new();
         let (h, _log) = logging_handler(&sim);
         let s = sim.clone();
         sim.run_until(async move {
             let base = s.events();
-            s.schedule_event(s.now(), h, 0);
+            s.post_direct(h, 0);
             yield_now().await;
             assert_eq!(s.events() - base, 2); // 1 dispatch + 1 yield poll
+            let base = s.events();
+            s.schedule_direct(s.now() + SimDuration::from_nanos(1), h, 0);
+            s.sleep(SimDuration::from_nanos(2)).await;
+            assert_eq!(s.events() - base, 4); // 2 fires + 1 dispatch + 1 poll
         });
     }
 
     #[test]
-    fn cancel_prevents_dispatch_and_frees_slot() {
+    fn cleared_handler_discards_pending_dispatches() {
         let sim = Sim::new();
         let (h, log) = logging_handler(&sim);
         let s = sim.clone();
         sim.run_until(async move {
-            let ev = s.schedule_event(SimTime(100), h, 1);
-            assert_eq!(s.live_events(), 1);
-            assert!(s.cancel_event(ev));
-            assert_eq!(s.live_events(), 0);
-            assert!(!s.cancel_event(ev), "double cancel must be a no-op");
-            // The timer still fires (and counts), but the generation
-            // mismatch makes the dispatch a silent no-op.
-            s.sleep(SimDuration::from_nanos(200)).await;
-        });
-        assert!(log.borrow().is_empty());
-    }
-
-    #[test]
-    fn cancelled_slot_reuse_does_not_resurrect_old_event() {
-        let sim = Sim::new();
-        let (h, log) = logging_handler(&sim);
-        let s = sim.clone();
-        sim.run_until(async move {
-            let ev = s.schedule_event(SimTime(100), h, 1);
-            assert!(s.cancel_event(ev));
-            // Re-arm the same slot with a later deadline. The stale
-            // timer fires first; its generation is dead so nothing
-            // happens until the fresh event's own timer fires.
-            let ev2 = s.schedule_event(SimTime(300), h, 2);
-            assert_eq!(ev2.slot, ev.slot, "free list should reuse the slot");
-            s.sleep(SimDuration::from_nanos(400)).await;
-        });
-        assert_eq!(*log.borrow(), vec![(300, 2)]);
-    }
-
-    #[test]
-    fn event_waker_parks_until_woken() {
-        let sim = Sim::new();
-        let (h, log) = logging_handler(&sim);
-        let s = sim.clone();
-        sim.run_until(async move {
-            let (_ev, waker) = s.event_waker(h, 9);
-            s.sleep(SimDuration::from_nanos(50)).await;
-            assert!(log.borrow().is_empty());
-            waker.wake();
-            yield_now().await;
-            assert_eq!(*log.borrow(), vec![(50, 9)]);
-        });
-    }
-
-    #[test]
-    fn cleared_handler_discards_pending_events() {
-        let sim = Sim::new();
-        let (h, log) = logging_handler(&sim);
-        let s = sim.clone();
-        sim.run_until(async move {
-            s.schedule_event(SimTime(100), h, 1);
+            s.schedule_direct(SimTime(100), h, 1);
+            s.post_direct(h, 2);
+            let waker = s.direct_waker(h, 3);
             s.clear_event_handler(h);
+            waker.wake();
             s.sleep(SimDuration::from_nanos(200)).await;
         });
         assert!(log.borrow().is_empty());
@@ -1770,7 +1554,7 @@ mod tests {
                         log.borrow_mut().push(("newcomer", d));
                     })));
                 }
-                s.post_direct(newest.unwrap(), data as u32 + 1);
+                s.post_direct(newest.unwrap(), data + 1);
                 log.borrow_mut().push(("spawner", data));
             }
         }));
@@ -1780,7 +1564,7 @@ mod tests {
             s.post_direct(quitter, 1);
             s.post_direct(spawner, 10);
             s.schedule_direct(SimTime(5), quitter, 2);
-            s.schedule_event(SimTime(6), quitter, 3);
+            s.schedule_direct(SimTime(6), quitter, 3);
             s.sleep(SimDuration::from_nanos(10)).await;
             assert!(!still_held.get(), "freed before the run returned");
         });
@@ -1799,18 +1583,24 @@ mod tests {
     }
 
     #[test]
-    fn events_interleave_deterministically_with_tasks() {
+    fn direct_dispatches_interleave_deterministically_with_tasks() {
         let run = || {
             let sim = Sim::new();
             let (h, log) = logging_handler(&sim);
-            let s = sim.clone();
-            sim.run_until(async move {
-                for i in 0..8u64 {
-                    s.schedule_event(SimTime(10 * i), h, i);
+            let (s, tasks_log) = (sim.clone(), Rc::clone(&log));
+            let late = sim.run_until(async move {
+                for i in 0..8u32 {
+                    s.schedule_direct(SimTime(10 * u64::from(i) + 1), h, i);
+                    let (s2, l) = (s.clone(), Rc::clone(&tasks_log));
+                    s.spawn_detached(async move {
+                        s2.sleep(SimDuration::from_nanos(15)).await;
+                        l.borrow_mut().push((s2.now().as_nanos(), 50 + i));
+                    });
+                    s.post_direct(h, 100 + i);
                 }
                 let l2 = {
                     let (h2, l2) = logging_handler(&s);
-                    s.schedule_event(SimTime(35), h2, 100);
+                    s.schedule_direct(SimTime(35), h2, 100);
                     l2
                 };
                 s.sleep(SimDuration::from_nanos(200)).await;
@@ -1818,60 +1608,30 @@ mod tests {
                 snap
             });
             let fired = log.borrow().clone();
-            (fired, sim.events())
+            (fired, late, sim.events())
         };
-        assert_eq!(run(), run());
-    }
-
-    /// Posts a dispatch of `data` to `h`, as a direct word or a slab event.
-    fn post(s: &Sim, h: EventHandlerId, data: u32, direct: bool) {
-        if direct {
-            s.post_direct(h, data);
-        } else {
-            s.schedule_event(s.now(), h, u64::from(data));
-        }
+        let (first, second) = (run(), run());
+        assert_eq!(first, second);
+        // Each post dispatches right after the first poll of the task
+        // spawned before it, at t=0; the sleepers wake at t=15, between
+        // the timers at t=11 and t=21.
+        let order: Vec<u32> = first.0.iter().map(|&(_, d)| d).collect();
+        let posts = 100..108;
+        let sleepers = 50..58;
+        let expected: Vec<u32> = posts.chain([0, 1]).chain(sleepers).chain(2..8).collect();
+        assert_eq!(order, expected);
+        assert_eq!(first.1, vec![(35, 100)]);
     }
 
     #[test]
-    fn post_direct_takes_the_place_of_a_slab_post() {
-        // The same script with slab posts and with direct posts: each
-        // dispatch lands between the same task polls and retires one
-        // event, but only the slab posts arm event slots.
-        let run = |direct: bool| {
-            let sim = Sim::new();
-            let (h, log) = logging_handler(&sim);
-            let s = sim.clone();
-            let l = Rc::clone(&log);
-            let (events, slots) = sim.run_until(async move {
-                let base = s.events();
-                for i in 0..3u32 {
-                    let l = Rc::clone(&l);
-                    s.spawn_detached(async move { l.borrow_mut().push((0, 100 + u64::from(i))) });
-                    post(&s, h, i, direct);
-                }
-                yield_now().await;
-                (s.events() - base, s.core.event_slots.borrow().len())
-            });
-            let order = log.borrow().iter().map(|&(_, d)| d).collect::<Vec<_>>();
-            (order, events, slots)
-        };
-        let (slab, direct) = (run(false), run(true));
-        assert_eq!(slab.0, vec![100, 0, 101, 1, 102, 2]);
-        assert_eq!(direct.0, slab.0);
-        // Three task polls, three dispatches and the main task's re-poll.
-        assert_eq!((slab.1, direct.1), (7, 7));
-        assert_eq!((slab.2, direct.2), (3, 0));
-    }
-
-    #[test]
-    fn task_event_and_direct_timers_at_one_deadline_fire_in_registration_order() {
+    fn task_and_direct_timers_at_one_deadline_fire_in_registration_order() {
         let sim = Sim::new();
         let (h, log) = logging_handler(&sim);
         let s = sim.clone();
         let l = Rc::clone(&log);
         let at = SimTime(1_000);
         sim.run_until(async move {
-            s.schedule_event(at, h, 10);
+            s.schedule_direct(at, h, 10);
             s.schedule_direct(at, h, 11);
             let s2 = s.clone();
             s.spawn_detached(async move {
@@ -1881,12 +1641,12 @@ mod tests {
             // The task registers its timer when it is first polled.
             yield_now().await;
             s.schedule_direct(at, h, 12);
-            s.schedule_event(at, h, 13);
+            s.schedule_direct(at, h, 13);
             s.sleep_until(SimTime(2_000)).await;
         });
         let log = log.borrow();
         assert!(log.iter().all(|&(t, _)| t == 1_000));
-        let order: Vec<u64> = log.iter().map(|&(_, d)| d).collect();
+        let order: Vec<u32> = log.iter().map(|&(_, d)| d).collect();
         assert_eq!(order, vec![10, 11, 20, 12, 13]);
     }
 
@@ -1920,7 +1680,7 @@ mod tests {
 
     #[test]
     fn waker_entries_are_16_bytes() {
-        // One entry type backs the task and event arenas.
+        // A task slot's word and its ready-queue pointer.
         assert_eq!(std::mem::size_of::<WakerEntry>(), 16);
     }
 
@@ -2004,29 +1764,22 @@ mod tests {
         let s = sim.clone();
         let (p, w) = (Rc::clone(&polls), Rc::clone(&parked));
         sim.run_until(async move {
-            // One waker from the first chunk of each arena.
+            // One waker from the task arena's first chunk.
             s.spawn_detached(ParkOnce { polls: p, waker: w });
             yield_now().await;
             let task_waker = parked.borrow_mut().take().expect("task parked");
-            let (ev, event_waker) = s.event_waker(h, 1);
             let direct_waker = s.direct_waker(h, 2);
-            assert!((ev.slot as usize) < WAKER_CHUNK);
 
-            // Grow both arenas past three chunk boundaries: polled tasks
-            // and parked events. A direct waker has no entry to move.
-            let grow = 3 * WAKER_CHUNK + 1;
-            for i in 0..grow {
+            // Grow the arena past three chunk boundaries with polled
+            // tasks. A direct waker has no entry to move.
+            for _ in 0..3 * WAKER_CHUNK + 1 {
                 s.spawn_detached(std::future::pending::<()>());
-                s.event_waker(h, 100 + i as u64);
             }
             yield_now().await;
-            for arena in [&s.core.task_wakers, &s.core.event_wakers] {
-                let chunks = arena.borrow().chunks.iter().filter(|c| c.is_some()).count();
-                assert!(chunks >= 4, "arena grew to only {chunks} chunks");
-            }
+            let chunks = s.core.task_wakers.borrow().chunks.iter().flatten().count();
+            assert!(chunks >= 4, "arena grew to only {chunks} chunks");
 
             task_waker.wake();
-            event_waker.wake();
             direct_waker.wake();
             yield_now().await;
         });
@@ -2037,126 +1790,8 @@ mod tests {
         );
         assert_eq!(
             log.borrow().iter().map(|&(_, d)| d).collect::<Vec<_>>(),
-            vec![1, 2],
-            "the early event and direct wakers each dispatched exactly once"
-        );
-    }
-
-    /// One step of the randomized slab-lifecycle interpreter: indexes
-    /// refer to the script's table of previously armed events.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    enum SlabOp {
-        Schedule { delay: u64, data: u64 },
-        Post { data: u64 },
-        Cancel { target: usize },
-        Run { nanos: u64 },
-    }
-
-    /// ABA / use-after-cancel property (ISSUE 10 S3): over random
-    /// schedule/cancel/fire interleavings, every armed event dispatches
-    /// exactly once with its own payload unless cancelled first, a
-    /// cancelled event never dispatches even when its slot is re-armed
-    /// (generation guard), and cancel-after-fire reports `false`.
-    #[test]
-    fn prop_event_slab_generations_survive_reuse() {
-        use crate::proptest::{check, CaseOutcome};
-        use crate::{prop_assert, prop_assert_eq};
-
-        check(
-            "event_slab_generations_survive_reuse",
-            |g| {
-                g.vec(1, 48, |g| match g.u8_in(0, 3) {
-                    0 => SlabOp::Schedule {
-                        delay: g.u64_in(0, 400),
-                        data: g.any_u32() as u64,
-                    },
-                    1 => SlabOp::Post {
-                        data: g.any_u32() as u64,
-                    },
-                    2 => SlabOp::Cancel {
-                        target: g.usize_in(0, 63),
-                    },
-                    _ => SlabOp::Run {
-                        nanos: g.u64_in(0, 600),
-                    },
-                })
-            },
-            |script| {
-                let sim = Sim::new();
-                let (h, log) = logging_handler(&sim);
-                let s = sim.clone();
-                let script = script.clone();
-                // Expected-to-fire set, maintained by the reference
-                // interpreter: data -> armed deadline.
-                let outcome = sim.run_until(async move {
-                    let mut armed: Vec<(ScheduledEvent, u64, u64)> = Vec::new(); // (ev, data, deadline)
-                    let mut expected: Vec<(u64, u64)> = Vec::new();
-                    let mut cancelled: Vec<u64> = Vec::new();
-                    // Payloads are re-keyed to a unique counter so the
-                    // reference interpreter can match fires to arms.
-                    let mut next_data: u64 = 0;
-                    for op in script {
-                        match op {
-                            SlabOp::Schedule { delay, data: _ } => {
-                                let data = next_data;
-                                next_data += 1;
-                                let at = s.now() + SimDuration::from_nanos(delay);
-                                let ev = s.schedule_event(at, h, data);
-                                armed.push((ev, data, at.as_nanos()));
-                            }
-                            SlabOp::Post { data: _ } => {
-                                let data = next_data;
-                                next_data += 1;
-                                let ev = s.schedule_event(s.now(), h, data);
-                                armed.push((ev, data, s.now().as_nanos()));
-                            }
-                            SlabOp::Cancel { target } => {
-                                if armed.is_empty() {
-                                    continue;
-                                }
-                                let (ev, data, deadline) = armed[target % armed.len()];
-                                let already_fired = log.borrow().iter().any(|&(_, d)| d == data);
-                                let already_cancelled = cancelled.contains(&data);
-                                let ok = s.cancel_event(ev);
-                                if ok {
-                                    cancelled.push(data);
-                                } else if !already_fired && !already_cancelled {
-                                    return CaseOutcome::Fail(format!(
-                                        "cancel of live unfired event {data} (deadline \
-                                         {deadline}) returned false"
-                                    ));
-                                }
-                            }
-                            SlabOp::Run { nanos } => {
-                                s.sleep(SimDuration::from_nanos(nanos)).await;
-                            }
-                        }
-                    }
-                    // Drain everything still pending.
-                    s.sleep(SimDuration::from_nanos(1_000)).await;
-                    for (_, data, deadline) in &armed {
-                        if !cancelled.contains(data) {
-                            expected.push((*deadline, *data));
-                        }
-                    }
-                    let mut fired = log.borrow().clone();
-                    fired.sort_unstable();
-                    expected.sort_unstable();
-                    // Non-cancelled events must each fire exactly once at
-                    // their deadline; cancelled ones never.
-                    prop_assert_eq!(fired, expected);
-                    for data in &cancelled {
-                        prop_assert!(
-                            !log.borrow().iter().any(|(_, d)| d == data),
-                            "cancelled event {data} dispatched"
-                        );
-                    }
-                    // All slots must recycle.
-                    prop_assert_eq!(s.live_events(), 0);
-                    CaseOutcome::Pass
-                });
-                outcome
-            },
+            vec![2],
+            "the direct waker dispatched exactly once"
         );
     }
 }

@@ -37,9 +37,7 @@ pub mod sync;
 pub mod time;
 pub mod wheel;
 
-pub use executor::{
-    yield_now, EventHandlerId, JoinHandle, ScheduledEvent, Sim, Sleep, TaskId, YieldNow,
-};
+pub use executor::{yield_now, EventHandlerId, JoinHandle, Sim, Sleep, TaskId, YieldNow};
 pub use metrics::{
     mbps, mean, percentile, ByteMeter, Counter, Histogram, LatencyDigest, ProfileRow, Profiler,
 };
