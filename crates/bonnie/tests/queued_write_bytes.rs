@@ -25,13 +25,13 @@ use common::{peak_bytes, reset_peak, PeakAlloc};
 #[global_allocator]
 static COUNTER: PeakAlloc = PeakAlloc;
 
-/// Heap growth allowed per queued WRITE: the spawned task (112 bytes),
+/// Heap growth allowed per queued WRITE: the spawned task (64 bytes),
 /// its two-entry batch vector, its 24-byte entry in the waiter slab and
 /// its 4-byte id in the slot table's queue, and its share of the task
-/// table and the waker arena. The close measures 235 (256 when each
-/// waiter was a 48-byte reference-counted node queued by pointer); a
-/// task that holds the whole RPC state machine while it waits measures
-/// 1,032.
+/// table and the waker arena. The close measures 174 (235 when the task
+/// was 112 bytes, 256 when each waiter was a 48-byte reference-counted
+/// node queued by pointer); a task that holds the whole RPC state
+/// machine while it waits measures 1,032.
 const BYTES_PER_QUEUED_WRITE_BUDGET: usize = 240;
 
 /// Bytes the file holds: 24,576 pages, 12,288 WRITEs of 8 KiB. Under

@@ -55,6 +55,6 @@ pub mod tuning;
 
 pub use index::{Lookup, RequestIndex};
 pub use inode::NfsInode;
-pub use mount::{MountConfig, MountStats, NfsFile, NfsMount, MAX_RPC_IO_BYTES};
+pub use mount::{MountConfig, MountStats, NfsFile, NfsMount};
 pub use request::{NfsPageReq, ReqState};
 pub use tuning::{ClientTuning, IndexKind, MAX_REQUEST_HARD, MAX_REQUEST_SOFT};

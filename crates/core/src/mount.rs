@@ -28,9 +28,8 @@ use std::rc::Rc;
 use nfsperf_kernel::{Kernel, PageSeg, SimFile, VfsError, VfsResult, PAGE_SIZE};
 use nfsperf_net::{pool_put, DatagramPayload, Path};
 use nfsperf_nfs3::{
-    Commit3Args, Commit3Res, Create3Args, Create3Res, CreateMode, NfsProc3, NfsStat3, Read3Args,
-    Read3Res, Sattr3, Setattr3Args, Setattr3Res, StableHow, Write3Args, Write3Res, NFS_PROGRAM,
-    NFS_V3,
+    Commit3Args, Commit3Res, Create3Args, Create3Res, CreateMode, NfsProc3, NfsStat3, Sattr3,
+    StableHow, Write3Args, Write3Res, NFS_PROGRAM, NFS_V3,
 };
 use nfsperf_sim::{Counter, Receiver, SimDuration, WaitQueue};
 use nfsperf_sunrpc::{RpcSlot, Transport, Xprt, XprtConfig};
@@ -234,53 +233,27 @@ impl NfsMount {
             .spawn_detached(Rc::clone(self).write_batch(Rc::clone(inode), batch));
     }
 
-    /// The WRITE task: sends a batch and applies the outcome. A batch is
-    /// normally wsize-bounded and goes out whole as one RPC; one whose
-    /// byte sum would overflow the u32 wire count is split, never
-    /// truncated. Which of the two it takes is settled when the task is
-    /// built.
+    /// The WRITE task: counts the batch's RPC as issued, waits for a
+    /// transport slot, sends the batch as one WRITE and applies the
+    /// outcome.
     ///
     /// Thousands of these tasks can queue behind the transport's slot
     /// table at once (a 4×-RAM Bonnie close queues tens of thousands), so
     /// until its slot is granted a task holds only its batch, the mount
-    /// and inode handles and the slot wait; [`NfsMount::write_rpc`]
-    /// builds the RPC state machine in a box once the slot is granted.
-    /// Both are plain functions returning `async move` blocks: an `async
-    /// fn` would keep a second copy of its arguments in the future.
+    /// and inode handles and the slot wait; the RPC state machine is
+    /// boxed once the slot is granted. This is a plain function returning
+    /// an `async move` block: an `async fn` would keep a second copy of
+    /// its arguments in the future.
     fn write_batch(
         self: Rc<Self>,
         inode: Rc<NfsInode>,
         batch: Vec<Rc<NfsPageReq>>,
     ) -> impl Future<Output = ()> {
         debug_assert!(!batch.is_empty());
-        let fits = batch_bytes(&batch) <= MAX_RPC_IO_BYTES;
         async move {
-            if fits {
-                self.write_rpc(&inode, batch).await;
-            } else {
-                // The split loop's state would widen every task's future.
-                Box::pin(async {
-                    for chunk in split_rpc_batches(batch, MAX_RPC_IO_BYTES) {
-                        self.write_rpc(&inode, chunk).await;
-                    }
-                })
-                .await;
-            }
-        }
-    }
-
-    /// Sends one WRITE RPC for a wire-legal chunk of requests: counts it
-    /// as issued, then waits for a transport slot and runs the call in
-    /// it. The caller awaits it as soon as it is built.
-    fn write_rpc<'a>(
-        &'a self,
-        inode: &'a Rc<NfsInode>,
-        batch: Vec<Rc<NfsPageReq>>,
-    ) -> impl Future<Output = ()> + 'a {
-        self.write_rpcs.inc();
-        async move {
+            self.write_rpcs.inc();
             let slot = self.xprt.reserve().await;
-            Box::pin(self.write_in_slot(inode, batch, slot)).await;
+            Box::pin(self.write_in_slot(&inode, batch, slot)).await;
         }
     }
 
@@ -288,9 +261,12 @@ impl NfsMount {
     /// then applies the outcome to the batch.
     async fn write_in_slot(&self, inode: &Rc<NfsInode>, batch: Vec<Rc<NfsPageReq>>, slot: RpcSlot) {
         let offset = batch[0].file_offset();
-        let count = batch_bytes(&batch);
-        debug_assert!(count <= MAX_RPC_IO_BYTES);
-        let args = Write3Args::new(inode.fh, offset, count as u32, StableHow::Unstable);
+        // Every batch comes from `take_first_dirty_batch(wsize_pages)`:
+        // at most `wsize / PAGE_SIZE` (at least one) requests of at most
+        // a page each, so its byte count fits the `u32` wire count.
+        let count = u32::try_from(batch.iter().map(|r| r.len()).sum::<u64>())
+            .expect("a WRITE batch is at most wsize (a u32) or one page");
+        let args = Write3Args::new(inode.fh, offset, count, StableHow::Unstable);
         match self
             .xprt
             .call_in_slot(slot, NfsProc3::Write as u32, &args)
@@ -731,38 +707,6 @@ fn decode_as<T: XdrDecode>(bytes: DatagramPayload) -> Result<T, VfsError> {
     res.map_err(|_| VfsError::Server(NfsStat3::Io as u32))
 }
 
-/// Largest byte count a single READ or WRITE RPC may carry: NFSv3 puts
-/// counts in a `u32` on the wire (RFC 1813 §3.3.7), so larger transfers
-/// must be split across RPCs instead of silently truncated by a cast.
-pub const MAX_RPC_IO_BYTES: u64 = 1 << 30;
-
-/// Bytes a batch of requests carries.
-fn batch_bytes(batch: &[Rc<NfsPageReq>]) -> u64 {
-    batch.iter().map(|r| r.len()).sum()
-}
-
-/// Splits a batch into sub-batches whose byte sums each fit in one WRITE
-/// RPC of at most `cap` bytes. Batches are wsize-bounded in practice, so
-/// only a pathological configuration reaches this: the WRITE task sends
-/// a batch that fits whole without calling it.
-fn split_rpc_batches(batch: Vec<Rc<NfsPageReq>>, cap: u64) -> Vec<Vec<Rc<NfsPageReq>>> {
-    let mut chunks = Vec::new();
-    let mut chunk: Vec<Rc<NfsPageReq>> = Vec::new();
-    let mut bytes = 0u64;
-    for req in batch {
-        if !chunk.is_empty() && bytes + req.len() > cap {
-            chunks.push(std::mem::take(&mut chunk));
-            bytes = 0;
-        }
-        bytes += req.len();
-        chunk.push(req);
-    }
-    if !chunk.is_empty() {
-        chunks.push(chunk);
-    }
-    chunks
-}
-
 /// An open NFS file.
 pub struct NfsFile {
     mount: Rc<NfsMount>,
@@ -780,90 +724,6 @@ impl NfsFile {
     /// The file's client-side write state (for instrumentation).
     pub fn inode(&self) -> &Rc<NfsInode> {
         &self.inode
-    }
-
-    /// Reads `len` bytes at `offset` from the server, returning bytes
-    /// actually read (short at end of file).
-    ///
-    /// The benchmark is write-only, so reads take the simple path: any
-    /// dirty data is flushed first (write-then-read consistency), then
-    /// the data comes straight from the server — the 2.4 read cache is
-    /// out of scope for this reproduction.
-    pub async fn read(&self, offset: u64, len: u64) -> VfsResult<u64> {
-        if self.closed.get() {
-            return Err(VfsError::Closed);
-        }
-        if self.inode.total_requests() > 0 {
-            self.mount.flush_and_wait(&self.inode).await;
-        }
-        let kernel = &self.mount.kernel;
-        kernel
-            .cpus
-            .work("sys_read", kernel.costs.write_syscall_fixed)
-            .await;
-        // NFSv3 READ counts are u32 on the wire: a transfer past 4 GiB
-        // takes several RPCs (a cast would turn a 4 GiB read into a
-        // zero-byte request).
-        let mut total = 0u64;
-        while total < len {
-            let ask = (len - total).min(MAX_RPC_IO_BYTES) as u32;
-            let args = Read3Args {
-                file: self.inode.fh,
-                offset: offset + total,
-                count: ask,
-            };
-            let bytes = self
-                .mount
-                .xprt
-                .call(NfsProc3::Read as u32, &args)
-                .await
-                .map_err(|_| VfsError::Server(NfsStat3::Io as u32))?;
-            let res = decode_as::<Read3Res>(bytes)?;
-            if res.status != NfsStat3::Ok {
-                return Err(VfsError::Server(res.status as u32));
-            }
-            // Copy the returned data into user space.
-            for _seg in nfsperf_kernel::split_into_pages(offset + total, u64::from(res.count)) {
-                kernel
-                    .cpus
-                    .work("generic_file_read", kernel.costs.page_copy)
-                    .await;
-            }
-            total += u64::from(res.count);
-            if res.eof || res.count < ask {
-                break;
-            }
-        }
-        Ok(total)
-    }
-
-    /// Truncates the file to `size` via SETATTR (flushing dirty data
-    /// first).
-    pub async fn truncate(&self, size: u64) -> VfsResult<()> {
-        if self.closed.get() {
-            return Err(VfsError::Closed);
-        }
-        if self.inode.total_requests() > 0 {
-            self.mount.flush_and_wait(&self.inode).await;
-        }
-        let args = Setattr3Args {
-            file: self.inode.fh,
-            attrs: Sattr3 {
-                mode: None,
-                size: Some(size),
-            },
-        };
-        let bytes = self
-            .mount
-            .xprt
-            .call(NfsProc3::Setattr as u32, &args)
-            .await
-            .map_err(|_| VfsError::Server(NfsStat3::Io as u32))?;
-        let res = decode_as::<Setattr3Res>(bytes)?;
-        if res.status != NfsStat3::Ok {
-            return Err(VfsError::Server(res.status as u32));
-        }
-        Ok(())
     }
 
     fn check_error(&self) -> VfsResult<()> {
@@ -924,47 +784,6 @@ impl SimFile for NfsFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nfsperf_sim::SimTime;
-
-    fn reqs(lens: &[u64]) -> Vec<Rc<NfsPageReq>> {
-        lens.iter()
-            .enumerate()
-            .map(|(i, &len)| NfsPageReq::new(i as u64, 0, len, SimTime::ZERO))
-            .collect()
-    }
-
-    #[test]
-    fn split_keeps_small_batches_whole() {
-        let chunks = split_rpc_batches(reqs(&[4096, 4096]), MAX_RPC_IO_BYTES);
-        assert_eq!(chunks.len(), 1, "a wsize batch is one RPC");
-        assert_eq!(chunks[0].len(), 2);
-    }
-
-    #[test]
-    fn split_respects_cap_boundary() {
-        // Three page-sized requests against a two-page cap: 2 + 1.
-        let chunks = split_rpc_batches(reqs(&[4096, 4096, 4096]), 8192);
-        assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[0].len(), 2);
-        assert_eq!(chunks[1].len(), 1);
-        // An exact fit does not spill.
-        let chunks = split_rpc_batches(reqs(&[4096, 4096]), 8192);
-        assert_eq!(chunks.len(), 1);
-    }
-
-    #[test]
-    fn split_never_drops_bytes_past_u32() {
-        // A batch summing past u32::MAX must split so each chunk's count
-        // survives the wire cast.
-        let lens = vec![4096u64; 6];
-        let chunks = split_rpc_batches(reqs(&lens), 3 * 4096);
-        let total: u64 = chunks.iter().flatten().map(|r| r.len()).sum();
-        assert_eq!(total, 6 * 4096);
-        for chunk in &chunks {
-            let count: u64 = chunk.iter().map(|r| r.len()).sum();
-            assert!(count <= 3 * 4096);
-        }
-    }
 
     /// Size of the future an async fn of three arguments returns.
     fn future_size<A, B, C, F: Future>(_: fn(A, B, C) -> F) -> usize {
@@ -975,15 +794,10 @@ mod tests {
     fn a_queued_write_task_is_small() {
         // Each scheduled batch spawns one of these, and at 4× RAM tens of
         // thousands wait on the slot table at once; the RPC state machine
-        // (over 700 bytes) is boxed only once a slot is granted. 112 B
+        // (over 700 bytes) is boxed only once a slot is granted. 64 B
         // measured.
         let bytes = future_size(NfsMount::write_batch);
         eprintln!("spawned WRITE task: {bytes} B");
         assert!(bytes <= 128, "the spawned WRITE task is {bytes} B");
-    }
-
-    #[test]
-    fn rpc_cap_fits_the_wire() {
-        assert!(MAX_RPC_IO_BYTES <= u64::from(u32::MAX));
     }
 }

@@ -395,48 +395,6 @@ fn slower_server_yields_faster_memory_writes() {
     );
 }
 
-#[test]
-fn read_back_after_write() {
-    let w = world(
-        ClientTuning::full_patch(),
-        ServerConfig::netapp_f85(),
-        NicSpec::gigabit(),
-    );
-    let mount = Rc::clone(&w.mount);
-    w.sim.run_until(async move {
-        let file = mount.create("rw").await.unwrap();
-        sequential_write(&file, 64 * 1024).await;
-        // Read back: flushes dirty data first, then fetches.
-        let n = file.read(0, 8192).await.unwrap();
-        assert_eq!(n, 8192);
-        // Reading past EOF is short.
-        let n = file.read(60 * 1024, 8192).await.unwrap();
-        assert_eq!(n, 4 * 1024);
-        // Reading at EOF returns zero bytes.
-        let n = file.read(64 * 1024, 8192).await.unwrap();
-        assert_eq!(n, 0);
-        file.close().await.unwrap();
-    });
-}
-
-#[test]
-fn truncate_shrinks_server_file() {
-    let w = world(
-        ClientTuning::full_patch(),
-        ServerConfig::netapp_f85(),
-        NicSpec::gigabit(),
-    );
-    let mount = Rc::clone(&w.mount);
-    let server = Rc::clone(&w.server);
-    w.sim.run_until(async move {
-        let file = mount.create("trunc").await.unwrap();
-        sequential_write(&file, 64 * 1024).await;
-        file.truncate(1000).await.unwrap();
-        assert_eq!(server.fs.size_of(&file.inode().fh).unwrap(), 1000);
-        file.close().await.unwrap();
-    });
-}
-
 /// Regression for the COMMIT verifier-mismatch recovery path: a writer
 /// coalescing new bytes into a request *while its COMMIT is in flight*
 /// across a server reboot. The recovery used to rebuild the request by
@@ -508,28 +466,6 @@ fn incompatible_same_page_write_flushes_the_old_request_first() {
         assert_eq!(server.fs.size_of(&file.inode().fh).unwrap(), 2100);
     });
     assert_eq!(w.server.stats().writes, 2, "two non-coalescable WRITEs");
-}
-
-/// NFSv3 carries READ/WRITE counts in a `u32`; a count at or above
-/// 4 GiB used to be truncated by the cast (a >=4 GiB read silently
-/// became a tiny one). Large counts are now chunked into capped RPCs.
-#[test]
-fn read_counts_past_u32_are_not_truncated() {
-    let w = world(
-        ClientTuning::full_patch(),
-        ServerConfig::netapp_f85(),
-        NicSpec::gigabit(),
-    );
-    let mount = Rc::clone(&w.mount);
-    w.sim.run_until(async move {
-        let file = mount.create("big-read").await.unwrap();
-        sequential_write(&file, 64 * 1024).await;
-        // (1 << 32) + 8192 truncates to 8192 as a u32; the full count
-        // must survive and the read stop at EOF instead.
-        let n = file.read(0, (1u64 << 32) + 8192).await.unwrap();
-        assert_eq!(n, 64 * 1024, "EOF bounds the read, not u32 truncation");
-        file.close().await.unwrap();
-    });
 }
 
 /// Unstable pages must stay pinned in client memory until a COMMIT with

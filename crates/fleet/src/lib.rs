@@ -29,4 +29,4 @@ pub mod tier;
 
 pub use machine::{mount_client, write_all, write_through_close};
 pub use model::{calibrate, BehaviorModel, Calibration, CalibrationConfig, FlyOp, GAP_QUANTILES};
-pub use tier::{FlyTier, FlyTierConfig, FlyTierRun, TierEngine};
+pub use tier::{FlyTier, FlyTierConfig, TierEngine};

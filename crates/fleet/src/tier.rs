@@ -152,20 +152,6 @@ impl FlyTierConfig {
     }
 }
 
-/// Everything measured from a finished tier.
-#[derive(Debug, Clone)]
-pub struct FlyTierRun {
-    /// Each client's achieved throughput, MB/s, in client order.
-    pub per_client_mbps: Vec<f64>,
-    /// Client-observed WRITE RPC latency digest (strided shared pool).
-    pub rpc_latency: LatencyDigest,
-    /// Time from the first emission to the last completion.
-    pub elapsed: SimDuration,
-    /// [`FlyTier::bytes_per_client`]: the client slab plus amortized
-    /// shared state, not the in-flight RPC state.
-    pub bytes_per_client: usize,
-}
-
 /// Resume point of one event-driven RPC: each variant names what the
 /// record does when its next event dispatches.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -860,16 +846,6 @@ impl FlyTier {
             + std::mem::size_of::<BehaviorModel>()
             + self.fabric.resident_bytes();
         std::mem::size_of::<FlyClient>() + shared.div_ceil(n)
-    }
-
-    /// The tier's measurements, bundled.
-    pub fn run_summary(&self) -> FlyTierRun {
-        FlyTierRun {
-            per_client_mbps: self.per_client_mbps(),
-            rpc_latency: self.rpc_latency(),
-            elapsed: self.elapsed(),
-            bytes_per_client: self.bytes_per_client(),
-        }
     }
 }
 

@@ -245,11 +245,6 @@ impl Nic {
         self.tx_meter.throughput_mbps()
     }
 
-    /// Mean receive throughput over the active period, MB/s.
-    pub fn rx_throughput_mbps(&self) -> f64 {
-        self.rx_meter.throughput_mbps()
-    }
-
     /// Starts this NIC's departure log: from now on every datagram that
     /// finishes serializing is recorded with its payload size, for
     /// [`Nic::tx_events`] and [`Nic::max_tx_gap`]. The log costs 16 bytes

@@ -1,11 +1,10 @@
 //! RFC 1813 — NFS version 3 protocol types and wire codecs.
 //!
-//! This crate implements the subset of NFSv3 that the reproduced write
-//! path exercises: WRITE and COMMIT (the stars of the paper), plus the
-//! surrounding operations a client needs to create and inspect a fresh
-//! benchmark file (LOOKUP, CREATE, GETATTR, SETATTR). All types encode to
-//! and decode from genuine XDR, so the byte sizes that drive the network
-//! simulation are the real RFC 1813 sizes.
+//! This crate implements exactly the NFSv3 procedures the reproduced
+//! write path sends: CREATE for the fresh benchmark file, then WRITE and
+//! COMMIT (the stars of the paper). All types encode to and decode from
+//! genuine XDR, so the byte sizes that drive the network simulation are
+//! the real RFC 1813 sizes.
 //!
 //! The paper mounts with `rsize=wsize=8192`, NFS version 3 — WRITE3
 //! requests carry two 4 KiB pages of data and either `UNSTABLE` (Linux
@@ -17,8 +16,7 @@ pub mod ops;
 
 pub use attrs::{Fattr3, Ftype3, Sattr3, WccAttr, WccData};
 pub use ops::{
-    Commit3Args, Commit3Res, Create3Args, Create3Res, CreateMode, Getattr3Args, Getattr3Res,
-    Lookup3Args, Lookup3Res, Read3Args, Read3Res, Setattr3Args, Setattr3Res, Write3Args, Write3Res,
+    Commit3Args, Commit3Res, Create3Args, Create3Res, CreateMode, Write3Args, Write3Res,
 };
 
 use nfsperf_xdr::{Decoder, Encoder, XdrDecode, XdrEncode, XdrError};
@@ -28,20 +26,11 @@ pub const NFS_PROGRAM: u32 = 100_003;
 /// Protocol version implemented here.
 pub const NFS_V3: u32 = 3;
 
-/// NFSv3 procedure numbers (RFC 1813 §3).
+/// The NFSv3 procedure numbers (RFC 1813 §3) the write path sends; a
+/// server answers any other number `PROC_UNAVAIL`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u32)]
 pub enum NfsProc3 {
-    /// NULL — ping.
-    Null = 0,
-    /// GETATTR — fetch file attributes.
-    Getattr = 1,
-    /// SETATTR — set file attributes (used to truncate the bench file).
-    Setattr = 2,
-    /// LOOKUP — resolve a name in a directory.
-    Lookup = 3,
-    /// READ — read data from a file.
-    Read = 6,
     /// WRITE — write data to a file.
     Write = 7,
     /// CREATE — create a regular file.
@@ -54,11 +43,6 @@ impl NfsProc3 {
     /// Decodes a procedure number.
     pub fn from_u32(v: u32) -> Option<NfsProc3> {
         Some(match v {
-            0 => NfsProc3::Null,
-            1 => NfsProc3::Getattr,
-            2 => NfsProc3::Setattr,
-            3 => NfsProc3::Lookup,
-            6 => NfsProc3::Read,
             7 => NfsProc3::Write,
             8 => NfsProc3::Create,
             21 => NfsProc3::Commit,
@@ -253,19 +237,12 @@ mod tests {
 
     #[test]
     fn proc_numbers_round_trip() {
-        for p in [
-            NfsProc3::Null,
-            NfsProc3::Getattr,
-            NfsProc3::Setattr,
-            NfsProc3::Lookup,
-            NfsProc3::Read,
-            NfsProc3::Write,
-            NfsProc3::Create,
-            NfsProc3::Commit,
-        ] {
+        for p in [NfsProc3::Write, NfsProc3::Create, NfsProc3::Commit] {
             assert_eq!(NfsProc3::from_u32(p as u32), Some(p));
         }
-        assert_eq!(NfsProc3::from_u32(99), None);
+        for unsent in [0, 1, 2, 3, 6, 99] {
+            assert_eq!(NfsProc3::from_u32(unsent), None);
+        }
     }
 
     #[test]

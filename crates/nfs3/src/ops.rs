@@ -324,137 +324,6 @@ impl XdrDecode for Create3Res {
     }
 }
 
-/// LOOKUP3 arguments.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Lookup3Args {
-    /// Directory to search.
-    pub dir: FileHandle,
-    /// Name to resolve.
-    pub name: String,
-}
-
-impl XdrEncode for Lookup3Args {
-    fn encode(&self, enc: &mut Encoder) {
-        self.dir.encode(enc);
-        enc.put_string(&self.name);
-    }
-}
-
-impl XdrDecode for Lookup3Args {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, XdrError> {
-        Ok(Lookup3Args {
-            dir: FileHandle::decode(dec)?,
-            name: dec.get_string()?.to_owned(),
-        })
-    }
-}
-
-/// LOOKUP3 result.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Lookup3Res {
-    /// Operation status.
-    pub status: NfsStat3,
-    /// Resolved handle (success only).
-    pub file: Option<FileHandle>,
-    /// Attributes of the resolved object (success only).
-    pub attrs: Option<Fattr3>,
-}
-
-impl XdrEncode for Lookup3Res {
-    fn encode(&self, enc: &mut Encoder) {
-        self.status.encode(enc);
-        if self.status == NfsStat3::Ok {
-            self.file
-                .as_ref()
-                .expect("Ok lookup must carry a handle")
-                .encode(enc);
-            self.attrs.encode(enc);
-        }
-        // Directory post-op attributes: none.
-        enc.put_u32(0);
-    }
-}
-
-impl XdrDecode for Lookup3Res {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, XdrError> {
-        let status = NfsStat3::decode(dec)?;
-        if status == NfsStat3::Ok {
-            let file = FileHandle::decode(dec)?;
-            let attrs = Option::<Fattr3>::decode(dec)?;
-            let _dir_attrs = dec.get_u32()?;
-            Ok(Lookup3Res {
-                status,
-                file: Some(file),
-                attrs,
-            })
-        } else {
-            let _dir_attrs = dec.get_u32()?;
-            Ok(Lookup3Res {
-                status,
-                file: None,
-                attrs: None,
-            })
-        }
-    }
-}
-
-/// GETATTR3 arguments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Getattr3Args {
-    /// File to inspect.
-    pub file: FileHandle,
-}
-
-impl XdrEncode for Getattr3Args {
-    fn encode(&self, enc: &mut Encoder) {
-        self.file.encode(enc);
-    }
-    fn encoded_len(&self) -> usize {
-        self.file.encoded_len()
-    }
-}
-
-impl XdrDecode for Getattr3Args {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, XdrError> {
-        Ok(Getattr3Args {
-            file: FileHandle::decode(dec)?,
-        })
-    }
-}
-
-/// GETATTR3 result.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Getattr3Res {
-    /// Operation status.
-    pub status: NfsStat3,
-    /// Attributes (success only).
-    pub attrs: Option<Fattr3>,
-}
-
-impl XdrEncode for Getattr3Res {
-    fn encode(&self, enc: &mut Encoder) {
-        self.status.encode(enc);
-        if self.status == NfsStat3::Ok {
-            self.attrs
-                .as_ref()
-                .expect("Ok getattr must carry attributes")
-                .encode(enc);
-        }
-    }
-}
-
-impl XdrDecode for Getattr3Res {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, XdrError> {
-        let status = NfsStat3::decode(dec)?;
-        let attrs = if status == NfsStat3::Ok {
-            Some(Fattr3::decode(dec)?)
-        } else {
-            None
-        };
-        Ok(Getattr3Res { status, attrs })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -555,277 +424,10 @@ mod tests {
     }
 
     #[test]
-    fn lookup3_round_trip() {
-        let args = Lookup3Args {
-            dir: FileHandle::for_fileid(1),
-            name: "testfile".into(),
-        };
-        round_trip(&args);
-        let hit = Lookup3Res {
-            status: NfsStat3::Ok,
-            file: Some(FileHandle::for_fileid(8)),
-            attrs: Some(Fattr3::regular(8, 100)),
-        };
-        round_trip(&hit);
-        let miss = Lookup3Res {
-            status: NfsStat3::Noent,
-            file: None,
-            attrs: None,
-        };
-        round_trip(&miss);
-    }
-
-    #[test]
-    fn getattr3_round_trip() {
-        let args = Getattr3Args {
-            file: FileHandle::for_fileid(2),
-        };
-        round_trip(&args);
-        let res = Getattr3Res {
-            status: NfsStat3::Ok,
-            attrs: Some(Fattr3::regular(2, 42)),
-        };
-        round_trip(&res);
-        let err = Getattr3Res {
-            status: NfsStat3::Stale,
-            attrs: None,
-        };
-        round_trip(&err);
-    }
-
-    #[test]
     fn create_mode_rejects_exclusive() {
         // EXCLUSIVE (2) is deliberately unmodelled.
         let bytes = 2u32.to_be_bytes();
         let mut dec = Decoder::new(&bytes);
         assert!(CreateMode::decode(&mut dec).is_err());
-    }
-}
-
-/// READ3 arguments (RFC 1813 §3.3.6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Read3Args {
-    /// File to read.
-    pub file: FileHandle,
-    /// Byte offset.
-    pub offset: u64,
-    /// Bytes requested.
-    pub count: u32,
-}
-
-impl XdrEncode for Read3Args {
-    fn encode(&self, enc: &mut Encoder) {
-        self.file.encode(enc);
-        enc.put_u64(self.offset);
-        enc.put_u32(self.count);
-    }
-    fn encoded_len(&self) -> usize {
-        self.file.encoded_len() + 12
-    }
-}
-
-impl XdrDecode for Read3Args {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, XdrError> {
-        Ok(Read3Args {
-            file: FileHandle::decode(dec)?,
-            offset: dec.get_u64()?,
-            count: dec.get_u32()?,
-        })
-    }
-}
-
-/// READ3 result. Like [`Write3Args`], the data opaque is zero-filled but
-/// has an honest wire length.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Read3Res {
-    /// Operation status.
-    pub status: NfsStat3,
-    /// Post-op attributes (success only).
-    pub attrs: Option<Fattr3>,
-    /// Bytes returned (success only).
-    pub count: u32,
-    /// End-of-file reached (success only).
-    pub eof: bool,
-    /// Length of the data opaque.
-    pub data_len: u32,
-}
-
-impl Read3Res {
-    /// A successful read of `count` bytes.
-    pub fn ok(attrs: Fattr3, count: u32, eof: bool) -> Read3Res {
-        Read3Res {
-            status: NfsStat3::Ok,
-            attrs: Some(attrs),
-            count,
-            eof,
-            data_len: count,
-        }
-    }
-}
-
-impl XdrEncode for Read3Res {
-    fn encode(&self, enc: &mut Encoder) {
-        self.status.encode(enc);
-        if self.status == NfsStat3::Ok {
-            self.attrs.encode(enc);
-            enc.put_u32(self.count);
-            enc.put_bool(self.eof);
-            enc.put_opaque_zeroes(self.data_len as usize);
-        } else {
-            self.attrs.encode(enc);
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        if self.status == NfsStat3::Ok {
-            4 + self.attrs.encoded_len() + 4 + 4 + opaque_wire_len(self.data_len as usize)
-        } else {
-            4 + self.attrs.encoded_len()
-        }
-    }
-}
-
-impl XdrDecode for Read3Res {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, XdrError> {
-        let status = NfsStat3::decode(dec)?;
-        let attrs = Option::<Fattr3>::decode(dec)?;
-        if status == NfsStat3::Ok {
-            let count = dec.get_u32()?;
-            let eof = dec.get_bool()?;
-            let data_len = dec.skip_opaque()? as u32;
-            Ok(Read3Res {
-                status,
-                attrs,
-                count,
-                eof,
-                data_len,
-            })
-        } else {
-            Ok(Read3Res {
-                status,
-                attrs,
-                count: 0,
-                eof: false,
-                data_len: 0,
-            })
-        }
-    }
-}
-
-/// SETATTR3 arguments (RFC 1813 §3.3.2); the benchmark uses it only to
-/// truncate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Setattr3Args {
-    /// Target file.
-    pub file: FileHandle,
-    /// New attributes.
-    pub attrs: Sattr3,
-}
-
-impl XdrEncode for Setattr3Args {
-    fn encode(&self, enc: &mut Encoder) {
-        self.file.encode(enc);
-        self.attrs.encode(enc);
-        // guard: no ctime check.
-        enc.put_u32(0);
-    }
-}
-
-impl XdrDecode for Setattr3Args {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, XdrError> {
-        let file = FileHandle::decode(dec)?;
-        let attrs = Sattr3::decode(dec)?;
-        let _guard = dec.get_u32()?;
-        Ok(Setattr3Args { file, attrs })
-    }
-}
-
-/// SETATTR3 result.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Setattr3Res {
-    /// Operation status.
-    pub status: NfsStat3,
-    /// Weak cache-consistency data.
-    pub wcc: WccData,
-}
-
-impl XdrEncode for Setattr3Res {
-    fn encode(&self, enc: &mut Encoder) {
-        self.status.encode(enc);
-        self.wcc.encode(enc);
-    }
-}
-
-impl XdrDecode for Setattr3Res {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, XdrError> {
-        Ok(Setattr3Res {
-            status: NfsStat3::decode(dec)?,
-            wcc: WccData::decode(dec)?,
-        })
-    }
-}
-
-#[cfg(test)]
-mod read_setattr_tests {
-    use super::*;
-    use crate::attrs::Fattr3;
-
-    fn round_trip<T: XdrEncode + XdrDecode + PartialEq + std::fmt::Debug>(v: &T) -> usize {
-        let mut enc = Encoder::new();
-        v.encode(&mut enc);
-        let bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&bytes);
-        let back = T::decode(&mut dec).expect("decode");
-        assert_eq!(&back, v);
-        assert!(dec.is_empty());
-        bytes.len()
-    }
-
-    #[test]
-    fn read3_args_round_trip() {
-        let args = Read3Args {
-            file: FileHandle::for_fileid(5),
-            offset: 4096,
-            count: 8192,
-        };
-        let n = round_trip(&args);
-        assert_eq!(n, args.encoded_len());
-    }
-
-    #[test]
-    fn read3_res_round_trip_and_len() {
-        let res = Read3Res::ok(Fattr3::regular(5, 16384), 8192, false);
-        let n = round_trip(&res);
-        assert_eq!(n, res.encoded_len());
-        // status + (1+fattr) + count + eof + opaque(4+8192).
-        assert_eq!(n, 4 + 4 + 84 + 4 + 4 + 4 + 8192);
-    }
-
-    #[test]
-    fn read3_res_error_round_trip() {
-        let res = Read3Res {
-            status: NfsStat3::Stale,
-            attrs: None,
-            count: 0,
-            eof: false,
-            data_len: 0,
-        };
-        round_trip(&res);
-    }
-
-    #[test]
-    fn setattr3_truncate_round_trip() {
-        let args = Setattr3Args {
-            file: FileHandle::for_fileid(9),
-            attrs: Sattr3 {
-                mode: None,
-                size: Some(0),
-            },
-        };
-        round_trip(&args);
-        let res = Setattr3Res {
-            status: NfsStat3::Ok,
-            wcc: WccData::full(100, Fattr3::regular(9, 0)),
-        };
-        round_trip(&res);
     }
 }

@@ -9,14 +9,10 @@ use nfsperf_nfs3::{Fattr3, FileHandle, NfsStat3};
 /// Root directory file id.
 pub const ROOT_FILEID: u64 = 1;
 
-struct FileEntry {
-    name: String,
-    size: u64,
-}
-
 /// The exported tree: a single root directory of regular files.
 pub struct FsState {
-    files: RefCell<HashMap<u64, FileEntry>>,
+    /// File id to size.
+    files: RefCell<HashMap<u64, u64>>,
     by_name: RefCell<HashMap<String, u64>>,
     next_id: std::cell::Cell<u64>,
 }
@@ -47,57 +43,16 @@ impl FsState {
     pub fn create(&self, name: &str) -> (FileHandle, Fattr3) {
         let existing = self.by_name.borrow().get(name).copied();
         let id = if let Some(id) = existing {
-            self.files
-                .borrow_mut()
-                .get_mut(&id)
-                .expect("indexed file")
-                .size = 0;
+            *self.files.borrow_mut().get_mut(&id).expect("indexed file") = 0;
             id
         } else {
             let id = self.next_id.get();
             self.next_id.set(id + 1);
-            self.files.borrow_mut().insert(
-                id,
-                FileEntry {
-                    name: name.to_owned(),
-                    size: 0,
-                },
-            );
+            self.files.borrow_mut().insert(id, 0);
             self.by_name.borrow_mut().insert(name.to_owned(), id);
             id
         };
         (FileHandle::for_fileid(id), Fattr3::regular(id, 0))
-    }
-
-    /// Resolves a name to a handle and attributes.
-    pub fn lookup(&self, name: &str) -> Result<(FileHandle, Fattr3), NfsStat3> {
-        let by_name = self.by_name.borrow();
-        let id = *by_name.get(name).ok_or(NfsStat3::Noent)?;
-        let files = self.files.borrow();
-        let f = files.get(&id).ok_or(NfsStat3::Stale)?;
-        Ok((FileHandle::for_fileid(id), Fattr3::regular(id, f.size)))
-    }
-
-    /// Returns attributes for a handle.
-    pub fn getattr(&self, fh: &FileHandle) -> Result<Fattr3, NfsStat3> {
-        let id = fh.fileid();
-        if id == ROOT_FILEID {
-            let mut a = Fattr3::regular(ROOT_FILEID, 4096);
-            a.ftype = nfsperf_nfs3::Ftype3::Dir;
-            return Ok(a);
-        }
-        let files = self.files.borrow();
-        let f = files.get(&id).ok_or(NfsStat3::Stale)?;
-        Ok(Fattr3::regular(id, f.size))
-    }
-
-    /// Sets a file's size (SETATTR truncate).
-    pub fn truncate(&self, fh: &FileHandle, size: u64) -> Result<Fattr3, NfsStat3> {
-        let id = fh.fileid();
-        let mut files = self.files.borrow_mut();
-        let f = files.get_mut(&id).ok_or(NfsStat3::Stale)?;
-        f.size = size;
-        Ok(Fattr3::regular(id, f.size))
     }
 
     /// Records a write, extending the file. Returns the new attributes.
@@ -109,31 +64,20 @@ impl FsState {
     ) -> Result<Fattr3, NfsStat3> {
         let id = fh.fileid();
         let mut files = self.files.borrow_mut();
-        let f = files.get_mut(&id).ok_or(NfsStat3::Stale)?;
-        f.size = f.size.max(offset + u64::from(count));
-        Ok(Fattr3::regular(id, f.size))
+        let size = files.get_mut(&id).ok_or(NfsStat3::Stale)?;
+        *size = (*size).max(offset + u64::from(count));
+        Ok(Fattr3::regular(id, *size))
     }
 
     /// Current size of the file behind `fh`.
     pub fn size_of(&self, fh: &FileHandle) -> Result<u64, NfsStat3> {
         let files = self.files.borrow();
-        files
-            .get(&fh.fileid())
-            .map(|f| f.size)
-            .ok_or(NfsStat3::Stale)
+        files.get(&fh.fileid()).copied().ok_or(NfsStat3::Stale)
     }
 
     /// Number of regular files in the export.
     pub fn file_count(&self) -> usize {
         self.files.borrow().len()
-    }
-
-    /// Name of the file behind `fh`, if any (for reports).
-    pub fn name_of(&self, fh: &FileHandle) -> Option<String> {
-        self.files
-            .borrow()
-            .get(&fh.fileid())
-            .map(|f| f.name.clone())
     }
 }
 
@@ -142,29 +86,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn create_lookup_getattr() {
+    fn create_makes_an_empty_file() {
         let fs = FsState::new();
         let (fh, attrs) = fs.create("bench.dat");
         assert_eq!(attrs.size, 0);
-        let (fh2, a2) = fs.lookup("bench.dat").unwrap();
-        assert_eq!(fh, fh2);
-        assert_eq!(a2.size, 0);
-        assert_eq!(fs.getattr(&fh).unwrap().fileid, fh.fileid());
+        assert_eq!(attrs.fileid, fh.fileid());
+        assert_eq!(fs.size_of(&fh).unwrap(), 0);
         assert_eq!(fs.file_count(), 1);
-        assert_eq!(fs.name_of(&fh).as_deref(), Some("bench.dat"));
-    }
-
-    #[test]
-    fn lookup_missing_is_noent() {
-        let fs = FsState::new();
-        assert_eq!(fs.lookup("nope").unwrap_err(), NfsStat3::Noent);
     }
 
     #[test]
     fn stale_handle_rejected() {
         let fs = FsState::new();
         let bogus = FileHandle::for_fileid(999);
-        assert_eq!(fs.getattr(&bogus).unwrap_err(), NfsStat3::Stale);
+        assert_eq!(fs.size_of(&bogus).unwrap_err(), NfsStat3::Stale);
         assert_eq!(fs.apply_write(&bogus, 0, 10).unwrap_err(), NfsStat3::Stale);
     }
 
@@ -189,22 +124,5 @@ mod tests {
         assert_eq!(fh, fh2, "same name keeps its file id");
         assert_eq!(attrs.size, 0);
         assert_eq!(fs.size_of(&fh).unwrap(), 0);
-    }
-
-    #[test]
-    fn truncate_sets_size() {
-        let fs = FsState::new();
-        let (fh, _) = fs.create("f");
-        fs.apply_write(&fh, 0, 9000).unwrap();
-        let a = fs.truncate(&fh, 100).unwrap();
-        assert_eq!(a.size, 100);
-    }
-
-    #[test]
-    fn root_is_a_directory() {
-        let fs = FsState::new();
-        let root = fs.root_handle();
-        let a = fs.getattr(&root).unwrap();
-        assert_eq!(a.ftype, nfsperf_nfs3::Ftype3::Dir);
     }
 }

@@ -231,19 +231,27 @@ mod tests {
     fn unknown_proc_rejected() {
         let (sim, client, _server) = build(ServerConfig::slow_100bt(), NicSpec::fast_ethernet());
         sim.run_until(async move {
-            let msg = encode_call(
-                77,
-                NFS_PROGRAM,
-                NFS_V3,
-                19, // unimplemented proc
-                &AuthUnix::root_on("test"),
-                &0u32,
-            );
-            client.to_server.send(msg);
-            let reply = client.rx.recv().await.unwrap();
-            let (hdr, _dec) = decode_reply(&reply).unwrap();
-            assert_eq!(hdr.xid, 77);
-            assert_eq!(hdr.accept_stat, nfsperf_sunrpc::ACCEPT_PROC_UNAVAIL);
+            // NULL, GETATTR, SETATTR, LOOKUP and READ are valid NFSv3
+            // procedures no workload sends; 19 (FSINFO) is one more.
+            for (xid, proc) in (77..).zip([0, 1, 2, 3, 6, 19]) {
+                let msg = encode_call(
+                    xid,
+                    NFS_PROGRAM,
+                    NFS_V3,
+                    proc,
+                    &AuthUnix::root_on("test"),
+                    &0u32,
+                );
+                client.to_server.send(msg);
+                let reply = client.rx.recv().await.unwrap();
+                let (hdr, _dec) = decode_reply(&reply).unwrap();
+                assert_eq!(hdr.xid, xid, "proc {proc}");
+                assert_eq!(
+                    hdr.accept_stat,
+                    nfsperf_sunrpc::ACCEPT_PROC_UNAVAIL,
+                    "proc {proc}"
+                );
+            }
         });
     }
 

@@ -17,10 +17,7 @@
 //!   the reproduced figures must not move.
 //! - `drr` — deficit round robin across clients with byte-weighted quanta
 //!   (Shreedhar & Varghese): an 8 KB-write client and a 32 KB-write
-//!   client get equal *bytes*, not equal *requests*. A per-client
-//!   [`WeightTable`] (`ServerConfig::client_weights`) scales each
-//!   client's top-up, so an SLA can hand one client a multiple of
-//!   another's service share.
+//!   client get equal *bytes*, not equal *requests*.
 //! - `classed-drr` — DRR with two classes per client, WRITE and metadata
 //!   above COMMIT (whose disk flushes are the expensive tail), and a
 //!   per-client in-flight quota, so one client with a deep RPC slot table
@@ -31,10 +28,9 @@ use std::future::Future;
 use std::rc::Rc;
 use std::task::Waker;
 
-use nfsperf_sim::arbiter::{Arbiter, Claim, Key, Order, DEFAULT_QUANTUM};
+use nfsperf_sim::arbiter::{Arbiter, Claim, Key, Order, WeightTable, DEFAULT_QUANTUM};
 use nfsperf_sim::{drive_poll, Counter, Sim, SimDuration, SimTime};
 
-pub use nfsperf_sim::arbiter::WeightTable;
 pub use nfsperf_sim::LatencyDigest;
 
 /// Request class for scheduling purposes.
@@ -44,7 +40,7 @@ pub enum OpClass {
     Write,
     /// COMMIT — cheap to accept, expensive tail (disk flush on knfsd).
     Commit,
-    /// Everything else (CREATE, LOOKUP, GETATTR, SETATTR, READ, NULL).
+    /// CREATE, the one metadata procedure.
     Meta,
 }
 
@@ -134,15 +130,11 @@ impl SchedPolicy {
         }
     }
 
-    /// Builds the arbiter order, scaling plain DRR's per-client top-ups
-    /// by a weight table when one is supplied (FIFO has no share to
-    /// scale, and classed DRR keeps uniform weights).
-    fn build(&self, weights: Option<&WeightTable>) -> Order {
+    /// Builds the arbiter order: every client weighs the same.
+    fn build(&self) -> Order {
         match *self {
             SchedPolicy::Fifo => Order::fifo(),
-            SchedPolicy::Drr { quantum } => {
-                Order::drr(quantum, weights.cloned().unwrap_or_default(), 1, None)
-            }
+            SchedPolicy::Drr { quantum } => Order::drr(quantum, WeightTable::uniform(), 1, None),
             SchedPolicy::ClassedDrr { quantum, quota } => {
                 Order::drr(quantum, WeightTable::uniform(), 2, Some(quota))
             }
@@ -172,22 +164,11 @@ pub struct ServiceEngine {
 impl ServiceEngine {
     /// Creates an engine with `slots` concurrent service slots.
     pub fn new(sim: &Sim, slots: usize, policy: SchedPolicy) -> Rc<ServiceEngine> {
-        ServiceEngine::with_weights(sim, slots, policy, None)
-    }
-
-    /// Like [`ServiceEngine::new`], scaling a DRR policy's per-client
-    /// top-ups by an SLA weight table when one is supplied.
-    pub fn with_weights(
-        sim: &Sim,
-        slots: usize,
-        policy: SchedPolicy,
-        weights: Option<&WeightTable>,
-    ) -> Rc<ServiceEngine> {
         assert!(slots > 0, "a server needs at least one service slot");
         Rc::new(ServiceEngine {
             sim: sim.clone(),
             policy,
-            arbiter: Arbiter::new(slots, policy.build(weights)),
+            arbiter: Arbiter::new(slots, policy.build()),
             enqueued_bytes: Counter::new(),
             served_bytes: Counter::new(),
             queue_delay: RefCell::new(Vec::new()),

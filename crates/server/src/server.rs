@@ -7,8 +7,7 @@ use std::rc::Rc;
 
 use nfsperf_net::{pool_put, DatagramPayload, Path};
 use nfsperf_nfs3::{
-    Commit3Args, Commit3Res, Create3Args, Create3Res, Getattr3Args, Getattr3Res, Lookup3Args,
-    Lookup3Res, NfsProc3, NfsStat3, Read3Args, Read3Res, Setattr3Args, Setattr3Res, StableHow,
+    Commit3Args, Commit3Res, Create3Args, Create3Res, Fattr3, NfsProc3, NfsStat3, StableHow,
     WccData, Write3Args, Write3Res, WriteVerf, NFS_PROGRAM, NFS_V3,
 };
 use nfsperf_sim::{
@@ -94,10 +93,6 @@ pub struct ServerConfig {
     /// default: the paper's servers serve in arrival order, and the
     /// reproduced figures depend on it.
     pub sched: SchedPolicy,
-    /// Optional per-client SLA weights: upgrades a DRR `sched` to
-    /// weighted DRR, scaling each client's per-rotation service credit.
-    /// `None` (the default) leaves every policy untouched.
-    pub client_weights: Option<crate::sched::WeightTable>,
 }
 
 impl ServerConfig {
@@ -119,7 +114,6 @@ impl ServerConfig {
             },
             write_error_after: None,
             sched: SchedPolicy::Fifo,
-            client_weights: None,
         }
     }
 
@@ -138,7 +132,6 @@ impl ServerConfig {
             },
             write_error_after: None,
             sched: SchedPolicy::Fifo,
-            client_weights: None,
         }
     }
 
@@ -154,7 +147,6 @@ impl ServerConfig {
             backend: BackendConfig::Memory,
             write_error_after: None,
             sched: SchedPolicy::Fifo,
-            client_weights: None,
         }
     }
 
@@ -172,7 +164,6 @@ impl ServerConfig {
             backend: BackendConfig::Memory,
             write_error_after: None,
             sched: SchedPolicy::Fifo,
-            client_weights: None,
         }
     }
 }
@@ -278,14 +269,9 @@ impl ReplySink {
 /// One decoded NFS call: the procedure with its arguments, owned, so
 /// the call's wire buffer can be recycled before service starts.
 enum Request {
-    Null,
     Write(Write3Args),
     Commit(Commit3Args),
     Create(Create3Args),
-    Lookup(Lookup3Args),
-    Getattr(Getattr3Args),
-    Setattr(Setattr3Args),
-    Read(Read3Args),
     /// Not served; reply with this accept status.
     Reject(u32),
 }
@@ -297,14 +283,9 @@ impl Request {
             T::decode(args).map_or(Request::Reject(ACCEPT_GARBAGE_ARGS), wrap)
         }
         match NfsProc3::from_u32(proc) {
-            Some(NfsProc3::Null) => Request::Null,
             Some(NfsProc3::Write) => with(args, Request::Write),
             Some(NfsProc3::Commit) => with(args, Request::Commit),
             Some(NfsProc3::Create) => with(args, Request::Create),
-            Some(NfsProc3::Lookup) => with(args, Request::Lookup),
-            Some(NfsProc3::Getattr) => with(args, Request::Getattr),
-            Some(NfsProc3::Setattr) => with(args, Request::Setattr),
-            Some(NfsProc3::Read) => with(args, Request::Read),
             None => Request::Reject(ACCEPT_PROC_UNAVAIL),
         }
     }
@@ -387,13 +368,6 @@ pub struct FlyweightOp {
     /// When the op reached the server.
     arrival: SimTime,
     stage: FlyStage,
-}
-
-impl FlyweightOp {
-    /// Whether the op has finished (reply left the server).
-    pub fn is_done(&self) -> bool {
-        matches!(self.stage, FlyStage::Done)
-    }
 }
 
 impl Drop for FlyweightOp {
@@ -783,7 +757,7 @@ impl NfsServer {
 
     /// CPU service time of a request carrying `bytes` of payload.
     fn service_time(&self, bytes: u64) -> SimDuration {
-        self.fixed_op_cost + self.data_time(bytes)
+        self.fixed_op_cost + SimDuration((bytes * 1_000_000_000).div_ceil(self.data_rate_bps))
     }
 
     /// Snapshot of the flyweight tier's shared counters.
@@ -853,12 +827,7 @@ impl NfsServer {
             sim: sim.clone(),
             fs: Rc::new(FsState::new()),
             per_client: RefCell::new(Vec::new()),
-            engine: ServiceEngine::with_weights(
-                sim,
-                config.concurrency,
-                config.sched,
-                config.client_weights.as_ref(),
-            ),
+            engine: ServiceEngine::new(sim, config.concurrency, config.sched),
             fixed_op_cost: config.fixed_op_cost,
             data_rate_bps: config.data_rate_bps,
             backend,
@@ -903,10 +872,6 @@ impl NfsServer {
         });
     }
 
-    fn data_time(&self, bytes: u64) -> SimDuration {
-        SimDuration((bytes * 1_000_000_000).div_ceil(self.data_rate_bps))
-    }
-
     /// Executes one RPC call message and returns the reply to send, or
     /// `None` for junk that a real server would silently drop. Transport
     /// independent: the UDP dispatcher sends the reply as a datagram, the
@@ -932,18 +897,9 @@ impl NfsServer {
         // reached the service path and is waiting for the scheduler.
         let arrival = self.sim.now();
         let reply = match request {
-            Request::Null => {
-                let _svc = self.admit(client, OpClass::Meta, 0, arrival).await;
-                self.sim.sleep(self.fixed_op_cost).await;
-                encode_reply(hdr.xid, &0u32)
-            }
             Request::Write(w) => self.handle_write(client, hdr.xid, w, arrival).await,
             Request::Commit(c) => self.handle_commit(client, hdr.xid, c, arrival).await,
             Request::Create(c) => self.handle_create(client, hdr.xid, c, arrival).await,
-            Request::Lookup(l) => self.handle_lookup(client, hdr.xid, l, arrival).await,
-            Request::Getattr(g) => self.handle_getattr(client, hdr.xid, g, arrival).await,
-            Request::Setattr(a) => self.handle_setattr(client, hdr.xid, a, arrival).await,
-            Request::Read(r) => self.handle_read(client, hdr.xid, r, arrival).await,
             Request::Reject(accept_stat) => encode_reply_status(hdr.xid, accept_stat, None),
         };
         Some(reply)
@@ -1065,7 +1021,11 @@ impl NfsServer {
         self.commits.inc();
         self.client_stat(client, |c| c.commits += 1);
         self.backend_step(DataOp::Commit, 0).await;
-        let after = self.fs.getattr(&c.file).ok();
+        let after = self
+            .fs
+            .size_of(&c.file)
+            .ok()
+            .map(|size| Fattr3::regular(c.file.fileid(), size));
         encode_reply(
             xid,
             &Commit3Res {
@@ -1097,123 +1057,6 @@ impl NfsServer {
                 attrs: Some(attrs),
             },
         )
-    }
-
-    async fn handle_lookup(
-        &self,
-        client: usize,
-        xid: u32,
-        l: Lookup3Args,
-        arrival: SimTime,
-    ) -> DatagramPayload {
-        let _svc = self.admit(client, OpClass::Meta, 0, arrival).await;
-        self.sim.sleep(self.fixed_op_cost).await;
-        let res = match self.fs.lookup(&l.name) {
-            Ok((fh, attrs)) => Lookup3Res {
-                status: NfsStat3::Ok,
-                file: Some(fh),
-                attrs: Some(attrs),
-            },
-            Err(status) => Lookup3Res {
-                status,
-                file: None,
-                attrs: None,
-            },
-        };
-        encode_reply(xid, &res)
-    }
-
-    async fn handle_getattr(
-        &self,
-        client: usize,
-        xid: u32,
-        g: Getattr3Args,
-        arrival: SimTime,
-    ) -> DatagramPayload {
-        let _svc = self.admit(client, OpClass::Meta, 0, arrival).await;
-        self.sim.sleep(self.fixed_op_cost).await;
-        let res = match self.fs.getattr(&g.file) {
-            Ok(attrs) => Getattr3Res {
-                status: NfsStat3::Ok,
-                attrs: Some(attrs),
-            },
-            Err(status) => Getattr3Res {
-                status,
-                attrs: None,
-            },
-        };
-        encode_reply(xid, &res)
-    }
-
-    async fn handle_setattr(
-        &self,
-        client: usize,
-        xid: u32,
-        a: Setattr3Args,
-        arrival: SimTime,
-    ) -> DatagramPayload {
-        let _svc = self.admit(client, OpClass::Meta, 0, arrival).await;
-        self.sim.sleep(self.fixed_op_cost).await;
-        let before = self.fs.size_of(&a.file).unwrap_or(0);
-        let res = match a.attrs.size {
-            Some(size) => match self.fs.truncate(&a.file, size) {
-                Ok(after) => Setattr3Res {
-                    status: NfsStat3::Ok,
-                    wcc: WccData::full(before, after),
-                },
-                Err(status) => Setattr3Res {
-                    status,
-                    wcc: WccData::default(),
-                },
-            },
-            None => match self.fs.getattr(&a.file) {
-                Ok(after) => Setattr3Res {
-                    status: NfsStat3::Ok,
-                    wcc: WccData::full(before, after),
-                },
-                Err(status) => Setattr3Res {
-                    status,
-                    wcc: WccData::default(),
-                },
-            },
-        };
-        encode_reply(xid, &res)
-    }
-
-    async fn handle_read(
-        &self,
-        client: usize,
-        xid: u32,
-        r: Read3Args,
-        arrival: SimTime,
-    ) -> DatagramPayload {
-        let _svc = self
-            .admit(client, OpClass::Meta, u64::from(r.count), arrival)
-            .await;
-        match self.fs.getattr(&r.file) {
-            Ok(attrs) => {
-                let available = attrs.size.saturating_sub(r.offset);
-                let count = u64::from(r.count).min(available) as u32;
-                self.sim
-                    .sleep(self.fixed_op_cost + self.data_time(u64::from(count)))
-                    .await;
-                let eof = r.offset + u64::from(count) >= attrs.size;
-                encode_reply(xid, &Read3Res::ok(attrs, count, eof))
-            }
-            Err(status) => {
-                self.sim.sleep(self.fixed_op_cost).await;
-                encode_reply(
-                    xid,
-                    &Read3Res {
-                        status,
-                        attrs: None,
-                        count: 0,
-                        eof: false,
-                        data_len: 0,
-                    },
-                )
-            }
-        }
     }
 
     /// Simulates a server reboot: the write verifier changes, so clients

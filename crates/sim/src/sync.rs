@@ -309,11 +309,6 @@ impl SimLock {
         }
     }
 
-    /// Resets the statistics (e.g. after warm-up).
-    pub fn reset_stats(&self) {
-        self.inner.borrow_mut().stats = StatsAccum::default();
-    }
-
     fn unlock(&self) {
         let mut inner = self.inner.borrow_mut();
         let now = self.sim.now();
@@ -478,11 +473,6 @@ impl Gate {
     pub fn open(&self) {
         self.closed.set(false);
         self.queue.wake_all();
-    }
-
-    /// Returns `true` while the gate is closed.
-    pub fn is_closed(&self) -> bool {
-        self.closed.get()
     }
 
     /// Waits until the gate is open (returns immediately if it is):

@@ -11,7 +11,7 @@
 //!   retransmit); a retransmission timeout collapses it to one MSS.
 //! - **RTO estimation.** Jacobson/Karels smoothed RTT plus variance, with
 //!   Karn's rule (no samples from retransmitted data) and exponential
-//!   backoff capped at `max_rto`.
+//!   backoff capped at `MAX_RTO`.
 //! - **Connection setup and teardown.** A SYN/SYN-ACK/ACK handshake paying
 //!   real link latency, plus best-effort FIN and abortive RST.
 //!
@@ -40,26 +40,28 @@ use nfsperf_sim::{select2, Counter, Either, Sim, SimDuration, SimTime, WaitQueue
 
 use crate::segment::{write_header, Segment, FLAG_ACK, FLAG_FIN, FLAG_RST, FLAG_SYN, HEADER_LEN};
 
-/// Tunables of the TCP model.
-#[derive(Debug, Clone)]
+/// Initial congestion window, in segments (RFC 3390-style: a few).
+const INITIAL_CWND_SEGMENTS: u64 = 4;
+/// Upper bound on the congestion window in bytes (stands in for the
+/// peer's receive window / socket buffer).
+const MAX_CWND: u64 = 64 * 1024;
+/// Retransmission timeout before any RTT sample (and the first SYN
+/// retry's timeout).
+pub(crate) const INITIAL_RTO: SimDuration = SimDuration::from_secs(1);
+/// Lower bound on the RTO.
+const MIN_RTO: SimDuration = SimDuration::from_millis(200);
+/// Upper bound on the RTO and on SYN retry backoff.
+pub(crate) const MAX_RTO: SimDuration = SimDuration::from_secs(60);
+/// SYN retransmissions before `connect` gives up.
+pub(crate) const SYN_RETRIES: u32 = 5;
+/// Duplicate ACKs that trigger a fast retransmit.
+const DUPACK_THRESHOLD: u32 = 3;
+
+/// The TCP model's one per-link setting: its segment size.
+#[derive(Debug, Clone, Copy)]
 pub struct TcpConfig {
     /// Maximum segment size (application bytes per segment).
     pub mss: usize,
-    /// Initial congestion window in bytes (RFC 3390-style: a few segments).
-    pub initial_cwnd: usize,
-    /// Upper bound on the congestion window (stands in for the peer's
-    /// receive window / socket buffer).
-    pub max_cwnd: usize,
-    /// Initial retransmission timeout before any RTT sample.
-    pub initial_rto: SimDuration,
-    /// Lower bound on the RTO.
-    pub min_rto: SimDuration,
-    /// Upper bound on the RTO (and on SYN retry backoff).
-    pub max_rto: SimDuration,
-    /// SYN retransmissions before `connect` gives up.
-    pub syn_retries: u32,
-    /// Duplicate ACKs that trigger a fast retransmit.
-    pub dupack_threshold: u32,
 }
 
 impl TcpConfig {
@@ -70,23 +72,9 @@ impl TcpConfig {
     /// datagram exactly `mtu - 24` bytes — one fragment, like a real TCP
     /// segment that fits the MTU.
     pub fn for_mtu(mtu: usize) -> TcpConfig {
-        let mss = mtu.saturating_sub(52).max(512);
         TcpConfig {
-            mss,
-            initial_cwnd: 4 * mss,
-            max_cwnd: 64 * 1024,
-            initial_rto: SimDuration::from_secs(1),
-            min_rto: SimDuration::from_millis(200),
-            max_rto: SimDuration::from_secs(60),
-            syn_retries: 5,
-            dupack_threshold: 3,
+            mss: mtu.saturating_sub(52).max(512),
         }
-    }
-}
-
-impl Default for TcpConfig {
-    fn default() -> TcpConfig {
-        TcpConfig::for_mtu(1500)
     }
 }
 
@@ -175,9 +163,7 @@ impl TcpConn {
         counters: Rc<SharedCounters>,
         state: State,
     ) -> Rc<TcpConn> {
-        let initial_cwnd = config.initial_cwnd as u64;
-        let initial_rto = config.initial_rto;
-        let max_cwnd = config.max_cwnd as u64;
+        let initial_cwnd = INITIAL_CWND_SEGMENTS * config.mss as u64;
         let conn = Rc::new(TcpConn {
             sim: sim.clone(),
             path,
@@ -192,9 +178,9 @@ impl TcpConn {
             snd_end: Cell::new(1),
             snd_buf: RefCell::new(VecDeque::new()),
             cwnd: Cell::new(initial_cwnd),
-            ssthresh: Cell::new(max_cwnd),
+            ssthresh: Cell::new(MAX_CWND),
             dup_acks: Cell::new(0),
-            rto: Cell::new(initial_rto),
+            rto: Cell::new(INITIAL_RTO),
             srtt: Cell::new(None),
             rtt_probe: Cell::new(None),
             timer_epoch: Cell::new(0),
@@ -473,9 +459,7 @@ impl TcpConn {
             }
         };
         self.srtt.set(Some((srtt, rttvar)));
-        let rto = SimDuration(srtt.0 + 4 * rttvar.0)
-            .max(self.config.min_rto)
-            .min(self.config.max_rto);
+        let rto = SimDuration(srtt.0 + 4 * rttvar.0).max(MIN_RTO).min(MAX_RTO);
         self.rto.set(rto);
     }
 
@@ -569,8 +553,7 @@ impl TcpConn {
             } else {
                 cwnd + (mss * mss / cwnd).max(1) // congestion avoidance
             };
-            self.cwnd
-                .set(grown.min(self.config.max_cwnd as u64).max(mss));
+            self.cwnd.set(grown.min(MAX_CWND).max(mss));
             // Restart the retransmission timer for the new leading byte.
             self.timer_epoch.set(self.timer_epoch.get() + 1);
             self.timer_kick.wake_all();
@@ -583,7 +566,7 @@ impl TcpConn {
             // Duplicate ACK while data is outstanding.
             let dups = self.dup_acks.get() + 1;
             self.dup_acks.set(dups);
-            if dups == self.config.dupack_threshold {
+            if dups == DUPACK_THRESHOLD {
                 self.counters.fast_retransmits.inc();
                 let mss = self.config.mss as u64;
                 let flight = self.snd_nxt.get() - una;
@@ -669,7 +652,7 @@ impl TcpConn {
                 self.ssthresh.set((flight / 2).max(2 * mss));
                 self.cwnd.set(mss);
                 self.dup_acks.set(0);
-                self.rto.set((self.rto.get() * 2).min(self.config.max_rto));
+                self.rto.set((self.rto.get() * 2).min(MAX_RTO));
                 self.retransmit_first();
             }
         }

@@ -9,7 +9,9 @@ use std::rc::Rc;
 use nfsperf_net::{pool_put, DatagramPayload, Path};
 use nfsperf_sim::{channel, select2, Either, Receiver, Sender, Sim};
 
-use crate::conn::{SharedCounters, TcpConfig, TcpConn, TcpError};
+use crate::conn::{
+    SharedCounters, TcpConfig, TcpConn, TcpError, INITIAL_RTO, MAX_RTO, SYN_RETRIES,
+};
 use crate::segment::{Segment, FLAG_ACK, FLAG_SYN, HEADER_LEN};
 
 /// Aggregate transport counters for one endpoint (all its connections).
@@ -70,11 +72,6 @@ impl TcpEndpoint {
         ep
     }
 
-    /// The endpoint's TCP configuration.
-    pub fn config(&self) -> &TcpConfig {
-        &self.config
-    }
-
     /// Aggregate counters across all connections of this endpoint.
     pub fn stats(&self) -> TcpStats {
         TcpStats {
@@ -88,7 +85,7 @@ impl TcpEndpoint {
     }
 
     /// Active open: runs the three-way handshake, retrying the SYN with
-    /// exponential backoff up to `syn_retries` times.
+    /// exponential backoff up to `SYN_RETRIES` times.
     pub async fn connect(self: &Rc<Self>) -> Result<Rc<TcpConn>, TcpError> {
         let id = self.next_id.get();
         self.next_id.set(id + 1);
@@ -96,24 +93,24 @@ impl TcpEndpoint {
         let conn = TcpConn::active(
             &self.sim,
             self.path.clone(),
-            self.config.clone(),
+            self.config,
             id,
             Rc::clone(&self.counters),
         );
         self.conns.borrow_mut().insert(id, Rc::clone(&conn));
-        let mut timeout = self.config.initial_rto;
+        let mut timeout = INITIAL_RTO;
         let mut attempt = 0u32;
         loop {
             match select2(conn.wait_established(), self.sim.sleep(timeout)).await {
                 Either::Left(Ok(())) => return Ok(conn),
                 Either::Left(Err(e)) => return Err(e),
                 Either::Right(()) => {
-                    if attempt >= self.config.syn_retries {
+                    if attempt >= SYN_RETRIES {
                         conn.abort();
                         return Err(TcpError::ConnectTimedOut);
                     }
                     attempt += 1;
-                    timeout = (timeout * 2).min(self.config.max_rto);
+                    timeout = (timeout * 2).min(MAX_RTO);
                     self.counters.retransmits.inc();
                     conn.send_syn();
                 }
@@ -153,7 +150,7 @@ impl TcpEndpoint {
                     let conn = TcpConn::passive(
                         &self.sim,
                         self.path.clone(),
-                        self.config.clone(),
+                        self.config,
                         seg.conn_id,
                         Rc::clone(&self.counters),
                     );

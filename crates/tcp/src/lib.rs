@@ -306,7 +306,7 @@ mod tests {
         let s2c = c2s.reversed();
         let config = TcpConfig::for_mtu(1500);
         let most = config.mss + crate::segment::HEADER_LEN;
-        let client = TcpEndpoint::new(&sim, c2s, client_rx, config.clone());
+        let client = TcpEndpoint::new(&sim, c2s, client_rx, config);
         // Every datagram the server NIC receives passes the capacity
         // check on its way to the server endpoint.
         let (relay_tx, relay_rx) = nfsperf_sim::channel();

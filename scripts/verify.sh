@@ -274,6 +274,26 @@ cmp results/fleet-2.csv results/fleet.csv \
     || { echo "FAIL: fleet sweep differs from the committed results/fleet.csv"; exit 1; }
 rm -f results/fleet-2.csv
 
+echo "==> netqos sweep (full, --jobs 2 vs committed results/netqos.csv)"
+# The one exhibit whose cells put a port scheduler (FIFO, DRR, WRR) on
+# the switch uplink under incast: a change to the switch lanes, the
+# port policies or the TCP/UDP byte paths above them that moves a byte
+# of the committed sweep fails here. About 1 s.
+cargo run -q --release --offline --bin nfsperf -- netqos --jobs 2 --out results/netqos-2.csv > /dev/null
+cmp results/netqos-2.csv results/netqos.csv \
+    || { echo "FAIL: netqos sweep differs from the committed results/netqos.csv"; exit 1; }
+rm -f results/netqos-2.csv
+
+echo "==> cawl sweep (full, --jobs 2 vs committed results/cawl.csv)"
+# The one exhibit that crosses the client's dirty ratio in both
+# directions (cache-fit and writeback-bound cells on every server): a
+# change to the memory model, foreground throttling or the write-behind
+# path that moves a byte of the committed sweep fails here. About 15 s.
+cargo run -q --release --offline --bin nfsperf -- cawl --jobs 2 --out results/cawl-2.csv > /dev/null
+cmp results/cawl-2.csv results/cawl.csv \
+    || { echo "FAIL: cawl sweep differs from the committed results/cawl.csv"; exit 1; }
+rm -f results/cawl-2.csv
+
 echo "==> paper exhibits (full, --jobs 2 vs committed results/, one summary section each)"
 # `nfsperf figures` is the one entry point for the paper's seven figures,
 # Table 1 and the section 3.5 slow-server comparison: every CSV it writes
